@@ -16,8 +16,7 @@
 //! Finally it re-runs scatter, Borůvka MST, and sketch connectivity on
 //! the *distributed* engine (real byte channels, one batched frame per
 //! (link, round)) and writes `BENCH_<date>_wire.json`, pairing each
-//! run's measured frame bits with its logical `WireSize` bits and the
-//! pre-batching PR 6/PR 8 per-message baselines.
+//! run's measured frame bits with its logical `WireSize` bits.
 //!
 //! It also measures the streaming-ingestion tier — `km_graph::stream`
 //! building the distributed input at n ∈ {10⁶, 10⁷} without ever
@@ -177,35 +176,11 @@ struct WireCell {
     /// `measured_bits / logical_bits` — framing overhead only, since the
     /// codec layer asserts payload bits == logical bits per batch.
     wire_vs_logical: f64,
-    /// What PR 8's one-frame-per-message wire (21-byte header each, no
-    /// batch records) would have shipped for the same transcript,
-    /// divided by `logical_bits`. Comparing against `wire_vs_logical`
-    /// isolates what batching bought.
-    wire_vs_logical_pr8: f64,
-    /// PR 8 solo-framed bits / measured bits — how many × the batched
-    /// wire shrinks the same transcript. > 1.0 means batching helped.
-    batching_gain_vs_pr8: f64,
     /// Recovery-layer traffic (retransmits + NACKs). perfsnap runs on a
     /// reliable wire, so this is asserted zero — the self-healing
     /// machinery must be pay-for-what-you-use.
     recovery_bytes: u64,
-    /// Measured bits vs what PR 6's pre-self-healing wire (12-byte
-    /// header, one frame per message) would have shipped:
-    /// `measured / pr6_solo − 1`. Negative means batching reclaimed
-    /// more than the seq + kind + CRC-32 bytes cost.
-    zero_fault_overhead_vs_pr6: f64,
 }
-
-/// Frame-header bytes PR 6 shipped per message (payload length +
-/// logical bits), before the self-healing wire added seq + kind +
-/// CRC-32. The `zero_fault_overhead_vs_pr6` column measures today's
-/// batched wire against that per-message baseline.
-const PR6_HEADER_BYTES: u64 = 12;
-
-/// Frame-header bytes PR 8 shipped per message (PR 6's 12 plus seq +
-/// kind + CRC-32), back when every message got its own frame. The
-/// batching columns measure against this baseline.
-const PR8_HEADER_BYTES: u64 = km_core::codec::FRAME_HEADER_BYTES as u64;
 
 #[derive(Serialize)]
 struct WireSnapshot {
@@ -393,37 +368,6 @@ fn wire_cell(
         metrics.total_msgs(),
         "every link message must be framed exactly once"
     );
-    // What the pre-batching wires would have shipped for the same
-    // transcript: one frame per message, 12-byte (PR 6) or 21-byte
-    // (PR 8) header each, payloads byte-aligned per message.
-    let pr6_solo_bits = wire.solo_framing_bits(PR6_HEADER_BYTES);
-    let pr8_solo_bits = wire.solo_framing_bits(PR8_HEADER_BYTES);
-    let measured = wire.measured_bits();
-    let zero_fault_overhead_vs_pr6 = if pr6_solo_bits == 0 {
-        0.0
-    } else {
-        measured as f64 / pr6_solo_bits as f64 - 1.0
-    };
-    let batching_gain_vs_pr8 = if measured == 0 {
-        1.0
-    } else {
-        pr8_solo_bits as f64 / measured as f64
-    };
-    if name.starts_with("sketch_cc") && zero_fault_overhead_vs_pr6 > 0.01 {
-        println!(
-            "WARN wire {name} k={k}: batched self-healing wire costs {:.2}% over the \
-             PR 6 per-message baseline (>1% budget) — header amortization regressed",
-            zero_fault_overhead_vs_pr6 * 100.0
-        );
-    }
-    if measured >= pr8_solo_bits {
-        println!(
-            "WARN wire {name} k={k}: batching does not improve wire_vs_logical \
-             ({:.3}x measured vs {:.3}x under PR 8 per-message framing)",
-            wire.wire_vs_logical(),
-            pr8_solo_bits as f64 / wire.logical_bits as f64
-        );
-    }
     if name.starts_with("scatter") {
         // CI wire-tier smoke: the batched wire must hold the Lemma-13
         // scatter within the PR 9 budget (one-frame-per-message framing
@@ -454,7 +398,7 @@ fn wire_cell(
         wall_ms,
         rounds: metrics.rounds,
         logical_bits: wire.logical_bits,
-        measured_bits: measured,
+        measured_bits: wire.measured_bits(),
         frames: wire.frames,
         messages: wire.messages,
         msgs_per_frame: wire.msgs_per_frame(),
@@ -462,10 +406,7 @@ fn wire_cell(
         record_bits: wire.record_bits(),
         padding_bits: wire.padding_bits(),
         wire_vs_logical: wire.wire_vs_logical(),
-        wire_vs_logical_pr8: pr8_solo_bits as f64 / wire.logical_bits as f64,
-        batching_gain_vs_pr8,
         recovery_bytes: wire.recovery_bytes(),
-        zero_fault_overhead_vs_pr6,
     }
 }
 
@@ -829,14 +770,9 @@ fn run_wire(date: &str, host_threads: usize, out: &str) {
                measured_bits counts frame bytes while logical_bits is the WireSize \
                transcript the theory charges, so wire_vs_logical isolates framing \
                overhead (header + batch records + ≤7 padding bits per frame); \
-               wire_vs_logical_pr8 / batching_gain_vs_pr8 compare against PR 8's \
-               one-frame-per-message wire and zero_fault_overhead_vs_pr6 against \
-               PR 6's pre-self-healing 12-byte per-message wire (negative = \
-               batching reclaimed more than seq+kind+CRC cost); recovery_bytes is \
-               asserted zero (no faults injected); known gap: sketch_cc at k=64 \
-               averages only ~1.5 msgs/frame (sparse links), which leaves the \
-               21-byte header under-amortized and that row above the 1% pr6 \
-               budget — flagged by the WARN, tracked in ROADMAP"
+               recovery_bytes is asserted zero (no faults injected); known gap: \
+               sketch_cc at k=64 averages only ~1.5 msgs/frame (sparse links), \
+               which leaves the 21-byte header under-amortized — tracked in ROADMAP"
             .to_string(),
     };
     let wire_out = match out.strip_suffix(".json") {

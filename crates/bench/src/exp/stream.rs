@@ -8,7 +8,7 @@
 //! 1,000,000) — handy for CI smoke runs at toy sizes.
 
 use crate::table::{f, Table};
-use km_core::NetConfig;
+use km_core::{run_algorithm, NetConfig, Runner};
 use km_graph::partition::splitmix64;
 use km_graph::stream::{EdgeChunk, EdgeStream, GnpStream, StreamingDistBuilder};
 use km_graph::{DistGraph, Partition};
@@ -161,7 +161,11 @@ pub fn stream_scale(seed: u64) -> Table {
 
     // Sketch connectivity end-to-end on the prebuilt input.
     let start = Instant::now();
-    let (cc, ccm) = km_mst::run_sketch_connectivity_dist(&dist, net).expect("sketch run");
+    let run = run_algorithm(
+        &km_mst::PrebuiltSketchConnectivity { dist: &dist },
+        Runner::new(net),
+    );
+    let (cc, ccm) = run.map(|o| (o.output, o.metrics)).expect("sketch run");
     let cc_ms = start.elapsed().as_secs_f64() * 1e3;
     t.row(vec![
         "sketch_cc".into(),
@@ -184,7 +188,8 @@ pub fn stream_scale(seed: u64) -> Table {
     let wdist = StreamingDistBuilder::new(&part)
         .weighted(&mut ws)
         .expect("finite hash weights");
-    let (forest, weight, mm) = km_mst::run_boruvka_dist(&wdist, net).expect("boruvka run");
+    let run = run_algorithm(&km_mst::PrebuiltMst { dist: &wdist }, Runner::new(net));
+    let ((forest, weight), mm) = run.map(|o| (o.output, o.metrics)).expect("boruvka run");
     let mst_ms = start.elapsed().as_secs_f64() * 1e3;
     assert_eq!(
         forest.len(),
@@ -212,7 +217,11 @@ pub fn stream_scale(seed: u64) -> Table {
         .directed(&mut bs)
         .expect("in-RAM streaming build cannot fail on generator input");
     let cfg = PrConfig::paper(n, 0.2, 0.5);
-    let (pr, prm) = km_pagerank::run_kmachine_pagerank_dist(&ddist, cfg, net).expect("pr run");
+    let run = run_algorithm(
+        &km_pagerank::PrebuiltPageRank { dist: &ddist, cfg },
+        Runner::new(net),
+    );
+    let (pr, prm) = run.map(|o| (o.output, o.metrics)).expect("pr run");
     let pr_ms = start.elapsed().as_secs_f64() * 1e3;
     let mass: f64 = pr.iter().sum();
     t.row(vec![

@@ -6,15 +6,18 @@
 //! and never serialize), this engine actually *ships bytes*: each
 //! round, everything a machine queued for one destination is encoded
 //! by [`crate::codec::encode_batch_frame_into`] into a *single*
-//! checksummed, sequence-numbered batch frame, pushed through that
-//! ordered pair's bounded byte channel, and decoded on receipt —
-//! zero-copy, each message through a borrowed sub-reader over the
-//! frame buffer — into the destination's per-source FIFO [`Link`], the
-//! same bandwidth-limited structure the other engines use, before the
-//! per-round budget releases it. Batching amortizes the 21-byte
+//! checksummed, sequence-numbered batch frame — the only data-frame
+//! kind there is — pushed through that ordered pair's bounded byte
+//! channel, and decoded on receipt — zero-copy, each message through a
+//! borrowed sub-reader over the frame buffer — into the destination's
+//! `engine::Inbound`: the one delivery core (per-source FIFO
+//! [`crate::link::Link`]s, self-queue, sorted active-source index)
+//! the in-process engines hold `k` of, here owned one per worker and
+//! shipped home with the final state. Batching amortizes the 21-byte
 //! self-healing header over every message a (link, round) pair
-//! carries; a [`WireReport`] records what the frames measured against
-//! the logical [`WireSize`] bits.
+//! carries; each worker accumulates a [`WireReport`] of what its
+//! frames measured against the logical [`WireSize`] bits, and the
+//! coordinator sums them.
 //!
 //! # Round anatomy (coordinator barriers)
 //!
@@ -31,15 +34,15 @@
 //!    many batch frames it is owed per source.
 //! 3. Each worker drains its incoming channels until every owed frame
 //!    has been absorbed (see the failure model below for how loss is
-//!    repaired), then runs the same sorted active-source,
-//!    budget-limited delivery walk as the in-process engines'
-//!    `Network::deliver` (its slice of it, preserving the
-//!    sparse-delivery invariant: only links with queued traffic are
-//!    visited, counted in [`crate::Metrics::link_visits`]), and
-//!    reports its status and local queue depths.
-//! 4. The coordinator aggregates: quiescence and the round limit are
-//!    checked exactly as in the sequential engine, so error cases are
-//!    bit-identical too.
+//!    repaired), then runs `Inbound::deliver` — the very walk the
+//!    in-process engines run per destination, so only links with
+//!    queued traffic are visited, counted in
+//!    [`crate::Metrics::link_visits`] — and reports its slice of the
+//!    round's `RoundTally` (status, queue depths, inbox size).
+//! 4. The coordinator sums the slices and closes the round with the
+//!    same `RoundLedger::close` as the in-process loop: communication
+//!    round counted, then quiescence, then the round limit — so error
+//!    cases are bit-identical too.
 //!
 //! Bounded channels mean a sender can hit a full link mid-round; the
 //! overflow waits in a local per-destination queue that every blocked
@@ -90,9 +93,10 @@
 //! # Bit-identity
 //!
 //! [`Metrics`] are accounted from the *logical* sizes (sender side at
-//! staging, receiver side from the sizes carried in frame headers, in
+//! staging, receiver side from the sizes carried in batch records, in
 //! sequence order exactly once), and the per-link FIFO/budget
-//! structure is byte-for-byte the sequential engine's — so outputs,
+//! structure is not a copy of the sequential engine's but the same
+//! code — so outputs,
 //! metrics, RNG streams, and even error payloads are bit-identical
 //! across all three engines (enforced by `tests/engine_equivalence.rs`,
 //! `tests/engine_fuzz.rs`, and under fault injection by
@@ -100,13 +104,13 @@
 //! the separate [`WireReport`].
 
 use crate::codec::{
-    decode_batch, decode_nack, decode_payload, encode_batch_frame_into, split_frame, BitWriter,
-    FrameView, WireCodec, FRAME_HEADER_BYTES, FRAME_KIND_BATCH, FRAME_KIND_NACK,
+    decode_batch, decode_nack, encode_batch_frame_into, split_frame, BitWriter, FrameView,
+    WireCodec, FRAME_HEADER_BYTES, FRAME_KIND_NACK,
 };
 use crate::config::NetConfig;
+use crate::engine::{admit, panic_message, silent_exit, Inbound, RoundLedger, RoundTally};
 use crate::error::EngineError;
 use crate::faults::FaultPlan;
-use crate::link::Link;
 use crate::message::{Envelope, Outbox, WireSize};
 use crate::metrics::{Metrics, RunReport, WireReport};
 use crate::protocol::{Protocol, RoundCtx, Status};
@@ -114,7 +118,6 @@ use crate::rng;
 use crate::MachineIdx;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
 use crossbeam::utils::Backoff;
-use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -190,155 +193,31 @@ enum Cmd {
     Abort,
 }
 
-/// Per-round worker report after its delivery phase.
-struct RoundDone {
-    status: Status,
-    /// Whether any of this worker's incoming links moved ≥ 1 bit.
-    any_link_bits: bool,
-    /// Messages queued locally (links + self-queue) after delivery.
-    queued_msgs: usize,
-    /// Undelivered link bits queued locally after delivery.
-    queued_bits: u64,
-    inbox_empty: bool,
-}
-
 /// Everything a worker accumulated, shipped back on `Finish`.
-struct FinalState<P> {
+struct FinalState<P: Protocol> {
     proto: P,
-    sent_msgs: u64,
-    sent_bits: u64,
-    recv_msgs: u64,
-    recv_bits: u64,
-    link_visits: u64,
-    /// `(messages, bits)` totals per incoming link, indexed by source.
-    link_totals: Vec<(u64, u64)>,
-    wire: WireCounters,
+    /// This machine's delivery core: the receive side of its metrics.
+    inbound: Inbound<P::Msg>,
+    /// What its outgoing frames measured. `messages` / `logical_bits`
+    /// count each link message once, at staging, so they double as
+    /// this machine's `sent_msgs` / `sent_bits`.
+    wire: WireReport,
 }
 
-enum Resp<P> {
+enum Resp<P: Protocol> {
     /// Round compute + staging done; cumulative frames staged per
     /// destination (the coordinator transposes these into `Deliver`).
     Sent {
         counts: Box<[u32]>,
     },
-    Round(RoundDone),
+    /// Delivery done: this machine's slice of the round's tally.
+    Round(RoundTally),
     Final(Box<FinalState<P>>),
     /// The worker's thread panicked; sent best-effort from the panic
     /// handler so the coordinator can type the failure.
     Panicked {
         message: String,
     },
-}
-
-/// Per-worker slice of the [`WireReport`].
-#[derive(Default)]
-struct WireCounters {
-    frames: u64,
-    messages: u64,
-    frame_bytes: u64,
-    payload_bytes: u64,
-    payload_bits: u64,
-    msg_payload_bytes: u64,
-    retransmit_frames: u64,
-    retransmit_bytes: u64,
-    nack_frames: u64,
-    nack_bytes: u64,
-}
-
-/// Machine `i`'s slice of the network: its incoming links, self-queue,
-/// and active-source index — the per-destination state
-/// [`super::Network`] keeps centrally, kept here by the owning worker.
-struct Inlinks<M> {
-    me: MachineIdx,
-    /// Incoming links indexed by source (`links[me]` unused).
-    links: Vec<Link<M>>,
-    /// Decoded-free self-sends waiting for this round's delivery.
-    self_queue: Vec<Envelope<M>>,
-    /// Sorted sources with queued traffic (contains `me` iff the
-    /// self-queue is non-empty) — the sparse-delivery index.
-    active: Vec<MachineIdx>,
-    queued_msgs: usize,
-    queued_bits: u64,
-    recv_msgs: u64,
-    recv_bits: u64,
-    link_visits: u64,
-}
-
-impl<M: WireSize> Inlinks<M> {
-    fn new(k: usize, me: MachineIdx) -> Self {
-        let mut links = Vec::with_capacity(k);
-        links.resize_with(k, Link::default);
-        Inlinks {
-            me,
-            links,
-            self_queue: Vec::new(),
-            active: Vec::new(),
-            queued_msgs: 0,
-            queued_bits: 0,
-            recv_msgs: 0,
-            recv_bits: 0,
-            link_visits: 0,
-        }
-    }
-
-    fn activate(&mut self, src: MachineIdx) {
-        let pos = self
-            .active
-            .binary_search(&src)
-            // lint: allow(panic) — data-structure invariant: callers only activate a source whose queue was empty
-            .expect_err("activated twice without draining");
-        self.active.insert(pos, src);
-    }
-
-    /// A self-send: free, no serialization, delivered this round.
-    fn stage_self(&mut self, msg: M) {
-        self.queued_msgs += 1;
-        if self.self_queue.is_empty() {
-            self.activate(self.me);
-        }
-        self.self_queue.push(Envelope { src: self.me, msg });
-    }
-
-    /// A decoded frame from `src` enters that link's FIFO. `bits` is
-    /// the logical size from the frame header; `push_sized` cross-checks
-    /// it against the decoded message's own claim in debug builds.
-    fn absorb(&mut self, src: MachineIdx, msg: M, bits: u64) {
-        if self.links[src].is_empty() {
-            self.activate(src);
-        }
-        self.links[src].push_sized(Envelope { src, msg }, bits);
-        self.queued_msgs += 1;
-        self.queued_bits += bits;
-    }
-
-    /// This machine's slice of [`super::Network::deliver`]: walk the
-    /// sorted active sources, release up to `budget` bits per link,
-    /// account received sizes from the staged (header) sizes. Returns
-    /// whether any link moved bits.
-    fn deliver(&mut self, budget: u64, inbox: &mut Vec<Envelope<M>>) -> bool {
-        let mut any = false;
-        let mut sources = std::mem::take(&mut self.active);
-        sources.retain(|&src| {
-            if src == self.me {
-                self.queued_msgs -= self.self_queue.len();
-                inbox.append(&mut self.self_queue);
-                return false; // self-queues always drain fully
-            }
-            self.link_visits += 1;
-            let link = &mut self.links[src];
-            let d = link.deliver(budget, inbox);
-            if d.bits_used > 0 {
-                any = true;
-            }
-            self.recv_msgs += d.msgs;
-            self.recv_bits += d.msg_bits;
-            self.queued_msgs -= d.msgs as usize;
-            self.queued_bits -= d.msg_bits;
-            !link.is_empty()
-        });
-        self.active = sources;
-        any
-    }
 }
 
 /// The sending half of a worker's wire: outgoing channels, per-link
@@ -354,7 +233,7 @@ struct Outwire {
     /// Outgoing channels by destination; `None` for self or a peer
     /// that hung up (crashed).
     txs: Vec<Option<Sender<Vec<u8>>>>,
-    /// Next DATA sequence number per destination — cumulative over the
+    /// Next batch sequence number per destination — cumulative over the
     /// whole run, so stale frames from earlier rounds can never alias
     /// fresh ones.
     seq_next: Vec<u32>,
@@ -370,7 +249,8 @@ struct Outwire {
     attempts: Vec<u64>,
     /// NACK ordinals per source being nagged.
     nacks_sent: Vec<u32>,
-    counters: WireCounters,
+    /// This worker's slice of the run's [`WireReport`].
+    report: WireReport,
 }
 
 impl Outwire {
@@ -385,7 +265,7 @@ impl Outwire {
             pending: (0..k).map(|_| VecDeque::new()).collect(),
             attempts: vec![0; k],
             nacks_sent: vec![0; k],
-            counters: WireCounters::default(),
+            report: WireReport::default(),
         }
     }
 
@@ -400,10 +280,10 @@ impl Outwire {
     }
 
     /// Stages one round's queued messages for `dst` as a single batch
-    /// frame: assigns the next sequence number, accounts the batch
-    /// once (logical accounting is per *first framing*, not per
-    /// physical copy — a fault-dropped first transmission still counts
-    /// here, its retransmissions never do), retains it for NACKs when
+    /// frame: assigns the next sequence number, accounts the frame
+    /// once (per *first framing*, not per physical copy — a
+    /// fault-dropped first transmission still counts here, its
+    /// retransmissions never do), retains it for NACKs when
     /// faults are live, and transmits. `scratch` is the worker's
     /// reusable bit buffer; the frame `Vec` is the one allocation per
     /// (link, round), owned by the channel from here on.
@@ -412,12 +292,10 @@ impl Outwire {
         self.seq_next[dst] += 1;
         let mut frame = Vec::new();
         let stats = encode_batch_frame_into(msgs, seq, scratch, &mut frame);
-        self.counters.frames += 1;
-        self.counters.messages += msgs.len() as u64;
-        self.counters.frame_bytes += frame.len() as u64;
-        self.counters.payload_bytes += (frame.len() - FRAME_HEADER_BYTES) as u64;
-        self.counters.payload_bits += stats.payload_bits;
-        self.counters.msg_payload_bytes += stats.solo_payload_bytes;
+        self.report.frames += 1;
+        self.report.frame_bytes += frame.len() as u64;
+        self.report.payload_bytes += (frame.len() - FRAME_HEADER_BYTES) as u64;
+        self.report.payload_bits += stats.payload_bits;
         if self.faulty {
             self.retained[dst].push((seq, frame.clone()));
         }
@@ -443,8 +321,8 @@ impl Outwire {
             return;
         }
         if fate.duplicate {
-            self.counters.retransmit_frames += 1;
-            self.counters.retransmit_bytes += frame.len() as u64;
+            self.report.retransmit_frames += 1;
+            self.report.retransmit_bytes += frame.len() as u64;
             self.enqueue(dst, frame.clone());
         }
         let mut frame = frame;
@@ -458,24 +336,34 @@ impl Outwire {
         }
     }
 
-    /// Channel push with local overflow: a full channel parks the
-    /// frame behind any already-pending ones (preserving per-link
-    /// FIFO); a disconnected channel means the peer crashed and the
-    /// link is void.
+    /// Channel push with local overflow: the frame queues behind any
+    /// already-pending ones (preserving per-link FIFO) and the link is
+    /// pumped.
     fn enqueue(&mut self, dst: MachineIdx, frame: Vec<u8>) {
-        if !self.pending[dst].is_empty() {
-            self.pending[dst].push_back(frame);
-            return;
-        }
-        let Some(tx) = self.txs[dst].as_ref() else {
-            return;
-        };
-        match tx.try_send(frame) {
-            Ok(()) => {}
-            Err(TrySendError::Full(frame)) => self.pending[dst].push_back(frame),
-            Err(TrySendError::Disconnected(_)) => {
-                self.txs[dst] = None;
+        self.pending[dst].push_back(frame);
+        self.pump_link(dst);
+    }
+
+    /// Pushes `dst`'s pending frames into its channel until it fills;
+    /// a disconnected channel means the peer crashed and the link is
+    /// void.
+    fn pump_link(&mut self, dst: MachineIdx) {
+        while let Some(frame) = self.pending[dst].pop_front() {
+            let Some(tx) = self.txs[dst].as_ref() else {
                 self.pending[dst].clear();
+                return;
+            };
+            match tx.try_send(frame) {
+                Ok(()) => {}
+                Err(TrySendError::Full(frame)) => {
+                    self.pending[dst].push_front(frame);
+                    return;
+                }
+                Err(TrySendError::Disconnected(_)) => {
+                    self.txs[dst] = None;
+                    self.pending[dst].clear();
+                    return;
+                }
             }
         }
     }
@@ -483,24 +371,7 @@ impl Outwire {
     /// Pushes pending frames into channels as capacity frees up.
     fn pump(&mut self) {
         for dst in 0..self.txs.len() {
-            while let Some(frame) = self.pending[dst].pop_front() {
-                let Some(tx) = self.txs[dst].as_ref() else {
-                    self.pending[dst].clear();
-                    break;
-                };
-                match tx.try_send(frame) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(frame)) => {
-                        self.pending[dst].push_front(frame);
-                        break;
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        self.txs[dst] = None;
-                        self.pending[dst].clear();
-                        break;
-                    }
-                }
-            }
+            self.pump_link(dst);
         }
     }
 
@@ -520,8 +391,8 @@ impl Outwire {
             .map(|(_, frame)| frame.clone())
             .collect();
         for frame in frames {
-            self.counters.retransmit_frames += 1;
-            self.counters.retransmit_bytes += frame.len() as u64;
+            self.report.retransmit_frames += 1;
+            self.report.retransmit_bytes += frame.len() as u64;
             self.transmit(dst, frame);
         }
     }
@@ -531,8 +402,8 @@ impl Outwire {
         let nack_seq = self.nacks_sent[src];
         self.nacks_sent[src] += 1;
         let frame = crate::codec::encode_nack_frame(from_seq, nack_seq);
-        self.counters.nack_frames += 1;
-        self.counters.nack_bytes += frame.len() as u64;
+        self.report.nack_frames += 1;
+        self.report.nack_bytes += frame.len() as u64;
         self.transmit(src, frame);
     }
 
@@ -584,30 +455,17 @@ impl Inwire {
     }
 }
 
-/// Absorbs every message of a validated in-sequence frame from `src`
-/// into the local links, zero-copy: batch records decode through
-/// borrowed sub-readers over the frame buffer itself. A CRC-valid
-/// frame that fails to decode is a codec bug, not a wire fault — fail
-/// loudly.
-fn absorb_frame<M: WireCodec>(view: &FrameView<'_>, src: MachineIdx, inl: &mut Inlinks<M>) {
-    if view.kind == FRAME_KIND_BATCH {
-        decode_batch::<M>(view, |msg, bits| inl.absorb(src, msg, bits)).unwrap_or_else(|e| {
-            // lint: allow(panic) — a CRC-valid frame that fails to decode is a codec bug, not a wire fault; fail loudly
-            panic!(
-                "machine {}: undecodable batch frame from machine {src}: {e}",
-                inl.me
-            )
-        });
-    } else {
-        let msg: M = decode_payload(view).unwrap_or_else(|e| {
-            // lint: allow(panic) — a CRC-valid frame that fails to decode is a codec bug, not a wire fault; fail loudly
-            panic!(
-                "machine {}: undecodable frame from machine {src}: {e}",
-                inl.me
-            )
-        });
-        inl.absorb(src, msg, view.bits);
-    }
+/// Absorbs every message of a validated in-sequence batch frame from
+/// `src` into the local links, zero-copy: records decode through
+/// borrowed sub-readers over the frame buffer itself.
+fn absorb_frame<M: WireCodec>(view: &FrameView<'_>, src: MachineIdx, inb: &mut Inbound<M>) {
+    decode_batch::<M>(view, |msg, bits| inb.push(src, msg, bits)).unwrap_or_else(|e| {
+        // lint: allow(panic) — a CRC-valid frame that fails to decode is a codec bug, not a wire fault; fail loudly
+        panic!(
+            "machine {}: undecodable batch frame from machine {src}: {e}",
+            inb.me
+        )
+    });
 }
 
 /// Drains every incoming channel: validates each frame (CRC + header),
@@ -615,7 +473,7 @@ fn absorb_frame<M: WireCodec>(view: &FrameView<'_>, src: MachineIdx, inl: &mut I
 /// out-of-order arrivals, and absorbs in-sequence batches into the
 /// local links — in sequence order exactly once, which is what keeps
 /// the logical transcript bit-identical under faults.
-fn drain_incoming<M: WireCodec>(inw: &mut Inwire, out: &mut Outwire, inl: &mut Inlinks<M>) {
+fn drain_incoming<M: WireCodec>(inw: &mut Inwire, out: &mut Outwire, inb: &mut Inbound<M>) {
     for src in 0..inw.rxs.len() {
         let mut hung_up = false;
         {
@@ -642,7 +500,7 @@ fn drain_incoming<M: WireCodec>(inw: &mut Inwire, out: &mut Outwire, inl: &mut I
                 if view.kind == FRAME_KIND_NACK {
                     let from = decode_nack(&view).unwrap_or_else(|e| {
                         // lint: allow(panic) — a CRC-valid NACK that fails to decode is a codec bug, not a wire fault
-                        panic!("machine {}: malformed NACK from {src}: {e}", inl.me)
+                        panic!("machine {}: malformed NACK from {src}: {e}", inb.me)
                     });
                     out.handle_nack(src, from);
                     continue;
@@ -651,13 +509,13 @@ fn drain_incoming<M: WireCodec>(inw: &mut Inwire, out: &mut Outwire, inl: &mut I
                     continue; // duplicate or stale retransmission
                 }
                 if view.seq == inw.expect[src] {
-                    absorb_frame(&view, src, inl);
+                    absorb_frame(&view, src, inb);
                     inw.expect[src] += 1;
                     while let Some(buffered) = inw.ooo[src].remove(&inw.expect[src]) {
                         let v = split_frame(&buffered)
                             // lint: allow(panic) — buffer invariant: frames are CRC-validated before entering `ooo`
                             .expect("reorder buffer only holds validated frames");
-                        absorb_frame(&v, src, inl);
+                        absorb_frame(&v, src, inb);
                         inw.expect[src] += 1;
                     }
                 } else {
@@ -719,16 +577,7 @@ impl DistributedEngine {
         P: Protocol,
         P::Msg: WireCodec,
     {
-        config.validate()?;
-        if machines.len() != config.k {
-            return Err(EngineError::InvalidConfig {
-                reason: format!(
-                    "one protocol instance per machine: got {} for k = {}",
-                    machines.len(),
-                    config.k
-                ),
-            });
-        }
+        admit(&config, machines.len())?;
         let plan = faults.unwrap_or_default();
         if let Some(crash) = plan.crash {
             if crash.machine >= config.k {
@@ -744,46 +593,32 @@ impl DistributedEngine {
         let k = config.k;
         let shared = rng::shared_seed(config.seed);
 
-        // Byte channels for every ordered pair (the diagonal stays
-        // local). Built as k×k option matrices, then each worker moves
-        // out its outgoing row and incoming column.
-        let mut frame_txs: Vec<Option<Sender<Vec<u8>>>> = Vec::with_capacity(k * k);
-        let mut frame_rxs: Vec<Option<Receiver<Vec<u8>>>> = Vec::with_capacity(k * k);
-        for src in 0..k {
-            for dst in 0..k {
-                if src == dst {
-                    frame_txs.push(None);
-                    frame_rxs.push(None);
+        // Byte channels for every ordered pair, built straight into
+        // each worker's outgoing row (`out_txs[src][dst]`) and incoming
+        // column (`in_rxs[dst][src]`); the diagonal stays local.
+        let mut out_txs: Vec<Vec<Option<Sender<Vec<u8>>>>> =
+            (0..k).map(|_| Vec::with_capacity(k)).collect();
+        let mut in_rxs: Vec<Vec<Option<Receiver<Vec<u8>>>>> =
+            (0..k).map(|_| Vec::with_capacity(k)).collect();
+        for (src, txs) in out_txs.iter_mut().enumerate() {
+            for (dst, rxs) in in_rxs.iter_mut().enumerate() {
+                let (tx, rx) = if src == dst {
+                    (None, None)
                 } else {
                     let (tx, rx) = bounded::<Vec<u8>>(LINK_CHANNEL_FRAMES);
-                    frame_txs.push(Some(tx));
-                    frame_rxs.push(Some(rx));
-                }
+                    (Some(tx), Some(rx))
+                };
+                txs.push(tx);
+                rxs.push(rx);
             }
         }
 
         crossbeam::thread::scope(|scope| {
             let mut cmd_txs: Vec<Sender<Cmd>> = Vec::with_capacity(k);
             let mut resp_rxs: Vec<Receiver<Resp<P>>> = Vec::with_capacity(k);
-            // Workers in reverse so each can drain its row/column off
-            // the tails of the matrices by index arithmetic.
-            let mut worker_txs = frame_txs;
-            let mut worker_rxs = frame_rxs;
-            let mut spawns = Vec::with_capacity(k);
-            for me in (0..k).rev() {
-                // Outgoing row `me`: txs[me*k ..][dst]; incoming column
-                // `me`: rxs[src*k + me].
-                let out_txs: Vec<Option<Sender<Vec<u8>>>> =
-                    worker_txs.drain(me * k..(me + 1) * k).collect();
-                let mut in_rxs: Vec<Option<Receiver<Vec<u8>>>> = Vec::with_capacity(k);
-                for src in 0..k {
-                    in_rxs.push(worker_rxs[src * k + me].take());
-                }
-                spawns.push((me, out_txs, in_rxs));
-            }
-            spawns.reverse();
-
-            for ((me, out_txs, in_rxs), proto) in spawns.into_iter().zip(machines) {
+            for (me, ((proto, txs), rxs)) in
+                machines.into_iter().zip(out_txs).zip(in_rxs).enumerate()
+            {
                 let (cmd_tx, cmd_rx) = bounded::<Cmd>(1);
                 let (resp_tx, resp_rx) = bounded::<Resp<P>>(1);
                 cmd_txs.push(cmd_tx);
@@ -793,9 +628,7 @@ impl DistributedEngine {
                     // `round`) so a worker death becomes a typed
                     // report instead of a poisoned join.
                     let result = catch_unwind(AssertUnwindSafe(|| {
-                        run_worker(
-                            config, me, shared, plan, proto, out_txs, in_rxs, &cmd_rx, &resp_tx,
-                        )
+                        run_worker(config, me, shared, plan, proto, txs, rxs, &cmd_rx, &resp_tx)
                     }));
                     if let Err(payload) = result {
                         // `&*payload`: reborrow the *contents* — a bare
@@ -808,22 +641,22 @@ impl DistributedEngine {
                 });
             }
 
-            // Coordinator: same control flow, quiescence test, and
-            // round-limit ordering as the sequential engine's loop —
-            // plus barrier timeouts and typed failure propagation.
-            let mut statuses = vec![Status::Active; k];
+            // Coordinator: the barrier phases of the module docs, each
+            // round closed by the same `RoundLedger::close` as the
+            // in-process engines — plus barrier timeouts and typed
+            // failure propagation.
             let mut counts: Vec<Box<[u32]>> = vec![vec![0u32; k].into_boxed_slice(); k];
-            let mut iterations: u64 = 0;
-            let mut comm_rounds: u64 = 0;
-            let result: Result<(), EngineError> = loop {
-                let mut phase = || -> Result<bool, EngineError> {
+            let mut ledger = RoundLedger::default();
+            let mut run_rounds = || -> Result<(), EngineError> {
+                loop {
+                    let round = ledger.iterations;
                     for (i, tx) in cmd_txs.iter().enumerate() {
-                        if tx.send(Cmd::Round { round: iterations }).is_err() {
+                        if tx.send(Cmd::Round { round }).is_err() {
                             return Err(worker_gone(&resp_rxs, i));
                         }
                     }
                     for (i, slot) in counts.iter_mut().enumerate() {
-                        match await_resp(&resp_rxs, i, barrier, iterations)? {
+                        match await_resp(&resp_rxs, i, barrier, round)? {
                             Resp::Sent {
                                 counts: sent_counts,
                             } => *slot = sent_counts,
@@ -837,70 +670,50 @@ impl DistributedEngine {
                             return Err(worker_gone(&resp_rxs, i));
                         }
                     }
-                    let mut any = false;
-                    let mut queued_msgs = 0usize;
-                    let mut queued_bits = 0u64;
-                    let mut inboxes_empty = true;
-                    for (i, status) in statuses.iter_mut().enumerate() {
-                        match await_resp(&resp_rxs, i, barrier, iterations)? {
-                            Resp::Round(r) => {
-                                *status = r.status;
-                                any |= r.any_link_bits;
-                                queued_msgs += r.queued_msgs;
-                                queued_bits += r.queued_bits;
-                                inboxes_empty &= r.inbox_empty;
-                            }
+                    let mut tally = RoundTally::default();
+                    for i in 0..k {
+                        match await_resp(&resp_rxs, i, barrier, round)? {
+                            Resp::Round(slice) => tally.absorb(slice),
                             // lint: allow(panic) — worker protocol invariant: Cmd::Deliver is always answered by Resp::Round
                             _ => unreachable!("Deliver is answered by Round"),
                         }
                     }
-                    if any {
-                        comm_rounds += 1;
+                    if ledger.close(&config, tally)? {
+                        return Ok(());
                     }
-                    iterations += 1;
-                    if statuses.iter().all(|s| *s == Status::Done)
-                        && queued_msgs == 0
-                        && inboxes_empty
-                    {
-                        return Ok(true);
-                    }
-                    if iterations >= config.max_rounds {
-                        return Err(EngineError::RoundLimitExceeded {
-                            limit: config.max_rounds,
-                            active_machines: statuses
-                                .iter()
-                                .filter(|s| **s == Status::Active)
-                                .count(),
-                            queued_msgs,
-                            queued_bits,
-                        });
-                    }
-                    Ok(false)
-                };
-                match phase() {
-                    Ok(true) => break Ok(()),
-                    Ok(false) => {}
-                    Err(e) => break Err(e),
                 }
             };
 
-            let result = result.and_then(|()| {
+            let result = run_rounds().and_then(|()| {
                 // Collect final states; a worker can in principle die
                 // even here, so the teardown path stays typed too.
-                let mut finals: Vec<FinalState<P>> = Vec::with_capacity(k);
                 for (i, tx) in cmd_txs.iter().enumerate() {
                     if tx.send(Cmd::Finish).is_err() {
                         return Err(worker_gone(&resp_rxs, i));
                     }
                 }
+                let mut metrics = Metrics::new(k);
+                metrics.rounds = ledger.comm_rounds;
+                let mut wire = WireReport::default();
+                let mut machines = Vec::with_capacity(k);
                 for i in 0..k {
-                    match await_resp(&resp_rxs, i, barrier, iterations)? {
-                        Resp::Final(f) => finals.push(*f),
+                    match await_resp(&resp_rxs, i, barrier, ledger.iterations)? {
+                        Resp::Final(f) => {
+                            metrics.sent_msgs[i] = f.wire.messages;
+                            metrics.sent_bits[i] = f.wire.logical_bits;
+                            f.inbound.fold_into(&mut metrics);
+                            wire.absorb(&f.wire);
+                            machines.push(f.proto);
+                        }
                         // lint: allow(panic) — worker protocol invariant: Cmd::Finish is always answered by Resp::Final
                         _ => unreachable!("Finish yields Final"),
                     }
                 }
-                Ok(assemble(k, comm_rounds, finals))
+                Ok(RunReport {
+                    machines,
+                    metrics,
+                    wire: Some(wire),
+                })
             });
             if result.is_err() {
                 // Graceful teardown: every surviving worker (including
@@ -918,23 +731,12 @@ impl DistributedEngine {
     }
 }
 
-/// Renders a caught panic payload for [`EngineError::WorkerPanicked`].
-fn panic_message(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Waits for machine `i`'s next response, converting panics, silent
 /// exits, and barrier timeouts into typed errors. On a timeout the
 /// other response channels are swept for a `Panicked` report first, so
 /// a machine that hangs *because a peer died* blames the culprit, not
 /// the victim.
-fn await_resp<P>(
+fn await_resp<P: Protocol>(
     resp_rxs: &[Receiver<Resp<P>>],
     i: usize,
     barrier: Duration,
@@ -965,57 +767,14 @@ fn await_resp<P>(
 
 /// Types the failure of a worker whose thread is already gone: prefer
 /// its own panic report if one is queued, otherwise a placeholder.
-fn worker_gone<P>(resp_rxs: &[Receiver<Resp<P>>], i: usize) -> EngineError {
+fn worker_gone<P: Protocol>(resp_rxs: &[Receiver<Resp<P>>], i: usize) -> EngineError {
     if let Ok(Resp::Panicked { message }) = resp_rxs[i].try_recv() {
         return EngineError::WorkerPanicked {
             machine: i,
             message,
         };
     }
-    EngineError::WorkerPanicked {
-        machine: i,
-        message: "worker thread exited without reporting".to_string(),
-    }
-}
-
-/// Merges the per-worker slices into the run report; field-for-field
-/// the same aggregation the central `Network` performs.
-fn assemble<P>(k: usize, comm_rounds: u64, finals: Vec<FinalState<P>>) -> RunReport<P> {
-    let mut metrics = Metrics::new(k);
-    metrics.rounds = comm_rounds;
-    let mut wire = WireReport::default();
-    let mut machines = Vec::with_capacity(k);
-    for (i, f) in finals.into_iter().enumerate() {
-        metrics.sent_msgs[i] = f.sent_msgs;
-        metrics.sent_bits[i] = f.sent_bits;
-        metrics.recv_msgs[i] = f.recv_msgs;
-        metrics.recv_bits[i] = f.recv_bits;
-        metrics.link_visits += f.link_visits;
-        metrics.max_link_bits = metrics.max_link_bits.max(
-            f.link_totals
-                .iter()
-                .map(|&(_, bits)| bits)
-                .max()
-                .unwrap_or(0),
-        );
-        wire.frames += f.wire.frames;
-        wire.messages += f.wire.messages;
-        wire.frame_bytes += f.wire.frame_bytes;
-        wire.payload_bytes += f.wire.payload_bytes;
-        wire.payload_bits += f.wire.payload_bits;
-        wire.msg_payload_bytes += f.wire.msg_payload_bytes;
-        wire.retransmit_frames += f.wire.retransmit_frames;
-        wire.retransmit_bytes += f.wire.retransmit_bytes;
-        wire.nack_frames += f.wire.nack_frames;
-        wire.nack_bytes += f.wire.nack_bytes;
-        wire.logical_bits += f.sent_bits;
-        machines.push(f.proto);
-    }
-    RunReport {
-        machines,
-        metrics,
-        wire: Some(wire),
-    }
+    silent_exit(i)
 }
 
 /// The worker loop for machine `me`.
@@ -1037,7 +796,7 @@ fn run_worker<P>(
     let k = config.k;
     let faulty = plan.any();
     let mut rng = rng::machine_rng(config.seed, me);
-    let mut inl: Inlinks<P::Msg> = Inlinks::new(k, me);
+    let mut inb: Inbound<P::Msg> = Inbound::new(k, me);
     let mut inw = Inwire::new(in_rxs);
     let mut out = Outwire::new(me, k, plan, out_txs);
     let mut inbox: Vec<Envelope<P::Msg>> = Vec::new();
@@ -1049,7 +808,6 @@ fn run_worker<P>(
     // channel takes ownership of, one per active link per round.
     let mut staged: Vec<Vec<P::Msg>> = (0..k).map(|_| Vec::new()).collect();
     let mut scratch = BitWriter::new();
-    let (mut sent_msgs, mut sent_bits) = (0u64, 0u64);
 
     loop {
         // Between phases a worker must keep servicing the wire when
@@ -1061,7 +819,7 @@ fn run_worker<P>(
                 match cmd_rx.try_recv() {
                     Ok(cmd) => break Some(cmd),
                     Err(TryRecvError::Empty) => {
-                        drain_incoming(&mut inw, &mut out, &mut inl);
+                        drain_incoming(&mut inw, &mut out, &mut inb);
                         out.pump();
                         backoff.snooze();
                     }
@@ -1100,13 +858,13 @@ fn run_worker<P>(
                 inbox.clear();
                 for (dst, msg) in outbox.drain() {
                     if dst == me {
-                        inl.stage_self(msg);
+                        inb.push_self(msg);
                         continue;
                     }
                     // Sender-side accounting uses the logical size, as
                     // at `Network::stage`; the frame is the real bytes.
-                    sent_msgs += 1;
-                    sent_bits += msg.bits().max(1);
+                    out.report.messages += 1;
+                    out.report.logical_bits += msg.bits().max(1);
                     staged[dst].push(msg);
                 }
                 // One batch frame per destination with queued traffic,
@@ -1129,7 +887,7 @@ fn run_worker<P>(
                     let backoff = Backoff::new();
                     while !out.pending_empty() {
                         out.pump();
-                        drain_incoming(&mut inw, &mut out, &mut inl);
+                        drain_incoming(&mut inw, &mut out, &mut inb);
                         backoff.snooze();
                     }
                 }
@@ -1153,7 +911,7 @@ fn run_worker<P>(
                             // lint: allow(panic) — coordinator protocol invariant: the round state machine sends nothing else here
                             Ok(_) => unreachable!("only Deliver or Abort follows Sent"),
                             Err(TryRecvError::Empty) => {
-                                drain_incoming(&mut inw, &mut out, &mut inl);
+                                drain_incoming(&mut inw, &mut out, &mut inb);
                                 out.pump();
                                 backoff.snooze();
                             }
@@ -1164,7 +922,7 @@ fn run_worker<P>(
                 let mut idle_polls: u32 = 0;
                 let backoff = Backoff::new();
                 loop {
-                    drain_incoming(&mut inw, &mut out, &mut inl);
+                    drain_incoming(&mut inw, &mut out, &mut inb);
                     out.pump();
                     if inw.complete(me, &expected) {
                         break;
@@ -1189,17 +947,11 @@ fn run_worker<P>(
                     }
                     backoff.snooze();
                 }
-                let any_link_bits = inl.deliver(config.bandwidth_bits, &mut inbox);
-                if resp_tx
-                    .send(Resp::Round(RoundDone {
-                        status,
-                        any_link_bits,
-                        queued_msgs: inl.queued_msgs,
-                        queued_bits: inl.queued_bits,
-                        inbox_empty: inbox.is_empty(),
-                    }))
-                    .is_err()
-                {
+                let tally = RoundTally {
+                    active_machines: usize::from(status == Status::Active),
+                    ..inb.deliver(config.bandwidth_bits, &mut inbox)
+                };
+                if resp_tx.send(Resp::Round(tally)).is_err() {
                     return;
                 }
             }
@@ -1211,13 +963,8 @@ fn run_worker<P>(
     }
     let _ = resp_tx.send(Resp::Final(Box::new(FinalState {
         proto,
-        sent_msgs,
-        sent_bits,
-        recv_msgs: inl.recv_msgs,
-        recv_bits: inl.recv_bits,
-        link_visits: inl.link_visits,
-        link_totals: inl.links.iter().map(Link::totals).collect(),
-        wire: out.counters,
+        inbound: inb,
+        wire: out.report,
     })));
 }
 
@@ -1287,7 +1034,6 @@ mod tests {
         assert_eq!(wire.frame_bytes, wire.frames * 21 + wire.payload_bytes);
         assert_eq!(wire.payload_bits, wire.payload_bytes * 8);
         assert_eq!(wire.record_bits(), (wire.frames + wire.messages) * 8);
-        assert_eq!(wire.msg_payload_bytes, 4 * wire.messages);
         assert_eq!(
             wire.padding_bits(),
             0,
@@ -1369,10 +1115,8 @@ mod tests {
         assert_eq!(wire.frames, 5 * k as u64, "one frame per active link-round");
         assert_eq!(wire.messages, 3 * 5 * k as u64);
         assert!((wire.msgs_per_frame() - 3.0).abs() < 1e-12);
-        // The batch amortizes the header: 21 bytes per 3 messages
-        // instead of per 1.
+        // The batch amortizes the header: 21 bytes per 3 messages.
         assert_eq!(wire.header_bits(), wire.frames * 21 * 8);
-        assert!(wire.header_bits() < wire.solo_framing_bits(21) - wire.msg_payload_bytes * 8);
     }
 
     /// Satellite contract: a *batched* frame lost in transit is

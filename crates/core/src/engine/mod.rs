@@ -15,10 +15,25 @@
 //! [`SequentialEngine`] is the reference implementation;
 //! [`ParallelEngine`] distributes step 1 across crossbeam scoped threads;
 //! [`DistributedEngine`] goes further and runs one worker thread *per
-//! machine*, serializing every link message into a byte frame over that
-//! ordered pair's bounded channel (see `distributed.rs`). All three are
-//! transcript-identical (tested in `tests/engine_equivalence.rs` and the
-//! cross-engine fuzz matrix in `tests/engine_fuzz.rs`).
+//! machine*, serializing every link's round of messages into one batch
+//! frame over that ordered pair's bounded channel (see `distributed.rs`).
+//! All three are transcript-identical (tested in
+//! `tests/engine_equivalence.rs` and the cross-engine fuzz matrix in
+//! `tests/engine_fuzz.rs`) because steps 2–4 exist exactly once, here:
+//!
+//! * `Inbound` is one destination's slice of the network — the
+//!   transcript `Π_i` of Theorem 1 in the making: its `k − 1` incoming
+//!   links, its self-queue, and the receive-side counters. The
+//!   in-process engines hold `k` of them in a `Network` (which adds only
+//!   the sender-side counters); a distributed worker owns exactly one,
+//!   fed from decoded frames, and ships it home when the run ends.
+//! * `admit` is the preamble (valid config, machine count `= k`),
+//!   `RoundLedger::close` the end of every round — count a communication
+//!   round if a link moved a bit, then test quiescence, then the round
+//!   limit, in that order — over a `RoundTally` that `Inbound::deliver`
+//!   produces per destination and the engines sum. `drive` is the whole
+//!   in-process loop around them; the sequential engine and the parallel
+//!   engine's master differ only in the compute step they pass it.
 //!
 //! # Sparse delivery
 //!
@@ -26,26 +41,26 @@
 //! fraction of the `k²` ordered links, so the delivery core is built to
 //! cost **O(active traffic) per round, not O(k²)**:
 //!
-//! * `Network` keeps, per destination, a sorted *active-source index* —
-//!   the sources (including the destination itself, for pending
-//!   self-sends) with queued traffic. `Network::stage` inserts a source
-//!   exactly when its link transitions empty → non-empty, and
-//!   `Network::deliver` removes it when the link drains; a link with no
-//!   queued traffic is never visited (every visit increments
-//!   [`crate::Metrics::link_visits`], the observable this invariant is
-//!   unit-tested against).
+//! * An `Inbound` keeps a sorted *active-source index* — the sources
+//!   (including the destination itself, for pending self-sends) with
+//!   queued traffic. Pushing inserts a source exactly when its link
+//!   transitions empty → non-empty, and `Inbound::deliver` removes it
+//!   when the link drains; a link with no queued traffic is never
+//!   visited (every visit increments [`crate::Metrics::link_visits`],
+//!   the observable this invariant is unit-tested against), and
+//!   `Network::deliver` skips a destination whose index is empty.
 //! * Running `queued_msgs` / `queued_bits` counters — incremented at
-//!   staging, decremented at delivery — make `Network::is_drained` and
-//!   `Network::queued` O(1) instead of `k²` scans; the per-round
-//!   quiescence check does no per-link work at all.
+//!   push, decremented at delivery — are reported in each destination's
+//!   tally, so the per-round quiescence check does no per-link work.
 //! * Delivery-side accounting reuses the wire sizes cached in each
 //!   [`Link`] at staging time ([`crate::link::Delivery`]), so
-//!   [`crate::message::WireSize::bits`] runs exactly once per message.
+//!   [`crate::message::WireSize::bits`] runs exactly once per link
+//!   message — and never for a self-send, which is free and unsized.
 //!
-//! Ordering is unchanged from the dense loop: each destination's active
-//! sources are walked in increasing machine order (the index is kept
+//! Ordering is that of a dense `k²` walk: each destination's active
+//! sources are visited in increasing machine order (the index is kept
 //! sorted), so inboxes — and therefore transcripts, metrics, and RNG
-//! streams — are bit-for-bit identical to the pre-index engine.
+//! streams — are bit-for-bit what visiting every link would produce.
 
 pub mod distributed;
 pub mod parallel;
@@ -56,164 +71,329 @@ pub use distributed::DistributedEngine;
 pub use parallel::ParallelEngine;
 pub use sequential::SequentialEngine;
 
+use crate::config::NetConfig;
+use crate::error::EngineError;
 use crate::link::Link;
 use crate::message::{Envelope, WireSize};
 use crate::metrics::Metrics;
-use crate::protocol::Status;
 use crate::MachineIdx;
+use std::any::Any;
 
-/// Shared network state: the `k × k` ordered link matrix plus free
-/// self-delivery queues, with metrics accounting and the active-source
-/// index that keeps delivery O(active traffic).
-pub(crate) struct Network<M> {
-    k: usize,
-    /// Ordered links, indexed `src * k + dst` (diagonal unused).
+/// One destination's slice of the network: its incoming links, its
+/// free self-queue, the active-source index that keeps delivery
+/// O(active traffic), and the receive-side counters.
+pub(crate) struct Inbound<M> {
+    me: MachineIdx,
+    /// Incoming links indexed by source (`links[me]` unused).
     links: Vec<Link<M>>,
-    /// Self-sends waiting for next round (no bandwidth charge).
-    self_queues: Vec<Vec<Envelope<M>>>,
-    /// Per-destination sorted list of sources with queued traffic
-    /// (`active[dst]` contains `dst` itself iff its self-queue is
-    /// non-empty). Maintained by `stage` (empty → non-empty) and
-    /// `deliver` (drained links drop out).
-    active: Vec<Vec<MachineIdx>>,
-    /// Messages queued anywhere (links + self-queues).
+    /// Self-sends waiting for this round's delivery (no bandwidth charge).
+    self_queue: Vec<Envelope<M>>,
+    /// Sorted sources with queued traffic (contains `me` iff the
+    /// self-queue is non-empty). Maintained by the pushes (empty →
+    /// non-empty) and `deliver` (drained links drop out).
+    active: Vec<MachineIdx>,
+    /// Messages queued here (links + self-queue).
     queued_msgs: usize,
-    /// Undelivered bits queued on links (self-sends are free).
+    /// Undelivered bits queued on the links (self-sends are free).
     queued_bits: u64,
-    pub(crate) metrics: Metrics,
+    recv_msgs: u64,
+    recv_bits: u64,
+    link_visits: u64,
 }
 
-impl<M: WireSize> Network<M> {
-    pub(crate) fn new(k: usize) -> Self {
-        let mut links = Vec::with_capacity(k * k);
-        links.resize_with(k * k, Link::default);
-        Network {
-            k,
+impl<M: WireSize> Inbound<M> {
+    pub(crate) fn new(k: usize, me: MachineIdx) -> Self {
+        let mut links = Vec::with_capacity(k);
+        links.resize_with(k, Link::default);
+        Inbound {
+            me,
             links,
-            self_queues: (0..k).map(|_| Vec::new()).collect(),
-            active: (0..k).map(|_| Vec::new()).collect(),
+            self_queue: Vec::new(),
+            active: Vec::new(),
             queued_msgs: 0,
             queued_bits: 0,
-            metrics: Metrics::new(k),
+            recv_msgs: 0,
+            recv_bits: 0,
+            link_visits: 0,
         }
     }
 
-    /// Marks `src` as having queued traffic towards `dst`. Only called on
-    /// an empty → non-empty transition, so `src` is never already present.
-    fn activate(&mut self, dst: MachineIdx, src: MachineIdx) {
-        let list = &mut self.active[dst];
-        let pos = list
+    /// Marks `src` as having queued traffic. Only called on an empty →
+    /// non-empty transition, so `src` is never already present.
+    fn activate(&mut self, src: MachineIdx) {
+        let pos = self
+            .active
             .binary_search(&src)
             // lint: allow(panic) — activate() fires only on the empty->non-empty transition, so src is absent
             .expect_err("activated twice without draining");
-        list.insert(pos, src);
+        self.active.insert(pos, src);
+    }
+
+    /// Queues a self-send: free, never sized or serialized, delivered
+    /// with this round's link traffic.
+    pub(crate) fn push_self(&mut self, msg: M) {
+        if self.self_queue.is_empty() {
+            self.activate(self.me);
+        }
+        self.self_queue.push(Envelope { src: self.me, msg });
+        self.queued_msgs += 1;
+    }
+
+    /// Queues a link message from `src`. `bits` is its clamped logical
+    /// size, sampled once by whoever charged the sender (staging in
+    /// process, the frame's record header on the wire); `push_sized`
+    /// cross-checks it against the message's own claim in debug builds.
+    pub(crate) fn push(&mut self, src: MachineIdx, msg: M, bits: u64) {
+        if self.links[src].is_empty() {
+            self.activate(src);
+        }
+        self.links[src].push_sized(Envelope { src, msg }, bits);
+        self.queued_msgs += 1;
+        self.queued_bits += bits;
+    }
+
+    /// Runs this destination's delivery phase into `inbox` (which the
+    /// caller cleared): every *active* link releases up to `budget`
+    /// bits, in increasing source order; links with nothing queued are
+    /// not visited. Returns what the phase left behind.
+    pub(crate) fn deliver(&mut self, budget: u64, inbox: &mut Vec<Envelope<M>>) -> RoundTally {
+        let mut any_link_bits = false;
+        // Walk the active sources in machine order (the list is
+        // sorted), retaining only those still queued.
+        let mut sources = std::mem::take(&mut self.active);
+        sources.retain(|&src| {
+            if src == self.me {
+                self.queued_msgs -= self.self_queue.len();
+                inbox.append(&mut self.self_queue);
+                return false; // self-queues always drain fully
+            }
+            self.link_visits += 1;
+            let link = &mut self.links[src];
+            let d = link.deliver(budget, inbox);
+            any_link_bits |= d.bits_used > 0;
+            // Received counts come from the sizes cached at push time,
+            // so recv accounting can never drift from sent and
+            // `WireSize::bits` is not re-called on delivery.
+            self.recv_msgs += d.msgs;
+            self.recv_bits += d.msg_bits;
+            self.queued_msgs -= d.msgs as usize;
+            self.queued_bits -= d.msg_bits;
+            !link.is_empty()
+        });
+        self.active = sources;
+        RoundTally {
+            active_machines: 0,
+            any_link_bits,
+            queued_msgs: self.queued_msgs,
+            queued_bits: self.queued_bits,
+            inbox_msgs: inbox.len(),
+        }
+    }
+
+    /// Writes this destination's receive side into the run's metrics.
+    pub(crate) fn fold_into(&self, metrics: &mut Metrics) {
+        metrics.recv_msgs[self.me] = self.recv_msgs;
+        metrics.recv_bits[self.me] = self.recv_bits;
+        metrics.link_visits += self.link_visits;
+        let busiest = self.links.iter().map(|l| l.totals().1).max().unwrap_or(0);
+        metrics.max_link_bits = metrics.max_link_bits.max(busiest);
+    }
+}
+
+/// What one round left behind: per destination as [`Inbound::deliver`]
+/// returns it, summed over all machines as [`RoundLedger::close`]
+/// reads it.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct RoundTally {
+    /// Machines that reported [`crate::Status::Active`] this round.
+    pub(crate) active_machines: usize,
+    /// Whether any link moved at least one bit.
+    pub(crate) any_link_bits: bool,
+    /// Messages still queued (links + self-queues) after delivery.
+    pub(crate) queued_msgs: usize,
+    /// Undelivered link bits still queued after delivery.
+    pub(crate) queued_bits: u64,
+    /// Messages delivered into the next round's inboxes.
+    pub(crate) inbox_msgs: usize,
+}
+
+impl RoundTally {
+    pub(crate) fn absorb(&mut self, other: RoundTally) {
+        self.active_machines += other.active_machines;
+        self.any_link_bits |= other.any_link_bits;
+        self.queued_msgs += other.queued_msgs;
+        self.queued_bits += other.queued_bits;
+        self.inbox_msgs += other.inbox_msgs;
+    }
+}
+
+/// The run's round counters and the one place a round ends.
+#[derive(Debug, Default)]
+pub(crate) struct RoundLedger {
+    /// Rounds executed so far — the [`crate::RoundCtx::round`] of the next.
+    pub(crate) iterations: u64,
+    /// Rounds in which some link moved a bit: [`Metrics::rounds`].
+    pub(crate) comm_rounds: u64,
+}
+
+impl RoundLedger {
+    /// Closes a round over its summed tally: counts it, then tests
+    /// global quiescence (`Ok(true)`), then the round limit — in that
+    /// order, so a run that quiesces on its last permitted round
+    /// succeeds, and every engine fails with the same payload.
+    ///
+    /// # Errors
+    /// [`EngineError::RoundLimitExceeded`] carrying this round's tally.
+    pub(crate) fn close(
+        &mut self,
+        config: &NetConfig,
+        tally: RoundTally,
+    ) -> Result<bool, EngineError> {
+        self.comm_rounds += u64::from(tally.any_link_bits);
+        self.iterations += 1;
+        if tally.active_machines == 0 && tally.queued_msgs == 0 && tally.inbox_msgs == 0 {
+            return Ok(true);
+        }
+        if self.iterations >= config.max_rounds {
+            return Err(EngineError::RoundLimitExceeded {
+                limit: config.max_rounds,
+                active_machines: tally.active_machines,
+                queued_msgs: tally.queued_msgs,
+                queued_bits: tally.queued_bits,
+            });
+        }
+        Ok(false)
+    }
+}
+
+/// The preamble every engine runs before touching a machine.
+///
+/// # Errors
+/// [`EngineError::InvalidConfig`] if the config fails
+/// [`NetConfig::validate`] or `machines != config.k`.
+pub(crate) fn admit(config: &NetConfig, machines: usize) -> Result<(), EngineError> {
+    config.validate()?;
+    if machines != config.k {
+        return Err(EngineError::InvalidConfig {
+            reason: format!(
+                "one protocol instance per machine: got {machines} for k = {}",
+                config.k
+            ),
+        });
+    }
+    Ok(())
+}
+
+/// The in-process network: every destination's [`Inbound`] plus the
+/// sender-side counters.
+pub(crate) struct Network<M> {
+    inbound: Vec<Inbound<M>>,
+    /// `sent_*` are charged at staging; [`Network::finish`] folds the
+    /// receive side in from each [`Inbound`].
+    metrics: Metrics,
+}
+
+impl<M: WireSize> Network<M> {
+    fn new(k: usize) -> Self {
+        Network {
+            inbound: (0..k).map(|dst| Inbound::new(k, dst)).collect(),
+            metrics: Metrics::new(k),
+        }
     }
 
     /// Stages one message. Link traffic is charged to the sender here
     /// (bits are counted when sent, received when delivered).
     pub(crate) fn stage(&mut self, src: MachineIdx, dst: MachineIdx, msg: M) {
-        self.queued_msgs += 1;
         if src == dst {
-            if self.self_queues[src].is_empty() {
-                self.activate(src, src);
-            }
-            self.self_queues[src].push(Envelope { src, msg });
+            self.inbound[dst].push_self(msg);
             return;
         }
         let bits = msg.bits().max(1);
         self.metrics.sent_msgs[src] += 1;
         self.metrics.sent_bits[src] += bits;
-        self.queued_bits += bits;
-        if self.links[src * self.k + dst].is_empty() {
-            self.activate(dst, src);
-        }
-        self.links[src * self.k + dst].push_sized(Envelope { src, msg }, bits);
+        self.inbound[dst].push(src, msg, bits);
     }
 
-    /// Runs one delivery phase: every *active* link releases up to
-    /// `budget` bits; links with nothing queued are not visited. Returns
-    /// `true` if any link transmitted at least one bit.
-    pub(crate) fn deliver(&mut self, budget: u64, inboxes: &mut [Vec<Envelope<M>>]) -> bool {
-        let mut any = false;
-        for (dst, inbox) in inboxes.iter_mut().enumerate().take(self.k) {
-            if self.active[dst].is_empty() {
-                continue;
+    /// Runs one delivery phase into the (cleared) `inboxes` and sums
+    /// the tallies. A destination with an empty index has nothing
+    /// queued — nothing to deliver and nothing to report.
+    fn deliver(&mut self, budget: u64, inboxes: &mut [Vec<Envelope<M>>]) -> RoundTally {
+        let mut tally = RoundTally::default();
+        for (inb, inbox) in self.inbound.iter_mut().zip(inboxes) {
+            if !inb.active.is_empty() {
+                tally.absorb(inb.deliver(budget, inbox));
             }
-            // Walk this destination's active sources in machine order
-            // (the list is sorted), retaining only those still queued.
-            let mut sources = std::mem::take(&mut self.active[dst]);
-            sources.retain(|&src| {
-                if src == dst {
-                    self.queued_msgs -= self.self_queues[dst].len();
-                    inbox.append(&mut self.self_queues[dst]);
-                    return false; // self-queues always drain fully
-                }
-                self.metrics.link_visits += 1;
-                let link = &mut self.links[src * self.k + dst];
-                let d = link.deliver(budget, inbox);
-                if d.bits_used > 0 {
-                    any = true;
-                }
-                // Received counts come from the sizes cached at staging
-                // time, so recv accounting can never drift from sent and
-                // `WireSize::bits` is not re-called on delivery.
-                self.metrics.recv_msgs[dst] += d.msgs;
-                self.metrics.recv_bits[dst] += d.msg_bits;
-                self.queued_msgs -= d.msgs as usize;
-                self.queued_bits -= d.msg_bits;
-                !link.is_empty()
-            });
-            self.active[dst] = sources;
         }
-        any
+        tally
     }
 
-    /// Whether all links and self-queues are empty. O(1).
-    pub(crate) fn is_drained(&self) -> bool {
-        self.queued_msgs == 0
-    }
-
-    /// Number of queued (undelivered) messages. O(1).
-    pub(crate) fn queued(&self) -> usize {
-        self.queued_msgs
-    }
-
-    /// Undelivered bits still queued on links. O(1).
-    pub(crate) fn queued_bits(&self) -> u64 {
-        self.queued_bits
-    }
-
-    /// Links the active index currently tracks (with queued traffic).
-    #[cfg(test)]
-    fn active_links(&self) -> usize {
-        self.active.iter().map(Vec::len).sum()
-    }
-
-    /// Finalizes the max-per-link statistic.
-    pub(crate) fn finalize(&mut self) {
-        self.metrics.max_link_bits = self.links.iter().map(|l| l.totals().1).max().unwrap_or(0);
+    fn finish(mut self, rounds: u64) -> Metrics {
+        for inb in &self.inbound {
+            inb.fold_into(&mut self.metrics);
+        }
+        self.metrics.rounds = rounds;
+        self.metrics
     }
 }
 
-/// Outcome of the per-round termination check.
-pub(crate) fn quiescent<M>(
-    statuses: &[Status],
-    net: &Network<M>,
-    inboxes: &[Vec<Envelope<M>>],
-) -> bool
-where
-    M: WireSize,
-{
-    statuses.iter().all(|s| *s == Status::Done)
-        && net.is_drained()
-        && inboxes.iter().all(Vec::is_empty)
+/// The in-process round loop, shared by [`SequentialEngine`] and
+/// [`ParallelEngine`]'s master. `compute(round, inboxes, net)` runs
+/// every machine on its inbox, stages what they sent into `net` in
+/// machine order, leaves all `k` inboxes cleared, and returns how many
+/// machines reported [`crate::Status::Active`].
+///
+/// # Errors
+/// Whatever `compute` fails with, or [`RoundLedger::close`]'s
+/// [`EngineError::RoundLimitExceeded`].
+pub(crate) fn drive<M: WireSize>(
+    config: &NetConfig,
+    mut compute: impl FnMut(
+        u64,
+        &mut Vec<Vec<Envelope<M>>>,
+        &mut Network<M>,
+    ) -> Result<usize, EngineError>,
+) -> Result<Metrics, EngineError> {
+    let mut net = Network::new(config.k);
+    let mut inboxes: Vec<Vec<Envelope<M>>> = (0..config.k).map(|_| Vec::new()).collect();
+    let mut ledger = RoundLedger::default();
+    loop {
+        let active_machines = compute(ledger.iterations, &mut inboxes, &mut net)?;
+        let tally = RoundTally {
+            active_machines,
+            ..net.deliver(config.bandwidth_bits, &mut inboxes)
+        };
+        if ledger.close(config, tally)? {
+            return Ok(net.finish(ledger.comm_rounds));
+        }
+    }
+}
+
+/// The failure of a worker thread that stopped answering without a
+/// report of its own.
+pub(crate) fn silent_exit(machine: MachineIdx) -> EngineError {
+    EngineError::WorkerPanicked {
+        machine,
+        message: "worker thread exited without reporting".to_string(),
+    }
+}
+
+/// Renders a caught panic payload for [`EngineError::WorkerPanicked`].
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::Network;
+    use super::{Inbound, RoundLedger, RoundTally};
     use crate::config::NetConfig;
     use crate::engine::SequentialEngine;
+    use crate::error::EngineError;
     use crate::message::{Envelope, Outbox};
     use crate::protocol::{Protocol, RoundCtx, Status};
     use rand::Rng;
@@ -268,65 +448,133 @@ mod tests {
     }
 
     /// The sparse-delivery contract, observed through the active index
-    /// and `Metrics::link_visits`: `deliver` touches exactly the links
-    /// with queued traffic, never the other `k² − O(1)`.
+    /// and the visit counter: `deliver` touches exactly the links with
+    /// queued traffic, never the other `k − O(1)`.
     #[test]
     fn deliver_touches_only_active_links() {
-        let k = 64;
-        let mut net: Network<u32> = Network::new(k);
-        let mut inboxes: Vec<Vec<Envelope<u32>>> = (0..k).map(|_| Vec::new()).collect();
+        let mut inb: Inbound<u32> = Inbound::new(64, 7);
+        let mut inbox = Vec::new();
 
-        // Idle network: a delivery phase visits nothing.
-        assert!(!net.deliver(64, &mut inboxes));
-        assert_eq!(net.metrics.link_visits, 0);
-        assert!(net.is_drained());
+        // Idle: a delivery phase visits nothing.
+        assert!(!inb.deliver(64, &mut inbox).any_link_bits);
+        assert_eq!(inb.link_visits, 0);
 
         // Three link messages on two links + one free self-send.
-        net.stage(3, 7, 1);
-        net.stage(5, 7, 2);
-        net.stage(3, 7, 3);
-        net.stage(9, 9, 4);
-        assert_eq!(net.active_links(), 3, "two link sources + one self");
-        assert_eq!(net.queued(), 4);
-        assert_eq!(net.queued_bits(), 3 * 32);
-        assert!(!net.is_drained());
+        inb.push(3, 1, 32);
+        inb.push(5, 2, 32);
+        inb.push(3, 3, 32);
+        inb.push_self(4);
+        assert_eq!(inb.active, vec![3, 5, 7], "two link sources + self");
+        assert_eq!((inb.queued_msgs, inb.queued_bits), (4, 3 * 32));
 
         // One phase delivers everything and visits exactly the 2 active
-        // links (self-queues are not links); the index empties.
-        assert!(net.deliver(64, &mut inboxes));
-        assert_eq!(net.metrics.link_visits, 2);
-        assert_eq!(net.active_links(), 0);
-        assert!(net.is_drained());
-        assert_eq!(net.queued_bits(), 0);
-        // Inbox 7 is ordered by sender index: 3's FIFO pair, then 5.
-        let got: Vec<(usize, u32)> = inboxes[7].iter().map(|e| (e.src, e.msg)).collect();
-        assert_eq!(got, vec![(3, 1), (3, 3), (5, 2)]);
-        assert_eq!(inboxes[9].len(), 1);
+        // links (the self-queue is not a link); the index empties.
+        let t = inb.deliver(64, &mut inbox);
+        assert!(t.any_link_bits);
+        assert_eq!((t.queued_msgs, t.queued_bits, t.inbox_msgs), (0, 0, 4));
+        assert_eq!(inb.link_visits, 2);
+        assert!(inb.active.is_empty());
+        // Ordered by sender index: 3's FIFO pair, then 5, then self.
+        let got: Vec<(usize, u32)> = inbox.iter().map(|e| (e.src, e.msg)).collect();
+        assert_eq!(got, vec![(3, 1), (3, 3), (5, 2), (7, 4)]);
+        assert_eq!((inb.recv_msgs, inb.recv_bits), (3, 96), "self is free");
 
         // Another idle phase still visits nothing.
-        assert!(!net.deliver(64, &mut inboxes));
-        assert_eq!(net.metrics.link_visits, 2);
+        inbox.clear();
+        assert!(!inb.deliver(64, &mut inbox).any_link_bits);
+        assert_eq!(inb.link_visits, 2);
     }
 
     /// A link whose message outlives one round's budget stays in the
     /// active index (and is re-visited) until fully delivered.
     #[test]
     fn partially_delivered_links_stay_active() {
-        let k = 8;
-        let mut net: Network<Vec<u8>> = Network::new(k);
-        let mut inboxes: Vec<Vec<Envelope<Vec<u8>>>> = (0..k).map(|_| Vec::new()).collect();
-        net.stage(1, 2, vec![0u8; 30]); // 32 + 240 bits at 100/round: 3 rounds
+        let mut inb: Inbound<Vec<u8>> = Inbound::new(8, 2);
+        let mut inbox = Vec::new();
+        inb.push(1, vec![0u8; 30], 272); // 32 + 240 bits at 100/round: 3 rounds
         for round in 0..2 {
-            assert!(net.deliver(100, &mut inboxes));
-            assert!(inboxes[2].is_empty(), "not yet complete at round {round}");
-            assert_eq!(net.active_links(), 1);
-            assert!(!net.is_drained());
+            let t = inb.deliver(100, &mut inbox);
+            assert!(t.any_link_bits);
+            assert!(inbox.is_empty(), "not yet complete at round {round}");
+            assert_eq!(inb.active, vec![1]);
+            assert_eq!((t.queued_msgs, t.queued_bits), (1, 272));
         }
-        assert!(net.deliver(100, &mut inboxes));
-        assert_eq!(inboxes[2].len(), 1);
-        assert_eq!(net.active_links(), 0);
-        assert!(net.is_drained());
-        assert_eq!(net.metrics.link_visits, 3);
+        let t = inb.deliver(100, &mut inbox);
+        assert_eq!((t.queued_msgs, t.inbox_msgs), (0, 1));
+        assert!(inb.active.is_empty());
+        assert_eq!(inb.link_visits, 3);
+    }
+
+    /// The order the engines rely on: count the communication round,
+    /// then quiescence, then the limit.
+    #[test]
+    fn round_ledger_closes_in_count_quiescence_limit_order() {
+        let cfg = NetConfig::with_bandwidth(4, 64, 0).max_rounds(3);
+        let busy = RoundTally {
+            active_machines: 2,
+            any_link_bits: true,
+            queued_msgs: 5,
+            queued_bits: 77,
+            inbox_msgs: 1,
+        };
+        let silent = RoundTally {
+            any_link_bits: false,
+            ..busy
+        };
+        let quiet = RoundTally::default();
+        // (tallies closed in order, last verdict, comm_rounds after)
+        let table: [(&[RoundTally], Result<bool, ()>, u64); 6] = [
+            (&[quiet], Ok(true), 0),
+            (&[busy, silent], Ok(false), 1),
+            // Quiescing on the last permitted round wins over the limit.
+            (&[busy, busy, quiet], Ok(true), 2),
+            // ... including when that round itself still moved bits.
+            (
+                &[
+                    busy,
+                    busy,
+                    RoundTally {
+                        any_link_bits: true,
+                        ..quiet
+                    },
+                ],
+                Ok(true),
+                3,
+            ),
+            (&[busy, silent, busy], Err(()), 2),
+            // Anything still pending blocks quiescence.
+            (
+                &[RoundTally {
+                    inbox_msgs: 1,
+                    ..quiet
+                }],
+                Ok(false),
+                0,
+            ),
+        ];
+        for (i, (tallies, verdict, comm_rounds)) in table.into_iter().enumerate() {
+            let mut ledger = RoundLedger::default();
+            let mut last = Ok(false);
+            for &t in tallies {
+                last = ledger.close(&cfg, t);
+            }
+            assert_eq!(ledger.iterations, tallies.len() as u64, "row {i}");
+            assert_eq!(ledger.comm_rounds, comm_rounds, "row {i}");
+            match (last, verdict) {
+                (Ok(got), Ok(want)) => assert_eq!(got, want, "row {i}"),
+                // The error carries the tally of the round that hit the limit.
+                (
+                    Err(EngineError::RoundLimitExceeded {
+                        limit: 3,
+                        active_machines: 2,
+                        queued_msgs: 5,
+                        queued_bits: 77,
+                    }),
+                    Err(()),
+                ) => {}
+                (got, want) => panic!("row {i}: got {got:?}, want {want:?}"),
+            }
+        }
     }
 
     /// A full sequential run on a ring at k = 32 performs O(rounds) link

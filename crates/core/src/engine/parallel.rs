@@ -3,39 +3,32 @@
 //! Machines are partitioned into contiguous chunks, one worker thread per
 //! chunk. Each round the master ships every machine its inbox, workers run
 //! [`Protocol::round`] in parallel, and the master merges the returned
-//! outboxes *in machine order* before running the same delivery phase as
-//! the sequential engine — so transcripts, metrics, and RNG streams are
-//! bit-for-bit identical to [`super::SequentialEngine`].
+//! outboxes *in machine order* as the compute step of the same
+//! `engine::drive` loop the sequential engine runs — so transcripts,
+//! metrics, and RNG streams are bit-for-bit identical to
+//! [`super::SequentialEngine`].
 
 use crate::config::NetConfig;
-use crate::engine::{quiescent, Network};
+use crate::engine::{admit, drive, panic_message, silent_exit};
 use crate::error::EngineError;
 use crate::message::{Envelope, Outbox};
 use crate::metrics::RunReport;
 use crate::protocol::{Protocol, RoundCtx, Status};
 use crate::rng;
 use crate::MachineIdx;
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::bounded;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-enum Cmd<M> {
-    Round {
-        round: u64,
-        inboxes: Vec<Vec<Envelope<M>>>,
-    },
-    Stop,
-}
+/// One round's work for a worker: the round number and its machines'
+/// inboxes, moved out of the master.
+type Cmd<M> = (u64, Vec<Vec<Envelope<M>>>);
 
-enum Resp<P, M> {
-    Round {
-        /// Per-machine `(staged messages, status)`, in chunk order.
-        results: Vec<(Vec<(MachineIdx, M)>, Status)>,
-        /// The (cleared) inbox buffers handed out with `Cmd::Round`,
-        /// returned so the master can reuse their capacity next round
-        /// instead of allocating k fresh `Vec`s per round.
-        buffers: Vec<Vec<Envelope<M>>>,
-    },
-    Final(Vec<P>),
-}
+/// A worker's answer: per-machine `(staged messages, status)` in chunk
+/// order, plus the (cleared) inbox buffers handed out with the command,
+/// returned so the master can reuse their capacity next round instead
+/// of allocating k fresh `Vec`s per round — or the typed report of the
+/// machine whose `round` panicked.
+type Resp<M> = Result<(Vec<(Vec<(MachineIdx, M)>, Status)>, Vec<Vec<Envelope<M>>>), EngineError>;
 
 /// A work-stealing-free, deterministic parallel engine.
 #[derive(Debug, Clone, Copy)]
@@ -72,22 +65,15 @@ impl ParallelEngine {
     /// # Errors
     /// [`EngineError::InvalidConfig`] if the config fails
     /// [`NetConfig::validate`] or `machines.len() != config.k`;
-    /// [`EngineError::RoundLimitExceeded`] if the safety valve fires.
+    /// [`EngineError::RoundLimitExceeded`] if the safety valve fires;
+    /// [`EngineError::WorkerPanicked`] naming the machine whose
+    /// [`Protocol::round`] panicked (every worker is joined first).
     pub fn run<P>(&self, config: NetConfig, machines: Vec<P>) -> Result<RunReport<P>, EngineError>
     where
         P: Protocol + Send,
         P::Msg: Send,
     {
-        config.validate()?;
-        if machines.len() != config.k {
-            return Err(EngineError::InvalidConfig {
-                reason: format!(
-                    "one protocol instance per machine: got {} for k = {}",
-                    machines.len(),
-                    config.k
-                ),
-            });
-        }
+        admit(&config, machines.len())?;
         let k = config.k;
         let workers = self.threads.min(k).max(1);
         if workers == 1 {
@@ -96,162 +82,127 @@ impl ParallelEngine {
         let chunk = k.div_ceil(workers);
         let shared = rng::shared_seed(config.seed);
 
-        // Partition machines into contiguous chunks with their RNGs.
+        // Partition machines into contiguous chunks; `bases[w]` is chunk
+        // `w`'s first machine, with `k` as the closing sentinel.
         let mut chunks: Vec<Vec<P>> = Vec::with_capacity(workers);
-        let mut bases: Vec<usize> = Vec::with_capacity(workers);
-        {
-            let mut rest = machines;
-            let mut base = 0;
-            while !rest.is_empty() {
-                let take = chunk.min(rest.len());
-                let tail = rest.split_off(take);
-                bases.push(base);
-                base += take;
-                chunks.push(rest);
-                rest = tail;
-            }
+        let mut bases: Vec<usize> = vec![0];
+        let mut rest = machines;
+        while !rest.is_empty() {
+            let tail = rest.split_off(chunk.min(rest.len()));
+            bases.push(bases[chunks.len()] + rest.len());
+            chunks.push(rest);
+            rest = tail;
         }
-        let nchunks = chunks.len();
 
         crossbeam::thread::scope(|scope| {
-            let mut cmd_txs: Vec<Sender<Cmd<P::Msg>>> = Vec::with_capacity(nchunks);
-            let mut resp_rxs: Vec<Receiver<Resp<P, P::Msg>>> = Vec::with_capacity(nchunks);
+            let mut cmd_txs = Vec::with_capacity(chunks.len());
+            let mut resp_rxs = Vec::with_capacity(chunks.len());
+            let mut handles = Vec::with_capacity(chunks.len());
 
             for (w, mut local) in chunks.into_iter().enumerate() {
                 let base = bases[w];
                 let (cmd_tx, cmd_rx) = bounded::<Cmd<P::Msg>>(1);
-                let (resp_tx, resp_rx) = bounded::<Resp<P, P::Msg>>(1);
+                let (resp_tx, resp_rx) = bounded::<Resp<P::Msg>>(1);
                 cmd_txs.push(cmd_tx);
                 resp_rxs.push(resp_rx);
-                scope.spawn(move |_| {
+                handles.push(scope.spawn(move |_| {
                     let mut rngs: Vec<_> = (0..local.len())
                         .map(|j| rng::machine_rng(config.seed, base + j))
                         .collect();
                     let mut outbox = Outbox::new(k);
-                    while let Ok(cmd) = cmd_rx.recv() {
-                        match cmd {
-                            Cmd::Round { round, mut inboxes } => {
-                                let mut results = Vec::with_capacity(local.len());
-                                for (j, inbox) in inboxes.iter_mut().enumerate() {
-                                    let mut ctx = RoundCtx {
-                                        round,
-                                        me: base + j,
-                                        k,
-                                        bandwidth_bits: config.bandwidth_bits,
-                                        shared_seed: shared,
-                                        rng: &mut rngs[j],
-                                    };
-                                    let status = local[j].round(&mut ctx, inbox, &mut outbox);
-                                    results.push((outbox.drain().collect(), status));
+                    // The master hanging up is the stop signal.
+                    while let Ok((round, mut inboxes)) = cmd_rx.recv() {
+                        let mut results = Vec::with_capacity(local.len());
+                        let mut failure = None;
+                        for (j, inbox) in inboxes.iter_mut().enumerate() {
+                            let mut ctx = RoundCtx {
+                                round,
+                                me: base + j,
+                                k,
+                                bandwidth_bits: config.bandwidth_bits,
+                                shared_seed: shared,
+                                rng: &mut rngs[j],
+                            };
+                            // A protocol panic becomes a typed report
+                            // naming the machine, not a dead thread.
+                            match catch_unwind(AssertUnwindSafe(|| {
+                                local[j].round(&mut ctx, inbox, &mut outbox)
+                            })) {
+                                Ok(status) => {
                                     inbox.clear();
+                                    results.push((outbox.drain().collect(), status));
                                 }
-                                resp_tx
-                                    .send(Resp::Round {
-                                        results,
-                                        buffers: inboxes,
-                                    })
-                                    // lint: allow(panic) — the master outlives workers: it only drops cmd/resp channels after collecting Final
-                                    .expect("master alive");
-                            }
-                            Cmd::Stop => {
-                                // lint: allow(panic) — the master outlives workers: it only drops cmd/resp channels after collecting Final
-                                resp_tx.send(Resp::Final(local)).expect("master alive");
-                                break;
+                                Err(payload) => {
+                                    failure = Some(EngineError::WorkerPanicked {
+                                        machine: base + j,
+                                        // `&*payload`: reborrow the contents, not the Box.
+                                        message: panic_message(&*payload),
+                                    });
+                                    break;
+                                }
                             }
                         }
+                        // A failed send means the master already gave
+                        // up; the next `recv` then ends the loop.
+                        let _ = resp_tx.send(match failure {
+                            None => Ok((results, inboxes)),
+                            Some(report) => Err(report),
+                        });
                     }
-                });
+                    local
+                }));
             }
 
-            // Master loop: identical delivery semantics to the sequential engine.
-            let mut net: Network<P::Msg> = Network::new(k);
-            let mut inboxes: Vec<Vec<Envelope<P::Msg>>> = (0..k).map(|_| Vec::new()).collect();
-            let mut statuses = vec![Status::Active; k];
-            let mut iterations: u64 = 0;
-            let mut comm_rounds: u64 = 0;
-            let result = loop {
+            let mut result = drive(&config, |round, inboxes, net| {
                 // Ship inboxes (moving them out), collect outboxes in order.
-                let mut inbox_iter = std::mem::take(&mut inboxes).into_iter();
+                let mut inbox_iter = std::mem::take(inboxes).into_iter();
                 for (w, tx) in cmd_txs.iter().enumerate() {
-                    let take = if w + 1 < nchunks {
-                        bases[w + 1] - bases[w]
-                    } else {
-                        k - bases[w]
-                    };
-                    let batch: Vec<_> = inbox_iter.by_ref().take(take).collect();
-                    tx.send(Cmd::Round {
-                        round: iterations,
-                        inboxes: batch,
-                    })
-                    // lint: allow(panic) — a worker dies only if the protocol panicked, which propagates out of the scope anyway
-                    .expect("worker alive");
+                    let batch = inbox_iter.by_ref().take(bases[w + 1] - bases[w]).collect();
+                    tx.send((round, batch)).map_err(|_| silent_exit(bases[w]))?;
                 }
                 // Workers answer in worker order with contiguous machine
                 // chunks, so re-extending `inboxes` with the returned
-                // (cleared) buffers restores machine order — and reuses
-                // every buffer's capacity instead of allocating k fresh
-                // `Vec`s per round.
+                // (cleared) buffers restores machine order.
+                let mut active = 0;
                 for (w, rx) in resp_rxs.iter().enumerate() {
-                    // lint: allow(panic) — a worker dies only if the protocol panicked, which propagates out of the scope anyway
-                    match rx.recv().expect("worker alive") {
-                        Resp::Round { results, buffers } => {
-                            for (j, (msgs, status)) in results.into_iter().enumerate() {
-                                let me = bases[w] + j;
-                                statuses[me] = status;
-                                for (dst, msg) in msgs {
-                                    net.stage(me, dst, msg);
-                                }
-                            }
-                            inboxes.extend(buffers);
+                    let (results, buffers) = rx.recv().map_err(|_| silent_exit(bases[w]))??;
+                    for (j, (msgs, status)) in results.into_iter().enumerate() {
+                        active += usize::from(status == Status::Active);
+                        for (dst, msg) in msgs {
+                            net.stage(bases[w] + j, dst, msg);
                         }
-                        // lint: allow(panic) — worker protocol invariant: Final is only sent in response to Stop
-                        Resp::Final(_) => unreachable!("workers only finalize on Stop"),
                     }
+                    inboxes.extend(buffers);
                 }
                 debug_assert_eq!(inboxes.len(), k);
-                if net.deliver(config.bandwidth_bits, &mut inboxes) {
-                    comm_rounds += 1;
-                }
-                iterations += 1;
-                if quiescent(&statuses, &net, &inboxes) {
-                    break Ok(());
-                }
-                if iterations >= config.max_rounds {
-                    break Err(EngineError::RoundLimitExceeded {
-                        limit: config.max_rounds,
-                        active_machines: statuses.iter().filter(|s| **s == Status::Active).count(),
-                        queued_msgs: net.queued(),
-                        queued_bits: net.queued_bits(),
-                    });
-                }
-            };
+                Ok(active)
+            });
 
-            // Collect machines back (always, even on error, to join cleanly).
-            let mut final_machines: Vec<P> = Vec::with_capacity(k);
-            for tx in &cmd_txs {
-                // lint: allow(panic) — a worker dies only if the protocol panicked, which propagates out of the scope anyway
-                tx.send(Cmd::Stop).expect("worker alive");
-            }
-            for rx in &resp_rxs {
-                // lint: allow(panic) — a worker dies only if the protocol panicked, which propagates out of the scope anyway
-                match rx.recv().expect("worker alive") {
-                    Resp::Final(ms) => final_machines.extend(ms),
-                    // lint: allow(panic) — worker protocol invariant: Stop is always answered by Final
-                    Resp::Round { .. } => unreachable!("Stop yields Final"),
+            // Hang up — after success and after any failure alike — so
+            // every worker falls out of its loop and hands its machines
+            // back through its join handle.
+            drop(cmd_txs);
+            let mut machines = Vec::with_capacity(k);
+            for (w, handle) in handles.into_iter().enumerate() {
+                match handle.join() {
+                    Ok(local) => machines.extend(local),
+                    // A worker that died outside `Protocol::round`.
+                    Err(payload) => {
+                        result = Err(EngineError::WorkerPanicked {
+                            machine: bases[w],
+                            message: panic_message(&*payload),
+                        });
+                    }
                 }
             }
-            result.map(|_| {
-                net.finalize();
-                net.metrics.rounds = comm_rounds;
-                RunReport {
-                    machines: final_machines,
-                    metrics: net.metrics,
-                    wire: None,
-                }
+            result.map(|metrics| RunReport {
+                machines,
+                metrics,
+                wire: None,
             })
         })
-        // lint: allow(panic) — deliberate propagation: a protocol panic in a worker resurfaces on the caller thread
-        .expect("worker thread panicked")
+        // lint: allow(panic) — unreachable: the scope's Err arm is never produced (every worker is joined by hand above)
+        .expect("scoped workers are joined before the scope ends")
     }
 }
 
@@ -340,5 +291,38 @@ mod tests {
             err,
             EngineError::RoundLimitExceeded { limit: 5, .. }
         ));
+    }
+
+    /// A protocol panic reaches the caller as the same typed error the
+    /// distributed engine returns — machine index and message intact,
+    /// every other worker joined — not as a propagated master panic.
+    #[test]
+    fn protocol_panic_is_a_typed_error_naming_the_machine() {
+        #[derive(Debug)]
+        struct Bomb;
+        impl Protocol for Bomb {
+            type Msg = u8;
+            fn round(
+                &mut self,
+                ctx: &mut RoundCtx<'_>,
+                _inbox: &mut Vec<Envelope<u8>>,
+                out: &mut Outbox<u8>,
+            ) -> Status {
+                assert!(!(ctx.me == 3 && ctx.round == 2), "boom in round 2");
+                out.send((ctx.me + 1) % ctx.k, 1);
+                Status::Active
+            }
+        }
+        let cfg = NetConfig::with_bandwidth(8, 8, 0).max_rounds(10);
+        let err = ParallelEngine::with_threads(4)
+            .run(cfg, (0..8).map(|_| Bomb).collect())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::WorkerPanicked {
+                machine: 3,
+                message: "boom in round 2".to_string()
+            }
+        );
     }
 }

@@ -1,9 +1,9 @@
 //! The deterministic single-threaded reference engine.
 
 use crate::config::NetConfig;
-use crate::engine::{quiescent, Network};
+use crate::engine::{admit, drive};
 use crate::error::EngineError;
-use crate::message::{Envelope, Outbox};
+use crate::message::Outbox;
 use crate::metrics::RunReport;
 use crate::protocol::{Protocol, RoundCtx, Status};
 use crate::rng;
@@ -26,65 +26,34 @@ impl SequentialEngine {
         config: NetConfig,
         mut machines: Vec<P>,
     ) -> Result<RunReport<P>, EngineError> {
-        config.validate()?;
-        if machines.len() != config.k {
-            return Err(EngineError::InvalidConfig {
-                reason: format!(
-                    "one protocol instance per machine: got {} for k = {}",
-                    machines.len(),
-                    config.k
-                ),
-            });
-        }
+        admit(&config, machines.len())?;
         let k = config.k;
-        let mut net: Network<P::Msg> = Network::new(k);
         let mut rngs: Vec<_> = (0..k).map(|i| rng::machine_rng(config.seed, i)).collect();
         let shared = rng::shared_seed(config.seed);
-        let mut inboxes: Vec<Vec<Envelope<P::Msg>>> = (0..k).map(|_| Vec::new()).collect();
-        let mut statuses = vec![Status::Active; k];
         let mut outbox = Outbox::new(k);
-        let mut iterations: u64 = 0;
-        let mut comm_rounds: u64 = 0;
-
-        loop {
+        let metrics = drive(&config, |round, inboxes, net| {
+            let mut active = 0;
             for (i, machine) in machines.iter_mut().enumerate() {
                 let mut ctx = RoundCtx {
-                    round: iterations,
+                    round,
                     me: i,
                     k,
                     bandwidth_bits: config.bandwidth_bits,
                     shared_seed: shared,
                     rng: &mut rngs[i],
                 };
-                statuses[i] = machine.round(&mut ctx, &mut inboxes[i], &mut outbox);
+                let status = machine.round(&mut ctx, &mut inboxes[i], &mut outbox);
+                active += usize::from(status == Status::Active);
+                inboxes[i].clear();
                 for (dst, msg) in outbox.drain() {
                     net.stage(i, dst, msg);
                 }
             }
-            for ib in &mut inboxes {
-                ib.clear();
-            }
-            if net.deliver(config.bandwidth_bits, &mut inboxes) {
-                comm_rounds += 1;
-            }
-            iterations += 1;
-            if quiescent(&statuses, &net, &inboxes) {
-                break;
-            }
-            if iterations >= config.max_rounds {
-                return Err(EngineError::RoundLimitExceeded {
-                    limit: config.max_rounds,
-                    active_machines: statuses.iter().filter(|s| **s == Status::Active).count(),
-                    queued_msgs: net.queued(),
-                    queued_bits: net.queued_bits(),
-                });
-            }
-        }
-        net.finalize();
-        net.metrics.rounds = comm_rounds;
+            Ok(active)
+        })?;
         Ok(RunReport {
             machines,
-            metrics: net.metrics,
+            metrics,
             wire: None,
         })
     }

@@ -38,10 +38,11 @@ pub enum EngineError {
         /// The round (iteration index) whose barrier it missed.
         round: u64,
     },
-    /// A worker thread of the distributed engine panicked (usually the
-    /// protocol's own `round` code) or terminated without reporting. The
-    /// engine captures the panic, joins every other thread, and returns
-    /// this instead of poisoning the caller with a propagated panic.
+    /// A worker thread of the parallel or distributed engine panicked
+    /// (usually the protocol's own `round` code) or terminated without
+    /// reporting. The engine captures the panic, joins every other
+    /// thread, and returns this instead of poisoning the caller with a
+    /// propagated panic.
     WorkerPanicked {
         /// The machine whose worker died.
         machine: usize,

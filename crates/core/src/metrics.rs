@@ -120,15 +120,10 @@ pub struct WireReport {
     /// Exact payload bits before byte padding: message bits plus the
     /// count and bit-length varints of every batch.
     pub payload_bits: u64,
-    /// `Σ ⌈bitsᵢ/8⌉` over all framed messages — the payload bytes the
-    /// same traffic would occupy framed one message per frame. The
-    /// baseline for the batching-vs-per-message comparisons in the
-    /// wire benches.
-    pub msg_payload_bytes: u64,
     /// Total logical bits ([`crate::WireSize`]) of the framed messages;
     /// equals `Metrics::total_bits()` of the same run.
     pub logical_bits: u64,
-    /// Extra physical DATA transmissions beyond each frame's first:
+    /// Extra physical batch transmissions beyond each frame's first:
     /// NACK-triggered retransmits and fault-injected duplicates.
     pub retransmit_frames: u64,
     /// Bytes behind `retransmit_frames`.
@@ -140,6 +135,21 @@ pub struct WireReport {
 }
 
 impl WireReport {
+    /// Adds `other`'s counts to this report — how the distributed
+    /// engine's coordinator sums the per-worker reports.
+    pub fn absorb(&mut self, other: &WireReport) {
+        self.frames += other.frames;
+        self.messages += other.messages;
+        self.frame_bytes += other.frame_bytes;
+        self.payload_bytes += other.payload_bytes;
+        self.payload_bits += other.payload_bits;
+        self.logical_bits += other.logical_bits;
+        self.retransmit_frames += other.retransmit_frames;
+        self.retransmit_bytes += other.retransmit_bytes;
+        self.nack_frames += other.nack_frames;
+        self.nack_bytes += other.nack_bytes;
+    }
+
     /// Bits actually moved over the byte channels, headers included.
     pub fn measured_bits(&self) -> u64 {
         self.frame_bytes * 8
@@ -172,15 +182,6 @@ impl WireReport {
         self.messages as f64 / self.frames as f64
     }
 
-    /// What the same traffic would have measured framed one message
-    /// per frame with `header_bytes` of header each — the baseline the
-    /// wire benches compare batching against (12 bytes for the PR 6
-    /// header, [`crate::codec::FRAME_HEADER_BYTES`] for the PR 8
-    /// self-healing one).
-    pub fn solo_framing_bits(&self, header_bytes: u64) -> u64 {
-        (self.msg_payload_bytes + header_bytes * self.messages) * 8
-    }
-
     /// The headline ratio: measured frame bits over logical bits
     /// (`1.0` = the encoding is exactly as large as the theory charges;
     /// `0.0` when nothing was sent). Recovery traffic is excluded — it
@@ -193,7 +194,7 @@ impl WireReport {
     }
 
     /// Bytes the recovery layer spent on top of the logical traffic:
-    /// retransmitted DATA plus NACK control frames. Zero on a
+    /// retransmitted batches plus NACK control frames. Zero on a
     /// fault-free wire.
     pub fn recovery_bytes(&self) -> u64 {
         self.retransmit_bytes + self.nack_bytes
@@ -240,7 +241,6 @@ mod tests {
             frame_bytes: 73,
             payload_bytes: 10,
             payload_bits: 77,
-            msg_payload_bytes: 12,
             logical_bits: 75,
             retransmit_frames: 2,
             retransmit_bytes: 50,
@@ -254,14 +254,17 @@ mod tests {
         assert!((w.msgs_per_frame() - 2.0).abs() < 1e-12);
         assert!((w.wire_vs_logical() - (73.0 * 8.0) / 75.0).abs() < 1e-12);
         assert_eq!(w.recovery_bytes(), 75);
-        // Per-message framing baselines: payload bytes plus one header
-        // per message.
-        assert_eq!(w.solo_framing_bits(12), (12 + 12 * 6) * 8);
-        assert_eq!(w.solo_framing_bits(21), (12 + 21 * 6) * 8);
-        let idle = WireReport::default();
+        let mut idle = WireReport::default();
         assert_eq!(idle.wire_vs_logical(), 0.0);
         assert_eq!(idle.msgs_per_frame(), 0.0);
         assert_eq!(idle.recovery_bytes(), 0);
+        // Absorbing sums every field: twice into an empty report doubles it.
+        idle.absorb(&w);
+        assert_eq!(idle, w);
+        idle.absorb(&w);
+        assert_eq!(idle.measured_bits(), 2 * w.measured_bits());
+        assert_eq!(idle.recovery_bytes(), 2 * w.recovery_bytes());
+        assert_eq!((idle.messages, idle.logical_bits), (12, 150));
     }
 
     #[test]

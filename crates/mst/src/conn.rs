@@ -954,18 +954,24 @@ impl KmAlgorithm for DistributedSketchConnectivity<'_> {
     }
 
     fn extract(&self, machines: Vec<SketchConnectivity>, _metrics: &Metrics) -> ConnectivityOutput {
-        let phases = machines[0].phases;
-        let mut forest: Vec<Edge> = machines.into_iter().flat_map(|m| m.forest).collect();
-        forest.sort_unstable();
-        debug_assert!(
-            forest.windows(2).all(|w| w[0] != w[1]),
-            "a forest edge was recorded twice"
-        );
-        ConnectivityOutput {
-            components: self.g.n() - forest.len(),
-            forest,
-            phases,
-        }
+        extract_connectivity(machines, self.g.n())
+    }
+}
+
+/// Unions the machines' forest edges into the output for an `n`-vertex
+/// input — shared by both sketch-connectivity adapters.
+fn extract_connectivity(machines: Vec<SketchConnectivity>, n: usize) -> ConnectivityOutput {
+    let phases = machines[0].phases;
+    let mut forest: Vec<Edge> = machines.into_iter().flat_map(|m| m.forest).collect();
+    forest.sort_unstable();
+    debug_assert!(
+        forest.windows(2).all(|w| w[0] != w[1]),
+        "a forest edge was recorded twice"
+    );
+    ConnectivityOutput {
+        components: n - forest.len(),
+        forest,
+        phases,
     }
 }
 
@@ -1004,29 +1010,8 @@ impl KmAlgorithm for PrebuiltSketchConnectivity<'_> {
     }
 
     fn extract(&self, machines: Vec<SketchConnectivity>, _metrics: &Metrics) -> ConnectivityOutput {
-        let phases = machines[0].phases;
-        let mut forest: Vec<Edge> = machines.into_iter().flat_map(|m| m.forest).collect();
-        forest.sort_unstable();
-        debug_assert!(
-            forest.windows(2).all(|w| w[0] != w[1]),
-            "a forest edge was recorded twice"
-        );
-        ConnectivityOutput {
-            components: self.dist.locals()[0].global_n() - forest.len(),
-            forest,
-            phases,
-        }
+        extract_connectivity(machines, self.dist.locals()[0].global_n())
     }
-}
-
-/// Runs sketch connectivity from an already-distributed input (streaming
-/// ingest path).
-pub fn run_sketch_connectivity_dist(
-    dist: &DistGraph,
-    net: NetConfig,
-) -> Result<(ConnectivityOutput, Metrics), km_core::EngineError> {
-    let outcome = run_algorithm(&PrebuiltSketchConnectivity { dist }, Runner::new(net))?;
-    Ok((outcome.output, outcome.metrics))
 }
 
 #[cfg(test)]

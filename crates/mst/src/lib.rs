@@ -37,8 +37,8 @@ pub mod conn;
 pub mod sketch;
 
 pub use conn::{
-    run_sketch_connectivity, run_sketch_connectivity_dist, ConnectivityOutput,
-    DistributedSketchConnectivity, PrebuiltSketchConnectivity, SketchConnectivity,
+    run_sketch_connectivity, ConnectivityOutput, DistributedSketchConnectivity,
+    PrebuiltSketchConnectivity, SketchConnectivity,
 };
 
 use km_core::rng::keyed_hash;
@@ -530,16 +530,21 @@ impl KmAlgorithm for DistributedMst<'_> {
     }
 
     fn extract(&self, machines: Vec<BoruvkaMst>, _metrics: &Metrics) -> (Vec<Edge>, f64) {
-        let m0 = &machines[0];
-        let mut edges: Vec<Edge> = m0.forest.iter().map(|&(e, _)| e).collect();
-        edges.sort_unstable();
-        let weight = m0.forest_weight();
-        // All machines agree on the forest (deterministic contraction).
-        for m in &machines[1..] {
-            debug_assert_eq!(m.forest.len(), m0.forest.len());
-        }
-        (edges, weight)
+        extract_forest(&machines)
     }
+}
+
+/// `(sorted forest edges, total weight)` as machine 0 holds them — the
+/// output of both Borůvka adapters.
+fn extract_forest(machines: &[BoruvkaMst]) -> (Vec<Edge>, f64) {
+    let m0 = &machines[0];
+    let mut edges: Vec<Edge> = m0.forest.iter().map(|&(e, _)| e).collect();
+    edges.sort_unstable();
+    // All machines agree on the forest (deterministic contraction).
+    for m in &machines[1..] {
+        debug_assert_eq!(m.forest.len(), m0.forest.len());
+    }
+    (edges, m0.forest_weight())
 }
 
 /// Runs distributed Borůvka and returns `(forest edges, total weight,
@@ -578,26 +583,8 @@ impl KmAlgorithm for PrebuiltMst<'_> {
     }
 
     fn extract(&self, machines: Vec<BoruvkaMst>, _metrics: &Metrics) -> (Vec<Edge>, f64) {
-        let m0 = &machines[0];
-        let mut edges: Vec<Edge> = m0.forest.iter().map(|&(e, _)| e).collect();
-        edges.sort_unstable();
-        let weight = m0.forest_weight();
-        for m in &machines[1..] {
-            debug_assert_eq!(m.forest.len(), m0.forest.len());
-        }
-        (edges, weight)
+        extract_forest(&machines)
     }
-}
-
-/// Runs distributed Borůvka from an already-distributed weighted input
-/// (streaming ingest path).
-pub fn run_boruvka_dist(
-    dist: &DistGraph,
-    net: NetConfig,
-) -> Result<(Vec<Edge>, f64, km_core::Metrics), km_core::EngineError> {
-    let outcome = run_algorithm(&PrebuiltMst { dist }, Runner::new(net))?;
-    let (edges, weight) = outcome.output;
-    Ok((edges, weight, outcome.metrics))
 }
 
 #[cfg(test)]

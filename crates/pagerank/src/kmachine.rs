@@ -567,14 +567,20 @@ impl KmAlgorithm for DistributedPageRank<'_> {
     }
 
     fn extract(&self, machines: Vec<KmPageRank>, _metrics: &Metrics) -> Vec<f64> {
-        let mut pr = vec![0.0; self.g.n()];
-        for m in &machines {
-            for (v, est) in m.output().estimates {
-                pr[v as usize] = est;
-            }
-        }
-        pr
+        extract_pagerank(&machines, self.g.n())
     }
+}
+
+/// Assembles the machines' per-vertex estimates into the PageRank
+/// vector of an `n`-vertex input — shared by both PageRank adapters.
+fn extract_pagerank(machines: &[KmPageRank], n: usize) -> Vec<f64> {
+    let mut pr = vec![0.0; n];
+    for m in machines {
+        for (v, est) in m.output().estimates {
+            pr[v as usize] = est;
+        }
+    }
+    pr
 }
 
 /// Runs Algorithm 1 end to end and returns the assembled PageRank vector
@@ -620,26 +626,8 @@ impl KmAlgorithm for PrebuiltPageRank<'_> {
     }
 
     fn extract(&self, machines: Vec<KmPageRank>, _metrics: &Metrics) -> Vec<f64> {
-        let n = self.dist.locals()[0].global_n();
-        let mut pr = vec![0.0; n];
-        for m in &machines {
-            for (v, est) in m.output().estimates {
-                pr[v as usize] = est;
-            }
-        }
-        pr
+        extract_pagerank(&machines, self.dist.locals()[0].global_n())
     }
-}
-
-/// Runs Algorithm 1 from an already-distributed directed input
-/// (streaming ingest path).
-pub fn run_kmachine_pagerank_dist(
-    dist: &DistGraph,
-    cfg: PrConfig,
-    net: NetConfig,
-) -> Result<(Vec<f64>, km_core::Metrics), km_core::EngineError> {
-    let outcome = run_algorithm(&PrebuiltPageRank { dist, cfg }, Runner::new(net))?;
-    Ok((outcome.output, outcome.metrics))
 }
 
 /// Converts an undirected graph to the bidirected digraph all PageRank

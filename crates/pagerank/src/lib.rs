@@ -30,9 +30,7 @@ pub mod monte_carlo;
 pub mod power_iteration;
 
 pub use analysis::{l1_error, max_relative_error};
-pub use kmachine::{
-    run_kmachine_pagerank, run_kmachine_pagerank_dist, KmPageRank, PrOutput, PrebuiltPageRank,
-};
+pub use kmachine::{run_kmachine_pagerank, KmPageRank, PrOutput, PrebuiltPageRank};
 pub use power_iteration::power_iteration;
 
 /// Parameters shared by all PageRank implementations.

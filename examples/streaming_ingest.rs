@@ -10,12 +10,12 @@
 //! cargo run --release --example streaming_ingest
 //! ```
 
-use km_repro::core::NetConfig;
+use km_repro::core::{run_algorithm, NetConfig, Runner};
 use km_repro::graph::generators::gnp;
 use km_repro::graph::{
     DistGraphBuilder, EdgeStream, GnpStream, Partition, SpillConfig, StreamingDistBuilder,
 };
-use km_repro::mst::run_sketch_connectivity_dist;
+use km_repro::mst::PrebuiltSketchConnectivity;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
@@ -70,13 +70,17 @@ fn main() {
     // The prebuilt input drops straight into the paper's algorithms.
     let net = NetConfig::polylog(k, n, 5).max_rounds(500_000_000);
     let t = Instant::now();
-    let (cc, metrics) = run_sketch_connectivity_dist(&streamed, net).expect("sketch run");
+    let run = run_algorithm(
+        &PrebuiltSketchConnectivity { dist: &streamed },
+        Runner::new(net),
+    )
+    .expect("sketch run");
     println!(
         "sketch_cc on the streamed input: {} components, {} phases, \
          {} rounds in {:.1} ms",
-        cc.components,
-        cc.phases,
-        metrics.rounds,
+        run.output.components,
+        run.output.phases,
+        run.metrics.rounds,
         t.elapsed().as_secs_f64() * 1e3
     );
 }

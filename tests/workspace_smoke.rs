@@ -236,10 +236,11 @@ fn distributed_engine_path_tiny() {
 /// sketch connectivity on the prebuilt input.
 #[test]
 fn streaming_ingest_path_tiny() {
+    use km_repro::core::{run_algorithm, Runner};
     use km_repro::graph::{
         DistGraphBuilder, EdgeStream, GnpStream, SpillConfig, StreamingDistBuilder,
     };
-    use km_repro::mst::run_sketch_connectivity_dist;
+    use km_repro::mst::PrebuiltSketchConnectivity;
 
     let (n, k, seed) = (56usize, 4usize, 12u64);
     let p = 0.08;
@@ -260,9 +261,13 @@ fn streaming_ingest_path_tiny() {
     assert_eq!(streamed, in_memory, "streaming == in-memory");
 
     let net = NetConfig::polylog(k, n, 5).max_rounds(50_000_000);
-    let (cc, metrics) = run_sketch_connectivity_dist(&streamed, net).expect("sketch run");
-    assert_eq!(cc.components, n - cc.forest.len());
-    assert!(metrics.rounds > 0);
+    let run = run_algorithm(
+        &PrebuiltSketchConnectivity { dist: &streamed },
+        Runner::new(net),
+    )
+    .expect("sketch run");
+    assert_eq!(run.output.components, n - run.output.forest.len());
+    assert!(run.metrics.rounds > 0);
 }
 
 /// `examples/sketch_connectivity.rs` path: the O~(n/k²) sketch protocol

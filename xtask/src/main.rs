@@ -27,7 +27,11 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("lint") => {
             let root = repo_root();
-            let violations = lint::run(&root);
+            let (violations, panic_allows) = lint::run(&root);
+            println!(
+                "xtask lint: {panic_allows} `lint: allow(panic)` site(s) accepted (budget {})",
+                lint::PANIC_ALLOW_BUDGET
+            );
             if violations.is_empty() {
                 println!("xtask lint: clean");
                 return;
