@@ -111,16 +111,40 @@ impl fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// Accumulates bits LSB-first into a byte buffer.
+///
+/// The buffer runs ahead of the bit cursor: before a field is merged
+/// the buffer is zero-extended to nine bytes from the cursor's byte,
+/// every bit at or beyond the cursor is zero, and [`BitWriter::bytes`]
+/// exposes only the `⌈bit_len/8⌉`-byte prefix. That slack is what lets
+/// [`BitWriter::put`] merge a field with one shifted 64-bit
+/// load/or/store (plus one spill byte) instead of a byte-at-a-time loop.
 #[derive(Debug, Default)]
 pub struct BitWriter {
     buf: Vec<u8>,
     len_bits: u64,
 }
 
+/// Bytes one [`BitWriter::put`] may touch from the cursor's byte on: a
+/// 64-bit field at bit offset 7 straddles nine.
+const PUT_WINDOW: usize = 9;
+
 impl BitWriter {
     /// An empty writer.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Bytes holding the bits written so far.
+    fn used_bytes(&self) -> usize {
+        self.len_bits.div_ceil(8) as usize
+    }
+
+    /// Zero-extends `buf` so `need` bytes exist from byte `at` on —
+    /// geometrically, so the per-field cost is a length compare.
+    fn reserve_zeroed(&mut self, at: usize, need: usize) {
+        if self.buf.len() < at + need {
+            self.buf.resize((at + need).max(2 * self.buf.len()), 0);
+        }
     }
 
     /// Appends the low `width` bits of `value` (LSB-first).
@@ -135,21 +159,36 @@ impl BitWriter {
             width == 64 || value < (1u64 << width),
             "value {value} does not fit in {width} bits"
         );
-        let mut v = value;
-        let mut w = width;
-        while w > 0 {
-            let bit_off = (self.len_bits % 8) as u32;
-            if bit_off == 0 {
-                self.buf.push(0);
-            }
-            let take = (8 - bit_off).min(w);
-            let mask = (1u64 << take) - 1;
-            // lint: allow(panic) — a byte was pushed in the branch above when bit_off == 0
-            *self.buf.last_mut().expect("pushed above") |= ((v & mask) as u8) << bit_off;
-            v >>= take;
-            self.len_bits += u64::from(take);
-            w -= take;
+        let byte = (self.len_bits / 8) as usize;
+        let bit_off = (self.len_bits % 8) as u32;
+        self.reserve_zeroed(byte, PUT_WINDOW);
+        let window = &mut self.buf[byte..byte + PUT_WINDOW];
+        let (word, spill) = window.split_at_mut(8);
+        let mut low = [0u8; 8];
+        low.copy_from_slice(word);
+        word.copy_from_slice(&(u64::from_le_bytes(low) | (value << bit_off)).to_le_bytes());
+        if bit_off != 0 {
+            // The `bit_off` high bits the shift pushed out of the word.
+            spill[0] = (value >> (64 - bit_off)) as u8;
         }
+        self.len_bits += u64::from(width);
+    }
+
+    /// Appends whole bytes (8 bits each, in order): a straight copy when
+    /// the cursor is byte-aligned — as it is for a `Raw` record unless an
+    /// empty `Raw` (1 bit) came earlier in the batch, since the batch
+    /// varints are whole bytes — and per-byte fields otherwise.
+    pub(crate) fn put_bytes(&mut self, bytes: &[u8]) {
+        if !self.len_bits.is_multiple_of(8) {
+            for &b in bytes {
+                self.put(u64::from(b), 8);
+            }
+            return;
+        }
+        let at = self.used_bytes();
+        self.reserve_zeroed(at, bytes.len());
+        self.buf[at..at + bytes.len()].copy_from_slice(bytes);
+        self.len_bits += 8 * bytes.len() as u64;
     }
 
     /// Appends `value` as an LEB128 varint: 8-bit groups of 7 value
@@ -178,18 +217,20 @@ impl BitWriter {
     /// Resets to empty, keeping the allocation — the reuse hook behind
     /// the engine's per-link scratch buffers.
     pub fn clear(&mut self) {
-        self.buf.clear();
+        let used = self.used_bytes();
+        self.buf[..used].fill(0);
         self.len_bits = 0;
     }
 
     /// The packed bytes so far (`⌈bit_len/8⌉` of them, trailing bits
     /// zero) without consuming the writer.
     pub fn bytes(&self) -> &[u8] {
-        &self.buf
+        &self.buf[..self.used_bytes()]
     }
 
     /// The packed bytes (`⌈bit_len/8⌉` of them, trailing bits zero).
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        self.buf.truncate(self.used_bytes());
         self.buf
     }
 }
@@ -299,18 +340,51 @@ impl<'a> BitReader<'a> {
                 remaining: self.remaining(),
             });
         }
-        let mut v: u64 = 0;
-        let mut got: u32 = 0;
-        while got < width {
-            let byte = self.bytes[(self.pos / 8) as usize];
-            let bit_off = (self.pos % 8) as u32;
-            let take = (8 - bit_off).min(width - got);
-            let mask = ((1u16 << take) - 1) as u8;
-            v |= u64::from((byte >> bit_off) & mask) << got;
-            self.pos += u64::from(take);
-            got += take;
+        // One unaligned little-endian load from the cursor's byte
+        // (zero-padded inside the last 8 bytes of the buffer), shifted
+        // down; a field reaching past the word takes its top bits from
+        // the ninth byte, which the bounds check above proved exists.
+        let tail = &self.bytes[(self.pos / 8) as usize..];
+        let bit_off = (self.pos % 8) as u32;
+        let word = match tail.first_chunk::<8>() {
+            Some(le) => u64::from_le_bytes(*le),
+            None => {
+                let mut le = [0u8; 8];
+                le[..tail.len()].copy_from_slice(tail);
+                u64::from_le_bytes(le)
+            }
+        };
+        let mut v = word >> bit_off;
+        if bit_off + width > 64 {
+            v |= u64::from(tail[8]) << (64 - bit_off);
         }
+        if width < 64 {
+            v &= (1u64 << width) - 1;
+        }
+        self.pos += u64::from(width);
         Ok(v)
+    }
+
+    /// Reads the next `n` whole bytes (8 bits each, in order) — the
+    /// inverse of [`BitWriter::put_bytes`], a straight copy when the
+    /// cursor is byte-aligned.
+    ///
+    /// # Errors
+    /// [`CodecError::OutOfBits`] if fewer than `8·n` bits remain.
+    pub(crate) fn take_bytes(&mut self, n: usize) -> Result<Vec<u8>, CodecError> {
+        let bits = 8 * n as u64;
+        if bits > self.remaining() {
+            return Err(CodecError::OutOfBits {
+                needed: bits,
+                remaining: self.remaining(),
+            });
+        }
+        if !self.pos.is_multiple_of(8) {
+            return (0..n).map(|_| self.take(8).map(|b| b as u8)).collect();
+        }
+        let at = (self.pos / 8) as usize;
+        self.pos += bits;
+        Ok(self.bytes[at..at + n].to_vec())
     }
 
     /// Bits not yet consumed. Decoders use this to size trailing
@@ -369,10 +443,13 @@ pub const FRAME_KIND_NACK: u8 = 1;
 /// only data kind there is.
 pub const FRAME_KIND_BATCH: u8 = 2;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) lookup
-/// table, built at compile time.
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`)
+/// slicing-by-8 lookup tables, built at compile time (8 KiB).
+/// `tables[0]` is the classic bytewise table; `tables[j][b]` is the CRC
+/// contribution of byte `b` followed by `j` zero bytes, so eight bytes
+/// fold into the state with eight independent lookups.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -385,21 +462,47 @@ const fn crc32_table() -> [u32; 256] {
             };
             j += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut j = 1;
+    while j < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[j - 1][i];
+            tables[j][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        j += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC-32 (IEEE) over the concatenation of `parts`. Taking slices
-/// avoids materializing `header ++ payload` just to hash it.
+/// avoids materializing `header ++ payload` just to hash it: the state
+/// carries across parts, each part folding eight bytes per step and its
+/// (< 8-byte) tail bytewise.
 pub fn crc32(parts: &[&[u8]]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = !0u32;
     for part in parts {
-        for &b in *part {
-            c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        let mut words = part.chunks_exact(8);
+        for w in &mut words {
+            let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
         }
     }
     !c
@@ -421,9 +524,8 @@ pub struct FrameView<'a> {
 }
 
 /// Assembles a frame from its parts into `frame` (cleared first),
-/// computing the CRC. The buffer-reuse primitive behind every
-/// `*_into` encoder: a caller that keeps the `Vec` around pays one
-/// allocation for the lifetime of the link, not one per frame.
+/// computing the CRC: reserves once for header + payload, so a frame
+/// is one allocation — or none, for a caller that keeps the `Vec`.
 fn build_frame_into(payload: &[u8], bits: u64, seq: u32, kind: u8, frame: &mut Vec<u8>) {
     debug_assert_eq!(payload.len() as u64, bits.div_ceil(8));
     frame.clear();
@@ -494,10 +596,13 @@ pub struct BatchStats {
 /// [`WireCodec::encode`] bits — packed back to back with no padding
 /// between records.
 ///
-/// `scratch` and `frame` are caller-owned reusable buffers (cleared
-/// here): the distributed engine keeps one of each per worker, so a
-/// whole round of sends allocates nothing on the encode side beyond
-/// the frame the channel takes ownership of.
+/// `scratch` and `frame` are caller-owned buffers (cleared here). The
+/// distributed engine keeps one `scratch` per worker for the whole
+/// run; the `frame` it passes is a fresh `Vec` per (link, round)
+/// (`Outwire::stage_batch`), because the link's channel takes
+/// ownership of it — so a round of sends allocates exactly one buffer
+/// per frame shipped. A caller that does keep `frame` (tests, the
+/// benchmark's codec loops) reuses its allocation.
 ///
 /// # Panics
 /// If `msgs` is empty (the engine never ships an empty batch — an
@@ -767,9 +872,7 @@ impl WireCodec for Raw {
             w.put(0, 1);
             return;
         }
-        for &b in self.0.iter() {
-            w.put(u64::from(b), 8);
-        }
+        w.put_bytes(&self.0);
     }
     fn decode(r: &mut BitReader<'_>) -> Result<Self, CodecError> {
         let remaining = r.remaining();
@@ -783,11 +886,7 @@ impl WireCodec for Raw {
                 value: remaining,
             });
         }
-        let mut v = Vec::with_capacity((remaining / 8) as usize);
-        for _ in 0..remaining / 8 {
-            v.push(r.take(8)? as u8);
-        }
-        Ok(Raw::from_vec(v))
+        Ok(Raw::from_vec(r.take_bytes((remaining / 8) as usize)?))
     }
 }
 
@@ -868,6 +967,140 @@ mod tests {
         assert_eq!(r.remaining(), 7);
         assert_eq!(r.take(7).unwrap(), 0x2A);
         r.finish().unwrap();
+    }
+
+    /// Bit-at-a-time reference for [`BitWriter::put`]: one `bool` per
+    /// bit, LSB-first.
+    fn ref_put(bits: &mut Vec<bool>, value: u64, width: u32) {
+        for i in 0..width {
+            bits.push((value >> i) & 1 == 1);
+        }
+    }
+
+    /// The reference's packed bytes: bit `i` is bit `i % 8` of byte
+    /// `i / 8`, trailing bits zero.
+    fn ref_bytes(bits: &[bool]) -> Vec<u8> {
+        let mut out = vec![0u8; bits.len().div_ceil(8)];
+        for (i, &bit) in bits.iter().enumerate() {
+            out[i / 8] |= u8::from(bit) << (i % 8);
+        }
+        out
+    }
+
+    /// Bit-at-a-time reference for [`BitReader::take`].
+    fn ref_take(bytes: &[u8], pos: usize, width: u32) -> u64 {
+        (0..width as usize).fold(0u64, |v, i| {
+            let bit = (bytes[(pos + i) / 8] >> ((pos + i) % 8)) & 1;
+            v | u64::from(bit) << i
+        })
+    }
+
+    /// The word-wise `put`/`take` against the bit-at-a-time reference,
+    /// exhaustively: every starting bit offset (in the first byte and
+    /// past a word boundary), every width, the edge values of each
+    /// width — with all-ones neighbours so a store that clobbers or
+    /// drops a bit on either side shows.
+    #[test]
+    fn word_wise_put_take_match_the_bitwise_reference() {
+        for lead in [0u32, 16, 64] {
+            for off in 0..8u32 {
+                for width in 0..=64u32 {
+                    let max = if width == 64 {
+                        u64::MAX
+                    } else {
+                        (1u64 << width) - 1
+                    };
+                    for value in [0, 1 & max, max, 0xAAAA_AAAA_AAAA_AAAA & max] {
+                        let fields = [
+                            (u64::MAX, lead),
+                            ((1u64 << off) - 1, off),
+                            (value, width),
+                            (0b101, 3),
+                            (u64::MAX, 64),
+                        ];
+                        let mut w = BitWriter::new();
+                        let mut bits = Vec::new();
+                        for (v, n) in fields {
+                            let v = if n == 64 { v } else { v & ((1u64 << n) - 1) };
+                            w.put(v, n);
+                            ref_put(&mut bits, v, n);
+                        }
+                        let want = ref_bytes(&bits);
+                        assert_eq!(w.bit_len(), bits.len() as u64);
+                        assert_eq!(
+                            w.bytes(),
+                            want,
+                            "put({value:#x}, {width}) at bit {}",
+                            lead + off
+                        );
+                        let mut r = BitReader::new(&want, bits.len() as u64).unwrap();
+                        let mut pos = 0usize;
+                        for (_, n) in fields {
+                            assert_eq!(
+                                r.take(n).unwrap(),
+                                ref_take(&want, pos, n),
+                                "take({n}) at bit {pos}, field {value:#x}/{width}"
+                            );
+                            pos += n as usize;
+                        }
+                        r.finish().unwrap();
+                        assert_eq!(w.into_bytes(), want, "into_bytes drops the slack");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A cleared writer is indistinguishable from a fresh one: the
+    /// slack past the cursor is zero again, so stale bits cannot leak
+    /// into the next frame's OR-merge.
+    #[test]
+    fn cleared_writer_starts_from_zeroed_bytes() {
+        let mut w = BitWriter::new();
+        for _ in 0..5 {
+            w.put(u64::MAX >> 3, 61);
+        }
+        w.clear();
+        assert_eq!(w.bit_len(), 0);
+        assert!(w.bytes().is_empty());
+        w.put(0, 3);
+        w.put(0, 64);
+        w.put(1, 1);
+        assert_eq!(w.bytes(), [0, 0, 0, 0, 0, 0, 0, 0, 0b1000]);
+    }
+
+    /// The bulk byte path at every alignment, against per-byte `put`s.
+    #[test]
+    fn bulk_bytes_match_per_byte_fields_at_any_alignment() {
+        let data: Vec<u8> = (0..37u32).map(|i| (i * 73 + 5) as u8).collect();
+        for off in 0..8u32 {
+            for len in [0usize, 1, 7, 8, 9, 16, 37] {
+                let mut bulk = BitWriter::new();
+                let mut fields = BitWriter::new();
+                bulk.put((1u64 << off) - 1, off);
+                fields.put((1u64 << off) - 1, off);
+                bulk.put_bytes(&data[..len]);
+                for &b in &data[..len] {
+                    fields.put(u64::from(b), 8);
+                }
+                bulk.put(1, 1);
+                fields.put(1, 1);
+                assert_eq!(bulk.bit_len(), fields.bit_len());
+                assert_eq!(bulk.bytes(), fields.bytes(), "offset {off}, {len} bytes");
+                let mut r = BitReader::new(bulk.bytes(), bulk.bit_len()).unwrap();
+                r.take(off).unwrap();
+                assert_eq!(r.take_bytes(len).unwrap(), &data[..len]);
+                assert!(matches!(
+                    r.take_bytes(1),
+                    Err(CodecError::OutOfBits {
+                        needed: 8,
+                        remaining: 1
+                    })
+                ));
+                assert_eq!(r.take(1).unwrap(), 1);
+                r.finish().unwrap();
+            }
+        }
     }
 
     #[test]
@@ -958,6 +1191,34 @@ mod tests {
         // Split points don't matter.
         assert_eq!(crc32(&[b"1234", b"56789"]), 0xCBF4_3926);
         assert_eq!(crc32(&[]), 0);
+    }
+
+    /// Slicing-by-8 against the bit-at-a-time definition, and its
+    /// state carried across `parts`: every split of a 67-byte buffer
+    /// (8 whole words + a 3-byte tail, so both halves hit every
+    /// combination of word loop and < 8-byte remainder) hashes to the
+    /// same value as the whole.
+    #[test]
+    fn crc32_carries_state_across_every_split_point() {
+        let buf: Vec<u8> = (0..67u32).map(|i| (i * 151 + 17) as u8).collect();
+        let mut bitwise = !0u32;
+        for &b in &buf {
+            bitwise ^= u32::from(b);
+            for _ in 0..8 {
+                bitwise = if bitwise & 1 != 0 {
+                    0xEDB8_8320 ^ (bitwise >> 1)
+                } else {
+                    bitwise >> 1
+                };
+            }
+        }
+        let whole = crc32(&[&buf]);
+        assert_eq!(whole, !bitwise);
+        for split in 0..=buf.len() {
+            let (a, b) = buf.split_at(split);
+            assert_eq!(crc32(&[a, b]), whole, "split at {split}");
+        }
+        assert_eq!(crc32(&[&buf[..5], &buf[5..6], &[], &buf[6..]]), whole);
     }
 
     #[test]

@@ -44,11 +44,47 @@
 //!    round counted, then quiescence, then the round limit — so error
 //!    cases are bit-identical too.
 //!
-//! Bounded channels mean a sender can hit a full link mid-round; the
-//! overflow waits in a local per-destination queue that every blocked
-//! or barrier-waiting worker keeps pumping while draining its own
-//! incoming channels, so the wait-for graph never contains a cycle of
-//! non-draining threads and the round always completes.
+//! ## Waiting
+//!
+//! A round is three waits on every worker (the next command, the
+//! mid-round `Deliver`, the owed frames) and `2k` on the coordinator
+//! (`Sent` and the round report from each machine), and a k-machine
+//! algorithm is thousands of near-empty rounds — so *how* a thread
+//! waits is most of what a round costs. All of them follow one
+//! discipline, one helper per side (`await_cmd`, `await_resp`):
+//!
+//! - **Poll, then park.** A wait first polls its channel, yielding
+//!   between polls ([`Backoff::snooze`]), for a fixed budget
+//!   (`BARRIER_SPIN_POLLS`): the awaited message is normally a few
+//!   scheduling quanta away, and a yield is far cheaper than the futex
+//!   sleep plus the wake-up syscall a parked thread costs its sender.
+//!   Only when the budget runs out — a peer is inside a long `round()`
+//!   — does the thread block on the channel, so idle workers sleep
+//!   instead of burning their cores.
+//! - **What is serviced while polling.** While a [`FaultPlan`] is live
+//!   a waiting worker drains its incoming channels and pumps its
+//!   pending queue between polls — a peer's delivery may hinge on our
+//!   retransmits even after our own round report went out — and for
+//!   the same reason never parks. A worker owed frames drains on every
+//!   poll on either wire.
+//! - **Why a clean wire may park without draining.** A worker flushes
+//!   every staged frame into its channels *before* it answers `Sent`,
+//!   and absorbs every owed frame before its round report, so between
+//!   barriers at most one data frame per link is in flight against
+//!   `LINK_CHANNEL_FRAMES = 4` slots: no sender ever waits on an idle
+//!   receiver, and by the time `Deliver` arrives everything owed is
+//!   already sitting in the channels (one drain completes the round).
+//! - **The coordinator parks in `recv_timeout(barrier)`**, so the
+//!   deadline — real or, under `km-check`, virtual — is that of the
+//!   park alone and `MachineLost` / `WorkerPanicked` are typed exactly
+//!   as before.
+//!
+//! Bounded channels mean a sender can hit a full link mid-round (under
+//! recovery traffic); the overflow waits in a local per-destination
+//! queue that every blocked or barrier-waiting worker keeps pumping
+//! while draining its own incoming channels, so the wait-for graph
+//! never contains a cycle of non-draining threads and the round always
+//! completes.
 //!
 //! # Failure model
 //!
@@ -179,6 +215,35 @@ fn barrier_timeout_from(plan: &FaultPlan, env: Option<&str>) -> Result<Duration,
 /// frames — paces retransmit requests so a lossy link is repaired
 /// without flooding the reverse direction.
 const NACK_IDLE_POLLS: u32 = 16;
+
+/// Empty polls (each followed by a [`Backoff::snooze`], i.e. a yield)
+/// a barrier wait makes before it parks on its channel — the one budget
+/// of the wait discipline, shared by the worker (`await_cmd`) and the
+/// coordinator (`await_resp`).
+///
+/// A park costs a futex sleep, a wake-up syscall on the sender's side
+/// and a scheduler round-trip; a yielding poll costs one `sched_yield`
+/// and hands the core to whichever peer is still computing. Polling is
+/// therefore the cheaper wait for as long as the awaited message is a
+/// few scheduling quanta away — the normal case between the phases of
+/// a short round — and the budget only has to outlast that.
+///
+/// Sized by measurement: `benchmark/run.sh --workload sketch_cc_wire
+/// --seed 2 --seconds 5` (8 510 near-empty rounds, k = 16 workers on 2
+/// cores), six interleaved passes per value, median `wall_s` of the
+/// six medians — 0 (always park): 2.85 s; 4: 0.70 s; 16: 0.65 s; 64:
+/// 0.63 s; 256: 0.62 s; 1024: 0.64 s; 4096: 0.63 s; the pre-discipline
+/// engine (parked command and coordinator waits, unbounded mid-round
+/// spin): 1.5 s. So on an oversubscribed host, where a yield really
+/// runs somebody else, anything from 16 up sits on one plateau. The
+/// value is taken from the top of the range that is still cheap to
+/// give up on, for hosts with more cores than machines: there a yield
+/// returns at once, the budget is worth 256 syscalls ≈ 50–100 µs —
+/// about one near-empty round — and a smaller one would fall through
+/// to the park every round. Past the budget a worker waiting out a
+/// peer's long `round()` sleeps instead of burning its core
+/// (`tests/distributed_idle.rs`).
+const BARRIER_SPIN_POLLS: u32 = 256;
 
 enum Cmd {
     /// Run one protocol round and send the staged frames.
@@ -731,8 +796,12 @@ impl DistributedEngine {
     }
 }
 
-/// Waits for machine `i`'s next response, converting panics, silent
-/// exits, and barrier timeouts into typed errors. On a timeout the
+/// The coordinator side of the wait discipline (module docs,
+/// "Waiting"): waits for machine `i`'s next response — polling for
+/// [`BARRIER_SPIN_POLLS`] rounds first, then parked in
+/// `recv_timeout(barrier)`, so the deadline semantics are those of the
+/// park alone — converting panics, silent exits, and barrier timeouts
+/// into typed errors. On a timeout the
 /// other response channels are swept for a `Panicked` report first, so
 /// a machine that hangs *because a peer died* blames the culprit, not
 /// the victim.
@@ -742,7 +811,22 @@ fn await_resp<P: Protocol>(
     barrier: Duration,
     round: u64,
 ) -> Result<Resp<P>, EngineError> {
-    match resp_rxs[i].recv_timeout(barrier) {
+    let rx = &resp_rxs[i];
+    let backoff = Backoff::new();
+    let mut polled = rx.try_recv();
+    for _ in 0..BARRIER_SPIN_POLLS {
+        if !matches!(polled, Err(TryRecvError::Empty)) {
+            break;
+        }
+        backoff.snooze();
+        polled = rx.try_recv();
+    }
+    let resp = match polled {
+        Ok(resp) => Ok(resp),
+        Err(TryRecvError::Disconnected) => Err(RecvTimeoutError::Disconnected),
+        Err(TryRecvError::Empty) => rx.recv_timeout(barrier),
+    };
+    match resp {
         Ok(Resp::Panicked { message }) => Err(EngineError::WorkerPanicked {
             machine: i,
             message,
@@ -777,6 +861,69 @@ fn worker_gone<P: Protocol>(resp_rxs: &[Receiver<Resp<P>>], i: usize) -> EngineE
     silent_exit(i)
 }
 
+/// What ended a worker's barrier wait.
+enum Wake {
+    /// The coordinator's next command; a coordinator that hung up reads
+    /// as [`Cmd::Abort`].
+    Cmd(Cmd),
+    /// Every owed frame has been absorbed — only ever the answer to a
+    /// wait that passed `owed` counts.
+    Whole,
+}
+
+/// The worker side of the wait discipline (module docs, "Waiting"):
+/// waits for the coordinator's next command or — when `owed` carries a
+/// `Deliver`'s per-source counts — for every owed frame to be absorbed,
+/// whichever comes first.
+///
+/// While a [`FaultPlan`] is live the wire is serviced between polls and
+/// the wait never parks: a peer's delivery may hinge on our retransmits
+/// even after our own round report went out, and a receiver still owed
+/// frames paces NACKs off the poll count. On a clean wire nothing needs
+/// servicing while idle (at most one data frame per link is in flight
+/// against [`LINK_CHANNEL_FRAMES`] slots, so no sender ever waits on
+/// us), which is what makes it safe to park in `recv()` once
+/// [`BARRIER_SPIN_POLLS`] polls came up empty.
+fn await_cmd<M: WireCodec>(
+    cmd_rx: &Receiver<Cmd>,
+    inw: &mut Inwire,
+    out: &mut Outwire,
+    inb: &mut Inbound<M>,
+    owed: Option<&[u32]>,
+) -> Wake {
+    let backoff = Backoff::new();
+    let mut polls: u32 = 0;
+    loop {
+        match cmd_rx.try_recv() {
+            Ok(cmd) => return Wake::Cmd(cmd),
+            Err(TryRecvError::Disconnected) => return Wake::Cmd(Cmd::Abort),
+            Err(TryRecvError::Empty) => {}
+        }
+        if out.faulty || owed.is_some() {
+            drain_incoming(inw, out, inb);
+            out.pump();
+        }
+        if owed.is_some_and(|expected| inw.complete(out.me, expected)) {
+            return Wake::Whole;
+        }
+        polls += 1;
+        if out.faulty {
+            if let Some(expected) = owed {
+                if polls.is_multiple_of(NACK_IDLE_POLLS) {
+                    for (src, &want) in expected.iter().enumerate() {
+                        if src != out.me && inw.expect[src] < want {
+                            out.send_nack(src, inw.expect[src]);
+                        }
+                    }
+                }
+            }
+        } else if polls >= BARRIER_SPIN_POLLS {
+            return Wake::Cmd(cmd_rx.recv().unwrap_or(Cmd::Abort));
+        }
+        backoff.snooze();
+    }
+}
+
 /// The worker loop for machine `me`.
 #[allow(clippy::too_many_arguments)]
 fn run_worker<P>(
@@ -794,7 +941,6 @@ fn run_worker<P>(
     P::Msg: WireCodec,
 {
     let k = config.k;
-    let faulty = plan.any();
     let mut rng = rng::machine_rng(config.seed, me);
     let mut inb: Inbound<P::Msg> = Inbound::new(k, me);
     let mut inw = Inwire::new(in_rxs);
@@ -810,27 +956,8 @@ fn run_worker<P>(
     let mut scratch = BitWriter::new();
 
     loop {
-        // Between phases a worker must keep servicing the wire when
-        // faults are live: a peer's delivery may hinge on our
-        // retransmits even after our own round report went out.
-        let cmd = if faulty {
-            let backoff = Backoff::new();
-            loop {
-                match cmd_rx.try_recv() {
-                    Ok(cmd) => break Some(cmd),
-                    Err(TryRecvError::Empty) => {
-                        drain_incoming(&mut inw, &mut out, &mut inb);
-                        out.pump();
-                        backoff.snooze();
-                    }
-                    Err(TryRecvError::Disconnected) => break None,
-                }
-            }
-        } else {
-            cmd_rx.recv().ok()
-        };
-        match cmd {
-            Some(Cmd::Round { round }) => {
+        match await_cmd(cmd_rx, &mut inw, &mut out, &mut inb, None) {
+            Wake::Cmd(Cmd::Round { round }) => {
                 if plan.crashes(me, round) {
                     // Simulated crash: close every channel (peers see
                     // a hung-up link, the coordinator a missed
@@ -876,7 +1003,7 @@ fn run_worker<P>(
                         batch.clear();
                     }
                 }
-                if faulty {
+                if out.faulty {
                     out.pump();
                 } else {
                     // Reliable wire: flush everything before reporting,
@@ -899,53 +1026,21 @@ fn run_worker<P>(
                 {
                     return;
                 }
-                // Barrier: keep servicing the wire until the
-                // coordinator certifies every peer reported, then
-                // drain until every owed frame is in.
-                let expected = {
-                    let backoff = Backoff::new();
-                    loop {
-                        match cmd_rx.try_recv() {
-                            Ok(Cmd::Deliver { expected }) => break expected,
-                            Ok(Cmd::Abort) => return,
-                            // lint: allow(panic) — coordinator protocol invariant: the round state machine sends nothing else here
-                            Ok(_) => unreachable!("only Deliver or Abort follows Sent"),
-                            Err(TryRecvError::Empty) => {
-                                drain_incoming(&mut inw, &mut out, &mut inb);
-                                out.pump();
-                                backoff.snooze();
-                            }
-                            Err(TryRecvError::Disconnected) => return,
-                        }
-                    }
-                };
-                let mut idle_polls: u32 = 0;
-                let backoff = Backoff::new();
+                // Barrier: the coordinator certifies every peer reported
+                // (`Deliver`), then every owed frame must be absorbed.
+                let mut owed: Option<Box<[u32]>> = None;
                 loop {
-                    drain_incoming(&mut inw, &mut out, &mut inb);
-                    out.pump();
-                    if inw.complete(me, &expected) {
-                        break;
-                    }
-                    // Only an Abort can arrive here: the coordinator
-                    // sends nothing else before our round report.
-                    match cmd_rx.try_recv() {
-                        Ok(Cmd::Abort) => return,
-                        // lint: allow(panic) — coordinator protocol invariant: only Abort can preempt delivery
-                        Ok(_) => unreachable!("only Abort can preempt delivery"),
-                        Err(TryRecvError::Empty) => {}
-                        Err(TryRecvError::Disconnected) => return,
-                    }
-                    idle_polls += 1;
-                    if faulty && idle_polls.is_multiple_of(NACK_IDLE_POLLS) {
-                        for src in 0..k {
-                            if src != me && inw.expect[src] < expected[src] {
-                                let from = inw.expect[src];
-                                out.send_nack(src, from);
-                            }
+                    match await_cmd(cmd_rx, &mut inw, &mut out, &mut inb, owed.as_deref()) {
+                        Wake::Whole => break,
+                        Wake::Cmd(Cmd::Deliver { expected }) if owed.is_none() => {
+                            owed = Some(expected);
+                        }
+                        Wake::Cmd(Cmd::Abort) => return,
+                        Wake::Cmd(_) => {
+                            // lint: allow(panic) — coordinator protocol invariant: between `Sent` and the round report it sends one Deliver, then nothing but Abort
+                            unreachable!("only one Deliver, then only Abort, follows Sent")
                         }
                     }
-                    backoff.snooze();
                 }
                 let tally = RoundTally {
                     active_machines: usize::from(status == Status::Active),
@@ -955,10 +1050,12 @@ fn run_worker<P>(
                     return;
                 }
             }
-            // lint: allow(panic) — coordinator protocol invariant: Deliver is only ever sent after a Round
-            Some(Cmd::Deliver { .. }) => unreachable!("Deliver only follows a Round"),
-            Some(Cmd::Finish) => break,
-            Some(Cmd::Abort) | None => return,
+            Wake::Cmd(Cmd::Deliver { .. }) | Wake::Whole => {
+                // lint: allow(panic) — coordinator protocol invariant: Deliver is only ever sent after a Round, and frames are owed only after a Deliver
+                unreachable!("Deliver only follows a Round")
+            }
+            Wake::Cmd(Cmd::Finish) => break,
+            Wake::Cmd(Cmd::Abort) => return,
         }
     }
     let _ = resp_tx.send(Resp::Final(Box::new(FinalState {

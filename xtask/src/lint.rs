@@ -40,7 +40,7 @@ impl std::fmt::Display for Violation {
 /// The most annotated panic sites rule 1 accepts — a ratchet: it is
 /// the count the tool reported when last committed, so the number can
 /// only go down. A PR that removes sites lowers it to the new count.
-pub const PANIC_ALLOW_BUDGET: usize = 36;
+pub const PANIC_ALLOW_BUDGET: usize = 34;
 
 const PANIC_TOKENS: &[&str] = &[
     ".unwrap()",
