@@ -11,7 +11,9 @@
 //!
 //! `--stream` runs the STREAM experiment (streaming ingestion + the
 //! paper's algorithms at n = 10⁶; scale with `KM_STREAM_N`). It is
-//! excluded from the no-argument sweep because of its size.
+//! excluded from the no-argument sweep because of its size, as is
+//! `WIRE` (the distributed engine's frame-vs-logical bit matrix, which
+//! pins its own engine): request either by id.
 //!
 //! `--engine {seq,par,dist,auto}` selects the execution engine for every run
 //! (transcript-identical engines, so tables are engine-independent); it

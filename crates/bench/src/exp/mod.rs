@@ -9,6 +9,7 @@ pub mod routing;
 pub mod sortmst;
 pub mod stream;
 pub mod triangle;
+pub mod wire;
 
 use crate::Table;
 
@@ -37,10 +38,12 @@ pub fn all() -> Vec<(&'static str, Runner)> {
         ("GLBT", glbt::glbt_chain),
         ("ABL", ablation::ablations),
         ("STREAM", stream::stream_scale),
+        ("WIRE", wire::wire_matrix),
     ]
 }
 
-/// Experiments excluded from the no-argument "run everything" sweep —
-/// they run at scales (n = 10⁶) that dwarf the rest of the suite.
-/// Request them explicitly by id or via their dedicated flag.
-pub const ON_DEMAND: &[&str] = &["STREAM"];
+/// Experiments excluded from the no-argument "run everything" sweep:
+/// STREAM runs at a scale (n = 10⁶) that dwarfs the rest of the suite,
+/// and WIRE pins the distributed engine whatever `--engine` says.
+/// Request them explicitly by id (or `--stream`).
+pub const ON_DEMAND: &[&str] = &["STREAM", "WIRE"];

@@ -2,9 +2,9 @@
 //!
 //! One experiment per theorem/figure/claim of the paper, per the index in
 //! `DESIGN.md`. Each experiment is a pure function returning a [`Table`];
-//! the `experiments` binary prints them and archives JSON next to
-//! `EXPERIMENTS.md`. Criterion wall-clock microbenches live in
-//! `benches/`.
+//! the `experiments` binary prints them and archives JSON under
+//! `results/`. Every table cell is a deterministic counter (rounds,
+//! bits, frames); wall time and memory are measured by `benchmark/`.
 //!
 //! | ID | Claim |
 //! |----|-------|
@@ -25,9 +25,9 @@
 //! | M1 | MST correctness + scaling |
 //! | CC-UB | sketch connectivity `O~(n/k²)` vs Borůvka broadcast |
 //! | GLBT | Theorem 1 chain `IC ≤ maxΠ ≤ (B+1)(k−1)T` |
+//! | WIRE | distributed-engine frame bits vs logical bits (on demand) |
 
 pub mod exp;
 pub mod table;
-pub mod workloads;
 
 pub use table::Table;

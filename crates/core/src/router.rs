@@ -52,7 +52,8 @@ pub fn phase_proxy_of(shared_seed: u64, phase: u64, key: u64, k: usize) -> Machi
 /// Flush-barrier bookkeeping for multi-stage phase protocols.
 ///
 /// The pattern (used by `BoruvkaMst` and the sketch-connectivity label
-/// service in `km-mst`): on entering a stage, a machine sends the stage's
+/// service in `km-mst`, and by both PageRank protocols in
+/// `km-pagerank`): on entering a stage, a machine sends the stage's
 /// payload messages and then **broadcasts a flush** carrying small
 /// counters. Links are FIFO, so once a machine has collected `k − 1`
 /// flushes of the current parity, every payload message of the stage has

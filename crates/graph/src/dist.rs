@@ -23,11 +23,6 @@
 //! `O~(m/k + Δ)` balance lemma into the existing
 //! [`partition::balance`](crate::partition::balance) diagnostics via
 //! [`DistGraph::edge_balance`].
-//!
-//! [`replicated_scan_reference`] preserves the pre-`DistGraph` ingestion
-//! pattern (per-machine `HashMap` vertex index + `Vec<Vec<_>>` adjacency,
-//! built machine by machine) as a measurable artifact so `perfsnap` and
-//! the `graph_dist` bench can keep reporting the fused-build speedup.
 
 use crate::csr::CsrGraph;
 use crate::digraph::DiGraph;
@@ -213,6 +208,12 @@ impl DistGraph {
     #[inline]
     pub fn k(&self) -> usize {
         self.locals.len()
+    }
+
+    /// Number of vertices of the *global* graph.
+    #[inline]
+    pub fn n(&self) -> usize {
+        self.locals.first().map_or(0, LocalGraph::global_n)
     }
 
     /// The per-machine locals, indexed by machine.
@@ -457,30 +458,6 @@ impl EdgeListAdjacency {
     }
 }
 
-/// The pre-`DistGraph` ingestion path, preserved as a measurable
-/// artifact: `k` independent member scans, each allocating a
-/// `HashMap` vertex index and a `Vec<Vec<_>>` adjacency — the pattern
-/// every algorithm crate used to hand-roll. Returns the total stored
-/// endpoints as an optimization barrier; `perfsnap` and the
-/// `graph_dist` bench time it against [`DistGraphBuilder::undirected`]
-/// on identical inputs.
-pub fn replicated_scan_reference(g: &CsrGraph, part: &Partition) -> usize {
-    use std::collections::HashMap;
-    assert_eq!(g.n(), part.n(), "partition size mismatch");
-    let mut total = 0usize;
-    for i in 0..part.k() {
-        let vertices: Vec<Vertex> = part.members(i).to_vec();
-        let index: HashMap<Vertex, usize> =
-            vertices.iter().enumerate().map(|(j, &v)| (v, j)).collect();
-        let adjacency: Vec<Vec<Vertex>> =
-            vertices.iter().map(|&v| g.neighbors(v).to_vec()).collect();
-        total += adjacency.iter().map(Vec::len).sum::<usize>();
-        std::hint::black_box(&index);
-        std::hint::black_box(&adjacency);
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -586,21 +563,11 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_replicated_scans_store_the_same_endpoints() {
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let g = gnp(120, 0.1, &mut rng);
-        let part = Arc::new(Partition::by_hash(120, 16, 4));
-        let d = DistGraphBuilder::new(&part).undirected(&g);
-        let fused: usize = d.locals().iter().map(LocalGraph::edge_endpoints).sum();
-        assert_eq!(fused, replicated_scan_reference(&g, &part));
-    }
-
-    #[test]
     fn empty_graph_and_single_machine() {
         let g = CsrGraph::from_edges(0, &[]);
         let part = Arc::new(Partition::from_assignment(3, vec![]));
         let d = DistGraphBuilder::new(&part).undirected(&g);
-        assert_eq!(d.k(), 3);
+        assert_eq!((d.k(), d.n()), (3, 0));
         for l in d.locals() {
             assert_eq!(l.hosted(), 0);
             assert_eq!(l.edge_endpoints(), 0);
@@ -608,7 +575,7 @@ mod tests {
         let g1 = classic::complete(5);
         let part1 = Arc::new(Partition::round_robin(5, 1));
         let d1 = DistGraphBuilder::new(&part1).undirected(&g1);
-        assert_eq!(d1.locals()[0].hosted(), 5);
+        assert_eq!((d1.n(), d1.locals()[0].hosted()), (5, 5));
     }
 
     #[test]

@@ -39,9 +39,9 @@
 //!
 //! Stages are separated by flush barriers ([`PhaseBarrier`]): links are
 //! FIFO, so `k − 1` flushes of the current parity guarantee all stage
-//! payloads have arrived. The `CC-UB` experiment and the `sketch_cc`
-//! perfsnap matrix measure the resulting `recv_bits` profile against
-//! both [`crate::BoruvkaMst`] and the `n/k²` prediction.
+//! payloads have arrived. The `CC-UB` experiment measures the resulting
+//! `recv_bits` profile against both [`crate::BoruvkaMst`] and the `n/k²`
+//! prediction.
 
 use crate::sketch::{phase_seed, L0Sketch, SketchParams};
 use km_core::router::{phase_proxy_of, PhaseBarrier};
@@ -431,35 +431,16 @@ pub struct SketchConnectivity {
 }
 
 impl SketchConnectivity {
-    /// Builds one protocol instance per machine (one fused pass over the
-    /// global graph via [`DistGraphBuilder`]).
-    pub fn build_all(g: &CsrGraph, part: &Arc<Partition>) -> Vec<SketchConnectivity> {
-        let n = g.n();
-        let params = SketchParams::for_graph(n, g.m());
-        Self::from_locals(
-            n,
-            params,
-            DistGraphBuilder::new(part).undirected(g).into_locals(),
-        )
-    }
-
-    /// Builds protocol instances from an already-distributed input (e.g.
-    /// a streaming ingest via `km_graph::stream`) — no global CSR is ever
-    /// needed. Sketch parameters come from the distributed edge loads
+    /// Builds one protocol instance per machine from the distributed
+    /// input — the Section 1.1 shape, whether it came from
+    /// [`DistGraphBuilder`] or a streaming ingest via `km_graph::stream`.
+    /// Sketch parameters come from the distributed edge loads
     /// (`Σ loads = 2m` for undirected builds).
-    pub fn build_all_from_dist(dist: &DistGraph) -> Vec<SketchConnectivity> {
-        let n = dist.locals()[0].global_n();
+    pub fn build_all(dist: DistGraph) -> Vec<SketchConnectivity> {
+        let n = dist.n();
         let m = dist.edge_loads().iter().sum::<usize>() / 2;
         let params = SketchParams::for_graph(n, m);
-        Self::from_locals(n, params, dist.locals().to_vec())
-    }
-
-    fn from_locals(
-        n: usize,
-        params: SketchParams,
-        locals: Vec<LocalGraph>,
-    ) -> Vec<SketchConnectivity> {
-        locals
+        dist.into_locals()
             .into_iter()
             .map(|lg| SketchConnectivity {
                 n,
@@ -950,7 +931,7 @@ impl KmAlgorithm for DistributedSketchConnectivity<'_> {
 
     fn build(&self, k: usize) -> Vec<SketchConnectivity> {
         assert_eq!(self.part.k(), k, "partition k must match the network k");
-        SketchConnectivity::build_all(self.g, self.part)
+        SketchConnectivity::build_all(DistGraphBuilder::new(self.part).undirected(self.g))
     }
 
     fn extract(&self, machines: Vec<SketchConnectivity>, _metrics: &Metrics) -> ConnectivityOutput {
@@ -1006,11 +987,11 @@ impl KmAlgorithm for PrebuiltSketchConnectivity<'_> {
             k,
             "distributed input k must match the network k"
         );
-        SketchConnectivity::build_all_from_dist(self.dist)
+        SketchConnectivity::build_all(self.dist.clone())
     }
 
     fn extract(&self, machines: Vec<SketchConnectivity>, _metrics: &Metrics) -> ConnectivityOutput {
-        extract_connectivity(machines, self.dist.locals()[0].global_n())
+        extract_connectivity(machines, self.dist.n())
     }
 }
 

@@ -27,7 +27,7 @@
 //!   `O~(n/k²)` rounds, matching the GLBT lower bound
 //!   (`km_lower::bounds::mst_rounds`) up to polylog factors. The
 //!   measured crossover vs [`BoruvkaMst`] is recorded by the `CC-UB`
-//!   experiment and the `sketch_cc` perfsnap matrix.
+//!   experiment and the `sketch_cc` workloads of `benchmark/`.
 //!
 //! [`SketchConnectivity`] computes connectivity / spanning forests (the
 //! unweighted problem the `Ω~(n/k²)` bound already applies to); the MSF
@@ -42,6 +42,7 @@ pub use conn::{
 };
 
 use km_core::rng::keyed_hash;
+use km_core::router::PhaseBarrier;
 use km_core::{
     id_bits, run_algorithm, BitReader, BitWriter, CodecError, Envelope, KmAlgorithm, Metrics,
     NetConfig, Outbox, Protocol, RoundCtx, Runner, Status, WireCodec, WireSize,
@@ -270,9 +271,8 @@ pub struct BoruvkaMst {
     /// Chosen edges received this phase (applied at the scatter barrier).
     phase_chosen: Vec<(Edge, f64)>,
     half: Half,
-    parity: bool,
-    flushes: usize,
-    flush_produced: u64,
+    /// Flush barrier; its counter sums the peers' `produced`.
+    barrier: PhaseBarrier<1>,
     my_produced: u64,
     pending: Vec<MstMsg>,
     finished: bool,
@@ -284,31 +284,19 @@ pub struct BoruvkaMst {
 }
 
 impl BoruvkaMst {
-    /// Builds one protocol instance per machine (one fused pass over the
-    /// global graph via [`DistGraphBuilder`]).
-    pub fn build_all(g: &WeightedGraph, part: &Arc<Partition>) -> Vec<BoruvkaMst> {
-        let n = g.n();
-        Self::from_locals(n, DistGraphBuilder::new(part).weighted(g).into_locals())
-    }
-
-    /// Builds protocol instances from an already-distributed weighted
-    /// input (e.g. a streaming ingest via `km_graph::stream`) — no global
-    /// [`WeightedGraph`] is ever materialized.
+    /// Builds one protocol instance per machine from the distributed
+    /// weighted input — the Section 1.1 shape, whether it came from
+    /// [`DistGraphBuilder`] or a streaming ingest via `km_graph::stream`.
     ///
     /// # Panics
-    /// Panics if the distributed input was not built from a weighted
-    /// stream.
-    pub fn build_all_from_dist(dist: &DistGraph) -> Vec<BoruvkaMst> {
-        let n = dist.locals()[0].global_n();
+    /// Panics if the distributed input carries no weights.
+    pub fn build_all(dist: DistGraph) -> Vec<BoruvkaMst> {
+        let n = dist.n();
         assert!(
             dist.locals().iter().all(LocalGraph::is_weighted),
             "Borůvka needs a weighted distributed input"
         );
-        Self::from_locals(n, dist.locals().to_vec())
-    }
-
-    fn from_locals(n: usize, locals: Vec<LocalGraph>) -> Vec<BoruvkaMst> {
-        locals
+        dist.into_locals()
             .into_iter()
             .map(|lg| BoruvkaMst {
                 n,
@@ -317,9 +305,7 @@ impl BoruvkaMst {
                 proxy_best: BTreeMap::new(),
                 phase_chosen: Vec::new(),
                 half: Half::Gather,
-                parity: false,
-                flushes: 0,
-                flush_produced: 0,
+                barrier: PhaseBarrier::new(),
                 my_produced: 0,
                 pending: Vec::new(),
                 finished: false,
@@ -360,11 +346,14 @@ impl BoruvkaMst {
             } else {
                 out.send(
                     proxy,
-                    MstMsg::candidate(self.n, self.parity, comp, cand.e, cand.w),
+                    MstMsg::candidate(self.n, self.barrier.parity(), comp, cand.e, cand.w),
                 );
             }
         }
-        out.broadcast(ctx.me, MstMsg::flush(self.parity, self.my_produced));
+        out.broadcast(
+            ctx.me,
+            MstMsg::flush(self.barrier.parity(), self.my_produced),
+        );
         self.half = Half::Gather;
         self.phases += 1;
     }
@@ -383,9 +372,12 @@ impl BoruvkaMst {
         let winners = std::mem::take(&mut self.proxy_best);
         for (_, cand) in winners {
             self.phase_chosen.push((cand.e, cand.w));
-            out.broadcast(ctx.me, MstMsg::chosen(self.n, self.parity, cand.e, cand.w));
+            out.broadcast(
+                ctx.me,
+                MstMsg::chosen(self.n, self.barrier.parity(), cand.e, cand.w),
+            );
         }
-        out.broadcast(ctx.me, MstMsg::flush(self.parity, 0));
+        out.broadcast(ctx.me, MstMsg::flush(self.barrier.parity(), 0));
         self.half = Half::Scatter;
     }
 
@@ -428,15 +420,16 @@ impl BoruvkaMst {
     }
 
     fn maybe_advance(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<MstMsg>) {
-        while !self.finished && self.flushes == ctx.k - 1 {
-            let produced = self.flush_produced + self.my_produced;
-            self.flushes = 0;
-            self.flush_produced = 0;
-            self.my_produced = 0;
-            self.parity = !self.parity;
+        while !self.finished && self.barrier.ready(ctx.k) {
+            let [peers_produced] = self.barrier.flip();
+            let produced = peers_produced + std::mem::take(&mut self.my_produced);
             let pending = std::mem::take(&mut self.pending);
             for msg in &pending {
-                debug_assert_eq!(msg.parity, self.parity, "barrier drift exceeded 1");
+                debug_assert_eq!(
+                    msg.parity,
+                    self.barrier.parity(),
+                    "barrier drift exceeded 1"
+                );
                 self.apply(msg);
             }
             match self.half {
@@ -463,10 +456,7 @@ impl BoruvkaMst {
         match msg.payload {
             MstPayload::Candidate { comp, e, w } => self.absorb_candidate(comp, Cand { w, e }),
             MstPayload::Chosen { e, w } => self.phase_chosen.push((e, w)),
-            MstPayload::Flush { produced } => {
-                self.flushes += 1;
-                self.flush_produced += produced;
-            }
+            MstPayload::Flush { produced } => self.barrier.absorb([produced]),
         }
     }
 
@@ -495,7 +485,7 @@ impl Protocol for BoruvkaMst {
             };
         }
         for env in inbox.drain(..) {
-            if env.msg.parity == self.parity {
+            if env.msg.parity == self.barrier.parity() {
                 self.apply(&env.msg);
             } else {
                 self.pending.push(env.msg);
@@ -526,7 +516,7 @@ impl KmAlgorithm for DistributedMst<'_> {
 
     fn build(&self, k: usize) -> Vec<BoruvkaMst> {
         assert_eq!(self.part.k(), k, "partition k must match the network k");
-        BoruvkaMst::build_all(self.g, self.part)
+        BoruvkaMst::build_all(DistGraphBuilder::new(self.part).weighted(self.g))
     }
 
     fn extract(&self, machines: Vec<BoruvkaMst>, _metrics: &Metrics) -> (Vec<Edge>, f64) {
@@ -579,7 +569,7 @@ impl KmAlgorithm for PrebuiltMst<'_> {
             k,
             "distributed input k must match the network k"
         );
-        BoruvkaMst::build_all_from_dist(self.dist)
+        BoruvkaMst::build_all(self.dist.clone())
     }
 
     fn extract(&self, machines: Vec<BoruvkaMst>, _metrics: &Metrics) -> (Vec<Edge>, f64) {
@@ -676,7 +666,7 @@ mod tests {
         let n = 64;
         let g = random_weighted_gnp(n, 0.3, &mut rng);
         let part = Arc::new(Partition::by_hash(n, 4, 9));
-        let machines = BoruvkaMst::build_all(&g, &part);
+        let machines = BoruvkaMst::build_all(DistGraphBuilder::new(&part).weighted(&g));
         let report = Runner::new(net(4, n, 21)).run(machines).unwrap();
         // Components at least halve per phase: ≤ log2(n) + 1 phases
         // (+1 for the final empty phase that detects termination).

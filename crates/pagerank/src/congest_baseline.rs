@@ -16,11 +16,12 @@
 
 use crate::kmachine::{binomial, LocalState, PrMsg, PrOutput, PrPayload};
 use crate::PrConfig;
+use km_core::router::PhaseBarrier;
 use km_core::{
     run_algorithm, Envelope, KmAlgorithm, Metrics, NetConfig, Outbox, Protocol, RoundCtx, Runner,
     Status,
 };
-use km_graph::{DiGraph, Partition, Vertex};
+use km_graph::{DiGraph, DistGraph, DistGraphBuilder, Partition, Vertex};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -29,9 +30,8 @@ use std::sync::Arc;
 pub struct CongestPageRank {
     st: LocalState,
     cfg: PrConfig,
-    parity: bool,
-    flushes_seen: usize,
-    flush_live: u64,
+    /// Flush barrier; its counter sums the peers' `live`.
+    barrier: PhaseBarrier<1>,
     my_live: u64,
     pending: Vec<PrMsg>,
     finished: bool,
@@ -40,16 +40,15 @@ pub struct CongestPageRank {
 }
 
 impl CongestPageRank {
-    /// Builds one protocol instance per machine.
-    pub fn build_all(g: &DiGraph, part: &Arc<Partition>, cfg: PrConfig) -> Vec<CongestPageRank> {
-        LocalState::build_all(g, part, &cfg)
+    /// Builds one protocol instance per machine from the distributed
+    /// directed input.
+    pub fn build_all(dist: DistGraph, cfg: PrConfig) -> Vec<CongestPageRank> {
+        LocalState::build_all(dist, &cfg)
             .into_iter()
             .map(|st| CongestPageRank {
                 st,
                 cfg,
-                parity: false,
-                flushes_seen: 0,
-                flush_live: 0,
+                barrier: PhaseBarrier::new(),
                 my_live: 0,
                 pending: Vec::new(),
                 finished: false,
@@ -77,10 +76,7 @@ impl CongestPageRank {
             PrPayload::Count { v, count } => self.st.arrive_at_vertex(v, count),
             // lint: allow(panic) — the CONGEST baseline protocol has no Heavy sender
             PrPayload::Heavy { .. } => unreachable!("baseline never sends Heavy"),
-            PrPayload::Flush { live } => {
-                self.flushes_seen += 1;
-                self.flush_live += live;
-            }
+            PrPayload::Flush { live } => self.barrier.absorb([live]),
         }
     }
 
@@ -120,7 +116,7 @@ impl CongestPageRank {
                     staged_local.push((lj, c));
                 } else {
                     // One message per (u, v) edge — no cross-vertex merge.
-                    out.send(home, PrMsg::count(n, self.parity, v, c));
+                    out.send(home, PrMsg::count(n, self.barrier.parity(), v, c));
                 }
             }
         }
@@ -130,19 +126,16 @@ impl CongestPageRank {
         }
         self.my_live = survivors_total;
         self.iterations += 1;
-        out.broadcast(me, PrMsg::flush(self.parity, survivors_total));
+        out.broadcast(me, PrMsg::flush(self.barrier.parity(), survivors_total));
     }
 
     fn maybe_advance(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<PrMsg>) {
-        while !self.finished && self.flushes_seen == ctx.k - 1 {
-            if self.flush_live + self.my_live == 0 {
+        while !self.finished && self.barrier.ready(ctx.k) {
+            let [peers_live] = self.barrier.flip();
+            if peers_live + std::mem::take(&mut self.my_live) == 0 {
                 self.finished = true;
                 return;
             }
-            self.parity = !self.parity;
-            self.flushes_seen = 0;
-            self.flush_live = 0;
-            self.my_live = 0;
             let pending = std::mem::take(&mut self.pending);
             for msg in &pending {
                 self.apply(msg);
@@ -173,7 +166,7 @@ impl Protocol for CongestPageRank {
             };
         }
         for env in inbox.drain(..) {
-            if env.msg.parity == self.parity {
+            if env.msg.parity == self.barrier.parity() {
                 self.apply(&env.msg);
             } else {
                 self.pending.push(env.msg);
@@ -205,7 +198,7 @@ impl KmAlgorithm for CongestBaseline<'_> {
 
     fn build(&self, k: usize) -> Vec<CongestPageRank> {
         assert_eq!(self.part.k(), k, "partition k must match the network k");
-        CongestPageRank::build_all(self.g, self.part, self.cfg)
+        CongestPageRank::build_all(DistGraphBuilder::new(self.part).directed(self.g), self.cfg)
     }
 
     fn extract(&self, machines: Vec<CongestPageRank>, _metrics: &Metrics) -> Vec<f64> {

@@ -31,6 +31,7 @@
 //! per message disambiguates (proved in the module tests).
 
 use crate::PrConfig;
+use km_core::router::PhaseBarrier;
 use km_core::{
     id_bits, run_algorithm, BitReader, BitWriter, CodecError, Envelope, KmAlgorithm, Metrics,
     NetConfig, Outbox, Protocol, RoundCtx, Runner, Status, WireCodec, WireSize,
@@ -205,23 +206,12 @@ pub(crate) struct LocalState {
 }
 
 impl LocalState {
-    /// Builds the local state of every machine from the global input —
-    /// machine `i` sees only what RVP gives it (its vertices, their
-    /// out-edges and in-edges) plus the shared hash function. One fused
-    /// pass over the global graph via [`DistGraphBuilder`].
-    pub fn build_all(g: &DiGraph, part: &Arc<Partition>, cfg: &PrConfig) -> Vec<LocalState> {
-        Self::from_locals(DistGraphBuilder::new(part).directed(g).into_locals(), cfg)
-    }
-
-    /// Builds the local state of every machine from an already-distributed
-    /// directed input (e.g. a streaming ingest via `km_graph::stream`) —
-    /// no global [`DiGraph`] is ever materialized.
-    pub fn build_all_from_dist(dist: &DistGraph, cfg: &PrConfig) -> Vec<LocalState> {
-        Self::from_locals(dist.locals().to_vec(), cfg)
-    }
-
-    fn from_locals(locals: Vec<LocalGraph>, cfg: &PrConfig) -> Vec<LocalState> {
-        locals
+    /// Builds the local state of every machine from the distributed
+    /// directed input — machine `i` sees only what RVP gives it (its
+    /// vertices, their out-edges and in-edges) plus the shared hash
+    /// function.
+    pub fn build_all(dist: DistGraph, cfg: &PrConfig) -> Vec<LocalState> {
+        dist.into_locals()
             .into_iter()
             .map(|lg| {
                 let hosted = lg.hosted();
@@ -276,9 +266,8 @@ pub struct KmPageRank {
     /// the paper uses `k`. `u64::MAX` disables the heavy path entirely —
     /// the ablation knob for the T4 design-choice experiment.
     heavy_threshold: u64,
-    parity: bool,
-    flushes_seen: usize,
-    flush_live: u64,
+    /// Flush barrier; its counter sums the peers' `live`.
+    barrier: PhaseBarrier<1>,
     my_live: u64,
     pending: Vec<PrMsg>,
     finished: bool,
@@ -287,40 +276,32 @@ pub struct KmPageRank {
 }
 
 impl KmPageRank {
-    /// Builds one protocol instance per machine (heavy threshold = `k`,
-    /// the paper's choice).
-    pub fn build_all(g: &DiGraph, part: &Arc<Partition>, cfg: PrConfig) -> Vec<KmPageRank> {
-        Self::build_all_with_threshold(g, part, cfg, part.k() as u64)
+    /// Builds one protocol instance per machine from the distributed
+    /// directed input (heavy threshold = `k`, the paper's choice).
+    pub fn build_all(dist: DistGraph, cfg: PrConfig) -> Vec<KmPageRank> {
+        let k = dist.k() as u64;
+        Self::build_all_with_threshold(dist, cfg, k)
     }
 
     /// Builds instances with an explicit heavy threshold (ablations).
     pub fn build_all_with_threshold(
-        g: &DiGraph,
-        part: &Arc<Partition>,
+        dist: DistGraph,
         cfg: PrConfig,
         heavy_threshold: u64,
     ) -> Vec<KmPageRank> {
-        LocalState::build_all(g, part, &cfg)
+        LocalState::build_all(dist, &cfg)
             .into_iter()
-            .map(|st| Self::from_state(st, cfg, heavy_threshold))
+            .map(|st| KmPageRank {
+                st,
+                cfg,
+                heavy_threshold,
+                barrier: PhaseBarrier::new(),
+                my_live: 0,
+                pending: Vec::new(),
+                finished: false,
+                iterations: 0,
+            })
             .collect()
-    }
-
-    /// One protocol instance wrapping an already-built local state (the
-    /// shared tail of the in-memory and streaming build paths).
-    pub(crate) fn from_state(st: LocalState, cfg: PrConfig, heavy_threshold: u64) -> KmPageRank {
-        KmPageRank {
-            st,
-            cfg,
-            heavy_threshold,
-            parity: false,
-            flushes_seen: 0,
-            flush_live: 0,
-            my_live: 0,
-            pending: Vec::new(),
-            finished: false,
-            iterations: 0,
-        }
     }
 
     /// This machine's output: `(vertex, PageRank estimate)` for every
@@ -357,10 +338,7 @@ impl KmPageRank {
         match msg.payload {
             PrPayload::Count { v, count } => self.st.arrive_at_vertex(v, count),
             PrPayload::Heavy { u, count } => self.st.arrive_from_heavy(rng, u, count),
-            PrPayload::Flush { live } => {
-                self.flushes_seen += 1;
-                self.flush_live += live;
-            }
+            PrPayload::Flush { live } => self.barrier.absorb([live]),
         }
     }
 
@@ -434,7 +412,7 @@ impl KmPageRank {
                             staged_local.push((tj, 1));
                         }
                     } else {
-                        out.send(j_m, PrMsg::heavy(n, self.parity, u, c));
+                        out.send(j_m, PrMsg::heavy(n, self.barrier.parity(), u, c));
                     }
                 }
             }
@@ -448,7 +426,7 @@ impl KmPageRank {
                 let j = self.st.g.local(v).expect("home(v) == me implies hosted");
                 staged_local.push((j, c));
             } else {
-                out.send(home, PrMsg::count(n, self.parity, v, c));
+                out.send(home, PrMsg::count(n, self.barrier.parity(), v, c));
             }
         }
         for (j, c) in staged_local {
@@ -458,26 +436,22 @@ impl KmPageRank {
 
         self.my_live = survivors_total;
         self.iterations += 1;
-        let flush = PrMsg::flush(self.parity, survivors_total);
+        let flush = PrMsg::flush(self.barrier.parity(), survivors_total);
         out.broadcast(me, flush);
     }
 
     /// If the barrier is complete, either terminate or advance one
     /// iteration (possibly several times if this machine lagged).
     fn maybe_advance(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<PrMsg>) {
-        while !self.finished && self.flushes_seen == ctx.k - 1 {
-            let global_live = self.flush_live + self.my_live;
-            if global_live == 0 {
+        while !self.finished && self.barrier.ready(ctx.k) {
+            let [peers_live] = self.barrier.flip();
+            if peers_live + std::mem::take(&mut self.my_live) == 0 {
                 self.finished = true;
                 return;
             }
-            self.parity = !self.parity;
-            self.flushes_seen = 0;
-            self.flush_live = 0;
-            self.my_live = 0;
             let pending = std::mem::take(&mut self.pending);
             for msg in &pending {
-                debug_assert_eq!(msg.parity, self.parity, "parity drift exceeded 1");
+                debug_assert_eq!(msg.parity, self.barrier.parity(), "parity drift exceeded 1");
                 self.apply(ctx.rng, msg);
             }
             self.step(ctx, out);
@@ -505,7 +479,7 @@ impl Protocol for KmPageRank {
             };
         }
         for env in inbox.drain(..) {
-            if env.msg.parity == self.parity {
+            if env.msg.parity == self.barrier.parity() {
                 self.apply(ctx.rng, &env.msg);
             } else {
                 self.pending.push(env.msg);
@@ -560,10 +534,9 @@ impl KmAlgorithm for DistributedPageRank<'_> {
 
     fn build(&self, k: usize) -> Vec<KmPageRank> {
         assert_eq!(self.part.k(), k, "partition k must match the network k");
-        match self.heavy_threshold {
-            None => KmPageRank::build_all(self.g, self.part, self.cfg),
-            Some(t) => KmPageRank::build_all_with_threshold(self.g, self.part, self.cfg, t),
-        }
+        let dist = DistGraphBuilder::new(self.part).directed(self.g);
+        let heavy = self.heavy_threshold.unwrap_or(k as u64);
+        KmPageRank::build_all_with_threshold(dist, self.cfg, heavy)
     }
 
     fn extract(&self, machines: Vec<KmPageRank>, _metrics: &Metrics) -> Vec<f64> {
@@ -618,15 +591,11 @@ impl KmAlgorithm for PrebuiltPageRank<'_> {
             k,
             "distributed input k must match the network k"
         );
-        let heavy = self.dist.k() as u64;
-        LocalState::build_all_from_dist(self.dist, &self.cfg)
-            .into_iter()
-            .map(|st| KmPageRank::from_state(st, self.cfg, heavy))
-            .collect()
+        KmPageRank::build_all(self.dist.clone(), self.cfg)
     }
 
     fn extract(&self, machines: Vec<KmPageRank>, _metrics: &Metrics) -> Vec<f64> {
-        extract_pagerank(&machines, self.dist.locals()[0].global_n())
+        extract_pagerank(&machines, self.dist.n())
     }
 }
 
@@ -651,6 +620,10 @@ mod tests {
         NetConfig::polylog(k, n, seed).max_rounds(2_000_000)
     }
 
+    fn dist(g: &DiGraph, part: &Arc<Partition>) -> DistGraph {
+        DistGraphBuilder::new(part).directed(g)
+    }
+
     #[test]
     fn binomial_is_plausible() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
@@ -673,7 +646,7 @@ mod tests {
             reset_prob: 0.4,
             tokens_per_vertex: 10,
         };
-        let machines = KmPageRank::build_all(&g, &part, cfg);
+        let machines = KmPageRank::build_all(dist(&g, &part), cfg);
         let report = Runner::new(net(4, 60, 5)).run(machines).unwrap();
         let mut seen = [false; 60];
         for m in &report.machines {
@@ -751,7 +724,7 @@ mod tests {
             reset_prob: 0.25,
             tokens_per_vertex: 40,
         };
-        let machines = KmPageRank::build_all(&g, &part, cfg);
+        let machines = KmPageRank::build_all(dist(&g, &part), cfg);
         let report = Runner::new(net(4, 200, 13)).run(machines).unwrap();
         // The hub's PageRank must dominate (roughly (1-eps) mass + share).
         let mut hub_est = 0.0;
@@ -778,7 +751,7 @@ mod tests {
             reset_prob: 0.3,
             tokens_per_vertex: 2000,
         };
-        let machines = KmPageRank::build_all_with_threshold(&g, &part, cfg, u64::MAX);
+        let machines = KmPageRank::build_all_with_threshold(dist(&g, &part), cfg, u64::MAX);
         let report = Runner::new(net(4, 100, 17)).run(machines).unwrap();
         let mut pr = vec![0.0; 100];
         for m in &report.machines {
@@ -819,11 +792,11 @@ mod tests {
         let netc = net(6, 80, 19);
         let seq = Runner::new(netc)
             .engine(EngineKind::Sequential)
-            .run(KmPageRank::build_all(&g, &part, cfg))
+            .run(KmPageRank::build_all(dist(&g, &part), cfg))
             .unwrap();
         let par = Runner::new(netc)
             .engine(EngineKind::Parallel { threads: 3 })
-            .run(KmPageRank::build_all(&g, &part, cfg))
+            .run(KmPageRank::build_all(dist(&g, &part), cfg))
             .unwrap();
         assert_eq!(seq.metrics, par.metrics);
         for (a, b) in seq.machines.iter().zip(&par.machines) {

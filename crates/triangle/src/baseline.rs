@@ -14,7 +14,7 @@ use km_core::{
     NetConfig, Outbox, Protocol, RoundCtx, Runner, Status, WireCodec, WireSize,
 };
 use km_graph::ids::Triangle;
-use km_graph::{CsrGraph, DistGraphBuilder, Edge, LocalGraph, Partition, Vertex};
+use km_graph::{CsrGraph, DistGraph, DistGraphBuilder, Edge, LocalGraph, Partition, Vertex};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -98,13 +98,11 @@ pub struct BroadcastTriangle {
 }
 
 impl BroadcastTriangle {
-    /// Builds one protocol instance per machine (one fused pass via
-    /// [`DistGraphBuilder`]).
-    pub fn build_all(g: &CsrGraph, part: &Arc<Partition>) -> Vec<BroadcastTriangle> {
-        let n = g.n();
-        DistGraphBuilder::new(part)
-            .undirected(g)
-            .into_locals()
+    /// Builds one protocol instance per machine from the distributed
+    /// input.
+    pub fn build_all(dist: DistGraph) -> Vec<BroadcastTriangle> {
+        let n = dist.n();
+        dist.into_locals()
             .into_iter()
             .map(|lg| BroadcastTriangle {
                 n,
@@ -196,7 +194,7 @@ impl KmAlgorithm for BroadcastTriangles<'_> {
 
     fn build(&self, k: usize) -> Vec<BroadcastTriangle> {
         assert_eq!(self.part.k(), k, "partition k must match the network k");
-        BroadcastTriangle::build_all(self.g, self.part)
+        BroadcastTriangle::build_all(DistGraphBuilder::new(self.part).undirected(self.g))
     }
 
     fn extract(&self, machines: Vec<BroadcastTriangle>, _metrics: &Metrics) -> Vec<Triangle> {

@@ -15,7 +15,7 @@ use crate::kmachine::{run_kmachine_triangles, KmTriangle, TriConfig};
 use km_core::clique::{clique_config, home_of_vertex};
 use km_core::NetConfig;
 use km_graph::ids::Triangle;
-use km_graph::{CsrGraph, Partition};
+use km_graph::{CsrGraph, DistGraphBuilder, Partition};
 use std::sync::Arc;
 
 pub use km_core::clique::clique_config as config_for;
@@ -38,7 +38,7 @@ pub fn build_clique_machines(g: &CsrGraph) -> Vec<KmTriangle> {
         enumerate_triads: false,
         use_proxies: true,
     };
-    KmTriangle::build_all(g, &part, cfg)
+    KmTriangle::build_all(DistGraphBuilder::new(&part).undirected(g), cfg)
 }
 
 /// Runs the congested-clique enumeration; returns the sorted global

@@ -31,7 +31,7 @@ use km_core::{
 use km_core::{rng::keyed_hash, MachineIdx};
 use km_graph::dist::EdgeListAdjacency;
 use km_graph::ids::Triangle;
-use km_graph::{CsrGraph, DistGraphBuilder, Edge, LocalGraph, Partition, Vertex};
+use km_graph::{CsrGraph, DistGraph, DistGraphBuilder, Edge, LocalGraph, Partition, Vertex};
 // lint: allow(hash-iter) — HashMap is imported for the lookup-only triplet index below
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -330,18 +330,15 @@ pub struct KmTriangle {
 }
 
 impl KmTriangle {
-    /// Builds one protocol instance per machine from the global input
-    /// (one fused pass via [`DistGraphBuilder`]).
-    pub fn build_all(g: &CsrGraph, part: &Arc<Partition>, cfg: TriConfig) -> Vec<KmTriangle> {
-        let k = part.k();
+    /// Builds one protocol instance per machine from the distributed
+    /// input (the Section 1.1 shape).
+    pub fn build_all(dist: DistGraph, cfg: TriConfig) -> Vec<KmTriangle> {
+        let (n, k) = (dist.n(), dist.k());
         let scheme = ColorScheme::for_machines(k);
         let threshold = cfg
             .degree_threshold
-            .unwrap_or_else(|| (2.0 * k as f64 * (g.n().max(2) as f64).log2()).ceil() as usize);
-        let n = g.n();
-        DistGraphBuilder::new(part)
-            .undirected(g)
-            .into_locals()
+            .unwrap_or_else(|| (2.0 * k as f64 * (n.max(2) as f64).log2()).ceil() as usize);
+        dist.into_locals()
             .into_iter()
             .map(|lg| KmTriangle {
                 n,
@@ -635,7 +632,10 @@ impl KmAlgorithm for DistributedTriangles<'_> {
 
     fn build(&self, k: usize) -> Vec<KmTriangle> {
         assert_eq!(self.part.k(), k, "partition k must match the network k");
-        KmTriangle::build_all(self.g, self.part, self.cfg)
+        KmTriangle::build_all(
+            DistGraphBuilder::new(self.part).undirected(self.g),
+            self.cfg,
+        )
     }
 
     fn extract(&self, machines: Vec<KmTriangle>, _metrics: &Metrics) -> TriangleOutput {
@@ -680,6 +680,10 @@ mod tests {
 
     fn net(k: usize, n: usize, seed: u64) -> NetConfig {
         NetConfig::polylog(k, n, seed).max_rounds(5_000_000)
+    }
+
+    fn dist(g: &CsrGraph, part: &Arc<Partition>) -> DistGraph {
+        DistGraphBuilder::new(part).undirected(g)
     }
 
     #[test]
@@ -749,7 +753,7 @@ mod tests {
         let g = gnp(45, 0.4, &mut rng);
         let k = 11;
         let part = Arc::new(Partition::by_hash(45, k, 5));
-        let machines = KmTriangle::build_all(&g, &part, TriConfig::default());
+        let machines = KmTriangle::build_all(dist(&g, &part), TriConfig::default());
         let report = Runner::new(net(k, 45, 5)).run(machines).unwrap();
         let mut seen = BTreeSet::new();
         for m in &report.machines {
@@ -775,7 +779,7 @@ mod tests {
             enumerate_triads: false,
             use_proxies: true,
         };
-        let machines = KmTriangle::build_all(&g, &part, cfg);
+        let machines = KmTriangle::build_all(dist(&g, &part), cfg);
         let report = Runner::new(net(k, 50, 8)).run(machines).unwrap();
         let mut all: Vec<Triangle> = report
             .machines
@@ -801,7 +805,7 @@ mod tests {
             enumerate_triads: true,
             use_proxies: true,
         };
-        let machines = KmTriangle::build_all(&g, &part, cfg);
+        let machines = KmTriangle::build_all(dist(&g, &part), cfg);
         let report = Runner::new(net(k, 25, 6)).run(machines).unwrap();
         let mut got: Vec<(Vertex, Vertex, Vertex)> = report
             .machines
@@ -838,11 +842,11 @@ mod tests {
         let netc = net(k, 50, 12);
         let seq = Runner::new(netc)
             .engine(EngineKind::Sequential)
-            .run(KmTriangle::build_all(&g, &part, TriConfig::default()))
+            .run(KmTriangle::build_all(dist(&g, &part), TriConfig::default()))
             .unwrap();
         let par = Runner::new(netc)
             .engine(EngineKind::Parallel { threads: 4 })
-            .run(KmTriangle::build_all(&g, &part, TriConfig::default()))
+            .run(KmTriangle::build_all(dist(&g, &part), TriConfig::default()))
             .unwrap();
         assert_eq!(seq.metrics, par.metrics);
         for (a, b) in seq.machines.iter().zip(&par.machines) {

@@ -14,11 +14,11 @@
 use km_core::WireCodec;
 use km_core::{run_algorithm, EngineKind, KmAlgorithm, NetConfig, Protocol, RunOutcome, Runner};
 use km_graph::generators::gnp;
-use km_graph::{CsrGraph, Partition, Vertex, WeightedGraph};
-use km_mst::{DistributedMst, DistributedSketchConnectivity};
+use km_graph::{CsrGraph, Partition, StreamingDistBuilder, VecStream, Vertex, WeightedGraph};
+use km_mst::{DistributedMst, DistributedSketchConnectivity, PrebuiltMst};
 use km_pagerank::congest_baseline::CongestBaseline;
 use km_pagerank::kmachine::{bidirect, DistributedPageRank};
-use km_pagerank::PrConfig;
+use km_pagerank::{PrConfig, PrebuiltPageRank};
 use km_sort::DistributedSort;
 use km_triangle::baseline::BroadcastTriangles;
 use km_triangle::kmachine::{DistributedTriangles, TriConfig};
@@ -205,4 +205,63 @@ fn broadcast_baseline_outcomes_identical_across_engines() {
     let part = Arc::new(Partition::by_hash(40, 6, 3));
     let alg = BroadcastTriangles { g: &g, part: &part };
     assert_cross_engine(&alg, net(6, 40, 4));
+}
+
+/// The streamed-input adapter must be the global-graph adapter run on
+/// the same per-machine input: whole `RunOutcome`s equal, on the
+/// sequential and the distributed engine.
+fn assert_prebuilt_matches<A, P>(global: &A, prebuilt: &P, netc: NetConfig)
+where
+    A: KmAlgorithm,
+    P: KmAlgorithm<Output = A::Output>,
+    A::Output: PartialEq + std::fmt::Debug,
+    <A::Machine as Protocol>::Msg: WireCodec,
+    <P::Machine as Protocol>::Msg: WireCodec,
+{
+    for kind in [EngineKind::Sequential, EngineKind::Distributed] {
+        let want = run_algorithm(global, Runner::new(netc).engine(kind)).expect("global run");
+        let got = run_algorithm(prebuilt, Runner::new(netc).engine(kind)).expect("prebuilt run");
+        assert_eq!(want, got, "{kind:?}");
+    }
+}
+
+#[test]
+fn prebuilt_mst_matches_the_global_graph_adapter() {
+    let mut rng = ChaCha8Rng::seed_from_u64(307);
+    let (n, k) = (40, 4);
+    let edges: Vec<(Vertex, Vertex)> = gnp(n, 0.15, &mut rng).edges().map(|e| (e.u, e.v)).collect();
+    let ws: Vec<f64> = (0..edges.len()).map(|_| rng.gen_range(0.0..1.0)).collect();
+    let wg = WeightedGraph::from_weighted_edges(n, &edges, &ws).unwrap();
+    let part = Arc::new(Partition::by_hash(n, k, 6));
+    let dist = StreamingDistBuilder::new(&part)
+        .weighted(&mut VecStream::weighted(n, edges, ws, 16))
+        .expect("finite weights, in-range edges");
+    assert_prebuilt_matches(
+        &DistributedMst {
+            g: &wg,
+            part: &part,
+        },
+        &PrebuiltMst { dist: &dist },
+        net(k, n, 15),
+    );
+}
+
+#[test]
+fn prebuilt_pagerank_matches_the_global_graph_adapter() {
+    let mut rng = ChaCha8Rng::seed_from_u64(308);
+    let g = bidirect(&gnp(48, 0.1, &mut rng));
+    let (n, k) = (g.n(), 4);
+    let part = Arc::new(Partition::by_hash(n, k, 5));
+    let dist = StreamingDistBuilder::new(&part)
+        .directed(&mut VecStream::new(n, g.arcs().collect(), 16))
+        .expect("in-range arcs");
+    let cfg = PrConfig {
+        reset_prob: 0.4,
+        tokens_per_vertex: 20,
+    };
+    assert_prebuilt_matches(
+        &DistributedPageRank::new(&g, &part, cfg),
+        &PrebuiltPageRank { dist: &dist, cfg },
+        net(k, n, 16),
+    );
 }

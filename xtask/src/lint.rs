@@ -101,7 +101,7 @@ pub fn run(root: &Path) -> (Vec<Violation>, usize) {
 }
 
 /// Library code the panic rule covers: crate `src/` trees, minus
-/// binaries (whose `main` may legitimately bail), test/bench/example
+/// binaries (whose `main` may legitimately bail), test/example
 /// code, the offline shims (which mirror upstream APIs that panic by
 /// contract), and xtask itself.
 fn panic_rule_applies(rel: &str) -> bool {
@@ -111,7 +111,6 @@ fn panic_rule_applies(rel: &str) -> bool {
         && !rel.contains("/bin/")
         && !rel.ends_with("main.rs")
         && !rel.contains("/tests/")
-        && !rel.contains("/benches/")
         && !rel.contains("/examples/")
         // Experiment drivers are an arm of the `experiments` binary
         // (nothing else links them); like bins, they may bail on a
@@ -247,7 +246,7 @@ fn wire_roundtrip_rule(files: &[RsFile], out: &mut Vec<Violation>) {
         }
         // Impls inside test code (test-only harness types) don't need
         // wire coverage; their round-trip *tests* still count below.
-        let test_file = f.rel.contains("/tests/") || f.rel.contains("/benches/");
+        let test_file = f.rel.contains("/tests/");
         let krate = crate_of(&f.rel).to_owned();
         for (i, code) in f.code_lines.iter().enumerate() {
             let in_test = test_file || f.test_lines.get(i).copied().unwrap_or(false);
@@ -333,7 +332,6 @@ fn looks_like_path(token: &str) -> bool {
         "src/",
         "tests/",
         "examples/",
-        "benches/",
         "results/",
         ".github/",
         "xtask/",
