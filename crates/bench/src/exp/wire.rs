@@ -8,7 +8,9 @@
 //!
 //! The instances are pinned (generator, partition and `NetConfig` seeds
 //! of the frozen `BENCH_*_wire.json` snapshots), so the table checks
-//! against those files cell for cell and the `seed` argument is unused.
+//! against those files cell for cell and the `seed` argument is unused;
+//! `results/pinned/wire.txt` (tier-1, `crates/bench/tests/pinned_tables.rs`)
+//! holds the rendering whose cells are `BENCH_2026-09-29_wire.json`'s.
 
 use crate::table::Table;
 use km_core::router::UniformScatter;
@@ -123,33 +125,4 @@ pub fn wire_matrix(_seed: u64) -> Table {
          the header under-amortized; mst at k=64 pays 2.26x",
     );
     t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// `[k, frames, messages, logical_bits, measured_bits]` in row order,
-    /// as committed in `BENCH_2026-09-29_wire.json`.
-    const SNAPSHOT: [[u64; 5]; 6] = [
-        [16, 240, 7_719, 123_504, 227_496],
-        [16, 2_160, 15_690, 1_251_570, 1_767_480],
-        [16, 22_500, 181_319, 250_155_597, 255_881_032],
-        [64, 4_031, 32_278, 516_448, 1_484_128],
-        [64, 36_288, 88_919, 5_779_218, 13_059_832],
-        [64, 378_819, 562_252, 351_600_272, 424_827_576],
-    ];
-
-    #[test]
-    fn wire_cells_match_the_frozen_snapshot() {
-        let t = wire_matrix(0);
-        let names: Vec<&str> = t.rows.iter().map(|r| r[0].as_str()).collect();
-        let per_k = ["scatter_x512", "mst_n600_p02", "sketch_cc_n10k"];
-        assert_eq!(names, [per_k, per_k].concat());
-        for (row, want) in t.rows.iter().zip(SNAPSHOT) {
-            let got = [2, 6, 7, 4, 5].map(|c| row[c].parse::<u64>().expect("integer cell"));
-            assert_eq!(got, want, "{} k={}", row[0], row[2]);
-        }
-        assert_eq!(t.rows[5][8], "1.48", "sketch_cc k=64 msgs/frame");
-    }
 }
