@@ -1,4 +1,4 @@
-//! Regenerates every experiment table of EXPERIMENTS.md.
+//! Regenerates every experiment table of DESIGN.md's experiment index.
 //!
 //! ```text
 //! cargo run --release -p km-bench --bin experiments            # all
@@ -21,6 +21,9 @@
 //! that `EngineKind::Auto` resolution honors.
 //!
 //! Tables are printed to stdout and archived as JSON under `results/`.
+//! The seed-42 renderings are pinned under `results/pinned/`, which this
+//! binary never writes to; `crates/bench/tests/pinned_tables.rs` re-derives
+//! and diffs them.
 
 use km_bench::exp;
 use km_core::{runner::ENGINE_ENV, EngineKind};

@@ -21,7 +21,7 @@ pub struct NetConfig {
 impl NetConfig {
     /// A configuration with the model's default `B = Θ(polylog n)`
     /// bandwidth: `B = max(64, ⌈log₂ n⌉²)` bits per round, the convention
-    /// used by all experiments in EXPERIMENTS.md.
+    /// used by all experiments in DESIGN.md's experiment index.
     pub fn polylog(k: usize, n: usize, seed: u64) -> Self {
         let log = (n.max(2) as f64).log2().ceil() as u64;
         NetConfig {

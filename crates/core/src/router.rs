@@ -15,6 +15,7 @@
 
 use crate::codec::{BitReader, BitWriter, CodecError, WireCodec};
 use crate::message::{Envelope, Outbox, WireSize};
+use crate::protocol::{Protocol, RoundCtx, Status};
 use crate::rng::{keyed_hash, splitmix64};
 use crate::MachineIdx;
 use rand::Rng;
@@ -49,27 +50,22 @@ pub fn phase_proxy_of(shared_seed: u64, phase: u64, key: u64, k: usize) -> Machi
     )
 }
 
-/// Flush-barrier bookkeeping for multi-stage phase protocols.
+/// Flush-barrier bookkeeping of one stage: how many peers have flushed,
+/// and the element-wise sum of the `C` counters their flushes carried.
 ///
-/// The pattern (used by `BoruvkaMst` and the sketch-connectivity label
-/// service in `km-mst`, and by both PageRank protocols in
-/// `km-pagerank`): on entering a stage, a machine sends the stage's
-/// payload messages and then **broadcasts a flush** carrying small
-/// counters. Links are FIFO, so once a machine has collected `k − 1`
-/// flushes of the current parity, every payload message of the stage has
-/// been delivered to it — a full barrier without global coordination.
-/// Messages of the *next* stage can arrive one stage early (the sender
-/// advanced first); callers park them and replay at the flip. Drift can
-/// never exceed one stage, because advancing twice would require the
-/// slow machine's own flush in between.
+/// The pattern: on entering a stage a machine sends the stage's payload
+/// messages and then **broadcasts a flush** carrying small counters.
+/// Links are FIFO, so once a machine has collected `k − 1` flushes of
+/// the current stage, every payload message of the stage has been
+/// delivered to it — a full barrier without global coordination, and
+/// the summed counters are a global aggregate every machine agrees on
+/// (live tokens, candidates produced, labels unresolved).
 ///
-/// `PhaseBarrier` tracks the parity, the flush count, and the
-/// element-wise sum of the flush counters; [`PhaseBarrier::ready`] says
-/// when the barrier is complete and [`PhaseBarrier::flip`] returns the
-/// aggregated counters and re-arms for the next stage.
+/// Protocols do not drive this by hand: [`Staged`] owns the barrier
+/// together with the stage tag, the parking of early messages and the
+/// flush broadcast, and is the only form callers see.
 #[derive(Debug, Clone)]
 pub struct PhaseBarrier<const C: usize> {
-    parity: bool,
     flushes: usize,
     agg: [u64; C],
 }
@@ -81,21 +77,12 @@ impl<const C: usize> Default for PhaseBarrier<C> {
 }
 
 impl<const C: usize> PhaseBarrier<C> {
-    /// A fresh barrier at parity `false` with zeroed counters.
+    /// A fresh barrier with zeroed counters.
     pub fn new() -> Self {
         PhaseBarrier {
-            parity: false,
             flushes: 0,
             agg: [0; C],
         }
-    }
-
-    /// The current stage parity; outgoing messages (including flushes)
-    /// must be tagged with it, and an incoming message whose parity
-    /// differs belongs to the next stage (park it, replay after `flip`).
-    #[inline]
-    pub fn parity(&self) -> bool {
-        self.parity
     }
 
     /// Absorbs one received flush carrying `counts`.
@@ -113,12 +100,172 @@ impl<const C: usize> PhaseBarrier<C> {
     }
 
     /// Completes the stage: returns the aggregated peer counters and
-    /// re-arms the barrier with flipped parity.
+    /// re-arms the barrier for the next one.
     pub fn flip(&mut self) -> [u64; C] {
-        let agg = std::mem::replace(&mut self.agg, [0; C]);
         self.flushes = 0;
-        self.parity = !self.parity;
-        agg
+        std::mem::replace(&mut self.agg, [0; C])
+    }
+}
+
+/// What a protocol made of flush-separated stages fills in; [`Staged`]
+/// runs it. `C` is the number of counters a flush carries.
+///
+/// Every message carries a small **stage tag** — a parity bit where
+/// stages repeat without bound, the phase number where they are few —
+/// so a receiver can tell a message of its current stage from one a
+/// faster peer sent after advancing.
+pub trait Stages<const C: usize>: Send {
+    /// The message type; flush markers are one of its shapes.
+    type Msg: WireSize + Clone + Send;
+
+    /// The stage tag `msg` carries.
+    fn tag(msg: &Self::Msg) -> u8;
+
+    /// The tag of the `stage`-th stage entered (from 0). Consecutive
+    /// stages must differ; the default is a parity bit.
+    fn tag_of_stage(stage: u64) -> u8 {
+        (stage & 1) as u8
+    }
+
+    /// The flush marker closing this machine's sends of stage `tag`.
+    fn flush(&self, tag: u8, counts: [u64; C]) -> Self::Msg;
+
+    /// Applies one delivered message of the current stage. A flush
+    /// changes no protocol state: return its counters instead.
+    fn apply(
+        &mut self,
+        ctx: &mut RoundCtx<'_>,
+        src: MachineIdx,
+        msg: Self::Msg,
+    ) -> Option<[u64; C]>;
+
+    /// Enters the stage tagged `tag`: performs its sends (every message
+    /// tagged `tag`) and returns this machine's flush counters. The
+    /// flush itself is broadcast by the skeleton, after the sends.
+    fn enter(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<Self::Msg>, tag: u8) -> [u64; C];
+
+    /// The barrier of stage `tag` is complete and `totals` are its
+    /// counters summed over all `k` machines: finish the stage (state
+    /// changes that must precede the next stage's messages) and decide
+    /// whether another stage follows — `false` ends the protocol.
+    /// Every machine sees the same `totals`, so all decide alike.
+    fn complete(&mut self, ctx: &mut RoundCtx<'_>, tag: u8, totals: [u64; C]) -> bool;
+}
+
+/// Runs a [`Stages`] protocol: the one implementation of the
+/// flush-barrier loop (see [`PhaseBarrier`] for the pattern).
+///
+/// Round 0 enters stage 0. Every round, delivered messages of the
+/// current tag are applied and others parked; then, while the barrier
+/// is complete: flip → [`Stages::complete`] → replay the parked
+/// messages in arrival order → [`Stages::enter`] the next stage →
+/// broadcast its flush. A lagging machine may pass several barriers in
+/// one round, and with `k = 1` every barrier is complete at once, so
+/// the whole protocol runs inside round 0.
+///
+/// *Why parking suffices.* A peer can be at most one stage ahead:
+/// advancing twice would need this machine's flush of the stage in
+/// between, which it has not sent. So a message with a foreign tag
+/// belongs to the next stage, and after one flip everything parked is
+/// current (debug-asserted).
+///
+/// *Why replay sits between `complete` and `enter`.* Completion may
+/// reset per-stage state (sketch connectivity clears its slot table
+/// when a phase ends), and a fast peer's next-stage message must land
+/// in the reset state, not be wiped by it; `enter` in turn may consume
+/// what those messages delivered.
+pub struct Staged<S: Stages<C>, const C: usize> {
+    inner: S,
+    barrier: PhaseBarrier<C>,
+    /// Stages entered so far, minus one.
+    stage: u64,
+    /// `S::tag_of_stage(stage)`, cached: the per-message test is one
+    /// byte compare.
+    tag: u8,
+    /// This machine's own counters for the current stage (its flush
+    /// goes to peers only).
+    own: [u64; C],
+    parked: Vec<(MachineIdx, S::Msg)>,
+    finished: bool,
+}
+
+impl<S: Stages<C>, const C: usize> Staged<S, C> {
+    /// Wraps a protocol that has not started.
+    pub fn new(inner: S) -> Self {
+        Staged {
+            inner,
+            barrier: PhaseBarrier::new(),
+            stage: 0,
+            tag: S::tag_of_stage(0),
+            own: [0; C],
+            parked: Vec::new(),
+            finished: false,
+        }
+    }
+
+    /// The protocol's state.
+    pub fn inner(&self) -> &S {
+        &self.inner
+    }
+
+    /// Unwraps the protocol's state (after a run: its output).
+    pub fn into_inner(self) -> S {
+        self.inner
+    }
+
+    fn deliver(&mut self, ctx: &mut RoundCtx<'_>, src: MachineIdx, msg: S::Msg) {
+        if let Some(counts) = self.inner.apply(ctx, src, msg) {
+            self.barrier.absorb(counts);
+        }
+    }
+
+    fn enter(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<S::Msg>) {
+        self.own = self.inner.enter(ctx, out, self.tag);
+        out.broadcast(ctx.me, self.inner.flush(self.tag, self.own));
+    }
+}
+
+impl<S: Stages<C>, const C: usize> Protocol for Staged<S, C> {
+    type Msg = S::Msg;
+
+    fn round(
+        &mut self,
+        ctx: &mut RoundCtx<'_>,
+        inbox: &mut Vec<Envelope<S::Msg>>,
+        out: &mut Outbox<S::Msg>,
+    ) -> Status {
+        for env in inbox.drain(..) {
+            if S::tag(&env.msg) == self.tag {
+                self.deliver(ctx, env.src, env.msg);
+            } else {
+                self.parked.push((env.src, env.msg));
+            }
+        }
+        if ctx.round == 0 {
+            self.enter(ctx, out);
+        }
+        while !self.finished && self.barrier.ready(ctx.k) {
+            let mut totals = self.barrier.flip();
+            for (t, own) in totals.iter_mut().zip(self.own) {
+                *t += own;
+            }
+            if !self.inner.complete(ctx, self.tag, totals) {
+                self.finished = true;
+                break;
+            }
+            self.stage += 1;
+            self.tag = S::tag_of_stage(self.stage);
+            for (src, msg) in std::mem::take(&mut self.parked) {
+                debug_assert_eq!(S::tag(&msg), self.tag, "barrier drift exceeded one stage");
+                self.deliver(ctx, src, msg);
+            }
+            self.enter(ctx, out);
+        }
+        if self.finished {
+            Status::Done
+        } else {
+            Status::Active
+        }
     }
 }
 
@@ -244,15 +391,15 @@ impl WireCodec for ScatterToken {
     }
 }
 
-impl crate::protocol::Protocol for UniformScatter {
+impl Protocol for UniformScatter {
     type Msg = ScatterToken;
 
     fn round(
         &mut self,
-        ctx: &mut crate::protocol::RoundCtx<'_>,
+        ctx: &mut RoundCtx<'_>,
         inbox: &mut Vec<Envelope<ScatterToken>>,
         out: &mut Outbox<ScatterToken>,
-    ) -> crate::protocol::Status {
+    ) -> Status {
         self.received += inbox.len();
         if ctx.round == 0 {
             for _ in 0..self.x {
@@ -263,9 +410,9 @@ impl crate::protocol::Protocol for UniformScatter {
                     out.send(dst, ScatterToken);
                 }
             }
-            return crate::protocol::Status::Active;
+            return Status::Active;
         }
-        crate::protocol::Status::Done
+        Status::Done
     }
 }
 
@@ -273,7 +420,6 @@ impl crate::protocol::Protocol for UniformScatter {
 mod tests {
     use super::*;
     use crate::config::NetConfig;
-    use crate::protocol::{Protocol, RoundCtx, Status};
     use crate::runner::Runner;
 
     #[test]
@@ -313,20 +459,17 @@ mod tests {
     #[test]
     fn phase_barrier_aggregates_and_flips() {
         let mut b: PhaseBarrier<2> = PhaseBarrier::new();
-        assert!(!b.parity());
         assert!(b.ready(1), "k = 1 needs no peer flushes");
         b.absorb([3, 1]);
         assert!(!b.ready(3));
         b.absorb([4, 0]);
         assert!(b.ready(3));
         assert_eq!(b.flip(), [7, 1]);
-        // Re-armed: counters cleared, parity flipped.
-        assert!(b.parity());
+        // Re-armed: counters cleared.
         assert!(!b.ready(3));
         b.absorb([1, 1]);
         b.absorb([1, 1]);
         assert_eq!(b.flip(), [2, 2]);
-        assert!(!b.parity());
     }
 
     #[test]
@@ -415,6 +558,279 @@ mod tests {
         for m in &report.machines[1..] {
             assert!(m.arrived.is_empty());
         }
+    }
+
+    /// What a [`Toy`] machine saw, in order (flushes are the skeleton's
+    /// business and leave no trace).
+    #[derive(Debug, Clone, PartialEq)]
+    enum Seen {
+        /// `(src, tag, x)` of a data message.
+        Applied(MachineIdx, u8, u64),
+        /// `(tag, counter total)` of a finished barrier.
+        Completed(u8, u64),
+        Entered(u8),
+    }
+
+    /// One 64-bit message: tag (2) · flush bit (1) · value (61).
+    #[derive(Debug, Clone, PartialEq)]
+    struct ToyMsg {
+        tag: u8,
+        flush: bool,
+        x: u64,
+    }
+
+    impl WireSize for ToyMsg {
+        fn bits(&self) -> u64 {
+            64
+        }
+    }
+
+    impl WireCodec for ToyMsg {
+        fn encode(&self, w: &mut BitWriter) {
+            w.put(u64::from(self.tag), 2);
+            w.put(u64::from(self.flush), 1);
+            w.put(self.x, 61);
+        }
+
+        fn decode(r: &mut BitReader<'_>) -> Result<Self, CodecError> {
+            Ok(ToyMsg {
+                tag: r.take(2)? as u8,
+                flush: r.take(1)? != 0,
+                x: r.take(61)?,
+            })
+        }
+    }
+
+    /// Three stages tagged 0, 1, 2. In each, machine 0 sends `heavy`
+    /// messages to machine 1 and every other (sender, receiver) pair
+    /// exchanges one, so under a one-message-per-round bandwidth link
+    /// 0 → 1 lags and machine 2 runs a stage ahead of machine 1. The
+    /// flush counts the sender's messages.
+    struct Toy {
+        heavy: u64,
+        seen: Vec<Seen>,
+    }
+
+    fn toy(heavy: u64) -> Staged<Toy, 1> {
+        Staged::new(Toy {
+            heavy,
+            seen: Vec::new(),
+        })
+    }
+
+    impl Stages<1> for Toy {
+        type Msg = ToyMsg;
+
+        fn tag(msg: &ToyMsg) -> u8 {
+            msg.tag
+        }
+
+        fn tag_of_stage(stage: u64) -> u8 {
+            stage as u8
+        }
+
+        fn flush(&self, tag: u8, [sent]: [u64; 1]) -> ToyMsg {
+            ToyMsg {
+                tag,
+                flush: true,
+                x: sent,
+            }
+        }
+
+        fn apply(
+            &mut self,
+            _: &mut RoundCtx<'_>,
+            src: MachineIdx,
+            msg: ToyMsg,
+        ) -> Option<[u64; 1]> {
+            if msg.flush {
+                return Some([msg.x]);
+            }
+            self.seen.push(Seen::Applied(src, msg.tag, msg.x));
+            None
+        }
+
+        fn enter(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<ToyMsg>, tag: u8) -> [u64; 1] {
+            self.seen.push(Seen::Entered(tag));
+            let mut sent = 0;
+            for dst in (0..ctx.k).filter(|&dst| dst != ctx.me) {
+                let n = if (ctx.me, dst) == (0, 1) {
+                    self.heavy
+                } else {
+                    1
+                };
+                for x in 0..n {
+                    out.send(
+                        dst,
+                        ToyMsg {
+                            tag,
+                            flush: false,
+                            x,
+                        },
+                    );
+                }
+                sent += n;
+            }
+            [sent]
+        }
+
+        fn complete(&mut self, _: &mut RoundCtx<'_>, tag: u8, [total]: [u64; 1]) -> bool {
+            self.seen.push(Seen::Completed(tag, total));
+            tag < 2
+        }
+    }
+
+    fn data(src: MachineIdx, tag: u8, x: u64) -> Envelope<ToyMsg> {
+        let flush = false;
+        Envelope {
+            src,
+            msg: ToyMsg { tag, flush, x },
+        }
+    }
+
+    fn flush(src: MachineIdx, tag: u8, sent: u64) -> Envelope<ToyMsg> {
+        let (flush, x) = (true, sent);
+        Envelope {
+            src,
+            msg: ToyMsg { tag, flush, x },
+        }
+    }
+
+    /// Calls `round()` on `m` as machine 1 of 3 with a hand-built inbox;
+    /// returns the status and what the round staged for sending.
+    fn drive(
+        m: &mut Staged<Toy, 1>,
+        round: u64,
+        mut inbox: Vec<Envelope<ToyMsg>>,
+    ) -> (Status, Vec<(MachineIdx, ToyMsg)>) {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
+        let mut ctx = RoundCtx {
+            round,
+            me: 1,
+            k: 3,
+            bandwidth_bits: 64,
+            shared_seed: 0,
+            rng: &mut rng,
+        };
+        let mut out = Outbox::new(3);
+        let status = m.round(&mut ctx, &mut inbox, &mut out);
+        (status, out.drain().collect())
+    }
+
+    #[test]
+    fn staged_parks_early_messages_and_catches_up_two_barriers_in_one_round() {
+        let mut m = toy(1);
+        drive(&mut m, 0, vec![]);
+        // Machine 2 is a stage ahead: its stage-1 message arrives while
+        // stage 0 is still open here, and is parked.
+        let inbox = vec![data(0, 0, 0), data(2, 0, 0), flush(2, 0, 2), data(2, 1, 0)];
+        let (status, sent) = drive(&mut m, 1, inbox);
+        assert_eq!(status, Status::Active);
+        assert!(sent.is_empty(), "stage 0 is still waiting on machine 0");
+        // The lagging link delivers everything at once: the flush that
+        // closes stage 0 and, behind it, both peers' whole stage 1.
+        let inbox = vec![
+            flush(0, 0, 2),
+            data(0, 1, 5),
+            flush(0, 1, 2),
+            flush(2, 1, 2),
+        ];
+        let (status, sent) = drive(&mut m, 2, inbox);
+        assert_eq!(status, Status::Active);
+        use Seen::*;
+        let seen = vec![
+            Entered(0),
+            Applied(0, 0, 0),
+            Applied(2, 0, 0),
+            Completed(0, 6),
+            // Replayed after the flip and before `enter`, in arrival
+            // order (round 1's before round 2's).
+            Applied(2, 1, 0),
+            Applied(0, 1, 5),
+            Entered(1),
+            // The parked flushes completed stage 1 too: a second
+            // barrier in the same call.
+            Completed(1, 6),
+            Entered(2),
+        ];
+        assert_eq!(m.inner().seen, seen);
+        // Each entry's sends go out first, its flush after them.
+        let shape: Vec<(MachineIdx, u8, bool)> = sent
+            .iter()
+            .map(|(dst, msg)| (*dst, msg.tag, msg.flush))
+            .collect();
+        let stage = |tag| {
+            [
+                (0, tag, false),
+                (2, tag, false),
+                (0, tag, true),
+                (2, tag, true),
+            ]
+        };
+        assert_eq!(shape, [stage(1), stage(2)].concat());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "barrier drift exceeded one stage")]
+    fn staged_rejects_a_message_two_stages_ahead() {
+        let mut m = toy(1);
+        drive(&mut m, 0, vec![]);
+        drive(
+            &mut m,
+            1,
+            vec![data(2, 2, 0), flush(0, 0, 2), flush(2, 0, 2)],
+        );
+    }
+
+    #[test]
+    fn staged_single_machine_finishes_inside_round_zero() {
+        let cfg = NetConfig::with_bandwidth(1, 64, 1);
+        let report = Runner::new(cfg).run(vec![toy(4)]).unwrap();
+        assert_eq!(report.metrics.total_msgs(), 0);
+        use Seen::*;
+        let seen: Vec<Seen> = (0..3)
+            .flat_map(|tag| [Entered(tag), Completed(tag, 0)])
+            .collect();
+        assert_eq!(report.machines[0].inner().seen, seen);
+    }
+
+    /// The toy as an algorithm: per-machine `seen` logs out.
+    struct ToyRun {
+        heavy: u64,
+    }
+
+    impl crate::KmAlgorithm for ToyRun {
+        type Machine = Staged<Toy, 1>;
+        type Output = Vec<Vec<Seen>>;
+
+        fn build(&self, k: usize) -> Vec<Staged<Toy, 1>> {
+            (0..k).map(|_| toy(self.heavy)).collect()
+        }
+
+        fn extract(&self, machines: Vec<Staged<Toy, 1>>, _: &crate::Metrics) -> Vec<Vec<Seen>> {
+            machines.into_iter().map(|m| m.into_inner().seen).collect()
+        }
+    }
+
+    #[test]
+    fn staged_drifting_machines_agree_on_every_engine() {
+        use crate::runner::{run_algorithm, EngineKind};
+        let run = |engine| {
+            let cfg = NetConfig::with_bandwidth(3, 64, 7); // one message per link per round
+            run_algorithm(&ToyRun { heavy: 6 }, Runner::new(cfg).engine(engine)).unwrap()
+        };
+        let seq = run(EngineKind::Sequential);
+        assert_eq!(seq, run(EngineKind::Parallel { threads: 2 }));
+        assert_eq!(seq, run(EngineKind::Distributed));
+        // The skew did make machine 1 lag: it replayed machine 2's
+        // stage-1 message between completing stage 0 and entering 1.
+        let seen = &seq.output[1];
+        let at = |e: &Seen| seen.iter().position(|s| s == e).unwrap();
+        let replayed = at(&Seen::Applied(2, 1, 0));
+        assert!(at(&Seen::Completed(0, 11)) < replayed);
+        assert!(replayed < at(&Seen::Entered(1)));
     }
 
     proptest::proptest! {

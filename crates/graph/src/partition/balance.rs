@@ -3,7 +3,8 @@
 //! Section 1.1: under RVP "each machine is the home machine of `Θ~(n/k)`
 //! vertices with high probability". These statistics make that claim (and
 //! the corresponding edge balance used in Lemma 4.1 of Klauck et al.)
-//! measurable; the `RVP` experiment in EXPERIMENTS.md sweeps them.
+//! measurable; the `RVP` experiment (DESIGN.md, "Experiment index")
+//! sweeps them.
 //!
 //! Invalid inputs are reported as [`BalanceError`]s, not panics — the
 //! same error-not-panic policy as `NetConfig::validate` in `km-core`.

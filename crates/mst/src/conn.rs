@@ -37,17 +37,17 @@
 //!    `O~(n/k²)` round bound matching the GLBT lower bound
 //!    (`km_lower::bounds::mst_rounds`).
 //!
-//! Stages are separated by flush barriers ([`PhaseBarrier`]): links are
+//! Stages are separated by flush barriers, run by [`Staged`]: links are
 //! FIFO, so `k − 1` flushes of the current parity guarantee all stage
 //! payloads have arrived. The `CC-UB` experiment measures the resulting
 //! `recv_bits` profile against both [`crate::BoruvkaMst`] and the `n/k²`
 //! prediction.
 
 use crate::sketch::{phase_seed, L0Sketch, SketchParams};
-use km_core::router::{phase_proxy_of, PhaseBarrier};
+use km_core::router::{phase_proxy_of, Staged, Stages};
 use km_core::{
-    id_bits, run_algorithm, BitReader, BitWriter, CodecError, Envelope, KmAlgorithm, MachineIdx,
-    Metrics, NetConfig, Outbox, Protocol, RoundCtx, Runner, Status, WireCodec, WireSize,
+    id_bits, run_algorithm, BitReader, BitWriter, CodecError, KmAlgorithm, MachineIdx, Metrics,
+    NetConfig, Outbox, RoundCtx, Runner, WireCodec, WireSize,
 };
 use km_graph::{CsrGraph, DistGraph, DistGraphBuilder, Edge, LocalGraph, Partition, Vertex};
 use std::collections::{BTreeMap, BTreeSet};
@@ -139,7 +139,7 @@ pub enum ConnPayload {
 /// wire size.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConnMsg {
-    /// Stage parity (see [`PhaseBarrier`]).
+    /// Stage parity (the [`Stages`] tag).
     pub parity: bool,
     /// The payload.
     pub payload: ConnPayload,
@@ -395,6 +395,13 @@ struct Slot {
     decoded: Option<Edge>,
 }
 
+/// Where a stage entry sends: the outbox, plus the parity its messages
+/// are tagged with.
+struct Tx<'a> {
+    out: &'a mut Outbox<ConnMsg>,
+    parity: bool,
+}
+
 /// One machine of the distributed sketch-connectivity protocol.
 #[derive(Debug)]
 pub struct SketchConnectivity {
@@ -409,10 +416,6 @@ pub struct SketchConnectivity {
     closed: BTreeSet<Vertex>,
     stage: Stage,
     phase: u64,
-    barrier: PhaseBarrier<2>,
-    my_counts: [u64; 2],
-    pending: Vec<(MachineIdx, ConnMsg)>,
-    finished: bool,
     // ---- proxy-side state, cleared every phase ----
     slots: BTreeMap<Vertex, Slot>,
     label_queries: Vec<(MachineIdx, Vertex)>,
@@ -436,35 +439,33 @@ impl SketchConnectivity {
     /// [`DistGraphBuilder`] or a streaming ingest via `km_graph::stream`.
     /// Sketch parameters come from the distributed edge loads
     /// (`Σ loads = 2m` for undirected builds).
-    pub fn build_all(dist: DistGraph) -> Vec<SketchConnectivity> {
+    pub fn build_all(dist: DistGraph) -> Vec<Staged<SketchConnectivity, 2>> {
         let n = dist.n();
         let m = dist.edge_loads().iter().sum::<usize>() / 2;
         let params = SketchParams::for_graph(n, m);
         dist.into_locals()
             .into_iter()
-            .map(|lg| SketchConnectivity {
-                n,
-                params,
-                labels: lg.vertices().to_vec(),
-                lg,
-                closed: BTreeSet::new(),
-                stage: Stage::Partials,
-                phase: 0,
-                barrier: PhaseBarrier::new(),
-                my_counts: [0, 0],
-                pending: Vec::new(),
-                finished: false,
-                slots: BTreeMap::new(),
-                label_queries: Vec::new(),
-                ans: BTreeMap::new(),
-                partners: BTreeMap::new(),
-                partner_mins: BTreeMap::new(),
-                parent: BTreeMap::new(),
-                resolved: BTreeSet::new(),
-                jq: Vec::new(),
-                relabel: BTreeMap::new(),
-                forest: Vec::new(),
-                phases: 0,
+            .map(|lg| {
+                Staged::new(SketchConnectivity {
+                    n,
+                    params,
+                    labels: lg.vertices().to_vec(),
+                    lg,
+                    closed: BTreeSet::new(),
+                    stage: Stage::Partials,
+                    phase: 0,
+                    slots: BTreeMap::new(),
+                    label_queries: Vec::new(),
+                    ans: BTreeMap::new(),
+                    partners: BTreeMap::new(),
+                    partner_mins: BTreeMap::new(),
+                    parent: BTreeMap::new(),
+                    resolved: BTreeSet::new(),
+                    jq: Vec::new(),
+                    relabel: BTreeMap::new(),
+                    forest: Vec::new(),
+                    phases: 0,
+                })
             })
             .collect()
     }
@@ -480,40 +481,22 @@ impl SketchConnectivity {
     /// bandwidth, consistent with free local computation).
     fn post(
         &mut self,
-        ctx: &RoundCtx<'_>,
-        out: &mut Outbox<ConnMsg>,
+        ctx: &mut RoundCtx<'_>,
+        tx: &mut Tx<'_>,
         dst: MachineIdx,
         payload: ConnPayload,
     ) {
-        let msg = ConnMsg::new(self.n, self.barrier.parity(), payload);
+        let msg = ConnMsg::new(self.n, tx.parity, payload);
         if dst == ctx.me {
             self.apply(ctx, ctx.me, msg);
         } else {
-            out.send(dst, msg);
+            tx.out.send(dst, msg);
         }
-    }
-
-    /// Finishes a stage entry: records this machine's flush counters and
-    /// broadcasts the barrier marker.
-    fn flush(&mut self, ctx: &RoundCtx<'_>, out: &mut Outbox<ConnMsg>, counts: [u64; 2]) {
-        self.my_counts = counts;
-        out.broadcast(
-            ctx.me,
-            ConnMsg::new(
-                self.n,
-                self.barrier.parity(),
-                ConnPayload::Flush {
-                    c0: counts[0],
-                    c1: counts[1],
-                },
-            ),
-        );
     }
 
     /// Stage 1: aggregate fresh vertex sketches per live label and ship
     /// the partials to this phase's proxies.
-    fn enter_partials(&mut self, ctx: &RoundCtx<'_>, out: &mut Outbox<ConnMsg>) {
-        self.stage = Stage::Partials;
+    fn enter_partials(&mut self, ctx: &mut RoundCtx<'_>, tx: &mut Tx<'_>) -> [u64; 2] {
         self.phases += 1;
         let seed = phase_seed(ctx.shared_seed, self.phase as usize);
         let mut partials: BTreeMap<Vertex, L0Sketch> = BTreeMap::new();
@@ -543,15 +526,14 @@ impl SketchConnectivity {
             }
             sent += 1;
             let dst = self.owner(ctx, l);
-            self.post(ctx, out, dst, ConnPayload::Partial { comp: l, sketch });
+            self.post(ctx, tx, dst, ConnPayload::Partial { comp: l, sketch });
         }
-        self.flush(ctx, out, [sent, 0]);
+        [sent, 0]
     }
 
     /// Stage 2: decode each owned component sketch; query the decoded
     /// endpoints' labels, and tell contributors about closed components.
-    fn enter_decode(&mut self, ctx: &RoundCtx<'_>, out: &mut Outbox<ConnMsg>) {
-        self.stage = Stage::Decode;
+    fn enter_decode(&mut self, ctx: &mut RoundCtx<'_>, tx: &mut Tx<'_>) -> [u64; 2] {
         let seed = phase_seed(ctx.shared_seed, self.phase as usize);
         let (mut decoded, mut failed) = (0u64, 0u64);
         let mut closed_posts: Vec<(MachineIdx, Vertex)> = Vec::new();
@@ -576,31 +558,29 @@ impl SketchConnectivity {
             }
         }
         for (m, comp) in closed_posts {
-            self.post(ctx, out, m, ConnPayload::Closed { comp });
+            self.post(ctx, tx, m, ConnPayload::Closed { comp });
         }
         for v in queries {
             let home = self.lg.home(v);
-            self.post(ctx, out, home, ConnPayload::LabelQ { v });
+            self.post(ctx, tx, home, ConnPayload::LabelQ { v });
         }
-        self.flush(ctx, out, [decoded, failed]);
+        [decoded, failed]
     }
 
     /// Stage 3: answer the queued label queries from local state.
-    fn enter_label_reply(&mut self, ctx: &RoundCtx<'_>, out: &mut Outbox<ConnMsg>) {
-        self.stage = Stage::LabelReply;
+    fn enter_label_reply(&mut self, ctx: &mut RoundCtx<'_>, tx: &mut Tx<'_>) -> [u64; 2] {
         for (asker, v) in std::mem::take(&mut self.label_queries) {
             // lint: allow(panic) — LabelQ messages are routed to home(v), which hosts v
             let j = self.lg.local(v).expect("label queries route to the home");
             let label = self.labels[j];
-            self.post(ctx, out, asker, ConnPayload::LabelA { v, label });
+            self.post(ctx, tx, asker, ConnPayload::LabelA { v, label });
         }
-        self.flush(ctx, out, [0, 0]);
+        [0, 0]
     }
 
     /// Stage 4: turn decoded edges into merge records and send each to
     /// both component labels' proxies.
-    fn enter_notify(&mut self, ctx: &RoundCtx<'_>, out: &mut Outbox<ConnMsg>) {
-        self.stage = Stage::Notify;
+    fn enter_notify(&mut self, ctx: &mut RoundCtx<'_>, tx: &mut Tx<'_>) -> [u64; 2] {
         let mut records: Vec<(Vertex, Vertex, Edge)> = Vec::new();
         for slot in self.slots.values() {
             if let Some(e) = slot.decoded {
@@ -615,18 +595,17 @@ impl SketchConnectivity {
         for (a, b, e) in records {
             let pa = self.owner(ctx, a);
             let pb = self.owner(ctx, b);
-            self.post(ctx, out, pa, ConnPayload::Merge { a, b, e });
+            self.post(ctx, tx, pa, ConnPayload::Merge { a, b, e });
             if pb != pa {
-                self.post(ctx, out, pb, ConnPayload::Merge { a, b, e });
+                self.post(ctx, tx, pb, ConnPayload::Merge { a, b, e });
             }
         }
-        self.flush(ctx, out, [0, 0]);
+        [0, 0]
     }
 
     /// Stage 5: announce each owned component's minimum merge partner to
     /// its partners' proxies (for the mutual-hook 2-cycle break).
-    fn enter_min_exchange(&mut self, ctx: &RoundCtx<'_>, out: &mut Outbox<ConnMsg>) {
-        self.stage = Stage::MinExchange;
+    fn enter_min_exchange(&mut self, ctx: &mut RoundCtx<'_>, tx: &mut Tx<'_>) -> [u64; 2] {
         let mut posts: Vec<(MachineIdx, Vertex, Vertex)> = Vec::new();
         for (&c, pmap) in &self.partners {
             // lint: allow(panic) — partner maps are created with their first entry and only grow
@@ -637,9 +616,9 @@ impl SketchConnectivity {
             }
         }
         for (dst, c, min) in posts {
-            self.post(ctx, out, dst, ConnPayload::MinX { c, min });
+            self.post(ctx, tx, dst, ConnPayload::MinX { c, min });
         }
-        self.flush(ctx, out, [0, 0]);
+        [0, 0]
     }
 
     /// After the MinExchange barrier: hook every owned component with
@@ -675,8 +654,7 @@ impl SketchConnectivity {
 
     /// Stage 6 (looped): every hooked, unresolved label asks its
     /// parent's owner for the grandparent.
-    fn enter_jump_q(&mut self, ctx: &RoundCtx<'_>, out: &mut Outbox<ConnMsg>) {
-        self.stage = Stage::JumpQ;
+    fn enter_jump_q(&mut self, ctx: &mut RoundCtx<'_>, tx: &mut Tx<'_>) -> [u64; 2] {
         let mut posts: Vec<(MachineIdx, Vertex, Vertex)> = Vec::new();
         for (&c, &p) in &self.parent {
             if p != c && !self.resolved.contains(&c) {
@@ -685,29 +663,27 @@ impl SketchConnectivity {
         }
         let unresolved = posts.len() as u64;
         for (dst, c, d) in posts {
-            self.post(ctx, out, dst, ConnPayload::JumpQ { c, d });
+            self.post(ctx, tx, dst, ConnPayload::JumpQ { c, d });
         }
-        self.flush(ctx, out, [unresolved, 0]);
+        [unresolved, 0]
     }
 
     /// Stage 7 (looped): answer the queued jump queries.
-    fn enter_jump_a(&mut self, ctx: &RoundCtx<'_>, out: &mut Outbox<ConnMsg>) {
-        self.stage = Stage::JumpA;
+    fn enter_jump_a(&mut self, ctx: &mut RoundCtx<'_>, tx: &mut Tx<'_>) -> [u64; 2] {
         for (asker, c, d) in std::mem::take(&mut self.jq) {
             let p = *self
                 .parent
                 .get(&d)
                 // lint: allow(panic) — JumpQ messages are routed to the component owner, which tracks parent
                 .expect("jump queries route to the owner");
-            self.post(ctx, out, asker, ConnPayload::JumpA { c, p, root: p == d });
+            self.post(ctx, tx, asker, ConnPayload::JumpA { c, p, root: p == d });
         }
-        self.flush(ctx, out, [0, 0]);
+        [0, 0]
     }
 
     /// Stage 8: push `old label → resolved root` back to exactly the
     /// machines that contributed partials for the label.
-    fn enter_push(&mut self, ctx: &RoundCtx<'_>, out: &mut Outbox<ConnMsg>) {
-        self.stage = Stage::Push;
+    fn enter_push(&mut self, ctx: &mut RoundCtx<'_>, tx: &mut Tx<'_>) -> [u64; 2] {
         let mut posts: Vec<(MachineIdx, Vertex, Vertex)> = Vec::new();
         for (&c, slot) in self.slots.iter_mut() {
             let root = *self.parent.get(&c).unwrap_or(&c);
@@ -721,9 +697,9 @@ impl SketchConnectivity {
             }
         }
         for (dst, old, new) in posts {
-            self.post(ctx, out, dst, ConnPayload::Push { old, new });
+            self.post(ctx, tx, dst, ConnPayload::Push { old, new });
         }
-        self.flush(ctx, out, [0, 0]);
+        [0, 0]
     }
 
     /// After the Push barrier: apply the relabels and reset the
@@ -745,10 +721,22 @@ impl SketchConnectivity {
         self.relabel.clear();
         self.phase += 1;
     }
+}
+
+impl Stages<2> for SketchConnectivity {
+    type Msg = ConnMsg;
+
+    fn tag(msg: &ConnMsg) -> u8 {
+        u8::from(msg.parity)
+    }
+
+    fn flush(&self, tag: u8, [c0, c1]: [u64; 2]) -> ConnMsg {
+        ConnMsg::new(self.n, tag == 1, ConnPayload::Flush { c0, c1 })
+    }
 
     /// Applies one delivered (or self-posted) message of the current
     /// stage parity.
-    fn apply(&mut self, ctx: &RoundCtx<'_>, src: MachineIdx, msg: ConnMsg) {
+    fn apply(&mut self, ctx: &mut RoundCtx<'_>, src: MachineIdx, msg: ConnMsg) -> Option<[u64; 2]> {
         match msg.payload {
             ConnPayload::Partial { comp, sketch } => {
                 let params = self.params;
@@ -795,111 +783,73 @@ impl SketchConnectivity {
             ConnPayload::Push { old, new } => {
                 self.relabel.insert(old, new);
             }
-            ConnPayload::Flush { c0, c1 } => self.barrier.absorb([c0, c1]),
+            ConnPayload::Flush { c0, c1 } => return Some([c0, c1]),
+        }
+        None
+    }
+
+    fn enter(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<ConnMsg>, tag: u8) -> [u64; 2] {
+        let tx = &mut Tx {
+            out,
+            parity: tag == 1,
+        };
+        match self.stage {
+            Stage::Partials => self.enter_partials(ctx, tx),
+            Stage::Decode => self.enter_decode(ctx, tx),
+            Stage::LabelReply => self.enter_label_reply(ctx, tx),
+            Stage::Notify => self.enter_notify(ctx, tx),
+            Stage::MinExchange => self.enter_min_exchange(ctx, tx),
+            Stage::JumpQ => self.enter_jump_q(ctx, tx),
+            Stage::JumpA => self.enter_jump_a(ctx, tx),
+            Stage::Push => self.enter_push(ctx, tx),
         }
     }
 
-    /// Runs every barrier that is complete, transitioning stages (and
-    /// phases) until blocked on in-flight messages or finished.
-    ///
-    /// Order per barrier: flip → stage-completion mutations
-    /// (`next_phase` / `apply_hooks`) → replay early arrivals for the
-    /// stage being entered → perform the entry's sends. Replaying last
-    /// matters: a fast peer's next-phase `Partial` must land in the
-    /// *cleared* slot table, not be wiped by `next_phase`.
-    fn maybe_advance(&mut self, ctx: &RoundCtx<'_>, out: &mut Outbox<ConnMsg>) {
-        while !self.finished && self.barrier.ready(ctx.k) {
-            let agg = self.barrier.flip();
-            let totals = [agg[0] + self.my_counts[0], agg[1] + self.my_counts[1]];
-            self.my_counts = [0, 0];
-            let next = match self.stage {
-                Stage::Partials => {
-                    if totals[0] == 0 {
-                        // Every component is closed: the forest is final.
-                        self.finished = true;
-                        return;
-                    }
-                    Stage::Decode
+    /// Picks the next stage from the one whose barrier just completed
+    /// and its global counters, running the stage-completion mutations
+    /// (`next_phase` / `apply_hooks`) first — [`Staged`] replays early
+    /// arrivals only afterwards, so a fast peer's next-phase `Partial`
+    /// lands in the *cleared* slot table instead of being wiped.
+    fn complete(&mut self, _ctx: &mut RoundCtx<'_>, _tag: u8, totals: [u64; 2]) -> bool {
+        self.stage = match self.stage {
+            Stage::Partials => {
+                if totals[0] == 0 {
+                    // Every component is closed: the forest is final.
+                    return false;
                 }
-                Stage::Decode => {
-                    if totals[0] == 0 {
-                        // Nothing decoded: retry with fresh randomness
-                        // (or, if everything just closed, terminate at
-                        // the next Partials barrier).
-                        self.next_phase();
-                        Stage::Partials
-                    } else {
-                        Stage::LabelReply
-                    }
-                }
-                Stage::LabelReply => Stage::Notify,
-                Stage::Notify => Stage::MinExchange,
-                Stage::MinExchange => {
-                    self.apply_hooks();
-                    Stage::JumpQ
-                }
-                Stage::JumpQ => {
-                    if totals[0] == 0 {
-                        Stage::Push
-                    } else {
-                        Stage::JumpA
-                    }
-                }
-                Stage::JumpA => Stage::JumpQ,
-                Stage::Push => {
+                Stage::Decode
+            }
+            Stage::Decode => {
+                if totals[0] == 0 {
+                    // Nothing decoded: retry with fresh randomness
+                    // (or, if everything just closed, terminate at
+                    // the next Partials barrier).
                     self.next_phase();
                     Stage::Partials
-                }
-            };
-            // Replay messages that arrived one stage early.
-            for (src, msg) in std::mem::take(&mut self.pending) {
-                debug_assert_eq!(
-                    msg.parity,
-                    self.barrier.parity(),
-                    "barrier drift exceeded 1"
-                );
-                self.apply(ctx, src, msg);
-            }
-            match next {
-                Stage::Partials => self.enter_partials(ctx, out),
-                Stage::Decode => self.enter_decode(ctx, out),
-                Stage::LabelReply => self.enter_label_reply(ctx, out),
-                Stage::Notify => self.enter_notify(ctx, out),
-                Stage::MinExchange => self.enter_min_exchange(ctx, out),
-                Stage::JumpQ => self.enter_jump_q(ctx, out),
-                Stage::JumpA => self.enter_jump_a(ctx, out),
-                Stage::Push => self.enter_push(ctx, out),
-            }
-        }
-    }
-}
-
-impl Protocol for SketchConnectivity {
-    type Msg = ConnMsg;
-
-    fn round(
-        &mut self,
-        ctx: &mut RoundCtx<'_>,
-        inbox: &mut Vec<Envelope<ConnMsg>>,
-        out: &mut Outbox<ConnMsg>,
-    ) -> Status {
-        if ctx.round == 0 {
-            self.enter_partials(ctx, out);
-        } else {
-            for env in inbox.drain(..) {
-                if env.msg.parity == self.barrier.parity() {
-                    self.apply(ctx, env.src, env.msg);
                 } else {
-                    self.pending.push((env.src, env.msg));
+                    Stage::LabelReply
                 }
             }
-        }
-        self.maybe_advance(ctx, out);
-        if self.finished {
-            Status::Done
-        } else {
-            Status::Active
-        }
+            Stage::LabelReply => Stage::Notify,
+            Stage::Notify => Stage::MinExchange,
+            Stage::MinExchange => {
+                self.apply_hooks();
+                Stage::JumpQ
+            }
+            Stage::JumpQ => {
+                if totals[0] == 0 {
+                    Stage::Push
+                } else {
+                    Stage::JumpA
+                }
+            }
+            Stage::JumpA => Stage::JumpQ,
+            Stage::Push => {
+                self.next_phase();
+                Stage::Partials
+            }
+        };
+        true
     }
 }
 
@@ -926,24 +876,34 @@ pub struct DistributedSketchConnectivity<'a> {
 }
 
 impl KmAlgorithm for DistributedSketchConnectivity<'_> {
-    type Machine = SketchConnectivity;
+    type Machine = Staged<SketchConnectivity, 2>;
     type Output = ConnectivityOutput;
 
-    fn build(&self, k: usize) -> Vec<SketchConnectivity> {
+    fn build(&self, k: usize) -> Vec<Staged<SketchConnectivity, 2>> {
         assert_eq!(self.part.k(), k, "partition k must match the network k");
         SketchConnectivity::build_all(DistGraphBuilder::new(self.part).undirected(self.g))
     }
 
-    fn extract(&self, machines: Vec<SketchConnectivity>, _metrics: &Metrics) -> ConnectivityOutput {
+    fn extract(
+        &self,
+        machines: Vec<Staged<SketchConnectivity, 2>>,
+        _metrics: &Metrics,
+    ) -> ConnectivityOutput {
         extract_connectivity(machines, self.g.n())
     }
 }
 
 /// Unions the machines' forest edges into the output for an `n`-vertex
 /// input — shared by both sketch-connectivity adapters.
-fn extract_connectivity(machines: Vec<SketchConnectivity>, n: usize) -> ConnectivityOutput {
-    let phases = machines[0].phases;
-    let mut forest: Vec<Edge> = machines.into_iter().flat_map(|m| m.forest).collect();
+fn extract_connectivity(
+    machines: Vec<Staged<SketchConnectivity, 2>>,
+    n: usize,
+) -> ConnectivityOutput {
+    let phases = machines[0].inner().phases;
+    let mut forest: Vec<Edge> = machines
+        .into_iter()
+        .flat_map(|m| m.into_inner().forest)
+        .collect();
     forest.sort_unstable();
     debug_assert!(
         forest.windows(2).all(|w| w[0] != w[1]),
@@ -978,10 +938,10 @@ pub struct PrebuiltSketchConnectivity<'a> {
 }
 
 impl KmAlgorithm for PrebuiltSketchConnectivity<'_> {
-    type Machine = SketchConnectivity;
+    type Machine = Staged<SketchConnectivity, 2>;
     type Output = ConnectivityOutput;
 
-    fn build(&self, k: usize) -> Vec<SketchConnectivity> {
+    fn build(&self, k: usize) -> Vec<Staged<SketchConnectivity, 2>> {
         assert_eq!(
             self.dist.k(),
             k,
@@ -990,7 +950,11 @@ impl KmAlgorithm for PrebuiltSketchConnectivity<'_> {
         SketchConnectivity::build_all(self.dist.clone())
     }
 
-    fn extract(&self, machines: Vec<SketchConnectivity>, _metrics: &Metrics) -> ConnectivityOutput {
+    fn extract(
+        &self,
+        machines: Vec<Staged<SketchConnectivity, 2>>,
+        _metrics: &Metrics,
+    ) -> ConnectivityOutput {
         extract_connectivity(machines, self.dist.n())
     }
 }

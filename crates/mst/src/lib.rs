@@ -42,10 +42,10 @@ pub use conn::{
 };
 
 use km_core::rng::keyed_hash;
-use km_core::router::PhaseBarrier;
+use km_core::router::{Staged, Stages};
 use km_core::{
-    id_bits, run_algorithm, BitReader, BitWriter, CodecError, Envelope, KmAlgorithm, Metrics,
-    NetConfig, Outbox, Protocol, RoundCtx, Runner, Status, WireCodec, WireSize,
+    id_bits, run_algorithm, BitReader, BitWriter, CodecError, KmAlgorithm, MachineIdx, Metrics,
+    NetConfig, Outbox, RoundCtx, Runner, WireCodec, WireSize,
 };
 use km_graph::{DistGraph, DistGraphBuilder, Edge, LocalGraph, Partition, Vertex, WeightedGraph};
 use std::collections::BTreeMap;
@@ -248,14 +248,10 @@ impl MstMsg {
     }
 }
 
-/// Which half of a Borůvka phase the machine is in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Half {
-    /// Candidates sent, waiting for the candidate barrier.
-    Gather,
-    /// Choices broadcast, waiting for the choice barrier.
-    Scatter,
-}
+/// A Borůvka phase is two stages — gather (candidates to proxies), then
+/// scatter (choices to everyone) — so the stage parity names the half:
+/// this is the tag of every gather stage.
+const GATHER: u8 = 0;
 
 /// One machine of the distributed Borůvka protocol.
 #[derive(Debug)]
@@ -270,12 +266,6 @@ pub struct BoruvkaMst {
     proxy_best: BTreeMap<Vertex, Cand>,
     /// Chosen edges received this phase (applied at the scatter barrier).
     phase_chosen: Vec<(Edge, f64)>,
-    half: Half,
-    /// Flush barrier; its counter sums the peers' `produced`.
-    barrier: PhaseBarrier<1>,
-    my_produced: u64,
-    pending: Vec<MstMsg>,
-    finished: bool,
     /// The minimum spanning forest, accumulated identically on every
     /// machine from the choice broadcasts.
     pub forest: Vec<(Edge, f64)>,
@@ -290,7 +280,7 @@ impl BoruvkaMst {
     ///
     /// # Panics
     /// Panics if the distributed input carries no weights.
-    pub fn build_all(dist: DistGraph) -> Vec<BoruvkaMst> {
+    pub fn build_all(dist: DistGraph) -> Vec<Staged<BoruvkaMst, 1>> {
         let n = dist.n();
         assert!(
             dist.locals().iter().all(LocalGraph::is_weighted),
@@ -298,26 +288,25 @@ impl BoruvkaMst {
         );
         dist.into_locals()
             .into_iter()
-            .map(|lg| BoruvkaMst {
-                n,
-                lg,
-                labels: (0..n as Vertex).collect(),
-                proxy_best: BTreeMap::new(),
-                phase_chosen: Vec::new(),
-                half: Half::Gather,
-                barrier: PhaseBarrier::new(),
-                my_produced: 0,
-                pending: Vec::new(),
-                finished: false,
-                forest: Vec::new(),
-                phases: 0,
+            .map(|lg| {
+                Staged::new(BoruvkaMst {
+                    n,
+                    lg,
+                    labels: (0..n as Vertex).collect(),
+                    proxy_best: BTreeMap::new(),
+                    phase_chosen: Vec::new(),
+                    forest: Vec::new(),
+                    phases: 0,
+                })
             })
             .collect()
     }
 
     /// Gather half: compute per-component best candidates over my
     /// vertices and route them to the components' proxy machines.
-    fn gather(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<MstMsg>) {
+    /// Returns the number of candidates produced (global zero ⇒ the
+    /// forest is complete).
+    fn gather(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<MstMsg>, parity: bool) -> u64 {
         let mut best: BTreeMap<Vertex, Cand> = BTreeMap::new();
         for (j, &v) in self.lg.vertices().iter().enumerate() {
             let lv = self.labels[v as usize];
@@ -337,7 +326,7 @@ impl BoruvkaMst {
                 }
             }
         }
-        self.my_produced = best.len() as u64;
+        let produced = best.len() as u64;
         for (comp, cand) in best {
             let proxy =
                 (keyed_hash(ctx.shared_seed ^ 0x4D57_0001, comp as u64) % ctx.k as u64) as usize;
@@ -346,16 +335,12 @@ impl BoruvkaMst {
             } else {
                 out.send(
                     proxy,
-                    MstMsg::candidate(self.n, self.barrier.parity(), comp, cand.e, cand.w),
+                    MstMsg::candidate(self.n, parity, comp, cand.e, cand.w),
                 );
             }
         }
-        out.broadcast(
-            ctx.me,
-            MstMsg::flush(self.barrier.parity(), self.my_produced),
-        );
-        self.half = Half::Gather;
         self.phases += 1;
+        produced
     }
 
     fn absorb_candidate(&mut self, comp: Vertex, cand: Cand) {
@@ -368,17 +353,12 @@ impl BoruvkaMst {
     }
 
     /// Scatter half: broadcast the per-component winners.
-    fn scatter(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<MstMsg>) {
+    fn scatter(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<MstMsg>, parity: bool) {
         let winners = std::mem::take(&mut self.proxy_best);
         for (_, cand) in winners {
             self.phase_chosen.push((cand.e, cand.w));
-            out.broadcast(
-                ctx.me,
-                MstMsg::chosen(self.n, self.barrier.parity(), cand.e, cand.w),
-            );
+            out.broadcast(ctx.me, MstMsg::chosen(self.n, parity, cand.e, cand.w));
         }
-        out.broadcast(ctx.me, MstMsg::flush(self.barrier.parity(), 0));
-        self.half = Half::Scatter;
     }
 
     /// Applies the phase's chosen edges: contract components (identical
@@ -419,83 +399,58 @@ impl BoruvkaMst {
         self.forest.extend(accepted);
     }
 
-    fn maybe_advance(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<MstMsg>) {
-        while !self.finished && self.barrier.ready(ctx.k) {
-            let [peers_produced] = self.barrier.flip();
-            let produced = peers_produced + std::mem::take(&mut self.my_produced);
-            let pending = std::mem::take(&mut self.pending);
-            for msg in &pending {
-                debug_assert_eq!(
-                    msg.parity,
-                    self.barrier.parity(),
-                    "barrier drift exceeded 1"
-                );
-                self.apply(msg);
-            }
-            match self.half {
-                Half::Gather => {
-                    // Candidate barrier complete. If nobody produced a
-                    // candidate, the forest is final.
-                    if produced == 0 {
-                        self.finished = true;
-                        return;
-                    }
-                    self.scatter(ctx, out);
-                }
-                Half::Scatter => {
-                    // Choice barrier complete: contract and start the next
-                    // phase.
-                    self.contract();
-                    self.gather(ctx, out);
-                }
-            }
-        }
-    }
-
-    fn apply(&mut self, msg: &MstMsg) {
-        match msg.payload {
-            MstPayload::Candidate { comp, e, w } => self.absorb_candidate(comp, Cand { w, e }),
-            MstPayload::Chosen { e, w } => self.phase_chosen.push((e, w)),
-            MstPayload::Flush { produced } => self.barrier.absorb([produced]),
-        }
-    }
-
     /// Total forest weight.
     pub fn forest_weight(&self) -> f64 {
         self.forest.iter().map(|&(_, w)| w).sum()
     }
 }
 
-impl Protocol for BoruvkaMst {
+/// The gather flush carries the candidates produced; scatter's counter
+/// is unused.
+impl Stages<1> for BoruvkaMst {
     type Msg = MstMsg;
 
-    fn round(
+    fn tag(msg: &MstMsg) -> u8 {
+        u8::from(msg.parity)
+    }
+
+    fn flush(&self, tag: u8, [produced]: [u64; 1]) -> MstMsg {
+        MstMsg::flush(tag == 1, produced)
+    }
+
+    fn apply(
         &mut self,
-        ctx: &mut RoundCtx<'_>,
-        inbox: &mut Vec<Envelope<MstMsg>>,
-        out: &mut Outbox<MstMsg>,
-    ) -> Status {
-        if ctx.round == 0 {
-            self.gather(ctx, out);
-            self.maybe_advance(ctx, out);
-            return if self.finished {
-                Status::Done
-            } else {
-                Status::Active
-            };
+        _ctx: &mut RoundCtx<'_>,
+        _src: MachineIdx,
+        msg: MstMsg,
+    ) -> Option<[u64; 1]> {
+        match msg.payload {
+            MstPayload::Candidate { comp, e, w } => self.absorb_candidate(comp, Cand { w, e }),
+            MstPayload::Chosen { e, w } => self.phase_chosen.push((e, w)),
+            MstPayload::Flush { produced } => return Some([produced]),
         }
-        for env in inbox.drain(..) {
-            if env.msg.parity == self.barrier.parity() {
-                self.apply(&env.msg);
-            } else {
-                self.pending.push(env.msg);
-            }
-        }
-        self.maybe_advance(ctx, out);
-        if self.finished {
-            Status::Done
+        None
+    }
+
+    fn enter(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<MstMsg>, tag: u8) -> [u64; 1] {
+        let parity = tag == 1;
+        if tag == GATHER {
+            [self.gather(ctx, out, parity)]
         } else {
-            Status::Active
+            self.scatter(ctx, out, parity);
+            [0]
+        }
+    }
+
+    fn complete(&mut self, _ctx: &mut RoundCtx<'_>, tag: u8, [produced]: [u64; 1]) -> bool {
+        if tag == GATHER {
+            // Candidate barrier complete. If nobody produced a
+            // candidate, the forest is final.
+            produced > 0
+        } else {
+            // Choice barrier complete: contract; the next phase follows.
+            self.contract();
+            true
         }
     }
 }
@@ -511,28 +466,32 @@ pub struct DistributedMst<'a> {
 }
 
 impl KmAlgorithm for DistributedMst<'_> {
-    type Machine = BoruvkaMst;
+    type Machine = Staged<BoruvkaMst, 1>;
     type Output = (Vec<Edge>, f64);
 
-    fn build(&self, k: usize) -> Vec<BoruvkaMst> {
+    fn build(&self, k: usize) -> Vec<Staged<BoruvkaMst, 1>> {
         assert_eq!(self.part.k(), k, "partition k must match the network k");
         BoruvkaMst::build_all(DistGraphBuilder::new(self.part).weighted(self.g))
     }
 
-    fn extract(&self, machines: Vec<BoruvkaMst>, _metrics: &Metrics) -> (Vec<Edge>, f64) {
+    fn extract(
+        &self,
+        machines: Vec<Staged<BoruvkaMst, 1>>,
+        _metrics: &Metrics,
+    ) -> (Vec<Edge>, f64) {
         extract_forest(&machines)
     }
 }
 
 /// `(sorted forest edges, total weight)` as machine 0 holds them — the
 /// output of both Borůvka adapters.
-fn extract_forest(machines: &[BoruvkaMst]) -> (Vec<Edge>, f64) {
-    let m0 = &machines[0];
+fn extract_forest(machines: &[Staged<BoruvkaMst, 1>]) -> (Vec<Edge>, f64) {
+    let m0 = machines[0].inner();
     let mut edges: Vec<Edge> = m0.forest.iter().map(|&(e, _)| e).collect();
     edges.sort_unstable();
     // All machines agree on the forest (deterministic contraction).
     for m in &machines[1..] {
-        debug_assert_eq!(m.forest.len(), m0.forest.len());
+        debug_assert_eq!(m.inner().forest.len(), m0.forest.len());
     }
     (edges, m0.forest_weight())
 }
@@ -560,10 +519,10 @@ pub struct PrebuiltMst<'a> {
 }
 
 impl KmAlgorithm for PrebuiltMst<'_> {
-    type Machine = BoruvkaMst;
+    type Machine = Staged<BoruvkaMst, 1>;
     type Output = (Vec<Edge>, f64);
 
-    fn build(&self, k: usize) -> Vec<BoruvkaMst> {
+    fn build(&self, k: usize) -> Vec<Staged<BoruvkaMst, 1>> {
         assert_eq!(
             self.dist.k(),
             k,
@@ -572,7 +531,11 @@ impl KmAlgorithm for PrebuiltMst<'_> {
         BoruvkaMst::build_all(self.dist.clone())
     }
 
-    fn extract(&self, machines: Vec<BoruvkaMst>, _metrics: &Metrics) -> (Vec<Edge>, f64) {
+    fn extract(
+        &self,
+        machines: Vec<Staged<BoruvkaMst, 1>>,
+        _metrics: &Metrics,
+    ) -> (Vec<Edge>, f64) {
         extract_forest(&machines)
     }
 }
@@ -671,9 +634,9 @@ mod tests {
         // Components at least halve per phase: ≤ log2(n) + 1 phases
         // (+1 for the final empty phase that detects termination).
         assert!(
-            report.machines[0].phases <= 8,
+            report.machines[0].inner().phases <= 8,
             "phases {}",
-            report.machines[0].phases
+            report.machines[0].inner().phases
         );
     }
 

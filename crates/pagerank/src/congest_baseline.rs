@@ -16,12 +16,12 @@
 
 use crate::kmachine::{binomial, LocalState, PrMsg, PrOutput, PrPayload};
 use crate::PrConfig;
-use km_core::router::PhaseBarrier;
+use km_core::router::{Staged, Stages};
 use km_core::{
-    run_algorithm, Envelope, KmAlgorithm, Metrics, NetConfig, Outbox, Protocol, RoundCtx, Runner,
-    Status,
+    run_algorithm, KmAlgorithm, MachineIdx, Metrics, NetConfig, Outbox, RoundCtx, Runner,
 };
 use km_graph::{DiGraph, DistGraph, DistGraphBuilder, Partition, Vertex};
+use rand::Rng;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -30,11 +30,6 @@ use std::sync::Arc;
 pub struct CongestPageRank {
     st: LocalState,
     cfg: PrConfig,
-    /// Flush barrier; its counter sums the peers' `live`.
-    barrier: PhaseBarrier<1>,
-    my_live: u64,
-    pending: Vec<PrMsg>,
-    finished: bool,
     /// Iterations executed (diagnostics).
     pub iterations: u64,
 }
@@ -42,17 +37,15 @@ pub struct CongestPageRank {
 impl CongestPageRank {
     /// Builds one protocol instance per machine from the distributed
     /// directed input.
-    pub fn build_all(dist: DistGraph, cfg: PrConfig) -> Vec<CongestPageRank> {
+    pub fn build_all(dist: DistGraph, cfg: PrConfig) -> Vec<Staged<CongestPageRank, 1>> {
         LocalState::build_all(dist, &cfg)
             .into_iter()
-            .map(|st| CongestPageRank {
-                st,
-                cfg,
-                barrier: PhaseBarrier::new(),
-                my_live: 0,
-                pending: Vec::new(),
-                finished: false,
-                iterations: 0,
+            .map(|st| {
+                Staged::new(CongestPageRank {
+                    st,
+                    cfg,
+                    iterations: 0,
+                })
             })
             .collect()
     }
@@ -71,16 +64,8 @@ impl CongestPageRank {
         PrOutput { estimates }
     }
 
-    fn apply(&mut self, msg: &PrMsg) {
-        match msg.payload {
-            PrPayload::Count { v, count } => self.st.arrive_at_vertex(v, count),
-            // lint: allow(panic) — the CONGEST baseline protocol has no Heavy sender
-            PrPayload::Heavy { .. } => unreachable!("baseline never sends Heavy"),
-            PrPayload::Flush { live } => self.barrier.absorb([live]),
-        }
-    }
-
-    fn step(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<PrMsg>) {
+    /// One iteration step; returns the number of surviving tokens.
+    fn step(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<PrMsg>, parity: bool) -> u64 {
         let me = ctx.me;
         let n = self.st.g.global_n();
         let eps = self.cfg.reset_prob;
@@ -116,7 +101,7 @@ impl CongestPageRank {
                     staged_local.push((lj, c));
                 } else {
                     // One message per (u, v) edge — no cross-vertex merge.
-                    out.send(home, PrMsg::count(n, self.barrier.parity(), v, c));
+                    out.send(home, PrMsg::count(n, parity, v, c));
                 }
             }
         }
@@ -124,60 +109,39 @@ impl CongestPageRank {
             self.st.tokens[j] += c;
             self.st.visits[j] += c;
         }
-        self.my_live = survivors_total;
         self.iterations += 1;
-        out.broadcast(me, PrMsg::flush(self.barrier.parity(), survivors_total));
-    }
-
-    fn maybe_advance(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<PrMsg>) {
-        while !self.finished && self.barrier.ready(ctx.k) {
-            let [peers_live] = self.barrier.flip();
-            if peers_live + std::mem::take(&mut self.my_live) == 0 {
-                self.finished = true;
-                return;
-            }
-            let pending = std::mem::take(&mut self.pending);
-            for msg in &pending {
-                self.apply(msg);
-            }
-            self.step(ctx, out);
-        }
+        survivors_total
     }
 }
 
-use rand::Rng;
-
-impl Protocol for CongestPageRank {
+/// Stages, flush counter and termination exactly as [`crate::KmPageRank`].
+impl Stages<1> for CongestPageRank {
     type Msg = PrMsg;
 
-    fn round(
-        &mut self,
-        ctx: &mut RoundCtx<'_>,
-        inbox: &mut Vec<Envelope<PrMsg>>,
-        out: &mut Outbox<PrMsg>,
-    ) -> Status {
-        if ctx.round == 0 {
-            self.step(ctx, out);
-            self.maybe_advance(ctx, out);
-            return if self.finished {
-                Status::Done
-            } else {
-                Status::Active
-            };
+    fn tag(msg: &PrMsg) -> u8 {
+        u8::from(msg.parity)
+    }
+
+    fn flush(&self, tag: u8, [live]: [u64; 1]) -> PrMsg {
+        PrMsg::flush(tag == 1, live)
+    }
+
+    fn apply(&mut self, _ctx: &mut RoundCtx<'_>, _src: MachineIdx, msg: PrMsg) -> Option<[u64; 1]> {
+        match msg.payload {
+            PrPayload::Count { v, count } => self.st.arrive_at_vertex(v, count),
+            // lint: allow(panic) — the CONGEST baseline protocol has no Heavy sender
+            PrPayload::Heavy { .. } => unreachable!("baseline never sends Heavy"),
+            PrPayload::Flush { live } => return Some([live]),
         }
-        for env in inbox.drain(..) {
-            if env.msg.parity == self.barrier.parity() {
-                self.apply(&env.msg);
-            } else {
-                self.pending.push(env.msg);
-            }
-        }
-        self.maybe_advance(ctx, out);
-        if self.finished {
-            Status::Done
-        } else {
-            Status::Active
-        }
+        None
+    }
+
+    fn enter(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<PrMsg>, tag: u8) -> [u64; 1] {
+        [self.step(ctx, out, tag == 1)]
+    }
+
+    fn complete(&mut self, _ctx: &mut RoundCtx<'_>, _tag: u8, [live]: [u64; 1]) -> bool {
+        live > 0
     }
 }
 
@@ -193,18 +157,18 @@ pub struct CongestBaseline<'a> {
 }
 
 impl KmAlgorithm for CongestBaseline<'_> {
-    type Machine = CongestPageRank;
+    type Machine = Staged<CongestPageRank, 1>;
     type Output = Vec<f64>;
 
-    fn build(&self, k: usize) -> Vec<CongestPageRank> {
+    fn build(&self, k: usize) -> Vec<Staged<CongestPageRank, 1>> {
         assert_eq!(self.part.k(), k, "partition k must match the network k");
         CongestPageRank::build_all(DistGraphBuilder::new(self.part).directed(self.g), self.cfg)
     }
 
-    fn extract(&self, machines: Vec<CongestPageRank>, _metrics: &Metrics) -> Vec<f64> {
+    fn extract(&self, machines: Vec<Staged<CongestPageRank, 1>>, _metrics: &Metrics) -> Vec<f64> {
         let mut pr = vec![0.0; self.g.n()];
         for m in &machines {
-            for (v, est) in m.output().estimates {
+            for (v, est) in m.inner().output().estimates {
                 pr[v as usize] = est;
             }
         }

@@ -28,13 +28,14 @@
 //! count of live tokens, so the protocol terminates precisely when no
 //! token survives anywhere — no iteration bound needs to be guessed.
 //! Machines can drift by at most one iteration, so a single parity bit
-//! per message disambiguates (proved in the module tests).
+//! per message disambiguates; the loop itself is [`Staged`]'s, with one
+//! iteration per stage.
 
 use crate::PrConfig;
-use km_core::router::PhaseBarrier;
+use km_core::router::{Staged, Stages};
 use km_core::{
-    id_bits, run_algorithm, BitReader, BitWriter, CodecError, Envelope, KmAlgorithm, Metrics,
-    NetConfig, Outbox, Protocol, RoundCtx, Runner, Status, WireCodec, WireSize,
+    id_bits, run_algorithm, BitReader, BitWriter, CodecError, KmAlgorithm, MachineIdx, Metrics,
+    NetConfig, Outbox, RoundCtx, Runner, WireCodec, WireSize,
 };
 use km_graph::{DiGraph, DistGraph, DistGraphBuilder, LocalGraph, Partition, Vertex};
 use rand::Rng;
@@ -266,11 +267,6 @@ pub struct KmPageRank {
     /// the paper uses `k`. `u64::MAX` disables the heavy path entirely —
     /// the ablation knob for the T4 design-choice experiment.
     heavy_threshold: u64,
-    /// Flush barrier; its counter sums the peers' `live`.
-    barrier: PhaseBarrier<1>,
-    my_live: u64,
-    pending: Vec<PrMsg>,
-    finished: bool,
     /// Iterations this machine has executed (for diagnostics).
     pub iterations: u64,
 }
@@ -278,7 +274,7 @@ pub struct KmPageRank {
 impl KmPageRank {
     /// Builds one protocol instance per machine from the distributed
     /// directed input (heavy threshold = `k`, the paper's choice).
-    pub fn build_all(dist: DistGraph, cfg: PrConfig) -> Vec<KmPageRank> {
+    pub fn build_all(dist: DistGraph, cfg: PrConfig) -> Vec<Staged<KmPageRank, 1>> {
         let k = dist.k() as u64;
         Self::build_all_with_threshold(dist, cfg, k)
     }
@@ -288,18 +284,16 @@ impl KmPageRank {
         dist: DistGraph,
         cfg: PrConfig,
         heavy_threshold: u64,
-    ) -> Vec<KmPageRank> {
+    ) -> Vec<Staged<KmPageRank, 1>> {
         LocalState::build_all(dist, &cfg)
             .into_iter()
-            .map(|st| KmPageRank {
-                st,
-                cfg,
-                heavy_threshold,
-                barrier: PhaseBarrier::new(),
-                my_live: 0,
-                pending: Vec::new(),
-                finished: false,
-                iterations: 0,
+            .map(|st| {
+                Staged::new(KmPageRank {
+                    st,
+                    cfg,
+                    heavy_threshold,
+                    iterations: 0,
+                })
             })
             .collect()
     }
@@ -334,18 +328,9 @@ impl KmPageRank {
         self.st.held_tokens()
     }
 
-    fn apply(&mut self, rng: &mut rand_chacha::ChaCha8Rng, msg: &PrMsg) {
-        match msg.payload {
-            PrPayload::Count { v, count } => self.st.arrive_at_vertex(v, count),
-            PrPayload::Heavy { u, count } => self.st.arrive_from_heavy(rng, u, count),
-            PrPayload::Flush { live } => self.barrier.absorb([live]),
-        }
-    }
-
     /// Runs one iteration step: termination sampling, light α-aggregation,
-    /// heavy β-distribution, then the flush broadcast.
-    fn step(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<PrMsg>) {
-        let k = ctx.k;
+    /// heavy β-distribution. Returns the number of surviving tokens.
+    fn step(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<PrMsg>, parity: bool) -> u64 {
         let me = ctx.me;
         let n = self.st.g.global_n();
         let eps = self.cfg.reset_prob;
@@ -371,7 +356,6 @@ impl KmPageRank {
                 continue; // dangling vertex: survivors terminate too
             }
             survivors_total += live;
-            let _ = k;
             if live < self.heavy_threshold {
                 // Light: per-token uniform neighbor, aggregated into α.
                 for _ in 0..live {
@@ -412,7 +396,7 @@ impl KmPageRank {
                             staged_local.push((tj, 1));
                         }
                     } else {
-                        out.send(j_m, PrMsg::heavy(n, self.barrier.parity(), u, c));
+                        out.send(j_m, PrMsg::heavy(n, parity, u, c));
                     }
                 }
             }
@@ -426,7 +410,7 @@ impl KmPageRank {
                 let j = self.st.g.local(v).expect("home(v) == me implies hosted");
                 staged_local.push((j, c));
             } else {
-                out.send(home, PrMsg::count(n, self.barrier.parity(), v, c));
+                out.send(home, PrMsg::count(n, parity, v, c));
             }
         }
         for (j, c) in staged_local {
@@ -434,63 +418,40 @@ impl KmPageRank {
             self.st.visits[j] += c;
         }
 
-        self.my_live = survivors_total;
         self.iterations += 1;
-        let flush = PrMsg::flush(self.barrier.parity(), survivors_total);
-        out.broadcast(me, flush);
-    }
-
-    /// If the barrier is complete, either terminate or advance one
-    /// iteration (possibly several times if this machine lagged).
-    fn maybe_advance(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<PrMsg>) {
-        while !self.finished && self.barrier.ready(ctx.k) {
-            let [peers_live] = self.barrier.flip();
-            if peers_live + std::mem::take(&mut self.my_live) == 0 {
-                self.finished = true;
-                return;
-            }
-            let pending = std::mem::take(&mut self.pending);
-            for msg in &pending {
-                debug_assert_eq!(msg.parity, self.barrier.parity(), "parity drift exceeded 1");
-                self.apply(ctx.rng, msg);
-            }
-            self.step(ctx, out);
-        }
+        survivors_total
     }
 }
 
-impl Protocol for KmPageRank {
+/// One iteration per stage; the flush counter is the sender's surviving
+/// tokens, so the barrier total is the exact global live count.
+impl Stages<1> for KmPageRank {
     type Msg = PrMsg;
 
-    fn round(
-        &mut self,
-        ctx: &mut RoundCtx<'_>,
-        inbox: &mut Vec<Envelope<PrMsg>>,
-        out: &mut Outbox<PrMsg>,
-    ) -> Status {
-        if ctx.round == 0 {
-            // Iteration 1 starts unconditionally.
-            self.step(ctx, out);
-            self.maybe_advance(ctx, out); // k == 1 completes inline
-            return if self.finished {
-                Status::Done
-            } else {
-                Status::Active
-            };
+    fn tag(msg: &PrMsg) -> u8 {
+        u8::from(msg.parity)
+    }
+
+    fn flush(&self, tag: u8, [live]: [u64; 1]) -> PrMsg {
+        PrMsg::flush(tag == 1, live)
+    }
+
+    fn apply(&mut self, ctx: &mut RoundCtx<'_>, _src: MachineIdx, msg: PrMsg) -> Option<[u64; 1]> {
+        match msg.payload {
+            PrPayload::Count { v, count } => self.st.arrive_at_vertex(v, count),
+            PrPayload::Heavy { u, count } => self.st.arrive_from_heavy(ctx.rng, u, count),
+            PrPayload::Flush { live } => return Some([live]),
         }
-        for env in inbox.drain(..) {
-            if env.msg.parity == self.barrier.parity() {
-                self.apply(ctx.rng, &env.msg);
-            } else {
-                self.pending.push(env.msg);
-            }
-        }
-        self.maybe_advance(ctx, out);
-        if self.finished {
-            Status::Done
-        } else {
-            Status::Active
-        }
+        None
+    }
+
+    fn enter(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<PrMsg>, tag: u8) -> [u64; 1] {
+        [self.step(ctx, out, tag == 1)]
+    }
+
+    /// Terminates precisely when no token survived anywhere.
+    fn complete(&mut self, _ctx: &mut RoundCtx<'_>, _tag: u8, [live]: [u64; 1]) -> bool {
+        live > 0
     }
 }
 
@@ -529,27 +490,27 @@ impl<'a> DistributedPageRank<'a> {
 }
 
 impl KmAlgorithm for DistributedPageRank<'_> {
-    type Machine = KmPageRank;
+    type Machine = Staged<KmPageRank, 1>;
     type Output = Vec<f64>;
 
-    fn build(&self, k: usize) -> Vec<KmPageRank> {
+    fn build(&self, k: usize) -> Vec<Staged<KmPageRank, 1>> {
         assert_eq!(self.part.k(), k, "partition k must match the network k");
         let dist = DistGraphBuilder::new(self.part).directed(self.g);
         let heavy = self.heavy_threshold.unwrap_or(k as u64);
         KmPageRank::build_all_with_threshold(dist, self.cfg, heavy)
     }
 
-    fn extract(&self, machines: Vec<KmPageRank>, _metrics: &Metrics) -> Vec<f64> {
+    fn extract(&self, machines: Vec<Staged<KmPageRank, 1>>, _metrics: &Metrics) -> Vec<f64> {
         extract_pagerank(&machines, self.g.n())
     }
 }
 
 /// Assembles the machines' per-vertex estimates into the PageRank
 /// vector of an `n`-vertex input — shared by both PageRank adapters.
-fn extract_pagerank(machines: &[KmPageRank], n: usize) -> Vec<f64> {
+fn extract_pagerank(machines: &[Staged<KmPageRank, 1>], n: usize) -> Vec<f64> {
     let mut pr = vec![0.0; n];
     for m in machines {
-        for (v, est) in m.output().estimates {
+        for (v, est) in m.inner().output().estimates {
             pr[v as usize] = est;
         }
     }
@@ -582,10 +543,10 @@ pub struct PrebuiltPageRank<'a> {
 }
 
 impl KmAlgorithm for PrebuiltPageRank<'_> {
-    type Machine = KmPageRank;
+    type Machine = Staged<KmPageRank, 1>;
     type Output = Vec<f64>;
 
-    fn build(&self, k: usize) -> Vec<KmPageRank> {
+    fn build(&self, k: usize) -> Vec<Staged<KmPageRank, 1>> {
         assert_eq!(
             self.dist.k(),
             k,
@@ -594,7 +555,7 @@ impl KmAlgorithm for PrebuiltPageRank<'_> {
         KmPageRank::build_all(self.dist.clone(), self.cfg)
     }
 
-    fn extract(&self, machines: Vec<KmPageRank>, _metrics: &Metrics) -> Vec<f64> {
+    fn extract(&self, machines: Vec<Staged<KmPageRank, 1>>, _metrics: &Metrics) -> Vec<f64> {
         extract_pagerank(&machines, self.dist.n())
     }
 }
@@ -650,11 +611,15 @@ mod tests {
         let report = Runner::new(net(4, 60, 5)).run(machines).unwrap();
         let mut seen = [false; 60];
         for m in &report.machines {
-            for (v, psi) in m.visits() {
+            for (v, psi) in m.inner().visits() {
                 assert!(psi >= 10, "vertex {v} lost its initial tokens");
                 seen[v as usize] = true;
             }
-            assert_eq!(m.held_tokens(), 0, "all tokens must be dead at termination");
+            assert_eq!(
+                m.inner().held_tokens(),
+                0,
+                "all tokens must be dead at termination"
+            );
         }
         assert!(
             seen.iter().all(|&s| s),
@@ -730,7 +695,7 @@ mod tests {
         let mut hub_est = 0.0;
         let mut leaf_est = 0.0;
         for m in &report.machines {
-            for (v, e) in m.output().estimates {
+            for (v, e) in m.inner().output().estimates {
                 if v == 0 {
                     hub_est = e;
                 } else {
@@ -755,8 +720,8 @@ mod tests {
         let report = Runner::new(net(4, 100, 17)).run(machines).unwrap();
         let mut pr = vec![0.0; 100];
         for m in &report.machines {
-            assert_eq!(m.held_tokens(), 0);
-            for (v, e) in m.output().estimates {
+            assert_eq!(m.inner().held_tokens(), 0);
+            for (v, e) in m.inner().output().estimates {
                 pr[v as usize] = e;
             }
         }
@@ -800,7 +765,7 @@ mod tests {
             .unwrap();
         assert_eq!(seq.metrics, par.metrics);
         for (a, b) in seq.machines.iter().zip(&par.machines) {
-            assert_eq!(a.output(), b.output());
+            assert_eq!(a.inner().output(), b.inner().output());
         }
     }
 

@@ -7,8 +7,8 @@
 //! lower bound that is *tight* — "there exists an `O~(n/k²)`-round
 //! sorting algorithm". This crate is that algorithm: a **sample sort**.
 //!
-//! Protocol phases (FIFO flush barriers between phases, as in the other
-//! protocols of this workspace):
+//! Protocol phases (one [`Staged`] stage each, tagged with the phase
+//! number; FIFO flush barriers between them):
 //!
 //! 0. every machine sorts locally (free) and sends `Θ(k log n)` uniform
 //!    samples to the coordinator;
@@ -25,9 +25,10 @@
 //! Keys must be distinct (random `u64` workloads are; duplicate handling
 //! would only add a tie-breaking tag).
 
+use km_core::router::{Staged, Stages};
 use km_core::{
-    run_algorithm, BitReader, BitWriter, CodecError, Envelope, KmAlgorithm, Metrics, NetConfig,
-    Outbox, Protocol, RoundCtx, Runner, Status, WireCodec, WireSize,
+    run_algorithm, BitReader, BitWriter, CodecError, KmAlgorithm, MachineIdx, Metrics, NetConfig,
+    Outbox, RoundCtx, Runner, WireCodec, WireSize,
 };
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -148,12 +149,10 @@ pub struct SampleSort {
     keys: Vec<u64>,
     splitters: Vec<u64>,
     bucket: Vec<u64>,
-    counts: Vec<Option<u64>>,
+    /// Bucket size per machine, announced in phase 3; the phase-3
+    /// barrier is what guarantees all `k` are in before phase 4 reads.
+    counts: Vec<u64>,
     relay_buf: Vec<(usize, u64)>,
-    phase: u8,
-    flushes: usize,
-    pending: Vec<(usize, SortMsg)>,
-    finished: bool,
     /// Final keys: exactly this machine's rank range, ascending.
     pub output: Vec<u64>,
 }
@@ -163,7 +162,10 @@ impl SampleSort {
     ///
     /// # Panics
     /// Panics if keys are not globally distinct.
-    pub fn build_all(local_keys: Vec<Vec<u64>>, samples_per_machine: usize) -> Vec<SampleSort> {
+    pub fn build_all(
+        local_keys: Vec<Vec<u64>>,
+        samples_per_machine: usize,
+    ) -> Vec<Staged<SampleSort, 0>> {
         let n: usize = local_keys.iter().map(Vec::len).sum();
         let mut all: Vec<u64> = local_keys.iter().flatten().copied().collect();
         all.sort_unstable();
@@ -174,20 +176,16 @@ impl SampleSort {
             .into_iter()
             .map(|mut keys| {
                 keys.sort_unstable();
-                SampleSort {
+                Staged::new(SampleSort {
                     n,
                     samples_per_machine,
                     keys,
                     splitters: Vec::new(),
                     bucket: Vec::new(),
-                    counts: vec![None; k],
+                    counts: vec![0; k],
                     relay_buf: Vec::new(),
-                    phase: 0,
-                    flushes: 0,
-                    pending: Vec::new(),
-                    finished: false,
                     output: Vec::new(),
-                }
+                })
             })
             .collect()
     }
@@ -241,13 +239,6 @@ impl SampleSort {
                 );
             }
         }
-        out.broadcast(
-            ctx.me,
-            SortMsg {
-                phase: 0,
-                kind: SortKind::Flush,
-            },
-        );
     }
 
     fn phase1(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<SortMsg>) {
@@ -273,13 +264,6 @@ impl SampleSort {
             }
             self.splitters = splitters;
         }
-        out.broadcast(
-            ctx.me,
-            SortMsg {
-                phase: 1,
-                kind: SortKind::Flush,
-            },
-        );
     }
 
     fn phase2(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<SortMsg>) {
@@ -299,18 +283,11 @@ impl SampleSort {
                 );
             }
         }
-        out.broadcast(
-            ctx.me,
-            SortMsg {
-                phase: 2,
-                kind: SortKind::Flush,
-            },
-        );
     }
 
     fn phase3(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<SortMsg>) {
         self.bucket.sort_unstable();
-        self.counts[ctx.me] = Some(self.bucket.len() as u64);
+        self.counts[ctx.me] = self.bucket.len() as u64;
         out.broadcast(
             ctx.me,
             SortMsg {
@@ -318,21 +295,11 @@ impl SampleSort {
                 kind: SortKind::Count(self.bucket.len() as u64),
             },
         );
-        out.broadcast(
-            ctx.me,
-            SortMsg {
-                phase: 3,
-                kind: SortKind::Flush,
-            },
-        );
     }
 
     fn phase4(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<SortMsg>) {
         // Exact global rank of my bucket's first key.
-        let offset: u64 = self.counts[..ctx.me]
-            .iter()
-            .map(|c| c.expect("all counts announced"))
-            .sum();
+        let offset: u64 = self.counts[..ctx.me].iter().sum();
         let bucket = std::mem::take(&mut self.bucket);
         let q = self.n.div_ceil(ctx.k);
         for (idx, key) in bucket.into_iter().enumerate() {
@@ -354,13 +321,6 @@ impl SampleSort {
                 out.send(relay, msg);
             }
         }
-        out.broadcast(
-            ctx.me,
-            SortMsg {
-                phase: 4,
-                kind: SortKind::Flush,
-            },
-        );
     }
 
     fn phase5(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<SortMsg>) {
@@ -378,16 +338,35 @@ impl SampleSort {
                 );
             }
         }
-        out.broadcast(
-            ctx.me,
-            SortMsg {
-                phase: 5,
-                kind: SortKind::Flush,
-            },
-        );
+    }
+}
+
+/// Six stages tagged 0–5 with nothing to aggregate: the flush is a bare
+/// marker.
+impl Stages<0> for SampleSort {
+    type Msg = SortMsg;
+
+    fn tag(msg: &SortMsg) -> u8 {
+        msg.phase
     }
 
-    fn apply(&mut self, src: usize, msg: &SortMsg) {
+    fn tag_of_stage(stage: u64) -> u8 {
+        stage as u8
+    }
+
+    fn flush(&self, tag: u8, []: [u64; 0]) -> SortMsg {
+        SortMsg {
+            phase: tag,
+            kind: SortKind::Flush,
+        }
+    }
+
+    fn apply(
+        &mut self,
+        _ctx: &mut RoundCtx<'_>,
+        src: MachineIdx,
+        msg: SortMsg,
+    ) -> Option<[u64; 0]> {
         match msg.kind {
             SortKind::Sample(key) => self.bucket.push(key),
             SortKind::Splitter(s) => self.splitters.push(s),
@@ -399,67 +378,31 @@ impl SampleSort {
                 }
             }
             SortKind::RelayKey { owner, key } => self.relay_buf.push((owner as usize, key)),
-            SortKind::Count(c) => self.counts[src] = Some(c),
-            SortKind::Flush => self.flushes += 1,
+            SortKind::Count(c) => self.counts[src] = c,
+            SortKind::Flush => return Some([]),
         }
+        None
     }
 
-    fn maybe_advance(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<SortMsg>) {
-        while !self.finished && self.flushes == ctx.k - 1 {
-            self.flushes = 0;
-            self.phase += 1;
-            let pending = std::mem::take(&mut self.pending);
-            for (src, msg) in &pending {
-                self.apply(*src, msg);
-            }
-            match self.phase {
-                1 => self.phase1(ctx, out),
-                2 => self.phase2(ctx, out),
-                3 => self.phase3(ctx, out),
-                4 => self.phase4(ctx, out),
-                5 => self.phase5(ctx, out),
-                6 => {
-                    self.output.sort_unstable();
-                    self.finished = true;
-                }
-                // lint: allow(panic) — the phase counter is bounded by the protocol's round schedule
-                p => unreachable!("no phase {p}"),
-            }
+    fn enter(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<SortMsg>, tag: u8) -> [u64; 0] {
+        match tag {
+            0 => self.phase0(ctx, out),
+            1 => self.phase1(ctx, out),
+            2 => self.phase2(ctx, out),
+            3 => self.phase3(ctx, out),
+            4 => self.phase4(ctx, out),
+            _ => self.phase5(ctx, out),
         }
+        []
     }
-}
 
-impl Protocol for SampleSort {
-    type Msg = SortMsg;
-
-    fn round(
-        &mut self,
-        ctx: &mut RoundCtx<'_>,
-        inbox: &mut Vec<Envelope<SortMsg>>,
-        out: &mut Outbox<SortMsg>,
-    ) -> Status {
-        if ctx.round == 0 {
-            self.phase0(ctx, out);
-            self.maybe_advance(ctx, out);
-            return if self.finished {
-                Status::Done
-            } else {
-                Status::Active
-            };
+    /// After the phase-5 barrier every key is at its owner: sort, done.
+    fn complete(&mut self, _ctx: &mut RoundCtx<'_>, tag: u8, []: [u64; 0]) -> bool {
+        if tag < 5 {
+            return true;
         }
-        for env in inbox.drain(..) {
-            if env.msg.phase == self.phase {
-                self.apply(env.src, &env.msg);
-            } else {
-                self.pending.push((env.src, env.msg));
-            }
-        }
-        self.maybe_advance(ctx, out);
-        if self.finished {
-            Status::Done
-        } else {
-            Status::Active
-        }
+        self.output.sort_unstable();
+        false
     }
 }
 
@@ -488,16 +431,19 @@ impl DistributedSort {
 }
 
 impl KmAlgorithm for DistributedSort {
-    type Machine = SampleSort;
+    type Machine = Staged<SampleSort, 0>;
     type Output = Vec<Vec<u64>>;
 
-    fn build(&self, k: usize) -> Vec<SampleSort> {
+    fn build(&self, k: usize) -> Vec<Staged<SampleSort, 0>> {
         assert_eq!(self.inputs.len(), k, "one key list per machine");
         SampleSort::build_all(self.inputs.clone(), self.samples_per_machine)
     }
 
-    fn extract(&self, machines: Vec<SampleSort>, _metrics: &Metrics) -> Vec<Vec<u64>> {
-        machines.into_iter().map(|m| m.output).collect()
+    fn extract(&self, machines: Vec<Staged<SampleSort, 0>>, _metrics: &Metrics) -> Vec<Vec<u64>> {
+        machines
+            .into_iter()
+            .map(|m| m.into_inner().output)
+            .collect()
     }
 }
 

@@ -13,6 +13,7 @@
 
 use crate::kmachine::{run_kmachine_triangles, KmTriangle, TriConfig};
 use km_core::clique::{clique_config, home_of_vertex};
+use km_core::router::Staged;
 use km_core::NetConfig;
 use km_graph::ids::Triangle;
 use km_graph::{CsrGraph, DistGraphBuilder, Partition};
@@ -28,7 +29,7 @@ pub fn identity_partition(n: usize) -> Partition {
 
 /// Builds the `n` machines of the congested-clique protocol
 /// (the Theorem 5 machines under the identity placement).
-pub fn build_clique_machines(g: &CsrGraph) -> Vec<KmTriangle> {
+pub fn build_clique_machines(g: &CsrGraph) -> Vec<Staged<KmTriangle, 0>> {
     let part = Arc::new(identity_partition(g.n()));
     // Degree threshold n is unreachable (max degree n−1): in the clique
     // every machine hosts one vertex and ships its own canonical edges,

@@ -22,11 +22,13 @@
 //! a shared coin) — this is what removes the `Δ/k` term from the runtime.
 //!
 //! Phases are separated by the same FIFO flush barrier as the PageRank
-//! protocol (drift ≤ 1 phase, messages carry their phase tag).
+//! protocol: one [`Staged`] stage per phase, messages tagged with the
+//! phase number.
 
+use km_core::router::{Staged, Stages};
 use km_core::{
-    id_bits, run_algorithm, BitReader, BitWriter, CodecError, Envelope, KmAlgorithm, Metrics,
-    NetConfig, Outbox, Protocol, RoundCtx, Runner, Status, WireCodec, WireSize,
+    id_bits, run_algorithm, BitReader, BitWriter, CodecError, KmAlgorithm, Metrics, NetConfig,
+    Outbox, RoundCtx, Runner, WireCodec, WireSize,
 };
 use km_core::{rng::keyed_hash, MachineIdx};
 use km_graph::dist::EdgeListAdjacency;
@@ -317,10 +319,6 @@ pub struct KmTriangle {
     proxy_edges: Vec<Edge>,
     /// Edges received for my triplet.
     recv_edges: BTreeSet<Edge>,
-    phase: u8,
-    flushes: usize,
-    pending: Vec<TriMsg>,
-    finished: bool,
     /// Triangles this machine enumerated (exactly the triangles whose
     /// color multiset equals this machine's triplet).
     pub triangles: Vec<Triangle>,
@@ -332,7 +330,7 @@ pub struct KmTriangle {
 impl KmTriangle {
     /// Builds one protocol instance per machine from the distributed
     /// input (the Section 1.1 shape).
-    pub fn build_all(dist: DistGraph, cfg: TriConfig) -> Vec<KmTriangle> {
+    pub fn build_all(dist: DistGraph, cfg: TriConfig) -> Vec<Staged<KmTriangle, 0>> {
         let (n, k) = (dist.n(), dist.k());
         let scheme = ColorScheme::for_machines(k);
         let threshold = cfg
@@ -340,21 +338,19 @@ impl KmTriangle {
             .unwrap_or_else(|| (2.0 * k as f64 * (n.max(2) as f64).log2()).ceil() as usize);
         dist.into_locals()
             .into_iter()
-            .map(|lg| KmTriangle {
-                n,
-                lg,
-                scheme: scheme.clone(),
-                threshold,
-                cfg,
-                hd: BTreeSet::new(),
-                proxy_edges: Vec::new(),
-                recv_edges: BTreeSet::new(),
-                phase: 0,
-                flushes: 0,
-                pending: Vec::new(),
-                finished: false,
-                triangles: Vec::new(),
-                open_triads: Vec::new(),
+            .map(|lg| {
+                Staged::new(KmTriangle {
+                    n,
+                    lg,
+                    scheme: scheme.clone(),
+                    threshold,
+                    cfg,
+                    hd: BTreeSet::new(),
+                    proxy_edges: Vec::new(),
+                    recv_edges: BTreeSet::new(),
+                    triangles: Vec::new(),
+                    open_triads: Vec::new(),
+                })
             })
             .collect()
     }
@@ -362,19 +358,6 @@ impl KmTriangle {
     /// The shared color scheme (for tests and experiments).
     pub fn scheme(&self) -> &ColorScheme {
         &self.scheme
-    }
-
-    fn apply(&mut self, msg: &TriMsg) {
-        match msg.payload {
-            TriPayload::HdRequest { v } => {
-                self.hd.insert(v);
-            }
-            TriPayload::ToProxy { e } => self.proxy_edges.push(e),
-            TriPayload::ToMachine { e } => {
-                self.recv_edges.insert(e);
-            }
-            TriPayload::Flush => self.flushes += 1,
-        }
     }
 
     /// Phase 0: broadcast designation requests for high-degree vertices.
@@ -385,7 +368,6 @@ impl KmTriangle {
                 out.broadcast(ctx.me, TriMsg::hd(self.n, 0, v));
             }
         }
-        out.broadcast(ctx.me, TriMsg::flush(0));
     }
 
     /// The machine responsible for shipping edge `e` to its proxy,
@@ -444,7 +426,6 @@ impl KmTriangle {
                 }
             }
         }
-        out.broadcast(ctx.me, TriMsg::flush(1));
     }
 
     /// Phase 2: as a proxy, re-route each edge to the machines whose
@@ -463,11 +444,11 @@ impl KmTriangle {
                 }
             }
         }
-        out.broadcast(ctx.me, TriMsg::flush(2));
     }
 
-    /// Phase 3: local enumeration over the received edges.
-    fn phase3(&mut self, ctx: &mut RoundCtx<'_>) {
+    /// Phase 3 (no messages, so not a stage): local enumeration over the
+    /// received edges.
+    fn phase3(&mut self, ctx: &RoundCtx<'_>) {
         let shared = ctx.shared_seed;
         let Some(mine) = self.scheme.triplet_of(ctx.me) else {
             return; // machines beyond the triplet count only proxied
@@ -487,61 +468,61 @@ impl KmTriangle {
             self.open_triads = enumerate_triads_within(&self.recv_edges, accept);
         }
     }
-
-    fn maybe_advance(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<TriMsg>) {
-        while !self.finished && self.flushes == ctx.k - 1 {
-            self.flushes = 0;
-            self.phase += 1;
-            let pending = std::mem::take(&mut self.pending);
-            for msg in &pending {
-                debug_assert_eq!(msg.phase, self.phase, "phase drift exceeded 1");
-                self.apply(msg);
-            }
-            match self.phase {
-                1 => self.phase1(ctx, out),
-                2 => self.phase2(ctx, out),
-                3 => {
-                    self.phase3(ctx);
-                    self.finished = true;
-                }
-                // lint: allow(panic) — the phase counter is bounded by the protocol's round schedule
-                p => unreachable!("no phase {p}"),
-            }
-        }
-    }
 }
 
-impl Protocol for KmTriangle {
+/// Three stages tagged 0–2 with nothing to aggregate: the flush is a
+/// bare marker.
+impl Stages<0> for KmTriangle {
     type Msg = TriMsg;
 
-    fn round(
+    fn tag(msg: &TriMsg) -> u8 {
+        msg.phase
+    }
+
+    fn tag_of_stage(stage: u64) -> u8 {
+        stage as u8
+    }
+
+    fn flush(&self, tag: u8, []: [u64; 0]) -> TriMsg {
+        TriMsg::flush(tag)
+    }
+
+    fn apply(
         &mut self,
-        ctx: &mut RoundCtx<'_>,
-        inbox: &mut Vec<Envelope<TriMsg>>,
-        out: &mut Outbox<TriMsg>,
-    ) -> Status {
-        if ctx.round == 0 {
-            self.phase0(ctx, out);
-            self.maybe_advance(ctx, out); // k == 1 runs everything inline
-            return if self.finished {
-                Status::Done
-            } else {
-                Status::Active
-            };
-        }
-        for env in inbox.drain(..) {
-            if env.msg.phase == self.phase {
-                self.apply(&env.msg);
-            } else {
-                self.pending.push(env.msg);
+        _ctx: &mut RoundCtx<'_>,
+        _src: MachineIdx,
+        msg: TriMsg,
+    ) -> Option<[u64; 0]> {
+        match msg.payload {
+            TriPayload::HdRequest { v } => {
+                self.hd.insert(v);
             }
+            TriPayload::ToProxy { e } => self.proxy_edges.push(e),
+            TriPayload::ToMachine { e } => {
+                self.recv_edges.insert(e);
+            }
+            TriPayload::Flush => return Some([]),
         }
-        self.maybe_advance(ctx, out);
-        if self.finished {
-            Status::Done
-        } else {
-            Status::Active
+        None
+    }
+
+    fn enter(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<TriMsg>, tag: u8) -> [u64; 0] {
+        match tag {
+            0 => self.phase0(ctx, out),
+            1 => self.phase1(ctx, out),
+            _ => self.phase2(ctx, out),
         }
+        []
+    }
+
+    /// After the phase-2 barrier every edge is at its triplet machines:
+    /// enumerate locally, done.
+    fn complete(&mut self, ctx: &mut RoundCtx<'_>, tag: u8, []: [u64; 0]) -> bool {
+        if tag < 2 {
+            return true;
+        }
+        self.phase3(ctx);
+        false
     }
 }
 
@@ -627,10 +608,10 @@ pub struct DistributedTriangles<'a> {
 }
 
 impl KmAlgorithm for DistributedTriangles<'_> {
-    type Machine = KmTriangle;
+    type Machine = Staged<KmTriangle, 0>;
     type Output = TriangleOutput;
 
-    fn build(&self, k: usize) -> Vec<KmTriangle> {
+    fn build(&self, k: usize) -> Vec<Staged<KmTriangle, 0>> {
         assert_eq!(self.part.k(), k, "partition k must match the network k");
         KmTriangle::build_all(
             DistGraphBuilder::new(self.part).undirected(self.g),
@@ -638,15 +619,15 @@ impl KmAlgorithm for DistributedTriangles<'_> {
         )
     }
 
-    fn extract(&self, machines: Vec<KmTriangle>, _metrics: &Metrics) -> TriangleOutput {
+    fn extract(&self, machines: Vec<Staged<KmTriangle, 0>>, _metrics: &Metrics) -> TriangleOutput {
         let mut triangles: Vec<Triangle> = machines
             .iter()
-            .flat_map(|m| m.triangles.iter().copied())
+            .flat_map(|m| m.inner().triangles.iter().copied())
             .collect();
         triangles.sort_unstable();
         let mut open_triads: Vec<(Vertex, Vertex, Vertex)> = machines
             .iter()
-            .flat_map(|m| m.open_triads.iter().copied())
+            .flat_map(|m| m.inner().open_triads.iter().copied())
             .collect();
         open_triads.sort_unstable();
         TriangleOutput {
@@ -757,7 +738,7 @@ mod tests {
         let report = Runner::new(net(k, 45, 5)).run(machines).unwrap();
         let mut seen = BTreeSet::new();
         for m in &report.machines {
-            for t in &m.triangles {
+            for t in &m.inner().triangles {
                 assert!(seen.insert(*t), "triangle {t:?} reported twice");
             }
         }
@@ -784,13 +765,13 @@ mod tests {
         let mut all: Vec<Triangle> = report
             .machines
             .iter()
-            .flat_map(|m| m.triangles.iter().copied())
+            .flat_map(|m| m.inner().triangles.iter().copied())
             .collect();
         all.sort_unstable();
         assert_eq!(all, vec![Triangle::new(0, 1, 2)]);
         // The HD set must have propagated to every machine.
         for m in &report.machines {
-            assert!(m.hd.contains(&0));
+            assert!(m.inner().hd.contains(&0));
         }
     }
 
@@ -810,7 +791,7 @@ mod tests {
         let mut got: Vec<(Vertex, Vertex, Vertex)> = report
             .machines
             .iter()
-            .flat_map(|m| m.open_triads.iter().copied())
+            .flat_map(|m| m.inner().open_triads.iter().copied())
             .collect();
         got.sort_unstable();
         let want = crate::triads::enumerate_open_triads(&g);
@@ -850,7 +831,7 @@ mod tests {
             .unwrap();
         assert_eq!(seq.metrics, par.metrics);
         for (a, b) in seq.machines.iter().zip(&par.machines) {
-            assert_eq!(a.triangles, b.triangles);
+            assert_eq!(a.inner().triangles, b.inner().triangles);
         }
     }
 

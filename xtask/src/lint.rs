@@ -13,7 +13,9 @@
 //! 3. **wire-roundtrip** — every named `impl WireCodec for T` has a
 //!    round-trip test whose name mentions the type.
 //! 4. **doc-integrity** — backticked file paths and `KM_*` knobs in
-//!    the top-level docs resolve, and CHANGES.md stays newest-first.
+//!    the top-level docs resolve, as do the file paths and `*.md`
+//!    names rustdoc comments under `crates/` and `src/` cite, and
+//!    CHANGES.md stays newest-first.
 
 use crate::scan::{rs_files_under, RsFile};
 use std::collections::BTreeMap;
@@ -40,7 +42,7 @@ impl std::fmt::Display for Violation {
 /// The most annotated panic sites rule 1 accepts — a ratchet: it is
 /// the count the tool reported when last committed, so the number can
 /// only go down. A PR that removes sites lowers it to the new count.
-pub const PANIC_ALLOW_BUDGET: usize = 34;
+pub const PANIC_ALLOW_BUDGET: usize = 32;
 
 const PANIC_TOKENS: &[&str] = &[
     ".unwrap()",
@@ -128,11 +130,16 @@ fn annotated(f: &RsFile, line_idx: usize, marker: &str) -> bool {
     here.contains(marker) || above.contains(marker)
 }
 
-/// True if `line[at]` starts `token` as its own token (not a suffix of
-/// a longer identifier, e.g. `.unwrap()` inside `.unwrap_or()` can't
-/// happen, but `panic!` inside `dont_panic!` could).
-fn token_at(line: &str, at: usize) -> bool {
-    at == 0 || !line.as_bytes()[at - 1].is_ascii_alphanumeric() && line.as_bytes()[at - 1] != b'_'
+/// True if `token`, found at `line[at]`, stands as its own token there.
+/// A token that begins with an identifier character must not continue
+/// a longer identifier (`panic!` inside `dont_panic!`); one that begins
+/// with punctuation (`.unwrap()`, `.expect(`) is a token wherever it
+/// is found — `x.unwrap()` is the common spelling, not an exception.
+fn token_at(line: &str, at: usize, token: &str) -> bool {
+    let ident = |c: u8| c.is_ascii_alphanumeric() || c == b'_';
+    !token.starts_with(|c: char| c.is_ascii() && ident(c as u8))
+        || at == 0
+        || !ident(line.as_bytes()[at - 1])
 }
 
 /// Returns the number of annotated sites it accepted.
@@ -150,7 +157,7 @@ fn panic_rule(files: &[RsFile], out: &mut Vec<Violation>) -> usize {
                 let Some(at) = code.find(token) else {
                     continue;
                 };
-                if !token_at(code, at) {
+                if !token_at(code, at, token) {
                     continue;
                 }
                 if annotated(f, i, "lint: allow(panic)") {
@@ -192,7 +199,7 @@ fn hash_rule(files: &[RsFile], out: &mut Vec<Violation>) {
                     .as_bytes()
                     .get(end)
                     .is_none_or(|c| !c.is_ascii_alphanumeric() && *c != b'_');
-                if !token_at(code, at) || !tail_ok {
+                if !token_at(code, at, token) || !tail_ok {
                     continue;
                 }
                 if annotated(f, i, "lint: allow(hash-iter)") {
@@ -317,10 +324,12 @@ fn changes_entry(line: &str) -> Option<(String, u64)> {
     Some((date.to_owned(), pr))
 }
 
+fn is_path_char(c: char) -> bool {
+    c.is_ascii_alphanumeric() || "_./-".contains(c)
+}
+
 fn looks_like_path(token: &str) -> bool {
-    let charset = token
-        .chars()
-        .all(|c| c.is_ascii_alphanumeric() || "_./-".contains(c));
+    let charset = token.chars().all(is_path_char);
     // A known extension, or a first segment naming a repo directory —
     // bare `a/b` alone is too path-like to trust (`n/k` is math).
     let known_ext = [".md", ".rs", ".toml", ".json", ".yml", ".lock"]
@@ -346,6 +355,30 @@ fn looks_like_path(token: &str) -> bool {
         && !token.contains("..")
 }
 
+/// The files a rustdoc line (`//!` or `///`) cites: backticked
+/// path-like spans, plus bare `*.md` words — `EXPERIMENTS.md` was cited
+/// unquoted for a dozen PRs without ever existing.
+fn rustdoc_refs(line: &str) -> Vec<&str> {
+    let Some(doc) = line
+        .trim_start()
+        .strip_prefix("//!")
+        .or_else(|| line.trim_start().strip_prefix("///"))
+    else {
+        return Vec::new();
+    };
+    let mut refs: Vec<&str> = backtick_spans(doc)
+        .into_iter()
+        .filter(|t| looks_like_path(t))
+        .collect();
+    for word in doc.split(|c: char| !is_path_char(c)) {
+        let word = word.trim_end_matches('.');
+        if word.ends_with(".md") && looks_like_path(word) && !refs.contains(&word) {
+            refs.push(word);
+        }
+    }
+    refs
+}
+
 fn doc_rule(root: &Path, files: &[RsFile], out: &mut Vec<Violation>) {
     // All library source, concatenated, for `KM_*` knob resolution.
     let mut all_code = String::new();
@@ -353,6 +386,29 @@ fn doc_rule(root: &Path, files: &[RsFile], out: &mut Vec<Violation>) {
         for l in &f.raw_lines {
             all_code.push_str(l);
             all_code.push('\n');
+        }
+        if !(f.rel.starts_with("crates/") || f.rel.starts_with("src/")) {
+            continue;
+        }
+        // A rustdoc may cite a file from the repo root, from its own
+        // crate (`tests/x.rs`), or from its own directory (`mod.rs`).
+        let here = Path::new(&f.rel).parent().unwrap_or(Path::new(""));
+        let bases = [
+            root.to_path_buf(),
+            root.join("crates").join(crate_of(&f.rel)),
+            root.join(here),
+        ];
+        for (i, line) in f.raw_lines.iter().enumerate() {
+            for token in rustdoc_refs(line) {
+                if !bases.iter().any(|b| b.join(token).exists()) {
+                    out.push(Violation {
+                        rule: "doc-integrity",
+                        file: f.rel.clone(),
+                        line: i + 1,
+                        msg: format!("rustdoc cites `{token}`, which is not a file in the repo"),
+                    });
+                }
+            }
         }
     }
     for doc in ["README.md", "DESIGN.md", "ROADMAP.md", "CHANGES.md"] {
@@ -486,6 +542,43 @@ mod tests {
         assert_eq!(km_knob("KM_FAULTS=drop=0.3"), Some("KM_FAULTS"));
         assert_eq!(km_knob("RUST_LOG"), None);
         assert_eq!(km_knob("KM_engine"), None);
+    }
+
+    #[test]
+    fn panic_tokens_match_after_an_identifier_but_not_inside_one() {
+        let hit = |line: &str| {
+            PANIC_TOKENS
+                .iter()
+                .any(|t| line.find(t).is_some_and(|at| token_at(line, at, t)))
+        };
+        assert!(hit("let v = x.unwrap();"));
+        assert!(hit("let c = c.expect(\"all counts announced\");"));
+        assert!(hit("    .expect(\"line-leading\")"));
+        assert!(hit("foo().unwrap()"));
+        assert!(hit("panic!(\"boom\")"));
+        assert!(!hit("dont_panic!(\"fine\")"));
+        assert!(!hit("let v = x.unwrap_or(0);"));
+        assert!(!hit("let v = x.unwrap_or_default();"));
+    }
+
+    #[test]
+    fn rustdoc_refs_cover_bare_md_names_and_backticked_paths() {
+        assert_eq!(
+            rustdoc_refs("//! Regenerates every experiment table of EXPERIMENTS.md."),
+            vec!["EXPERIMENTS.md"]
+        );
+        assert_eq!(
+            rustdoc_refs("    /// see `crates/core/src/lib.rs` (and DESIGN.md, `n/k` rounds)"),
+            vec!["crates/core/src/lib.rs", "DESIGN.md"]
+        );
+        assert_eq!(
+            rustdoc_refs("/// `DESIGN.md` twice: DESIGN.md"),
+            vec!["DESIGN.md"]
+        );
+        // Only rustdoc: plain comments and code are someone else's job.
+        assert!(rustdoc_refs("// scratch note about NOTES.md").is_empty());
+        assert!(rustdoc_refs("let p = \"README.md\";").is_empty());
+        assert!(rustdoc_refs("/// `km_graph::stream`, `results/pinned/<id>.txt`").is_empty());
     }
 
     #[test]
