@@ -3,14 +3,15 @@
 
 use km_graph::generators::lower_bound_h::LowerBoundGraph;
 use km_graph::generators::{classic, gnp};
-use km_graph::Partition;
+use km_graph::{DiGraph, DistGraph, DistGraphBuilder, Partition};
 use km_pagerank::congest_baseline::run_congest_pagerank;
 use km_pagerank::kmachine::{bidirect, run_kmachine_pagerank};
-use km_pagerank::{max_relative_error, power_iteration, PrConfig};
-use km_repro::core::NetConfig;
+use km_pagerank::{l1_error, max_relative_error, power_iteration, KmPageRank, PrConfig};
+use km_repro::core::{NetConfig, Runner};
+use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 fn net(k: usize, n: usize, seed: u64) -> NetConfig {
     NetConfig::polylog(k, n, seed).max_rounds(10_000_000)
@@ -92,4 +93,65 @@ fn deterministic_across_engine_runs() {
     let (pr2, m2) = run();
     assert_eq!(pr1, pr2);
     assert_eq!(m1, m2);
+}
+
+/// The δ-accuracy sweep's fixed instance: bidirected `G(2000, 8/n)` under
+/// a hash partition over `k = 8`, with its power-iteration oracle.
+struct SweepInstance {
+    g: DiGraph,
+    dist: DistGraph,
+    cfg: PrConfig,
+    exact: Vec<f64>,
+}
+
+const SWEEP_N: usize = 2000;
+const SWEEP_K: usize = 8;
+
+fn sweep_instance() -> &'static SweepInstance {
+    static INSTANCE: OnceLock<SweepInstance> = OnceLock::new();
+    INSTANCE.get_or_init(|| {
+        let mut rng = ChaCha8Rng::seed_from_u64(2000);
+        let g = bidirect(&gnp(SWEEP_N, 8.0 / SWEEP_N as f64, &mut rng));
+        let part = Arc::new(Partition::by_hash(SWEEP_N, SWEEP_K, 17));
+        let dist = DistGraphBuilder::new(&part).directed(&g);
+        let cfg = PrConfig::paper(SWEEP_N, 0.15, 4.0);
+        let exact = power_iteration(&g, cfg.reset_prob, 1e-13, 100_000);
+        SweepInstance {
+            g,
+            dist,
+            cfg,
+            exact,
+        }
+    })
+}
+
+/// L1 ceiling of the δ-accuracy sweep: 1.15 × the largest error the
+/// per-token sampler (one Bernoulli and one `gen_range` per token, the
+/// protocol as it stood when this guard was written) reached on
+/// `sweep_instance`. Its own sweep: 64 cases
+/// min 0.04368 / mean 0.04602 / max 0.04805; 256 cases (the CI depth)
+/// min 0.04368 / mean 0.04616 / max 0.04853, so 1.15 × 0.04853.
+const SWEEP_L1_MAX: f64 = 0.0558;
+
+proptest! {
+    /// Theorem 4's δ-approximation as a w.h.p. claim over the protocol's
+    /// randomness: whatever the net seed, Algorithm 1 ends with every
+    /// token dead and an estimate within a fixed L1 distance of the
+    /// power-iteration oracle. The ceiling is not re-tuned when the
+    /// sampler changes — it is what says the law did not.
+    #[test]
+    fn delta_accuracy_holds_across_net_seeds(seed in 0u64..1_000_000_000) {
+        let inst = sweep_instance();
+        let machines = KmPageRank::build_all(inst.dist.clone(), inst.cfg);
+        let report = Runner::new(net(SWEEP_K, SWEEP_N, seed)).run(machines).unwrap();
+        let mut pr = vec![0.0; inst.g.n()];
+        for m in &report.machines {
+            prop_assert_eq!(m.inner().held_tokens(), 0, "tokens left at termination");
+            for (v, est) in m.inner().output().estimates {
+                pr[v as usize] = est;
+            }
+        }
+        let l1 = l1_error(&pr, &inst.exact);
+        prop_assert!(l1 < SWEEP_L1_MAX, "L1 {l1:.5} at net seed {seed}");
+    }
 }
