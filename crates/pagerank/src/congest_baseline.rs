@@ -20,9 +20,8 @@ use km_core::router::{Staged, Stages};
 use km_core::{
     run_algorithm, KmAlgorithm, MachineIdx, Metrics, NetConfig, Outbox, RoundCtx, Runner,
 };
-use km_graph::{DiGraph, DistGraph, DistGraphBuilder, Partition, Vertex};
+use km_graph::{DiGraph, DistGraph, DistGraphBuilder, Partition};
 use rand::Rng;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One machine of the conversion-theorem baseline.
@@ -66,14 +65,16 @@ impl CongestPageRank {
 
     /// One iteration step; returns the number of surviving tokens.
     fn step(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<PrMsg>, parity: bool) -> u64 {
-        let me = ctx.me;
-        let n = self.st.g.global_n();
+        let LocalState { g, tokens, visits } = &mut self.st;
+        let n = g.global_n();
         let eps = self.cfg.reset_prob;
         let mut survivors_total = 0;
+        // Tokens per out-neighbor of the vertex at hand, by position.
+        let mut alpha_u: Vec<u64> = Vec::new();
         let mut staged_local: Vec<(usize, u64)> = Vec::new();
 
-        for j in 0..self.st.g.hosted() {
-            let t = std::mem::take(&mut self.st.tokens[j]);
+        for (j, held) in tokens.iter_mut().enumerate() {
+            let t = std::mem::take(held);
             if t == 0 {
                 continue;
             }
@@ -82,32 +83,32 @@ impl CongestPageRank {
             if live == 0 {
                 continue;
             }
-            let outs = self.st.g.neighbors(j);
+            let outs = g.neighbors(j);
             if outs.is_empty() {
                 continue;
             }
             survivors_total += live;
             // Per-vertex (per-edge) aggregation only: the CONGEST view.
-            let mut alpha_u: BTreeMap<Vertex, u64> = BTreeMap::new();
+            alpha_u.clear();
+            alpha_u.resize(outs.len(), 0);
             for _ in 0..live {
-                let v = outs[ctx.rng.gen_range(0..outs.len())];
-                *alpha_u.entry(v).or_insert(0) += 1;
+                alpha_u[ctx.rng.gen_range(0..outs.len())] += 1;
             }
-            for (v, c) in alpha_u {
-                let home = self.st.g.home(v);
-                if home == me {
-                    // lint: allow(panic) — home(v) == me implies v is hosted here
-                    let lj = self.st.g.local(v).expect("home(v) == me implies hosted");
-                    staged_local.push((lj, c));
-                } else {
+            // `outs` is sorted, so emission is ascending in `v`.
+            for (&v, &c) in outs.iter().zip(&alpha_u) {
+                if c == 0 {
+                    continue;
+                }
+                match g.local(v) {
+                    Some(lj) => staged_local.push((lj, c)),
                     // One message per (u, v) edge — no cross-vertex merge.
-                    out.send(home, PrMsg::count(n, parity, v, c));
+                    None => out.send(g.home(v), PrMsg::count(n, parity, v, c)),
                 }
             }
         }
         for (j, c) in staged_local {
-            self.st.tokens[j] += c;
-            self.st.visits[j] += c;
+            tokens[j] += c;
+            visits[j] += c;
         }
         self.iterations += 1;
         survivors_total
@@ -194,6 +195,7 @@ mod tests {
     use crate::kmachine::{bidirect, run_kmachine_pagerank};
     use crate::power_iteration::power_iteration;
     use km_graph::generators::classic;
+    use km_graph::Vertex;
 
     fn net(k: usize, n: usize, seed: u64) -> NetConfig {
         NetConfig::polylog(k, n, seed).max_rounds(2_000_000)

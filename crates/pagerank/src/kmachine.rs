@@ -39,7 +39,6 @@ use km_core::{
 };
 use km_graph::{DiGraph, DistGraph, DistGraphBuilder, LocalGraph, Partition, Vertex};
 use rand::Rng;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Message payload of Algorithm 1.
@@ -239,23 +238,58 @@ impl LocalState {
     /// Receives `count` tokens from heavy vertex `u`, each forwarded to a
     /// uniform hosted out-neighbor of `u` (lines 31–36 of Algorithm 1).
     pub fn arrive_from_heavy<R: Rng>(&mut self, rng: &mut R, u: Vertex, count: u64) {
-        let targets = self
-            .g
-            .host_targets(u)
-            // lint: allow(panic) — Heavy messages are only sent to machines hosting an out-neighbor of u
-            .expect("Heavy message but no hosted out-neighbor of u");
-        debug_assert!(!targets.is_empty());
-        for _ in 0..count {
-            let j = targets[rng.gen_range(0..targets.len())] as usize;
-            self.tokens[j] += 1;
-            self.visits[j] += 1;
-        }
+        let LocalState { g, tokens, visits } = self;
+        forward_heavy(g, rng, u, count, |j, c| {
+            tokens[j] += c;
+            visits[j] += c;
+        });
     }
 
     /// Total tokens currently held.
     pub fn held_tokens(&self) -> u64 {
         self.tokens.iter().sum()
     }
+}
+
+/// Forwards each of `count` tokens leaving heavy vertex `u` to a uniform
+/// out-neighbor of `u` hosted on `g`'s machine, handing `sink` the
+/// `(local index, tokens)` shares — the receiver's half of the heavy path,
+/// which the sender also runs on its own share.
+fn forward_heavy<R: Rng>(
+    g: &LocalGraph,
+    rng: &mut R,
+    u: Vertex,
+    count: u64,
+    mut sink: impl FnMut(usize, u64),
+) {
+    let targets = g
+        .host_targets(u)
+        // lint: allow(panic) — a Heavy count only ever goes to a machine hosting an out-neighbor of u
+        .expect("Heavy count but no hosted out-neighbor of u");
+    debug_assert!(!targets.is_empty());
+    for _ in 0..count {
+        sink(targets[rng.gen_range(0..targets.len())] as usize, 1);
+    }
+}
+
+/// Fills `hist` with heavy vertex `u`'s machine histogram
+/// `(n₁ᵤ, …, n_kᵤ)` in cumulative form: one `(cumulative count, machine)`
+/// entry per machine hosting an out-neighbor, ascending in machine.
+fn machine_histogram(g: &LocalGraph, outs: &[Vertex], hist: &mut Vec<(u64, MachineIdx)>) {
+    hist.clear();
+    hist.extend(outs.iter().map(|&v| (0, g.home(v))));
+    hist.sort_unstable_by_key(|&(_, m)| m);
+    for (i, entry) in hist.iter_mut().enumerate() {
+        entry.0 = i as u64 + 1;
+    }
+    // Keep each machine's last entry: its cumulative count.
+    hist.dedup_by(|later, kept| {
+        let same = later.1 == kept.1;
+        if same {
+            kept.0 = later.0;
+        }
+        same
+    });
 }
 
 /// One machine of Algorithm 1.
@@ -332,17 +366,21 @@ impl KmPageRank {
     /// heavy β-distribution. Returns the number of surviving tokens.
     fn step(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<PrMsg>, parity: bool) -> u64 {
         let me = ctx.me;
-        let n = self.st.g.global_n();
+        let LocalState { g, tokens, visits } = &mut self.st;
+        let n = g.global_n();
         let eps = self.cfg.reset_prob;
         let mut survivors_total: u64 = 0;
-        // α aggregated across all light vertices (BTreeMap: deterministic
-        // emission order, required for replayable transcripts).
-        let mut alpha: BTreeMap<Vertex, u64> = BTreeMap::new();
+        // Scratch lives for one step: retained in the machine it would be
+        // `k` resident copies of the run's largest step.
+        // α: one destination vertex per light token, counted after a sort.
+        let mut picks: Vec<Vertex> = Vec::new();
+        let mut hist: Vec<(u64, MachineIdx)> = Vec::new();
+        let mut beta = vec![0u64; ctx.k];
         // Locally-arriving tokens are staged so a token moves once per step.
         let mut staged_local: Vec<(usize, u64)> = Vec::new();
 
-        for j in 0..self.st.g.hosted() {
-            let t = std::mem::take(&mut self.st.tokens[j]);
+        for (j, held) in tokens.iter_mut().enumerate() {
+            let t = std::mem::take(held);
             if t == 0 {
                 continue;
             }
@@ -351,7 +389,7 @@ impl KmPageRank {
             if live == 0 {
                 continue;
             }
-            let outs = self.st.g.neighbors(j);
+            let outs = g.neighbors(j);
             if outs.is_empty() {
                 continue; // dangling vertex: survivors terminate too
             }
@@ -359,63 +397,45 @@ impl KmPageRank {
             if live < self.heavy_threshold {
                 // Light: per-token uniform neighbor, aggregated into α.
                 for _ in 0..live {
-                    let v = outs[ctx.rng.gen_range(0..outs.len())];
-                    *alpha.entry(v).or_insert(0) += 1;
+                    picks.push(outs[ctx.rng.gen_range(0..outs.len())]);
                 }
             } else {
                 // Heavy: sample a machine per token ∝ n_{j,u}/d_u.
-                let u = self.st.g.vertex(j);
-                let mut cum: Vec<(u64, usize)> = Vec::new(); // (cumulative, machine)
-                let mut machine_counts: BTreeMap<usize, u64> = BTreeMap::new();
-                for &v in outs {
-                    *machine_counts.entry(self.st.g.home(v)).or_insert(0) += 1;
-                }
-                let mut acc = 0;
-                for (&m, &c) in &machine_counts {
-                    acc += c;
-                    cum.push((acc, m));
-                }
-                let d = acc;
-                let mut beta: BTreeMap<usize, u64> = BTreeMap::new();
+                let u = g.vertex(j);
+                machine_histogram(g, outs, &mut hist);
+                let d = outs.len() as u64;
                 for _ in 0..live {
                     let x = ctx.rng.gen_range(0..d);
-                    let pos = cum.partition_point(|&(c, _)| c <= x);
-                    *beta.entry(cum[pos].1).or_insert(0) += 1;
+                    let pos = hist.partition_point(|&(c, _)| c <= x);
+                    beta[hist[pos].1] += 1;
                 }
-                for (&j_m, &c) in &beta {
-                    if j_m == me {
-                        // Our own share: forward to uniform hosted neighbors.
-                        let targets = self
-                            .st
-                            .g
-                            .host_targets(u)
-                            // lint: allow(panic) — this branch runs only when this machine hosts an out-neighbor of u
-                            .expect("heavy vertex with no hosted out-neighbor here");
-                        for _ in 0..c {
-                            let tj = targets[ctx.rng.gen_range(0..targets.len())] as usize;
-                            staged_local.push((tj, 1));
-                        }
+                for &(_, m) in &hist {
+                    let c = std::mem::take(&mut beta[m]);
+                    if c == 0 {
+                        continue;
+                    }
+                    if m == me {
+                        forward_heavy(g, ctx.rng, u, c, |tj, c| staged_local.push((tj, c)));
                     } else {
-                        out.send(j_m, PrMsg::heavy(n, parity, u, c));
+                        out.send(m, PrMsg::heavy(n, parity, u, c));
                     }
                 }
             }
         }
 
-        // Emit α messages (or deliver locally).
-        for (v, c) in alpha {
-            let home = self.st.g.home(v);
-            if home == me {
-                // lint: allow(panic) — home(v) == me implies v is hosted here
-                let j = self.st.g.local(v).expect("home(v) == me implies hosted");
-                staged_local.push((j, c));
-            } else {
-                out.send(home, PrMsg::count(n, parity, v, c));
+        // Emit α messages (or deliver locally), ascending in `v`: the
+        // deterministic order replayable transcripts need.
+        picks.sort_unstable();
+        for run in picks.chunk_by(|a, b| a == b) {
+            let (v, c) = (run[0], run.len() as u64);
+            match g.local(v) {
+                Some(j) => staged_local.push((j, c)),
+                None => out.send(g.home(v), PrMsg::count(n, parity, v, c)),
             }
         }
         for (j, c) in staged_local {
-            self.st.tokens[j] += c;
-            self.st.visits[j] += c;
+            tokens[j] += c;
+            visits[j] += c;
         }
 
         self.iterations += 1;
