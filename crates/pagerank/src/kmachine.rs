@@ -2,16 +2,28 @@
 //!
 //! Each machine holds a token counter per hosted vertex. Per iteration:
 //!
-//! 1. every token dies with probability `ε` (and at dangling vertices);
+//! 1. every token dies with probability `ε` (and at dangling vertices):
+//!    one `Binomial(t, ε)` draw per vertex holding `t` tokens;
 //! 2. **light** vertices (`< k` tokens): the machine samples a uniform
 //!    out-neighbor per token and aggregates counts *across all its hosted
 //!    light vertices* into one `⟨α[v], dest:v⟩` message per destination
 //!    vertex (lines 8–16 of Algorithm 1) — so any vertex receives at most
 //!    `k−1` messages per iteration no matter its degree;
-//! 3. **heavy** vertices (`≥ k` tokens): the machine samples a *machine*
-//!    per token from `(n₁ᵤ/dᵤ, …, n_kᵤ/dᵤ)` and sends one `⟨β[j], src:u⟩`
-//!    count per machine (lines 18–27); the receiver forwards each counted
-//!    token to a uniform hosted out-neighbor of `u` (lines 31–36).
+//! 3. **heavy** vertices (`≥ k` tokens): the machine draws the whole
+//!    vector `β` at once from the multinomial over `(n₁ᵤ/dᵤ, …, n_kᵤ/dᵤ)`
+//!    and sends one `⟨β[j], src:u⟩` count per machine (lines 18–27); the
+//!    receiver splits each count uniformly over its hosted out-neighbors
+//!    of `u` (lines 31–36), again as one multinomial draw — none at all
+//!    when it hosts a single one.
+//!
+//! **Sampling moves counts, not tokens.** The paper's messages are
+//! counts, so the sampler draws counts: `t` independent `ε`-coins have
+//! `Binomial(t, ε)` heads, and `t` independent picks from a distribution
+//! `q` have `Multinomial(t; q)` tallies — which `multinomial` draws as
+//! conditional binomials, cell by cell. The joint law of every `α`, `β`
+//! and visit counter is therefore exactly that of the token-by-token
+//! walk; only the number of RNG draws behind it differs (per vertex, not
+//! per token, on the heavy path that carries most tokens).
 //!
 //! Destinations of light messages are home machines of vertices, which
 //! under the random vertex partition are i.i.d. uniform — exactly the
@@ -177,18 +189,76 @@ impl WireCodec for PrMsg {
     }
 }
 
-/// Exact Binomial(`trials`, `p`) sample by Bernoulli trials.
+/// Trials one inversion walk covers. With `p ≤ ½` its starting mass
+/// `(1−p)ⁿ` is at least `2⁻⁵¹²`, far inside `f64`'s range, so hubs
+/// holding tens of thousands of tokens never underflow it.
+const INVERSION_CHUNK: u64 = 512;
+
+/// Exact Binomial(`trials`, `p`) sample by chunked inversion.
 ///
-/// Trials are bounded by the machine's token count (`O~(n/k)`), so the
-/// simple exact loop is both correct and fast enough at simulator scale.
+/// A vertex's `t` tokens each die with probability `ε`; only the *number*
+/// that die matters, and that number is `Binomial(t, ε)`. One uniform per
+/// chunk of at most [`INVERSION_CHUNK`] trials walks the chunk's cdf up
+/// from zero — `≈ np + 1` steps — and the chunks' independent counts add
+/// up to the whole binomial. `p > ½` counts failures instead, which keeps
+/// both the walk short and the starting mass large.
 pub(crate) fn binomial<R: Rng>(rng: &mut R, trials: u64, p: f64) -> u64 {
+    debug_assert!((0.0..=1.0).contains(&p), "binomial: p not in [0, 1]: {p}");
+    if p > 0.5 {
+        return trials - binomial(rng, trials, 1.0 - p);
+    }
+    if p <= 0.0 {
+        return 0;
+    }
+    let odds = p / (1.0 - p);
     let mut hits = 0;
-    for _ in 0..trials {
-        if rng.gen_bool(p) {
-            hits += 1;
+    let mut left = trials;
+    while left > 0 {
+        let n = left.min(INVERSION_CHUNK);
+        left -= n;
+        let mut mass = (1.0 - p).powi(n as i32);
+        let mut u: f64 = rng.gen();
+        let mut x = 0;
+        while u >= mass && x < n {
+            u -= mass;
+            x += 1;
+            mass *= odds * (n - x + 1) as f64 / x as f64;
         }
+        hits += x;
     }
     hits
+}
+
+/// One `Multinomial(total; w₁/W, …)` draw over cells of integer
+/// `weights` summing to `weight_sum`, as conditional binomials: each cell
+/// takes `Binomial(left, wᵢ / weight left)` of what the cells before it
+/// left over, and the last cell with weight takes the rest without a
+/// draw. `sink` gets `(cell, share)` for every non-zero share, in cell
+/// order; a zero-weight cell never gets one.
+pub(crate) fn multinomial<R: Rng>(
+    rng: &mut R,
+    total: u64,
+    weights: impl IntoIterator<Item = u64>,
+    weight_sum: u64,
+    mut sink: impl FnMut(usize, u64),
+) {
+    let (mut left, mut weight_left) = (total, weight_sum);
+    for (cell, w) in weights.into_iter().enumerate() {
+        if left == 0 {
+            break;
+        }
+        let share = if w == weight_left {
+            left
+        } else {
+            binomial(rng, left, w as f64 / weight_left as f64)
+        };
+        weight_left -= w;
+        left -= share;
+        if share > 0 {
+            sink(cell, share);
+        }
+    }
+    debug_assert_eq!(left, 0, "weights must sum to weight_sum");
 }
 
 /// The per-machine state shared by Algorithm 1 and the CONGEST baseline:
@@ -235,8 +305,8 @@ impl LocalState {
         self.visits[j] += count;
     }
 
-    /// Receives `count` tokens from heavy vertex `u`, each forwarded to a
-    /// uniform hosted out-neighbor of `u` (lines 31–36 of Algorithm 1).
+    /// Receives `count` tokens from heavy vertex `u`, split uniformly over
+    /// the hosted out-neighbors of `u` (lines 31–36 of Algorithm 1).
     pub fn arrive_from_heavy<R: Rng>(&mut self, rng: &mut R, u: Vertex, count: u64) {
         let LocalState { g, tokens, visits } = self;
         forward_heavy(g, rng, u, count, |j, c| {
@@ -251,10 +321,11 @@ impl LocalState {
     }
 }
 
-/// Forwards each of `count` tokens leaving heavy vertex `u` to a uniform
-/// out-neighbor of `u` hosted on `g`'s machine, handing `sink` the
+/// Splits `count` tokens leaving heavy vertex `u` uniformly over the
+/// out-neighbors of `u` hosted on `g`'s machine, handing `sink` the
 /// `(local index, tokens)` shares — the receiver's half of the heavy path,
-/// which the sender also runs on its own share.
+/// which the sender also runs on its own share. A single hosted
+/// out-neighbor takes the whole count and costs no draw.
 fn forward_heavy<R: Rng>(
     g: &LocalGraph,
     rng: &mut R,
@@ -266,27 +337,27 @@ fn forward_heavy<R: Rng>(
         .host_targets(u)
         // lint: allow(panic) — a Heavy count only ever goes to a machine hosting an out-neighbor of u
         .expect("Heavy count but no hosted out-neighbor of u");
-    debug_assert!(!targets.is_empty());
-    for _ in 0..count {
-        sink(targets[rng.gen_range(0..targets.len())] as usize, 1);
-    }
+    let cells = targets.len();
+    multinomial(
+        rng,
+        count,
+        std::iter::repeat_n(1, cells),
+        cells as u64,
+        |i, share| sink(targets[i] as usize, share),
+    );
 }
 
 /// Fills `hist` with heavy vertex `u`'s machine histogram
-/// `(n₁ᵤ, …, n_kᵤ)` in cumulative form: one `(cumulative count, machine)`
-/// entry per machine hosting an out-neighbor, ascending in machine.
+/// `(n₁ᵤ, …, n_kᵤ)`: one `(out-neighbors hosted, machine)` entry per
+/// machine hosting any, ascending in machine.
 fn machine_histogram(g: &LocalGraph, outs: &[Vertex], hist: &mut Vec<(u64, MachineIdx)>) {
     hist.clear();
-    hist.extend(outs.iter().map(|&v| (0, g.home(v))));
+    hist.extend(outs.iter().map(|&v| (1, g.home(v))));
     hist.sort_unstable_by_key(|&(_, m)| m);
-    for (i, entry) in hist.iter_mut().enumerate() {
-        entry.0 = i as u64 + 1;
-    }
-    // Keep each machine's last entry: its cumulative count.
     hist.dedup_by(|later, kept| {
         let same = later.1 == kept.1;
         if same {
-            kept.0 = later.0;
+            kept.0 += later.0;
         }
         same
     });
@@ -364,6 +435,10 @@ impl KmPageRank {
 
     /// Runs one iteration step: termination sampling, light α-aggregation,
     /// heavy β-distribution. Returns the number of surviving tokens.
+    ///
+    /// How many RNG draws a step makes is part of the transcript: it is
+    /// the same on every engine, and changing it re-pins the tables that
+    /// run this protocol.
     fn step(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<PrMsg>, parity: bool) -> u64 {
         let me = ctx.me;
         let LocalState { g, tokens, visits } = &mut self.st;
@@ -375,7 +450,6 @@ impl KmPageRank {
         // α: one destination vertex per light token, counted after a sort.
         let mut picks: Vec<Vertex> = Vec::new();
         let mut hist: Vec<(u64, MachineIdx)> = Vec::new();
-        let mut beta = vec![0u64; ctx.k];
         // Locally-arriving tokens are staged so a token moves once per step.
         let mut staged_local: Vec<(usize, u64)> = Vec::new();
 
@@ -400,25 +474,23 @@ impl KmPageRank {
                     picks.push(outs[ctx.rng.gen_range(0..outs.len())]);
                 }
             } else {
-                // Heavy: sample a machine per token ∝ n_{j,u}/d_u.
+                // Heavy: β ~ Multinomial(live; n_{j,u}/d_u), one message
+                // per machine, ascending.
                 let u = g.vertex(j);
                 machine_histogram(g, outs, &mut hist);
-                let d = outs.len() as u64;
-                for _ in 0..live {
-                    let x = ctx.rng.gen_range(0..d);
-                    let pos = hist.partition_point(|&(c, _)| c <= x);
-                    beta[hist[pos].1] += 1;
-                }
-                for &(_, m) in &hist {
-                    let c = std::mem::take(&mut beta[m]);
-                    if c == 0 {
-                        continue;
-                    }
-                    if m == me {
-                        forward_heavy(g, ctx.rng, u, c, |tj, c| staged_local.push((tj, c)));
-                    } else {
-                        out.send(m, PrMsg::heavy(n, parity, u, c));
-                    }
+                let mut own = 0;
+                multinomial(
+                    ctx.rng,
+                    live,
+                    hist.iter().map(|&(c, _)| c),
+                    outs.len() as u64,
+                    |cell, share| match hist[cell].1 {
+                        m if m == me => own = share,
+                        m => out.send(m, PrMsg::heavy(n, parity, u, share)),
+                    },
+                );
+                if own > 0 {
+                    forward_heavy(g, ctx.rng, u, own, |tj, c| staged_local.push((tj, c)));
                 }
             }
         }
@@ -605,17 +677,186 @@ mod tests {
         DistGraphBuilder::new(part).directed(g)
     }
 
-    #[test]
-    fn binomial_is_plausible() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut total = 0;
-        for _ in 0..200 {
-            total += binomial(&mut rng, 100, 0.3);
+    /// Pearson's statistic of `observed` against `expected`, neighbouring
+    /// cells pooled until each expects at least five, with its degrees of
+    /// freedom.
+    fn chi_square(observed: &[u64], expected: &[f64]) -> (f64, usize) {
+        assert_eq!(observed.len(), expected.len());
+        let mut cells: Vec<(f64, f64)> = Vec::new();
+        let (mut o_acc, mut e_acc) = (0.0, 0.0);
+        for (&o, &e) in observed.iter().zip(expected) {
+            o_acc += o as f64;
+            e_acc += e;
+            if e_acc >= 5.0 {
+                cells.push((o_acc, e_acc));
+                (o_acc, e_acc) = (0.0, 0.0);
+            }
         }
-        let mean = total as f64 / 200.0;
-        assert!((mean - 30.0).abs() < 3.0, "mean {mean}");
+        match cells.last_mut() {
+            Some(last) => {
+                last.0 += o_acc;
+                last.1 += e_acc;
+            }
+            None => cells.push((o_acc, e_acc)),
+        }
+        let stat = cells.iter().map(|&(o, e)| (o - e) * (o - e) / e).sum();
+        (stat, cells.len() - 1)
+    }
+
+    /// Upper 0.1 % point of χ² with `df` degrees of freedom
+    /// (Wilson–Hilferty; a little generous at small `df`).
+    fn chi_square_critical(df: usize) -> f64 {
+        let v = 2.0 / (9.0 * df as f64);
+        df as f64 * (1.0 - v + 3.09 * v.sqrt()).powi(3)
+    }
+
+    fn assert_fits(observed: &[u64], expected: &[f64], what: &str) {
+        let (stat, df) = chi_square(observed, expected);
+        assert!(df >= 1, "{what}: nothing to compare");
+        let critical = chi_square_critical(df);
+        assert!(
+            stat < critical,
+            "{what}: chi-square {stat:.1} ≥ {critical:.1} at {df} degrees of freedom"
+        );
+    }
+
+    /// The exact Binomial(`n`, `p`) pmf over `0..=n`, by the log-space
+    /// recurrence (no `q^n` to underflow at `n` = 30 000).
+    fn binomial_pmf(n: u64, p: f64) -> Vec<f64> {
+        let log_odds = (p / (1.0 - p)).ln();
+        let mut log_mass = n as f64 * (1.0 - p).ln();
+        let mut pmf = vec![log_mass.exp()];
+        for x in 1..=n {
+            log_mass += log_odds + ((n - x + 1) as f64 / x as f64).ln();
+            pmf.push(log_mass.exp());
+        }
+        pmf
+    }
+
+    #[test]
+    fn binomial_fits_the_exact_pmf() {
+        const DRAWS: u64 = 20_000;
+        let cases = [
+            (1, 0.15),
+            (15, 0.15),
+            (63, 0.15),
+            (63, 0.85),
+            (5_000, 0.15),
+            (30_000, 0.3),
+        ];
+        for (i, &(n, p)) in cases.iter().enumerate() {
+            let mut rng = ChaCha8Rng::seed_from_u64(100 + i as u64);
+            let mut observed = vec![0u64; n as usize + 1];
+            for _ in 0..DRAWS {
+                observed[binomial(&mut rng, n, p) as usize] += 1;
+            }
+            let expected: Vec<f64> = binomial_pmf(n, p)
+                .iter()
+                .map(|&mass| mass * DRAWS as f64)
+                .collect();
+            assert_fits(&observed, &expected, &format!("Binomial({n}, {p})"));
+        }
+    }
+
+    #[test]
+    fn binomial_edges() {
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        for trials in [0, 1, 50, 513, 30_000] {
+            assert_eq!(binomial(&mut rng, trials, 0.0), 0);
+            assert_eq!(binomial(&mut rng, trials, 1.0), trials);
+            assert_eq!(binomial(&mut rng, trials, 1.0 - f64::EPSILON), trials);
+            assert!(binomial(&mut rng, trials, 0.5) <= trials);
+        }
         assert_eq!(binomial(&mut rng, 0, 0.5), 0);
-        assert_eq!(binomial(&mut rng, 50, 1.0 - f64::EPSILON), 50);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn multinomial_conserves_and_respects_zero_weights(
+            weights in proptest::collection::vec(0u64..6, 1..9),
+            total in 0u64..5_000,
+            seed in 0u64..1_000_000,
+        ) {
+            let weight_sum: u64 = weights.iter().sum();
+            proptest::prop_assume!(weight_sum > 0);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut shares = vec![0u64; weights.len()];
+            multinomial(&mut rng, total, weights.iter().copied(), weight_sum, |cell, share| {
+                assert!(share > 0, "the sink only sees non-zero shares");
+                assert_eq!(shares[cell], 0, "one share per cell");
+                shares[cell] = share;
+            });
+            proptest::prop_assert_eq!(shares.iter().sum::<u64>(), total);
+            for (&w, &share) in weights.iter().zip(&shares) {
+                if w == 0 {
+                    proptest::prop_assert_eq!(share, 0, "zero-weight cell got tokens");
+                }
+                if w == weight_sum {
+                    proptest::prop_assert_eq!(share, total, "the only weighted cell gets everything");
+                }
+            }
+        }
+    }
+
+    /// `k = 2`, round-robin: heavy vertex 0 (machine 0) has five
+    /// out-neighbors on machine 1 and two on its own machine; 6 and 8 are
+    /// nobody's out-neighbor. Every other vertex is dangling.
+    fn same_machine_fan() -> (DiGraph, Arc<Partition>) {
+        let arcs: Vec<(Vertex, Vertex)> = [1, 3, 5, 7, 9, 2, 4].map(|v| (0, v)).to_vec();
+        (
+            DiGraph::from_arcs(10, &arcs),
+            Arc::new(Partition::round_robin(10, 2)),
+        )
+    }
+
+    #[test]
+    fn heavy_count_splits_uniformly_over_same_machine_targets() {
+        // The receiver's half on its own: one Heavy count, five targets.
+        let (g, part) = same_machine_fan();
+        let cfg = PrConfig {
+            reset_prob: 0.15,
+            tokens_per_vertex: 0,
+        };
+        let mut remote = LocalState::build_all(dist(&g, &part), &cfg).remove(1);
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut sent = 0;
+        for count in (0..4_000).map(|i| i % 23) {
+            remote.arrive_from_heavy(&mut rng, 0, count);
+            sent += count;
+            assert_eq!(remote.held_tokens(), sent, "a Heavy count is conserved");
+        }
+        assert_eq!(remote.tokens, remote.visits);
+        // Machine 1 hosts 1, 3, 5, 7, 9 and all five are targets of 0.
+        assert_fits(&remote.tokens, &[sent as f64 / 5.0; 5], "receiver split");
+    }
+
+    #[test]
+    fn heavy_vertex_reaches_every_out_neighbor_uniformly() {
+        // Sender's β over two machines, its own two-target share and the
+        // receiver's five-target split, end to end: vertex 0's survivors
+        // land uniformly on its seven out-neighbors and nowhere else.
+        let (g, part) = same_machine_fan();
+        let cfg = PrConfig {
+            reset_prob: 0.15,
+            tokens_per_vertex: 40_000,
+        };
+        let machines = KmPageRank::build_all(dist(&g, &part), cfg);
+        let report = Runner::new(net(2, 10, 9)).run(machines).unwrap();
+        let mut arrived = [0u64; 10];
+        for m in &report.machines {
+            assert_eq!(m.inner().held_tokens(), 0);
+            for (v, psi) in m.inner().visits() {
+                arrived[v as usize] = psi - cfg.tokens_per_vertex;
+            }
+        }
+        for v in [0, 6, 8] {
+            assert_eq!(arrived[v], 0, "vertex {v} is nobody's out-neighbor");
+        }
+        let targets = [1, 2, 3, 4, 5, 7, 9].map(|v| arrived[v]);
+        let survivors: u64 = targets.iter().sum();
+        // Binomial(40 000, 0.85): mean 34 000, σ ≈ 71.
+        assert!((33_500..=34_500).contains(&survivors), "{survivors}");
+        assert_fits(&targets, &[survivors as f64 / 7.0; 7], "seven targets");
     }
 
     #[test]
