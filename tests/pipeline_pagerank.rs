@@ -3,7 +3,7 @@
 
 use km_graph::generators::lower_bound_h::LowerBoundGraph;
 use km_graph::generators::{classic, gnp};
-use km_graph::{DiGraph, DistGraph, DistGraphBuilder, Partition};
+use km_graph::{DistGraph, DistGraphBuilder, Partition};
 use km_pagerank::congest_baseline::run_congest_pagerank;
 use km_pagerank::kmachine::{bidirect, run_kmachine_pagerank};
 use km_pagerank::{l1_error, max_relative_error, power_iteration, KmPageRank, PrConfig};
@@ -98,7 +98,6 @@ fn deterministic_across_engine_runs() {
 /// The δ-accuracy sweep's fixed instance: bidirected `G(2000, 8/n)` under
 /// a hash partition over `k = 8`, with its power-iteration oracle.
 struct SweepInstance {
-    g: DiGraph,
     dist: DistGraph,
     cfg: PrConfig,
     exact: Vec<f64>,
@@ -116,12 +115,7 @@ fn sweep_instance() -> &'static SweepInstance {
         let dist = DistGraphBuilder::new(&part).directed(&g);
         let cfg = PrConfig::paper(SWEEP_N, 0.15, 4.0);
         let exact = power_iteration(&g, cfg.reset_prob, 1e-13, 100_000);
-        SweepInstance {
-            g,
-            dist,
-            cfg,
-            exact,
-        }
+        SweepInstance { dist, cfg, exact }
     })
 }
 
@@ -144,7 +138,7 @@ proptest! {
         let inst = sweep_instance();
         let machines = KmPageRank::build_all(inst.dist.clone(), inst.cfg);
         let report = Runner::new(net(SWEEP_K, SWEEP_N, seed)).run(machines).unwrap();
-        let mut pr = vec![0.0; inst.g.n()];
+        let mut pr = vec![0.0; SWEEP_N];
         for m in &report.machines {
             prop_assert_eq!(m.inner().held_tokens(), 0, "tokens left at termination");
             for (v, est) in m.inner().output().estimates {
