@@ -122,9 +122,9 @@ fn sweep_instance() -> &'static SweepInstance {
 /// L1 ceiling of the δ-accuracy sweep: 1.15 × the largest error the
 /// per-token sampler (one Bernoulli and one `gen_range` per token, the
 /// protocol as it stood when this guard was written) reached on
-/// `sweep_instance`. Its own sweep: 64 cases
-/// min 0.04368 / mean 0.04602 / max 0.04805; 256 cases (the CI depth)
-/// min 0.04368 / mean 0.04616 / max 0.04853, so 1.15 × 0.04853.
+/// `sweep_instance`. Its own sweep: 64 cases min 0.04368 / mean 0.04602 /
+/// max 0.04805; 256 cases (the CI depth) min 0.04368 / mean 0.04616 /
+/// max 0.04853, so 1.15 × 0.04853.
 const SWEEP_L1_MAX: f64 = 0.0558;
 
 proptest! {
