@@ -453,21 +453,41 @@ impl KmTriangle {
         let Some(mine) = self.scheme.triplet_of(ctx.me) else {
             return; // machines beyond the triplet count only proxied
         };
-        let scheme = &self.scheme;
-        let accept = |a: Vertex, b: Vertex, c: Vertex| {
-            let mut t = [
-                scheme.color(shared, a),
-                scheme.color(shared, b),
-                scheme.color(shared, c),
-            ];
-            t.sort_unstable();
-            t == mine
-        };
-        self.triangles = enumerate_within(&self.recv_edges, accept);
+        self.triangles = owned_triangles(&self.scheme, shared, mine, &self.recv_edges);
         if self.cfg.enumerate_triads {
+            let accept = owns(&self.scheme, shared, mine);
             self.open_triads = enumerate_triads_within(&self.recv_edges, accept);
         }
     }
+}
+
+/// The phase-3 filter: do these three vertices' colors form the multiset
+/// `mine`?
+fn owns(
+    scheme: &ColorScheme,
+    shared: u64,
+    mine: [u8; 3],
+) -> impl Fn(Vertex, Vertex, Vertex) -> bool + '_ {
+    move |a, b, c| {
+        let mut t = [
+            scheme.color(shared, a),
+            scheme.color(shared, b),
+            scheme.color(shared, c),
+        ];
+        t.sort_unstable();
+        t == mine
+    }
+}
+
+/// What the machine owning triplet `mine` enumerates from the edges it
+/// received: the triangles within `edges` whose color multiset is `mine`.
+fn owned_triangles(
+    scheme: &ColorScheme,
+    shared: u64,
+    mine: [u8; 3],
+    edges: &BTreeSet<Edge>,
+) -> Vec<Triangle> {
+    enumerate_within(edges, owns(scheme, shared, mine))
 }
 
 /// Three stages tagged 0–2 with nothing to aggregate: the flush is a
@@ -854,7 +874,78 @@ mod tests {
         assert!(ts.is_empty());
     }
 
+    /// The table behind `machines_for_pair` is specified by the scan it
+    /// replaces: owners of `{ca, cb, x}` for `x = 0..q`, first occurrence
+    /// kept — the order the re-route hop emits in.
+    #[test]
+    fn pair_table_equals_the_scan_at_every_k() {
+        for k in 1..=130 {
+            let s = ColorScheme::for_machines(k);
+            let q = s.colors() as u8;
+            assert!(s.triplet_machines() <= k);
+            for ca in 0..q {
+                for cb in 0..q {
+                    let mut want: Vec<MachineIdx> = Vec::new();
+                    for x in 0..q {
+                        let mut t = [ca, cb, x];
+                        t.sort_unstable();
+                        let m = s.owner_of(ca, cb, x);
+                        assert_eq!(s.triplet_of(m), Some(t), "k={k} owner of {t:?}");
+                        if !want.contains(&m) {
+                            want.push(m);
+                        }
+                    }
+                    let got = s.machines_for_pair(ca, cb);
+                    assert_eq!(&got[..], &want[..], "k={k} pair ({ca},{cb})");
+                }
+            }
+        }
+    }
+
     proptest::proptest! {
+        /// Phase 3 minus the network: route an arbitrary edge multiset
+        /// (duplicates, unsorted, sparse ids, vertices no edge touches) to
+        /// the triplet machines and enumerate on each. Every machine
+        /// reports exactly the oracle's triangles of its triplet, in the
+        /// oracle's order, and the union is the oracle — so no triangle
+        /// is missed or owned twice.
+        #[test]
+        fn kernel_matches_the_oracle_filtered_by_triplet(
+            k in 1usize..=130,
+            shared in 0u64..u64::MAX,
+            stride in 1u32..500,
+            pairs in proptest::collection::vec((0u32..36, 0u32..36), 0..260),
+        ) {
+            let scheme = ColorScheme::for_machines(k);
+            let pairs: Vec<(Vertex, Vertex)> = pairs
+                .into_iter()
+                .filter(|(a, b)| a != b)
+                .map(|(a, b)| (a * stride, b * stride))
+                .collect();
+            let g = CsrGraph::from_edges(36 * stride as usize, &pairs);
+            let oracle = enumerate_triangles(&g);
+            let colors = |t: &Triangle| {
+                let mut c = [t.a, t.b, t.c].map(|v| scheme.color(shared, v));
+                c.sort_unstable();
+                c
+            };
+            let mut union = Vec::new();
+            for i in 0..scheme.triplet_machines() {
+                let mine = scheme.triplet_of(i).unwrap();
+                let routed = pairs.iter().map(|&(a, b)| Edge::new(a, b)).filter(|e| {
+                    let (ca, cb) = (scheme.color(shared, e.u), scheme.color(shared, e.v));
+                    scheme.machines_for_pair(ca, cb).contains(&i)
+                });
+                let got = owned_triangles(&scheme, shared, mine, &routed.collect());
+                let want: Vec<Triangle> =
+                    oracle.iter().copied().filter(|t| colors(t) == mine).collect();
+                proptest::prop_assert_eq!(&got, &want, "machine {} of k={}", i, k);
+                union.extend(got);
+            }
+            union.sort_unstable();
+            proptest::prop_assert_eq!(union, oracle);
+        }
+
         #[test]
         fn tri_msgs_roundtrip_the_wire(
             n in 2usize..1_000_000,
