@@ -15,7 +15,6 @@ use km_core::{
 };
 use km_graph::ids::Triangle;
 use km_graph::{CsrGraph, DistGraph, DistGraphBuilder, Edge, LocalGraph, Partition, Vertex};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Broadcast-baseline message: an edge or a flush marker.
@@ -90,7 +89,9 @@ pub struct BroadcastTriangle {
     n: usize,
     /// This machine's RVP input (hosted vertices + adjacency + partition).
     lg: LocalGraph,
-    edges: BTreeSet<Edge>,
+    /// Every edge of the graph once all flushes are in: pushed on
+    /// arrival, sorted and deduplicated once before enumerating.
+    edges: Vec<Edge>,
     flushes: usize,
     finished: bool,
     /// Triangles owned (by hash) and enumerated by this machine.
@@ -107,7 +108,7 @@ impl BroadcastTriangle {
             .map(|lg| BroadcastTriangle {
                 n,
                 lg,
-                edges: BTreeSet::new(),
+                edges: Vec::new(),
                 flushes: 0,
                 finished: false,
                 triangles: Vec::new(),
@@ -124,6 +125,7 @@ impl BroadcastTriangle {
             let key = ((a as u64) << 42) ^ ((b as u64) << 21) ^ c as u64;
             (keyed_hash(shared, key) % k as u64) as usize == me
         };
+        crate::kmachine::sort_dedup(&mut self.edges);
         self.triangles = crate::kmachine::enumerate_within(&self.edges, accept);
     }
 }
@@ -145,7 +147,7 @@ impl Protocol for BroadcastTriangle {
                     // Canonical owner: the home of the smaller endpoint.
                     let e = Edge::new(v, w);
                     if self.lg.home(e.u) == ctx.me && v == e.u {
-                        self.edges.insert(e);
+                        self.edges.push(e);
                         out.broadcast(ctx.me, BcastMsg::Edge { e, bits });
                     }
                 }
@@ -160,9 +162,7 @@ impl Protocol for BroadcastTriangle {
         }
         for env in inbox.iter() {
             match env.msg {
-                BcastMsg::Edge { e, .. } => {
-                    self.edges.insert(e);
-                }
+                BcastMsg::Edge { e, .. } => self.edges.push(e),
                 BcastMsg::Flush => self.flushes += 1,
             }
         }

@@ -35,7 +35,7 @@ use km_graph::dist::EdgeListAdjacency;
 use km_graph::ids::Triangle;
 use km_graph::{CsrGraph, DistGraph, DistGraphBuilder, Edge, LocalGraph, Partition, Vertex};
 // lint: allow(hash-iter) — HashMap is imported for the lookup-only triplet index below
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 const COLOR_SALT: u64 = 0x7A11_AC0F_F1CE_0001;
@@ -313,12 +313,14 @@ pub struct KmTriangle {
     scheme: ColorScheme,
     threshold: usize,
     cfg: TriConfig,
-    /// Globally-known high-degree vertices (mine + received requests).
-    hd: BTreeSet<Vertex>,
+    /// Globally-known high-degree vertices (mine + received requests),
+    /// sorted at the phase-0 barrier for `designator`'s probes.
+    hd: Vec<Vertex>,
     /// Edges this machine proxies.
     proxy_edges: Vec<Edge>,
-    /// Edges received for my triplet.
-    recv_edges: BTreeSet<Edge>,
+    /// Edges received for my triplet: pushed on arrival, sorted and
+    /// deduplicated once at the phase-2 barrier.
+    recv_edges: Vec<Edge>,
     /// Triangles this machine enumerated (exactly the triangles whose
     /// color multiset equals this machine's triplet).
     pub triangles: Vec<Triangle>,
@@ -345,9 +347,9 @@ impl KmTriangle {
                     scheme: scheme.clone(),
                     threshold,
                     cfg,
-                    hd: BTreeSet::new(),
+                    hd: Vec::new(),
                     proxy_edges: Vec::new(),
-                    recv_edges: BTreeSet::new(),
+                    recv_edges: Vec::new(),
                     triangles: Vec::new(),
                     open_triads: Vec::new(),
                 })
@@ -364,7 +366,7 @@ impl KmTriangle {
     fn phase0(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<TriMsg>) {
         for (j, &v) in self.lg.vertices().iter().enumerate() {
             if self.lg.neighbors(j).len() >= self.threshold {
-                self.hd.insert(v);
+                self.hd.push(v);
                 out.broadcast(ctx.me, TriMsg::hd(self.n, 0, v));
             }
         }
@@ -374,8 +376,8 @@ impl KmTriangle {
     /// following the designation rule. Deterministic across machines
     /// because the HD set is global after phase 0.
     fn designator(&self, shared: u64, e: Edge) -> MachineIdx {
-        let u_hd = self.hd.contains(&e.u);
-        let v_hd = self.hd.contains(&e.v);
+        let u_hd = self.hd.binary_search(&e.u).is_ok();
+        let v_hd = self.hd.binary_search(&e.v).is_ok();
         match (u_hd, v_hd) {
             // v's request honored: u's home ships (and vice versa).
             (false, true) => self.lg.home(e.u),
@@ -397,13 +399,13 @@ impl KmTriangle {
     /// (or, in the ablation, straight to its triplet machines).
     fn phase1(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<TriMsg>) {
         let shared = ctx.shared_seed;
-        let mut known: BTreeSet<Edge> = BTreeSet::new();
+        let mut known = Vec::with_capacity(self.lg.edge_endpoints());
         for (v, ns) in self.lg.iter() {
-            for &w in ns {
-                known.insert(Edge::new(v, w));
-            }
+            known.extend(ns.iter().map(|&w| Edge::new(v, w)));
         }
-        for &e in &known {
+        // Ascending in (u, v): the emission order is part of the transcript.
+        sort_dedup(&mut known);
+        for e in known {
             if self.designator(shared, e) != ctx.me {
                 continue;
             }
@@ -419,7 +421,7 @@ impl KmTriangle {
                 let cb = self.scheme.color(shared, e.v);
                 for m in self.scheme.machines_for_pair(ca, cb) {
                     if m == ctx.me {
-                        self.recv_edges.insert(e);
+                        self.recv_edges.push(e);
                     } else {
                         out.send(m, TriMsg::to_machine(self.n, 1, e));
                     }
@@ -438,7 +440,7 @@ impl KmTriangle {
             let cb = self.scheme.color(shared, e.v);
             for m in self.scheme.machines_for_pair(ca, cb) {
                 if m == ctx.me {
-                    self.recv_edges.insert(e);
+                    self.recv_edges.push(e);
                 } else {
                     out.send(m, TriMsg::to_machine(self.n, 2, e));
                 }
@@ -453,6 +455,7 @@ impl KmTriangle {
         let Some(mine) = self.scheme.triplet_of(ctx.me) else {
             return; // machines beyond the triplet count only proxied
         };
+        sort_dedup(&mut self.recv_edges);
         self.triangles = owned_triangles(&self.scheme, shared, mine, &self.recv_edges);
         if self.cfg.enumerate_triads {
             let accept = owns(&self.scheme, shared, mine);
@@ -485,9 +488,17 @@ fn owned_triangles(
     scheme: &ColorScheme,
     shared: u64,
     mine: [u8; 3],
-    edges: &BTreeSet<Edge>,
+    edges: &[Edge],
 ) -> Vec<Triangle> {
     enumerate_within(edges, owns(scheme, shared, mine))
+}
+
+/// Sorts an edge buffer ascending in `(u, v)` and drops duplicates — the
+/// order a `BTreeSet<Edge>` iterates in, paid once per buffer instead of
+/// once per insertion.
+pub(crate) fn sort_dedup(edges: &mut Vec<Edge>) {
+    edges.sort_unstable();
+    edges.dedup();
 }
 
 /// Three stages tagged 0–2 with nothing to aggregate: the flush is a
@@ -514,13 +525,9 @@ impl Stages<0> for KmTriangle {
         msg: TriMsg,
     ) -> Option<[u64; 0]> {
         match msg.payload {
-            TriPayload::HdRequest { v } => {
-                self.hd.insert(v);
-            }
+            TriPayload::HdRequest { v } => self.hd.push(v),
             TriPayload::ToProxy { e } => self.proxy_edges.push(e),
-            TriPayload::ToMachine { e } => {
-                self.recv_edges.insert(e);
-            }
+            TriPayload::ToMachine { e } => self.recv_edges.push(e),
             TriPayload::Flush => return Some([]),
         }
         None
@@ -535,22 +542,28 @@ impl Stages<0> for KmTriangle {
         []
     }
 
-    /// After the phase-2 barrier every edge is at its triplet machines:
-    /// enumerate locally, done.
+    /// After the phase-0 barrier the HD set is global; after the phase-2
+    /// barrier every edge is at its triplet machines: enumerate locally,
+    /// done.
     fn complete(&mut self, ctx: &mut RoundCtx<'_>, tag: u8, []: [u64; 0]) -> bool {
-        if tag < 2 {
-            return true;
+        match tag {
+            0 => self.hd.sort_unstable(),
+            1 => {}
+            _ => {
+                self.phase3(ctx);
+                return false;
+            }
         }
-        self.phase3(ctx);
-        false
+        true
     }
 }
 
-/// Enumerates all triangles within an edge set, filtered by `accept`
-/// (each triangle reported once, canonical order). The adjacency view
-/// is the shared [`EdgeListAdjacency`] from the graph-state layer.
+/// Enumerates all triangles within a sorted, deduplicated edge list,
+/// filtered by `accept` (each triangle reported once, canonical order).
+/// The adjacency view is the shared [`EdgeListAdjacency`] from the
+/// graph-state layer.
 pub(crate) fn enumerate_within(
-    edges: &BTreeSet<Edge>,
+    edges: &[Edge],
     accept: impl Fn(Vertex, Vertex, Vertex) -> bool,
 ) -> Vec<Triangle> {
     let adj = EdgeListAdjacency::from_edges(edges.iter().copied());
@@ -584,9 +597,9 @@ pub(crate) fn enumerate_within(
 }
 
 /// Enumerates open triads `(center, a, b)` (two edges present, third
-/// absent) within an edge set, filtered by `accept`.
+/// absent) within a sorted, deduplicated edge list, filtered by `accept`.
 pub(crate) fn enumerate_triads_within(
-    edges: &BTreeSet<Edge>,
+    edges: &[Edge],
     accept: impl Fn(Vertex, Vertex, Vertex) -> bool,
 ) -> Vec<(Vertex, Vertex, Vertex)> {
     let adj = EdgeListAdjacency::from_edges(edges.iter().copied());
@@ -595,7 +608,7 @@ pub(crate) fn enumerate_triads_within(
         let ns = adj.neighbors_of(center);
         for (i, &a) in ns.iter().enumerate() {
             for &b in &ns[i + 1..] {
-                if !edges.contains(&Edge::new(a, b)) && accept(center, a, b) {
+                if edges.binary_search(&Edge::new(a, b)).is_err() && accept(center, a, b) {
                     out.push((center, a, b));
                 }
             }
@@ -678,6 +691,7 @@ mod tests {
     use km_graph::generators::{classic, gnp};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use std::collections::BTreeSet;
 
     fn net(k: usize, n: usize, seed: u64) -> NetConfig {
         NetConfig::polylog(k, n, seed).max_rounds(5_000_000)
@@ -936,7 +950,9 @@ mod tests {
                     let (ca, cb) = (scheme.color(shared, e.u), scheme.color(shared, e.v));
                     scheme.machines_for_pair(ca, cb).contains(&i)
                 });
-                let got = owned_triangles(&scheme, shared, mine, &routed.collect());
+                let mut routed: Vec<Edge> = routed.collect();
+                sort_dedup(&mut routed);
+                let got = owned_triangles(&scheme, shared, mine, &routed);
                 let want: Vec<Triangle> =
                     oracle.iter().copied().filter(|t| colors(t) == mine).collect();
                 proptest::prop_assert_eq!(&got, &want, "machine {} of k={}", i, k);
