@@ -34,8 +34,6 @@ use km_core::{rng::keyed_hash, MachineIdx};
 use km_graph::dist::EdgeListAdjacency;
 use km_graph::ids::Triangle;
 use km_graph::{CsrGraph, DistGraph, DistGraphBuilder, Edge, LocalGraph, Partition, Vertex};
-// lint: allow(hash-iter) — HashMap is imported for the lookup-only triplet index below
-use std::collections::HashMap;
 use std::sync::Arc;
 
 const COLOR_SALT: u64 = 0x7A11_AC0F_F1CE_0001;
@@ -50,12 +48,19 @@ fn edge_key(e: Edge) -> u64 {
 
 /// The shared color scheme: `q` colors and the multiset-triplet → machine
 /// assignment, identically computable on every machine from `k` alone.
+/// Both routing questions — who owns a triplet, who must see a color
+/// pair — are tables built once per run.
 #[derive(Debug, Clone)]
 pub struct ColorScheme {
     q: usize,
     triplets: Vec<[u8; 3]>,
-    // lint: allow(hash-iter) — lookup-only triplet index, never iterated
-    index: HashMap<[u8; 3], MachineIdx>,
+    /// Dense `q³` index: `owner[(a·q + b)·q + c]` owns the multiset
+    /// `{a, b, c}`, whatever order the colors come in.
+    owner: Vec<MachineIdx>,
+    /// CSR over the `q²` ordered color pairs: the machines of pair
+    /// `(a, b)` are `pair_machines[pair_offsets[a·q + b]..pair_offsets[a·q + b + 1]]`.
+    pair_offsets: Vec<usize>,
+    pair_machines: Vec<MachineIdx>,
 }
 
 impl ColorScheme {
@@ -68,20 +73,46 @@ impl ColorScheme {
         while (q + 1) * (q + 2) * (q + 3) / 6 <= k {
             q += 1;
         }
+        let at = |[a, b, c]: [u8; 3]| (a as usize * q + b as usize) * q + c as usize;
         let mut triplets = Vec::new();
+        let mut owner: Vec<MachineIdx> = Vec::with_capacity(q * q * q);
+        // Lexicographic order is index order, and a sorted triple comes
+        // before its permutations: it is numbered when first met, and
+        // they copy its number.
         for a in 0..q as u8 {
-            for b in a..q as u8 {
-                for c in b..q as u8 {
-                    triplets.push([a, b, c]);
+            for b in 0..q as u8 {
+                for c in 0..q as u8 {
+                    let mut t = [a, b, c];
+                    t.sort_unstable();
+                    if t == [a, b, c] {
+                        owner.push(triplets.len());
+                        triplets.push(t);
+                    } else {
+                        owner.push(owner[at(t)]);
+                    }
                 }
             }
         }
-        let index = triplets
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (t, i as MachineIdx))
-            .collect();
-        ColorScheme { q, triplets, index }
+        // Row (ca, cb): owners of {ca, cb, x} for x = 0..q, first
+        // occurrence kept — the order the re-route hop emits in.
+        let mut pair_offsets = vec![0];
+        let mut pair_machines: Vec<MachineIdx> = Vec::new();
+        for pair in owner.chunks(q) {
+            let row = pair_machines.len();
+            for &m in pair {
+                if !pair_machines[row..].contains(&m) {
+                    pair_machines.push(m);
+                }
+            }
+            pair_offsets.push(pair_machines.len());
+        }
+        ColorScheme {
+            q,
+            triplets,
+            owner,
+            pair_offsets,
+            pair_machines,
+        }
     }
 
     /// Number of colors `q`.
@@ -107,26 +138,19 @@ impl ColorScheme {
 
     /// The machines whose triplet contains the (multiset) color pair
     /// `{ca, cb}` — at most `q` of them; exactly the machines that must
-    /// receive an edge with these endpoint colors.
-    pub fn machines_for_pair(&self, ca: u8, cb: u8) -> Vec<MachineIdx> {
-        let mut out = Vec::with_capacity(self.q);
-        for x in 0..self.q as u8 {
-            let mut t = [ca, cb, x];
-            t.sort_unstable();
-            let m = self.index[&t];
-            if !out.contains(&m) {
-                out.push(m);
-            }
-        }
-        out
+    /// receive an edge with these endpoint colors. Ordered as the owners
+    /// of `{ca, cb, x}` for `x = 0..q`, duplicates dropped.
+    #[inline]
+    pub fn machines_for_pair(&self, ca: u8, cb: u8) -> &[MachineIdx] {
+        let p = ca as usize * self.q + cb as usize;
+        &self.pair_machines[self.pair_offsets[p]..self.pair_offsets[p + 1]]
     }
 
     /// The unique machine that enumerates a triangle with these endpoint
     /// colors.
+    #[inline]
     pub fn owner_of(&self, c1: u8, c2: u8, c3: u8) -> MachineIdx {
-        let mut t = [c1, c2, c3];
-        t.sort_unstable();
-        self.index[&t]
+        self.owner[(c1 as usize * self.q + c2 as usize) * self.q + c3 as usize]
     }
 }
 
@@ -310,7 +334,8 @@ pub struct KmTriangle {
     n: usize,
     /// This machine's RVP input (hosted vertices + adjacency + partition).
     lg: LocalGraph,
-    scheme: ColorScheme,
+    /// Built once per run, shared by all `k` machines.
+    scheme: Arc<ColorScheme>,
     threshold: usize,
     cfg: TriConfig,
     /// Globally-known high-degree vertices (mine + received requests),
@@ -334,7 +359,7 @@ impl KmTriangle {
     /// input (the Section 1.1 shape).
     pub fn build_all(dist: DistGraph, cfg: TriConfig) -> Vec<Staged<KmTriangle, 0>> {
         let (n, k) = (dist.n(), dist.k());
-        let scheme = ColorScheme::for_machines(k);
+        let scheme = Arc::new(ColorScheme::for_machines(k));
         let threshold = cfg
             .degree_threshold
             .unwrap_or_else(|| (2.0 * k as f64 * (n.max(2) as f64).log2()).ceil() as usize);
@@ -344,7 +369,7 @@ impl KmTriangle {
                 Staged::new(KmTriangle {
                     n,
                     lg,
-                    scheme: scheme.clone(),
+                    scheme: Arc::clone(&scheme),
                     threshold,
                     cfg,
                     hd: Vec::new(),
@@ -419,7 +444,7 @@ impl KmTriangle {
             } else {
                 let ca = self.scheme.color(shared, e.u);
                 let cb = self.scheme.color(shared, e.v);
-                for m in self.scheme.machines_for_pair(ca, cb) {
+                for &m in self.scheme.machines_for_pair(ca, cb) {
                     if m == ctx.me {
                         self.recv_edges.push(e);
                     } else {
@@ -438,7 +463,7 @@ impl KmTriangle {
         for e in edges {
             let ca = self.scheme.color(shared, e.u);
             let cb = self.scheme.color(shared, e.v);
-            for m in self.scheme.machines_for_pair(ca, cb) {
+            for &m in self.scheme.machines_for_pair(ca, cb) {
                 if m == ctx.me {
                     self.recv_edges.push(e);
                 } else {
@@ -910,7 +935,7 @@ mod tests {
                         }
                     }
                     let got = s.machines_for_pair(ca, cb);
-                    assert_eq!(&got[..], &want[..], "k={k} pair ({ca},{cb})");
+                    assert_eq!(want, got, "k={k} pair ({ca},{cb})");
                 }
             }
         }
