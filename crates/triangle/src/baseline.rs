@@ -121,12 +121,12 @@ impl BroadcastTriangle {
         let k = ctx.k;
         let me = ctx.me;
         let shared = ctx.shared_seed;
-        let accept = |a: Vertex, b: Vertex, c: Vertex| {
+        let accept = |&a: &Vertex, &b: &Vertex, &c: &Vertex| {
             let key = ((a as u64) << 42) ^ ((b as u64) << 21) ^ c as u64;
             (keyed_hash(shared, key) % k as u64) as usize == me
         };
         crate::kmachine::sort_dedup(&mut self.edges);
-        self.triangles = crate::kmachine::enumerate_within(&self.edges, accept);
+        self.triangles = crate::kmachine::enumerate_within(&self.edges, |v| v, accept);
     }
 }
 

@@ -483,28 +483,19 @@ impl KmTriangle {
         sort_dedup(&mut self.recv_edges);
         self.triangles = owned_triangles(&self.scheme, shared, mine, &self.recv_edges);
         if self.cfg.enumerate_triads {
-            let accept = owns(&self.scheme, shared, mine);
-            self.open_triads = enumerate_triads_within(&self.recv_edges, accept);
+            let color = |v| self.scheme.color(shared, v);
+            self.open_triads = enumerate_triads_within(&self.recv_edges, |c, a, b| {
+                owns(mine, [color(c), color(a), color(b)])
+            });
         }
     }
 }
 
-/// The phase-3 filter: do these three vertices' colors form the multiset
-/// `mine`?
-fn owns(
-    scheme: &ColorScheme,
-    shared: u64,
-    mine: [u8; 3],
-) -> impl Fn(Vertex, Vertex, Vertex) -> bool + '_ {
-    move |a, b, c| {
-        let mut t = [
-            scheme.color(shared, a),
-            scheme.color(shared, b),
-            scheme.color(shared, c),
-        ];
-        t.sort_unstable();
-        t == mine
-    }
+/// The phase-3 filter: do these three colors form the multiset `mine`?
+#[inline]
+fn owns(mine: [u8; 3], mut colors: [u8; 3]) -> bool {
+    colors.sort_unstable();
+    colors == mine
 }
 
 /// What the machine owning triplet `mine` enumerates from the edges it
@@ -515,7 +506,11 @@ fn owned_triangles(
     mine: [u8; 3],
     edges: &[Edge],
 ) -> Vec<Triangle> {
-    enumerate_within(edges, owns(scheme, shared, mine))
+    enumerate_within(
+        edges,
+        |v| scheme.color(shared, v),
+        |&a, &b, &c| owns(mine, [a, b, c]),
+    )
 }
 
 /// Sorts an edge buffer ascending in `(u, v)` and drops duplicates — the
@@ -583,41 +578,72 @@ impl Stages<0> for KmTriangle {
     }
 }
 
-/// Enumerates all triangles within a sorted, deduplicated edge list,
-/// filtered by `accept` (each triangle reported once, canonical order).
-/// The adjacency view is the shared [`EdgeListAdjacency`] from the
-/// graph-state layer.
-pub(crate) fn enumerate_within(
+/// Enumerates the triangles within an edge list, filtered by `accept`
+/// over a per-vertex `key` computed once per touched vertex (each
+/// triangle reported once, ascending).
+///
+/// `edges` must be canonical (`u < v`), sorted and deduplicated — what
+/// [`sort_dedup`] leaves of edges built by `Edge::new` or decoded off the
+/// wire. Touched vertices are relabelled `0..t` in ascending order, so the
+/// list stays sorted and *is* the forward adjacency `N⁺(u) = {v > u}` in
+/// CSR order; each edge `(u, v)` then intersects what follows `v` in
+/// `N⁺(u)` with `N⁺(v)`, by index. On any other input the result is
+/// meaningless but every index stays in bounds.
+pub(crate) fn enumerate_within<K>(
     edges: &[Edge],
-    accept: impl Fn(Vertex, Vertex, Vertex) -> bool,
+    key: impl Fn(Vertex) -> K,
+    accept: impl Fn(&K, &K, &K) -> bool,
 ) -> Vec<Triangle> {
-    let adj = EdgeListAdjacency::from_edges(edges.iter().copied());
-    let mut out = Vec::new();
+    debug_assert!(
+        edges.iter().all(|e| e.u < e.v) && edges.windows(2).all(|w| w[0] < w[1]),
+        "edges must be canonical, sorted and deduplicated"
+    );
+    let mut verts: Vec<Vertex> = edges.iter().flat_map(|e| [e.u, e.v]).collect();
+    verts.sort_unstable();
+    verts.dedup();
+    let keys: Vec<K> = verts.iter().map(|&v| key(v)).collect();
+
+    let mut offsets = vec![0usize; verts.len() + 1];
+    let mut fwd: Vec<u32> = Vec::with_capacity(edges.len());
+    let mut u = 0;
     for e in edges {
-        let (u, v) = (e.u, e.v);
-        let nu = adj.neighbors_of(u);
-        let nv = adj.neighbors_of(v);
-        let mut i = nu.partition_point(|&w| w <= v);
-        let mut j = nv.partition_point(|&w| w <= v);
-        while i < nu.len() && j < nv.len() {
-            match nu[i].cmp(&nv[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    if accept(u, v, nu[i]) {
-                        out.push(Triangle {
-                            a: u,
-                            b: v,
-                            c: nu[i],
-                        });
+        // Ascending `u`: a cursor finds its label, a search finds `v`'s.
+        while verts[u] < e.u {
+            u += 1;
+        }
+        offsets[u + 1] += 1;
+        fwd.push(verts.partition_point(|&x| x < e.v) as u32);
+    }
+    for i in 0..verts.len() {
+        offsets[i + 1] += offsets[i];
+    }
+
+    let mut out = Vec::new();
+    for u in 0..verts.len() {
+        let nu = &fwd[offsets[u]..offsets[u + 1]];
+        for (i, &v) in nu.iter().enumerate() {
+            let v = v as usize;
+            let (mut a, mut b) = (&nu[i + 1..], &fwd[offsets[v]..offsets[v + 1]]);
+            while let (Some(&x), Some(&y)) = (a.first(), b.first()) {
+                match x.cmp(&y) {
+                    std::cmp::Ordering::Less => a = &a[1..],
+                    std::cmp::Ordering::Greater => b = &b[1..],
+                    std::cmp::Ordering::Equal => {
+                        let w = x as usize;
+                        if accept(&keys[u], &keys[v], &keys[w]) {
+                            out.push(Triangle {
+                                a: verts[u],
+                                b: verts[v],
+                                c: verts[w],
+                            });
+                        }
+                        a = &a[1..];
+                        b = &b[1..];
                     }
-                    i += 1;
-                    j += 1;
                 }
             }
         }
     }
-    out.sort_unstable();
     out
 }
 
