@@ -74,10 +74,7 @@ impl WireCodec for BcastMsg {
         }
         let idb = (rem / 2) as u32;
         Ok(BcastMsg::Edge {
-            e: Edge {
-                u: r.take(idb)? as Vertex,
-                v: r.take(idb)? as Vertex,
-            },
+            e: crate::kmachine::decoded_edge(r.take(idb)?, r.take(idb)?)?,
             bits: total as u32,
         })
     }
@@ -277,6 +274,16 @@ mod tests {
             let bits = (1 + 2 * id_bits(n)) as u32;
             km_core::assert_roundtrip(&BcastMsg::Edge { e, bits });
             km_core::assert_roundtrip(&BcastMsg::Flush);
+
+            // The same edge with its endpoints swapped is not a message.
+            let swapped = BcastMsg::Edge { e: Edge { u: e.v, v: e.u }, bits };
+            let mut w = BitWriter::new();
+            swapped.encode(&mut w);
+            let mut r = BitReader::new(w.bytes(), w.bit_len()).unwrap();
+            proptest::prop_assert_eq!(
+                BcastMsg::decode(&mut r),
+                Err(CodecError::Invalid { what: "non-canonical edge", value: u64::from(e.v) })
+            );
         }
     }
 }

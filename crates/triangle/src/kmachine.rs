@@ -46,6 +46,22 @@ fn edge_key(e: Edge) -> u64 {
     ((e.u as u64) << 32) | e.v as u64
 }
 
+/// An edge off the wire. No sender produces `u ≥ v` (`Edge::new`
+/// canonicalises), and the enumeration kernel's input contract depends
+/// on it, so such a pair is rejected where it enters.
+pub(crate) fn decoded_edge(u: u64, v: u64) -> Result<Edge, CodecError> {
+    if u >= v {
+        return Err(CodecError::Invalid {
+            what: "non-canonical edge",
+            value: u,
+        });
+    }
+    Ok(Edge {
+        u: u as Vertex,
+        v: v as Vertex,
+    })
+}
+
 /// The shared color scheme: `q` colors and the multiset-triplet → machine
 /// assignment, identically computable on every machine from `k` alone.
 /// Both routing questions — who owns a triplet, who must see a color
@@ -281,10 +297,7 @@ impl WireCodec for TriMsg {
             },
             1 | 2 => {
                 let w = idb(r.remaining(), 2)?;
-                let e = Edge {
-                    u: r.take(w)? as Vertex,
-                    v: r.take(w)? as Vertex,
-                };
+                let e = decoded_edge(r.take(w)?, r.take(w)?)?;
                 if tag == 1 {
                     TriPayload::ToProxy { e }
                 } else {
@@ -967,7 +980,27 @@ mod tests {
         }
     }
 
+    /// Off-contract input is a bug in the caller: loud in debug builds.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "canonical, sorted and deduplicated")]
+    fn kernel_debug_asserts_its_precondition() {
+        enumerate_within(&[Edge { u: 2, v: 1 }], |v| v, |_, _, _| true);
+    }
+
     proptest::proptest! {
+        /// Release builds compile that assertion out; the kernel must then
+        /// stay in bounds on any list at all — loops, swapped endpoints,
+        /// duplicates, no order.
+        #[cfg(not(debug_assertions))]
+        #[test]
+        fn kernel_stays_in_bounds_off_contract(
+            pairs in proptest::collection::vec((0u32..24, 0u32..24), 0..160),
+        ) {
+            let edges: Vec<Edge> = pairs.into_iter().map(|(u, v)| Edge { u, v }).collect();
+            enumerate_within(&edges, |v| v, |_, _, _| true);
+        }
+
         /// Phase 3 minus the network: route an arbitrary edge multiset
         /// (duplicates, unsorted, sparse ids, vertices no edge touches) to
         /// the triplet machines and enumerate on each. Every machine
@@ -1031,6 +1064,18 @@ mod tests {
             km_core::assert_roundtrip(&TriMsg::to_proxy(n, phase, e));
             km_core::assert_roundtrip(&TriMsg::to_machine(n, phase, e));
             km_core::assert_roundtrip(&TriMsg::flush(phase));
+
+            // The same edge with its endpoints swapped is not a message.
+            let swapped = Edge { u: e.v, v: e.u };
+            for msg in [TriMsg::to_proxy(n, phase, swapped), TriMsg::to_machine(n, phase, swapped)] {
+                let mut w = BitWriter::new();
+                msg.encode(&mut w);
+                let mut r = BitReader::new(w.bytes(), w.bit_len()).unwrap();
+                proptest::prop_assert_eq!(
+                    TriMsg::decode(&mut r),
+                    Err(CodecError::Invalid { what: "non-canonical edge", value: u64::from(e.v) })
+                );
+            }
         }
     }
 }
