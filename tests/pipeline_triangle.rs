@@ -2,10 +2,10 @@
 
 use km_graph::generators::{chung_lu, classic, gnp, power_law_weights};
 use km_graph::Partition;
-use km_repro::core::NetConfig;
+use km_repro::core::{run_algorithm, EngineKind, NetConfig, Runner};
 use km_triangle::baseline::run_broadcast_triangles;
 use km_triangle::clique::run_clique_triangles;
-use km_triangle::kmachine::{run_kmachine_triangles, TriConfig};
+use km_triangle::kmachine::{run_kmachine_triangles, ColorScheme, DistributedTriangles, TriConfig};
 use km_triangle::seq::count_triangles;
 use km_triangle::verify::assert_exact_enumeration;
 use rand::SeedableRng;
@@ -55,6 +55,49 @@ fn power_law_graph_with_random_vertex_partition() {
     };
     let (ts, _) = run_kmachine_triangles(&g, &part, cfg, net(k, g.n(), 5)).unwrap();
     assert_exact_enumeration(&g, &ts);
+}
+
+/// The transcript is a property of the protocol, not of the engine or of
+/// how a machine stores its edges: with the designation rule firing,
+/// proxies on and one machine beyond the triplet count (it only
+/// proxies), all three engines report equal `Metrics` and the exact set.
+#[test]
+fn designation_and_proxy_only_machines_same_transcript_on_every_engine() {
+    let mut rng = ChaCha8Rng::seed_from_u64(203);
+    let w = power_law_weights(250, 2.2, 8.0);
+    let g = chung_lu(&w, &mut rng);
+    let k = 11;
+    assert!(ColorScheme::for_machines(k).triplet_machines() < k);
+    let threshold = 30;
+    assert!(
+        g.max_degree() >= threshold,
+        "the designation rule must fire"
+    );
+    let part = Arc::new(Partition::random_vertex(g.n(), k, &mut rng));
+    let alg = DistributedTriangles {
+        g: &g,
+        part: &part,
+        cfg: TriConfig {
+            degree_threshold: Some(threshold),
+            enumerate_triads: false,
+            use_proxies: true,
+        },
+    };
+    let run = |kind| run_algorithm(&alg, Runner::new(net(k, g.n(), 6)).engine(kind)).unwrap();
+    let seq = run(EngineKind::Sequential);
+    assert_exact_enumeration(&g, &seq.output.triangles);
+    // The counters the BTreeSet-backed protocol produced on this
+    // instance, before its local compute moved to flat sorted buffers.
+    let m = &seq.metrics;
+    assert_eq!(
+        (m.rounds, m.total_msgs(), m.total_bits()),
+        (27, 3574, 66880)
+    );
+    for kind in [EngineKind::Parallel { threads: 2 }, EngineKind::Distributed] {
+        let other = run(kind);
+        assert_eq!(other.metrics, seq.metrics, "{kind:?}");
+        assert_eq!(other.output, seq.output, "{kind:?}");
+    }
 }
 
 #[test]
