@@ -10,7 +10,10 @@
 //! endpoint colors are a sub-multiset and enumerates exactly the
 //! triangles whose color multiset equals `{a,b,c}` — so each triangle is
 //! reported by exactly one machine, and each edge is replicated to at
-//! most `q = O(k^{1/3})` machines (the count in the proof of Theorem 5).
+//! most `q = O(k^{1/3})` machines (the count in the proof of Theorem 5):
+//! a row of the color-pair table [`ColorScheme::machines_for_pair`]
+//! reads from, built once per run, holds the owners of `{a,b,x}` for
+//! the `q` values of `x`.
 //!
 //! **Edge proxies and the designation rule.** Edges travel via a
 //! uniformly random *proxy* machine (randomized proxy computation,
@@ -505,7 +508,6 @@ impl KmTriangle {
 }
 
 /// The phase-3 filter: do these three colors form the multiset `mine`?
-#[inline]
 fn owns(mine: [u8; 3], mut colors: [u8; 3]) -> bool {
     colors.sort_unstable();
     colors == mine
@@ -519,11 +521,8 @@ fn owned_triangles(
     mine: [u8; 3],
     edges: &[Edge],
 ) -> Vec<Triangle> {
-    enumerate_within(
-        edges,
-        |v| scheme.color(shared, v),
-        |&a, &b, &c| owns(mine, [a, b, c]),
-    )
+    let color = |v| scheme.color(shared, v);
+    enumerate_within(edges, color, |&a, &b, &c| owns(mine, [a, b, c]))
 }
 
 /// Sorts an edge buffer ascending in `(u, v)` and drops duplicates — the
@@ -579,29 +578,25 @@ impl Stages<0> for KmTriangle {
     /// barrier every edge is at its triplet machines: enumerate locally,
     /// done.
     fn complete(&mut self, ctx: &mut RoundCtx<'_>, tag: u8, []: [u64; 0]) -> bool {
-        match tag {
-            0 => self.hd.sort_unstable(),
-            1 => {}
-            _ => {
-                self.phase3(ctx);
-                return false;
-            }
+        if tag == 0 {
+            self.hd.sort_unstable();
         }
-        true
+        if tag < 2 {
+            return true;
+        }
+        self.phase3(ctx);
+        false
     }
 }
 
 /// Enumerates the triangles within an edge list, filtered by `accept`
-/// over a per-vertex `key` computed once per touched vertex (each
-/// triangle reported once, ascending).
-///
-/// `edges` must be canonical (`u < v`), sorted and deduplicated — what
-/// [`sort_dedup`] leaves of edges built by `Edge::new` or decoded off the
-/// wire. Touched vertices are relabelled `0..t` in ascending order, so the
-/// list stays sorted and *is* the forward adjacency `N⁺(u) = {v > u}` in
-/// CSR order; each edge `(u, v)` then intersects what follows `v` in
-/// `N⁺(u)` with `N⁺(v)`, by index. On any other input the result is
-/// meaningless but every index stays in bounds.
+/// over a `key` computed once per touched vertex (each triangle reported
+/// once, ascending). `edges` must be canonical (`u < v`), sorted and
+/// deduplicated — [`sort_dedup`] over `Edge::new` or decoded edges. Touched
+/// vertices are relabelled `0..t` in ascending order, so the list stays
+/// sorted and *is* the forward adjacency `N⁺(u) = {v > u}` in CSR order;
+/// edge `(u, v)` intersects what follows `v` in `N⁺(u)` with `N⁺(v)`, by
+/// index. Off contract the result is meaningless but stays in bounds.
 pub(crate) fn enumerate_within<K>(
     edges: &[Edge],
     key: impl Fn(Vertex) -> K,
@@ -615,7 +610,6 @@ pub(crate) fn enumerate_within<K>(
     verts.sort_unstable();
     verts.dedup();
     let keys: Vec<K> = verts.iter().map(|&v| key(v)).collect();
-
     let mut offsets = vec![0usize; verts.len() + 1];
     let mut fwd: Vec<u32> = Vec::with_capacity(edges.len());
     let mut u = 0;
@@ -630,7 +624,6 @@ pub(crate) fn enumerate_within<K>(
     for i in 0..verts.len() {
         offsets[i + 1] += offsets[i];
     }
-
     let mut out = Vec::new();
     for u in 0..verts.len() {
         let nu = &fwd[offsets[u]..offsets[u + 1]];
