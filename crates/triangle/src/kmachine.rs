@@ -73,7 +73,7 @@ pub(crate) fn decoded_edge(u: u64, v: u64) -> Result<Edge, CodecError> {
 pub struct ColorScheme {
     q: usize,
     triplets: Vec<[u8; 3]>,
-    /// Dense `q³` index: `owner[(a·q + b)·q + c]` owns the multiset
+    /// Dense `q³` index ([`Self::slot`]): the owner of the multiset
     /// `{a, b, c}`, whatever order the colors come in.
     owner: Vec<MachineIdx>,
     /// CSR over the `q²` ordered color pairs: the machines of pair
@@ -92,7 +92,6 @@ impl ColorScheme {
         while (q + 1) * (q + 2) * (q + 3) / 6 <= k {
             q += 1;
         }
-        let at = |[a, b, c]: [u8; 3]| (a as usize * q + b as usize) * q + c as usize;
         let mut triplets = Vec::new();
         let mut owner: Vec<MachineIdx> = Vec::with_capacity(q * q * q);
         // Lexicographic order is index order, and a sorted triple comes
@@ -107,7 +106,7 @@ impl ColorScheme {
                         owner.push(triplets.len());
                         triplets.push(t);
                     } else {
-                        owner.push(owner[at(t)]);
+                        owner.push(owner[Self::slot(q, t)]);
                     }
                 }
             }
@@ -132,6 +131,13 @@ impl ColorScheme {
             pair_offsets,
             pair_machines,
         }
+    }
+
+    /// Where the dense index keeps the owner of colors `a, b, c`, in
+    /// that order.
+    #[inline]
+    fn slot(q: usize, [a, b, c]: [u8; 3]) -> usize {
+        (a as usize * q + b as usize) * q + c as usize
     }
 
     /// Number of colors `q`.
@@ -169,7 +175,7 @@ impl ColorScheme {
     /// colors.
     #[inline]
     pub fn owner_of(&self, c1: u8, c2: u8, c3: u8) -> MachineIdx {
-        self.owner[(c1 as usize * self.q + c2 as usize) * self.q + c3 as usize]
+        self.owner[Self::slot(self.q, [c1, c2, c3])]
     }
 }
 
@@ -525,9 +531,8 @@ fn owned_triangles(
     enumerate_within(edges, color, |&a, &b, &c| owns(mine, [a, b, c]))
 }
 
-/// Sorts an edge buffer ascending in `(u, v)` and drops duplicates — the
-/// order a `BTreeSet<Edge>` iterates in, paid once per buffer instead of
-/// once per insertion.
+/// Sorts an edge buffer ascending in `(u, v)` and drops duplicates: set
+/// semantics, paid once per buffer instead of once per insertion.
 pub(crate) fn sort_dedup(edges: &mut Vec<Edge>) {
     edges.sort_unstable();
     edges.dedup();

@@ -86,8 +86,8 @@ fn designation_and_proxy_only_machines_same_transcript_on_every_engine() {
     let run = |kind| run_algorithm(&alg, Runner::new(net(k, g.n(), 6)).engine(kind)).unwrap();
     let seq = run(EngineKind::Sequential);
     assert_exact_enumeration(&g, &seq.output.triangles);
-    // The counters the BTreeSet-backed protocol produced on this
-    // instance, before its local compute moved to flat sorted buffers.
+    // Pinned while the machines still kept their edges in `BTreeSet`s:
+    // how a machine stores or enumerates edges must not move them.
     let m = &seq.metrics;
     assert_eq!(
         (m.rounds, m.total_msgs(), m.total_bits()),
