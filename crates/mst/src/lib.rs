@@ -640,7 +640,137 @@ mod tests {
         );
     }
 
+    /// `v`'s component label as machine `m` holds it.
+    fn label_of(m: &BoruvkaMst, v: Vertex) -> Vertex {
+        m.labels[v as usize]
+    }
+
+    /// The smallest vertex id in every vertex's component of `forest`,
+    /// by relaxation to a fixpoint (no union-find, so no shared bug).
+    fn min_ids(n: usize, forest: &[(Edge, f64)]) -> Vec<Vertex> {
+        let mut min: Vec<Vertex> = (0..n as Vertex).collect();
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &(e, _) in forest {
+                let m = min[e.u as usize].min(min[e.v as usize]);
+                for x in [e.u, e.v] {
+                    if min[x as usize] != m {
+                        min[x as usize] = m;
+                        changed = true;
+                    }
+                }
+            }
+        }
+        min
+    }
+
+    fn assert_min_labels(machines: &[BoruvkaMst]) {
+        let n = machines[0].n;
+        for (i, m) in machines.iter().enumerate() {
+            let want = min_ids(n, &m.forest);
+            for v in 0..n as Vertex {
+                assert_eq!(label_of(m, v), want[v as usize], "machine {i}, vertex {v}");
+            }
+        }
+    }
+
+    /// Runs the protocol's halves by hand, every message delivered at
+    /// once, and checks every machine's labels after each contraction.
+    fn drive_phases(g: &WeightedGraph, part: &Arc<Partition>, shared_seed: u64) -> Vec<BoruvkaMst> {
+        let k = part.k();
+        let mut machines: Vec<BoruvkaMst> =
+            BoruvkaMst::build_all(DistGraphBuilder::new(part).weighted(g))
+                .into_iter()
+                .map(Staged::into_inner)
+                .collect();
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        loop {
+            let mut produced = 0;
+            let mut sent = Vec::new();
+            for (me, m) in machines.iter_mut().enumerate() {
+                let mut ctx = RoundCtx {
+                    round: 0,
+                    me,
+                    k,
+                    bandwidth_bits: 64,
+                    shared_seed,
+                    rng: &mut rng,
+                };
+                let mut out = Outbox::new(k);
+                produced += m.gather(&mut ctx, &mut out, false);
+                sent.extend(out.drain());
+            }
+            for (dst, msg) in sent.drain(..) {
+                let MstPayload::Candidate { comp, e, w } = msg.payload else {
+                    panic!("gather sends candidates only");
+                };
+                machines[dst].absorb_candidate(comp, Cand { w, e });
+            }
+            if produced == 0 {
+                return machines;
+            }
+            for (me, m) in machines.iter_mut().enumerate() {
+                let mut ctx = RoundCtx {
+                    round: 0,
+                    me,
+                    k,
+                    bandwidth_bits: 64,
+                    shared_seed,
+                    rng: &mut rng,
+                };
+                let mut out = Outbox::new(k);
+                m.scatter(&mut ctx, &mut out, true);
+                sent.extend(out.drain());
+            }
+            for (dst, msg) in sent {
+                let MstPayload::Chosen { e, w } = msg.payload else {
+                    panic!("scatter sends choices only");
+                };
+                machines[dst].phase_chosen.push((e, w));
+            }
+            for m in &mut machines {
+                m.contract();
+            }
+            assert_min_labels(&machines);
+        }
+    }
+
     proptest::proptest! {
+        /// Weights from {0, 1, 2} make `Cand::better_than`'s edge
+        /// tie-break decide most choices; random endpoints over up to 24
+        /// vertices leave isolated vertices and several components, and
+        /// k runs past n. Every machine ends with Kruskal's forest, and
+        /// after every phase each label is its component's smallest id.
+        #[test]
+        fn boruvka_with_ties_keeps_min_labels_and_ends_at_kruskal(
+            n in 1usize..=24,
+            raw in proptest::collection::vec((0u32..24, 0u32..24, 0u8..3), 0..60),
+            k in 1usize..=20,
+            seed in 0u64..1_000,
+        ) {
+            let n32 = n as u32;
+            let edges: Vec<(Vertex, Vertex)> = raw.iter().map(|&(a, b, _)| (a % n32, b % n32)).collect();
+            let weights: Vec<f64> = raw.iter().map(|&(_, _, w)| f64::from(w)).collect();
+            let g = WeightedGraph::from_weighted_edges(n, &edges, &weights).unwrap();
+            let (want_edges, want_w) = kruskal(&g);
+            let part = Arc::new(Partition::by_hash(n, k, seed));
+
+            let by_hand = drive_phases(&g, &part, seed);
+            let machines = BoruvkaMst::build_all(DistGraphBuilder::new(&part).weighted(&g));
+            let report = Runner::new(net(k, n, seed)).run(machines).unwrap();
+            let engine: Vec<BoruvkaMst> = report.machines.into_iter().map(Staged::into_inner).collect();
+            assert_min_labels(&engine);
+            for m in by_hand.iter().chain(&engine) {
+                assert_eq!(&m.forest, &by_hand[0].forest);
+            }
+            let mut got: Vec<Edge> = by_hand[0].forest.iter().map(|&(e, _)| e).collect();
+            got.sort_unstable();
+            assert_eq!(got, want_edges);
+            // Small integer weights: every sum is exact.
+            assert_eq!(by_hand[0].forest_weight(), want_w);
+        }
+
         #[test]
         fn mst_msgs_roundtrip_the_wire(
             n in 2usize..1_000_000,
