@@ -368,16 +368,14 @@ impl BoruvkaMst {
         chosen.sort_by_key(|a| a.0);
         chosen.dedup_by(|a, b| a.0 == b.0);
         // Union-find over current labels.
-        let mut parent: BTreeMap<Vertex, Vertex> = BTreeMap::new();
-        let find = |parent: &mut BTreeMap<Vertex, Vertex>, mut x: Vertex| {
-            while let Some(&p) = parent.get(&x) {
-                if p == x {
-                    break;
-                }
-                x = p;
+        let mut parent: Vec<Vertex> = (0..self.n as Vertex).collect();
+        fn find(parent: &mut [Vertex], mut x: Vertex) -> Vertex {
+            while parent[x as usize] != x {
+                parent[x as usize] = parent[parent[x as usize] as usize];
+                x = parent[x as usize];
             }
             x
-        };
+        }
         let mut accepted = Vec::new();
         for &(e, w) in &chosen {
             let cu = self.labels[e.u as usize];
@@ -387,8 +385,7 @@ impl BoruvkaMst {
             if ru != rv {
                 // Hook larger label under smaller for determinism.
                 let (lo, hi) = if ru < rv { (ru, rv) } else { (rv, ru) };
-                parent.insert(hi, lo);
-                parent.entry(lo).or_insert(lo);
+                parent[hi as usize] = lo;
                 accepted.push((e, w));
             }
         }
