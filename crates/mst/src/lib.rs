@@ -80,6 +80,15 @@ pub fn kruskal(g: &WeightedGraph) -> (Vec<Edge>, f64) {
     (out, total)
 }
 
+/// Root of `x` in the union-find `parent`, halving the path on the way.
+fn find_root(parent: &mut [Vertex], mut x: Vertex) -> Vertex {
+    while parent[x as usize] != x {
+        parent[x as usize] = parent[parent[x as usize] as usize];
+        x = parent[x as usize];
+    }
+    x
+}
+
 /// A candidate or chosen MST edge with its weight, ordered by
 /// `(weight, edge)` for deterministic tie-breaking.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -259,8 +268,9 @@ pub struct BoruvkaMst {
     n: usize,
     /// This machine's RVP input (hosted vertices + weighted adjacency).
     lg: LocalGraph,
-    /// Component label of every vertex (identical on all machines: it is
-    /// a deterministic function of the broadcast choice sets).
+    /// Union-find parent of every vertex, kept across phases. A root is
+    /// the smallest vertex id of its component, so [`find_root`] gives
+    /// the same label on every machine, however far each has compressed.
     labels: Vec<Vertex>,
     /// Proxy duty: best candidate per component I'm responsible for.
     proxy_best: BTreeMap<Vertex, Cand>,
@@ -309,9 +319,9 @@ impl BoruvkaMst {
     fn gather(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Outbox<MstMsg>, parity: bool) -> u64 {
         let mut best: BTreeMap<Vertex, Cand> = BTreeMap::new();
         for (j, &v) in self.lg.vertices().iter().enumerate() {
-            let lv = self.labels[v as usize];
+            let lv = find_root(&mut self.labels, v);
             for (&u, &w) in self.lg.neighbors(j).iter().zip(self.lg.neighbor_weights(j)) {
-                if self.labels[u as usize] == lv {
+                if find_root(&mut self.labels, u) == lv {
                     continue;
                 }
                 let cand = Cand {
@@ -361,39 +371,23 @@ impl BoruvkaMst {
         }
     }
 
-    /// Applies the phase's chosen edges: contract components (identical
-    /// deterministic computation on every machine).
+    /// Applies the phase's chosen edges in edge order: the same unions,
+    /// and so the same forest, on every machine.
     fn contract(&mut self) {
         let mut chosen = std::mem::take(&mut self.phase_chosen);
         chosen.sort_by_key(|a| a.0);
         chosen.dedup_by(|a, b| a.0 == b.0);
-        // Union-find over current labels.
-        let mut parent: Vec<Vertex> = (0..self.n as Vertex).collect();
-        fn find(parent: &mut [Vertex], mut x: Vertex) -> Vertex {
-            while parent[x as usize] != x {
-                parent[x as usize] = parent[parent[x as usize] as usize];
-                x = parent[x as usize];
-            }
-            x
-        }
-        let mut accepted = Vec::new();
-        for &(e, w) in &chosen {
-            let cu = self.labels[e.u as usize];
-            let cv = self.labels[e.v as usize];
-            let ru = find(&mut parent, cu);
-            let rv = find(&mut parent, cv);
+        for (e, w) in chosen {
+            let ru = find_root(&mut self.labels, e.u);
+            let rv = find_root(&mut self.labels, e.v);
             if ru != rv {
-                // Hook larger label under smaller for determinism.
+                // Hook the larger root under the smaller, so every root
+                // stays its component's smallest id.
                 let (lo, hi) = if ru < rv { (ru, rv) } else { (rv, ru) };
-                parent[hi as usize] = lo;
-                accepted.push((e, w));
+                self.labels[hi as usize] = lo;
+                self.forest.push((e, w));
             }
         }
-        for v in 0..self.n {
-            let l = self.labels[v];
-            self.labels[v] = find(&mut parent, l);
-        }
-        self.forest.extend(accepted);
     }
 
     /// Total forest weight.
@@ -639,7 +633,7 @@ mod tests {
 
     /// `v`'s component label as machine `m` holds it.
     fn label_of(m: &BoruvkaMst, v: Vertex) -> Vertex {
-        m.labels[v as usize]
+        find_root(&mut m.labels.clone(), v)
     }
 
     /// The smallest vertex id in every vertex's component of `forest`,
