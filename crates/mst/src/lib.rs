@@ -58,18 +58,11 @@ pub fn kruskal(g: &WeightedGraph) -> (Vec<Edge>, f64) {
     // Deterministic total order: weight, then endpoints. `WeightedGraph`
     // guarantees finite weights, so total_cmp is the plain numeric order.
     edges.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    let mut parent: Vec<u32> = (0..g.n() as u32).collect();
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            parent[x as usize] = parent[parent[x as usize] as usize];
-            x = parent[x as usize];
-        }
-        x
-    }
+    let mut parent: Vec<Vertex> = (0..g.n() as Vertex).collect();
     let mut out = Vec::new();
     let mut total = 0.0;
     for (e, w) in edges {
-        let (ru, rv) = (find(&mut parent, e.u), find(&mut parent, e.v));
+        let (ru, rv) = (find_root(&mut parent, e.u), find_root(&mut parent, e.v));
         if ru != rv {
             parent[ru as usize] = rv;
             out.push(e);
