@@ -473,9 +473,11 @@ fn extract_forest(machines: &[Staged<BoruvkaMst, 1>]) -> (Vec<Edge>, f64) {
     let m0 = machines[0].inner();
     let mut edges: Vec<Edge> = m0.forest.iter().map(|&(e, _)| e).collect();
     edges.sort_unstable();
-    // All machines agree on the forest (deterministic contraction).
+    // All machines agree on the forest, edge for edge: each applies the
+    // same choices in the same order (their union-finds may differ in
+    // how far they are compressed, never in their roots).
     for m in &machines[1..] {
-        debug_assert_eq!(m.inner().forest.len(), m0.forest.len());
+        debug_assert_eq!(m.inner().forest, m0.forest);
     }
     (edges, m0.forest_weight())
 }
