@@ -24,11 +24,12 @@
 //! The caller's thread coordinates; worker `i` owns machine `i`:
 //!
 //! 1. `Round` — every worker runs [`Protocol::round`] on its locally
-//!    held inbox, then ships one batch frame per destination it queued
-//!    messages for (self-sends bypass serialization and stay local,
-//!    free — the same drain-and-move semantics as the other engines).
-//!    It answers `Sent`, carrying its cumulative per-destination batch
-//!    counts.
+//!    held inbox, if the sparse-rounds rule (`engine::runs`: its last
+//!    status was `Active`, or it has mail) says so, then ships one
+//!    batch frame per destination it queued messages for (self-sends
+//!    bypass serialization and stay local, free — the same
+//!    drain-and-move semantics as the other engines). It answers
+//!    `Sent`, carrying its cumulative per-destination batch counts.
 //! 2. The coordinator collects all `Sent`s, transposes the count
 //!    matrix, and issues each worker a `Deliver` carrying exactly how
 //!    many batch frames it is owed per source.
@@ -144,7 +145,9 @@ use crate::codec::{
     WireCodec, FRAME_HEADER_BYTES, FRAME_KIND_NACK,
 };
 use crate::config::NetConfig;
-use crate::engine::{admit, panic_message, silent_exit, Inbound, RoundLedger, RoundTally};
+use crate::engine::{
+    admit, debug_assert_lemma3, panic_message, runs, silent_exit, Inbound, RoundLedger, RoundTally,
+};
 use crate::error::EngineError;
 use crate::faults::FaultPlan;
 use crate::message::{Envelope, Outbox, WireSize};
@@ -774,6 +777,7 @@ impl DistributedEngine {
                         _ => unreachable!("Finish yields Final"),
                     }
                 }
+                debug_assert_lemma3(&metrics, config.bandwidth_bits);
                 Ok(RunReport {
                     machines,
                     metrics,
@@ -954,6 +958,9 @@ fn run_worker<P>(
     // channel takes ownership of, one per active link per round.
     let mut staged: Vec<Vec<P::Msg>> = (0..k).map(|_| Vec::new()).collect();
     let mut scratch = BitWriter::new();
+    // What this machine's last `round()` returned: with the inbox, the
+    // input of the sparse-rounds rule.
+    let mut last = Status::Active;
 
     loop {
         match await_cmd(cmd_rx, &mut inw, &mut out, &mut inb, None) {
@@ -973,34 +980,37 @@ fn run_worker<P>(
                     }
                 }
                 out.start_round();
-                let mut ctx = RoundCtx {
-                    round,
-                    me,
-                    k,
-                    bandwidth_bits: config.bandwidth_bits,
-                    shared_seed: shared,
-                    rng: &mut rng,
-                };
-                let status = proto.round(&mut ctx, &mut inbox, &mut outbox);
-                inbox.clear();
-                for (dst, msg) in outbox.drain() {
-                    if dst == me {
-                        inb.push_self(msg);
-                        continue;
+                if runs(last, !inbox.is_empty()) {
+                    let mut ctx = RoundCtx {
+                        round,
+                        me,
+                        k,
+                        bandwidth_bits: config.bandwidth_bits,
+                        shared_seed: shared,
+                        rng: &mut rng,
+                    };
+                    last = proto.round(&mut ctx, &mut inbox, &mut outbox);
+                    inbox.clear();
+                    for (dst, msg) in outbox.drain() {
+                        if dst == me {
+                            inb.push_self(msg);
+                            continue;
+                        }
+                        // Sender-side accounting uses the logical size,
+                        // as at `Network::stage`; the frame is the real
+                        // bytes.
+                        out.report.messages += 1;
+                        out.report.logical_bits += msg.bits().max(1);
+                        staged[dst].push(msg);
                     }
-                    // Sender-side accounting uses the logical size, as
-                    // at `Network::stage`; the frame is the real bytes.
-                    out.report.messages += 1;
-                    out.report.logical_bits += msg.bits().max(1);
-                    staged[dst].push(msg);
-                }
-                // One batch frame per destination with queued traffic,
-                // in destination order; per-link FIFO is the staging
-                // order above.
-                for (dst, batch) in staged.iter_mut().enumerate() {
-                    if !batch.is_empty() {
-                        out.stage_batch(dst, batch, &mut scratch);
-                        batch.clear();
+                    // One batch frame per destination with queued
+                    // traffic, in destination order; per-link FIFO is
+                    // the staging order above.
+                    for (dst, batch) in staged.iter_mut().enumerate() {
+                        if !batch.is_empty() {
+                            out.stage_batch(dst, batch, &mut scratch);
+                            batch.clear();
+                        }
                     }
                 }
                 if out.faulty {
@@ -1043,7 +1053,7 @@ fn run_worker<P>(
                     }
                 }
                 let tally = RoundTally {
-                    active_machines: usize::from(status == Status::Active),
+                    active_machines: usize::from(last == Status::Active),
                     ..inb.deliver(config.bandwidth_bits, &mut inbox)
                 };
                 if resp_tx.send(Resp::Round(tally)).is_err() {

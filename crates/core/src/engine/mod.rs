@@ -3,7 +3,9 @@
 //! All three engines implement identical synchronous-round semantics:
 //!
 //! 1. every machine runs [`crate::Protocol::round`] on the messages delivered at
-//!    the start of this round and stages outgoing messages;
+//!    the start of this round and stages outgoing messages — every
+//!    machine that has something to compute, that is (see *Sparse
+//!    rounds* below: a `Done` machine with an empty inbox is not called);
 //! 2. staged messages enter per-ordered-pair FIFO [`crate::link::Link`]s (self-sends
 //!    bypass links: local hand-off is free, like local computation);
 //! 3. each link releases up to `B` bits; released messages form the next
@@ -35,20 +37,35 @@
 //!   in-process loop around them; the sequential engine and the parallel
 //!   engine's master differ only in the compute step they pass it.
 //!
-//! # Sparse delivery
+//! # Sparse rounds
 //!
 //! The paper's algorithms spend most rounds with traffic on a small
-//! fraction of the `k²` ordered links, so the delivery core is built to
-//! cost **O(active traffic) per round, not O(k²)**:
+//! fraction of the `k²` ordered links and work on a small fraction of
+//! the `k` machines, so a round is built to cost **O(active machines +
+//! active traffic), not O(k) calls and O(k²) link checks**:
 //!
-//! * An `Inbound` keeps a sorted *active-source index* — the sources
-//!   (including the destination itself, for pending self-sends) with
-//!   queued traffic. Pushing inserts a source exactly when its link
-//!   transitions empty → non-empty, and `Inbound::deliver` removes it
-//!   when the link drains; a link with no queued traffic is never
+//! * **Machines.** After round 0, a machine whose last `round()`
+//!   returned [`crate::Status::Done`] and whose inbox is empty is not
+//!   called; it counts as `Done`, so quiescence, `RoundTally` and the
+//!   `RoundLimitExceeded` payload are what calling it would give (the
+//!   [`crate::Protocol`] contract makes such a call a no-op). The rule
+//!   is one predicate, `runs`. `drive` applies it to the sorted union
+//!   of the machines still `Active` and the machines the last delivery
+//!   woke; the parallel and distributed workers apply it to the
+//!   machines and inboxes they own.
+//! * **Destinations.** `Network` keeps the *busy* destinations — those
+//!   whose active-source index is non-empty. A destination joins in
+//!   `Network::stage` on its empty → non-empty transition, and
+//!   `Network::deliver` walks only that list, drops the drained
+//!   entries, and records which destinations it woke (their inbox is
+//!   now non-empty).
+//! * **Links.** An `Inbound` keeps a sorted *active-source index* — the
+//!   sources (including the destination itself, for pending self-sends)
+//!   with queued traffic. Pushing inserts a source exactly when its
+//!   link transitions empty → non-empty, and `Inbound::deliver` removes
+//!   it when the link drains; a link with no queued traffic is never
 //!   visited (every visit increments [`crate::Metrics::link_visits`],
-//!   the observable this invariant is unit-tested against), and
-//!   `Network::deliver` skips a destination whose index is empty.
+//!   the observable this invariant is unit-tested against).
 //! * Running `queued_msgs` / `queued_bits` counters — incremented at
 //!   push, decremented at delivery — are reported in each destination's
 //!   tally, so the per-round quiescence check does no per-link work.
@@ -57,10 +74,18 @@
 //!   [`crate::message::WireSize::bits`] runs exactly once per link
 //!   message — and never for a self-send, which is free and unsized.
 //!
-//! Ordering is that of a dense `k²` walk: each destination's active
-//! sources are visited in increasing machine order (the index is kept
-//! sorted), so inboxes — and therefore transcripts, metrics, and RNG
-//! streams — are bit-for-bit what visiting every link would produce.
+//! Ordering is that of a dense walk: machines run in increasing index
+//! order, and each destination's active sources are visited in
+//! increasing machine order (the index is kept sorted), so inboxes —
+//! and therefore transcripts, metrics, and RNG streams — are bit-for-bit
+//! what calling every machine and visiting every link would produce.
+//!
+//! Two of the model's own invariants are debug-asserted where a round
+//! and a run end: `Inbound::deliver` checks that no link releases more
+//! than `B` bits in a round, and a successful run checks Lemma 3's
+//! per-machine ceiling `recv_bits[i] ≤ B·(k−1)·rounds` (hence
+//! `round_floor(B) ≤ rounds`) in `Network::finish` and in the
+//! distributed coordinator's final merge.
 
 pub mod distributed;
 pub mod parallel;
@@ -76,8 +101,17 @@ use crate::error::EngineError;
 use crate::link::Link;
 use crate::message::{Envelope, WireSize};
 use crate::metrics::Metrics;
+use crate::protocol::Status;
 use crate::MachineIdx;
 use std::any::Any;
+
+/// The sparse-rounds rule, stated once: a machine runs this round iff
+/// its last [`crate::Protocol::round`] returned [`Status::Active`] or
+/// mail was delivered to it. Every machine starts out `Active`, so round
+/// 0 runs all `k`; a machine the rule skips counts as `Done`.
+pub(crate) fn runs(last: Status, has_mail: bool) -> bool {
+    last == Status::Active || has_mail
+}
 
 /// One destination's slice of the network: its incoming links, its
 /// free self-queue, the active-source index that keeps delivery
@@ -158,6 +192,10 @@ impl<M: WireSize> Inbound<M> {
     /// not visited. Returns what the phase left behind.
     pub(crate) fn deliver(&mut self, budget: u64, inbox: &mut Vec<Envelope<M>>) -> RoundTally {
         let mut any_link_bits = false;
+        // (source, bits its link released so far this round): the
+        // model's bandwidth invariant, checked per link even if the
+        // index listed a source twice.
+        let mut released = (self.me, 0);
         // Walk the active sources in machine order (the list is
         // sorted), retaining only those still queued.
         let mut sources = std::mem::take(&mut self.active);
@@ -170,6 +208,14 @@ impl<M: WireSize> Inbound<M> {
             self.link_visits += 1;
             let link = &mut self.links[src];
             let d = link.deliver(budget, inbox);
+            let before = if released.0 == src { released.1 } else { 0 };
+            released = (src, before + d.bits_used);
+            debug_assert!(
+                released.1 <= budget,
+                "link {src} -> {} released {} bits in one round, over B = {budget}",
+                self.me,
+                released.1
+            );
             any_link_bits |= d.bits_used > 0;
             // Received counts come from the sizes cached at push time,
             // so recv accounting can never drift from sent and
@@ -284,10 +330,34 @@ pub(crate) fn admit(config: &NetConfig, machines: usize) -> Result<(), EngineErr
     Ok(())
 }
 
-/// The in-process network: every destination's [`Inbound`] plus the
-/// sender-side counters.
+/// Debug-asserts Lemma 3's per-machine ceiling on a successful run:
+/// machine `i` hears over `k − 1` links of `B` bits per communication
+/// round, so `recv_bits[i] ≤ B·(k−1)·rounds` — hence
+/// [`Metrics::round_floor`]`(B) ≤ rounds`.
+pub(crate) fn debug_assert_lemma3(metrics: &Metrics, bandwidth_bits: u64) {
+    let links = metrics.recv_bits.len().saturating_sub(1) as u64;
+    let ceiling = bandwidth_bits
+        .saturating_mul(links)
+        .saturating_mul(metrics.rounds);
+    for (i, &bits) in metrics.recv_bits.iter().enumerate() {
+        debug_assert!(
+            bits <= ceiling,
+            "machine {i} received {bits} bits in {} rounds, over B·(k−1)·rounds = {ceiling}",
+            metrics.rounds
+        );
+    }
+}
+
+/// The in-process network: every destination's [`Inbound`], the busy
+/// destinations among them, and the sender-side counters.
 pub(crate) struct Network<M> {
     inbound: Vec<Inbound<M>>,
+    /// Destinations whose active-source index is non-empty: joined in
+    /// [`Network::stage`] on the empty → non-empty transition, left in
+    /// [`Network::deliver`] once drained.
+    busy: Vec<MachineIdx>,
+    /// Destinations the last [`Network::deliver`] put mail into.
+    woken: Vec<MachineIdx>,
     /// `sent_*` are charged at staging; [`Network::finish`] folds the
     /// receive side in from each [`Inbound`].
     metrics: Metrics,
@@ -297,6 +367,8 @@ impl<M: WireSize> Network<M> {
     fn new(k: usize) -> Self {
         Network {
             inbound: (0..k).map(|dst| Inbound::new(k, dst)).collect(),
+            busy: Vec::new(),
+            woken: Vec::new(),
             metrics: Metrics::new(k),
         }
     }
@@ -304,43 +376,55 @@ impl<M: WireSize> Network<M> {
     /// Stages one message. Link traffic is charged to the sender here
     /// (bits are counted when sent, received when delivered).
     pub(crate) fn stage(&mut self, src: MachineIdx, dst: MachineIdx, msg: M) {
+        let inb = &mut self.inbound[dst];
+        if inb.active.is_empty() {
+            self.busy.push(dst);
+        }
         if src == dst {
-            self.inbound[dst].push_self(msg);
+            inb.push_self(msg);
             return;
         }
         let bits = msg.bits().max(1);
         self.metrics.sent_msgs[src] += 1;
         self.metrics.sent_bits[src] += bits;
-        self.inbound[dst].push(src, msg, bits);
+        inb.push(src, msg, bits);
     }
 
     /// Runs one delivery phase into the (cleared) `inboxes` and sums
-    /// the tallies. A destination with an empty index has nothing
-    /// queued — nothing to deliver and nothing to report.
+    /// the tallies. Only busy destinations are visited — any other has
+    /// nothing queued, so nothing to deliver and nothing to report.
     fn deliver(&mut self, budget: u64, inboxes: &mut [Vec<Envelope<M>>]) -> RoundTally {
         let mut tally = RoundTally::default();
-        for (inb, inbox) in self.inbound.iter_mut().zip(inboxes) {
-            if !inb.active.is_empty() {
-                tally.absorb(inb.deliver(budget, inbox));
+        let (inbound, woken) = (&mut self.inbound, &mut self.woken);
+        woken.clear();
+        self.busy.retain(|&dst| {
+            let t = inbound[dst].deliver(budget, &mut inboxes[dst]);
+            if t.inbox_msgs > 0 {
+                woken.push(dst);
             }
-        }
+            tally.absorb(t);
+            !inbound[dst].active.is_empty()
+        });
         tally
     }
 
-    fn finish(mut self, rounds: u64) -> Metrics {
+    fn finish(mut self, rounds: u64, bandwidth_bits: u64) -> Metrics {
         for inb in &self.inbound {
             inb.fold_into(&mut self.metrics);
         }
         self.metrics.rounds = rounds;
+        debug_assert_lemma3(&self.metrics, bandwidth_bits);
         self.metrics
     }
 }
 
 /// The in-process round loop, shared by [`SequentialEngine`] and
-/// [`ParallelEngine`]'s master. `compute(round, inboxes, net)` runs
-/// every machine on its inbox, stages what they sent into `net` in
-/// machine order, leaves all `k` inboxes cleared, and returns how many
-/// machines reported [`crate::Status::Active`].
+/// [`ParallelEngine`]'s master. `compute(round, calls, inboxes, net,
+/// last)` runs the machines `calls` lists (ascending) on their inboxes,
+/// records each one's [`Status`] in `last`, stages what they sent into
+/// `net` in machine order, and leaves all `k` inboxes cleared. `calls`
+/// is the sorted union of the machines still `Active` and those the
+/// last delivery woke — exactly the machines [`runs`] selects.
 ///
 /// # Errors
 /// Whatever `compute` fails with, or [`RoundLedger::close`]'s
@@ -349,21 +433,41 @@ pub(crate) fn drive<M: WireSize>(
     config: &NetConfig,
     mut compute: impl FnMut(
         u64,
+        &[MachineIdx],
         &mut Vec<Vec<Envelope<M>>>,
         &mut Network<M>,
-    ) -> Result<usize, EngineError>,
+        &mut [Status],
+    ) -> Result<(), EngineError>,
 ) -> Result<Metrics, EngineError> {
-    let mut net = Network::new(config.k);
-    let mut inboxes: Vec<Vec<Envelope<M>>> = (0..config.k).map(|_| Vec::new()).collect();
+    let k = config.k;
+    let mut net = Network::new(k);
+    let mut inboxes: Vec<Vec<Envelope<M>>> = (0..k).map(|_| Vec::new()).collect();
+    let mut last = vec![Status::Active; k];
+    // Machines whose last round returned Active, ascending.
+    let mut active: Vec<MachineIdx> = (0..k).collect();
+    let mut calls = Vec::with_capacity(k);
     let mut ledger = RoundLedger::default();
     loop {
-        let active_machines = compute(ledger.iterations, &mut inboxes, &mut net)?;
+        calls.clear();
+        calls.extend_from_slice(&active);
+        calls.extend_from_slice(&net.woken);
+        calls.sort_unstable();
+        calls.dedup();
+        debug_assert!(
+            (0..k)
+                .all(|i| runs(last[i], !inboxes[i].is_empty()) == calls.binary_search(&i).is_ok()),
+            "round {}: the callee list disagrees with the skip rule",
+            ledger.iterations
+        );
+        compute(ledger.iterations, &calls, &mut inboxes, &mut net, &mut last)?;
+        active.clear();
+        active.extend(calls.iter().filter(|&&i| last[i] == Status::Active));
         let tally = RoundTally {
-            active_machines,
+            active_machines: active.len(),
             ..net.deliver(config.bandwidth_bits, &mut inboxes)
         };
         if ledger.close(config, tally)? {
-            return Ok(net.finish(ledger.comm_rounds));
+            return Ok(net.finish(ledger.comm_rounds, config.bandwidth_bits));
         }
     }
 }
@@ -392,7 +496,7 @@ pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
 mod tests {
     use super::{Inbound, RoundLedger, RoundTally};
     use crate::config::NetConfig;
-    use crate::engine::SequentialEngine;
+    use crate::engine::{DistributedEngine, ParallelEngine, SequentialEngine};
     use crate::error::EngineError;
     use crate::message::{Envelope, Outbox};
     use crate::protocol::{Protocol, RoundCtx, Status};
@@ -615,5 +719,78 @@ mod tests {
         assert_eq!(report.metrics.rounds, hops);
         // Exactly one link is active per round: one visit per hop.
         assert_eq!(report.metrics.link_visits, hops);
+    }
+
+    /// The sparse-rounds contract, counted by the machines themselves:
+    /// a `Done` machine without mail is never called. On a k = 256 ring
+    /// carrying 8 tokens, round 0 calls all `k` machines and every later
+    /// call is one token arriving — `k + total_msgs` calls in all, where
+    /// calling everyone would make `k·(rounds + 1)` — on every engine,
+    /// and the link walk is one visit per hop as before.
+    #[test]
+    fn idle_machines_are_not_called() {
+        struct Ring {
+            inject: bool,
+            hops: u64,
+            calls: u64,
+        }
+        impl Protocol for Ring {
+            type Msg = u64;
+            fn round(
+                &mut self,
+                ctx: &mut RoundCtx<'_>,
+                inbox: &mut Vec<Envelope<u64>>,
+                out: &mut Outbox<u64>,
+            ) -> Status {
+                self.calls += 1;
+                let next = (ctx.me + 1) % ctx.k;
+                if ctx.round == 0 && self.inject {
+                    out.send(next, self.hops);
+                }
+                for env in inbox.drain(..) {
+                    if env.msg > 1 {
+                        out.send(next, env.msg - 1);
+                    }
+                }
+                Status::Done
+            }
+        }
+        let (k, tokens, hops) = (256, 8, 40);
+        let cfg = NetConfig::with_bandwidth(k, 64, 0);
+        let ring = || -> Vec<Ring> {
+            (0..k)
+                .map(|i| Ring {
+                    inject: i < tokens,
+                    hops,
+                    calls: 0,
+                })
+                .collect()
+        };
+        let reports = [
+            SequentialEngine::run(cfg, ring()).unwrap(),
+            ParallelEngine::with_threads(4).run(cfg, ring()).unwrap(),
+            DistributedEngine::run(cfg, ring()).unwrap(),
+        ];
+        for report in &reports {
+            let m = &report.metrics;
+            assert_eq!((m.rounds, m.total_msgs()), (hops, tokens as u64 * hops));
+            let calls: u64 = report.machines.iter().map(|r| r.calls).sum();
+            assert_eq!(calls, k as u64 + m.total_msgs());
+            assert_eq!(m.link_visits, m.total_msgs());
+            assert_eq!(m, &reports[0].metrics);
+        }
+    }
+
+    /// The model's bandwidth invariant has teeth: an index that listed
+    /// a source twice would let its link release `2B` bits in a round.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "link 5 -> 2 released 128 bits in one round, over B = 64")]
+    fn a_link_releasing_over_b_trips_the_bandwidth_check() {
+        let mut inb: Inbound<u64> = Inbound::new(8, 2);
+        inb.push(5, 1, 64);
+        inb.push(5, 2, 64);
+        inb.active.push(5);
+        inb.deliver(64, &mut Vec::new());
     }
 }

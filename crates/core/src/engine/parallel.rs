@@ -2,14 +2,16 @@
 //!
 //! Machines are partitioned into contiguous chunks, one worker thread per
 //! chunk. Each round the master ships every machine its inbox, workers run
-//! [`Protocol::round`] in parallel, and the master merges the returned
+//! [`Protocol::round`] in parallel on those of their machines the
+//! sparse-rounds rule (`engine::runs`, applied to the statuses and inboxes
+//! each worker owns) selects, and the master merges the returned
 //! outboxes *in machine order* as the compute step of the same
 //! `engine::drive` loop the sequential engine runs — so transcripts,
 //! metrics, and RNG streams are bit-for-bit identical to
 //! [`super::SequentialEngine`].
 
 use crate::config::NetConfig;
-use crate::engine::{admit, drive, panic_message, silent_exit};
+use crate::engine::{admit, drive, panic_message, runs, silent_exit};
 use crate::error::EngineError;
 use crate::message::{Envelope, Outbox};
 use crate::metrics::RunReport;
@@ -24,7 +26,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 type Cmd<M> = (u64, Vec<Vec<Envelope<M>>>);
 
 /// A worker's answer: per-machine `(staged messages, status)` in chunk
-/// order, plus the (cleared) inbox buffers handed out with the command,
+/// order (a machine the rule skipped sent nothing and is `Done`), plus
+/// the (cleared) inbox buffers handed out with the command,
 /// returned so the master can reuse their capacity next round instead
 /// of allocating k fresh `Vec`s per round — or the typed report of the
 /// machine whose `round` panicked.
@@ -110,11 +113,16 @@ impl ParallelEngine {
                         .map(|j| rng::machine_rng(config.seed, base + j))
                         .collect();
                     let mut outbox = Outbox::new(k);
+                    let mut last = vec![Status::Active; local.len()];
                     // The master hanging up is the stop signal.
                     while let Ok((round, mut inboxes)) = cmd_rx.recv() {
                         let mut results = Vec::with_capacity(local.len());
                         let mut failure = None;
                         for (j, inbox) in inboxes.iter_mut().enumerate() {
+                            if !runs(last[j], !inbox.is_empty()) {
+                                results.push((Vec::new(), Status::Done));
+                                continue;
+                            }
                             let mut ctx = RoundCtx {
                                 round,
                                 me: base + j,
@@ -129,6 +137,7 @@ impl ParallelEngine {
                                 local[j].round(&mut ctx, inbox, &mut outbox)
                             })) {
                                 Ok(status) => {
+                                    last[j] = status;
                                     inbox.clear();
                                     results.push((outbox.drain().collect(), status));
                                 }
@@ -153,7 +162,9 @@ impl ParallelEngine {
                 }));
             }
 
-            let mut result = drive(&config, |round, inboxes, net| {
+            // Workers pick their callees themselves, so `drive`'s list
+            // goes unused here.
+            let mut result = drive(&config, |round, _calls, inboxes, net, last| {
                 // Ship inboxes (moving them out), collect outboxes in order.
                 let mut inbox_iter = std::mem::take(inboxes).into_iter();
                 for (w, tx) in cmd_txs.iter().enumerate() {
@@ -163,11 +174,10 @@ impl ParallelEngine {
                 // Workers answer in worker order with contiguous machine
                 // chunks, so re-extending `inboxes` with the returned
                 // (cleared) buffers restores machine order.
-                let mut active = 0;
                 for (w, rx) in resp_rxs.iter().enumerate() {
                     let (results, buffers) = rx.recv().map_err(|_| silent_exit(bases[w]))??;
                     for (j, (msgs, status)) in results.into_iter().enumerate() {
-                        active += usize::from(status == Status::Active);
+                        last[bases[w] + j] = status;
                         for (dst, msg) in msgs {
                             net.stage(bases[w] + j, dst, msg);
                         }
@@ -175,7 +185,7 @@ impl ParallelEngine {
                     inboxes.extend(buffers);
                 }
                 debug_assert_eq!(inboxes.len(), k);
-                Ok(active)
+                Ok(())
             });
 
             // Hang up — after success and after any failure alike — so

@@ -5,7 +5,7 @@ use crate::engine::{admit, drive};
 use crate::error::EngineError;
 use crate::message::Outbox;
 use crate::metrics::RunReport;
-use crate::protocol::{Protocol, RoundCtx, Status};
+use crate::protocol::{Protocol, RoundCtx};
 use crate::rng;
 
 /// Runs a protocol instance per machine to quiescence, single-threaded.
@@ -31,9 +31,8 @@ impl SequentialEngine {
         let mut rngs: Vec<_> = (0..k).map(|i| rng::machine_rng(config.seed, i)).collect();
         let shared = rng::shared_seed(config.seed);
         let mut outbox = Outbox::new(k);
-        let metrics = drive(&config, |round, inboxes, net| {
-            let mut active = 0;
-            for (i, machine) in machines.iter_mut().enumerate() {
+        let metrics = drive(&config, |round, calls, inboxes, net, last| {
+            for &i in calls {
                 let mut ctx = RoundCtx {
                     round,
                     me: i,
@@ -42,14 +41,13 @@ impl SequentialEngine {
                     shared_seed: shared,
                     rng: &mut rngs[i],
                 };
-                let status = machine.round(&mut ctx, &mut inboxes[i], &mut outbox);
-                active += usize::from(status == Status::Active);
+                last[i] = machines[i].round(&mut ctx, &mut inboxes[i], &mut outbox);
                 inboxes[i].clear();
                 for (dst, msg) in outbox.drain() {
                     net.stage(i, dst, msg);
                 }
             }
-            Ok(active)
+            Ok(())
         })?;
         Ok(RunReport {
             machines,
@@ -63,6 +61,7 @@ impl SequentialEngine {
 mod tests {
     use super::*;
     use crate::message::WireSize;
+    use crate::protocol::Status;
     use crate::Envelope as Env;
 
     /// Each machine sends `count` unit messages to machine 0, then stops.

@@ -7,11 +7,15 @@ use rand_chacha::ChaCha8Rng;
 /// What a machine reports at the end of a round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Status {
-    /// The machine has (or may have) more work to do.
+    /// The machine has (or may have) more work to do: it is called
+    /// again next round, mail or not.
     Active,
-    /// The machine is quiescent: it sent nothing this round and will send
-    /// nothing more unless a new message arrives. The run terminates when
-    /// every machine is `Done` and all links are drained.
+    /// The machine has nothing to do until mail arrives. What it sent
+    /// this round is still delivered; it is called again only in a
+    /// round that delivers mail to it (see [`Protocol`] for what such a
+    /// machine may not do when called without mail). The run
+    /// terminates when every machine is `Done` and all links and
+    /// inboxes are empty.
     Done,
 }
 
@@ -36,11 +40,22 @@ pub struct RoundCtx<'a> {
 /// A distributed algorithm in the k-machine model, from the point of view
 /// of a single machine.
 ///
-/// The engine calls [`Protocol::round`] once per synchronous round with the
+/// The engine calls [`Protocol::round`] in each synchronous round with the
 /// messages delivered this round; the implementation performs arbitrary
 /// (free) local computation and stages outgoing messages. Each message `M`
 /// reports its logical size via [`WireSize`] and is delivered once every
 /// preceding byte of the FIFO link has been paid for at `B` bits/round.
+///
+/// # Idle machines are not called
+///
+/// Round 0 calls every machine. After that, a machine is called in a
+/// round iff its last `round()` returned [`Status::Active`] or the round
+/// delivered mail to it (self-sends included); a machine that is not
+/// called counts as `Done`. This is sound only because of one rule every
+/// implementation must keep: **`round()` with an empty inbox after
+/// returning `Done` changes no state, sends nothing, draws no randomness
+/// and returns `Done` again** — an engine that did call it could not
+/// tell. A protocol that needs to act without mail reports `Active`.
 pub trait Protocol: Send {
     /// The message type exchanged by this protocol.
     type Msg: WireSize + Send;

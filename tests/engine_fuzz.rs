@@ -1,6 +1,7 @@
 //! Cross-engine fuzz matrix: random protocol behaviors (random message
-//! sizes, destinations, round counts, self-sends, messages spanning
-//! multiple delivery rounds) must produce bit-for-bit identical
+//! sizes, destinations, per-machine stop rounds, self-sends, messages
+//! spanning multiple delivery rounds, `Done` machines woken by mail)
+//! must produce bit-for-bit identical
 //! transcripts on the sequential, parallel, and distributed engines,
 //! conserve traffic exactly, and fail identically when the round-limit
 //! safety valve fires.
@@ -15,23 +16,35 @@ use km_core::{Envelope, NetConfig, Outbox, Protocol, Raw, RoundCtx, Status};
 use proptest::prelude::*;
 use rand::Rng;
 
-/// Sends `fanout` random-size byte blobs to uniformly random machines
-/// (self included — self-sends are free and bypass links) for `rounds`
-/// rounds, and logs every reception. The private per-machine RNG drives
-/// all choices, so every engine must see identical traffic.
+/// Two shapes of machine, both logging every reception and drawing
+/// every choice from the private per-machine RNG, so every engine must
+/// see identical traffic:
+///
+/// * a *talker* sends `fanout` random-size byte blobs to uniformly random
+///   machines (self included — self-sends are free and bypass links)
+///   every round before its own stop round, then reports `Done` — while
+///   peers, and multi-round messages at small `B`, may still reach it;
+/// * a *sleeper* reports `Done` from round 0 and acts only on mail: every
+///   blob it receives goes on, one byte shorter, to a random machine
+///   (empty ones stop there). It is called only when woken, and draws
+///   randomness only then.
 #[derive(Debug)]
 struct RandomTraffic {
-    rounds: u64,
+    /// The talker's stop round; `None` for a sleeper.
+    stop: Option<u64>,
     fanout: usize,
     max_len: usize,
     log: Vec<(usize, usize)>,
     received_msgs: u64,
 }
 
-fn traffic(k: usize, rounds: u64, fanout: usize, max_len: usize) -> Vec<RandomTraffic> {
-    (0..k)
-        .map(|_| RandomTraffic {
-            rounds,
+/// One machine per `(stop, die)`: a sleeper when `die == 0` (one draw in
+/// four from `0u8..4`), else a talker stopping at `stop`.
+fn traffic(shapes: &[(u64, u8)], fanout: usize, max_len: usize) -> Vec<RandomTraffic> {
+    shapes
+        .iter()
+        .map(|&(stop, die)| RandomTraffic {
+            stop: (die != 0).then_some(stop),
             fanout,
             max_len,
             log: Vec::new(),
@@ -55,15 +68,25 @@ impl Protocol for RandomTraffic {
                 self.received_msgs += 1;
             }
         }
-        if ctx.round < self.rounds {
-            for _ in 0..self.fanout {
-                let dst = ctx.rng.gen_range(0..ctx.k);
-                let len = ctx.rng.gen_range(0..=self.max_len);
-                out.send(dst, Raw::from_vec(vec![dst as u8; len]));
+        match self.stop {
+            None => {
+                for env in inbox.iter() {
+                    if let Some(len) = env.msg.0.len().checked_sub(1) {
+                        let dst = ctx.rng.gen_range(0..ctx.k);
+                        out.send(dst, Raw::from_vec(vec![dst as u8; len]));
+                    }
+                }
+                Status::Done
             }
-            Status::Active
-        } else {
-            Status::Done
+            Some(stop) if ctx.round < stop => {
+                for _ in 0..self.fanout {
+                    let dst = ctx.rng.gen_range(0..ctx.k);
+                    let len = ctx.rng.gen_range(0..=self.max_len);
+                    out.send(dst, Raw::from_vec(vec![dst as u8; len]));
+                }
+                Status::Active
+            }
+            Some(_) => Status::Done,
         }
     }
 }
@@ -75,16 +98,15 @@ proptest! {
     /// reference engine and the message-passing one.
     #[test]
     fn random_protocols_conserve_traffic(
-        k in 2usize..9,
-        rounds in 1u64..6,
+        shapes in collection::vec((0u64..6, 0u8..4), 2..9),
         fanout in 0usize..5,
         max_len in 0usize..40,
         bandwidth in 1u64..200,
         seed in 0u64..1_000_000,
     ) {
-        let cfg = NetConfig::with_bandwidth(k, bandwidth, seed).max_rounds(1_000_000);
+        let cfg = NetConfig::with_bandwidth(shapes.len(), bandwidth, seed).max_rounds(1_000_000);
         for dist in [false, true] {
-            let machines = traffic(k, rounds, fanout, max_len);
+            let machines = traffic(&shapes, fanout, max_len);
             let report = if dist {
                 DistributedEngine::run(cfg, machines).unwrap()
             } else {
@@ -122,23 +144,23 @@ proptest! {
     /// Sequential, parallel, and distributed engines are
     /// transcript-identical on the same random workloads: same metrics,
     /// same per-machine logs — even though the distributed engine pushed
-    /// every message through a serialized byte frame.
+    /// every message through a serialized byte frame, and each engine
+    /// decided on its own which `Done` machines the mail woke.
     #[test]
     fn engines_are_transcript_identical(
-        k in 2usize..9,
-        rounds in 1u64..5,
+        shapes in collection::vec((0u64..5, 0u8..4), 2..9),
         fanout in 0usize..4,
         max_len in 0usize..32,
         bandwidth in 1u64..150,
         seed in 0u64..1_000_000,
         threads in 2usize..5,
     ) {
-        let cfg = NetConfig::with_bandwidth(k, bandwidth, seed).max_rounds(1_000_000);
-        let seq = SequentialEngine::run(cfg, traffic(k, rounds, fanout, max_len)).unwrap();
+        let cfg = NetConfig::with_bandwidth(shapes.len(), bandwidth, seed).max_rounds(1_000_000);
+        let seq = SequentialEngine::run(cfg, traffic(&shapes, fanout, max_len)).unwrap();
         let par = ParallelEngine::with_threads(threads)
-            .run(cfg, traffic(k, rounds, fanout, max_len))
+            .run(cfg, traffic(&shapes, fanout, max_len))
             .unwrap();
-        let dist = DistributedEngine::run(cfg, traffic(k, rounds, fanout, max_len)).unwrap();
+        let dist = DistributedEngine::run(cfg, traffic(&shapes, fanout, max_len)).unwrap();
         prop_assert_eq!(&seq.metrics, &par.metrics, "parallel metrics diverged");
         prop_assert_eq!(&seq.metrics, &dist.metrics, "distributed metrics diverged");
         for (i, (s, p)) in seq.machines.iter().zip(&par.machines).enumerate() {
@@ -171,21 +193,22 @@ proptest! {
     /// machines, same queued traffic.
     #[test]
     fn round_limit_errors_are_bit_identical(
-        k in 2usize..7,
+        peers in collection::vec((0u64..6, 0u8..4), 1..6),
         fanout in 1usize..4,
         max_len in 0usize..24,
         bandwidth in 1u64..100,
         seed in 0u64..1_000_000,
         limit in 1u64..4,
     ) {
-        let cfg = NetConfig::with_bandwidth(k, bandwidth, seed).max_rounds(limit);
-        // rounds >> limit so the protocol can never quiesce in time.
-        let rounds = limit + 10;
-        let seq = SequentialEngine::run(cfg, traffic(k, rounds, fanout, max_len)).unwrap_err();
+        // Machine 0 talks far past the limit, so the run can never
+        // quiesce in time; its peers stop, sleep and wake as they like.
+        let shapes = [&[(limit + 10, 1)][..], &peers].concat();
+        let cfg = NetConfig::with_bandwidth(shapes.len(), bandwidth, seed).max_rounds(limit);
+        let seq = SequentialEngine::run(cfg, traffic(&shapes, fanout, max_len)).unwrap_err();
         let par = ParallelEngine::with_threads(3)
-            .run(cfg, traffic(k, rounds, fanout, max_len))
+            .run(cfg, traffic(&shapes, fanout, max_len))
             .unwrap_err();
-        let dist = DistributedEngine::run(cfg, traffic(k, rounds, fanout, max_len)).unwrap_err();
+        let dist = DistributedEngine::run(cfg, traffic(&shapes, fanout, max_len)).unwrap_err();
         prop_assert_eq!(&seq, &par, "parallel error diverged");
         prop_assert_eq!(&seq, &dist, "distributed error diverged");
     }
