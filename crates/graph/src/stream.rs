@@ -32,6 +32,27 @@
 //! edges collapse (keeping the minimum weight for weighted streams),
 //! matching the one-shot constructors.
 //!
+//! * *Reader and router.* Every pass, spilled or not, reads through
+//!   one helper: the calling thread calls `next_chunk` (so a stream
+//!   need not be `Send`) while one scoped worker routes each chunk, in
+//!   order. A fixed ring of three chunks cycles between them over two
+//!   bounded channels. The first routing error stops the reader; a
+//!   routing panic is re-raised on the caller.
+//! * *Packed cursor.* One `u64` per vertex holds its home machine
+//!   (high half) and the next free slot of its window (low half), so
+//!   the fill pass finds both with one read. Windows are contiguous in
+//!   member order, so each window starts at the previous member's
+//!   final cursor.
+//! * *Parallel finalize.* Each machine is sorted and deduplicated on
+//!   its own, so the machines are split into runs over
+//!   `available_parallelism()` scoped threads.
+//! * *Replay check.* Both passes keep an edge count and an
+//!   order-sensitive 64-bit fingerprint of the edge (and weight)
+//!   sequence. A stream that does not replay after `reset` fails with
+//!   [`StreamError::ReplayMismatch`], as does a fill-pass endpoint or
+//!   slot outside the pre-sized arrays, instead of writing into a
+//!   neighbour's window or panicking on an index.
+//!
 //! **Disk spill.** With [`SpillConfig`], the builder reads the stream
 //! *once*, appending fixed-width little-endian records to one run file
 //! per machine (8 bytes `(vertex, neighbor)` unweighted, 16 bytes with
@@ -52,9 +73,11 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use std::fs::{self, File};
 use std::io::{Read as _, Write as _};
+use std::panic;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::thread;
 
 /// Default number of edges per chunk for the generator streams.
 pub const DEFAULT_CHUNK_EDGES: usize = 1 << 16;
@@ -552,6 +575,10 @@ pub enum StreamError {
     Graph(GraphError),
     /// A disk-spill file operation failed.
     Io(std::io::Error),
+    /// After [`EdgeStream::reset`], the stream did not replay the edge
+    /// (and weight) sequence the in-RAM build's count pass sized its
+    /// windows for.
+    ReplayMismatch,
 }
 
 impl std::fmt::Display for StreamError {
@@ -559,6 +586,9 @@ impl std::fmt::Display for StreamError {
         match self {
             StreamError::Graph(e) => write!(f, "streamed input rejected: {e}"),
             StreamError::Io(e) => write!(f, "spill i/o failed: {e}"),
+            StreamError::ReplayMismatch => {
+                write!(f, "stream replayed a different edge sequence after reset")
+            }
         }
     }
 }
@@ -568,6 +598,7 @@ impl std::error::Error for StreamError {
         match self {
             StreamError::Graph(e) => Some(e),
             StreamError::Io(e) => Some(e),
+            StreamError::ReplayMismatch => None,
         }
     }
 }
@@ -686,9 +717,10 @@ impl<'a> StreamingDistBuilder<'a> {
 
     /// Count pass + fill pass + per-window canonicalization. Transient
     /// memory above the final locals is `O(n)` (degree/cursor arrays —
-    /// the same order as the shared `local_of` index) plus one chunk;
-    /// the directed mode additionally stages the `O(m)` host pairs,
-    /// exactly like the in-memory builder's `pairs` staging.
+    /// the same order as the shared `local_of` index) plus the
+    /// [`RING_CHUNKS`] chunks in flight; the directed mode additionally
+    /// stages the `O(m)` host pairs, exactly like the in-memory
+    /// builder's `pairs` staging.
     fn build_in_ram<S: EdgeStream + ?Sized>(
         &self,
         stream: &mut S,
@@ -705,10 +737,10 @@ impl<'a> StreamingDistBuilder<'a> {
         // plus, for directed builds, the per-machine host-pair counts.
         let mut deg = vec![0u32; n];
         let mut host_counts = vec![0usize; k];
-        let mut chunk = EdgeChunk::default();
-        stream.reset();
-        while stream.next_chunk(&mut chunk) {
-            check_weights(&chunk, weighted)?;
+        let mut counted = Replay::default();
+        pump(stream, |chunk| {
+            check_weights(chunk, weighted)?;
+            counted.absorb(chunk, weighted);
             for &(u, v) in chunk.edges() {
                 check_endpoints(u, v, n);
                 if u == v {
@@ -721,120 +753,66 @@ impl<'a> StreamingDistBuilder<'a> {
                     host_counts[part.home(v)] += 1;
                 }
             }
-        }
+            Ok(())
+        })?;
 
         // Pre-size every machine's flat arrays and lay out one scatter
-        // window per vertex (machine-relative offsets).
+        // window per vertex: `cur[v]` packs v's home machine (high 32
+        // bits) with the next free slot of its window (low 32 bits).
+        // Members are ascending, so one sequential sweep over all
+        // vertices lays out every machine's windows in member order.
         let mut locals = DistGraphBuilder::new(part).shells(n);
-        let mut pos = vec![0u32; n];
-        for (i, l) in locals.iter_mut().enumerate() {
-            let mut acc = 0usize;
-            for &v in part.members(i) {
-                assert!(
-                    acc <= u32::MAX as usize,
-                    "machine {i} exceeds u32 endpoints"
-                );
-                pos[v as usize] = acc as u32;
-                acc += deg[v as usize] as usize;
-            }
-            l.neighbors = vec![0 as Vertex; acc];
+        let mut cur = vec![0u64; n];
+        let mut ends = vec![0u64; k];
+        for ((c, &h), &d) in cur.iter_mut().zip(part.assignment()).zip(&deg) {
+            *c = ((h as u64) << 32) | ends[h];
+            ends[h] += u64::from(d);
+        }
+        drop(deg);
+        for (i, (l, &end)) in locals.iter_mut().zip(&ends).enumerate() {
+            assert!(
+                end <= u64::from(u32::MAX),
+                "machine {i} exceeds u32 endpoints"
+            );
+            l.neighbors = vec![0 as Vertex; end as usize];
             if weighted {
                 l.weighted = true;
-                l.weights = vec![0f64; acc];
+                l.weights = vec![0f64; end as usize];
             }
             l.offsets.reserve(part.members(i).len());
         }
-        let starts = pos.clone();
-        drop(deg);
         let mut host_pairs: Vec<Vec<(Vertex, u32)>> =
             host_counts.iter().map(|&c| Vec::with_capacity(c)).collect();
         let local_of: Arc<[u32]> = Arc::clone(&locals[0].local_of);
 
         // Pass 2: scatter endpoints (and weights / host pairs) into the
-        // pre-sized windows. The stream contract guarantees the replay
-        // is identical, so every window is filled exactly.
-        stream.reset();
-        while stream.next_chunk(&mut chunk) {
-            check_weights(&chunk, weighted)?;
+        // pre-sized windows. A replay that strays past a machine's array
+        // fails here; one that stays inside fails the fingerprint check
+        // below, before any window is read back.
+        let mut filled = Replay::default();
+        pump(stream, |chunk| {
+            check_weights(chunk, weighted)?;
+            filled.absorb(chunk, weighted);
             for (e, &(u, v)) in chunk.edges().iter().enumerate() {
                 if u == v {
                     continue;
                 }
-                let hu = part.home(u);
-                let l = &mut locals[hu];
-                let c = pos[u as usize] as usize;
-                l.neighbors[c] = v;
-                if weighted {
-                    l.weights[c] = chunk.weights()[e];
-                }
-                pos[u as usize] += 1;
+                let w = if weighted { chunk.weights()[e] } else { 0.0 };
+                place(&mut locals, &mut cur, u, v, w)?;
                 if both {
-                    let hv = part.home(v);
-                    let l = &mut locals[hv];
-                    let c = pos[v as usize] as usize;
-                    l.neighbors[c] = u;
-                    if weighted {
-                        l.weights[c] = chunk.weights()[e];
-                    }
-                    pos[v as usize] += 1;
+                    place(&mut locals, &mut cur, v, u, w)?;
                 } else {
-                    host_pairs[part.home(v)].push((u, local_of[v as usize]));
+                    let hv = cur.get(v as usize).ok_or(StreamError::ReplayMismatch)? >> 32;
+                    host_pairs[hv as usize].push((u, local_of[v as usize]));
                 }
             }
+            Ok(())
+        })?;
+        if filled != counted {
+            return Err(StreamError::ReplayMismatch);
         }
 
-        // Canonicalize: per-window sort + dedup-compact yields the
-        // sorted simple adjacency of the one-shot constructors.
-        let mut edge_loads = vec![0usize; k];
-        let mut scratch: Vec<(Vertex, f64)> = Vec::new();
-        for (i, l) in locals.iter_mut().enumerate() {
-            let mut write = 0usize;
-            for &v in part.members(i) {
-                let lo = starts[v as usize] as usize;
-                let hi = pos[v as usize] as usize;
-                if weighted {
-                    // Sort by (neighbor, weight) so keep-first == keep
-                    // the minimum weight, matching `WeightedGraph`.
-                    scratch.clear();
-                    scratch.extend(
-                        l.neighbors[lo..hi]
-                            .iter()
-                            .zip(&l.weights[lo..hi])
-                            .map(|(&nv, &nw)| (nv, nw)),
-                    );
-                    scratch.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
-                    let mut last = None;
-                    for &(nv, nw) in &scratch {
-                        if last != Some(nv) {
-                            l.neighbors[write] = nv;
-                            l.weights[write] = nw;
-                            write += 1;
-                            last = Some(nv);
-                        }
-                    }
-                } else {
-                    l.neighbors[lo..hi].sort_unstable();
-                    let mut last = None;
-                    for r in lo..hi {
-                        let nv = l.neighbors[r];
-                        if last != Some(nv) {
-                            // `write <= r` always, so the read above is
-                            // never clobbered.
-                            l.neighbors[write] = nv;
-                            write += 1;
-                            last = Some(nv);
-                        }
-                    }
-                }
-                l.offsets.push(write);
-            }
-            l.neighbors.truncate(write);
-            if weighted {
-                l.weights.truncate(write);
-            }
-            edge_loads[i] = write;
-        }
-
+        let edge_loads = canonicalize_all(&mut locals, &cur)?;
         if mode == Mode::Directed {
             finalize_host_pairs(&mut locals, host_pairs);
         }
@@ -873,10 +851,8 @@ impl<'a> StreamingDistBuilder<'a> {
         let local_of: Arc<[u32]> = Arc::clone(&locals[0].local_of);
 
         // Single pass: route fixed-width records to per-machine runs.
-        let mut chunk = EdgeChunk::default();
-        stream.reset();
-        while stream.next_chunk(&mut chunk) {
-            check_weights(&chunk, weighted)?;
+        pump(stream, |chunk| {
+            check_weights(chunk, weighted)?;
             for (e, &(u, v)) in chunk.edges().iter().enumerate() {
                 check_endpoints(u, v, n);
                 if u == v {
@@ -890,7 +866,8 @@ impl<'a> StreamingDistBuilder<'a> {
                     h.push(part.home(v), u, local_of[v as usize], None)?;
                 }
             }
-        }
+            Ok(())
+        })?;
         adj.flush_all()?;
         if let Some(h) = host.as_mut() {
             h.flush_all()?;
@@ -983,6 +960,195 @@ fn check_weights(chunk: &EdgeChunk, weighted: bool) -> Result<(), StreamError> {
         }
     }
     Ok(())
+}
+
+/// Chunks cycling between the reader and the router in [`pump`]: one
+/// being read, one being routed, one queued between them.
+const RING_CHUNKS: usize = 3;
+
+/// Drives `stream` once from [`EdgeStream::reset`]: the calling thread
+/// reads chunks while one scoped worker applies `route` to each, in
+/// stream order. [`RING_CHUNKS`] chunks cycle between the two over a
+/// pair of bounded channels, so the steady state allocates nothing.
+/// The first error `route` returns stops the reader and is returned; a
+/// panic in `route` is re-raised here with its payload.
+fn pump<S, F>(stream: &mut S, mut route: F) -> Result<(), StreamError>
+where
+    S: EdgeStream + ?Sized,
+    F: FnMut(&EdgeChunk) -> Result<(), StreamError> + Send,
+{
+    let (full_tx, full_rx) = mpsc::sync_channel::<EdgeChunk>(RING_CHUNKS);
+    let (free_tx, free_rx) = mpsc::sync_channel::<EdgeChunk>(RING_CHUNKS);
+    for _ in 0..RING_CHUNKS {
+        // Cannot fail: `free_rx` is alive and the buffer has room.
+        let _ = free_tx.send(EdgeChunk::default());
+    }
+    stream.reset();
+    thread::scope(|s| {
+        let router = s.spawn(move || -> Result<(), StreamError> {
+            for chunk in full_rx {
+                route(&chunk)?;
+                // Cannot fail: the reader holds `free_rx` until the join.
+                let _ = free_tx.send(chunk);
+            }
+            Ok(())
+        });
+        // Ends when the stream is exhausted or the router is gone: an
+        // error or a panic dropped its ends of both channels.
+        while let Ok(mut chunk) = free_rx.recv() {
+            if !stream.next_chunk(&mut chunk) || full_tx.send(chunk).is_err() {
+                break;
+            }
+        }
+        drop(full_tx);
+        router
+            .join()
+            .unwrap_or_else(|payload| panic::resume_unwind(payload))
+    })
+}
+
+/// Edge count plus an order-sensitive fingerprint of a stream's edge
+/// (and, for weighted builds, weight) sequence. The fill pass compares
+/// its own against the count pass's, so a stream whose `reset` does not
+/// replay the sequence fails typed instead of shifting windows.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Replay {
+    edges: u64,
+    hash: u64,
+}
+
+impl Replay {
+    fn absorb(&mut self, chunk: &EdgeChunk, weighted: bool) {
+        // One FxHash step: a bijection of the state for a fixed word and
+        // of the word for a fixed state, so any single change survives.
+        let mix = |h: u64, x: u64| (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+        let pair = |(u, v): (Vertex, Vertex)| (u64::from(u) << 32) | u64::from(v);
+        let mut h = self.hash;
+        if weighted {
+            for (&e, &w) in chunk.edges().iter().zip(chunk.weights()) {
+                h = mix(mix(h, pair(e)), w.to_bits());
+            }
+        } else {
+            for &e in chunk.edges() {
+                h = mix(h, pair(e));
+            }
+        }
+        self.hash = h;
+        self.edges += chunk.len() as u64;
+    }
+}
+
+/// Writes `v` (and weight `w`, for weighted locals) at `u`'s cursor and
+/// advances it. An endpoint or slot outside the pre-sized arrays can
+/// only come from a stream that did not replay its count pass.
+#[inline]
+fn place(
+    locals: &mut [LocalGraph],
+    cur: &mut [u64],
+    u: Vertex,
+    v: Vertex,
+    w: f64,
+) -> Result<(), StreamError> {
+    let c = cur.get_mut(u as usize).ok_or(StreamError::ReplayMismatch)?;
+    let l = &mut locals[(*c >> 32) as usize];
+    let slot = *c as u32 as usize;
+    *l.neighbors
+        .get_mut(slot)
+        .ok_or(StreamError::ReplayMismatch)? = v;
+    if l.weighted {
+        l.weights[slot] = w;
+    }
+    *c += 1;
+    Ok(())
+}
+
+/// Canonicalizes every machine on `available_parallelism()` scoped
+/// threads, each over a disjoint run of `locals`; returns the edge
+/// loads in machine order.
+fn canonicalize_all(locals: &mut [LocalGraph], cur: &[u64]) -> Result<Vec<usize>, StreamError> {
+    let threads = thread::available_parallelism().map_or(1, |p| p.get());
+    let per_thread = locals.len().div_ceil(threads);
+    let mut edge_loads = Vec::with_capacity(locals.len());
+    thread::scope(|s| {
+        let workers: Vec<_> = locals
+            .chunks_mut(per_thread)
+            .map(|run| {
+                s.spawn(move || {
+                    let mut scratch = Vec::new();
+                    run.iter_mut()
+                        .map(|l| canonicalize(l, cur, &mut scratch))
+                        .collect::<Result<Vec<usize>, StreamError>>()
+                })
+            })
+            .collect();
+        for w in workers {
+            let loads = w.join().unwrap_or_else(|p| panic::resume_unwind(p))?;
+            edge_loads.extend(loads);
+        }
+        Ok(edge_loads)
+    })
+}
+
+/// Per-window sort + dedup-compact of one machine, yielding the sorted
+/// simple adjacency of the one-shot constructors; returns its edge
+/// load. Windows are contiguous in member order, so each starts where
+/// the previous member's final cursor stopped.
+fn canonicalize(
+    l: &mut LocalGraph,
+    cur: &[u64],
+    scratch: &mut Vec<(Vertex, f64)>,
+) -> Result<usize, StreamError> {
+    let part = Arc::clone(&l.part);
+    let mut lo = 0usize;
+    let mut write = 0usize;
+    for &v in part.members(l.me) {
+        let hi = cur[v as usize] as u32 as usize;
+        let window = l
+            .neighbors
+            .get_mut(lo..hi)
+            .ok_or(StreamError::ReplayMismatch)?;
+        if l.weighted {
+            // Sort by (neighbor, weight) so keep-first == keep the
+            // minimum weight, matching `WeightedGraph`.
+            scratch.clear();
+            scratch.extend(
+                window
+                    .iter()
+                    .zip(&l.weights[lo..hi])
+                    .map(|(&nv, &nw)| (nv, nw)),
+            );
+            scratch.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+            let mut last = None;
+            for &(nv, nw) in scratch.iter() {
+                if last != Some(nv) {
+                    l.neighbors[write] = nv;
+                    l.weights[write] = nw;
+                    write += 1;
+                    last = Some(nv);
+                }
+            }
+        } else {
+            window.sort_unstable();
+            let mut last = None;
+            for r in lo..hi {
+                let nv = l.neighbors[r];
+                if last != Some(nv) {
+                    // `write <= r` always, so the read above is never
+                    // clobbered.
+                    l.neighbors[write] = nv;
+                    write += 1;
+                    last = Some(nv);
+                }
+            }
+        }
+        l.offsets.push(write);
+        lo = hi;
+    }
+    l.neighbors.truncate(write);
+    if l.weighted {
+        l.weights.truncate(write);
+    }
+    Ok(write)
 }
 
 /// Groups sorted, dedup'd `(source, local target)` pairs into each
@@ -1290,6 +1456,161 @@ mod tests {
         );
         let msg = err.to_string();
         assert!(msg.contains("non-finite"), "{msg}");
+    }
+
+    #[test]
+    fn non_finite_weight_in_a_later_chunk_fails_typed_in_both_modes() {
+        let part = Arc::new(Partition::round_robin(6, 2));
+        let edges = vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)];
+        // A middle chunk and the last chunk, one edge per chunk.
+        for bad in [2, 4] {
+            let mut weights = vec![1.0; edges.len()];
+            weights[bad] = f64::NAN;
+            for spill in [false, true] {
+                let mut b = StreamingDistBuilder::new(&part);
+                if spill {
+                    b = b.spill(SpillConfig::default());
+                }
+                let mut s = VecStream::weighted(6, edges.clone(), weights.clone(), 1);
+                let err = b.weighted(&mut s).unwrap_err();
+                let (u, v) = edges[bad];
+                assert!(
+                    matches!(err, StreamError::Graph(GraphError::NonFiniteWeight { u: eu, v: ev, .. }) if (eu, ev) == (u, v)),
+                    "bad={bad} spill={spill}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_endpoint_in_a_later_chunk_panics_on_the_caller() {
+        let part = Arc::new(Partition::round_robin(4, 2));
+        let mut s = VecStream::new(4, vec![(0, 1), (1, 2), (2, 3), (3, 9)], 1);
+        let _ = StreamingDistBuilder::new(&part).undirected(&mut s);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_endpoint_in_a_later_chunk_panics_on_the_caller_spilled() {
+        let part = Arc::new(Partition::round_robin(4, 2));
+        let mut s = VecStream::new(4, vec![(0, 1), (1, 2), (2, 3), (3, 9)], 1);
+        let _ = StreamingDistBuilder::new(&part)
+            .spill(SpillConfig::default())
+            .undirected(&mut s);
+    }
+
+    /// Breaks the replay contract: the first pass after a reset reads
+    /// `first`, every later pass reads `second`.
+    struct Drifting {
+        first: VecStream,
+        second: VecStream,
+        resets: usize,
+    }
+
+    impl Drifting {
+        fn new(n: usize, first: &[(Vertex, Vertex)], second: &[(Vertex, Vertex)], w: bool) -> Self {
+            let stream = |e: &[(Vertex, Vertex)]| {
+                if w {
+                    let ws = (0..e.len()).map(|i| i as f64 + 0.5).collect();
+                    VecStream::weighted(n, e.to_vec(), ws, 2)
+                } else {
+                    VecStream::new(n, e.to_vec(), 2)
+                }
+            };
+            Drifting {
+                first: stream(first),
+                second: stream(second),
+                resets: 0,
+            }
+        }
+    }
+
+    impl EdgeStream for Drifting {
+        fn n(&self) -> usize {
+            self.first.n()
+        }
+
+        fn is_weighted(&self) -> bool {
+            self.first.is_weighted()
+        }
+
+        fn next_chunk(&mut self, chunk: &mut EdgeChunk) -> bool {
+            if self.resets > 1 {
+                self.second.next_chunk(chunk)
+            } else {
+                self.first.next_chunk(chunk)
+            }
+        }
+
+        fn reset(&mut self) {
+            self.resets += 1;
+            self.first.reset();
+            self.second.reset();
+        }
+    }
+
+    #[test]
+    fn non_replaying_stream_fails_typed() {
+        // Round-robin over 3 machines: 5, 6 and 7 are the last members
+        // of their machines, so a surplus endpoint there runs off the
+        // end of the machine's array, while one at 0 or 3 lands inside
+        // a neighbour's window.
+        let n = 8;
+        let part = Arc::new(Partition::round_robin(n, 3));
+        let base: Vec<(Vertex, Vertex)> = vec![
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+            (5, 6),
+            (6, 7),
+            (7, 0),
+            (0, 4),
+        ];
+        let with = |i: usize, e: (Vertex, Vertex)| {
+            let mut s = base.clone();
+            s[i] = e;
+            s
+        };
+        let mut past_array = base.clone();
+        past_array.push((5, 7));
+        let mut inside_array = base.clone();
+        inside_array.push((0, 3));
+        let mut missing = base.clone();
+        missing.remove(3);
+        let cases = [
+            ("extra edge past the array", past_array),
+            ("extra edge inside the array", inside_array),
+            ("missing edge", missing),
+            ("changed endpoint", with(4, (4, 6))),
+            ("out-of-range endpoint", with(2, (2, 99))),
+        ];
+        for mode in [Mode::Undirected, Mode::Weighted, Mode::Directed] {
+            let w = mode == Mode::Weighted;
+            let b = StreamingDistBuilder::new(&part);
+            assert!(b
+                .build(&mut Drifting::new(n, &base, &base, w), mode)
+                .is_ok());
+            for (what, second) in &cases {
+                let got = b.build(&mut Drifting::new(n, &base, second, w), mode);
+                assert!(
+                    matches!(got, Err(StreamError::ReplayMismatch)),
+                    "{mode:?}, {what}: {got:?}"
+                );
+            }
+        }
+        // Same endpoints, one weight changed.
+        let mut s = Drifting::new(n, &base, &base, true);
+        let mut weights: Vec<f64> = (0..base.len()).map(|i| i as f64 + 0.5).collect();
+        weights[4] = 9.0;
+        s.second = VecStream::weighted(n, base.clone(), weights, 2);
+        let err = StreamingDistBuilder::new(&part)
+            .weighted(&mut s)
+            .unwrap_err();
+        assert!(matches!(err, StreamError::ReplayMismatch), "{err}");
+        assert!(err.to_string().contains("replayed"), "{err}");
     }
 
     #[test]

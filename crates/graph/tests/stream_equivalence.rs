@@ -243,6 +243,27 @@ proptest! {
     }
 }
 
+/// Equivalence at a size the proptests never reach: `G(n = 2·10⁵,
+/// E[deg] = 4)` streamed in about six chunks, so the reader and the
+/// router hand off full chunks and the finalize threads each take
+/// several machines. It must equal `gnp` + `DistGraphBuilder` at k = 8,
+/// and at k = 3, which does not split evenly over the threads.
+#[test]
+fn gnp_stream_equals_in_memory_at_scale() {
+    let n = 200_000usize;
+    let p = 4.0 / (n - 1) as f64;
+    let g = gnp(n, p, &mut ChaCha8Rng::seed_from_u64(11));
+    let chunk = g.m().div_ceil(6);
+    for k in [8, 3] {
+        let part = Arc::new(Partition::by_hash(n, k, 13));
+        let want = DistGraphBuilder::new(&part).undirected(&g);
+        let mut s = GnpStream::<ChaCha8Rng>::new(n, p, 11, chunk);
+        let got = StreamingDistBuilder::new(&part).undirected(&mut s).unwrap();
+        // Not `assert_eq!`: a mismatch would print both graphs whole.
+        assert!(got == want, "k = {k}: streamed build differs");
+    }
+}
+
 /// CI memory-cap guard: build `G(n = 10⁶, E[deg] = 4)` through the
 /// streaming path alone. The workflow runs this under `ulimit -v` sized
 /// from the streaming path's measured footprint — far below what
