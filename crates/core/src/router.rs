@@ -422,6 +422,25 @@ mod tests {
     use crate::config::NetConfig;
     use crate::runner::Runner;
 
+    /// `bits()` of the routing layer's own wire types, as literals: two
+    /// 16-bit machine indices on top of the payload, and the 16-bit
+    /// scatter token. Neither depends on `n`.
+    #[test]
+    fn routing_sizes_are_pinned() {
+        fn routed<M>(inner: M) -> Routed<M> {
+            Routed {
+                origin: 65_535,
+                target: 0,
+                inner,
+            }
+        }
+        assert_eq!(ScatterToken.bits(), 16);
+        assert_eq!(routed(ScatterToken).bits(), 48);
+        assert_eq!(routed(u32::MAX).bits(), 64);
+        assert_eq!(routed(()).bits(), 33);
+        assert_eq!(routed(crate::Raw::from_vec(vec![1, 2, 3])).bits(), 56);
+    }
+
     #[test]
     fn proxy_is_deterministic_and_uniform() {
         let k = 8;

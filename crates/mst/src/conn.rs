@@ -1093,6 +1093,56 @@ mod tests {
         );
     }
 
+    /// `bits()` of every variant at n ∈ {2, 3, 10³, 5·10⁴, 2³²}, as
+    /// literals: the logical sizes every transcript is charged in. A
+    /// codec change that moves one of them re-prices every run.
+    #[test]
+    fn conn_msg_sizes_are_pinned() {
+        let sketch = L0Sketch::empty_with(SketchParams {
+            levels: 12,
+            reps: 4,
+        });
+        for (i, n) in [2usize, 3, 1_000, 50_000, 1 << 32].into_iter().enumerate() {
+            let (a, b) = (0, (n - 1) as Vertex);
+            let e = Edge::new(a, b);
+            let counter = n as u64; // flush counters are ≤ n
+            for (payload, want) in [
+                (
+                    ConnPayload::Partial {
+                        comp: b,
+                        sketch: sketch.clone(),
+                    },
+                    [4678, 4679, 4687, 4693, 4709],
+                ),
+                (ConnPayload::Closed { comp: b }, [6, 7, 15, 21, 37]),
+                (ConnPayload::LabelQ { v: b }, [6, 7, 15, 21, 37]),
+                (ConnPayload::LabelA { v: a, label: b }, [7, 9, 25, 37, 69]),
+                (ConnPayload::Merge { a, b, e }, [9, 13, 45, 69, 133]),
+                (ConnPayload::MinX { c: b, min: a }, [7, 9, 25, 37, 69]),
+                (ConnPayload::JumpQ { c: a, d: b }, [7, 9, 25, 37, 69]),
+                (
+                    ConnPayload::JumpA {
+                        c: b,
+                        p: b,
+                        root: true,
+                    },
+                    [8, 10, 26, 38, 70],
+                ),
+                (ConnPayload::Push { old: b, new: a }, [7, 9, 25, 37, 69]),
+                (
+                    ConnPayload::Flush {
+                        c0: counter,
+                        c1: counter,
+                    },
+                    [9, 11, 27, 39, 71],
+                ),
+            ] {
+                let msg = ConnMsg::new(n, true, payload);
+                assert_eq!(msg.bits(), want[i], "{:?} at n = {n}", msg.payload);
+            }
+        }
+    }
+
     proptest::proptest! {
         /// Every ConnPayload variant survives the distributed engine's
         /// wire format, including the Partial variant whose sketch and

@@ -722,6 +722,27 @@ mod tests {
         }
     }
 
+    /// `bits()` of every variant at n ∈ {2, 3, 10³, 5·10⁴, 2³²}, as
+    /// literals: the logical sizes every transcript is charged in. A
+    /// codec change that moves one of them re-prices every run.
+    #[test]
+    fn mst_msg_sizes_are_pinned() {
+        for (i, n) in [2usize, 3, 1_000, 50_000, 1 << 32].into_iter().enumerate() {
+            let top = (n - 1) as Vertex;
+            let e = Edge::new(0, top);
+            for (msg, want) in [
+                (
+                    MstMsg::candidate(n, true, top, e, -2.5),
+                    [69, 72, 96, 114, 162],
+                ),
+                (MstMsg::chosen(n, false, e, 0.25), [68, 70, 86, 98, 130]),
+                (MstMsg::flush(true, u64::from(u32::MAX)), [34; 5]),
+            ] {
+                assert_eq!(msg.bits(), want[i], "{msg:?} at n = {n}");
+            }
+        }
+    }
+
     proptest::proptest! {
         /// Weights from {0, 1, 2} make `Cand::better_than`'s edge
         /// tie-break decide most choices; random endpoints over up to 24

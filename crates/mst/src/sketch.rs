@@ -492,6 +492,23 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
+    /// `bits()` of the shapes `for_graph(n, n)` picks at n ∈ {2, 3, 10³,
+    /// 5·10⁴, 2³²}, and of the default shape, as literals.
+    #[test]
+    fn sketch_sizes_are_pinned() {
+        for (n, want) in [
+            (2usize, 4672),
+            (3, 4672),
+            (1_000, 6612),
+            (50_000, 8940),
+            (1 << 32, 15148),
+        ] {
+            let sketch = L0Sketch::empty_with(SketchParams::for_graph(n, n));
+            assert_eq!(sketch.bits(), want, "n = {n}");
+        }
+        assert_eq!(L0Sketch::empty_with(SketchParams::default()).bits(), 31056);
+    }
+
     #[test]
     fn single_edge_roundtrip() {
         let g = CsrGraph::from_edges(2, &[(0, 1)]);

@@ -1046,6 +1046,24 @@ mod tests {
         assert!(pr.iter().all(|&x| x > 0.0));
     }
 
+    /// `bits()` of every variant at n ∈ {2, 3, 10³, 5·10⁴, 2³²}, as
+    /// literals: the logical sizes every transcript is charged in. A
+    /// codec change that moves one of them re-prices every run.
+    #[test]
+    fn pr_msg_sizes_are_pinned() {
+        for (i, n) in [2usize, 3, 1_000, 50_000, 1 << 32].into_iter().enumerate() {
+            let v = (n - 1) as Vertex;
+            let count = u64::from(u32::MAX);
+            for (msg, want) in [
+                (PrMsg::count(n, false, v, count), [35, 36, 44, 50, 66]),
+                (PrMsg::heavy(n, true, v, count), [35, 36, 44, 50, 66]),
+                (PrMsg::flush(true, count), [34; 5]),
+            ] {
+                assert_eq!(msg.bits(), want[i], "{msg:?} at n = {n}");
+            }
+        }
+    }
+
     proptest::proptest! {
         #[test]
         fn pr_msgs_roundtrip_the_wire(

@@ -531,6 +531,25 @@ mod tests {
         let _ = SampleSort::build_all(vec![vec![1, 2], vec![2, 3]], 2);
     }
 
+    /// `bits()` of every kind, as literals: the logical sizes every
+    /// transcript is charged in. No field depends on `n`; `RelayKey`'s
+    /// owner takes 16 bits whatever `k` is.
+    #[test]
+    fn sort_msg_sizes_are_pinned() {
+        let key = u64::MAX;
+        for (kind, want) in [
+            (SortKind::Sample(key), 67),
+            (SortKind::Splitter(key), 67),
+            (SortKind::Key(key), 67),
+            (SortKind::RelayKey { owner: 65_535, key }, 83),
+            (SortKind::Count(u64::from(u32::MAX)), 35),
+            (SortKind::Flush, 8),
+        ] {
+            let msg = SortMsg { phase: 7, kind };
+            assert_eq!(msg.bits(), want, "{msg:?}");
+        }
+    }
+
     proptest::proptest! {
         #[test]
         fn sort_msgs_roundtrip_the_wire(

@@ -32,6 +32,16 @@ pub enum BcastMsg {
     Flush,
 }
 
+impl BcastMsg {
+    /// An edge message of an `n`-vertex graph.
+    fn edge(n: usize, e: Edge) -> Self {
+        BcastMsg::Edge {
+            e,
+            bits: (1 + 2 * id_bits(n)) as u32,
+        }
+    }
+}
+
 impl WireSize for BcastMsg {
     fn bits(&self) -> u64 {
         match self {
@@ -137,7 +147,6 @@ impl Protocol for BroadcastTriangle {
         out: &mut Outbox<BcastMsg>,
     ) -> Status {
         if ctx.round == 0 {
-            let bits = (1 + 2 * id_bits(self.n)) as u32;
             for j in 0..self.lg.hosted() {
                 let v = self.lg.vertex(j);
                 for &w in self.lg.neighbors(j) {
@@ -145,7 +154,7 @@ impl Protocol for BroadcastTriangle {
                     let e = Edge::new(v, w);
                     if self.lg.home(e.u) == ctx.me && v == e.u {
                         self.edges.push(e);
-                        out.broadcast(ctx.me, BcastMsg::Edge { e, bits });
+                        out.broadcast(ctx.me, BcastMsg::edge(self.n, e));
                     }
                 }
             }
@@ -257,6 +266,22 @@ mod tests {
         assert!(m_bcast.total_msgs() > 2 * m_color.total_msgs());
     }
 
+    /// `bits()` of every variant at n ∈ {2, 3, 10³, 5·10⁴, 2³²}, as
+    /// literals: the logical sizes every transcript is charged in. A
+    /// codec change that moves one of them re-prices every run.
+    #[test]
+    fn bcast_msg_sizes_are_pinned() {
+        for (i, n) in [2usize, 3, 1_000, 50_000, 1 << 32].into_iter().enumerate() {
+            let e = Edge::new(0, (n - 1) as Vertex);
+            for (msg, want) in [
+                (BcastMsg::edge(n, e), [3, 5, 21, 33, 65]),
+                (BcastMsg::Flush, [8; 5]),
+            ] {
+                assert_eq!(msg.bits(), want[i], "{msg:?} at n = {n}");
+            }
+        }
+    }
+
     proptest::proptest! {
         #[test]
         fn bcast_msgs_roundtrip_the_wire(
@@ -271,12 +296,11 @@ mod tests {
             } else {
                 Edge::new(a, b)
             };
-            let bits = (1 + 2 * id_bits(n)) as u32;
-            km_core::assert_roundtrip(&BcastMsg::Edge { e, bits });
+            km_core::assert_roundtrip(&BcastMsg::edge(n, e));
             km_core::assert_roundtrip(&BcastMsg::Flush);
 
             // The same edge with its endpoints swapped is not a message.
-            let swapped = BcastMsg::Edge { e: Edge { u: e.v, v: e.u }, bits };
+            let swapped = BcastMsg::edge(n, Edge { u: e.v, v: e.u });
             let mut w = BitWriter::new();
             swapped.encode(&mut w);
             let mut r = BitReader::new(w.bytes(), w.bit_len()).unwrap();

@@ -986,6 +986,24 @@ mod tests {
         enumerate_within(&[Edge { u: 2, v: 1 }], |v| v, |_, _, _| true);
     }
 
+    /// `bits()` of every variant at n ∈ {2, 3, 10³, 5·10⁴, 2³²}, as
+    /// literals: the logical sizes every transcript is charged in. A
+    /// codec change that moves one of them re-prices every run.
+    #[test]
+    fn tri_msg_sizes_are_pinned() {
+        for (i, n) in [2usize, 3, 1_000, 50_000, 1 << 32].into_iter().enumerate() {
+            let e = Edge::new(0, (n - 1) as Vertex);
+            for (msg, want) in [
+                (TriMsg::hd(n, 3, e.v), [5, 6, 14, 20, 36]),
+                (TriMsg::to_proxy(n, 1, e), [6, 8, 24, 36, 68]),
+                (TriMsg::to_machine(n, 2, e), [6, 8, 24, 36, 68]),
+                (TriMsg::flush(3), [8; 5]),
+            ] {
+                assert_eq!(msg.bits(), want[i], "{msg:?} at n = {n}");
+            }
+        }
+    }
+
     proptest::proptest! {
         /// Release builds compile that assertion out; the kernel must then
         /// stay in bounds on any list at all — loops, swapped endpoints,
