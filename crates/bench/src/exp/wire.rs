@@ -54,7 +54,7 @@ fn cells(name: &str, n: usize, k: usize, m: &Metrics, w: Option<&WireReport>) ->
     ]
 }
 
-/// WIRE — measured frame bits vs logical `WireSize` bits on
+/// WIRE — measured frame bits vs logical `WireCodec::bits` on
 /// `EngineKind::Distributed`.
 pub fn wire_matrix(_seed: u64) -> Table {
     let mut t = Table::new(

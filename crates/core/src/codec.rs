@@ -1,9 +1,11 @@
-//! Bit-exact message serialization for the distributed engine.
+//! Bit-exact message serialization, and the logical sizes every engine
+//! charges.
 //!
-//! [`WireSize`] declares how many bits a message *logically* occupies;
-//! [`WireCodec`] makes that claim executable: `encode` must write
-//! **exactly** `bits()` bits (clamped ≥ 1, like the engine's bandwidth
-//! accounting), and `decode` must reconstruct the message from them.
+//! A message states its layout once, in [`WireCodec::encode`], against
+//! a [`BitSink`]. [`WireCodec::bits`] — the logical size every engine
+//! charges a link for — is what `encode` writes, counted by a sink that
+//! only adds widths instead of packed by a [`BitWriter`]; `decode` must
+//! reconstruct the message from exactly those bits.
 //!
 //! There is one data-frame kind. [`encode_batch_frame_into`] packs
 //! everything a (link, round) pair queued behind a *single* header
@@ -11,9 +13,9 @@
 //! number, a frame kind, and a CRC-32 (see [`FRAME_HEADER_BYTES`]) — a
 //! message-count varint, then per-message `(bit-length varint, payload
 //! bits)` records back to back — and asserts, per message, that
-//! `encode` wrote what `bits()` claims: a `WireSize` implementation
-//! that under- or over-counts its own encoding fails loudly the first
-//! time the distributed engine ships it. [`decode_batch`] replays the
+//! `encode` wrote what `bits()` claims: an override of `bits()` that
+//! under- or over-counts its own encoding fails loudly the first time
+//! the distributed engine ships it. [`decode_batch`] replays the
 //! records in order, each through a borrowed [`BitReader::sub`] window
 //! straight out of the received frame (no per-message copies). A frame
 //! corrupted in transit is *detected* by [`split_frame`] (and NACKed
@@ -24,9 +26,10 @@
 //! # Decoding variable-width fields
 //!
 //! Protocol messages size their id fields with [`crate::id_bits`]`(n)`,
-//! but a decoder has no `n`. Instead of widening every frame with an
-//! explicit width, decoders recover variable widths *arithmetically*
-//! from [`BitReader::remaining`]: the frame header carries the exact
+//! a width the sender keeps beside the ids, but a decoder has no `n`.
+//! Instead of widening every frame with an explicit width, decoders
+//! recover variable widths *arithmetically* from
+//! [`BitReader::remaining`]: the frame header carries the exact
 //! logical bit count, fixed-width fields are subtracted, and whatever
 //! remains determines the id width (each message type documents its
 //! layout). This keeps wire frames exactly as large as the theory
@@ -36,7 +39,7 @@
 //! concatenated in field order with no padding. Unused trailing bits of
 //! the last payload byte are zero.
 
-use crate::message::{Raw, WireSize};
+use crate::message::Raw;
 use std::fmt;
 
 /// Why a frame could not be decoded.
@@ -46,8 +49,8 @@ use std::fmt;
 /// engine's fault tolerance: a frame that was bit-flipped or truncated
 /// in transit fails its CRC and is discarded and retransmitted rather
 /// than decoded into garbage. The remaining variants, surfacing from a
-/// frame whose checksum *passed*, indicate a codec/`WireSize` bug —
-/// not a runtime condition a protocol should handle.
+/// frame whose checksum *passed*, indicate a codec bug — not a runtime
+/// condition a protocol should handle.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
     /// The decoder asked for more bits than the frame holds.
@@ -110,13 +113,62 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// Where [`WireCodec::encode`] writes its fields: a [`BitWriter`] packs
+/// them, a counting sink only adds up their widths. One `encode` serves
+/// both, so a message's logical size and its serialization cannot
+/// disagree.
+pub trait BitSink {
+    /// Appends the low `width` bits of `value` (LSB-first).
+    ///
+    /// # Panics
+    /// If `width > 64` or `value` has bits above `width` set — an encoder
+    /// writing a value that does not fit its declared field is exactly
+    /// the dishonesty this layer exists to catch. (The counting sink
+    /// checks in debug builds only.)
+    fn put(&mut self, value: u64, width: u32);
+
+    /// Appends whole bytes (8 bits each, in order).
+    fn put_bytes(&mut self, bytes: &[u8]);
+}
+
+/// A [`BitSink`] that counts bits without storing them: what
+/// [`WireCodec::bits`] encodes into.
+#[derive(Debug, Default)]
+pub(crate) struct BitCount {
+    len_bits: u64,
+}
+
+impl BitCount {
+    /// Bits counted so far.
+    fn bit_len(&self) -> u64 {
+        self.len_bits
+    }
+}
+
+impl BitSink for BitCount {
+    #[inline]
+    fn put(&mut self, value: u64, width: u32) {
+        debug_assert!(width <= 64, "field width {width} > 64");
+        debug_assert!(
+            width == 64 || value < (1u64 << width),
+            "value {value} does not fit in {width} bits"
+        );
+        self.len_bits += u64::from(width);
+    }
+
+    #[inline]
+    fn put_bytes(&mut self, bytes: &[u8]) {
+        self.len_bits += 8 * bytes.len() as u64;
+    }
+}
+
 /// Accumulates bits LSB-first into a byte buffer.
 ///
 /// The buffer runs ahead of the bit cursor: before a field is merged
 /// the buffer is zero-extended to nine bytes from the cursor's byte,
 /// every bit at or beyond the cursor is zero, and [`BitWriter::bytes`]
 /// exposes only the `⌈bit_len/8⌉`-byte prefix. That slack is what lets
-/// [`BitWriter::put`] merge a field with one shifted 64-bit
+/// [`BitSink::put`] merge a field with one shifted 64-bit
 /// load/or/store (plus one spill byte) instead of a byte-at-a-time loop.
 #[derive(Debug, Default)]
 pub struct BitWriter {
@@ -124,7 +176,7 @@ pub struct BitWriter {
     len_bits: u64,
 }
 
-/// Bytes one [`BitWriter::put`] may touch from the cursor's byte on: a
+/// Bytes one [`BitSink::put`] may touch from the cursor's byte on: a
 /// 64-bit field at bit offset 7 straddles nine.
 const PUT_WINDOW: usize = 9;
 
@@ -147,56 +199,12 @@ impl BitWriter {
         }
     }
 
-    /// Appends the low `width` bits of `value` (LSB-first).
-    ///
-    /// # Panics
-    /// If `width > 64` or `value` has bits above `width` set — an encoder
-    /// writing a value that does not fit its declared field is exactly
-    /// the dishonesty this layer exists to catch.
-    pub fn put(&mut self, value: u64, width: u32) {
-        assert!(width <= 64, "field width {width} > 64");
-        assert!(
-            width == 64 || value < (1u64 << width),
-            "value {value} does not fit in {width} bits"
-        );
-        let byte = (self.len_bits / 8) as usize;
-        let bit_off = (self.len_bits % 8) as u32;
-        self.reserve_zeroed(byte, PUT_WINDOW);
-        let window = &mut self.buf[byte..byte + PUT_WINDOW];
-        let (word, spill) = window.split_at_mut(8);
-        let mut low = [0u8; 8];
-        low.copy_from_slice(word);
-        word.copy_from_slice(&(u64::from_le_bytes(low) | (value << bit_off)).to_le_bytes());
-        if bit_off != 0 {
-            // The `bit_off` high bits the shift pushed out of the word.
-            spill[0] = (value >> (64 - bit_off)) as u8;
-        }
-        self.len_bits += u64::from(width);
-    }
-
-    /// Appends whole bytes (8 bits each, in order): a straight copy when
-    /// the cursor is byte-aligned — as it is for a `Raw` record unless an
-    /// empty `Raw` (1 bit) came earlier in the batch, since the batch
-    /// varints are whole bytes — and per-byte fields otherwise.
-    pub(crate) fn put_bytes(&mut self, bytes: &[u8]) {
-        if !self.len_bits.is_multiple_of(8) {
-            for &b in bytes {
-                self.put(u64::from(b), 8);
-            }
-            return;
-        }
-        let at = self.used_bytes();
-        self.reserve_zeroed(at, bytes.len());
-        self.buf[at..at + bytes.len()].copy_from_slice(bytes);
-        self.len_bits += 8 * bytes.len() as u64;
-    }
-
     /// Appends `value` as an LEB128 varint: 8-bit groups of 7 value
     /// bits plus a continuation flag, least-significant group first.
     /// Costs `8·⌈bits(value)/7⌉` bits (8 for values below 128), which
     /// is what makes batch frame records cheap for the small messages
     /// the k-machine model traffics in.
-    pub fn put_varint(&mut self, value: u64) {
+    fn put_varint(&mut self, value: u64) {
         let mut v = value;
         loop {
             let group = v & 0x7F;
@@ -227,18 +235,52 @@ impl BitWriter {
     pub fn bytes(&self) -> &[u8] {
         &self.buf[..self.used_bytes()]
     }
+}
 
-    /// The packed bytes (`⌈bit_len/8⌉` of them, trailing bits zero).
-    pub fn into_bytes(mut self) -> Vec<u8> {
-        self.buf.truncate(self.used_bytes());
-        self.buf
+impl BitSink for BitWriter {
+    fn put(&mut self, value: u64, width: u32) {
+        assert!(width <= 64, "field width {width} > 64");
+        assert!(
+            width == 64 || value < (1u64 << width),
+            "value {value} does not fit in {width} bits"
+        );
+        let byte = (self.len_bits / 8) as usize;
+        let bit_off = (self.len_bits % 8) as u32;
+        self.reserve_zeroed(byte, PUT_WINDOW);
+        let window = &mut self.buf[byte..byte + PUT_WINDOW];
+        let (word, spill) = window.split_at_mut(8);
+        let mut low = [0u8; 8];
+        low.copy_from_slice(word);
+        word.copy_from_slice(&(u64::from_le_bytes(low) | (value << bit_off)).to_le_bytes());
+        if bit_off != 0 {
+            // The `bit_off` high bits the shift pushed out of the word.
+            spill[0] = (value >> (64 - bit_off)) as u8;
+        }
+        self.len_bits += u64::from(width);
+    }
+
+    /// A straight copy when the cursor is byte-aligned — as it is for a
+    /// `Raw` record unless an empty `Raw` (1 bit) came earlier in the
+    /// batch, since the batch varints are whole bytes — and per-byte
+    /// fields otherwise.
+    fn put_bytes(&mut self, bytes: &[u8]) {
+        if !self.len_bits.is_multiple_of(8) {
+            for &b in bytes {
+                self.put(u64::from(b), 8);
+            }
+            return;
+        }
+        let at = self.used_bytes();
+        self.reserve_zeroed(at, bytes.len());
+        self.buf[at..at + bytes.len()].copy_from_slice(bytes);
+        self.len_bits += 8 * bytes.len() as u64;
     }
 }
 
 /// Bits [`BitWriter::put_varint`] spends on `value` (a whole number of
-/// 8-bit groups). Lets senders and tests predict batch payload sizes
-/// without encoding.
-pub fn varint_bits(value: u64) -> u64 {
+/// 8-bit groups). Lets tests predict batch payload sizes without
+/// encoding.
+fn varint_bits(value: u64) -> u64 {
     let groups = (64 - u64::from((value | 1).leading_zeros())).div_ceil(7);
     8 * groups
 }
@@ -308,7 +350,7 @@ impl<'a> BitReader<'a> {
     /// # Errors
     /// [`CodecError::OutOfBits`] if the frame ends mid-varint;
     /// [`CodecError::Invalid`] if the value overflows a `u64`.
-    pub fn take_varint(&mut self) -> Result<u64, CodecError> {
+    fn take_varint(&mut self) -> Result<u64, CodecError> {
         let mut v = 0u64;
         let mut shift = 0u32;
         loop {
@@ -366,7 +408,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Reads the next `n` whole bytes (8 bits each, in order) — the
-    /// inverse of [`BitWriter::put_bytes`], a straight copy when the
+    /// inverse of [`BitSink::put_bytes`], a straight copy when the
     /// cursor is byte-aligned.
     ///
     /// # Errors
@@ -607,7 +649,8 @@ pub struct BatchStats {
 /// # Panics
 /// If `msgs` is empty (the engine never ships an empty batch — an
 /// inactive link simply sends no frame) or if any message's `encode`
-/// disagrees with its [`WireSize::bits`] claim.
+/// disagrees with its [`WireCodec::bits`] claim (possible only where a
+/// type overrides `bits`).
 pub fn encode_batch_frame_into<M: WireCodec>(
     msgs: &[M],
     seq: u32,
@@ -628,7 +671,7 @@ pub fn encode_batch_frame_into<M: WireCodec>(
         assert_eq!(
             scratch.bit_len() - before,
             claimed,
-            "WireCodec/WireSize mismatch for {}: encoded {} bits, claims {claimed}",
+            "WireCodec::bits mismatch for {}: encoded {} bits, claims {claimed}",
             std::any::type_name::<M>(),
             scratch.bit_len() - before,
         );
@@ -685,20 +728,30 @@ pub fn decode_batch<M: WireCodec>(
     Ok(count)
 }
 
-/// Serialization contract for messages that cross the distributed
-/// engine's byte channels.
+/// A protocol message: its layout on the wire, and hence its logical
+/// size.
 ///
-/// `encode` must write exactly `self.bits().max(1)` bits and `decode`
-/// must invert it; [`encode_batch_frame_into`] asserts the former at
-/// runtime for every shipped message. Compound decoders may rely on
-/// [`BitReader::remaining`] to infer trailing variable-width fields,
-/// which makes some impls (notably [`Raw`] and `Vec<T>`) *greedy*: they
-/// consume the whole rest of the frame and therefore must be the last
-/// field of an enclosing message.
-pub trait WireCodec: WireSize + Sized {
-    /// Appends this message's bits to `w` (exactly `bits().max(1)` of
-    /// them).
-    fn encode(&self, w: &mut BitWriter);
+/// `encode` states the layout once, against any [`BitSink`]; `bits` is
+/// what it writes, and `decode` must invert it. Every engine charges
+/// links `bits().max(1)` — "free" messages would break the bandwidth
+/// accounting — and the distributed engine ships exactly the `encode`d
+/// bits. Compound decoders may rely on [`BitReader::remaining`] to infer
+/// trailing variable-width fields, which makes some impls (notably
+/// [`Raw`] and `Vec<T>`) *greedy*: they consume the whole rest of the
+/// frame and therefore must be the last field of an enclosing message.
+pub trait WireCodec: Sized {
+    /// Appends this message's fields to `w`.
+    fn encode<S: BitSink>(&self, w: &mut S);
+
+    /// Logical wire size in bits: what [`WireCodec::encode`] writes,
+    /// counted rather than packed. An override must return the same
+    /// number; [`encode_batch_frame_into`] asserts it for every shipped
+    /// message.
+    fn bits(&self) -> u64 {
+        let mut count = BitCount::default();
+        self.encode(&mut count);
+        count.bit_len()
+    }
 
     /// Reconstructs a message from its bits.
     ///
@@ -771,14 +824,14 @@ pub fn split_frame(frame: &[u8]) -> Result<FrameView<'_>, CodecError> {
 
 /// Test helper: asserts that encode → frame → decode is the identity for
 /// `value` — shipped the only way messages ship, as a one-message
-/// batch — and that the frame is exactly as large as the `WireSize`
-/// claim allows: header, two record varints, `bits` payload bits.
+/// batch — and that the frame is exactly as large as `bits()` allows:
+/// header, two record varints, `bits` payload bits.
 /// Every crate defining a [`WireCodec`] uses this in its round-trip
 /// proptests, so the check lives here rather than being copied into
 /// each one.
 ///
 /// # Panics
-/// If any part of the round trip disagrees with the `WireSize` claim.
+/// If any part of the round trip disagrees with `bits()`.
 pub fn assert_roundtrip<T: WireCodec + PartialEq + fmt::Debug>(value: &T) {
     let bits = value.bits().max(1);
     let mut frame = Vec::new();
@@ -787,7 +840,7 @@ pub fn assert_roundtrip<T: WireCodec + PartialEq + fmt::Debug>(value: &T) {
     assert_eq!(
         stats.payload_bits,
         varint_bits(1) + varint_bits(bits) + bits,
-        "batch payload must match the WireSize claim for {value:?}"
+        "batch payload must match bits() for {value:?}"
     );
     assert_eq!(
         frame.len() as u64,
@@ -804,7 +857,7 @@ pub fn assert_roundtrip<T: WireCodec + PartialEq + fmt::Debug>(value: &T) {
 }
 
 impl WireCodec for () {
-    fn encode(&self, w: &mut BitWriter) {
+    fn encode<S: BitSink>(&self, w: &mut S) {
         w.put(0, 1);
     }
     fn decode(r: &mut BitReader<'_>) -> Result<Self, CodecError> {
@@ -814,7 +867,7 @@ impl WireCodec for () {
 }
 
 impl WireCodec for bool {
-    fn encode(&self, w: &mut BitWriter) {
+    fn encode<S: BitSink>(&self, w: &mut S) {
         w.put(u64::from(*self), 1);
     }
     fn decode(r: &mut BitReader<'_>) -> Result<Self, CodecError> {
@@ -825,7 +878,7 @@ impl WireCodec for bool {
 macro_rules! int_codec {
     ($($t:ty => $w:expr),* $(,)?) => {$(
         impl WireCodec for $t {
-            fn encode(&self, w: &mut BitWriter) {
+            fn encode<S: BitSink>(&self, w: &mut S) {
                 w.put(*self as u64, $w);
             }
             fn decode(r: &mut BitReader<'_>) -> Result<Self, CodecError> {
@@ -837,7 +890,7 @@ macro_rules! int_codec {
 int_codec!(u8 => 8, u16 => 16, u32 => 32, u64 => 64);
 
 impl WireCodec for i32 {
-    fn encode(&self, w: &mut BitWriter) {
+    fn encode<S: BitSink>(&self, w: &mut S) {
         w.put(u64::from(*self as u32), 32);
     }
     fn decode(r: &mut BitReader<'_>) -> Result<Self, CodecError> {
@@ -846,7 +899,7 @@ impl WireCodec for i32 {
 }
 
 impl WireCodec for i64 {
-    fn encode(&self, w: &mut BitWriter) {
+    fn encode<S: BitSink>(&self, w: &mut S) {
         w.put(*self as u64, 64);
     }
     fn decode(r: &mut BitReader<'_>) -> Result<Self, CodecError> {
@@ -855,7 +908,7 @@ impl WireCodec for i64 {
 }
 
 impl WireCodec for f64 {
-    fn encode(&self, w: &mut BitWriter) {
+    fn encode<S: BitSink>(&self, w: &mut S) {
         w.put(self.to_bits(), 64);
     }
     fn decode(r: &mut BitReader<'_>) -> Result<Self, CodecError> {
@@ -863,11 +916,11 @@ impl WireCodec for f64 {
     }
 }
 
-/// Greedy: a `Raw` consumes every remaining bit (its `WireSize` is
-/// `8·len`, or 1 for the empty payload), so it must be the last field
-/// of an enclosing message.
+/// Greedy: a `Raw` consumes every remaining bit (`8·len` of them, or 1
+/// for the empty payload), so it must be the last field of an enclosing
+/// message.
 impl WireCodec for Raw {
-    fn encode(&self, w: &mut BitWriter) {
+    fn encode<S: BitSink>(&self, w: &mut S) {
         if self.0.is_empty() {
             w.put(0, 1);
             return;
@@ -892,7 +945,7 @@ impl WireCodec for Raw {
 
 /// Field order `A` then `B`; `A` must be self-delimiting (fixed width).
 impl<A: WireCodec, B: WireCodec> WireCodec for (A, B) {
-    fn encode(&self, w: &mut BitWriter) {
+    fn encode<S: BitSink>(&self, w: &mut S) {
         self.0.encode(w);
         self.1.encode(w);
     }
@@ -901,9 +954,9 @@ impl<A: WireCodec, B: WireCodec> WireCodec for (A, B) {
     }
 }
 
-/// 32-bit length prefix then elements, matching its `WireSize`.
+/// 32-bit length prefix then elements.
 impl<T: WireCodec> WireCodec for Vec<T> {
-    fn encode(&self, w: &mut BitWriter) {
+    fn encode<S: BitSink>(&self, w: &mut S) {
         w.put(self.len() as u64, 32);
         for item in self {
             item.encode(w);
@@ -958,9 +1011,9 @@ mod tests {
         w.put(0, 1);
         w.put(0x2A, 7);
         assert_eq!(w.bit_len(), 75);
-        let bytes = w.into_bytes();
+        let bytes = w.bytes();
         assert_eq!(bytes.len(), 10);
-        let mut r = BitReader::new(&bytes, 75).unwrap();
+        let mut r = BitReader::new(bytes, 75).unwrap();
         assert_eq!(r.take(3).unwrap(), 0b101);
         assert_eq!(r.take(64).unwrap(), u64::MAX);
         assert_eq!(r.take(1).unwrap(), 0);
@@ -1044,7 +1097,6 @@ mod tests {
                             pos += n as usize;
                         }
                         r.finish().unwrap();
-                        assert_eq!(w.into_bytes(), want, "into_bytes drops the slack");
                     }
                 }
             }
@@ -1257,8 +1309,8 @@ mod tests {
             w.put_varint(v);
             assert_eq!(w.bit_len(), varint_bits(v), "width claim for {v}");
             let len = w.bit_len();
-            let bytes = w.into_bytes();
-            let mut r = BitReader::new(&bytes, len).unwrap();
+            let bytes = w.bytes();
+            let mut r = BitReader::new(bytes, len).unwrap();
             assert_eq!(r.take_varint().unwrap(), v);
             r.finish().unwrap();
         }
@@ -1277,14 +1329,14 @@ mod tests {
         }
         w.put(0x01, 8);
         let len = w.bit_len();
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes, len).unwrap();
+        let bytes = w.bytes();
+        let mut r = BitReader::new(bytes, len).unwrap();
         assert!(matches!(r.take_varint(), Err(CodecError::Invalid { .. })));
         // A continuation group at the end of the frame.
         let mut w = BitWriter::new();
         w.put(0x80, 8);
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes, 8).unwrap();
+        let bytes = w.bytes();
+        let mut r = BitReader::new(bytes, 8).unwrap();
         assert!(matches!(r.take_varint(), Err(CodecError::OutOfBits { .. })));
     }
 
@@ -1296,8 +1348,8 @@ mod tests {
         w.put(0x55, 7);
         w.put(0x2A, 6);
         let len = w.bit_len();
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes, len).unwrap();
+        let bytes = w.bytes();
+        let mut r = BitReader::new(bytes, len).unwrap();
         assert_eq!(r.take(3).unwrap(), 0b101);
         let mut record = r.sub(7).unwrap();
         assert_eq!(record.remaining(), 7, "a sub-reader sees only its window");
@@ -1307,7 +1359,7 @@ mod tests {
         assert_eq!(r.take(6).unwrap(), 0x2A);
         r.finish().unwrap();
         // Oversized windows are refused.
-        let mut r = BitReader::new(&bytes, len).unwrap();
+        let mut r = BitReader::new(bytes, len).unwrap();
         assert!(matches!(r.sub(len + 1), Err(CodecError::OutOfBits { .. })));
     }
 
@@ -1390,8 +1442,8 @@ mod tests {
         // A frame claiming 2^32-1 elements in 32 bits of payload.
         let mut w = BitWriter::new();
         w.put(u32::MAX as u64, 32);
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes, 32).unwrap();
+        let bytes = w.bytes();
+        let mut r = BitReader::new(bytes, 32).unwrap();
         assert!(matches!(
             Vec::<u8>::decode(&mut r),
             Err(CodecError::Invalid { .. })
@@ -1399,6 +1451,47 @@ mod tests {
     }
 
     proptest! {
+        // `BitCount` is `BitWriter` without the bytes: over any mix of
+        // fields and byte runs, at every alignment, they agree on the
+        // length after every step.
+        #[test]
+        fn bit_count_tracks_bit_writer(
+            ops in collection::vec(
+                (0u64..=u64::MAX, 0u32..=64, collection::vec(0u8..=255, 0..12), 0u8..2),
+                0..40,
+            ),
+        ) {
+            let mut writer = BitWriter::new();
+            let mut count = BitCount::default();
+            for (v, width, bytes, run) in ops {
+                if run == 1 {
+                    writer.put_bytes(&bytes);
+                    count.put_bytes(&bytes);
+                } else {
+                    let v = if width == 64 { v } else { v & ((1 << width) - 1) };
+                    writer.put(v, width);
+                    count.put(v, width);
+                }
+                prop_assert_eq!(count.bit_len(), writer.bit_len());
+            }
+        }
+
+        // Both sinks refuse a value with a bit set at or above its
+        // field width (`BitCount` in debug builds, where it checks).
+        #[test]
+        fn both_sinks_reject_values_wider_than_their_field(
+            v in 0u64..=u64::MAX,
+            width in 0u32..64,
+        ) {
+            let value = v | (1 << width);
+            let writer = std::panic::catch_unwind(|| BitWriter::new().put(value, width));
+            prop_assert!(writer.is_err(), "BitWriter took {value:#x} in {width} bits");
+            if cfg!(debug_assertions) {
+                let count = std::panic::catch_unwind(|| BitCount::default().put(value, width));
+                prop_assert!(count.is_err(), "BitCount took {value:#x} in {width} bits");
+            }
+        }
+
         #[test]
         fn u64_fields_roundtrip_any_width(v in 0u64..=u64::MAX, cut in 0u32..64) {
             // Writing the low `width` bits then reading them back is the
@@ -1409,8 +1502,8 @@ mod tests {
             w.put(masked, width);
             w.put(0b1, 1); // misalign the tail
             let len = w.bit_len();
-            let bytes = w.into_bytes();
-            let mut r = BitReader::new(&bytes, len).unwrap();
+            let bytes = w.bytes();
+            let mut r = BitReader::new(bytes, len).unwrap();
             prop_assert_eq!(r.take(width).unwrap(), masked);
             prop_assert_eq!(r.take(1).unwrap(), 1);
             r.finish().unwrap();

@@ -2,11 +2,15 @@
 
 use crate::error::EngineError;
 
+/// Most machines a network may have: routed messages (`Routed`, the
+/// sort's relayed keys) ship machine indices in 16-bit fields.
+const MAX_MACHINES: usize = 1 << 16;
+
 /// Static parameters of a k-machine network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetConfig {
     /// Number of machines `k` (the paper assumes `k > 2`, but the simulator
-    /// accepts any `k ≥ 1` for testing).
+    /// accepts any `1 ≤ k ≤ 65 536` for testing).
     pub k: usize,
     /// Per-link bandwidth `B` in bits per round.
     pub bandwidth_bits: u64,
@@ -48,8 +52,10 @@ impl NetConfig {
         self
     }
 
-    /// Validates the configuration, rejecting `k = 0`, zero bandwidth,
-    /// and a zero round limit (which could never complete a run).
+    /// Validates the configuration, rejecting `k = 0`, `k > 65 536`
+    /// (more machines than a 16-bit index field can name), zero
+    /// bandwidth, and a zero round limit (which could never complete a
+    /// run).
     ///
     /// The [`crate::Runner`] calls this before dispatching to an engine,
     /// so an unusable configuration surfaces as
@@ -58,6 +64,15 @@ impl NetConfig {
         if self.k == 0 {
             return Err(EngineError::InvalidConfig {
                 reason: "need at least one machine (k = 0)".into(),
+            });
+        }
+        if self.k > MAX_MACHINES {
+            return Err(EngineError::InvalidConfig {
+                reason: format!(
+                    "k = {} exceeds {MAX_MACHINES} machines, the most a 16-bit machine index \
+                     can name",
+                    self.k
+                ),
             });
         }
         if self.bandwidth_bits == 0 {
@@ -100,6 +115,11 @@ mod tests {
     fn invalid_configs_are_rejected_with_reasons() {
         let err = NetConfig::with_bandwidth(0, 64, 0).validate().unwrap_err();
         assert!(err.to_string().contains("at least one machine"));
+        let err = NetConfig::with_bandwidth(65_537, 64, 0)
+            .validate()
+            .unwrap_err();
+        assert!(err.to_string().contains("16-bit machine index"));
+        assert!(NetConfig::with_bandwidth(65_536, 64, 0).validate().is_ok());
         let err = NetConfig::with_bandwidth(4, 0, 0).validate().unwrap_err();
         assert!(err.to_string().contains("bandwidth"));
         let err = NetConfig::with_bandwidth(4, 64, 0)

@@ -16,7 +16,7 @@
 //! shipped home with the final state. Batching amortizes the 21-byte
 //! self-healing header over every message a (link, round) pair
 //! carries; each worker accumulates a [`WireReport`] of what its
-//! frames measured against the logical [`WireSize`] bits, and the
+//! frames measured against the logical [`WireCodec::bits`], and the
 //! coordinator sums them.
 //!
 //! # Round anatomy (coordinator barriers)
@@ -150,7 +150,7 @@ use crate::engine::{
 };
 use crate::error::EngineError;
 use crate::faults::FaultPlan;
-use crate::message::{Envelope, Outbox, WireSize};
+use crate::message::{Envelope, Outbox};
 use crate::metrics::{Metrics, RunReport, WireReport};
 use crate::protocol::{Protocol, RoundCtx, Status};
 use crate::rng;
@@ -618,11 +618,10 @@ impl DistributedEngine {
     /// (with the same payload as the sequential engine);
     /// [`EngineError::MachineLost`] / [`EngineError::WorkerPanicked`]
     /// if a worker stalls past the barrier timeout or panics.
-    pub fn run<P>(config: NetConfig, machines: Vec<P>) -> Result<RunReport<P>, EngineError>
-    where
-        P: Protocol,
-        P::Msg: WireCodec,
-    {
+    pub fn run<P: Protocol>(
+        config: NetConfig,
+        machines: Vec<P>,
+    ) -> Result<RunReport<P>, EngineError> {
         Self::run_with_faults(config, machines, None)
     }
 
@@ -636,15 +635,11 @@ impl DistributedEngine {
     /// [`EngineError::InvalidConfig`] when the plan crashes a machine
     /// index `≥ k`, and [`EngineError::MachineLost`] for the planned
     /// crash itself.
-    pub fn run_with_faults<P>(
+    pub fn run_with_faults<P: Protocol>(
         config: NetConfig,
         machines: Vec<P>,
         faults: Option<FaultPlan>,
-    ) -> Result<RunReport<P>, EngineError>
-    where
-        P: Protocol,
-        P::Msg: WireCodec,
-    {
+    ) -> Result<RunReport<P>, EngineError> {
         admit(&config, machines.len())?;
         let plan = faults.unwrap_or_default();
         if let Some(crash) = plan.crash {
@@ -942,7 +937,6 @@ fn run_worker<P>(
     resp_tx: &Sender<Resp<P>>,
 ) where
     P: Protocol,
-    P::Msg: WireCodec,
 {
     let k = config.k;
     let mut rng = rng::machine_rng(config.seed, me);

@@ -71,7 +71,7 @@
 //!   tally, so the per-round quiescence check does no per-link work.
 //! * Delivery-side accounting reuses the wire sizes cached in each
 //!   [`Link`] at staging time ([`crate::link::Delivery`]), so
-//!   [`crate::message::WireSize::bits`] runs exactly once per link
+//!   [`crate::WireCodec::bits`] runs exactly once per link
 //!   message — and never for a self-send, which is free and unsized.
 //!
 //! Ordering is that of a dense walk: machines run in increasing index
@@ -96,10 +96,11 @@ pub use distributed::DistributedEngine;
 pub use parallel::ParallelEngine;
 pub use sequential::SequentialEngine;
 
+use crate::codec::WireCodec;
 use crate::config::NetConfig;
 use crate::error::EngineError;
 use crate::link::Link;
-use crate::message::{Envelope, WireSize};
+use crate::message::Envelope;
 use crate::metrics::Metrics;
 use crate::protocol::Status;
 use crate::MachineIdx;
@@ -135,7 +136,7 @@ pub(crate) struct Inbound<M> {
     link_visits: u64,
 }
 
-impl<M: WireSize> Inbound<M> {
+impl<M: WireCodec> Inbound<M> {
     pub(crate) fn new(k: usize, me: MachineIdx) -> Self {
         let mut links = Vec::with_capacity(k);
         links.resize_with(k, Link::default);
@@ -219,7 +220,7 @@ impl<M: WireSize> Inbound<M> {
             any_link_bits |= d.bits_used > 0;
             // Received counts come from the sizes cached at push time,
             // so recv accounting can never drift from sent and
-            // `WireSize::bits` is not re-called on delivery.
+            // `WireCodec::bits` is not re-called on delivery.
             self.recv_msgs += d.msgs;
             self.recv_bits += d.msg_bits;
             self.queued_msgs -= d.msgs as usize;
@@ -363,7 +364,7 @@ pub(crate) struct Network<M> {
     metrics: Metrics,
 }
 
-impl<M: WireSize> Network<M> {
+impl<M: WireCodec> Network<M> {
     fn new(k: usize) -> Self {
         Network {
             inbound: (0..k).map(|dst| Inbound::new(k, dst)).collect(),
@@ -429,7 +430,7 @@ impl<M: WireSize> Network<M> {
 /// # Errors
 /// Whatever `compute` fails with, or [`RoundLedger::close`]'s
 /// [`EngineError::RoundLimitExceeded`].
-pub(crate) fn drive<M: WireSize>(
+pub(crate) fn drive<M: WireCodec>(
     config: &NetConfig,
     mut compute: impl FnMut(
         u64,

@@ -60,36 +60,28 @@ impl SequentialEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::WireSize;
     use crate::protocol::Status;
     use crate::Envelope as Env;
 
-    /// Each machine sends `count` unit messages to machine 0, then stops.
+    /// Each machine sends `count` one-byte messages to machine 0, then
+    /// stops.
     struct Flood {
         count: u64,
         received: u64,
     }
 
-    #[derive(Clone)]
-    struct Unit;
-    impl WireSize for Unit {
-        fn bits(&self) -> u64 {
-            8
-        }
-    }
-
     impl Protocol for Flood {
-        type Msg = Unit;
+        type Msg = u8;
         fn round(
             &mut self,
             ctx: &mut RoundCtx<'_>,
-            inbox: &mut Vec<Env<Unit>>,
-            out: &mut crate::message::Outbox<Unit>,
+            inbox: &mut Vec<Env<u8>>,
+            out: &mut crate::message::Outbox<u8>,
         ) -> Status {
             self.received += inbox.len() as u64;
             if ctx.round == 0 && ctx.me != 0 {
                 for _ in 0..self.count {
-                    out.send(0, Unit);
+                    out.send(0, 0);
                 }
                 return Status::Active;
             }

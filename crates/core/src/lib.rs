@@ -23,7 +23,8 @@
 //! `KM_ENGINE` environment variable. Full algorithms implement
 //! [`KmAlgorithm`] (build → run → extract) and run through the generic
 //! [`run_algorithm`] driver, which returns a structured [`RunOutcome`].
-//! Message sizes are *logical bit counts* via [`WireSize`], so
+//! Message sizes are *logical bit counts* — [`WireCodec::bits`], i.e.
+//! what `encode` writes — so
 //! experiments can charge exactly the `Θ(log n)`-bit id costs the theory
 //! uses; the distributed engine additionally reports *measured* frame
 //! bytes in a [`WireReport`], exposing the gap between the accounting
@@ -59,12 +60,12 @@ pub mod rng;
 pub mod router;
 pub mod runner;
 
-pub use codec::{assert_roundtrip, BitReader, BitWriter, CodecError, WireCodec};
+pub use codec::{assert_roundtrip, BitReader, BitSink, BitWriter, CodecError, WireCodec};
 pub use config::NetConfig;
 pub use engine::{DistributedEngine, ParallelEngine, RunReport, SequentialEngine};
 pub use error::EngineError;
 pub use faults::{CrashSpec, FaultPlan, FrameFate, FAULTS_ENV};
-pub use message::{id_bits, Envelope, Outbox, Raw, WireSize};
+pub use message::{id_bits, Envelope, Outbox, Raw};
 pub use metrics::{Metrics, WireReport};
 pub use protocol::{Protocol, RoundCtx, Status};
 pub use runner::{run_algorithm, EngineKind, KmAlgorithm, RunOutcome, Runner};

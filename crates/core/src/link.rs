@@ -1,6 +1,7 @@
 //! A bandwidth-limited FIFO link between an ordered pair of machines.
 
-use crate::message::{Envelope, WireSize};
+use crate::codec::WireCodec;
+use crate::message::Envelope;
 use std::collections::VecDeque;
 
 /// One direction of a point-to-point link.
@@ -36,7 +37,7 @@ impl<M> Default for Link<M> {
 /// consumed (including partial progress on a message still in flight)
 /// and the count/size of the messages it fully delivered. The sizes are
 /// the ones cached at [`Link::push`] time, so delivery-side accounting
-/// never re-calls [`WireSize::bits`].
+/// never re-calls [`WireCodec::bits`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Delivery {
     /// Bits of the budget consumed this call.
@@ -47,7 +48,7 @@ pub struct Delivery {
     pub msg_bits: u64,
 }
 
-impl<M: WireSize> Link<M> {
+impl<M: WireCodec> Link<M> {
     /// Enqueues a message; its logical size is sampled once (clamped ≥ 1).
     pub fn push(&mut self, env: Envelope<M>) {
         let bits = env.msg.bits().max(1);
@@ -56,7 +57,7 @@ impl<M: WireSize> Link<M> {
 
     /// Enqueues a message whose (clamped) wire size the caller already
     /// computed — the engine's staging path uses this so
-    /// [`WireSize::bits`] runs exactly once per message.
+    /// [`WireCodec::bits`] runs exactly once per message.
     pub fn push_sized(&mut self, env: Envelope<M>, bits: u64) {
         debug_assert_eq!(bits, env.msg.bits().max(1), "size must match the message");
         self.total_bits += bits;

@@ -1,25 +1,17 @@
-//! Messages and logical bit-size accounting.
+//! Messages and their staging.
 //!
 //! The model charges links per *bit*, and the theory reasons about
 //! `Θ(log n)`-bit ids and `O(polylog n)`-bit messages. Rather than
-//! serializing and charging byte-aligned sizes, protocol message types
-//! implement [`WireSize`] and declare the exact number of bits a real
-//! encoding would use; the engine enforces the per-link budget on these
-//! logical sizes. This keeps the measured round counts aligned with the
-//! theorems instead of with encoding artifacts.
+//! charging byte-aligned sizes, every engine charges a message its
+//! logical size, [`WireCodec::bits`], i.e. what `encode` writes: the
+//! exact bit layout a real encoding uses, stated once. This keeps the
+//! measured round counts aligned with the theorems instead of with
+//! encoding artifacts.
+//!
+//! [`WireCodec::bits`]: crate::codec::WireCodec::bits
 
 use crate::MachineIdx;
 use std::sync::Arc;
-
-/// Logical wire size of a message, in bits.
-///
-/// Implementations must return the same value every time for the same
-/// message and must be `≥ 1` (the engine clamps to 1; "free" messages
-/// would break the bandwidth accounting).
-pub trait WireSize {
-    /// Number of bits this message occupies on a link.
-    fn bits(&self) -> u64;
-}
 
 /// Bits needed to address one of `n` distinct items: `⌈log₂ n⌉` (min 1).
 ///
@@ -41,46 +33,6 @@ impl Raw {
     /// Wraps a byte vector.
     pub fn from_vec(v: Vec<u8>) -> Self {
         Raw(v.into())
-    }
-}
-
-impl WireSize for Raw {
-    fn bits(&self) -> u64 {
-        (self.0.len() as u64 * 8).max(1)
-    }
-}
-
-impl WireSize for () {
-    fn bits(&self) -> u64 {
-        1
-    }
-}
-
-impl WireSize for bool {
-    fn bits(&self) -> u64 {
-        1
-    }
-}
-
-macro_rules! int_wire {
-    ($($t:ty => $b:expr),*) => {
-        $(impl WireSize for $t {
-            fn bits(&self) -> u64 { $b }
-        })*
-    };
-}
-int_wire!(u8 => 8, u16 => 16, u32 => 32, u64 => 64, i32 => 32, i64 => 64, f64 => 64);
-
-impl<A: WireSize, B: WireSize> WireSize for (A, B) {
-    fn bits(&self) -> u64 {
-        self.0.bits() + self.1.bits()
-    }
-}
-
-impl<T: WireSize> WireSize for Vec<T> {
-    fn bits(&self) -> u64 {
-        // Length prefix (up to 2^32 elements) plus payload.
-        32 + self.iter().map(WireSize::bits).sum::<u64>()
     }
 }
 
@@ -164,6 +116,7 @@ impl<M> Outbox<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::WireCodec;
 
     #[test]
     fn id_bits_matches_log2() {

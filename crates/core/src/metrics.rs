@@ -120,7 +120,7 @@ pub struct WireReport {
     /// Exact payload bits before byte padding: message bits plus the
     /// count and bit-length varints of every batch.
     pub payload_bits: u64,
-    /// Total logical bits ([`crate::WireSize`]) of the framed messages;
+    /// Total logical bits ([`crate::WireCodec::bits`]) of the framed messages;
     /// equals `Metrics::total_bits()` of the same run.
     pub logical_bits: u64,
     /// Extra physical batch transmissions beyond each frame's first:

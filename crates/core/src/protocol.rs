@@ -1,6 +1,7 @@
 //! The [`Protocol`] trait: what one machine runs.
 
-use crate::message::{Envelope, Outbox, WireSize};
+use crate::codec::WireCodec;
+use crate::message::{Envelope, Outbox};
 use crate::MachineIdx;
 use rand_chacha::ChaCha8Rng;
 
@@ -43,7 +44,7 @@ pub struct RoundCtx<'a> {
 /// The engine calls [`Protocol::round`] in each synchronous round with the
 /// messages delivered this round; the implementation performs arbitrary
 /// (free) local computation and stages outgoing messages. Each message `M`
-/// reports its logical size via [`WireSize`] and is delivered once every
+/// reports its logical size via [`WireCodec::bits`] and is delivered once every
 /// preceding byte of the FIFO link has been paid for at `B` bits/round.
 ///
 /// # Idle machines are not called
@@ -58,7 +59,7 @@ pub struct RoundCtx<'a> {
 /// tell. A protocol that needs to act without mail reports `Active`.
 pub trait Protocol: Send {
     /// The message type exchanged by this protocol.
-    type Msg: WireSize + Send;
+    type Msg: WireCodec + Send;
 
     /// Executes one round. `inbox` holds the messages delivered at the
     /// start of this round, grouped by sender in increasing machine order

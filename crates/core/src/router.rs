@@ -13,8 +13,8 @@
 //! deterministic proxy map; [`Routed`] implements the two-hop pattern
 //! (source → random relay → destination) for raw traffic.
 
-use crate::codec::{BitReader, BitWriter, CodecError, WireCodec};
-use crate::message::{Envelope, Outbox, WireSize};
+use crate::codec::{BitReader, BitSink, CodecError, WireCodec};
+use crate::message::{Envelope, Outbox};
 use crate::protocol::{Protocol, RoundCtx, Status};
 use crate::rng::{keyed_hash, splitmix64};
 use crate::MachineIdx;
@@ -116,7 +116,7 @@ impl<const C: usize> PhaseBarrier<C> {
 /// faster peer sent after advancing.
 pub trait Stages<const C: usize>: Send {
     /// The message type; flush markers are one of its shapes.
-    type Msg: WireSize + Clone + Send;
+    type Msg: WireCodec + Clone + Send;
 
     /// The stage tag `msg` carries.
     fn tag(msg: &Self::Msg) -> u8;
@@ -280,15 +280,10 @@ pub struct Routed<M> {
     pub inner: M,
 }
 
-impl<M: WireSize> WireSize for Routed<M> {
-    fn bits(&self) -> u64 {
-        // Two machine indices (16 bits each supports k ≤ 65536) + payload.
-        32 + self.inner.bits()
-    }
-}
-
+/// Two 16-bit machine indices — hence `k ≤ 65 536`, which
+/// [`crate::NetConfig::validate`] enforces — then the payload.
 impl<M: WireCodec> WireCodec for Routed<M> {
-    fn encode(&self, w: &mut BitWriter) {
+    fn encode<S: BitSink>(&self, w: &mut S) {
         w.put(self.origin as u64, 16);
         w.put(self.target as u64, 16);
         self.inner.encode(w);
@@ -374,14 +369,8 @@ impl UniformScatter {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScatterToken;
 
-impl WireSize for ScatterToken {
-    fn bits(&self) -> u64 {
-        16
-    }
-}
-
 impl WireCodec for ScatterToken {
-    fn encode(&self, w: &mut BitWriter) {
+    fn encode<S: BitSink>(&self, w: &mut S) {
         w.put(0, 16); // the token carries no content, only its 16-bit cost
     }
 
@@ -598,14 +587,8 @@ mod tests {
         x: u64,
     }
 
-    impl WireSize for ToyMsg {
-        fn bits(&self) -> u64 {
-            64
-        }
-    }
-
     impl WireCodec for ToyMsg {
-        fn encode(&self, w: &mut BitWriter) {
+        fn encode<S: BitSink>(&self, w: &mut S) {
             w.put(u64::from(self.tag), 2);
             w.put(u64::from(self.flush), 1);
             w.put(self.x, 61);

@@ -42,7 +42,6 @@
 //! and [`run_algorithm`] is the single generic driver every algorithm
 //! crate and experiment routes through.
 
-use crate::codec::WireCodec;
 use crate::config::NetConfig;
 use crate::engine::{DistributedEngine, ParallelEngine, RunReport, SequentialEngine};
 use crate::error::EngineError;
@@ -237,20 +236,12 @@ impl Runner {
 
     /// Runs one protocol instance per machine to global quiescence.
     ///
-    /// The `WireCodec` bound exists because any run may resolve to the
-    /// distributed engine, which serializes every message; protocols
-    /// driven directly through an engine (`SequentialEngine::run`) need
-    /// only `WireSize`.
-    ///
     /// # Errors
     /// [`EngineError::InvalidConfig`] for an invalid configuration, a
     /// machine count ≠ `k`, or a bad [`ENGINE_ENV`] value;
     /// [`EngineError::RoundLimitExceeded`] if the round-limit safety
     /// valve fires.
-    pub fn run<P: Protocol>(&self, machines: Vec<P>) -> Result<RunReport<P>, EngineError>
-    where
-        P::Msg: WireCodec,
-    {
+    pub fn run<P: Protocol>(&self, machines: Vec<P>) -> Result<RunReport<P>, EngineError> {
         self.config.validate()?;
         self.dispatch(machines)
     }
@@ -259,10 +250,7 @@ impl Runner {
     /// [`crate::faults::FAULTS_ENV`] value is a hard error regardless
     /// of which engine resolves — a typo must not silently run
     /// fault-free.
-    fn dispatch<P: Protocol>(&self, machines: Vec<P>) -> Result<RunReport<P>, EngineError>
-    where
-        P::Msg: WireCodec,
-    {
+    fn dispatch<P: Protocol>(&self, machines: Vec<P>) -> Result<RunReport<P>, EngineError> {
         let faults = match self.faults {
             Some(plan) => Some(plan),
             None => FaultPlan::from_env()?,
@@ -283,10 +271,7 @@ impl Runner {
     pub fn run_algorithm<A: KmAlgorithm>(
         &self,
         alg: &A,
-    ) -> Result<RunOutcome<A::Output>, EngineError>
-    where
-        <A::Machine as Protocol>::Msg: WireCodec,
-    {
+    ) -> Result<RunOutcome<A::Output>, EngineError> {
         // Validate before build so `k = 0` and friends surface as errors
         // rather than tripping the algorithm's own preconditions.
         self.config.validate()?;
@@ -366,10 +351,7 @@ impl<T: PartialEq> PartialEq for RunOutcome<T> {
 pub fn run_algorithm<A: KmAlgorithm>(
     alg: &A,
     runner: Runner,
-) -> Result<RunOutcome<A::Output>, EngineError>
-where
-    <A::Machine as Protocol>::Msg: WireCodec,
-{
+) -> Result<RunOutcome<A::Output>, EngineError> {
     runner.run_algorithm(alg)
 }
 

@@ -46,8 +46,8 @@
 use crate::sketch::{phase_seed, L0Sketch, SketchParams};
 use km_core::router::{phase_proxy_of, Staged, Stages};
 use km_core::{
-    id_bits, run_algorithm, BitReader, BitWriter, CodecError, KmAlgorithm, MachineIdx, Metrics,
-    NetConfig, Outbox, RoundCtx, Runner, WireCodec, WireSize,
+    id_bits, run_algorithm, BitReader, BitSink, CodecError, KmAlgorithm, MachineIdx, Metrics,
+    NetConfig, Outbox, RoundCtx, Runner, WireCodec,
 };
 use km_graph::{CsrGraph, DistGraph, DistGraphBuilder, Edge, LocalGraph, Partition, Vertex};
 use std::collections::{BTreeMap, BTreeSet};
@@ -135,85 +135,59 @@ pub enum ConnPayload {
     },
 }
 
-/// A parity-tagged sketch-connectivity message with precomputed honest
-/// wire size.
+/// A parity-tagged sketch-connectivity message.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConnMsg {
     /// Stage parity (the [`Stages`] tag).
     pub parity: bool,
     /// The payload.
     pub payload: ConnPayload,
-    bits: u32,
+    /// Vertex-id width, `id_bits(n)`.
+    idb: u8,
 }
-
-impl WireSize for ConnMsg {
-    fn bits(&self) -> u64 {
-        self.bits as u64
-    }
-}
-
-/// Tag + parity bits charged on every message (10 variants ⇒ 4-bit tag).
-const HDR: u64 = 5;
 
 impl ConnMsg {
     fn new(n: usize, parity: bool, payload: ConnPayload) -> Self {
-        let idb = id_bits(n);
-        let bits = HDR
-            + match &payload {
-                ConnPayload::Partial { sketch, .. } => idb + sketch.bits(),
-                ConnPayload::Closed { .. } | ConnPayload::LabelQ { .. } => idb,
-                ConnPayload::LabelA { .. }
-                | ConnPayload::MinX { .. }
-                | ConnPayload::JumpQ { .. }
-                | ConnPayload::Push { .. } => 2 * idb,
-                ConnPayload::JumpA { .. } => 2 * idb + 1,
-                ConnPayload::Merge { .. } => 4 * idb,
-                // Counters are bounded by n, so ⌈log₂(n+1)⌉ bits each.
-                ConnPayload::Flush { .. } => 2 * (idb + 1),
-            };
         ConnMsg {
             parity,
             payload,
-            bits: bits as u32,
+            idb: id_bits(n) as u8,
         }
     }
 }
 
-/// Wire layout: parity (1) · tag (4) · body. Vertex-id widths are not
-/// shipped; the decoder divides the remaining bit count by the variant's
-/// field count (`Merge` has 4 ids, `LabelA` 2, …). The one subtlety is
-/// `Partial`: the sketch is self-describing (its own 16-bit shape header,
-/// see [`L0Sketch`]'s codec), so it goes first and `comp` takes whatever
-/// bits remain after it.
+/// Wire layout: parity (1) · tag (4, for 10 variants) · body. Vertex-id
+/// widths are not shipped; the decoder divides the remaining bit count
+/// by the variant's field count (`Merge` has 4 ids, `LabelA` 2, …). A
+/// `Flush` counter is bounded by n, so it takes `id_bits + 1` bits. The
+/// one subtlety is `Partial`: the sketch is self-describing (its own
+/// 16-bit shape header, see [`L0Sketch`]'s codec), so it goes first and
+/// `comp` takes whatever bits remain after it.
 impl WireCodec for ConnMsg {
-    fn encode(&self, w: &mut BitWriter) {
+    fn encode<S: BitSink>(&self, w: &mut S) {
+        let idb = u32::from(self.idb);
         w.put(u64::from(self.parity), 1);
-        let idb = |fields: u64, extra: u64| ((u64::from(self.bits) - HDR - extra) / fields) as u32;
         match &self.payload {
             ConnPayload::Partial { comp, sketch } => {
                 w.put(0, 4);
-                let before = w.bit_len();
                 sketch.encode(w);
-                let comp_bits = (u64::from(self.bits) - HDR - (w.bit_len() - before)) as u32;
-                w.put(u64::from(*comp), comp_bits);
+                w.put(u64::from(*comp), idb);
             }
             ConnPayload::Closed { comp } => {
                 w.put(1, 4);
-                w.put(u64::from(*comp), idb(1, 0));
+                w.put(u64::from(*comp), idb);
             }
             ConnPayload::LabelQ { v } => {
                 w.put(2, 4);
-                w.put(u64::from(*v), idb(1, 0));
+                w.put(u64::from(*v), idb);
             }
             ConnPayload::LabelA { v, label } => {
                 w.put(3, 4);
-                let idb = idb(2, 0);
                 w.put(u64::from(*v), idb);
                 w.put(u64::from(*label), idb);
             }
             ConnPayload::Merge { a, b, e } => {
                 w.put(4, 4);
-                let idb = idb(4, 0);
                 w.put(u64::from(*a), idb);
                 w.put(u64::from(*b), idb);
                 w.put(u64::from(e.u), idb);
@@ -221,132 +195,48 @@ impl WireCodec for ConnMsg {
             }
             ConnPayload::MinX { c, min } => {
                 w.put(5, 4);
-                let idb = idb(2, 0);
                 w.put(u64::from(*c), idb);
                 w.put(u64::from(*min), idb);
             }
             ConnPayload::JumpQ { c, d } => {
                 w.put(6, 4);
-                let idb = idb(2, 0);
                 w.put(u64::from(*c), idb);
                 w.put(u64::from(*d), idb);
             }
             ConnPayload::JumpA { c, p, root } => {
                 w.put(7, 4);
-                let idb = idb(2, 1);
                 w.put(u64::from(*root), 1);
                 w.put(u64::from(*c), idb);
                 w.put(u64::from(*p), idb);
             }
             ConnPayload::Push { old, new } => {
                 w.put(8, 4);
-                let idb = idb(2, 0);
                 w.put(u64::from(*old), idb);
                 w.put(u64::from(*new), idb);
             }
             ConnPayload::Flush { c0, c1 } => {
                 w.put(9, 4);
-                // Counter width: (bits − HDR) / 2 = idb + 1; counters are
-                // bounded by n, so `put`'s fit assertion enforces honesty.
-                let cw = idb(2, 0);
-                w.put(*c0, cw);
-                w.put(*c1, cw);
+                w.put(*c0, idb + 1);
+                w.put(*c1, idb + 1);
             }
         }
     }
 
     fn decode(r: &mut BitReader<'_>) -> Result<Self, CodecError> {
-        let total = r.remaining();
         let parity = r.take(1)? != 0;
         let tag = r.take(4)?;
-        let split = |rem: u64, fields: u64, extra: u64| -> Result<u32, CodecError> {
-            let ids = rem - extra;
-            if extra > rem || !ids.is_multiple_of(fields) || !(1..=32).contains(&(ids / fields)) {
-                return Err(CodecError::Invalid {
-                    what: "conn message body width",
-                    value: rem,
-                });
-            }
-            Ok((ids / fields) as u32)
+        let sketch = match tag {
+            0 => Some(<L0Sketch as WireCodec>::decode(r)?),
+            _ => None,
         };
-        let payload = match tag {
-            0 => {
-                let sketch = <L0Sketch as WireCodec>::decode(r)?;
-                let comp_bits = split(r.remaining(), 1, 0)?;
-                ConnPayload::Partial {
-                    comp: r.take(comp_bits)? as Vertex,
-                    sketch,
-                }
-            }
-            1 => ConnPayload::Closed {
-                comp: r.take(split(r.remaining(), 1, 0)?)? as Vertex,
-            },
-            2 => ConnPayload::LabelQ {
-                v: r.take(split(r.remaining(), 1, 0)?)? as Vertex,
-            },
-            3 => {
-                let idb = split(r.remaining(), 2, 0)?;
-                ConnPayload::LabelA {
-                    v: r.take(idb)? as Vertex,
-                    label: r.take(idb)? as Vertex,
-                }
-            }
-            4 => {
-                let idb = split(r.remaining(), 4, 0)?;
-                ConnPayload::Merge {
-                    a: r.take(idb)? as Vertex,
-                    b: r.take(idb)? as Vertex,
-                    e: Edge {
-                        u: r.take(idb)? as Vertex,
-                        v: r.take(idb)? as Vertex,
-                    },
-                }
-            }
-            5 => {
-                let idb = split(r.remaining(), 2, 0)?;
-                ConnPayload::MinX {
-                    c: r.take(idb)? as Vertex,
-                    min: r.take(idb)? as Vertex,
-                }
-            }
-            6 => {
-                let idb = split(r.remaining(), 2, 0)?;
-                ConnPayload::JumpQ {
-                    c: r.take(idb)? as Vertex,
-                    d: r.take(idb)? as Vertex,
-                }
-            }
-            7 => {
-                let idb = split(r.remaining(), 2, 1)?;
-                let root = r.take(1)? != 0;
-                ConnPayload::JumpA {
-                    c: r.take(idb)? as Vertex,
-                    p: r.take(idb)? as Vertex,
-                    root,
-                }
-            }
-            8 => {
-                let idb = split(r.remaining(), 2, 0)?;
-                ConnPayload::Push {
-                    old: r.take(idb)? as Vertex,
-                    new: r.take(idb)? as Vertex,
-                }
-            }
-            9 => {
-                // Counter width is idb + 1, so it may reach 33 bits.
-                let rem = r.remaining();
-                if !rem.is_multiple_of(2) || !(2..=66).contains(&rem) {
-                    return Err(CodecError::Invalid {
-                        what: "conn flush body width",
-                        value: rem,
-                    });
-                }
-                let cw = (rem / 2) as u32;
-                ConnPayload::Flush {
-                    c0: r.take(cw)?,
-                    c1: r.take(cw)?,
-                }
-            }
+        // (id fields, other bits) of the body after any sketch; a flush
+        // is two counters of `idb + 1` bits.
+        let (fields, extra) = match tag {
+            0..=2 => (1, 0),
+            3 | 5 | 6 | 8 => (2, 0),
+            4 => (4, 0),
+            7 => (2, 1),
+            9 => (2, 2),
             t => {
                 return Err(CodecError::Invalid {
                     what: "conn message tag",
@@ -354,10 +244,65 @@ impl WireCodec for ConnMsg {
                 })
             }
         };
+        let rem = r.remaining();
+        let ids = rem.wrapping_sub(extra);
+        if extra > rem || !ids.is_multiple_of(fields) || !(1..=32).contains(&(ids / fields)) {
+            return Err(CodecError::Invalid {
+                what: "conn message body width",
+                value: rem,
+            });
+        }
+        let idb = (ids / fields) as u32;
+        let id = |r: &mut BitReader<'_>| Ok::<_, CodecError>(r.take(idb)? as Vertex);
+        let payload = match (tag, sketch) {
+            (0, Some(sketch)) => ConnPayload::Partial {
+                comp: id(r)?,
+                sketch,
+            },
+            (1, _) => ConnPayload::Closed { comp: id(r)? },
+            (2, _) => ConnPayload::LabelQ { v: id(r)? },
+            (3, _) => ConnPayload::LabelA {
+                v: id(r)?,
+                label: id(r)?,
+            },
+            (4, _) => ConnPayload::Merge {
+                a: id(r)?,
+                b: id(r)?,
+                e: Edge {
+                    u: id(r)?,
+                    v: id(r)?,
+                },
+            },
+            (5, _) => ConnPayload::MinX {
+                c: id(r)?,
+                min: id(r)?,
+            },
+            (6, _) => ConnPayload::JumpQ {
+                c: id(r)?,
+                d: id(r)?,
+            },
+            (7, _) => {
+                let root = r.take(1)? != 0;
+                ConnPayload::JumpA {
+                    c: id(r)?,
+                    p: id(r)?,
+                    root,
+                }
+            }
+            (8, _) => ConnPayload::Push {
+                old: id(r)?,
+                new: id(r)?,
+            },
+            // Tag 9: every other tag was rejected above.
+            _ => ConnPayload::Flush {
+                c0: r.take(idb + 1)?,
+                c1: r.take(idb + 1)?,
+            },
+        };
         Ok(ConnMsg {
             parity,
             payload,
-            bits: total as u32,
+            idb: idb as u8,
         })
     }
 }

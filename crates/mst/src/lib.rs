@@ -44,8 +44,8 @@ pub use conn::{
 use km_core::rng::keyed_hash;
 use km_core::router::{Staged, Stages};
 use km_core::{
-    id_bits, run_algorithm, BitReader, BitWriter, CodecError, KmAlgorithm, MachineIdx, Metrics,
-    NetConfig, Outbox, RoundCtx, Runner, WireCodec, WireSize,
+    id_bits, run_algorithm, BitReader, BitSink, CodecError, KmAlgorithm, MachineIdx, Metrics,
+    NetConfig, Outbox, RoundCtx, Runner, WireCodec,
 };
 use km_graph::{DistGraph, DistGraphBuilder, Edge, LocalGraph, Partition, Vertex, WeightedGraph};
 use std::collections::BTreeMap;
@@ -137,13 +137,8 @@ pub struct MstMsg {
     pub parity: bool,
     /// The payload.
     pub payload: MstPayload,
-    bits: u32,
-}
-
-impl WireSize for MstMsg {
-    fn bits(&self) -> u64 {
-        self.bits as u64
-    }
+    /// Vertex-id width, `id_bits(n)` (0 for a `Flush`, which has none).
+    idb: u8,
 }
 
 /// Layout: parity (1) · tag (1) · body. `Flush` is a bare 32-bit counter
@@ -152,11 +147,11 @@ impl WireSize for MstMsg {
 /// then the weight's 64 IEEE bits) or `Chosen` (ids in
 /// `(remaining − 64) / 2` bits: e.u, e.v, then the weight).
 impl WireCodec for MstMsg {
-    fn encode(&self, w: &mut BitWriter) {
+    fn encode<S: BitSink>(&self, w: &mut S) {
+        let idb = u32::from(self.idb);
         w.put(u64::from(self.parity), 1);
         match self.payload {
             MstPayload::Candidate { comp, e, w: wt } => {
-                let idb = (self.bits - 66) / 3;
                 w.put(0, 1);
                 w.put(u64::from(comp), idb);
                 w.put(u64::from(e.u), idb);
@@ -164,7 +159,6 @@ impl WireCodec for MstMsg {
                 w.put(wt.to_bits(), 64);
             }
             MstPayload::Chosen { e, w: wt } => {
-                let idb = (self.bits - 66) / 2;
                 w.put(1, 1);
                 w.put(u64::from(e.u), idb);
                 w.put(u64::from(e.v), idb);
@@ -178,74 +172,68 @@ impl WireCodec for MstMsg {
     }
 
     fn decode(r: &mut BitReader<'_>) -> Result<Self, CodecError> {
-        let total = r.remaining();
         let parity = r.take(1)? != 0;
         let tag = r.take(1)?;
         let rem = r.remaining();
-        let payload = if rem == 32 {
-            MstPayload::Flush {
-                produced: r.take(32)?,
+        if rem == 32 {
+            return Ok(MstMsg::flush(parity, r.take(32)?));
+        }
+        let fields = if tag == 0 { 3 } else { 2 };
+        let id_total = rem.checked_sub(64).unwrap_or(1);
+        if !id_total.is_multiple_of(fields) || !(1..=32).contains(&(id_total / fields)) {
+            return Err(CodecError::Invalid {
+                what: "mst message body width",
+                value: rem,
+            });
+        }
+        let idb = (id_total / fields) as u32;
+        let payload = if tag == 0 {
+            let comp = r.take(idb)? as Vertex;
+            let u = r.take(idb)? as Vertex;
+            let v = r.take(idb)? as Vertex;
+            let w = f64::from_bits(r.take(64)?);
+            MstPayload::Candidate {
+                comp,
+                e: Edge { u, v },
+                w,
             }
         } else {
-            let fields = if tag == 0 { 3 } else { 2 };
-            let id_total = rem.checked_sub(64).unwrap_or(1);
-            if !id_total.is_multiple_of(fields) || !(1..=32).contains(&(id_total / fields)) {
-                return Err(CodecError::Invalid {
-                    what: "mst message body width",
-                    value: rem,
-                });
-            }
-            let idb = (id_total / fields) as u32;
-            if tag == 0 {
-                let comp = r.take(idb)? as Vertex;
-                let u = r.take(idb)? as Vertex;
-                let v = r.take(idb)? as Vertex;
-                let w = f64::from_bits(r.take(64)?);
-                MstPayload::Candidate {
-                    comp,
-                    e: Edge { u, v },
-                    w,
-                }
-            } else {
-                let u = r.take(idb)? as Vertex;
-                let v = r.take(idb)? as Vertex;
-                let w = f64::from_bits(r.take(64)?);
-                MstPayload::Chosen {
-                    e: Edge { u, v },
-                    w,
-                }
+            let u = r.take(idb)? as Vertex;
+            let v = r.take(idb)? as Vertex;
+            let w = f64::from_bits(r.take(64)?);
+            MstPayload::Chosen {
+                e: Edge { u, v },
+                w,
             }
         };
         Ok(MstMsg {
             parity,
             payload,
-            bits: total as u32,
+            idb: idb as u8,
         })
     }
 }
 
 impl MstMsg {
     fn candidate(n: usize, parity: bool, comp: Vertex, e: Edge, w: f64) -> Self {
-        let bits = (2 + 3 * id_bits(n) + 64) as u32;
         MstMsg {
             parity,
             payload: MstPayload::Candidate { comp, e, w },
-            bits,
+            idb: id_bits(n) as u8,
         }
     }
     fn chosen(n: usize, parity: bool, e: Edge, w: f64) -> Self {
-        let bits = (2 + 2 * id_bits(n) + 64) as u32;
         MstMsg {
             parity,
             payload: MstPayload::Chosen { e, w },
-            bits,
+            idb: id_bits(n) as u8,
         }
     }
     fn flush(parity: bool, produced: u64) -> Self {
         MstMsg {
             parity,
             payload: MstPayload::Flush { produced },
-            bits: 2 + 32,
+            idb: 0,
         }
     }
 }

@@ -16,8 +16,9 @@
 //! This module provides the data structure itself, sized by
 //! [`SketchParams`] (depth and repetition count tuned to the input via
 //! [`SketchParams::for_graph`]), with honest wire accounting
-//! ([`WireSize`]: a 16-bit shape header plus `reps · levels ·
-//! (64 + 32 + 1)` payload bits) and an XOR-mergeable word serialization
+//! ([`WireCodec::bits`], i.e. what `encode` writes: a 16-bit shape
+//! header plus `reps · levels · (64 + 32 + 1)` payload bits) and an
+//! XOR-mergeable word serialization
 //! ([`L0Sketch::to_words`]) so partial sketches can be combined on the
 //! wire exactly like in memory.
 //! [`sketch_spanning_forest`] is the *sequential* phase-by-phase driver
@@ -27,7 +28,7 @@
 //! § "MST and connectivity" for the two-algorithm story.)
 
 use km_core::rng::{keyed_hash, splitmix64};
-use km_core::{BitReader, BitWriter, CodecError, WireCodec, WireSize};
+use km_core::{BitReader, BitSink, CodecError, WireCodec};
 use km_graph::{CsrGraph, Edge, Vertex};
 
 /// Default levels per basic sampler: edge `e` participates in level `ℓ`
@@ -47,7 +48,7 @@ const REPS: usize = 8;
 /// graph the simulator can hold; [`SketchParams::for_graph`] picks the
 /// smallest honest size for a concrete input, which is what the
 /// distributed protocol ships (its wire cost is
-/// `reps · levels · (64 + 32 + 1)` bits, see [`WireSize`]).
+/// `reps · levels · (64 + 32 + 1)` bits, see [`WireCodec::bits`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SketchParams {
     /// Geometric sampling depth; must exceed `log₂(boundary size)`.
@@ -271,13 +272,6 @@ impl L0Sketch {
         self.reps.iter().all(BasicSketch::is_empty)
     }
 
-    /// Logical wire size in bits of a default-shape sketch (see
-    /// [`SketchParams::sketch_bits`] for explicit shapes and the
-    /// [`WireSize`] impl for what the engine charges).
-    pub fn wire_bits() -> u64 {
-        SketchParams::default().sketch_bits()
-    }
-
     /// Serializes into 64-bit words such that the encoding is
     /// **XOR-mergeable**: `words(a ⊕ b) = words(a) ^ words(b)`
     /// elementwise. A relay can therefore combine partial sketches
@@ -345,32 +339,24 @@ fn words_per_rep(levels: usize) -> usize {
     levels + levels.div_ceil(2) + levels.div_ceil(64)
 }
 
-/// The honest per-sketch wire cost the engine charges when a sketch
-/// crosses a link: a 16-bit shape header, then `reps · levels ·
-/// (64 + 32 + 1)` bits — key, checksum, and parity per level per
-/// repetition, nothing amortized away.
-impl WireSize for L0Sketch {
-    fn bits(&self) -> u64 {
-        self.params().sketch_bits()
-    }
-}
-
 /// Wire layout (matching [`SketchParams::sketch_bits`]): 8-bit `reps`,
 /// 8-bit `levels`, then per repetition the level-indexed key words
-/// (64 bits each), checksums (32 bits each), and parity bits. The shape
+/// (64 bits each), checksums (32 bits each), and parity bits — the
+/// honest per-sketch cost, nothing amortized away. The shape
 /// header makes a frame self-describing, so container messages (e.g.
 /// `ConnMsg::Partial`) can place variable-width fields *after* a sketch
 /// and still recover their widths from the frame's remaining bit count.
 impl WireCodec for L0Sketch {
-    fn encode(&self, w: &mut BitWriter) {
+    fn encode<S: BitSink>(&self, w: &mut S) {
         let p = self.params();
         w.put(p.reps as u64, 8);
         w.put(p.levels as u64, 8);
         for basic in &self.reps {
-            for l in 0..p.levels {
-                w.put(basic.key_xor[l], 64);
-                w.put(u64::from(basic.check_xor[l]), 32);
-                w.put(u64::from(basic.parity[l]), 1);
+            let levels = basic.key_xor.iter().zip(&basic.check_xor);
+            for ((&key, &check), &parity) in levels.zip(&basic.parity) {
+                w.put(key, 64);
+                w.put(u64::from(check), 32);
+                w.put(u64::from(parity), 1);
             }
         }
     }
@@ -555,7 +541,7 @@ mod tests {
     fn wire_size_is_polylog() {
         // The whole point: a component's connectivity summary in ~4.7 kbit
         // (16-bit shape header + 97 bits per level per repetition).
-        assert_eq!(L0Sketch::wire_bits(), 16 + 8 * 40 * 97);
+        assert_eq!(SketchParams::default().sketch_bits(), 16 + 8 * 40 * 97);
         assert_eq!(L0Sketch::empty().bits(), 16 + 8 * 40 * 97);
         // A tuned shape is smaller but still polylog in n.
         let p = SketchParams::for_graph(10_000, 80_000);
@@ -564,6 +550,19 @@ mod tests {
             L0Sketch::empty_with(p).bits(),
             16 + (p.reps * p.levels * 97) as u64
         );
+    }
+
+    /// `bits()` counts through `encode`; the closed form
+    /// `SketchParams::sketch_bits` (what the benchmark reports as
+    /// `sketch.wire_bits`) must agree with it on every shape.
+    #[test]
+    fn sketch_bits_match_the_closed_form() {
+        for reps in [0, 1, 4, 8, 255] {
+            for levels in [1, 12, 40, 255] {
+                let p = SketchParams { levels, reps };
+                assert_eq!(L0Sketch::empty_with(p).bits(), p.sketch_bits(), "{p:?}");
+            }
+        }
     }
 
     #[test]

@@ -46,8 +46,8 @@
 use crate::PrConfig;
 use km_core::router::{Staged, Stages};
 use km_core::{
-    id_bits, run_algorithm, BitReader, BitWriter, CodecError, KmAlgorithm, MachineIdx, Metrics,
-    NetConfig, Outbox, RoundCtx, Runner, WireCodec, WireSize,
+    id_bits, run_algorithm, BitReader, BitSink, CodecError, KmAlgorithm, MachineIdx, Metrics,
+    NetConfig, Outbox, RoundCtx, Runner, WireCodec,
 };
 use km_graph::{DiGraph, DistGraph, DistGraphBuilder, LocalGraph, Partition, Vertex};
 use rand::Rng;
@@ -87,38 +87,31 @@ pub struct PrMsg {
     pub parity: bool,
     /// The payload.
     pub payload: PrPayload,
-    bits: u32,
+    /// Vertex-id width, `id_bits(n)` (0 for a `Flush`, which has none).
+    idb: u8,
 }
 
 impl PrMsg {
     pub(crate) fn count(n: usize, parity: bool, v: Vertex, count: u64) -> Self {
-        let bits = (2 + id_bits(n) + 32) as u32;
         PrMsg {
             parity,
             payload: PrPayload::Count { v, count },
-            bits,
+            idb: id_bits(n) as u8,
         }
     }
     pub(crate) fn heavy(n: usize, parity: bool, u: Vertex, count: u64) -> Self {
-        let bits = (2 + id_bits(n) + 32) as u32;
         PrMsg {
             parity,
             payload: PrPayload::Heavy { u, count },
-            bits,
+            idb: id_bits(n) as u8,
         }
     }
     pub(crate) fn flush(parity: bool, live: u64) -> Self {
         PrMsg {
             parity,
             payload: PrPayload::Flush { live },
-            bits: 2 + 32,
+            idb: 0,
         }
-    }
-}
-
-impl WireSize for PrMsg {
-    fn bits(&self) -> u64 {
-        self.bits as u64
     }
 }
 
@@ -128,8 +121,8 @@ impl WireSize for PrMsg {
 /// id width as `remaining − 32` — `id_bits ≥ 1`, so the two shapes can
 /// never collide at 34 bits.
 impl WireCodec for PrMsg {
-    fn encode(&self, w: &mut BitWriter) {
-        let idb = self.bits - 34; // 0 for Flush
+    fn encode<S: BitSink>(&self, w: &mut S) {
+        let idb = u32::from(self.idb);
         w.put(u64::from(self.parity), 1);
         match self.payload {
             PrPayload::Count { v, count } => {
@@ -150,10 +143,9 @@ impl WireCodec for PrMsg {
     }
 
     fn decode(r: &mut BitReader<'_>) -> Result<Self, CodecError> {
-        let total = r.remaining();
         let parity = r.take(1)? != 0;
         let tag = r.take(1)?;
-        let payload = match r.remaining() {
+        let (payload, idb) = match r.remaining() {
             32 => {
                 if tag != 0 {
                     return Err(CodecError::Invalid {
@@ -161,7 +153,7 @@ impl WireCodec for PrMsg {
                         value: tag,
                     });
                 }
-                PrPayload::Flush { live: r.take(32)? }
+                (PrPayload::Flush { live: r.take(32)? }, 0)
             }
             rem => {
                 // id width: 1..=32 (vertex ids are u32).
@@ -171,20 +163,21 @@ impl WireCodec for PrMsg {
                         value: rem,
                     });
                 }
-                let idb = (rem - 32) as u32;
-                let vertex = r.take(idb)? as Vertex;
+                let idb = (rem - 32) as u8;
+                let vertex = r.take(u32::from(idb))? as Vertex;
                 let count = r.take(32)?;
-                if tag == 0 {
+                let payload = if tag == 0 {
                     PrPayload::Count { v: vertex, count }
                 } else {
                     PrPayload::Heavy { u: vertex, count }
-                }
+                };
+                (payload, idb)
             }
         };
         Ok(PrMsg {
             parity,
             payload,
-            bits: total as u32,
+            idb,
         })
     }
 }

@@ -27,8 +27,8 @@
 
 use km_core::router::{Staged, Stages};
 use km_core::{
-    run_algorithm, BitReader, BitWriter, CodecError, KmAlgorithm, MachineIdx, Metrics, NetConfig,
-    Outbox, RoundCtx, Runner, WireCodec, WireSize,
+    run_algorithm, BitReader, BitSink, CodecError, KmAlgorithm, MachineIdx, Metrics, NetConfig,
+    Outbox, RoundCtx, Runner, WireCodec,
 };
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -68,25 +68,15 @@ pub struct SortMsg {
     pub kind: SortKind,
 }
 
-impl WireSize for SortMsg {
-    fn bits(&self) -> u64 {
-        let body = match self.kind {
-            SortKind::Sample(_) | SortKind::Splitter(_) | SortKind::Key(_) => 64,
-            SortKind::RelayKey { .. } => 64 + 16,
-            SortKind::Count(_) => 32,
-            SortKind::Flush => 5,
-        };
-        3 + body
-    }
-}
-
+/// Layout: a 3-bit phase, then the body — a 64-bit key, a 16-bit owner
+/// (`k ≤ 65 536`) plus key, a 32-bit count, or 5 zero bits for a flush.
 /// The codec spends no bits on a kind tag: the frame's exact bit count
 /// plus the 3-bit phase already pin the kind down, because the protocol
 /// emits each kind in fixed phases (`Sample`@0, `Splitter`@1, `Key`@2|5,
 /// `Count`@3, `RelayKey`@4) and no two kinds of the same phase share a
 /// body width. Anything off that grid is a corrupt frame.
 impl WireCodec for SortMsg {
-    fn encode(&self, w: &mut BitWriter) {
+    fn encode<S: BitSink>(&self, w: &mut S) {
         w.put(self.phase as u64, 3);
         match self.kind {
             SortKind::Sample(key) | SortKind::Splitter(key) | SortKind::Key(key) => {

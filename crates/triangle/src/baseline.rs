@@ -10,8 +10,8 @@
 
 use km_core::rng::keyed_hash;
 use km_core::{
-    id_bits, run_algorithm, BitReader, BitWriter, CodecError, Envelope, KmAlgorithm, Metrics,
-    NetConfig, Outbox, Protocol, RoundCtx, Runner, Status, WireCodec, WireSize,
+    id_bits, run_algorithm, BitReader, BitSink, CodecError, Envelope, KmAlgorithm, Metrics,
+    NetConfig, Outbox, Protocol, RoundCtx, Runner, Status, WireCodec,
 };
 use km_graph::ids::Triangle;
 use km_graph::{CsrGraph, DistGraph, DistGraphBuilder, Edge, LocalGraph, Partition, Vertex};
@@ -24,9 +24,8 @@ pub enum BcastMsg {
     Edge {
         /// The edge.
         e: Edge,
-        /// Wire size (a tag bit + 2 vertex ids — the odd width keeps an
-        /// edge distinguishable from the even-width `Flush` marker).
-        bits: u32,
+        /// Vertex-id width, `id_bits(n)`.
+        idb: u8,
     },
     /// Completion marker.
     Flush,
@@ -37,30 +36,21 @@ impl BcastMsg {
     fn edge(n: usize, e: Edge) -> Self {
         BcastMsg::Edge {
             e,
-            bits: (1 + 2 * id_bits(n)) as u32,
-        }
-    }
-}
-
-impl WireSize for BcastMsg {
-    fn bits(&self) -> u64 {
-        match self {
-            BcastMsg::Edge { bits, .. } => *bits as u64,
-            BcastMsg::Flush => 8,
+            idb: id_bits(n) as u8,
         }
     }
 }
 
 /// Layout: a 1-bit tag (1 = edge, 0 = flush), then either two ids of
-/// `(remaining / 2)` bits each or 7 zero padding bits.
+/// `(remaining / 2)` bits each or 7 zero padding bits. The edge's odd
+/// width keeps it distinguishable from the 8-bit `Flush` marker.
 impl WireCodec for BcastMsg {
-    fn encode(&self, w: &mut BitWriter) {
+    fn encode<S: BitSink>(&self, w: &mut S) {
         match self {
-            BcastMsg::Edge { e, bits } => {
+            BcastMsg::Edge { e, idb } => {
                 w.put(1, 1);
-                let idb = (bits - 1) / 2;
-                w.put(u64::from(e.u), idb);
-                w.put(u64::from(e.v), idb);
+                w.put(u64::from(e.u), u32::from(*idb));
+                w.put(u64::from(e.v), u32::from(*idb));
             }
             BcastMsg::Flush => {
                 w.put(0, 1);
@@ -70,7 +60,6 @@ impl WireCodec for BcastMsg {
     }
 
     fn decode(r: &mut BitReader<'_>) -> Result<Self, CodecError> {
-        let total = r.remaining();
         if r.take(1)? == 0 {
             r.take(7)?;
             return Ok(BcastMsg::Flush);
@@ -82,10 +71,11 @@ impl WireCodec for BcastMsg {
                 value: rem,
             });
         }
-        let idb = (rem / 2) as u32;
+        let idb = (rem / 2) as u8;
+        let width = u32::from(idb);
         Ok(BcastMsg::Edge {
-            e: crate::kmachine::decoded_edge(r.take(idb)?, r.take(idb)?)?,
-            bits: total as u32,
+            e: crate::kmachine::decoded_edge(r.take(width)?, r.take(width)?)?,
+            idb,
         })
     }
 }
@@ -301,7 +291,7 @@ mod tests {
 
             // The same edge with its endpoints swapped is not a message.
             let swapped = BcastMsg::edge(n, Edge { u: e.v, v: e.u });
-            let mut w = BitWriter::new();
+            let mut w = km_core::BitWriter::new();
             swapped.encode(&mut w);
             let mut r = BitReader::new(w.bytes(), w.bit_len()).unwrap();
             proptest::prop_assert_eq!(

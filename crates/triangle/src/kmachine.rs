@@ -30,8 +30,8 @@
 
 use km_core::router::{Staged, Stages};
 use km_core::{
-    id_bits, run_algorithm, BitReader, BitWriter, CodecError, KmAlgorithm, Metrics, NetConfig,
-    Outbox, RoundCtx, Runner, WireCodec, WireSize,
+    id_bits, run_algorithm, BitReader, BitSink, CodecError, KmAlgorithm, Metrics, NetConfig,
+    Outbox, RoundCtx, Runner, WireCodec,
 };
 use km_core::{rng::keyed_hash, MachineIdx};
 use km_graph::dist::EdgeListAdjacency;
@@ -209,62 +209,50 @@ pub struct TriMsg {
     pub phase: u8,
     /// The payload.
     pub payload: TriPayload,
-    bits: u32,
+    /// Vertex-id width, `id_bits(n)` (0 for a `Flush`, which has none).
+    idb: u8,
 }
 
 impl TriMsg {
-    /// Header bits charged on every message: a 2-bit phase (the protocol
-    /// has 4 phases) plus a 2-bit payload tag. The explicit tag keeps
-    /// `ToProxy`/`ToMachine` (same width) and `HdRequest`/`Flush`
-    /// (colliding at `id_bits = 4`) distinguishable on the wire.
-    const HDR: u64 = 4;
-
     fn hd(n: usize, phase: u8, v: Vertex) -> Self {
         TriMsg {
             phase,
             payload: TriPayload::HdRequest { v },
-            bits: (Self::HDR + id_bits(n)) as u32,
+            idb: id_bits(n) as u8,
         }
     }
     fn to_proxy(n: usize, phase: u8, e: Edge) -> Self {
         TriMsg {
             phase,
             payload: TriPayload::ToProxy { e },
-            bits: (Self::HDR + 2 * id_bits(n)) as u32,
+            idb: id_bits(n) as u8,
         }
     }
     fn to_machine(n: usize, phase: u8, e: Edge) -> Self {
         TriMsg {
             phase,
             payload: TriPayload::ToMachine { e },
-            bits: (Self::HDR + 2 * id_bits(n)) as u32,
+            idb: id_bits(n) as u8,
         }
     }
     fn flush(phase: u8) -> Self {
         TriMsg {
             phase,
             payload: TriPayload::Flush,
-            bits: 8,
+            idb: 0,
         }
     }
 }
 
-impl WireSize for TriMsg {
-    fn bits(&self) -> u64 {
-        self.bits as u64
-    }
-}
-
-/// Layout: phase (2) · tag (2) · body; ids take `remaining / fields`
-/// bits, and `Flush` pads with 4 zero bits to its historical 8-bit cost.
+/// Layout: phase (2, the protocol has 4 phases) · tag (2) · body; ids
+/// take `remaining / fields` bits, and `Flush` pads with 4 zero bits to
+/// its historical 8-bit cost. The explicit tag keeps `ToProxy` /
+/// `ToMachine` (same width) and `HdRequest` / `Flush` (colliding at
+/// `id_bits = 4`) distinguishable on the wire.
 impl WireCodec for TriMsg {
-    fn encode(&self, w: &mut BitWriter) {
+    fn encode<S: BitSink>(&self, w: &mut S) {
         w.put(u64::from(self.phase), 2);
-        let idb = ((u64::from(self.bits) - Self::HDR)
-            / match self.payload {
-                TriPayload::HdRequest { .. } => 1,
-                _ => 2,
-            }) as u32;
+        let idb = u32::from(self.idb);
         match self.payload {
             TriPayload::HdRequest { v } => {
                 w.put(0, 2);
@@ -288,40 +276,42 @@ impl WireCodec for TriMsg {
     }
 
     fn decode(r: &mut BitReader<'_>) -> Result<Self, CodecError> {
-        let total = r.remaining();
         let phase = r.take(2)? as u8;
         let tag = r.take(2)?;
-        let idb = |rem: u64, fields: u64| -> Result<u32, CodecError> {
-            if !rem.is_multiple_of(fields) || !(1..=32).contains(&(rem / fields)) {
-                return Err(CodecError::Invalid {
-                    what: "triangle message body width",
-                    value: rem,
-                });
+        let fields = match tag {
+            0 => 1,
+            1 | 2 => 2,
+            _ => {
+                r.take(4)?;
+                return Ok(TriMsg::flush(phase));
             }
-            Ok((rem / fields) as u32)
         };
+        let rem = r.remaining();
+        if !rem.is_multiple_of(fields) || !(1..=32).contains(&(rem / fields)) {
+            return Err(CodecError::Invalid {
+                what: "triangle message body width",
+                value: rem,
+            });
+        }
+        let idb = (rem / fields) as u8;
+        let width = u32::from(idb);
         let payload = match tag {
             0 => TriPayload::HdRequest {
-                v: r.take(idb(r.remaining(), 1)?)? as Vertex,
+                v: r.take(width)? as Vertex,
             },
-            1 | 2 => {
-                let w = idb(r.remaining(), 2)?;
-                let e = decoded_edge(r.take(w)?, r.take(w)?)?;
+            _ => {
+                let e = decoded_edge(r.take(width)?, r.take(width)?)?;
                 if tag == 1 {
                     TriPayload::ToProxy { e }
                 } else {
                     TriPayload::ToMachine { e }
                 }
             }
-            _ => {
-                r.take(4)?;
-                TriPayload::Flush
-            }
         };
         Ok(TriMsg {
             phase,
             payload,
-            bits: total as u32,
+            idb,
         })
     }
 }
@@ -1084,7 +1074,7 @@ mod tests {
             // The same edge with its endpoints swapped is not a message.
             let swapped = Edge { u: e.v, v: e.u };
             for msg in [TriMsg::to_proxy(n, phase, swapped), TriMsg::to_machine(n, phase, swapped)] {
-                let mut w = BitWriter::new();
+                let mut w = km_core::BitWriter::new();
                 msg.encode(&mut w);
                 let mut r = BitReader::new(w.bytes(), w.bit_len()).unwrap();
                 proptest::prop_assert_eq!(

@@ -5,7 +5,7 @@
 //! thread and every message is serialized to a length-prefixed byte
 //! frame and pushed through a bounded channel — then checks the two
 //! `RunOutcome`s are bit-identical and prints what the byte channels
-//! actually carried next to the logical `WireSize` accounting the
+//! actually carried next to the logical `WireCodec::bits` accounting the
 //! paper's bounds charge.
 //!
 //! ```text

@@ -170,7 +170,7 @@ proptest! {
             prop_assert_eq!(&s.log, &d.log, "machine {} distributed transcript diverged", i);
         }
         // The wire report must account for exactly the logical traffic:
-        // payload bits before padding equal the WireSize transcript, and
+        // payload bits before padding equal the logical transcript, and
         // a frame is never smaller than the bits it carries.
         let wire = dist.wire.as_ref().expect("distributed runs report wire");
         prop_assert_eq!(wire.logical_bits, seq.metrics.total_bits());
