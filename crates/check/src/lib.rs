@@ -38,7 +38,7 @@ use km_core::{
 pub const SCHEDULES_ENV: &str = "KM_CHECK_SCHEDULES";
 
 /// Default schedules per configuration when [`SCHEDULES_ENV`] is unset:
-/// 24 matrix configs × 96 ≈ 2.3k schedules per full run.
+/// 27 matrix configs × 96 ≈ 2.6k schedules per full run.
 pub const DEFAULT_SCHEDULES: u64 = 96;
 
 /// Message mixes the matrix exercises.
@@ -186,61 +186,75 @@ fn fleet(cfg: &CheckConfig) -> Vec<CheckProto> {
 /// staying small enough that crash schedules stay cheap to explore.
 const CRASH_BARRIER_TICKS: u64 = 400;
 
-/// The full k ∈ {2, 3} × message-mix × fault-plan matrix: 24 configs.
+/// The full k ∈ {2, 3} × message-mix × fault-plan matrix (24 configs),
+/// plus scatter at k = 4 × {ok, drop, crash} — 27 configs. A model
+/// session runs the engine on two workers (the shim's
+/// `available_parallelism`), so k = 3 puts machines 1 and 2 on one
+/// worker and k = 4 puts two-machine blocks on both ends of every
+/// cross-worker link, with the crash on a machine that does not head
+/// its block.
 pub fn matrix() -> Vec<CheckConfig> {
     let mut out = Vec::new();
     for k in [2usize, 3] {
         for kind in [ProtoKind::Scatter, ProtoKind::Converge, ProtoKind::Bulk] {
-            // Tight bandwidth so bulk batches span delivery rounds.
-            let net = NetConfig::with_bandwidth(k, 256, 42).max_rounds(10_000);
-            let drop_plan = FaultPlan {
-                seed: 11,
-                drop: 0.4,
-                duplicate: 0.15,
-                corrupt: 0.15,
-                delay: 0.25,
-                crash: None,
-                barrier_timeout_ms: 0,
-            };
-            let crash = CrashSpec {
-                machine: k - 1,
-                round: 1,
-            };
-            let crash_plan = FaultPlan {
-                seed: 7,
-                drop: 0.0,
-                duplicate: 0.0,
-                corrupt: 0.0,
-                delay: 0.0,
-                crash: Some(crash),
-                barrier_timeout_ms: CRASH_BARRIER_TICKS,
-            };
-            let chaos_plan = FaultPlan {
-                drop: 0.3,
-                delay: 0.2,
-                ..crash_plan
-            };
-            let lost = Expectation::MachineLost {
-                machine: crash.machine,
-                round: crash.round,
-            };
-            for (fault_name, faults, expect) in [
-                ("ok", None, Expectation::Transcript),
-                ("drop", Some(drop_plan), Expectation::Transcript),
-                ("crash", Some(crash_plan), lost),
-                ("drop+crash", Some(chaos_plan), lost),
-            ] {
-                out.push(CheckConfig {
-                    name: format!("k{k}-{}-{fault_name}", kind.name()),
-                    net,
-                    kind,
-                    faults,
-                    expect,
-                });
-            }
+            push_cells(&mut out, k, kind, &["ok", "drop", "crash", "drop+crash"]);
         }
     }
+    push_cells(&mut out, 4, ProtoKind::Scatter, &["ok", "drop", "crash"]);
     out
+}
+
+/// Appends the `(k, kind)` cells for the named fault plans.
+fn push_cells(out: &mut Vec<CheckConfig>, k: usize, kind: ProtoKind, plans: &[&str]) {
+    // Tight bandwidth so bulk batches span delivery rounds.
+    let net = NetConfig::with_bandwidth(k, 256, 42).max_rounds(10_000);
+    let drop_plan = FaultPlan {
+        seed: 11,
+        drop: 0.4,
+        duplicate: 0.15,
+        corrupt: 0.15,
+        delay: 0.25,
+        crash: None,
+        barrier_timeout_ms: 0,
+    };
+    let crash = CrashSpec {
+        machine: k - 1,
+        round: 1,
+    };
+    let crash_plan = FaultPlan {
+        seed: 7,
+        drop: 0.0,
+        duplicate: 0.0,
+        corrupt: 0.0,
+        delay: 0.0,
+        crash: Some(crash),
+        barrier_timeout_ms: CRASH_BARRIER_TICKS,
+    };
+    let chaos_plan = FaultPlan {
+        drop: 0.3,
+        delay: 0.2,
+        ..crash_plan
+    };
+    let lost = Expectation::MachineLost {
+        machine: crash.machine,
+        round: crash.round,
+    };
+    for (fault_name, faults, expect) in [
+        ("ok", None, Expectation::Transcript),
+        ("drop", Some(drop_plan), Expectation::Transcript),
+        ("crash", Some(crash_plan), lost),
+        ("drop+crash", Some(chaos_plan), lost),
+    ] {
+        if plans.contains(&fault_name) {
+            out.push(CheckConfig {
+                name: format!("k{k}-{}-{fault_name}", kind.name()),
+                net,
+                kind,
+                faults,
+                expect,
+            });
+        }
+    }
 }
 
 fn verdict(
@@ -420,14 +434,19 @@ mod tests {
     #[test]
     fn matrix_covers_k_mixes_and_fault_plans() {
         let m = matrix();
-        assert_eq!(m.len(), 24, "2 k-values × 3 mixes × 4 fault plans");
+        assert_eq!(
+            m.len(),
+            27,
+            "2 k-values × 3 mixes × 4 fault plans, plus k = 4 scatter × 3"
+        );
         assert!(m.iter().any(|c| c.name == "k2-scatter-ok"));
         assert!(m.iter().any(|c| c.name == "k3-bulk-drop+crash"));
+        assert!(m.iter().any(|c| c.name == "k4-scatter-crash"));
         let crashes = m
             .iter()
             .filter(|c| matches!(c.expect, Expectation::MachineLost { .. }))
             .count();
-        assert_eq!(crashes, 12);
+        assert_eq!(crashes, 13);
         // Names are unique — they are replay handles.
         let mut names: Vec<_> = m.iter().map(|c| c.name.clone()).collect();
         names.sort();

@@ -1,5 +1,6 @@
-//! The message-passing engine: one OS thread per machine, real byte
-//! channels per ordered link, and a self-healing wire.
+//! The message-passing engine: a pool of worker threads hosting the
+//! machines, real byte channels per ordered link, and a self-healing
+//! wire.
 //!
 //! Where [`super::SequentialEngine`] and [`super::ParallelEngine`]
 //! simulate the network in process (messages move as in-memory values
@@ -12,47 +13,68 @@
 //! borrowed sub-reader over the frame buffer — into the destination's
 //! `engine::Inbound`: the one delivery core (per-source FIFO
 //! [`crate::link::Link`]s, self-queue, sorted active-source index)
-//! the in-process engines hold `k` of, here owned one per worker and
+//! the in-process engines hold `k` of, here owned one per machine and
 //! shipped home with the final state. Batching amortizes the 21-byte
 //! self-healing header over every message a (link, round) pair
-//! carries; each worker accumulates a [`WireReport`] of what its
+//! carries; each machine accumulates a [`WireReport`] of what its
 //! frames measured against the logical [`WireCodec::bits`], and the
 //! coordinator sums them.
 //!
+//! # The pool
+//!
+//! `W = min(k, available_parallelism())` worker threads each host a
+//! contiguous block of machines (worker `w` runs machines
+//! `w·k/W .. (w+1)·k/W`). A hosted machine keeps everything a thread
+//! of its own would: protocol, RNG stream, `Inbound`, both halves of
+//! its wire, inbox and last status. A worker shares only scratch
+//! across its block — one `Outbox`, one staging row, one `BitWriter`.
+//! Frames do not change with the pool: a machine ships one batch per
+//! destination and round through that link's channel even when the
+//! destination shares its worker, so [`WireReport`] is a function of
+//! the transcript alone, whatever `W` is.
+//!
 //! # Round anatomy (coordinator barriers)
 //!
-//! The caller's thread coordinates; worker `i` owns machine `i`:
+//! The caller's thread coordinates, with `O(W)` control messages per
+//! round:
 //!
-//! 1. `Round` — every worker runs [`Protocol::round`] on its locally
-//!    held inbox, if the sparse-rounds rule (`engine::runs`: its last
-//!    status was `Active`, or it has mail) says so, then ships one
-//!    batch frame per destination it queued messages for (self-sends
-//!    bypass serialization and stay local, free — the same
-//!    drain-and-move semantics as the other engines). It answers
-//!    `Sent`, carrying its cumulative per-destination batch counts.
-//! 2. The coordinator collects all `Sent`s, transposes the count
-//!    matrix, and issues each worker a `Deliver` carrying exactly how
-//!    many batch frames it is owed per source.
-//! 3. Each worker drains its incoming channels until every owed frame
-//!    has been absorbed (see the failure model below for how loss is
-//!    repaired), then runs `Inbound::deliver` — the very walk the
-//!    in-process engines run per destination, so only links with
-//!    queued traffic are visited, counted in
-//!    [`crate::Metrics::link_visits`] — and reports its slice of the
-//!    round's `RoundTally` (status, queue depths, inbox size).
+//! 1. `Round` — every worker runs [`Protocol::round`] for each of its
+//!    machines the sparse-rounds rule (`engine::runs`: its last status
+//!    was `Active`, or it has mail) selects, on its locally held inbox,
+//!    and ships that machine's batch frames (self-sends bypass
+//!    serialization and stay local, free — the same drain-and-move
+//!    semantics as the other engines). It answers one `Sent` carrying
+//!    its machines' cumulative per-destination batch counts.
+//! 2. The coordinator collects all `Sent`s, transposes the `k × k`
+//!    count matrix, and issues each worker one `Deliver` carrying, per
+//!    hosted machine, exactly how many batch frames it is owed per
+//!    source.
+//! 3. Machine by machine, each worker drains incoming channels until
+//!    every frame owed to that machine has been absorbed (see the
+//!    failure model below for how loss is repaired), then runs its
+//!    `Inbound::deliver` — the very walk the in-process engines run per
+//!    destination, so only links with queued traffic are visited,
+//!    counted in [`crate::Metrics::link_visits`] — and reports its
+//!    block's summed slice of the round's `RoundTally` (status, queue
+//!    depths, inbox size).
 //! 4. The coordinator sums the slices and closes the round with the
 //!    same `RoundLedger::close` as the in-process loop: communication
 //!    round counted, then quiescence, then the round limit — so error
 //!    cases are bit-identical too.
 //!
+//! Each worker publishes in a `Marker` the machine it is working on —
+//! set before that machine's `round()`, before its delivery, and at
+//! its planned crash — plus a step count. Every failure is typed by
+//! the marker, so it names the machine, never the worker.
+//!
 //! ## Waiting
 //!
 //! A round is three waits on every worker (the next command, the
-//! mid-round `Deliver`, the owed frames) and `2k` on the coordinator
-//! (`Sent` and the round report from each machine), and a k-machine
+//! mid-round `Deliver`, the owed frames) and `2W` on the coordinator
+//! (`Sent` and the round report from each worker), and a k-machine
 //! algorithm is thousands of near-empty rounds — so *how* a thread
 //! waits is most of what a round costs. All of them follow one
-//! discipline, one helper per side (`await_cmd`, `await_resp`):
+//! discipline, one helper per side (`await_cmd`, `Coordinator::await_resp`):
 //!
 //! - **Poll, then park.** A wait first polls its channel, yielding
 //!   between polls ([`Backoff::snooze`]), for a fixed budget
@@ -63,22 +85,27 @@
 //!   — does the thread block on the channel, so idle workers sleep
 //!   instead of burning their cores.
 //! - **What is serviced while polling.** While a [`FaultPlan`] is live
-//!   a waiting worker drains its incoming channels and pumps its
-//!   pending queue between polls — a peer's delivery may hinge on our
-//!   retransmits even after our own round report went out — and for
-//!   the same reason never parks. A worker owed frames drains on every
-//!   poll on either wire.
+//!   a waiting worker drains every incoming channel of its block and
+//!   pumps its pending queues between polls — a peer's delivery may
+//!   hinge on our retransmits even after our own round report went
+//!   out — and for the same reason never parks. On a clean wire a
+//!   worker owed frames drains, on every poll, only the awaited
+//!   machine's links whose `Deliver` count is still ahead of what it
+//!   absorbed: nothing but owed data frames travels a clean link.
 //! - **Why a clean wire may park without draining.** A worker flushes
 //!   every staged frame into its channels *before* it answers `Sent`,
 //!   and absorbs every owed frame before its round report, so between
 //!   barriers at most one data frame per link is in flight against
 //!   `LINK_CHANNEL_FRAMES = 4` slots: no sender ever waits on an idle
 //!   receiver, and by the time `Deliver` arrives everything owed is
-//!   already sitting in the channels (one drain completes the round).
+//!   already sitting in the channels (one drain per machine completes
+//!   the round).
 //! - **The coordinator parks in `recv_timeout(barrier)`**, so the
 //!   deadline — real or, under `km-check`, virtual — is that of the
-//!   park alone and `MachineLost` / `WorkerPanicked` are typed exactly
-//!   as before.
+//!   park alone. It is a *per-machine* deadline: a park that times out
+//!   while the worker's marker started a new step parks again, so only
+//!   a machine silent for a whole window is `MachineLost`, never a
+//!   block of healthy machines whose `round()`s add up past it.
 //!
 //! Bounded channels mean a sender can hit a full link mid-round (under
 //! recovery traffic); the overflow waits in a local per-destination
@@ -114,14 +141,17 @@
 //!   [`WireReport::nack_frames`], never in [`Metrics`] — under any
 //!   crash-free fault mix the run's `RunOutcome` stays bit-identical
 //!   to the sequential engine's.
-//! - **Crashes and hangs.** The coordinator waits out a barrier
-//!   timeout ([`FaultPlan::barrier_timeout_ms`], default
-//!   [`DEFAULT_BARRIER_TIMEOUT_MS`]) and converts silence into
-//!   [`EngineError::MachineLost`]. A worker panic (usually the
-//!   protocol's own `round`) is caught, reported, and surfaces as
-//!   [`EngineError::WorkerPanicked`]. Either way the coordinator
-//!   aborts every surviving worker and joins all threads — no orphan
-//!   threads, no hung caller, no poisoned panic.
+//! - **Crashes and hangs.** A planned crash severs only the crashed
+//!   machine's channels, and its worker goes silent with the marker on
+//!   it. The coordinator waits out a barrier timeout
+//!   ([`FaultPlan::barrier_timeout_ms`], default
+//!   [`DEFAULT_BARRIER_TIMEOUT_MS`]) in which the worker starts no new
+//!   step and converts that silence into [`EngineError::MachineLost`]
+//!   for the marker's machine. A worker panic (usually a protocol's own
+//!   `round`) is caught, reported, and surfaces as
+//!   [`EngineError::WorkerPanicked`] for the marker's machine. Either
+//!   way the coordinator aborts every surviving worker and joins all
+//!   threads — no orphan threads, no hung caller, no poisoned panic.
 //!
 //! Out of scope: recovering the *work* of a crashed machine
 //! (checkpoint/restart, state handoff). A crash fails the run with a
@@ -157,8 +187,10 @@ use crate::rng;
 use crate::MachineIdx;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
 use crossbeam::utils::Backoff;
+use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Frames a link channel buffers before senders feel backpressure.
@@ -214,7 +246,7 @@ fn barrier_timeout_from(plan: &FaultPlan, env: Option<&str>) -> Result<Duration,
     }
 }
 
-/// Idle receive polls between NACK rounds while a worker is owed
+/// Idle receive polls between NACK rounds while a machine is owed
 /// frames — paces retransmit requests so a lossy link is repaired
 /// without flooding the reverse direction.
 const NACK_IDLE_POLLS: u32 = 16;
@@ -222,7 +254,7 @@ const NACK_IDLE_POLLS: u32 = 16;
 /// Empty polls (each followed by a [`Backoff::snooze`], i.e. a yield)
 /// a barrier wait makes before it parks on its channel — the one budget
 /// of the wait discipline, shared by the worker (`await_cmd`) and the
-/// coordinator (`await_resp`).
+/// coordinator (`Coordinator::await_resp`).
 ///
 /// A park costs a futex sleep, a wake-up syscall on the sender's side
 /// and a scheduler round-trip; a yielding poll costs one `sched_yield`
@@ -231,37 +263,47 @@ const NACK_IDLE_POLLS: u32 = 16;
 /// few scheduling quanta away — the normal case between the phases of
 /// a short round — and the budget only has to outlast that.
 ///
-/// Sized by measurement: `benchmark/run.sh --workload sketch_cc_wire
-/// --seed 2 --seconds 5` (8 510 near-empty rounds, k = 16 workers on 2
-/// cores), six interleaved passes per value, median `wall_s` of the
-/// six medians — 0 (always park): 2.85 s; 4: 0.70 s; 16: 0.65 s; 64:
-/// 0.63 s; 256: 0.62 s; 1024: 0.64 s; 4096: 0.63 s; the pre-discipline
-/// engine (parked command and coordinator waits, unbounded mid-round
-/// spin): 1.5 s. So on an oversubscribed host, where a yield really
-/// runs somebody else, anything from 16 up sits on one plateau. The
-/// value is taken from the top of the range that is still cheap to
-/// give up on, for hosts with more cores than machines: there a yield
-/// returns at once, the budget is worth 256 syscalls ≈ 50–100 µs —
-/// about one near-empty round — and a smaller one would fall through
-/// to the park every round. Past the budget a worker waiting out a
-/// peer's long `round()` sleeps instead of burning its core
-/// (`tests/distributed_idle.rs`).
+/// Sized by measurement: `benchmark/run.sh --workload sketch_cc_wire`
+/// (8 510 near-empty rounds, k = 16 machines), interleaved passes per
+/// value, median `wall_s` of the per-pass medians, on a 2-core host:
+///
+/// | polls | one thread per machine (`--seed 2 --seconds 5`, 6 passes) | pool, W = 2 workers (`--seed 2 --seconds 3`, 6 passes) |
+/// |---|---|---|
+/// | 0 (always park) | 2.85 s | 0.56 s |
+/// | 4 | 0.70 s | — |
+/// | 16 | 0.65 s | 0.34 s |
+/// | 64 | 0.63 s | — |
+/// | 256 | 0.62 s | 0.35 s |
+/// | 1024 | 0.64 s | 0.34 s |
+/// | 4096 | 0.63 s | — |
+///
+/// (The engine before the wait discipline — parked command and
+/// coordinator waits, unbounded mid-round spin — took 1.5 s.) On both
+/// layouts everything from 16 up sits on one plateau, within the
+/// passes' spread. The value is taken from the top of the range that is
+/// still cheap to give up on, for hosts with more cores than workers:
+/// there a yield returns at once, the budget is worth 256 syscalls ≈
+/// 50–100 µs — about one near-empty round — and a smaller one would
+/// fall through to the park every round. Past the budget a worker
+/// waiting out a peer's long `round()` sleeps instead of burning its
+/// core (`tests/distributed_idle.rs`).
 const BARRIER_SPIN_POLLS: u32 = 256;
 
 enum Cmd {
-    /// Run one protocol round and send the staged frames.
+    /// Run one protocol round on every hosted machine and send the
+    /// staged frames.
     Round { round: u64 },
-    /// All peers have reported; `expected[src]` is the cumulative
-    /// frame count owed from each source — drain until whole, deliver
-    /// under the budget, report.
+    /// All workers have reported; `expected[j·k + src]` is the
+    /// cumulative frame count the block's `j`-th machine is owed from
+    /// `src` — drain until whole, deliver under the budget, report.
     Deliver { expected: Box<[u32]> },
-    /// Ship the final state back and exit.
+    /// Ship the final states back and exit.
     Finish,
     /// Teardown after a failure: exit immediately, no final state.
     Abort,
 }
 
-/// Everything a worker accumulated, shipped back on `Finish`.
+/// Everything one hosted machine accumulated, shipped back on `Finish`.
 struct FinalState<P: Protocol> {
     proto: P,
     /// This machine's delivery core: the receive side of its metrics.
@@ -273,22 +315,55 @@ struct FinalState<P: Protocol> {
 }
 
 enum Resp<P: Protocol> {
-    /// Round compute + staging done; cumulative frames staged per
-    /// destination (the coordinator transposes these into `Deliver`).
-    Sent {
-        counts: Box<[u32]>,
-    },
-    /// Delivery done: this machine's slice of the round's tally.
+    /// Round compute + staging done for the whole block:
+    /// `counts[j·k + dst]` is the cumulative frames its `j`-th machine
+    /// staged for `dst` (the coordinator transposes these into
+    /// `Deliver`).
+    Sent { counts: Box<[u32]> },
+    /// Delivery done: the block's summed slice of the round's tally.
     Round(RoundTally),
-    Final(Box<FinalState<P>>),
+    /// The block's final states, in machine order.
+    Final(Vec<FinalState<P>>),
     /// The worker's thread panicked; sent best-effort from the panic
-    /// handler so the coordinator can type the failure.
-    Panicked {
-        message: String,
-    },
+    /// handler so the coordinator can type the failure (by the
+    /// worker's [`Marker`]).
+    Panicked { message: String },
 }
 
-/// The sending half of a worker's wire: outgoing channels, per-link
+/// Where a worker is: the machine it last started a step on — its
+/// `round()`, its delivery, or its planned crash — and how many steps
+/// it has started. The coordinator types every failure by the marker's
+/// machine, never by the worker, and keeps waiting out a barrier while
+/// `steps` moves, so the deadline is per machine rather than per block.
+#[derive(Debug, Default)]
+struct Marker {
+    machine: AtomicUsize,
+    steps: AtomicU64,
+}
+
+impl Marker {
+    fn at(machine: MachineIdx) -> Marker {
+        Marker {
+            machine: AtomicUsize::new(machine),
+            steps: AtomicU64::new(0),
+        }
+    }
+
+    fn set(&self, machine: MachineIdx) {
+        self.machine.store(machine, Ordering::Release);
+        self.steps.fetch_add(1, Ordering::Release);
+    }
+
+    fn machine(&self) -> MachineIdx {
+        self.machine.load(Ordering::Acquire)
+    }
+
+    fn steps(&self) -> u64 {
+        self.steps.load(Ordering::Acquire)
+    }
+}
+
+/// The sending half of a machine's wire: outgoing channels, per-link
 /// sequence numbers, the current round's retention buffer (for
 /// NACK-driven retransmits), overflow/delay queues, and the fault
 /// adversary itself.
@@ -317,7 +392,7 @@ struct Outwire {
     attempts: Vec<u64>,
     /// NACK ordinals per source being nagged.
     nacks_sent: Vec<u32>,
-    /// This worker's slice of the run's [`WireReport`].
+    /// This machine's slice of the run's [`WireReport`].
     report: WireReport,
 }
 
@@ -536,13 +611,26 @@ fn absorb_frame<M: WireCodec>(view: &FrameView<'_>, src: MachineIdx, inb: &mut I
     });
 }
 
-/// Drains every incoming channel: validates each frame (CRC + header),
+/// Drains incoming channels: validates each frame (CRC + header),
 /// discards corrupted and duplicate frames, services NACKs, buffers
 /// out-of-order arrivals, and absorbs in-sequence batches into the
 /// local links — in sequence order exactly once, which is what keeps
 /// the logical transcript bit-identical under faults.
-fn drain_incoming<M: WireCodec>(inw: &mut Inwire, out: &mut Outwire, inb: &mut Inbound<M>) {
+///
+/// `owed` (a `Deliver`'s per-source counts) limits the drain to the
+/// links still behind their count — only sound on a clean wire, where
+/// a link carries nothing but the data frames it owes. `None` drains
+/// every link, as a faulty wire needs: NACKs arrive on any of them.
+fn drain_incoming<M: WireCodec>(
+    inw: &mut Inwire,
+    out: &mut Outwire,
+    inb: &mut Inbound<M>,
+    owed: Option<&[u32]>,
+) {
     for src in 0..inw.rxs.len() {
+        if owed.is_some_and(|expected| inw.expect[src] >= expected[src]) {
+            continue;
+        }
         let mut hung_up = false;
         {
             let Some(rx) = inw.rxs[src].as_ref() else {
@@ -598,11 +686,114 @@ fn drain_incoming<M: WireCodec>(inw: &mut Inwire, out: &mut Outwire, inb: &mut I
     }
 }
 
-/// The message-passing engine: `k` worker threads, `k·(k−1)` bounded
-/// byte channels, a round-barrier coordinator. Transcript-identical to
-/// [`super::SequentialEngine`] — including under injected wire faults
-/// (see the module docs' failure model); additionally measures real
-/// frame sizes into a [`WireReport`].
+/// One machine as a worker hosts it: the state a thread of its own used
+/// to keep — protocol, RNG stream, delivery core, both halves of its
+/// wire, inbox and the status the sparse-rounds rule reads.
+struct Host<P: Protocol> {
+    me: MachineIdx,
+    proto: P,
+    rng: ChaCha8Rng,
+    inb: Inbound<P::Msg>,
+    inw: Inwire,
+    out: Outwire,
+    inbox: Vec<Envelope<P::Msg>>,
+    /// What this machine's last `round()` returned: with the inbox, the
+    /// input of the sparse-rounds rule.
+    last: Status,
+}
+
+impl<P: Protocol> Host<P> {
+    /// Runs this machine's `round()` and ships what it queued: one batch
+    /// frame per destination with traffic, in destination order — even
+    /// when the destination is hosted by the same worker. Self-sends
+    /// bypass serialization and stay local, free. `outbox`, `staged`
+    /// and `scratch` are the worker's, shared by every machine it hosts.
+    fn compute(
+        &mut self,
+        config: &NetConfig,
+        round: u64,
+        shared: u64,
+        outbox: &mut Outbox<P::Msg>,
+        staged: &mut [Vec<P::Msg>],
+        scratch: &mut BitWriter,
+    ) {
+        let mut ctx = RoundCtx {
+            round,
+            me: self.me,
+            k: config.k,
+            bandwidth_bits: config.bandwidth_bits,
+            shared_seed: shared,
+            rng: &mut self.rng,
+        };
+        self.last = self.proto.round(&mut ctx, &mut self.inbox, outbox);
+        self.inbox.clear();
+        for (dst, msg) in outbox.drain() {
+            if dst == self.me {
+                self.inb.push_self(msg);
+                continue;
+            }
+            // Sender-side accounting uses the logical size, as at
+            // `Network::stage`; the frame is the real bytes.
+            self.out.report.messages += 1;
+            self.out.report.logical_bits += msg.bits().max(1);
+            staged[dst].push(msg);
+        }
+        // Per-link FIFO is the staging order above.
+        for (dst, batch) in staged.iter_mut().enumerate() {
+            if !batch.is_empty() {
+                self.out.stage_batch(dst, batch, scratch);
+                batch.clear();
+            }
+        }
+    }
+
+    fn drain(&mut self, owed: Option<&[u32]>) {
+        drain_incoming(&mut self.inw, &mut self.out, &mut self.inb, owed);
+    }
+}
+
+/// The machines one worker hosts, `k` wide: each `Deliver` row is `k`
+/// counts per host.
+struct Block<P: Protocol> {
+    k: usize,
+    faulty: bool,
+    hosts: Vec<Host<P>>,
+}
+
+impl<P: Protocol> Block<P> {
+    /// Host `j`'s row of a `Deliver`.
+    fn owed<'e>(&self, j: usize, expected: &'e [u32]) -> &'e [u32] {
+        &expected[j * self.k..(j + 1) * self.k]
+    }
+
+    /// Services the whole block's wire: every link drained, every
+    /// pending frame pumped.
+    fn service(&mut self) {
+        for h in &mut self.hosts {
+            h.drain(None);
+            h.out.pump();
+        }
+    }
+
+    /// Asks every source still behind its `Deliver` count for a
+    /// retransmit, for every hosted machine.
+    fn nack_missing(&mut self, expected: &[u32]) {
+        for (h, row) in self.hosts.iter_mut().zip(expected.chunks_exact(self.k)) {
+            for (src, &want) in row.iter().enumerate() {
+                if src != h.me && h.inw.expect[src] < want {
+                    h.out.send_nack(src, h.inw.expect[src]);
+                }
+            }
+        }
+    }
+}
+
+/// The message-passing engine: a pool of worker threads each hosting a
+/// block of machines, `k·(k−1)` bounded byte channels, a round-barrier
+/// coordinator. Transcript-identical to [`super::SequentialEngine`] —
+/// including under injected wire faults (see the module docs' failure
+/// model); additionally measures real frame sizes into a
+/// [`WireReport`].
 #[derive(Debug, Default, Clone, Copy)]
 pub struct DistributedEngine;
 
@@ -617,7 +808,7 @@ impl DistributedEngine {
     /// [`EngineError::RoundLimitExceeded`] if the safety valve fires
     /// (with the same payload as the sequential engine);
     /// [`EngineError::MachineLost`] / [`EngineError::WorkerPanicked`]
-    /// if a worker stalls past the barrier timeout or panics.
+    /// if a machine stalls past the barrier timeout or panics.
     pub fn run<P: Protocol>(
         config: NetConfig,
         machines: Vec<P>,
@@ -653,211 +844,278 @@ impl DistributedEngine {
             }
         }
         let barrier = barrier_timeout(&plan)?;
-        let k = config.k;
-        let shared = rng::shared_seed(config.seed);
+        let workers = crossbeam::thread::available_parallelism();
+        run_pool(config, machines, plan, barrier, workers)
+    }
+}
 
-        // Byte channels for every ordered pair, built straight into
-        // each worker's outgoing row (`out_txs[src][dst]`) and incoming
-        // column (`in_rxs[dst][src]`); the diagonal stays local.
-        let mut out_txs: Vec<Vec<Option<Sender<Vec<u8>>>>> =
-            (0..k).map(|_| Vec::with_capacity(k)).collect();
-        let mut in_rxs: Vec<Vec<Option<Receiver<Vec<u8>>>>> =
-            (0..k).map(|_| Vec::with_capacity(k)).collect();
-        for (src, txs) in out_txs.iter_mut().enumerate() {
-            for (dst, rxs) in in_rxs.iter_mut().enumerate() {
-                let (tx, rx) = if src == dst {
-                    (None, None)
-                } else {
-                    let (tx, rx) = bounded::<Vec<u8>>(LINK_CHANNEL_FRAMES);
-                    (Some(tx), Some(rx))
-                };
-                txs.push(tx);
-                rxs.push(rx);
-            }
-        }
+/// The engine proper, on `workers` threads (clamped to `1..=k`): worker
+/// `w` hosts machines `w·k/W .. (w+1)·k/W`. The public entry points
+/// call it with `min(k, cores)`; tests pin other pool shapes.
+pub(crate) fn run_pool<P: Protocol>(
+    config: NetConfig,
+    machines: Vec<P>,
+    plan: FaultPlan,
+    barrier: Duration,
+    workers: usize,
+) -> Result<RunReport<P>, EngineError> {
+    let k = config.k;
+    let workers = workers.clamp(1, k);
+    let shared = rng::shared_seed(config.seed);
+    let bounds: Vec<usize> = (0..=workers).map(|w| w * k / workers).collect();
 
-        crossbeam::thread::scope(|scope| {
-            let mut cmd_txs: Vec<Sender<Cmd>> = Vec::with_capacity(k);
-            let mut resp_rxs: Vec<Receiver<Resp<P>>> = Vec::with_capacity(k);
-            for (me, ((proto, txs), rxs)) in
-                machines.into_iter().zip(out_txs).zip(in_rxs).enumerate()
-            {
-                let (cmd_tx, cmd_rx) = bounded::<Cmd>(1);
-                let (resp_tx, resp_rx) = bounded::<Resp<P>>(1);
-                cmd_txs.push(cmd_tx);
-                resp_rxs.push(resp_rx);
-                scope.spawn(move |_| {
-                    // Capture panics (typically the protocol's own
-                    // `round`) so a worker death becomes a typed
-                    // report instead of a poisoned join.
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        run_worker(config, me, shared, plan, proto, txs, rxs, &cmd_rx, &resp_tx)
-                    }));
-                    if let Err(payload) = result {
-                        // `&*payload`: reborrow the *contents* — a bare
-                        // `&payload` would unsize the Box itself into the
-                        // `dyn Any` and every downcast would miss.
-                        let _ = resp_tx.try_send(Resp::Panicked {
-                            message: panic_message(&*payload),
-                        });
-                    }
-                });
-            }
-
-            // Coordinator: the barrier phases of the module docs, each
-            // round closed by the same `RoundLedger::close` as the
-            // in-process engines — plus barrier timeouts and typed
-            // failure propagation.
-            let mut counts: Vec<Box<[u32]>> = vec![vec![0u32; k].into_boxed_slice(); k];
-            let mut ledger = RoundLedger::default();
-            let mut run_rounds = || -> Result<(), EngineError> {
-                loop {
-                    let round = ledger.iterations;
-                    for (i, tx) in cmd_txs.iter().enumerate() {
-                        if tx.send(Cmd::Round { round }).is_err() {
-                            return Err(worker_gone(&resp_rxs, i));
-                        }
-                    }
-                    for (i, slot) in counts.iter_mut().enumerate() {
-                        match await_resp(&resp_rxs, i, barrier, round)? {
-                            Resp::Sent {
-                                counts: sent_counts,
-                            } => *slot = sent_counts,
-                            // lint: allow(panic) — worker protocol invariant: Cmd::Round is always answered by Resp::Sent
-                            _ => unreachable!("Round is answered by Sent first"),
-                        }
-                    }
-                    for (i, tx) in cmd_txs.iter().enumerate() {
-                        let expected: Box<[u32]> = (0..k).map(|src| counts[src][i]).collect();
-                        if tx.send(Cmd::Deliver { expected }).is_err() {
-                            return Err(worker_gone(&resp_rxs, i));
-                        }
-                    }
-                    let mut tally = RoundTally::default();
-                    for i in 0..k {
-                        match await_resp(&resp_rxs, i, barrier, round)? {
-                            Resp::Round(slice) => tally.absorb(slice),
-                            // lint: allow(panic) — worker protocol invariant: Cmd::Deliver is always answered by Resp::Round
-                            _ => unreachable!("Deliver is answered by Round"),
-                        }
-                    }
-                    if ledger.close(&config, tally)? {
-                        return Ok(());
-                    }
-                }
+    // Byte channels for every ordered pair, built straight into each
+    // machine's outgoing row (`out_txs[src][dst]`) and incoming column
+    // (`in_rxs[dst][src]`); the diagonal stays local.
+    let mut out_txs: Vec<Vec<Option<Sender<Vec<u8>>>>> =
+        (0..k).map(|_| Vec::with_capacity(k)).collect();
+    let mut in_rxs: Vec<Vec<Option<Receiver<Vec<u8>>>>> =
+        (0..k).map(|_| Vec::with_capacity(k)).collect();
+    for (src, txs) in out_txs.iter_mut().enumerate() {
+        for (dst, rxs) in in_rxs.iter_mut().enumerate() {
+            let (tx, rx) = if src == dst {
+                (None, None)
+            } else {
+                let (tx, rx) = bounded::<Vec<u8>>(LINK_CHANNEL_FRAMES);
+                (Some(tx), Some(rx))
             };
+            txs.push(tx);
+            rxs.push(rx);
+        }
+    }
+    let mut hosts = machines
+        .into_iter()
+        .zip(out_txs)
+        .zip(in_rxs)
+        .enumerate()
+        .map(|(me, ((proto, txs), rxs))| Host {
+            me,
+            proto,
+            rng: rng::machine_rng(config.seed, me),
+            inb: Inbound::new(k, me),
+            inw: Inwire::new(rxs),
+            out: Outwire::new(me, k, plan, txs),
+            inbox: Vec::new(),
+            last: Status::Active,
+        });
+    let markers: Vec<Marker> = bounds[..workers].iter().map(|&lo| Marker::at(lo)).collect();
 
-            let result = run_rounds().and_then(|()| {
-                // Collect final states; a worker can in principle die
-                // even here, so the teardown path stays typed too.
-                for (i, tx) in cmd_txs.iter().enumerate() {
-                    if tx.send(Cmd::Finish).is_err() {
-                        return Err(worker_gone(&resp_rxs, i));
+    crossbeam::thread::scope(|scope| {
+        let mut cmd_txs: Vec<Sender<Cmd>> = Vec::with_capacity(workers);
+        let mut resp_rxs: Vec<Receiver<Resp<P>>> = Vec::with_capacity(workers);
+        for (w, marker) in markers.iter().enumerate() {
+            let block = Block {
+                k,
+                faulty: plan.any(),
+                hosts: hosts.by_ref().take(bounds[w + 1] - bounds[w]).collect(),
+            };
+            let (cmd_tx, cmd_rx) = bounded::<Cmd>(1);
+            let (resp_tx, resp_rx) = bounded::<Resp<P>>(1);
+            cmd_txs.push(cmd_tx);
+            resp_rxs.push(resp_rx);
+            scope.spawn(move |_| {
+                // Capture panics (typically a protocol's own `round`) so
+                // a worker death becomes a typed report instead of a
+                // poisoned join.
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    run_worker(config, shared, plan, block, marker, &cmd_rx, &resp_tx)
+                }));
+                if let Err(payload) = result {
+                    // `&*payload`: reborrow the *contents* — a bare
+                    // `&payload` would unsize the Box itself into the
+                    // `dyn Any` and every downcast would miss.
+                    let _ = resp_tx.try_send(Resp::Panicked {
+                        message: panic_message(&*payload),
+                    });
+                }
+            });
+        }
+        let coord = Coordinator {
+            resp_rxs: &resp_rxs,
+            markers: &markers,
+            barrier,
+        };
+
+        // The barrier phases of the module docs, each round closed by
+        // the same `RoundLedger::close` as the in-process engines —
+        // plus barrier timeouts and typed failure propagation.
+        let mut sent = vec![0u32; k * k];
+        let mut ledger = RoundLedger::default();
+        let mut run_rounds = || -> Result<(), EngineError> {
+            loop {
+                let round = ledger.iterations;
+                for (w, tx) in cmd_txs.iter().enumerate() {
+                    if tx.send(Cmd::Round { round }).is_err() {
+                        return Err(coord.gone(w));
                     }
                 }
-                let mut metrics = Metrics::new(k);
-                metrics.rounds = ledger.comm_rounds;
-                let mut wire = WireReport::default();
-                let mut machines = Vec::with_capacity(k);
-                for i in 0..k {
-                    match await_resp(&resp_rxs, i, barrier, ledger.iterations)? {
-                        Resp::Final(f) => {
+                for w in 0..workers {
+                    match coord.await_resp(w, round)? {
+                        Resp::Sent { counts } => {
+                            sent[bounds[w] * k..bounds[w + 1] * k].copy_from_slice(&counts);
+                        }
+                        // lint: allow(panic) — worker protocol invariant: Cmd::Round is always answered by Resp::Sent
+                        _ => unreachable!("Round is answered by Sent first"),
+                    }
+                }
+                for (w, tx) in cmd_txs.iter().enumerate() {
+                    // Column `dst` of the count matrix, for each of the
+                    // block's machines in turn.
+                    let expected: Box<[u32]> = (bounds[w]..bounds[w + 1])
+                        .flat_map(|dst| sent.iter().skip(dst).step_by(k).copied())
+                        .collect();
+                    if tx.send(Cmd::Deliver { expected }).is_err() {
+                        return Err(coord.gone(w));
+                    }
+                }
+                let mut tally = RoundTally::default();
+                for w in 0..workers {
+                    match coord.await_resp(w, round)? {
+                        Resp::Round(slice) => tally.absorb(slice),
+                        // lint: allow(panic) — worker protocol invariant: Cmd::Deliver is always answered by Resp::Round
+                        _ => unreachable!("Deliver is answered by Round"),
+                    }
+                }
+                if ledger.close(&config, tally)? {
+                    return Ok(());
+                }
+            }
+        };
+
+        let result = run_rounds().and_then(|()| {
+            // Collect final states; a worker can in principle die even
+            // here, so the teardown path stays typed too.
+            for (w, tx) in cmd_txs.iter().enumerate() {
+                if tx.send(Cmd::Finish).is_err() {
+                    return Err(coord.gone(w));
+                }
+            }
+            let mut metrics = Metrics::new(k);
+            metrics.rounds = ledger.comm_rounds;
+            let mut wire = WireReport::default();
+            let mut machines = Vec::with_capacity(k);
+            for w in 0..workers {
+                match coord.await_resp(w, ledger.iterations)? {
+                    Resp::Final(finals) => {
+                        for f in finals {
+                            let i = machines.len();
                             metrics.sent_msgs[i] = f.wire.messages;
                             metrics.sent_bits[i] = f.wire.logical_bits;
                             f.inbound.fold_into(&mut metrics);
                             wire.absorb(&f.wire);
                             machines.push(f.proto);
                         }
-                        // lint: allow(panic) — worker protocol invariant: Cmd::Finish is always answered by Resp::Final
-                        _ => unreachable!("Finish yields Final"),
+                    }
+                    // lint: allow(panic) — worker protocol invariant: Cmd::Finish is always answered by Resp::Final
+                    _ => unreachable!("Finish yields Final"),
+                }
+            }
+            debug_assert_lemma3(&metrics, config.bandwidth_bits);
+            Ok(RunReport {
+                machines,
+                metrics,
+                wire: Some(wire),
+            })
+        });
+        if result.is_err() {
+            // Graceful teardown: every surviving worker (including a
+            // crash-simulating one) is polling for commands and exits on
+            // Abort; channels of already-dead workers just error. The
+            // scope below then joins every thread.
+            for tx in &cmd_txs {
+                let _ = tx.send(Cmd::Abort);
+            }
+        }
+        result
+    })
+    // lint: allow(panic) — unreachable: every worker body runs under catch_unwind, so the scope's Err arm is never produced
+    .expect("scoped workers never propagate panics (caught in the worker)")
+}
+
+/// The coordinator's view of the pool: one response channel and one
+/// [`Marker`] per worker, and the barrier deadline.
+struct Coordinator<'a, P: Protocol> {
+    resp_rxs: &'a [Receiver<Resp<P>>],
+    markers: &'a [Marker],
+    barrier: Duration,
+}
+
+impl<P: Protocol> Coordinator<'_, P> {
+    /// The coordinator side of the wait discipline (module docs,
+    /// "Waiting"): waits for worker `w`'s next response — polling for
+    /// [`BARRIER_SPIN_POLLS`] rounds first, then parked in
+    /// `recv_timeout(barrier)` — converting panics, silent exits, and
+    /// barrier timeouts into errors typed by the machine `w`'s marker
+    /// names.
+    ///
+    /// The deadline is per machine: a park that times out while the
+    /// worker started a new step (another machine's `round()` or
+    /// delivery) parks again, so only one machine silent for a whole
+    /// window reads as lost — never a block of healthy ones whose
+    /// rounds add up past it. On a timeout the other response channels
+    /// are swept for a `Panicked` report first, so a worker that hangs
+    /// *because a peer died* blames the culprit, not the victim.
+    fn await_resp(&self, w: usize, round: u64) -> Result<Resp<P>, EngineError> {
+        let rx = &self.resp_rxs[w];
+        let marker = &self.markers[w];
+        let mut seen = marker.steps();
+        let backoff = Backoff::new();
+        let mut polled = rx.try_recv();
+        for _ in 0..BARRIER_SPIN_POLLS {
+            if !matches!(polled, Err(TryRecvError::Empty)) {
+                break;
+            }
+            backoff.snooze();
+            polled = rx.try_recv();
+        }
+        let resp = match polled {
+            Ok(resp) => Ok(resp),
+            Err(TryRecvError::Disconnected) => Err(RecvTimeoutError::Disconnected),
+            Err(TryRecvError::Empty) => loop {
+                match rx.recv_timeout(self.barrier) {
+                    Err(RecvTimeoutError::Timeout) if marker.steps() != seen => {
+                        seen = marker.steps();
+                    }
+                    other => break other,
+                }
+            },
+        };
+        match resp {
+            Ok(Resp::Panicked { message }) => Err(EngineError::WorkerPanicked {
+                machine: marker.machine(),
+                message,
+            }),
+            Ok(resp) => Ok(resp),
+            Err(RecvTimeoutError::Disconnected) => Err(self.gone(w)),
+            Err(RecvTimeoutError::Timeout) => {
+                for (rx, marker) in self.resp_rxs.iter().zip(self.markers) {
+                    // The run is failing regardless; eating a pending
+                    // healthy response here is fine.
+                    if let Ok(Resp::Panicked { message }) = rx.try_recv() {
+                        return Err(EngineError::WorkerPanicked {
+                            machine: marker.machine(),
+                            message,
+                        });
                     }
                 }
-                debug_assert_lemma3(&metrics, config.bandwidth_bits);
-                Ok(RunReport {
-                    machines,
-                    metrics,
-                    wire: Some(wire),
+                Err(EngineError::MachineLost {
+                    machine: marker.machine(),
+                    round,
                 })
-            });
-            if result.is_err() {
-                // Graceful teardown: every surviving worker (including
-                // a crash-simulating one) is polling for commands and
-                // exits on Abort; channels of already-dead workers
-                // just error. The scope below then joins every thread.
-                for tx in &cmd_txs {
-                    let _ = tx.send(Cmd::Abort);
-                }
             }
-            result
-        })
-        // lint: allow(panic) — unreachable: every worker body runs under catch_unwind, so the scope's Err arm is never produced
-        .expect("scoped workers never propagate panics (caught in the worker)")
-    }
-}
-
-/// The coordinator side of the wait discipline (module docs,
-/// "Waiting"): waits for machine `i`'s next response — polling for
-/// [`BARRIER_SPIN_POLLS`] rounds first, then parked in
-/// `recv_timeout(barrier)`, so the deadline semantics are those of the
-/// park alone — converting panics, silent exits, and barrier timeouts
-/// into typed errors. On a timeout the
-/// other response channels are swept for a `Panicked` report first, so
-/// a machine that hangs *because a peer died* blames the culprit, not
-/// the victim.
-fn await_resp<P: Protocol>(
-    resp_rxs: &[Receiver<Resp<P>>],
-    i: usize,
-    barrier: Duration,
-    round: u64,
-) -> Result<Resp<P>, EngineError> {
-    let rx = &resp_rxs[i];
-    let backoff = Backoff::new();
-    let mut polled = rx.try_recv();
-    for _ in 0..BARRIER_SPIN_POLLS {
-        if !matches!(polled, Err(TryRecvError::Empty)) {
-            break;
-        }
-        backoff.snooze();
-        polled = rx.try_recv();
-    }
-    let resp = match polled {
-        Ok(resp) => Ok(resp),
-        Err(TryRecvError::Disconnected) => Err(RecvTimeoutError::Disconnected),
-        Err(TryRecvError::Empty) => rx.recv_timeout(barrier),
-    };
-    match resp {
-        Ok(Resp::Panicked { message }) => Err(EngineError::WorkerPanicked {
-            machine: i,
-            message,
-        }),
-        Ok(resp) => Ok(resp),
-        Err(RecvTimeoutError::Disconnected) => Err(worker_gone(resp_rxs, i)),
-        Err(RecvTimeoutError::Timeout) => {
-            for (j, rx) in resp_rxs.iter().enumerate() {
-                // The run is failing regardless; eating a pending
-                // healthy response here is fine.
-                if let Ok(Resp::Panicked { message }) = rx.try_recv() {
-                    return Err(EngineError::WorkerPanicked {
-                        machine: j,
-                        message,
-                    });
-                }
-            }
-            Err(EngineError::MachineLost { machine: i, round })
         }
     }
-}
 
-/// Types the failure of a worker whose thread is already gone: prefer
-/// its own panic report if one is queued, otherwise a placeholder.
-fn worker_gone<P: Protocol>(resp_rxs: &[Receiver<Resp<P>>], i: usize) -> EngineError {
-    if let Ok(Resp::Panicked { message }) = resp_rxs[i].try_recv() {
-        return EngineError::WorkerPanicked {
-            machine: i,
-            message,
-        };
+    /// Types the failure of a worker whose thread is already gone:
+    /// prefer its own panic report if one is queued, otherwise a
+    /// placeholder — either way naming its marker's machine.
+    fn gone(&self, w: usize) -> EngineError {
+        let machine = self.markers[w].machine();
+        match self.resp_rxs[w].try_recv() {
+            Ok(Resp::Panicked { message }) => EngineError::WorkerPanicked { machine, message },
+            _ => silent_exit(machine),
+        }
     }
-    silent_exit(i)
 }
 
 /// What ended a worker's barrier wait.
@@ -865,30 +1123,30 @@ enum Wake {
     /// The coordinator's next command; a coordinator that hung up reads
     /// as [`Cmd::Abort`].
     Cmd(Cmd),
-    /// Every owed frame has been absorbed — only ever the answer to a
-    /// wait that passed `owed` counts.
+    /// Every frame owed to the awaited machine has been absorbed — only
+    /// ever the answer to a wait that passed `owed` counts.
     Whole,
 }
 
 /// The worker side of the wait discipline (module docs, "Waiting"):
 /// waits for the coordinator's next command or — when `owed` carries a
-/// `Deliver`'s per-source counts — for every owed frame to be absorbed,
-/// whichever comes first.
+/// host index `j` and a `Deliver`'s counts — for every frame owed to
+/// the block's `j`-th machine to be absorbed, whichever comes first.
 ///
-/// While a [`FaultPlan`] is live the wire is serviced between polls and
-/// the wait never parks: a peer's delivery may hinge on our retransmits
-/// even after our own round report went out, and a receiver still owed
-/// frames paces NACKs off the poll count. On a clean wire nothing needs
-/// servicing while idle (at most one data frame per link is in flight
-/// against [`LINK_CHANNEL_FRAMES`] slots, so no sender ever waits on
-/// us), which is what makes it safe to park in `recv()` once
-/// [`BARRIER_SPIN_POLLS`] polls came up empty.
-fn await_cmd<M: WireCodec>(
+/// While a [`FaultPlan`] is live the whole block's wire is serviced
+/// between polls and the wait never parks: a peer's delivery may hinge
+/// on our retransmits even after our own round report went out, and
+/// machines still owed frames pace NACKs off the poll count. On a clean
+/// wire nothing needs servicing while idle (at most one data frame per
+/// link is in flight against [`LINK_CHANNEL_FRAMES`] slots, so no
+/// sender ever waits on us), which is what makes it safe to park in
+/// `recv()` once [`BARRIER_SPIN_POLLS`] polls came up empty — and an
+/// owed wait drains only the awaited machine's links still behind
+/// their count.
+fn await_cmd<P: Protocol>(
     cmd_rx: &Receiver<Cmd>,
-    inw: &mut Inwire,
-    out: &mut Outwire,
-    inb: &mut Inbound<M>,
-    owed: Option<&[u32]>,
+    block: &mut Block<P>,
+    owed: Option<(usize, &[u32])>,
 ) -> Wake {
     let backoff = Backoff::new();
     let mut polls: u32 = 0;
@@ -898,22 +1156,24 @@ fn await_cmd<M: WireCodec>(
             Err(TryRecvError::Disconnected) => return Wake::Cmd(Cmd::Abort),
             Err(TryRecvError::Empty) => {}
         }
-        if out.faulty || owed.is_some() {
-            drain_incoming(inw, out, inb);
-            out.pump();
+        if block.faulty {
+            block.service();
         }
-        if owed.is_some_and(|expected| inw.complete(out.me, expected)) {
-            return Wake::Whole;
+        if let Some((j, expected)) = owed {
+            let row = block.owed(j, expected);
+            let host = &mut block.hosts[j];
+            if !block.faulty {
+                host.drain(Some(row));
+            }
+            if host.inw.complete(host.me, row) {
+                return Wake::Whole;
+            }
         }
         polls += 1;
-        if out.faulty {
-            if let Some(expected) = owed {
+        if block.faulty {
+            if let Some((_, expected)) = owed {
                 if polls.is_multiple_of(NACK_IDLE_POLLS) {
-                    for (src, &want) in expected.iter().enumerate() {
-                        if src != out.me && inw.expect[src] < want {
-                            out.send_nack(src, inw.expect[src]);
-                        }
-                    }
+                    block.nack_missing(expected);
                 }
             }
         } else if polls >= BARRIER_SPIN_POLLS {
@@ -923,92 +1183,63 @@ fn await_cmd<M: WireCodec>(
     }
 }
 
-/// The worker loop for machine `me`.
-#[allow(clippy::too_many_arguments)]
-fn run_worker<P>(
+/// The worker loop for one block of machines.
+fn run_worker<P: Protocol>(
     config: NetConfig,
-    me: MachineIdx,
     shared: u64,
     plan: FaultPlan,
-    mut proto: P,
-    out_txs: Vec<Option<Sender<Vec<u8>>>>,
-    in_rxs: Vec<Option<Receiver<Vec<u8>>>>,
+    mut block: Block<P>,
+    marker: &Marker,
     cmd_rx: &Receiver<Cmd>,
     resp_tx: &Sender<Resp<P>>,
-) where
-    P: Protocol,
-{
+) {
     let k = config.k;
-    let mut rng = rng::machine_rng(config.seed, me);
-    let mut inb: Inbound<P::Msg> = Inbound::new(k, me);
-    let mut inw = Inwire::new(in_rxs);
-    let mut out = Outwire::new(me, k, plan, out_txs);
-    let mut inbox: Vec<Envelope<P::Msg>> = Vec::new();
+    // Pooled send-side buffers, shared by every hosted machine and
+    // reused across every round: one outbox, one staging `Vec` per
+    // destination collecting a machine's messages for that link, and
+    // one scratch `BitWriter` serializing each batch — so the encode
+    // path's only steady-state allocation is the frame the channel takes
+    // ownership of, one per active link per round.
     let mut outbox: Outbox<P::Msg> = Outbox::new(k);
-    // Pooled send-side buffers, reused across every round: one staging
-    // `Vec` per destination collects the round's messages for that
-    // link, and one scratch `BitWriter` serializes each batch — so the
-    // encode path's only steady-state allocation is the frame the
-    // channel takes ownership of, one per active link per round.
     let mut staged: Vec<Vec<P::Msg>> = (0..k).map(|_| Vec::new()).collect();
     let mut scratch = BitWriter::new();
-    // What this machine's last `round()` returned: with the inbox, the
-    // input of the sparse-rounds rule.
-    let mut last = Status::Active;
 
     loop {
-        match await_cmd(cmd_rx, &mut inw, &mut out, &mut inb, None) {
+        match await_cmd(cmd_rx, &mut block, None) {
             Wake::Cmd(Cmd::Round { round }) => {
-                if plan.crashes(me, round) {
-                    // Simulated crash: close every channel (peers see
-                    // a hung-up link, the coordinator a missed
-                    // barrier) and only keep consuming commands so the
-                    // final Abort can reach us for a clean join.
-                    out.sever();
-                    inw.rxs.clear();
-                    loop {
-                        match cmd_rx.recv() {
-                            Ok(Cmd::Abort | Cmd::Finish) | Err(_) => return,
-                            Ok(_) => {}
+                for h in &mut block.hosts {
+                    marker.set(h.me);
+                    if plan.crashes(h.me, round) {
+                        // Simulated crash of this machine alone: close
+                        // its channels (peers see a hung-up link, the
+                        // coordinator a missed barrier naming it) and
+                        // only keep consuming commands so the final
+                        // Abort can reach us for a clean join.
+                        h.out.sever();
+                        h.inw.rxs.clear();
+                        loop {
+                            match cmd_rx.recv() {
+                                Ok(Cmd::Abort | Cmd::Finish) | Err(_) => return,
+                                Ok(_) => {}
+                            }
                         }
+                    }
+                    h.out.start_round();
+                    if runs(h.last, !h.inbox.is_empty()) {
+                        h.compute(
+                            &config,
+                            round,
+                            shared,
+                            &mut outbox,
+                            &mut staged,
+                            &mut scratch,
+                        );
                     }
                 }
-                out.start_round();
-                if runs(last, !inbox.is_empty()) {
-                    let mut ctx = RoundCtx {
-                        round,
-                        me,
-                        k,
-                        bandwidth_bits: config.bandwidth_bits,
-                        shared_seed: shared,
-                        rng: &mut rng,
-                    };
-                    last = proto.round(&mut ctx, &mut inbox, &mut outbox);
-                    inbox.clear();
-                    for (dst, msg) in outbox.drain() {
-                        if dst == me {
-                            inb.push_self(msg);
-                            continue;
-                        }
-                        // Sender-side accounting uses the logical size,
-                        // as at `Network::stage`; the frame is the real
-                        // bytes.
-                        out.report.messages += 1;
-                        out.report.logical_bits += msg.bits().max(1);
-                        staged[dst].push(msg);
+                if block.faulty {
+                    for h in &mut block.hosts {
+                        h.out.pump();
                     }
-                    // One batch frame per destination with queued
-                    // traffic, in destination order; per-link FIFO is
-                    // the staging order above.
-                    for (dst, batch) in staged.iter_mut().enumerate() {
-                        if !batch.is_empty() {
-                            out.stage_batch(dst, batch, &mut scratch);
-                            batch.clear();
-                        }
-                    }
-                }
-                if out.faulty {
-                    out.pump();
                 } else {
                     // Reliable wire: flush everything before reporting,
                     // draining our own incoming channels against
@@ -1016,28 +1247,41 @@ fn run_worker<P>(
                     // Sent ⇒ all frames visible" holds with no NACK
                     // machinery in play.
                     let backoff = Backoff::new();
-                    while !out.pending_empty() {
-                        out.pump();
-                        drain_incoming(&mut inw, &mut out, &mut inb);
+                    while block.hosts.iter().any(|h| !h.out.pending_empty()) {
+                        block.service();
                         backoff.snooze();
                     }
                 }
-                if resp_tx
-                    .send(Resp::Sent {
-                        counts: out.seq_next.clone().into_boxed_slice(),
-                    })
-                    .is_err()
-                {
+                let counts = block
+                    .hosts
+                    .iter()
+                    .flat_map(|h| h.out.seq_next.iter().copied())
+                    .collect();
+                if resp_tx.send(Resp::Sent { counts }).is_err() {
                     return;
                 }
-                // Barrier: the coordinator certifies every peer reported
-                // (`Deliver`), then every owed frame must be absorbed.
+                // Barrier: the coordinator certifies every worker
+                // reported (`Deliver`); then, machine by machine, every
+                // owed frame is absorbed and delivered under the budget.
                 let mut owed: Option<Box<[u32]>> = None;
-                loop {
-                    match await_cmd(cmd_rx, &mut inw, &mut out, &mut inb, owed.as_deref()) {
-                        Wake::Whole => break,
+                let mut tally = RoundTally::default();
+                let mut next = 0;
+                while next < block.hosts.len() {
+                    match await_cmd(cmd_rx, &mut block, owed.as_deref().map(|e| (next, e))) {
                         Wake::Cmd(Cmd::Deliver { expected }) if owed.is_none() => {
                             owed = Some(expected);
+                            marker.set(block.hosts[0].me);
+                        }
+                        Wake::Whole => {
+                            let h = &mut block.hosts[next];
+                            tally.absorb(RoundTally {
+                                active_machines: usize::from(h.last == Status::Active),
+                                ..h.inb.deliver(config.bandwidth_bits, &mut h.inbox)
+                            });
+                            next += 1;
+                            if let Some(h) = block.hosts.get(next) {
+                                marker.set(h.me);
+                            }
                         }
                         Wake::Cmd(Cmd::Abort) => return,
                         Wake::Cmd(_) => {
@@ -1046,10 +1290,6 @@ fn run_worker<P>(
                         }
                     }
                 }
-                let tally = RoundTally {
-                    active_machines: usize::from(last == Status::Active),
-                    ..inb.deliver(config.bandwidth_bits, &mut inbox)
-                };
                 if resp_tx.send(Resp::Round(tally)).is_err() {
                     return;
                 }
@@ -1062,11 +1302,16 @@ fn run_worker<P>(
             Wake::Cmd(Cmd::Abort) => return,
         }
     }
-    let _ = resp_tx.send(Resp::Final(Box::new(FinalState {
-        proto,
-        inbound: inb,
-        wire: out.report,
-    })));
+    let finals = block
+        .hosts
+        .into_iter()
+        .map(|h| FinalState {
+            proto: h.proto,
+            inbound: h.inb,
+            wire: h.out.report,
+        })
+        .collect();
+    let _ = resp_tx.send(Resp::Final(finals));
 }
 
 #[cfg(test)]
@@ -1427,14 +1672,229 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let seq = SequentialEngine::run(cfg, mk()).unwrap();
-        let dist = DistributedEngine::run(cfg, mk()).unwrap();
-        assert_eq!(seq.metrics, dist.metrics);
-        for (s, d) in seq.machines.iter().zip(&dist.machines) {
-            assert_eq!(
-                s.got, d.got,
-                "per-link FIFO order must survive backpressure"
+        // The default pool, and one worker — where every frame crosses
+        // a channel inside a single thread.
+        for dist in [
+            DistributedEngine::run(cfg, mk()).unwrap(),
+            pool(cfg, mk(), FaultPlan::default(), 1).unwrap(),
+        ] {
+            assert_eq!(seq.metrics, dist.metrics);
+            for (s, d) in seq.machines.iter().zip(&dist.machines) {
+                assert_eq!(
+                    s.got, d.got,
+                    "per-link FIFO order must survive backpressure"
+                );
+            }
+        }
+    }
+
+    /// [`run_pool`] with the plan's barrier timeout (no environment).
+    fn pool<P: Protocol>(
+        cfg: NetConfig,
+        machines: Vec<P>,
+        plan: FaultPlan,
+        workers: usize,
+    ) -> Result<RunReport<P>, EngineError> {
+        let barrier = barrier_timeout_from(&plan, None).unwrap();
+        run_pool(cfg, machines, plan, barrier, workers)
+    }
+
+    /// The pool shapes under test at `k` machines: one worker, two,
+    /// three (uneven blocks) and one per machine.
+    fn shapes(k: usize) -> [usize; 4] {
+        [1, 2, 3, k]
+    }
+
+    #[test]
+    fn every_pool_shape_is_transcript_identical_and_frames_alike() {
+        for k in [1, 2, 7, 16] {
+            let cfg = NetConfig::with_bandwidth(k, 40, 3200 + k as u64);
+            let seq = SequentialEngine::run(cfg, gossip_machines(k)).unwrap();
+            let mut wires = Vec::new();
+            for w in shapes(k) {
+                let dist = pool(cfg, gossip_machines(k), FaultPlan::default(), w).unwrap();
+                assert_eq!(seq.metrics, dist.metrics, "k = {k}, W = {w}");
+                for (s, d) in seq.machines.iter().zip(&dist.machines) {
+                    assert_eq!(s.log, d.log, "k = {k}, W = {w}");
+                }
+                wires.push(dist.wire.unwrap());
+            }
+            assert!(
+                wires.windows(2).all(|pair| pair[0] == pair[1]),
+                "k = {k}: the wire must not depend on the pool: {wires:?}"
             );
         }
+    }
+
+    #[test]
+    fn every_pool_shape_is_transcript_identical_under_faults() {
+        let plans = [
+            FaultPlan {
+                drop: 0.4,
+                ..FaultPlan::default()
+            },
+            FaultPlan {
+                duplicate: 0.5,
+                ..FaultPlan::default()
+            },
+            FaultPlan {
+                corrupt: 0.4,
+                ..FaultPlan::default()
+            },
+            FaultPlan {
+                delay: 0.5,
+                ..FaultPlan::default()
+            },
+        ];
+        for k in [1, 2, 7, 16] {
+            let cfg = NetConfig::with_bandwidth(k, 40, 3300 + k as u64);
+            let seq = SequentialEngine::run(cfg, gossip_machines(k)).unwrap();
+            for (i, plan) in plans.iter().enumerate() {
+                let plan = FaultPlan {
+                    seed: 40 + i as u64,
+                    ..*plan
+                };
+                for w in shapes(k) {
+                    let dist = pool(cfg, gossip_machines(k), plan, w).unwrap();
+                    assert_eq!(seq.metrics, dist.metrics, "k = {k}, W = {w}, {plan:?}");
+                    for (s, d) in seq.machines.iter().zip(&dist.machines) {
+                        assert_eq!(s.log, d.log, "k = {k}, W = {w}, {plan:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Sleeps `nap` inside `round()` of round 1 if it is one of
+    /// `sleepers`; otherwise a ring passing one token per round.
+    #[derive(Debug)]
+    struct Napper {
+        sleepers: Vec<usize>,
+        nap: Duration,
+    }
+
+    impl Protocol for Napper {
+        type Msg = u32;
+        fn round(
+            &mut self,
+            ctx: &mut RoundCtx<'_>,
+            _inbox: &mut Vec<Envelope<u32>>,
+            out: &mut Outbox<u32>,
+        ) -> Status {
+            if ctx.round == 1 && self.sleepers.contains(&ctx.me) {
+                std::thread::sleep(self.nap);
+            }
+            if ctx.round < 3 {
+                out.send((ctx.me + 1) % ctx.k, ctx.round as u32);
+                Status::Active
+            } else {
+                Status::Done
+            }
+        }
+    }
+
+    fn nappers(k: usize, sleepers: &[usize], nap: Duration) -> Vec<Napper> {
+        (0..k)
+            .map(|_| Napper {
+                sleepers: sleepers.to_vec(),
+                nap,
+            })
+            .collect()
+    }
+
+    /// The barrier deadline is per machine: four machines on one worker,
+    /// each inside `round()` for 0.6× the timeout, keep their worker
+    /// silent for 2.4× it — slow, not lost. One machine silent past it
+    /// is still lost, and named.
+    #[test]
+    fn the_barrier_deadline_is_per_machine_not_per_block() {
+        const BARRIER_MS: u64 = 250;
+        let plan = FaultPlan {
+            barrier_timeout_ms: BARRIER_MS,
+            ..FaultPlan::default()
+        };
+        let cfg = NetConfig::with_bandwidth(4, 64, 12);
+        let slow = Duration::from_millis(BARRIER_MS * 6 / 10);
+        let report = pool(cfg, nappers(4, &[0, 1, 2, 3], slow), plan, 1)
+            .expect("a block of slow machines is not a lost one");
+        assert_eq!(report.metrics.rounds, 3);
+        let stalled = Duration::from_millis(BARRIER_MS * 4);
+        for w in [1, 2] {
+            let err = pool(cfg, nappers(4, &[1], stalled), plan, w).unwrap_err();
+            assert_eq!(
+                err,
+                EngineError::MachineLost {
+                    machine: 1,
+                    round: 1
+                },
+                "W = {w}"
+            );
+        }
+    }
+
+    /// Failures are typed by the machine at every pool shape, including
+    /// machines that neither head nor end their block.
+    #[test]
+    fn every_pool_shape_names_the_failing_machine() {
+        let k = 7;
+        let cfg = NetConfig::with_bandwidth(k, 40, 3400);
+        for w in shapes(k) {
+            let plan = FaultPlan {
+                crash: Some(CrashSpec {
+                    machine: 4,
+                    round: 2,
+                }),
+                barrier_timeout_ms: 200,
+                ..FaultPlan::default()
+            };
+            let err = pool(cfg, gossip_machines(k), plan, w).unwrap_err();
+            assert_eq!(
+                err,
+                EngineError::MachineLost {
+                    machine: 4,
+                    round: 2
+                },
+                "W = {w}"
+            );
+            let err = pool(cfg, bombs(k, 5), FaultPlan::default(), w).unwrap_err();
+            assert!(
+                matches!(err, EngineError::WorkerPanicked { machine: 5, ref message }
+                    if message.contains("machine 5 went off")),
+                "W = {w}: {err:?}"
+            );
+        }
+    }
+
+    /// Machine `victim` panics in round 1; everyone else idles along.
+    #[derive(Debug)]
+    struct Bomb {
+        victim: usize,
+    }
+
+    impl Protocol for Bomb {
+        type Msg = u32;
+        fn round(
+            &mut self,
+            ctx: &mut RoundCtx<'_>,
+            _inbox: &mut Vec<Envelope<u32>>,
+            out: &mut Outbox<u32>,
+        ) -> Status {
+            assert!(
+                !(ctx.round == 1 && ctx.me == self.victim),
+                "machine {} went off",
+                ctx.me
+            );
+            out.send((ctx.me + 1) % ctx.k, 0);
+            if ctx.round < 3 {
+                Status::Active
+            } else {
+                Status::Done
+            }
+        }
+    }
+
+    fn bombs(k: usize, victim: usize) -> Vec<Bomb> {
+        (0..k).map(|_| Bomb { victim }).collect()
     }
 
     #[test]

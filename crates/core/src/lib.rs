@@ -17,8 +17,9 @@
 //! .run(machines)` dispatches to one of **three transcript-identical
 //! engines** — the deterministic [`engine::SequentialEngine`], the
 //! thread-parallel [`engine::ParallelEngine`], or the message-passing
-//! [`engine::DistributedEngine`] (one OS thread per machine, messages
-//! serialized through per-link byte channels via [`WireCodec`]) — with
+//! [`engine::DistributedEngine`] (a pool of `min(k, cores)` worker
+//! threads each hosting a block of machines, messages serialized
+//! through per-link byte channels via [`WireCodec`]) — with
 //! [`EngineKind::Auto`] choosing by machine count and honoring the
 //! `KM_ENGINE` environment variable. Full algorithms implement
 //! [`KmAlgorithm`] (build → run → extract) and run through the generic

@@ -74,11 +74,12 @@ pub enum EngineKind {
         /// Worker threads (capped at `k` by the engine).
         threads: usize,
     },
-    /// The message-passing engine: one OS thread per machine, messages
-    /// serialized over per-link byte channels, and a measured
-    /// [`WireReport`] in the outcome. Never chosen by `Auto` on its own
-    /// (it spawns `k` threads and pays real serialization); opt in
-    /// explicitly or via `KM_ENGINE=distributed`.
+    /// The message-passing engine: `min(k, cores)` worker threads, each
+    /// hosting a block of machines, messages serialized over per-link
+    /// byte channels (also between machines sharing a worker), and a
+    /// measured [`WireReport`] in the outcome. Never chosen by `Auto` on
+    /// its own (it pays real serialization and a barrier per round); opt
+    /// in explicitly or via `KM_ENGINE=distributed`.
     Distributed,
     /// Resolve at run time: the [`ENGINE_ENV`] environment variable wins
     /// if set; otherwise runs with `k ≥` [`AUTO_PARALLEL_MIN_K`] go

@@ -42,7 +42,8 @@ fn main() {
     // In-process reference: one thread plays all k machines.
     let seq = run_algorithm(&alg, Runner::new(net).engine(EngineKind::Sequential)).expect("seq");
 
-    // Message passing: k worker threads, byte frames, bounded channels,
+    // Message passing: min(k, cores) worker threads each hosting a block
+    // of machines, one byte frame per link and round, bounded channels,
     // a round barrier — and, by construction, the same transcript.
     let dist = run_algorithm(&alg, Runner::new(net).engine(EngineKind::Distributed)).expect("dist");
     assert_eq!(seq, dist, "engines must be bit-identical");

@@ -1,7 +1,8 @@
 //! Offline shim for the `crossbeam` subset this workspace uses:
 //! `channel::{bounded, Sender, Receiver}`, `thread::scope`, and
 //! `utils::Backoff`, built on `std::sync::mpsc` and
-//! `std::thread::scope`.
+//! `std::thread::scope` — plus `thread::available_parallelism`, which
+//! crossbeam does not have, so the pool size is model-aware too.
 //!
 //! The shim has a second personality: when a [`model`] session is
 //! active on the calling thread (installed by [`model::explore`] /
@@ -214,6 +215,18 @@ pub mod thread {
                     tracker: Some(tracker),
                 })
             })),
+        }
+    }
+
+    /// Threads a worker pool should run: std's
+    /// [`std::thread::available_parallelism`] (1 if it cannot tell), or
+    /// a fixed 2 under a model session — so a schedule explored there,
+    /// and the replay handle that names it, never depend on the host's
+    /// core count.
+    pub fn available_parallelism() -> usize {
+        match model::current() {
+            Some(_) => 2,
+            None => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         }
     }
 
