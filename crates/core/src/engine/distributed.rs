@@ -24,10 +24,10 @@
 //!
 //! `W = min(k, available_parallelism())` worker threads each host a
 //! contiguous block of machines (worker `w` runs machines
-//! `w·k/W .. (w+1)·k/W`). A hosted machine keeps everything a thread
-//! of its own would: protocol, RNG stream, `Inbound`, both halves of
-//! its wire, inbox and last status. A worker shares only scratch
-//! across its block — one `Outbox`, one staging row, one `BitWriter`.
+//! `w·k/W .. (w+1)·k/W`). Each hosted machine keeps its own protocol,
+//! RNG stream, `Inbound`, both halves of its wire, inbox and last
+//! status; a worker shares only scratch across its block — one
+//! `Outbox`, one staging row, one `BitWriter`.
 //! Frames do not change with the pool: a machine ships one batch per
 //! destination and round through that link's channel even when the
 //! destination shares its worker, so [`WireReport`] is a function of
@@ -686,8 +686,8 @@ fn drain_incoming<M: WireCodec>(
     }
 }
 
-/// One machine as a worker hosts it: the state a thread of its own used
-/// to keep — protocol, RNG stream, delivery core, both halves of its
+/// One machine as a worker hosts it: everything not shared across the
+/// block — protocol, RNG stream, delivery core, both halves of its
 /// wire, inbox and the status the sparse-rounds rule reads.
 struct Host<P: Protocol> {
     me: MachineIdx,

@@ -44,7 +44,7 @@ pub enum EngineError {
     /// thread, and returns this instead of poisoning the caller with a
     /// propagated panic.
     WorkerPanicked {
-        /// The machine whose worker died.
+        /// The machine its worker was running when it died.
         machine: usize,
         /// The panic payload (or a placeholder when it was not a string).
         message: String,

@@ -1,11 +1,12 @@
-//! Round-barrier stress test: 64 worker threads with randomized
-//! per-round jitter must still advance in lockstep, deliver per-link
-//! traffic in FIFO order, and reproduce the sequential engine's
-//! transcript bit for bit.
+//! Round-barrier stress test: 64 machines with randomized per-round
+//! jitter — hosted by the engine's worker pool, so each worker's jitter
+//! is the sum of its block's — must still advance in lockstep, deliver
+//! per-link traffic in FIFO order, and reproduce the sequential
+//! engine's transcript bit for bit.
 //!
 //! The jitter durations are drawn from the per-machine protocol RNG, so
 //! the RNG streams — and therefore the traffic — are identical on both
-//! engines; only the thread arrival times at the barrier differ. Any
+//! engines; only the arrival times at the barrier differ. Any
 //! reordering the channels or the coordinator allowed would show up as
 //! a FIFO violation (checked in-protocol via per-source sequence
 //! numbers) or as a diverged log.
