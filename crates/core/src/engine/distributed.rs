@@ -335,7 +335,6 @@ enum Resp<P: Protocol> {
 /// it has started. The coordinator types every failure by the marker's
 /// machine, never by the worker, and keeps waiting out a barrier while
 /// `steps` moves, so the deadline is per machine rather than per block.
-#[derive(Debug, Default)]
 struct Marker {
     machine: AtomicUsize,
     steps: AtomicU64,
