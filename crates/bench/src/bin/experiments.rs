@@ -5,7 +5,7 @@
 //! cargo run --release -p km-bench --bin experiments -- T4-UB   # one id
 //! cargo run --release -p km-bench --bin experiments -- --list
 //! cargo run --release -p km-bench --bin experiments -- --seed 7 F1 T5-UB
-//! cargo run --release -p km-bench --bin experiments -- --engine par S1
+//! cargo run --release -p km-bench --bin experiments -- --engine dist S1
 //! cargo run --release -p km-bench --bin experiments -- --stream
 //! ```
 //!
@@ -15,7 +15,7 @@
 //! `WIRE` (the distributed engine's frame-vs-logical bit matrix, which
 //! pins its own engine): request either by id.
 //!
-//! `--engine {seq,par,dist,auto}` selects the execution engine for every run
+//! `--engine {seq,dist,auto}` selects the execution engine for every run
 //! (transcript-identical engines, so tables are engine-independent); it
 //! is wired through `km_core::EngineKind` via the `KM_ENGINE` variable
 //! that `EngineKind::Auto` resolution honors.
@@ -48,10 +48,9 @@ fn main() {
             }
             "--engine" => {
                 i += 1;
-                let name = args.get(i).expect("--engine needs {seq,par,dist,auto}");
-                let kind = EngineKind::parse(name).unwrap_or_else(|| {
-                    panic!("unknown engine `{name}`; try seq, par, dist, or auto")
-                });
+                let name = args.get(i).expect("--engine needs {seq,dist,auto}");
+                let kind = EngineKind::parse(name)
+                    .unwrap_or_else(|| panic!("unknown engine `{name}`; try seq, dist, or auto"));
                 // Every experiment runs through Runner's Auto resolution,
                 // which reads this variable — one switch flips them all.
                 std::env::set_var(ENGINE_ENV, name);

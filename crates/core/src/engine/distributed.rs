@@ -2,9 +2,8 @@
 //! machines, real byte channels per ordered link, and a self-healing
 //! wire.
 //!
-//! Where [`super::SequentialEngine`] and [`super::ParallelEngine`]
-//! simulate the network in process (messages move as in-memory values
-//! and never serialize), this engine actually *ships bytes*: each
+//! Where [`super::SequentialEngine`] simulates the network in process
+//! (messages move as in-memory values and never serialize), this engine actually *ships bytes*: each
 //! round, everything a machine queued for one destination is encoded
 //! by [`crate::codec::encode_batch_frame_into`] into a *single*
 //! checksummed, sequence-numbered batch frame — the only data-frame
@@ -13,7 +12,7 @@
 //! borrowed sub-reader over the frame buffer — into the destination's
 //! `engine::Inbound`: the one delivery core (per-source FIFO
 //! [`crate::link::Link`]s, self-queue, sorted active-source index)
-//! the in-process engines hold `k` of, here owned one per machine and
+//! the sequential engine holds `k` of, here owned one per machine and
 //! shipped home with the final state. Batching amortizes the 21-byte
 //! self-healing header over every message a (link, round) pair
 //! carries; each machine accumulates a [`WireReport`] of what its
@@ -43,7 +42,7 @@
 //!    was `Active`, or it has mail) selects, on its locally held inbox,
 //!    and ships that machine's batch frames (self-sends bypass
 //!    serialization and stay local, free — the same drain-and-move
-//!    semantics as the other engines). It answers one `Sent` carrying
+//!    semantics as the sequential engine). It answers one `Sent` carrying
 //!    its machines' cumulative per-destination batch counts.
 //! 2. The coordinator collects all `Sent`s, transposes the `k × k`
 //!    count matrix, and issues each worker one `Deliver` carrying, per
@@ -52,7 +51,7 @@
 //! 3. Machine by machine, each worker drains incoming channels until
 //!    every frame owed to that machine has been absorbed (see the
 //!    failure model below for how loss is repaired), then runs its
-//!    `Inbound::deliver` — the very walk the in-process engines run per
+//!    `Inbound::deliver` — the very walk the sequential engine runs per
 //!    destination, so only links with queued traffic are visited,
 //!    counted in [`crate::Metrics::link_visits`] — and reports its
 //!    block's summed slice of the round's `RoundTally` (status, queue
@@ -165,7 +164,7 @@
 //! structure is not a copy of the sequential engine's but the same
 //! code — so outputs,
 //! metrics, RNG streams, and even error payloads are bit-identical
-//! across all three engines (enforced by `tests/engine_equivalence.rs`,
+//! across both engines (enforced by `tests/engine_equivalence.rs`,
 //! `tests/engine_fuzz.rs`, and under fault injection by
 //! `tests/chaos_matrix.rs`). The measured frame bytes appear only in
 //! the separate [`WireReport`].
@@ -936,7 +935,7 @@ pub(crate) fn run_pool<P: Protocol>(
         };
 
         // The barrier phases of the module docs, each round closed by
-        // the same `RoundLedger::close` as the in-process engines —
+        // the same `RoundLedger::close` as the sequential engine —
         // plus barrier timeouts and typed failure propagation.
         let mut sent = vec![0u32; k * k];
         let mut ledger = RoundLedger::default();
@@ -1364,7 +1363,7 @@ mod tests {
         for (s, d) in seq.machines.iter().zip(&dist.machines) {
             assert_eq!(s.log, d.log);
         }
-        assert!(seq.wire.is_none(), "in-process engines never serialize");
+        assert!(seq.wire.is_none(), "the sequential engine never serializes");
         let wire = dist.wire.expect("distributed run measures frames");
         assert_eq!(wire.logical_bits, dist.metrics.total_bits());
         assert_eq!(wire.messages, dist.metrics.total_msgs());

@@ -1,6 +1,6 @@
 //! Execution engines.
 //!
-//! All three engines implement identical synchronous-round semantics:
+//! Both engines implement identical synchronous-round semantics:
 //!
 //! 1. every machine runs [`crate::Protocol::round`] on the messages delivered at
 //!    the start of this round and stages outgoing messages — every
@@ -15,27 +15,27 @@
 //!    round limit fires.
 //!
 //! [`SequentialEngine`] is the reference implementation;
-//! [`ParallelEngine`] distributes step 1 across crossbeam scoped threads;
-//! [`DistributedEngine`] goes further and runs one worker thread *per
-//! machine*, serializing every link's round of messages into one batch
-//! frame over that ordered pair's bounded channel (see `distributed.rs`).
-//! All three are transcript-identical (tested in
-//! `tests/engine_equivalence.rs` and the cross-engine fuzz matrix in
-//! `tests/engine_fuzz.rs`) because steps 2–4 exist exactly once, here:
+//! [`DistributedEngine`] runs a pool of `min(k, cores)` worker threads,
+//! each hosting a contiguous block of machines, and serializes every
+//! link's round of messages into one batch frame over that ordered
+//! pair's bounded channel (see `distributed.rs`). The two are
+//! transcript-identical (tested in `tests/engine_equivalence.rs` and the
+//! cross-engine fuzz matrix in `tests/engine_fuzz.rs`) because steps 2–4
+//! exist exactly once, here:
 //!
 //! * `Inbound` is one destination's slice of the network — the
 //!   transcript `Π_i` of Theorem 1 in the making: its `k − 1` incoming
 //!   links, its self-queue, and the receive-side counters. The
-//!   in-process engines hold `k` of them in a `Network` (which adds only
-//!   the sender-side counters); a distributed worker owns exactly one,
-//!   fed from decoded frames, and ships it home when the run ends.
+//!   sequential engine holds `k` of them in a `Network` (which adds only
+//!   the sender-side counters); a distributed worker owns one per hosted
+//!   machine, fed from decoded frames, and ships them home when the run
+//!   ends.
 //! * `admit` is the preamble (valid config, machine count `= k`),
 //!   `RoundLedger::close` the end of every round — count a communication
 //!   round if a link moved a bit, then test quiescence, then the round
 //!   limit, in that order — over a `RoundTally` that `Inbound::deliver`
-//!   produces per destination and the engines sum. `drive` is the whole
-//!   in-process loop around them; the sequential engine and the parallel
-//!   engine's master differ only in the compute step they pass it.
+//!   produces per destination and the engines sum.
+//!   [`SequentialEngine::run`] is the whole in-process loop around them.
 //!
 //! # Sparse rounds
 //!
@@ -49,10 +49,10 @@
 //!   called; it counts as `Done`, so quiescence, `RoundTally` and the
 //!   `RoundLimitExceeded` payload are what calling it would give (the
 //!   [`crate::Protocol`] contract makes such a call a no-op). The rule
-//!   is one predicate, `runs`. `drive` applies it to the sorted union
-//!   of the machines still `Active` and the machines the last delivery
-//!   woke; the parallel and distributed workers apply it to the
-//!   machines and inboxes they own.
+//!   is one predicate, `runs`. The sequential engine applies it to the
+//!   sorted union of the machines still `Active` and the machines the
+//!   last delivery woke; the distributed workers apply it to the
+//!   machines and inboxes they host.
 //! * **Destinations.** `Network` keeps the *busy* destinations — those
 //!   whose active-source index is non-empty. A destination joins in
 //!   `Network::stage` on its empty → non-empty transition, and
@@ -88,12 +88,10 @@
 //! distributed coordinator's final merge.
 
 pub mod distributed;
-pub mod parallel;
 pub mod sequential;
 
 pub use crate::metrics::{RunReport, WireReport};
 pub use distributed::DistributedEngine;
-pub use parallel::ParallelEngine;
 pub use sequential::SequentialEngine;
 
 use crate::codec::WireCodec;
@@ -376,7 +374,7 @@ impl<M: WireCodec> Network<M> {
 
     /// Stages one message. Link traffic is charged to the sender here
     /// (bits are counted when sent, received when delivered).
-    pub(crate) fn stage(&mut self, src: MachineIdx, dst: MachineIdx, msg: M) {
+    fn stage(&mut self, src: MachineIdx, dst: MachineIdx, msg: M) {
         let inb = &mut self.inbound[dst];
         if inb.active.is_empty() {
             self.busy.push(dst);
@@ -419,60 +417,6 @@ impl<M: WireCodec> Network<M> {
     }
 }
 
-/// The in-process round loop, shared by [`SequentialEngine`] and
-/// [`ParallelEngine`]'s master. `compute(round, calls, inboxes, net,
-/// last)` runs the machines `calls` lists (ascending) on their inboxes,
-/// records each one's [`Status`] in `last`, stages what they sent into
-/// `net` in machine order, and leaves all `k` inboxes cleared. `calls`
-/// is the sorted union of the machines still `Active` and those the
-/// last delivery woke — exactly the machines [`runs`] selects.
-///
-/// # Errors
-/// Whatever `compute` fails with, or [`RoundLedger::close`]'s
-/// [`EngineError::RoundLimitExceeded`].
-pub(crate) fn drive<M: WireCodec>(
-    config: &NetConfig,
-    mut compute: impl FnMut(
-        u64,
-        &[MachineIdx],
-        &mut Vec<Vec<Envelope<M>>>,
-        &mut Network<M>,
-        &mut [Status],
-    ) -> Result<(), EngineError>,
-) -> Result<Metrics, EngineError> {
-    let k = config.k;
-    let mut net = Network::new(k);
-    let mut inboxes: Vec<Vec<Envelope<M>>> = (0..k).map(|_| Vec::new()).collect();
-    let mut last = vec![Status::Active; k];
-    // Machines whose last round returned Active, ascending.
-    let mut active: Vec<MachineIdx> = (0..k).collect();
-    let mut calls = Vec::with_capacity(k);
-    let mut ledger = RoundLedger::default();
-    loop {
-        calls.clear();
-        calls.extend_from_slice(&active);
-        calls.extend_from_slice(&net.woken);
-        calls.sort_unstable();
-        calls.dedup();
-        debug_assert!(
-            (0..k)
-                .all(|i| runs(last[i], !inboxes[i].is_empty()) == calls.binary_search(&i).is_ok()),
-            "round {}: the callee list disagrees with the skip rule",
-            ledger.iterations
-        );
-        compute(ledger.iterations, &calls, &mut inboxes, &mut net, &mut last)?;
-        active.clear();
-        active.extend(calls.iter().filter(|&&i| last[i] == Status::Active));
-        let tally = RoundTally {
-            active_machines: active.len(),
-            ..net.deliver(config.bandwidth_bits, &mut inboxes)
-        };
-        if ledger.close(config, tally)? {
-            return Ok(net.finish(ledger.comm_rounds, config.bandwidth_bits));
-        }
-    }
-}
-
 /// The failure of a worker thread that stopped answering without a
 /// report of its own.
 pub(crate) fn silent_exit(machine: MachineIdx) -> EngineError {
@@ -497,7 +441,7 @@ pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
 mod tests {
     use super::{Inbound, RoundLedger, RoundTally};
     use crate::config::NetConfig;
-    use crate::engine::{DistributedEngine, ParallelEngine, SequentialEngine};
+    use crate::engine::{DistributedEngine, SequentialEngine};
     use crate::error::EngineError;
     use crate::message::{Envelope, Outbox};
     use crate::protocol::{Protocol, RoundCtx, Status};
@@ -769,7 +713,6 @@ mod tests {
         };
         let reports = [
             SequentialEngine::run(cfg, ring()).unwrap(),
-            ParallelEngine::with_threads(4).run(cfg, ring()).unwrap(),
             DistributedEngine::run(cfg, ring()).unwrap(),
         ];
         for report in &reports {

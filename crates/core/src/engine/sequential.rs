@@ -1,11 +1,11 @@
 //! The deterministic single-threaded reference engine.
 
 use crate::config::NetConfig;
-use crate::engine::{admit, drive};
+use crate::engine::{admit, runs, Network, RoundLedger, RoundTally};
 use crate::error::EngineError;
-use crate::message::Outbox;
+use crate::message::{Envelope, Outbox};
 use crate::metrics::RunReport;
-use crate::protocol::{Protocol, RoundCtx};
+use crate::protocol::{Protocol, RoundCtx, Status};
 use crate::rng;
 
 /// Runs a protocol instance per machine to quiescence, single-threaded.
@@ -31,10 +31,27 @@ impl SequentialEngine {
         let mut rngs: Vec<_> = (0..k).map(|i| rng::machine_rng(config.seed, i)).collect();
         let shared = rng::shared_seed(config.seed);
         let mut outbox = Outbox::new(k);
-        let metrics = drive(&config, |round, calls, inboxes, net, last| {
-            for &i in calls {
+        let mut net = Network::new(k);
+        let mut inboxes: Vec<Vec<Envelope<P::Msg>>> = (0..k).map(|_| Vec::new()).collect();
+        let mut last = vec![Status::Active; k];
+        // This round's callees, ascending: the machines still `Active`
+        // plus those the last delivery woke — exactly what `runs` selects.
+        let mut calls: Vec<_> = (0..k).collect();
+        let mut ledger = RoundLedger::default();
+        loop {
+            calls.extend_from_slice(&net.woken);
+            calls.sort_unstable();
+            calls.dedup();
+            debug_assert!(
+                (0..k)
+                    .all(|i| runs(last[i], !inboxes[i].is_empty())
+                        == calls.binary_search(&i).is_ok()),
+                "round {}: the callee list disagrees with the skip rule",
+                ledger.iterations
+            );
+            for &i in &calls {
                 let mut ctx = RoundCtx {
-                    round,
+                    round: ledger.iterations,
                     me: i,
                     k,
                     bandwidth_bits: config.bandwidth_bits,
@@ -47,13 +64,19 @@ impl SequentialEngine {
                     net.stage(i, dst, msg);
                 }
             }
-            Ok(())
-        })?;
-        Ok(RunReport {
-            machines,
-            metrics,
-            wire: None,
-        })
+            calls.retain(|&i| last[i] == Status::Active);
+            let tally = RoundTally {
+                active_machines: calls.len(),
+                ..net.deliver(config.bandwidth_bits, &mut inboxes)
+            };
+            if ledger.close(&config, tally)? {
+                return Ok(RunReport {
+                    machines,
+                    metrics: net.finish(ledger.comm_rounds, config.bandwidth_bits),
+                    wire: None,
+                });
+            }
+        }
     }
 }
 

@@ -38,7 +38,7 @@ pub enum EngineError {
         /// The round (iteration index) whose barrier it missed.
         round: u64,
     },
-    /// A worker thread of the parallel or distributed engine panicked
+    /// A worker thread of the distributed engine panicked
     /// (usually the protocol's own `round` code) or terminated without
     /// reporting. The engine captures the panic, joins every other
     /// thread, and returns this instead of poisoning the caller with a

@@ -14,14 +14,13 @@
 //!
 //! Algorithms implement the [`Protocol`] trait and are executed through
 //! the [`Runner`] API: `Runner::new(cfg).engine(EngineKind::Auto)
-//! .run(machines)` dispatches to one of **three transcript-identical
-//! engines** — the deterministic [`engine::SequentialEngine`], the
-//! thread-parallel [`engine::ParallelEngine`], or the message-passing
-//! [`engine::DistributedEngine`] (a pool of `min(k, cores)` worker
-//! threads each hosting a block of machines, messages serialized
-//! through per-link byte channels via [`WireCodec`]) — with
-//! [`EngineKind::Auto`] choosing by machine count and honoring the
-//! `KM_ENGINE` environment variable. Full algorithms implement
+//! .run(machines)` dispatches to one of **two transcript-identical
+//! engines** — the deterministic [`engine::SequentialEngine`] or the
+//! message-passing [`engine::DistributedEngine`] (a pool of
+//! `min(k, cores)` worker threads each hosting a block of machines,
+//! messages serialized through per-link byte channels via
+//! [`WireCodec`]) — with [`EngineKind::Auto`] running sequentially
+//! unless the `KM_ENGINE` environment variable says otherwise. Full algorithms implement
 //! [`KmAlgorithm`] (build → run → extract) and run through the generic
 //! [`run_algorithm`] driver, which returns a structured [`RunOutcome`].
 //! Message sizes are *logical bit counts* — [`WireCodec::bits`], i.e.
@@ -63,7 +62,7 @@ pub mod runner;
 
 pub use codec::{assert_roundtrip, BitReader, BitSink, BitWriter, CodecError, WireCodec};
 pub use config::NetConfig;
-pub use engine::{DistributedEngine, ParallelEngine, RunReport, SequentialEngine};
+pub use engine::{DistributedEngine, RunReport, SequentialEngine};
 pub use error::EngineError;
 pub use faults::{CrashSpec, FaultPlan, FrameFate, FAULTS_ENV};
 pub use message::{id_bits, Envelope, Outbox, Raw};

@@ -5,9 +5,9 @@
 //! input over `k` machines, run a [`Protocol`] to global quiescence, and
 //! read the answer plus transcript statistics back out. [`Runner`] is
 //! that pattern as a value — callers choose *what* to run and *under
-//! which configuration*, while the engine (sequential reference or
-//! thread-parallel, transcript-identical by construction) becomes a
-//! one-line, even environment-driven, choice:
+//! which configuration*, while the engine (the sequential reference or
+//! the distributed engine, transcript-identical by construction) becomes
+//! a one-line, even environment-driven, choice:
 //!
 //! ```
 //! use km_core::{EngineKind, Envelope, NetConfig, Outbox, Protocol, RoundCtx, Runner, Status};
@@ -43,35 +43,32 @@
 //! crate and experiment routes through.
 
 use crate::config::NetConfig;
-use crate::engine::{DistributedEngine, ParallelEngine, RunReport, SequentialEngine};
+use crate::engine::{DistributedEngine, RunReport, SequentialEngine};
 use crate::error::EngineError;
 use crate::faults::FaultPlan;
 use crate::metrics::{Metrics, WireReport};
 use crate::protocol::Protocol;
 
 /// Environment variable overriding [`EngineKind::Auto`] resolution
-/// (values: `seq`/`sequential`, `par`/`parallel`/`parallel:N`,
-/// `dist`/`distributed`, `auto`). An unrecognized value is an
-/// [`EngineError::InvalidConfig`] naming it — a typo must not silently
-/// run a different engine than the experimenter asked for.
+/// (values: `seq`/`sequential`, `dist`/`distributed`, `auto`). An
+/// unrecognized value is an [`EngineError::InvalidConfig`] naming it — a
+/// typo must not silently run a different engine than the experimenter
+/// asked for.
 pub const ENGINE_ENV: &str = "KM_ENGINE";
 
-/// Machine count at which [`EngineKind::Auto`] switches to the parallel
-/// engine (when more than one hardware thread is available). Below this,
-/// per-round fan-out/fan-in overhead outweighs the parallel speedup.
-pub const AUTO_PARALLEL_MIN_K: usize = 32;
-
-/// Which engine executes a run. All engines are transcript-identical
+/// Which engine executes a run. Both engines are transcript-identical
 /// (same results, metrics, and RNG streams for the same seed), so this
 /// is purely a wall-clock/fidelity choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
     /// The deterministic single-threaded reference engine.
     Sequential,
-    /// The thread-parallel engine. `threads = 0` means "all available
-    /// cores"; `threads = 1` degenerates to the sequential engine.
+    /// An alias for [`EngineKind::Distributed`], the one threaded
+    /// engine. `threads` is ignored: the pool is always `min(k, cores)`
+    /// workers. Kept only while the benchmark under `benchmark/` still
+    /// names it.
     Parallel {
-        /// Worker threads (capped at `k` by the engine).
+        /// Ignored.
         threads: usize,
     },
     /// The message-passing engine: `min(k, cores)` worker threads, each
@@ -82,16 +79,10 @@ pub enum EngineKind {
     /// in explicitly or via `KM_ENGINE=distributed`.
     Distributed,
     /// Resolve at run time: the [`ENGINE_ENV`] environment variable wins
-    /// if set; otherwise runs with `k ≥` [`AUTO_PARALLEL_MIN_K`] go
-    /// parallel when the host has more than one hardware thread.
+    /// if set; otherwise the run is sequential, at every `k` and core
+    /// count.
     #[default]
     Auto,
-}
-
-fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
 }
 
 impl EngineKind {
@@ -99,21 +90,11 @@ impl EngineKind {
     /// experiment harness's `--engine` flag. Returns `None` for
     /// unrecognized input.
     pub fn parse(s: &str) -> Option<EngineKind> {
-        let s = s.trim().to_ascii_lowercase();
-        match s.as_str() {
+        match s.trim().to_ascii_lowercase().as_str() {
             "seq" | "sequential" => Some(EngineKind::Sequential),
-            "par" | "parallel" => Some(EngineKind::Parallel { threads: 0 }),
             "dist" | "distributed" => Some(EngineKind::Distributed),
             "auto" => Some(EngineKind::Auto),
-            _ => {
-                let threads = s
-                    .strip_prefix("parallel:")
-                    .or_else(|| s.strip_prefix("par:"))?;
-                threads
-                    .parse()
-                    .ok()
-                    .map(|threads| EngineKind::Parallel { threads })
-            }
+            _ => None,
         }
     }
 
@@ -139,44 +120,34 @@ impl EngineKind {
                 Some(kind) => Ok(Some(kind)),
                 None => Err(EngineError::InvalidConfig {
                     reason: format!(
-                        "unrecognized {ENGINE_ENV} value {v:?} (expected seq, sequential, par, \
-                         parallel, parallel:N, dist, distributed, or auto)"
+                        "unrecognized {ENGINE_ENV} value {v:?} (expected seq, sequential, dist, \
+                         distributed, or auto)"
                     ),
                 }),
             },
         }
     }
 
-    /// Resolves `Auto` (and `threads = 0`) into a concrete engine choice
-    /// for a `k`-machine run.
+    /// Resolves `Auto` and the `Parallel` alias into the engine that runs.
     ///
     /// # Errors
     /// [`EngineError::InvalidConfig`] if [`ENGINE_ENV`] is set to an
     /// unrecognized value (see [`EngineKind::from_env`]).
-    pub fn resolve(self, k: usize) -> Result<EngineKind, EngineError> {
-        Ok(self.resolve_with(Self::from_env()?, k, available_threads()))
+    pub fn resolve(self) -> Result<EngineKind, EngineError> {
+        Ok(self.resolve_with(Self::from_env()?))
     }
 
     /// Deterministic resolution core: `env` is the [`ENGINE_ENV`]
-    /// override (ignored unless `self` is `Auto`), `cores` the hardware
-    /// thread count. Exposed for tests; use [`EngineKind::resolve`].
-    fn resolve_with(self, env: Option<EngineKind>, k: usize, cores: usize) -> EngineKind {
+    /// override, ignored unless `self` is `Auto`. Exposed for tests; use
+    /// [`EngineKind::resolve`].
+    fn resolve_with(self, env: Option<EngineKind>) -> EngineKind {
         match self {
-            EngineKind::Sequential => EngineKind::Sequential,
-            EngineKind::Parallel { threads: 0 } => EngineKind::Parallel {
-                // A forced parallel run must actually exercise the
-                // threaded engine, even on a single-core host.
-                threads: cores.max(2),
-            },
-            EngineKind::Parallel { threads } => EngineKind::Parallel { threads },
-            EngineKind::Distributed => EngineKind::Distributed,
+            EngineKind::Parallel { .. } => EngineKind::Distributed,
             EngineKind::Auto => match env {
-                Some(kind) if kind != EngineKind::Auto => kind.resolve_with(None, k, cores),
-                _ if k >= AUTO_PARALLEL_MIN_K && cores > 1 => {
-                    EngineKind::Parallel { threads: cores }
-                }
+                Some(kind) if kind != EngineKind::Auto => kind.resolve_with(None),
                 _ => EngineKind::Sequential,
             },
+            kind => kind,
         }
     }
 }
@@ -209,9 +180,8 @@ impl Runner {
     }
 
     /// Injects wire faults (see [`crate::faults`]). Faults act on the
-    /// distributed engine's physical frames; the sequential and
-    /// parallel engines have no wire, so they ignore the plan — which
-    /// is exactly what lets a faulted distributed run be compared
+    /// distributed engine's physical frames; the sequential engine has
+    /// no wire, so it ignores the plan — which is exactly what lets a faulted distributed run be compared
     /// against a fault-free sequential ground truth. When no plan is
     /// set here, the [`crate::faults::FAULTS_ENV`] environment variable
     /// is consulted at run time.
@@ -225,14 +195,14 @@ impl Runner {
         &self.config
     }
 
-    /// The engine this runner would use for its `k` (with `Auto` and
-    /// `threads = 0` resolved against the current environment).
+    /// The engine this runner would use (see [`EngineKind::resolve`]):
+    /// `Sequential` or `Distributed`.
     ///
     /// # Errors
     /// [`EngineError::InvalidConfig`] if [`ENGINE_ENV`] is set to an
     /// unrecognized value.
     pub fn resolved_engine(&self) -> Result<EngineKind, EngineError> {
-        self.engine.resolve(self.config.k)
+        self.engine.resolve()
     }
 
     /// Runs one protocol instance per machine to global quiescence.
@@ -257,9 +227,6 @@ impl Runner {
             None => FaultPlan::from_env()?,
         };
         match self.resolved_engine()? {
-            EngineKind::Parallel { threads } if threads > 1 => {
-                ParallelEngine::with_threads(threads).run(self.config, machines)
-            }
             EngineKind::Distributed => {
                 DistributedEngine::run_with_faults(self.config, machines, faults)
             }
@@ -406,22 +373,6 @@ mod tests {
             EngineKind::parse(" Sequential "),
             Some(EngineKind::Sequential)
         );
-        assert_eq!(
-            EngineKind::parse("par"),
-            Some(EngineKind::Parallel { threads: 0 })
-        );
-        assert_eq!(
-            EngineKind::parse("parallel"),
-            Some(EngineKind::Parallel { threads: 0 })
-        );
-        assert_eq!(
-            EngineKind::parse("parallel:6"),
-            Some(EngineKind::Parallel { threads: 6 })
-        );
-        assert_eq!(
-            EngineKind::parse("PAR:2"),
-            Some(EngineKind::Parallel { threads: 2 })
-        );
         assert_eq!(EngineKind::parse("dist"), Some(EngineKind::Distributed));
         assert_eq!(
             EngineKind::parse(" Distributed "),
@@ -429,53 +380,49 @@ mod tests {
         );
         assert_eq!(EngineKind::parse("auto"), Some(EngineKind::Auto));
         assert_eq!(EngineKind::parse("gpu"), None);
-        assert_eq!(EngineKind::parse("parallel:x"), None);
+        for gone in ["par", "parallel", "parallel:2", "PAR:2"] {
+            assert_eq!(EngineKind::parse(gone), None, "{gone}");
+        }
     }
 
     #[test]
     fn auto_resolution_rules() {
         let auto = EngineKind::Auto;
-        // Small k or single core: sequential.
+        // No override: sequential (resolution no longer sees k or cores).
+        assert_eq!(auto.resolve_with(None), EngineKind::Sequential);
+        // The environment override wins.
         assert_eq!(
-            auto.resolve_with(None, 8, 16),
-            EngineKind::Sequential,
-            "small k stays sequential"
+            auto.resolve_with(Some(EngineKind::Distributed)),
+            EngineKind::Distributed
         );
         assert_eq!(
-            auto.resolve_with(None, 128, 1),
-            EngineKind::Sequential,
-            "single core stays sequential"
-        );
-        // Large k on a multicore host: parallel on all cores.
-        assert_eq!(
-            auto.resolve_with(None, AUTO_PARALLEL_MIN_K, 8),
-            EngineKind::Parallel { threads: 8 }
-        );
-        // Environment override wins either way.
-        assert_eq!(
-            auto.resolve_with(Some(EngineKind::Sequential), 128, 8),
+            auto.resolve_with(Some(EngineKind::Sequential)),
             EngineKind::Sequential
         );
         assert_eq!(
-            auto.resolve_with(Some(EngineKind::Parallel { threads: 0 }), 4, 1),
-            EngineKind::Parallel { threads: 2 },
-            "forced parallel exercises the threaded engine even on one core"
+            auto.resolve_with(Some(EngineKind::Auto)),
+            EngineKind::Sequential
         );
         // Explicit kinds ignore the environment.
         assert_eq!(
-            EngineKind::Sequential.resolve_with(Some(EngineKind::Parallel { threads: 4 }), 64, 8),
+            EngineKind::Sequential.resolve_with(Some(EngineKind::Distributed)),
             EngineKind::Sequential
         );
-        // Auto never chooses the distributed engine on its own, but the
-        // environment can demand it; explicit Distributed sticks.
         assert_eq!(
-            auto.resolve_with(Some(EngineKind::Distributed), 4, 8),
+            EngineKind::Distributed.resolve_with(Some(EngineKind::Sequential)),
             EngineKind::Distributed
         );
-        assert_eq!(
-            EngineKind::Distributed.resolve_with(None, 256, 1),
-            EngineKind::Distributed
-        );
+        // `Parallel` is an alias for the distributed engine, whatever
+        // its thread count.
+        for threads in [0, 1, 4] {
+            for env in [None, Some(EngineKind::Sequential)] {
+                assert_eq!(
+                    EngineKind::Parallel { threads }.resolve_with(env),
+                    EngineKind::Distributed,
+                    "threads = {threads}, env = {env:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -491,6 +438,12 @@ mod tests {
             let machines = (0..5).map(|_| SumUp { total: 0 }).collect();
             let report = Runner::new(cfg).engine(kind).run(machines).unwrap();
             assert_eq!(report.machines[0].total, 1 + 2 + 3 + 4, "{kind:?}");
+            // Only the distributed engine measures a wire; `Auto` depends
+            // on the environment, so it is left out of this check.
+            if kind != EngineKind::Auto {
+                let distributed = kind.resolve_with(None) == EngineKind::Distributed;
+                assert_eq!(report.wire.is_some(), distributed, "{kind:?}");
+            }
         }
     }
 
@@ -518,29 +471,29 @@ mod tests {
     #[test]
     fn env_override_is_read_and_parsed() {
         // The engines are transcript-identical, so a concurrent test
-        // observing this temporary override still computes the same
-        // results — the override is benign to race with. (The invalid
-        // value below is also exercised in this same test, rather than
-        // its own, so two tests never race on the variable.)
+        // observing these temporary values still computes the same
+        // results — they are benign to race with. (Invalid values are
+        // exercised through `from_env_value` instead, so no test plants
+        // one in the process-global environment.)
+        let resolved = |k| {
+            Runner::new(NetConfig::with_bandwidth(k, 64, 0))
+                .resolved_engine()
+                .unwrap()
+        };
         let prev = std::env::var(ENGINE_ENV).ok();
-        std::env::set_var(ENGINE_ENV, "parallel:3");
-        assert_eq!(
-            EngineKind::from_env().unwrap(),
-            Some(EngineKind::Parallel { threads: 3 })
-        );
-        assert_eq!(
-            EngineKind::Auto.resolve(4).unwrap(),
-            EngineKind::Parallel { threads: 3 }
-        );
+        std::env::remove_var(ENGINE_ENV);
+        assert_eq!(EngineKind::from_env().unwrap(), None);
+        for k in [1, 32, 128] {
+            assert_eq!(resolved(k), EngineKind::Sequential, "k = {k}");
+        }
         std::env::set_var(ENGINE_ENV, "distributed");
         assert_eq!(
             EngineKind::from_env().unwrap(),
             Some(EngineKind::Distributed)
         );
-        assert_eq!(
-            EngineKind::Auto.resolve(4).unwrap(),
-            EngineKind::Distributed
-        );
+        for k in [1, 32, 128] {
+            assert_eq!(resolved(k), EngineKind::Distributed, "k = {k}");
+        }
         match prev {
             Some(v) => std::env::set_var(ENGINE_ENV, v),
             None => std::env::remove_var(ENGINE_ENV),
@@ -567,5 +520,16 @@ mod tests {
             EngineKind::from_env_value(Some("dist")).unwrap(),
             Some(EngineKind::Distributed)
         );
+        // `parallel` is rejected like any other unknown name, and the
+        // reason lists what is accepted.
+        match EngineKind::from_env_value(Some("parallel")).unwrap_err() {
+            EngineError::InvalidConfig { reason } => {
+                assert!(reason.contains("\"parallel\""), "{reason}");
+                for accepted in ["seq", "sequential", "dist", "distributed", "auto"] {
+                    assert!(reason.contains(accepted), "{accepted}: {reason}");
+                }
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
     }
 }

@@ -1002,6 +1002,8 @@ mod tests {
         assert_eq!(m1, m2);
     }
 
+    /// The threaded engine (the distributed worker pool) against the
+    /// sequential reference.
     #[test]
     fn parallel_engine_matches_sequential() {
         let mut rng = ChaCha8Rng::seed_from_u64(31);
@@ -1016,12 +1018,12 @@ mod tests {
             .engine(EngineKind::Sequential)
             .run(KmPageRank::build_all(dist(&g, &part), cfg))
             .unwrap();
-        let par = Runner::new(netc)
-            .engine(EngineKind::Parallel { threads: 3 })
+        let threaded = Runner::new(netc)
+            .engine(EngineKind::Distributed)
             .run(KmPageRank::build_all(dist(&g, &part), cfg))
             .unwrap();
-        assert_eq!(seq.metrics, par.metrics);
-        for (a, b) in seq.machines.iter().zip(&par.machines) {
+        assert_eq!(seq.metrics, threaded.metrics);
+        for (a, b) in seq.machines.iter().zip(&threaded.machines) {
             assert_eq!(a.inner().output(), b.inner().output());
         }
     }

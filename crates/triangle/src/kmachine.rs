@@ -900,6 +900,8 @@ mod tests {
         assert_eq!(ts, enumerate_triangles(&g));
     }
 
+    /// The threaded engine (the distributed worker pool) against the
+    /// sequential reference.
     #[test]
     fn parallel_engine_matches_sequential() {
         let mut rng = ChaCha8Rng::seed_from_u64(31);
@@ -911,12 +913,12 @@ mod tests {
             .engine(EngineKind::Sequential)
             .run(KmTriangle::build_all(dist(&g, &part), TriConfig::default()))
             .unwrap();
-        let par = Runner::new(netc)
-            .engine(EngineKind::Parallel { threads: 4 })
+        let threaded = Runner::new(netc)
+            .engine(EngineKind::Distributed)
             .run(KmTriangle::build_all(dist(&g, &part), TriConfig::default()))
             .unwrap();
-        assert_eq!(seq.metrics, par.metrics);
-        for (a, b) in seq.machines.iter().zip(&par.machines) {
+        assert_eq!(seq.metrics, threaded.metrics);
+        for (a, b) in seq.machines.iter().zip(&threaded.machines) {
             assert_eq!(a.inner().triangles, b.inner().triangles);
         }
     }

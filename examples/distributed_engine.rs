@@ -1,9 +1,10 @@
 //! The distributed engine: real message passing, same transcript.
 //!
 //! Runs Borůvka MST once on the in-process sequential engine and once
-//! on `EngineKind::Distributed` — where every machine is its own OS
-//! thread and every message is serialized to a length-prefixed byte
-//! frame and pushed through a bounded channel — then checks the two
+//! on `EngineKind::Distributed` — where a pool of `min(k, cores)` worker
+//! threads hosts the machines and every link's round of messages is
+//! serialized into one batch frame and pushed through a bounded channel
+//! — then checks the two
 //! `RunOutcome`s are bit-identical and prints what the byte channels
 //! actually carried next to the logical `WireCodec::bits` accounting the
 //! paper's bounds charge.

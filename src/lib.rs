@@ -22,7 +22,7 @@
 //! of view of one machine; the [`core::Runner`] executes all `k`
 //! machines in synchronous rounds, charging each link `B` bits per
 //! round, on whichever engine [`core::EngineKind`] selects (the
-//! sequential reference and the thread-parallel engine are
+//! sequential reference and the distributed engine are
 //! transcript-identical). Here every machine greets machine 0 and stops:
 //!
 //! ```
@@ -55,7 +55,7 @@
 //! let k = 4;
 //! let machines = (0..k).map(|_| Greeter { heard: 0 }).collect();
 //! let report = Runner::new(NetConfig::with_bandwidth(k, 64, /* seed */ 7))
-//!     .engine(EngineKind::Auto) // or Sequential / Parallel { threads }
+//!     .engine(EngineKind::Auto) // or Sequential / Distributed
 //!     .run(machines)
 //!     .unwrap();
 //!

@@ -1,15 +1,14 @@
 //! Cross-engine equivalence matrix: for every algorithm in the
-//! workspace, the sequential, parallel, and distributed engines must
-//! produce *identical* `RunOutcome`s (output, metrics, and config echo)
-//! through the `run_algorithm` path — the engines differ only in
+//! workspace, the sequential and distributed engines must produce
+//! *identical* `RunOutcome`s (output, metrics, and config echo) through
+//! the `run_algorithm` path — the engines differ only in
 //! wall-clock and, for the distributed engine, in the extra measured
 //! `WireReport`.
 //!
-//! Each algorithm is exercised at several thread counts, including one
-//! that does not divide `k` (uneven worker chunks), on the distributed
-//! engine (real byte channels, one serialized frame per message), and
-//! under `EngineKind::Auto` (whose resolution must never change
-//! results, whatever `KM_ENGINE` says).
+//! Each algorithm is exercised on the distributed engine (real byte
+//! channels, one serialized batch frame per link and round, machines
+//! spread over a worker pool) and under `EngineKind::Auto` (whose
+//! resolution must never change results, whatever `KM_ENGINE` says).
 
 use km_core::WireCodec;
 use km_core::{run_algorithm, EngineKind, KmAlgorithm, NetConfig, Protocol, RunOutcome, Runner};
@@ -31,10 +30,10 @@ fn net(k: usize, n: usize, seed: u64) -> NetConfig {
     NetConfig::polylog(k, n, seed).max_rounds(10_000_000)
 }
 
-/// Runs `alg` on the sequential engine, then on the parallel engine at
-/// several thread counts, the distributed engine, and `Auto`, asserting
-/// every outcome is identical to the sequential reference. Returns the
-/// reference outcome for algorithm-specific sanity checks.
+/// Runs `alg` on the sequential engine, then on the distributed engine
+/// and `Auto`, asserting every outcome is identical to the sequential
+/// reference. Returns the reference outcome for algorithm-specific
+/// sanity checks.
 fn assert_cross_engine<A>(alg: &A, netc: NetConfig) -> RunOutcome<A::Output>
 where
     A: KmAlgorithm,
@@ -43,12 +42,7 @@ where
 {
     let seq = run_algorithm(alg, Runner::new(netc).engine(EngineKind::Sequential))
         .expect("sequential run");
-    for kind in [
-        EngineKind::Parallel { threads: 2 },
-        EngineKind::Parallel { threads: 3 },
-        EngineKind::Distributed,
-        EngineKind::Auto,
-    ] {
+    for kind in [EngineKind::Distributed, EngineKind::Auto] {
         let other = run_algorithm(alg, Runner::new(netc).engine(kind)).expect("run");
         assert_eq!(seq.output, other.output, "{kind:?} output diverged");
         assert_eq!(seq.metrics, other.metrics, "{kind:?} metrics diverged");

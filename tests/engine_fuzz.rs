@@ -2,16 +2,16 @@
 //! sizes, destinations, per-machine stop rounds, self-sends, messages
 //! spanning multiple delivery rounds, `Done` machines woken by mail)
 //! must produce bit-for-bit identical
-//! transcripts on the sequential, parallel, and distributed engines,
+//! transcripts on the sequential and distributed engines,
 //! conserve traffic exactly, and fail identically when the round-limit
 //! safety valve fires.
 //!
 //! This subsumes the old `sparse_equivalence` suite in km-core: the
 //! invariants are the same, but the matrix now includes the distributed
 //! engine, where every message is serialized to a byte frame and
-//! crosses a real channel between OS threads.
+//! crosses a real channel, between worker threads or inside one.
 
-use km_core::engine::{DistributedEngine, ParallelEngine, SequentialEngine};
+use km_core::engine::{DistributedEngine, SequentialEngine};
 use km_core::{Envelope, NetConfig, Outbox, Protocol, Raw, RoundCtx, Status};
 use proptest::prelude::*;
 use rand::Rng;
@@ -141,7 +141,7 @@ proptest! {
         }
     }
 
-    /// Sequential, parallel, and distributed engines are
+    /// The sequential and distributed engines are
     /// transcript-identical on the same random workloads: same metrics,
     /// same per-machine logs — even though the distributed engine pushed
     /// every message through a serialized byte frame, and each engine
@@ -153,19 +153,11 @@ proptest! {
         max_len in 0usize..32,
         bandwidth in 1u64..150,
         seed in 0u64..1_000_000,
-        threads in 2usize..5,
     ) {
         let cfg = NetConfig::with_bandwidth(shapes.len(), bandwidth, seed).max_rounds(1_000_000);
         let seq = SequentialEngine::run(cfg, traffic(&shapes, fanout, max_len)).unwrap();
-        let par = ParallelEngine::with_threads(threads)
-            .run(cfg, traffic(&shapes, fanout, max_len))
-            .unwrap();
         let dist = DistributedEngine::run(cfg, traffic(&shapes, fanout, max_len)).unwrap();
-        prop_assert_eq!(&seq.metrics, &par.metrics, "parallel metrics diverged");
         prop_assert_eq!(&seq.metrics, &dist.metrics, "distributed metrics diverged");
-        for (i, (s, p)) in seq.machines.iter().zip(&par.machines).enumerate() {
-            prop_assert_eq!(&s.log, &p.log, "machine {} parallel transcript diverged", i);
-        }
         for (i, (s, d)) in seq.machines.iter().zip(&dist.machines).enumerate() {
             prop_assert_eq!(&s.log, &d.log, "machine {} distributed transcript diverged", i);
         }
@@ -205,11 +197,7 @@ proptest! {
         let shapes = [&[(limit + 10, 1)][..], &peers].concat();
         let cfg = NetConfig::with_bandwidth(shapes.len(), bandwidth, seed).max_rounds(limit);
         let seq = SequentialEngine::run(cfg, traffic(&shapes, fanout, max_len)).unwrap_err();
-        let par = ParallelEngine::with_threads(3)
-            .run(cfg, traffic(&shapes, fanout, max_len))
-            .unwrap_err();
         let dist = DistributedEngine::run(cfg, traffic(&shapes, fanout, max_len)).unwrap_err();
-        prop_assert_eq!(&seq, &par, "parallel error diverged");
         prop_assert_eq!(&seq, &dist, "distributed error diverged");
     }
 }

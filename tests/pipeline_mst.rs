@@ -64,7 +64,7 @@ fn assert_transcript(
 }
 
 /// The benchmark's machine count, where every chosen edge is broadcast
-/// to 127 other machines.
+/// to 127 other machines, on both engines.
 #[test]
 fn boruvka_at_k128_same_transcript_on_in_process_engines() {
     assert_transcript(
@@ -73,12 +73,12 @@ fn boruvka_at_k128_same_transcript_on_in_process_engines() {
         128,
         41,
         (44, 436_768, 28_842_550, 252_043),
-        &[EngineKind::Parallel { threads: 2 }],
+        &[EngineKind::Distributed],
     );
 }
 
-/// A machine count that does not divide `n` (uneven hash shares), on all
-/// three engines.
+/// A machine count that does not divide `n` (uneven hash shares), on
+/// both engines.
 #[test]
 fn boruvka_at_uneven_k_same_transcript_on_every_engine() {
     assert_eq!(1_000 % 7, 6);
@@ -88,6 +88,6 @@ fn boruvka_at_uneven_k_same_transcript_on_every_engine() {
         7,
         43,
         (261, 9_950, 853_704, 127_144),
-        &[EngineKind::Parallel { threads: 2 }, EngineKind::Distributed],
+        &[EngineKind::Distributed],
     );
 }
