@@ -20,9 +20,10 @@
 //! `min(k, cores)` worker threads each hosting a block of machines,
 //! messages serialized through per-link byte channels via
 //! [`WireCodec`]) — with [`EngineKind::Auto`] running sequentially
-//! unless the `KM_ENGINE` environment variable says otherwise. Full algorithms implement
-//! [`KmAlgorithm`] (build → run → extract) and run through the generic
-//! [`run_algorithm`] driver, which returns a structured [`RunOutcome`].
+//! unless the `KM_ENGINE` environment variable says otherwise. Full
+//! algorithms implement [`KmAlgorithm`] (build → run → extract) and run
+//! through the generic [`run_algorithm`] driver, which returns a
+//! structured [`RunOutcome`].
 //! Message sizes are *logical bit counts* — [`WireCodec::bits`], i.e.
 //! what `encode` writes — so
 //! experiments can charge exactly the `Θ(log n)`-bit id costs the theory

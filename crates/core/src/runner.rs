@@ -181,10 +181,11 @@ impl Runner {
 
     /// Injects wire faults (see [`crate::faults`]). Faults act on the
     /// distributed engine's physical frames; the sequential engine has
-    /// no wire, so it ignores the plan — which is exactly what lets a faulted distributed run be compared
-    /// against a fault-free sequential ground truth. When no plan is
-    /// set here, the [`crate::faults::FAULTS_ENV`] environment variable
-    /// is consulted at run time.
+    /// no wire, so it ignores the plan — which is exactly what lets a
+    /// faulted distributed run be compared against a fault-free
+    /// sequential ground truth. When no plan is set here, the
+    /// [`crate::faults::FAULTS_ENV`] environment variable is consulted
+    /// at run time.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
@@ -388,7 +389,7 @@ mod tests {
     #[test]
     fn auto_resolution_rules() {
         let auto = EngineKind::Auto;
-        // No override: sequential (resolution no longer sees k or cores).
+        // No override: sequential.
         assert_eq!(auto.resolve_with(None), EngineKind::Sequential);
         // The environment override wins.
         assert_eq!(
