@@ -119,8 +119,9 @@ pub(crate) struct Inbound<M> {
     me: MachineIdx,
     /// Incoming links indexed by source (`links[me]` unused).
     links: Vec<Link<M>>,
-    /// Self-sends waiting for this round's delivery (no bandwidth charge).
-    self_queue: Vec<Envelope<M>>,
+    /// Self-sends waiting for this round's delivery (no bandwidth
+    /// charge); their source is always `me`.
+    self_queue: Vec<M>,
     /// Sorted sources with queued traffic (contains `me` iff the
     /// self-queue is non-empty). Maintained by the pushes (empty →
     /// non-empty) and `deliver` (drained links drop out).
@@ -168,7 +169,7 @@ impl<M: WireCodec> Inbound<M> {
         if self.self_queue.is_empty() {
             self.activate(self.me);
         }
-        self.self_queue.push(Envelope { src: self.me, msg });
+        self.self_queue.push(msg);
         self.queued_msgs += 1;
     }
 
@@ -201,7 +202,7 @@ impl<M: WireCodec> Inbound<M> {
         sources.retain(|&src| {
             if src == self.me {
                 self.queued_msgs -= self.self_queue.len();
-                inbox.append(&mut self.self_queue);
+                inbox.extend(self.self_queue.drain(..).map(|msg| Envelope { src, msg }));
                 return false; // self-queues always drain fully
             }
             self.link_visits += 1;
@@ -240,7 +241,7 @@ impl<M: WireCodec> Inbound<M> {
         metrics.recv_msgs[self.me] = self.recv_msgs;
         metrics.recv_bits[self.me] = self.recv_bits;
         metrics.link_visits += self.link_visits;
-        let busiest = self.links.iter().map(|l| l.totals().1).max().unwrap_or(0);
+        let busiest = self.links.iter().map(Link::total_bits).max().unwrap_or(0);
         metrics.max_link_bits = metrics.max_link_bits.max(busiest);
     }
 }

@@ -2,7 +2,17 @@
 
 use crate::codec::WireCodec;
 use crate::message::Envelope;
+use crate::MachineIdx;
 use std::collections::VecDeque;
+
+/// A queued message and its size as cached at staging, 32 bits wide.
+/// [`OVERSIZE`] stands for "`u32::MAX` bits or more"; such an entry's
+/// size is re-derived from the message itself.
+type Entry<M> = (M, u32);
+
+/// The cached size of every message of `u32::MAX` bits or more
+/// (512 MiB and up).
+const OVERSIZE: u32 = u32::MAX;
 
 /// One direction of a point-to-point link.
 ///
@@ -11,24 +21,32 @@ use std::collections::VecDeque;
 /// `⌈bits/B⌉` consecutive rounds (partial progress is tracked, and unused
 /// budget does *not* carry across rounds — links cannot "save up"
 /// bandwidth, matching the synchronous model).
+///
+/// A link has one sender, so a queued message costs only its own bytes
+/// plus its 4-byte cached size: the sender index is stored once per link
+/// and put back into each [`Envelope`] at delivery. A size that does not
+/// fit below `u32::MAX` is never capped or rounded: it is queued as a
+/// sentinel, and [`Link::deliver`] asks [`WireCodec::bits`] again each
+/// time it reaches that message — the only case in which `bits` runs
+/// more than once per link message.
 #[derive(Debug)]
 pub struct Link<M> {
-    queue: VecDeque<(Envelope<M>, u64)>,
+    queue: VecDeque<Entry<M>>,
+    /// The sending machine of every queued message.
+    src: MachineIdx,
     /// Bits of the front message already transmitted in previous rounds.
     front_progress: u64,
     /// Total bits ever enqueued (for metrics).
     total_bits: u64,
-    /// Total messages ever enqueued.
-    total_msgs: u64,
 }
 
 impl<M> Default for Link<M> {
     fn default() -> Self {
         Link {
             queue: VecDeque::new(),
+            src: 0,
             front_progress: 0,
             total_bits: 0,
-            total_msgs: 0,
         }
     }
 }
@@ -37,7 +55,7 @@ impl<M> Default for Link<M> {
 /// consumed (including partial progress on a message still in flight)
 /// and the count/size of the messages it fully delivered. The sizes are
 /// the ones cached at [`Link::push`] time, so delivery-side accounting
-/// never re-calls [`WireCodec::bits`].
+/// never re-calls [`WireCodec::bits`] below `u32::MAX` bits.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Delivery {
     /// Bits of the budget consumed this call.
@@ -57,12 +75,20 @@ impl<M: WireCodec> Link<M> {
 
     /// Enqueues a message whose (clamped) wire size the caller already
     /// computed — the engine's staging path uses this so
-    /// [`WireCodec::bits`] runs exactly once per message.
+    /// [`WireCodec::bits`] runs exactly once per message. Every message
+    /// queued at once on a link comes from the same sender.
     pub fn push_sized(&mut self, env: Envelope<M>, bits: u64) {
         debug_assert_eq!(bits, env.msg.bits().max(1), "size must match the message");
+        debug_assert!(
+            self.queue.is_empty() || env.src == self.src,
+            "link from {} queued a message from {}",
+            self.src,
+            env.src
+        );
+        self.src = env.src;
         self.total_bits += bits;
-        self.total_msgs += 1;
-        self.queue.push_back((env, bits));
+        let cached = u32::try_from(bits).unwrap_or(OVERSIZE);
+        self.queue.push_back((env.msg, cached));
     }
 
     /// Delivers up to `budget` bits worth of queued messages, in FIFO
@@ -70,20 +96,26 @@ impl<M: WireCodec> Link<M> {
     pub fn deliver(&mut self, budget: u64, out: &mut Vec<Envelope<M>>) -> Delivery {
         let mut d = Delivery::default();
         let mut remaining = budget;
-        while let Some((_, bits)) = self.queue.front() {
+        // Every size is ≥ 1, so an exhausted budget can move nothing.
+        while remaining > 0 {
+            let Some((msg, cached)) = self.queue.pop_front() else {
+                break;
+            };
+            let bits = match cached {
+                OVERSIZE => msg.bits().max(1),
+                _ => u64::from(cached),
+            };
             let need = bits - self.front_progress;
-            if need <= remaining {
-                remaining -= need;
-                self.front_progress = 0;
-                // lint: allow(panic) — the while-let above proved the queue has a front
-                let (env, bits) = self.queue.pop_front().expect("front exists");
-                d.msgs += 1;
-                d.msg_bits += bits;
-                out.push(env);
-            } else {
+            if need > remaining {
                 self.front_progress += remaining;
                 remaining = 0;
-                break;
+                self.queue.push_front((msg, cached));
+            } else {
+                remaining -= need;
+                self.front_progress = 0;
+                d.msgs += 1;
+                d.msg_bits += bits;
+                out.push(Envelope { src: self.src, msg });
             }
         }
         d.bits_used = budget - remaining;
@@ -100,15 +132,18 @@ impl<M: WireCodec> Link<M> {
         self.queue.len()
     }
 
-    /// Lifetime totals `(messages, bits)` pushed through this link.
-    pub fn totals(&self) -> (u64, u64) {
-        (self.total_msgs, self.total_bits)
+    /// Lifetime total of bits pushed through this link.
+    pub fn total_bits(&self) -> u64 {
+        self.total_bits
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{BitReader, BitSink, CodecError};
+    use crate::router::ScatterToken;
+    use std::mem::size_of;
 
     fn env(bits_msg: Vec<u8>) -> Envelope<crate::message::Raw> {
         Envelope {
@@ -185,7 +220,124 @@ mod tests {
         let mut link: Link<u32> = Link::default();
         link.push(Envelope { src: 0, msg: 1 });
         link.push(Envelope { src: 0, msg: 2 });
-        assert_eq!(link.totals(), (2, 64));
+        assert_eq!(link.total_bits(), 64);
         assert_eq!(link.queued(), 2);
+    }
+
+    #[test]
+    fn delivery_restores_the_sender() {
+        let mut link: Link<u32> = Link::default();
+        link.push(Envelope { src: 5, msg: 1 });
+        link.push(Envelope { src: 5, msg: 2 });
+        let mut out = Vec::new();
+        link.deliver(64, &mut out);
+        // Drained, the link may carry another sender's traffic.
+        link.push(Envelope { src: 3, msg: 3 });
+        link.deliver(32, &mut out);
+        let got: Vec<_> = out.into_iter().map(|e| (e.src, e.msg)).collect();
+        assert_eq!(got, [(5, 1), (5, 2), (3, 3)]);
+    }
+
+    /// The per-message cost this layout exists for, and the `k²`-fold
+    /// per-link cost it must not raise: a queued zero-sized message is
+    /// its 4-byte size alone, and a link is no larger than when it also
+    /// stored a sender index and a 64-bit size beside every message.
+    #[test]
+    fn queue_layout_is_pinned() {
+        assert_eq!(size_of::<Entry<ScatterToken>>(), 4);
+        assert!(size_of::<Link<u64>>() <= 56);
+    }
+
+    /// A message that claims any size; it is never encoded.
+    #[derive(Debug)]
+    struct Claim(u64);
+
+    impl WireCodec for Claim {
+        fn encode<S: BitSink>(&self, _w: &mut S) {
+            unimplemented!("size-only test message")
+        }
+        fn bits(&self) -> u64 {
+            self.0
+        }
+        fn decode(_r: &mut BitReader<'_>) -> Result<Self, CodecError> {
+            unimplemented!("size-only test message")
+        }
+    }
+
+    /// Sizes at and past 32 bits, back to back at `B = 2³¹`: each
+    /// round's `Delivery` and the front's partial progress are exact.
+    /// `2³² − 1 + 2³² + 2³³ = 2³⁴ − 1` bits drain in `⌈(2³⁴ − 1)/2³¹⌉ = 8`
+    /// rounds, and each message finishes one bit into the round after
+    /// its predecessor's last.
+    #[test]
+    fn sizes_at_and_past_32_bits_are_exact() {
+        const B: u64 = 1 << 31;
+        let sizes = [(1 << 32) - 1, 1 << 32, 1 << 33];
+        let mut link: Link<Claim> = Link::default();
+        for bits in sizes {
+            link.push(Envelope {
+                src: 2,
+                msg: Claim(bits),
+            });
+        }
+        assert_eq!(link.total_bits(), (1 << 34) - 1);
+        // Per round: (bits used, messages, message bits, front progress after).
+        let expected: [(u64, u64, u64, u64); 8] = [
+            (B, 0, 0, B),
+            (B, 1, (1 << 32) - 1, 1),
+            (B, 0, 0, B + 1),
+            (B, 1, 1 << 32, 1),
+            (B, 0, 0, B + 1),
+            (B, 0, 0, 2 * B + 1),
+            (B, 0, 0, 3 * B + 1),
+            (B - 1, 1, 1 << 33, 0),
+        ];
+        let mut out = Vec::new();
+        for (round, &(used, msgs, msg_bits, progress)) in expected.iter().enumerate() {
+            let d = link.deliver(B, &mut out);
+            assert_eq!(
+                (d.bits_used, d.msgs, d.msg_bits, link.front_progress),
+                (used, msgs, msg_bits, progress),
+                "round {round}"
+            );
+        }
+        assert!(link.is_empty());
+        let got: Vec<_> = out.iter().map(|e| (e.src, e.msg.0)).collect();
+        assert_eq!(got, [(2, sizes[0]), (2, sizes[1]), (2, sizes[2])]);
+    }
+
+    /// One oversize message, alone: `2³³` bits at `B = 2³¹` take exactly
+    /// four rounds, and a message behind it is not charged the sentinel.
+    #[test]
+    fn an_oversize_message_alone_drains_in_exact_rounds() {
+        const B: u64 = 1 << 31;
+        let mut link: Link<Claim> = Link::default();
+        link.push(Envelope {
+            src: 0,
+            msg: Claim(1 << 33),
+        });
+        link.push(Envelope {
+            src: 0,
+            msg: Claim(u64::from(u32::MAX) - 1),
+        });
+        let mut out = Vec::new();
+        let rounds: Vec<_> = (0..6).map(|_| link.deliver(B, &mut out)).collect();
+        let d = |bits_used, msgs, msg_bits| Delivery {
+            bits_used,
+            msgs,
+            msg_bits,
+        };
+        assert_eq!(
+            rounds,
+            [
+                d(B, 0, 0),
+                d(B, 0, 0),
+                d(B, 0, 0),
+                d(B, 1, 1 << 33),
+                d(B, 0, 0),
+                d(B - 2, 1, u64::from(u32::MAX) - 1),
+            ]
+        );
+        assert!(link.is_empty());
     }
 }
