@@ -96,27 +96,29 @@ impl<M: WireCodec> Link<M> {
     pub fn deliver(&mut self, budget: u64, out: &mut Vec<Envelope<M>>) -> Delivery {
         let mut d = Delivery::default();
         let mut remaining = budget;
-        // Every size is ≥ 1, so an exhausted budget can move nothing.
-        while remaining > 0 {
-            let Some((msg, cached)) = self.queue.pop_front() else {
-                break;
-            };
-            let bits = match cached {
+        // Count the messages the budget completes, then move them out.
+        for (msg, cached) in &self.queue {
+            let bits = match *cached {
                 OVERSIZE => msg.bits().max(1),
-                _ => u64::from(cached),
+                c => u64::from(c),
             };
             let need = bits - self.front_progress;
             if need > remaining {
                 self.front_progress += remaining;
                 remaining = 0;
-                self.queue.push_front((msg, cached));
-            } else {
-                remaining -= need;
-                self.front_progress = 0;
-                d.msgs += 1;
-                d.msg_bits += bits;
-                out.push(Envelope { src: self.src, msg });
+                break;
             }
+            remaining -= need;
+            self.front_progress = 0;
+            d.msgs += 1;
+            d.msg_bits += bits;
+        }
+        out.reserve(d.msgs as usize);
+        for _ in 0..d.msgs {
+            let Some((msg, _)) = self.queue.pop_front() else {
+                break;
+            };
+            out.push(Envelope { src: self.src, msg });
         }
         d.bits_used = budget - remaining;
         d
