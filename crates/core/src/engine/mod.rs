@@ -70,9 +70,15 @@
 //!   push, decremented at delivery — are reported in each destination's
 //!   tally, so the per-round quiescence check does no per-link work.
 //! * Delivery-side accounting reuses the wire sizes cached in each
-//!   [`Link`] at staging time ([`crate::link::Delivery`]), so
-//!   [`crate::WireCodec::bits`] runs exactly once per link
-//!   message — and never for a self-send, which is free and unsized.
+//!   [`Link`] at staging time ([`crate::link::Delivery`]). A queued
+//!   link message is an `(M, u32)` entry, the message and its size: a
+//!   link stores its sender once and restores it in each `Envelope` at
+//!   delivery, and a self-queue holds bare messages, whose source is
+//!   the destination itself. So [`crate::WireCodec::bits`] runs exactly
+//!   once per link message, with one exception: a size of `u32::MAX`
+//!   bits (512 MiB) or more is queued as a sentinel and re-derived each
+//!   time delivery reaches that message. It never runs for a
+//!   self-send, which is free and unsized.
 //!
 //! Ordering is that of a dense walk: machines run in increasing index
 //! order, and each destination's active sources are visited in
