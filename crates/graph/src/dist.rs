@@ -359,19 +359,7 @@ impl<'a> DistGraphBuilder<'a> {
                 pairs[h].push((u, j));
             }
         }
-        for (l, mut p) in locals.iter_mut().zip(pairs) {
-            // Group by source; within a source, targets stay in ascending
-            // local-index (= ascending hosted vertex id) order.
-            p.sort_unstable();
-            for (u, j) in p {
-                if l.host_src.last() != Some(&u) {
-                    l.host_src.push(u);
-                    l.host_offsets.push(l.host_tgt.len());
-                }
-                l.host_tgt.push(j);
-            }
-            l.host_offsets.push(l.host_tgt.len());
-        }
+        finalize_host_pairs(&mut locals, pairs);
         DistGraph::assemble(locals, edge_loads)
     }
 
@@ -392,6 +380,27 @@ impl<'a> DistGraphBuilder<'a> {
             l.neighbors.reserve(edge_loads[i]);
         }
         edge_loads
+    }
+}
+
+/// Groups each machine's `(external source, hosted local target)` pairs
+/// into its [`LocalGraph::host_targets`] index: by source, and within a
+/// source in ascending local-index (= ascending hosted vertex id) order.
+/// Duplicate pairs collapse; a streamed arc may repeat, while a
+/// [`DiGraph`]'s arcs are already unique. Shared with the streaming
+/// builder in [`crate::stream`].
+pub(crate) fn finalize_host_pairs(locals: &mut [LocalGraph], pairs: Vec<Vec<(Vertex, u32)>>) {
+    for (l, mut p) in locals.iter_mut().zip(pairs) {
+        p.sort_unstable();
+        p.dedup();
+        for (u, j) in p {
+            if l.host_src.last() != Some(&u) {
+                l.host_src.push(u);
+                l.host_offsets.push(l.host_tgt.len());
+            }
+            l.host_tgt.push(j);
+        }
+        l.host_offsets.push(l.host_tgt.len());
     }
 }
 

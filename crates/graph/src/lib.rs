@@ -21,11 +21,11 @@
 //! * the per-machine graph-state layer ([`dist`]): the flat CSR-backed
 //!   [`LocalGraph`] every k-machine algorithm runs on, built for all `k`
 //!   machines in one fused pass by [`DistGraphBuilder`];
-//! * streaming / out-of-core ingestion ([`stream`]): chunked generator
-//!   drivers ([`EdgeStream`]) and a [`StreamingDistBuilder`] that routes
-//!   bounded [`EdgeChunk`]s straight into the per-machine locals —
-//!   byte-identical to the in-memory path without ever materializing the
-//!   global CSR, with an optional disk-spill mode ([`SpillConfig`]).
+//! * streaming ingestion ([`stream`]): chunked edge sources
+//!   ([`EdgeStream`], with the `G(n, p)` driver [`GnpStream`]) and a
+//!   [`StreamingDistBuilder`] that routes bounded [`EdgeChunk`]s straight
+//!   into the per-machine locals — byte-identical to the in-memory path
+//!   without ever materializing the global CSR.
 //!
 //! All randomized constructions take explicit seeds and are deterministic
 //! given the seed, so distributed executions built on top are replayable.
@@ -50,8 +50,5 @@ pub use dist::{DistGraph, DistGraphBuilder, LocalGraph};
 pub use error::GraphError;
 pub use ids::{Edge, MachineIdx, Triangle, Vertex};
 pub use partition::{Partition, PartitionModel};
-pub use stream::{
-    ChungLuStream, CompleteWeightedStream, EdgeChunk, EdgeStream, GnmStream, GnpStream,
-    SpillConfig, StreamError, StreamingDistBuilder, VecStream,
-};
+pub use stream::{EdgeChunk, EdgeStream, GnpStream, StreamError, StreamingDistBuilder, VecStream};
 pub use weighted::WeightedGraph;

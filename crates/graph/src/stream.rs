@@ -1,5 +1,5 @@
-//! Streaming / out-of-core graph ingestion: build a [`DistGraph`]
-//! without ever materializing the global CSR.
+//! Streaming graph ingestion: build a [`DistGraph`] without ever
+//! materializing the global CSR.
 //!
 //! **Why.** The paper's k-machine model assumes the input arrives
 //! *already distributed* by the random vertex partition (Section 1.1) —
@@ -14,30 +14,28 @@
 //! `O(n + chunk)` transient — never the `O(m)` global CSR plus its
 //! `O(m)` construction scratch.
 //!
-//! **RNG-replay invariant.** Each chunked generator
-//! ([`GnpStream`], [`GnmStream`], [`ChungLuStream`],
-//! [`CompleteWeightedStream`]) performs *exactly* the same RNG draws in
-//! the same order as its one-shot form, so the streamed edge sequence is
-//! bit-identical to the edges the one-shot generator feeds its CSR
-//! constructor. `tests/stream_equivalence.rs` proptests both halves of
-//! the contract: generator replay, and
+//! **RNG-replay invariant.** [`GnpStream`] performs *exactly* the same
+//! RNG draws in the same order as [`crate::generators::gnp()`], so the
+//! streamed edge sequence is bit-identical to the edges the one-shot
+//! generator feeds its CSR constructor. `tests/stream_equivalence.rs`
+//! proptests both halves of the contract: generator replay, and
 //! `StreamingDistBuilder == DistGraphBuilder` byte-for-byte.
 //!
-//! **Two-pass count-then-fill.** Without spill, the builder drives the
-//! stream twice ([`EdgeStream::reset`] rewinds it): pass 1 counts
-//! per-vertex degrees, which pre-sizes every machine's flat arrays
-//! exactly like [`DistGraphBuilder`]; pass 2 scatters endpoints into
-//! the pre-sized windows; a final per-window sort + dedup produces the
-//! canonical sorted-CSR form. Self-loops are dropped and duplicate
-//! edges collapse (keeping the minimum weight for weighted streams),
-//! matching the one-shot constructors.
+//! **Two-pass count-then-fill.** The builder drives the stream twice
+//! ([`EdgeStream::reset`] rewinds it): pass 1 counts per-vertex
+//! degrees, which pre-sizes every machine's flat arrays exactly like
+//! [`DistGraphBuilder`]; pass 2 scatters endpoints into the pre-sized
+//! windows; a final per-window sort + dedup produces the canonical
+//! sorted-CSR form. Self-loops are dropped and duplicate edges collapse
+//! (keeping the minimum weight for weighted streams), matching the
+//! one-shot constructors.
 //!
-//! * *Reader and router.* Every pass, spilled or not, reads through
-//!   one helper: the calling thread calls `next_chunk` (so a stream
-//!   need not be `Send`) while one scoped worker routes each chunk, in
-//!   order. A fixed ring of three chunks cycles between them over two
-//!   bounded channels. The first routing error stops the reader; a
-//!   routing panic is re-raised on the caller.
+//! * *Reader and router.* Both passes read through one helper: the
+//!   calling thread calls `next_chunk` (so a stream need not be `Send`)
+//!   while one scoped worker routes each chunk, in order. A fixed ring
+//!   of three chunks cycles between them over two bounded channels. The
+//!   first routing error stops the reader; a routing panic is re-raised
+//!   on the caller.
 //! * *Packed cursor.* One `u64` per vertex holds its home machine
 //!   (high half) and the next free slot of its window (low half), so
 //!   the fill pass finds both with one read. Windows are contiguous in
@@ -53,37 +51,20 @@
 //!   slot outside the pre-sized arrays, instead of writing into a
 //!   neighbour's window or panicking on an index.
 //!
-//! **Disk spill.** With [`SpillConfig`], the builder reads the stream
-//! *once*, appending fixed-width little-endian records to one run file
-//! per machine (8 bytes `(vertex, neighbor)` unweighted, 16 bytes with
-//! an `f64` weight, plus an 8-byte `(source, local target)` host-pair
-//! file for directed builds), buffering at most
-//! [`SpillConfig::buffer_edges`] records per machine in RAM. Finalize
-//! then loads, sorts, and dedups one machine's runs at a time, so
-//! transient memory is `O(k·buffer + m/k)` even when the whole edge
-//! set exceeds RAM. Run files live in a unique per-build directory that
-//! is removed on completion (and best-effort on error).
+//! There is no disk-spill path: the output [`DistGraph`] lives in one
+//! process either way, so spilling the edges cannot lift the RAM
+//! ceiling, and measured at the `ingest` workload's shape it was about
+//! twice as slow for a few percent less peak memory.
 
-use crate::dist::{DistGraph, DistGraphBuilder, LocalGraph};
+use crate::dist::{finalize_host_pairs, DistGraph, DistGraphBuilder, LocalGraph};
 use crate::error::GraphError;
 use crate::generators::gnp::unflatten;
 use crate::ids::Vertex;
 use crate::partition::Partition;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
-use std::fs::{self, File};
-use std::io::{Read as _, Write as _};
 use std::panic;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
-
-/// Default number of edges per chunk for the generator streams.
-pub const DEFAULT_CHUNK_EDGES: usize = 1 << 16;
-
-/// Default per-machine spill write-buffer size, in edge records.
-pub const DEFAULT_SPILL_BUFFER_EDGES: usize = 1 << 14;
 
 /// A bounded batch of edges handed from an [`EdgeStream`] to the
 /// builder. Weighted streams keep `weights` aligned with `edges`;
@@ -348,236 +329,15 @@ impl<R: Rng + SeedableRng> EdgeStream for GnpStream<R> {
     }
 }
 
-/// Chunked `G(n, m)` — the same Floyd-sampling draw sequence as
-/// [`crate::generators::gnm()`], emitting each freshly inserted pair
-/// index as it is chosen.
-///
-/// Note: Floyd's algorithm requires remembering the chosen set, so this
-/// stream keeps `O(m)` state — it streams the *edge list*, not the
-/// sampler. For `O(1)`-state generation at the largest scales use
-/// [`GnpStream`].
-#[derive(Debug)]
-pub struct GnmStream<R> {
-    n: usize,
-    m: usize,
-    seed: u64,
-    chunk_size: usize,
-    total: u64,
-    j: u64,
-    chosen: HashSet<u64>,
-    rng: R,
-}
-
-impl<R: Rng + SeedableRng> GnmStream<R> {
-    /// A stream sampling the same edge set as
-    /// `gnm(n, m, &mut R::seed_from_u64(seed))`.
-    ///
-    /// # Panics
-    /// Panics if `m > C(n,2)` or `chunk_size == 0`.
-    pub fn new(n: usize, m: usize, seed: u64, chunk_size: usize) -> Self {
-        let total: u64 = (n as u64) * (n as u64).saturating_sub(1) / 2;
-        assert!((m as u64) <= total, "m={m} exceeds C({n},2)={total}");
-        assert!(chunk_size > 0, "chunk size must be positive");
-        GnmStream {
-            n,
-            m,
-            seed,
-            chunk_size,
-            total,
-            j: total - m as u64,
-            chosen: HashSet::with_capacity(m * 2),
-            rng: R::seed_from_u64(seed),
-        }
-    }
-}
-
-impl<R: Rng + SeedableRng> EdgeStream for GnmStream<R> {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn next_chunk(&mut self, chunk: &mut EdgeChunk) -> bool {
-        chunk.clear();
-        while self.j < self.total && chunk.len() < self.chunk_size {
-            // Identical draw to the one-shot loop; each iteration
-            // inserts exactly one fresh pair index (`j` itself is always
-            // fresh because it exceeds every previously inserted value).
-            let t = self.rng.gen_range(0..=self.j);
-            let idx = if self.chosen.insert(t) {
-                t
-            } else {
-                self.chosen.insert(self.j);
-                self.j
-            };
-            let (u, v) = unflatten(idx, self.n);
-            chunk.push(u, v);
-            self.j += 1;
-        }
-        !chunk.is_empty()
-    }
-
-    fn reset(&mut self) {
-        self.rng = R::seed_from_u64(self.seed);
-        self.j = self.total - self.m as u64;
-        self.chosen.clear();
-    }
-}
-
-/// Chunked Chung–Lu — the same pair-scan `gen_bool` sequence as
-/// [`crate::generators::chung_lu()`], with the scan cursor `(i, j)`
-/// carried across chunks (including the zero-weight row skip, which
-/// consumes no draws).
-#[derive(Debug, Clone)]
-pub struct ChungLuStream<R> {
-    weights: Vec<f64>,
-    total: f64,
-    seed: u64,
-    chunk_size: usize,
-    i: usize,
-    j: usize,
-    rng: R,
-}
-
-impl<R: Rng + SeedableRng> ChungLuStream<R> {
-    /// A stream equivalent to
-    /// `chung_lu(&weights, &mut R::seed_from_u64(seed))`.
-    ///
-    /// # Panics
-    /// Panics if any weight is negative or non-finite, or
-    /// `chunk_size == 0` (same contract as the one-shot form).
-    pub fn new(weights: Vec<f64>, seed: u64, chunk_size: usize) -> Self {
-        for &w in &weights {
-            assert!(
-                w.is_finite() && w >= 0.0,
-                "weights must be finite and non-negative"
-            );
-        }
-        assert!(chunk_size > 0, "chunk size must be positive");
-        let total: f64 = weights.iter().sum();
-        ChungLuStream {
-            weights,
-            total,
-            seed,
-            chunk_size,
-            i: 0,
-            j: 1,
-            rng: R::seed_from_u64(seed),
-        }
-    }
-}
-
-impl<R: Rng + SeedableRng> EdgeStream for ChungLuStream<R> {
-    fn n(&self) -> usize {
-        self.weights.len()
-    }
-
-    fn next_chunk(&mut self, chunk: &mut EdgeChunk) -> bool {
-        chunk.clear();
-        let n = self.weights.len();
-        if self.total <= 0.0 {
-            // One-shot form draws nothing when the weight mass is zero.
-            return false;
-        }
-        while self.i < n {
-            if self.weights[self.i] == 0.0 {
-                // Zero-weight rows are skipped without consuming draws.
-                self.i += 1;
-                self.j = self.i + 1;
-                continue;
-            }
-            while self.j < n {
-                if chunk.len() == self.chunk_size {
-                    return true;
-                }
-                let p = (self.weights[self.i] * self.weights[self.j] / self.total).min(1.0);
-                let hit = p > 0.0 && self.rng.gen_bool(p);
-                if hit {
-                    chunk.push(self.i as Vertex, self.j as Vertex);
-                }
-                self.j += 1;
-            }
-            self.i += 1;
-            self.j = self.i + 1;
-        }
-        !chunk.is_empty()
-    }
-
-    fn reset(&mut self) {
-        self.rng = R::seed_from_u64(self.seed);
-        self.i = 0;
-        self.j = 1;
-    }
-}
-
-/// Chunked weighted `K_n` — the same `Uniform(0,1)` draw sequence as
-/// [`crate::generators::classic::complete_weighted_random()`], one
-/// draw per pair in row-major order.
-#[derive(Debug, Clone)]
-pub struct CompleteWeightedStream<R> {
-    n: usize,
-    seed: u64,
-    chunk_size: usize,
-    total: u64,
-    idx: u64,
-    rng: R,
-}
-
-impl<R: Rng + SeedableRng> CompleteWeightedStream<R> {
-    /// A stream equivalent to
-    /// `complete_weighted_random(n, &mut R::seed_from_u64(seed))`.
-    ///
-    /// # Panics
-    /// Panics if `chunk_size == 0`.
-    pub fn new(n: usize, seed: u64, chunk_size: usize) -> Self {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        CompleteWeightedStream {
-            n,
-            seed,
-            chunk_size,
-            total: (n as u64) * (n as u64).saturating_sub(1) / 2,
-            idx: 0,
-            rng: R::seed_from_u64(seed),
-        }
-    }
-}
-
-impl<R: Rng + SeedableRng> EdgeStream for CompleteWeightedStream<R> {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn is_weighted(&self) -> bool {
-        true
-    }
-
-    fn next_chunk(&mut self, chunk: &mut EdgeChunk) -> bool {
-        chunk.clear();
-        while self.idx < self.total && chunk.len() < self.chunk_size {
-            let (u, v) = unflatten(self.idx, self.n);
-            let w = self.rng.gen_range(0.0..1.0);
-            chunk.push_weighted(u, v, w);
-            self.idx += 1;
-        }
-        !chunk.is_empty()
-    }
-
-    fn reset(&mut self) {
-        self.rng = R::seed_from_u64(self.seed);
-        self.idx = 0;
-    }
-}
-
 /// Why a streaming build failed.
 #[derive(Debug)]
 pub enum StreamError {
     /// The streamed input violated a graph invariant (e.g. a non-finite
     /// weight) — same error family as the one-shot constructors.
     Graph(GraphError),
-    /// A disk-spill file operation failed.
-    Io(std::io::Error),
     /// After [`EdgeStream::reset`], the stream did not replay the edge
-    /// (and weight) sequence the in-RAM build's count pass sized its
-    /// windows for.
+    /// (and weight) sequence the build's count pass sized its windows
+    /// for.
     ReplayMismatch,
 }
 
@@ -585,7 +345,6 @@ impl std::fmt::Display for StreamError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StreamError::Graph(e) => write!(f, "streamed input rejected: {e}"),
-            StreamError::Io(e) => write!(f, "spill i/o failed: {e}"),
             StreamError::ReplayMismatch => {
                 write!(f, "stream replayed a different edge sequence after reset")
             }
@@ -597,7 +356,6 @@ impl std::error::Error for StreamError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StreamError::Graph(e) => Some(e),
-            StreamError::Io(e) => Some(e),
             StreamError::ReplayMismatch => None,
         }
     }
@@ -609,47 +367,18 @@ impl From<GraphError> for StreamError {
     }
 }
 
-impl From<std::io::Error> for StreamError {
-    fn from(e: std::io::Error) -> Self {
-        StreamError::Io(e)
-    }
-}
-
-/// Disk-spill configuration for [`StreamingDistBuilder::spill`].
-#[derive(Debug, Clone, Default)]
-pub struct SpillConfig {
-    /// Directory for the per-build run-file directory; `None` uses
-    /// [`std::env::temp_dir`].
-    pub dir: Option<PathBuf>,
-    /// In-RAM write buffer per machine, in edge records; `0` uses
-    /// [`DEFAULT_SPILL_BUFFER_EDGES`].
-    pub buffer_edges: usize,
-}
-
 /// Builds all `k` [`LocalGraph`]s straight from an [`EdgeStream`],
 /// producing a [`DistGraph`] byte-for-byte equal to the
 /// [`DistGraphBuilder`] path without ever holding the global CSR.
 #[derive(Debug, Clone)]
 pub struct StreamingDistBuilder<'a> {
     part: &'a Arc<Partition>,
-    spill: Option<SpillConfig>,
 }
-
-/// Monotone counter making concurrent spill directories unique within
-/// the process (combined with the pid for uniqueness across processes).
-static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 impl<'a> StreamingDistBuilder<'a> {
     /// A streaming builder distributing over `part`'s machines.
     pub fn new(part: &'a Arc<Partition>) -> Self {
-        StreamingDistBuilder { part, spill: None }
-    }
-
-    /// Enables disk spill: the stream is read once and routed to
-    /// per-machine run files, finalized one machine at a time.
-    pub fn spill(mut self, cfg: SpillConfig) -> Self {
-        self.spill = Some(cfg);
-        self
+        StreamingDistBuilder { part }
     }
 
     /// Distributes an undirected edge stream (both endpoints receive
@@ -701,31 +430,18 @@ impl<'a> StreamingDistBuilder<'a> {
         self.build(stream, Mode::Directed)
     }
 
-    fn build<S: EdgeStream + ?Sized>(
-        &self,
-        stream: &mut S,
-        mode: Mode,
-    ) -> Result<DistGraph, StreamError> {
-        assert_eq!(stream.n(), self.part.n(), "partition size mismatch");
-        match &self.spill {
-            None => self.build_in_ram(stream, mode),
-            Some(cfg) => self.build_spilled(stream, mode, cfg),
-        }
-    }
-
-    // ---- in-RAM two-pass path -------------------------------------
-
     /// Count pass + fill pass + per-window canonicalization. Transient
     /// memory above the final locals is `O(n)` (degree/cursor arrays —
     /// the same order as the shared `local_of` index) plus the
     /// [`RING_CHUNKS`] chunks in flight; the directed mode additionally
     /// stages the `O(m)` host pairs, exactly like the in-memory
     /// builder's `pairs` staging.
-    fn build_in_ram<S: EdgeStream + ?Sized>(
+    fn build<S: EdgeStream + ?Sized>(
         &self,
         stream: &mut S,
         mode: Mode,
     ) -> Result<DistGraph, StreamError> {
+        assert_eq!(stream.n(), self.part.n(), "partition size mismatch");
         let part = self.part;
         let n = part.n();
         let k = part.k();
@@ -816,115 +532,6 @@ impl<'a> StreamingDistBuilder<'a> {
         if mode == Mode::Directed {
             finalize_host_pairs(&mut locals, host_pairs);
         }
-        Ok(DistGraph::assemble(locals, edge_loads))
-    }
-
-    // ---- disk-spill single-pass path ------------------------------
-
-    fn build_spilled<S: EdgeStream + ?Sized>(
-        &self,
-        stream: &mut S,
-        mode: Mode,
-        cfg: &SpillConfig,
-    ) -> Result<DistGraph, StreamError> {
-        let part = self.part;
-        let n = part.n();
-        let k = part.k();
-        let both = mode != Mode::Directed;
-        let weighted = mode == Mode::Weighted;
-        let rec = if weighted { 16 } else { 8 };
-        let buffer_edges = if cfg.buffer_edges == 0 {
-            DEFAULT_SPILL_BUFFER_EDGES
-        } else {
-            cfg.buffer_edges
-        };
-
-        let dir = SpillDir::create(cfg.dir.clone())?;
-        let mut adj = SpillWriters::open(&dir.path, "adj", k, rec * buffer_edges)?;
-        let mut host = if both {
-            None
-        } else {
-            Some(SpillWriters::open(&dir.path, "host", k, 8 * buffer_edges)?)
-        };
-
-        let mut locals = DistGraphBuilder::new(part).shells(n);
-        let local_of: Arc<[u32]> = Arc::clone(&locals[0].local_of);
-
-        // Single pass: route fixed-width records to per-machine runs.
-        pump(stream, |chunk| {
-            check_weights(chunk, weighted)?;
-            for (e, &(u, v)) in chunk.edges().iter().enumerate() {
-                check_endpoints(u, v, n);
-                if u == v {
-                    continue;
-                }
-                let w = if weighted { chunk.weights()[e] } else { 0.0 };
-                adj.push(part.home(u), u, v, weighted.then_some(w))?;
-                if both {
-                    adj.push(part.home(v), v, u, weighted.then_some(w))?;
-                } else if let Some(h) = host.as_mut() {
-                    h.push(part.home(v), u, local_of[v as usize], None)?;
-                }
-            }
-            Ok(())
-        })?;
-        adj.flush_all()?;
-        if let Some(h) = host.as_mut() {
-            h.flush_all()?;
-        }
-
-        // Finalize one machine at a time: load its run, sort, dedup,
-        // fill the local — transient memory is one machine's edge set.
-        let mut edge_loads = vec![0usize; k];
-        let mut host_pairs: Vec<Vec<(Vertex, u32)>> = vec![Vec::new(); k];
-        for (i, l) in locals.iter_mut().enumerate() {
-            if weighted {
-                let mut triples = adj.read_weighted(i)?;
-                triples
-                    .sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then(a.2.total_cmp(&b.2)));
-                triples.dedup_by_key(|t| (t.0, t.1));
-                l.weighted = true;
-                l.neighbors.reserve(triples.len());
-                l.weights.reserve(triples.len());
-                let mut ptr = 0usize;
-                for &v in part.members(i) {
-                    while ptr < triples.len() && triples[ptr].0 == v {
-                        l.neighbors.push(triples[ptr].1);
-                        l.weights.push(triples[ptr].2);
-                        ptr += 1;
-                    }
-                    l.offsets.push(l.neighbors.len());
-                }
-                debug_assert_eq!(ptr, triples.len());
-            } else {
-                let mut pairs = adj.read_pairs(i)?;
-                pairs.sort_unstable();
-                pairs.dedup();
-                l.neighbors.reserve(pairs.len());
-                let mut ptr = 0usize;
-                for &v in part.members(i) {
-                    while ptr < pairs.len() && pairs[ptr].0 == v {
-                        l.neighbors.push(pairs[ptr].1);
-                        ptr += 1;
-                    }
-                    l.offsets.push(l.neighbors.len());
-                }
-                debug_assert_eq!(ptr, pairs.len());
-            }
-            edge_loads[i] = l.neighbors.len();
-            if let Some(h) = host.as_ref() {
-                let mut pairs = h.read_pairs(i)?;
-                pairs.sort_unstable();
-                pairs.dedup();
-                host_pairs[i] = pairs;
-            }
-        }
-        if mode == Mode::Directed {
-            finalize_host_pairs(&mut locals, host_pairs);
-        }
-        drop(adj);
-        drop(host);
-        dir.remove()?;
         Ok(DistGraph::assemble(locals, edge_loads))
     }
 }
@@ -1151,181 +758,21 @@ fn canonicalize(
     Ok(write)
 }
 
-/// Groups sorted, dedup'd `(source, local target)` pairs into each
-/// local's `host_targets` index — the same grouping loop as
-/// [`DistGraphBuilder::directed`].
-fn finalize_host_pairs(locals: &mut [LocalGraph], host_pairs: Vec<Vec<(Vertex, u32)>>) {
-    for (l, mut p) in locals.iter_mut().zip(host_pairs) {
-        p.sort_unstable();
-        p.dedup();
-        for (u, j) in p {
-            if l.host_src.last() != Some(&u) {
-                l.host_src.push(u);
-                l.host_offsets.push(l.host_tgt.len());
-            }
-            l.host_tgt.push(j);
-        }
-        l.host_offsets.push(l.host_tgt.len());
-    }
-}
-
-/// The unique per-build spill directory, removed on drop (best effort)
-/// or explicitly with a reported error.
-#[derive(Debug)]
-struct SpillDir {
-    path: PathBuf,
-    removed: bool,
-}
-
-impl SpillDir {
-    fn create(base: Option<PathBuf>) -> Result<Self, StreamError> {
-        let base = base.unwrap_or_else(std::env::temp_dir);
-        let pid = std::process::id();
-        loop {
-            let c = SPILL_COUNTER.fetch_add(1, Ordering::Relaxed);
-            let path = base.join(format!("km-stream-spill-{pid}-{c}"));
-            match fs::create_dir_all(&base).and_then(|()| fs::create_dir(&path)) {
-                Ok(()) => {
-                    return Ok(SpillDir {
-                        path,
-                        removed: false,
-                    })
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
-    fn remove(mut self) -> Result<(), StreamError> {
-        self.removed = true;
-        fs::remove_dir_all(&self.path)?;
-        Ok(())
-    }
-}
-
-impl Drop for SpillDir {
-    fn drop(&mut self) {
-        if !self.removed {
-            let _ = fs::remove_dir_all(&self.path);
-        }
-    }
-}
-
-/// One run file per machine with a bounded in-RAM write buffer.
-#[derive(Debug)]
-struct SpillWriters {
-    paths: Vec<PathBuf>,
-    files: Vec<File>,
-    buffers: Vec<Vec<u8>>,
-    buffer_bytes: usize,
-}
-
-impl SpillWriters {
-    fn open(
-        dir: &std::path::Path,
-        tag: &str,
-        k: usize,
-        buffer_bytes: usize,
-    ) -> Result<Self, StreamError> {
-        let mut paths = Vec::with_capacity(k);
-        let mut files = Vec::with_capacity(k);
-        for i in 0..k {
-            let p = dir.join(format!("{tag}-{i}.run"));
-            files.push(File::create(&p)?);
-            paths.push(p);
-        }
-        Ok(SpillWriters {
-            paths,
-            files,
-            buffers: vec![Vec::new(); k],
-            buffer_bytes: buffer_bytes.max(24),
-        })
-    }
-
-    /// Appends one record — `(a, b)` as two `u32`s, plus an optional
-    /// `f64` weight — to machine `i`'s run, flushing a full buffer.
-    fn push(&mut self, i: usize, a: u32, b: u32, w: Option<f64>) -> Result<(), StreamError> {
-        let buf = &mut self.buffers[i];
-        buf.extend_from_slice(&a.to_le_bytes());
-        buf.extend_from_slice(&b.to_le_bytes());
-        if let Some(w) = w {
-            buf.extend_from_slice(&w.to_le_bytes());
-        }
-        if buf.len() >= self.buffer_bytes {
-            self.files[i].write_all(buf)?;
-            buf.clear();
-        }
-        Ok(())
-    }
-
-    fn flush_all(&mut self) -> Result<(), StreamError> {
-        for (f, buf) in self.files.iter_mut().zip(&mut self.buffers) {
-            if !buf.is_empty() {
-                f.write_all(buf)?;
-            }
-            buf.clear();
-            buf.shrink_to_fit();
-        }
-        Ok(())
-    }
-
-    fn read_bytes(&self, i: usize) -> Result<Vec<u8>, StreamError> {
-        let mut bytes = Vec::new();
-        File::open(&self.paths[i])?.read_to_end(&mut bytes)?;
-        Ok(bytes)
-    }
-
-    /// Reads machine `i`'s run as 8-byte `(u32, u32)` records.
-    fn read_pairs(&self, i: usize) -> Result<Vec<(u32, u32)>, StreamError> {
-        let bytes = self.read_bytes(i)?;
-        debug_assert_eq!(bytes.len() % 8, 0);
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| {
-                (
-                    u32::from_le_bytes([c[0], c[1], c[2], c[3]]),
-                    u32::from_le_bytes([c[4], c[5], c[6], c[7]]),
-                )
-            })
-            .collect())
-    }
-
-    /// Reads machine `i`'s run as 16-byte `(u32, u32, f64)` records.
-    fn read_weighted(&self, i: usize) -> Result<Vec<(u32, u32, f64)>, StreamError> {
-        let bytes = self.read_bytes(i)?;
-        debug_assert_eq!(bytes.len() % 16, 0);
-        Ok(bytes
-            .chunks_exact(16)
-            .map(|c| {
-                (
-                    u32::from_le_bytes([c[0], c[1], c[2], c[3]]),
-                    u32::from_le_bytes([c[4], c[5], c[6], c[7]]),
-                    f64::from_le_bytes([c[8], c[9], c[10], c[11], c[12], c[13], c[14], c[15]]),
-                )
-            })
-            .collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::csr::CsrGraph;
-    use crate::generators::{chung_lu, classic, gnm, gnp, power_law_weights};
-    use crate::weighted::WeightedGraph;
+    use crate::generators::gnp;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn drain(s: &mut impl EdgeStream) -> (Vec<(Vertex, Vertex)>, Vec<f64>) {
+    fn drain(s: &mut impl EdgeStream) -> Vec<(Vertex, Vertex)> {
         let mut chunk = EdgeChunk::default();
         let mut edges = Vec::new();
-        let mut weights = Vec::new();
         while s.next_chunk(&mut chunk) {
             edges.extend_from_slice(chunk.edges());
-            weights.extend_from_slice(chunk.weights());
         }
-        (edges, weights)
+        edges
     }
 
     #[test]
@@ -1335,10 +782,10 @@ mod tests {
         let mut chunk = EdgeChunk::default();
         assert!(s.next_chunk(&mut chunk));
         assert_eq!(chunk.edges(), &edges[..2]);
-        let (rest, _) = drain(&mut s);
+        let rest = drain(&mut s);
         assert_eq!(rest, &edges[2..]);
         s.reset();
-        assert_eq!(drain(&mut s).0, edges);
+        assert_eq!(drain(&mut s), edges);
     }
 
     #[test]
@@ -1346,55 +793,14 @@ mod tests {
         for &(n, p, seed) in &[(60, 0.1, 7u64), (40, 0.5, 1), (10, 1.0, 3), (10, 0.0, 3)] {
             let g = gnp(n, p, &mut ChaCha8Rng::seed_from_u64(seed));
             let mut s = GnpStream::<ChaCha8Rng>::new(n, p, seed, 13);
-            let (edges, _) = drain(&mut s);
+            let edges = drain(&mut s);
             // gnp emits strictly increasing flat indices, so the edge
             // sequence equals the one-shot CSR's canonical edge order.
             let want: Vec<(Vertex, Vertex)> = g.edges().map(|e| (e.u, e.v)).collect();
             assert_eq!(edges, want, "n={n} p={p}");
             s.reset();
-            assert_eq!(drain(&mut s).0, edges);
+            assert_eq!(drain(&mut s), edges);
         }
-    }
-
-    #[test]
-    fn gnm_stream_samples_the_one_shot_edge_set() {
-        for &(n, m, seed) in &[(30, 100, 5u64), (10, 45, 2), (10, 0, 2), (5, 10, 9)] {
-            let g = gnm(n, m, &mut ChaCha8Rng::seed_from_u64(seed));
-            let mut s = GnmStream::<ChaCha8Rng>::new(n, m, seed, 7);
-            let (edges, _) = drain(&mut s);
-            assert_eq!(edges.len(), m);
-            assert_eq!(CsrGraph::from_edges(n, &edges), g, "n={n} m={m}");
-            s.reset();
-            assert_eq!(drain(&mut s).0, edges);
-        }
-    }
-
-    #[test]
-    fn chung_lu_stream_replays_one_shot_sequence() {
-        let mut w = power_law_weights(50, 2.5, 6.0);
-        w[3] = 0.0; // exercise the zero-weight row skip
-        w[17] = 0.0;
-        let g = chung_lu(&w, &mut ChaCha8Rng::seed_from_u64(23));
-        let mut s = ChungLuStream::<ChaCha8Rng>::new(w, 23, 11);
-        let (edges, _) = drain(&mut s);
-        let want: Vec<(Vertex, Vertex)> = g.edges().map(|e| (e.u, e.v)).collect();
-        assert_eq!(edges, want);
-    }
-
-    #[test]
-    fn chung_lu_stream_zero_mass_is_empty() {
-        let mut s = ChungLuStream::<ChaCha8Rng>::new(vec![0.0; 8], 1, 4);
-        assert!(drain(&mut s).0.is_empty());
-    }
-
-    #[test]
-    fn complete_weighted_stream_replays_one_shot_draws() {
-        let g = classic::complete_weighted_random(9, &mut ChaCha8Rng::seed_from_u64(4)).unwrap();
-        let mut s = CompleteWeightedStream::<ChaCha8Rng>::new(9, 4, 5);
-        let (edges, weights) = drain(&mut s);
-        assert_eq!(edges.len(), 36);
-        let streamed = WeightedGraph::from_weighted_edges(9, &edges, &weights).unwrap();
-        assert_eq!(streamed, g);
     }
 
     #[test]
@@ -1419,28 +825,6 @@ mod tests {
     }
 
     #[test]
-    fn spill_mode_matches_and_cleans_up() {
-        let mut rng = ChaCha8Rng::seed_from_u64(12);
-        let g = gnp(80, 0.15, &mut rng);
-        let part = Arc::new(Partition::by_hash(80, 4, 2));
-        let want = DistGraphBuilder::new(&part).undirected(&g);
-        let dir = std::env::temp_dir().join("km-stream-spill-test");
-        let mut s = GnpStream::<ChaCha8Rng>::new(80, 0.15, 12, 17);
-        let got = StreamingDistBuilder::new(&part)
-            .spill(SpillConfig {
-                dir: Some(dir.clone()),
-                buffer_edges: 8,
-            })
-            .undirected(&mut s)
-            .unwrap();
-        assert_eq!(got, want);
-        // The per-build subdirectory is gone; only the base dir remains.
-        let leftovers: Vec<_> = fs::read_dir(&dir).unwrap().collect();
-        assert!(leftovers.is_empty(), "spill files not cleaned up");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn weighted_stream_rejects_non_finite_weight() {
         let part = Arc::new(Partition::round_robin(3, 2));
         let mut s = VecStream::weighted(3, vec![(0, 1), (1, 2)], vec![1.0, f64::NAN], 8);
@@ -1459,26 +843,22 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_weight_in_a_later_chunk_fails_typed_in_both_modes() {
+    fn non_finite_weight_in_a_later_chunk_fails_typed() {
         let part = Arc::new(Partition::round_robin(6, 2));
         let edges = vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)];
         // A middle chunk and the last chunk, one edge per chunk.
         for bad in [2, 4] {
             let mut weights = vec![1.0; edges.len()];
             weights[bad] = f64::NAN;
-            for spill in [false, true] {
-                let mut b = StreamingDistBuilder::new(&part);
-                if spill {
-                    b = b.spill(SpillConfig::default());
-                }
-                let mut s = VecStream::weighted(6, edges.clone(), weights.clone(), 1);
-                let err = b.weighted(&mut s).unwrap_err();
-                let (u, v) = edges[bad];
-                assert!(
-                    matches!(err, StreamError::Graph(GraphError::NonFiniteWeight { u: eu, v: ev, .. }) if (eu, ev) == (u, v)),
-                    "bad={bad} spill={spill}: {err}"
-                );
-            }
+            let mut s = VecStream::weighted(6, edges.clone(), weights, 1);
+            let err = StreamingDistBuilder::new(&part)
+                .weighted(&mut s)
+                .unwrap_err();
+            let (u, v) = edges[bad];
+            assert!(
+                matches!(err, StreamError::Graph(GraphError::NonFiniteWeight { u: eu, v: ev, .. }) if (eu, ev) == (u, v)),
+                "bad={bad}: {err}"
+            );
         }
     }
 
@@ -1488,16 +868,6 @@ mod tests {
         let part = Arc::new(Partition::round_robin(4, 2));
         let mut s = VecStream::new(4, vec![(0, 1), (1, 2), (2, 3), (3, 9)], 1);
         let _ = StreamingDistBuilder::new(&part).undirected(&mut s);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_endpoint_in_a_later_chunk_panics_on_the_caller_spilled() {
-        let part = Arc::new(Partition::round_robin(4, 2));
-        let mut s = VecStream::new(4, vec![(0, 1), (1, 2), (2, 3), (3, 9)], 1);
-        let _ = StreamingDistBuilder::new(&part)
-            .spill(SpillConfig::default())
-            .undirected(&mut s);
     }
 
     /// Breaks the replay contract: the first pass after a reset reads

@@ -2,17 +2,14 @@
 //! (`km_graph::stream`): a [`StreamingDistBuilder`] build is *exactly*
 //! equal — every stored array, every offset, every weight — to the
 //! in-memory [`DistGraphBuilder`] path over the same input, across
-//! partition models, graph types, chunk sizes, and spill on/off; and the
-//! chunked generator drivers replay the one-shot generators' RNG streams
+//! partition models, graph types and chunk sizes; and the chunked
+//! `G(n, p)` driver replays the one-shot generator's RNG stream
 //! bit-identically.
 
 use km_graph::dist::DistGraphBuilder;
-use km_graph::generators::{chung_lu, classic, gnm, gnp, power_law_weights};
-use km_graph::stream::{
-    ChungLuStream, CompleteWeightedStream, EdgeChunk, EdgeStream, GnmStream, GnpStream,
-    SpillConfig, StreamingDistBuilder, VecStream,
-};
-use km_graph::{CsrGraph, DiGraph, DistGraph, Partition, Vertex, WeightedGraph};
+use km_graph::generators::gnp;
+use km_graph::stream::{EdgeChunk, EdgeStream, GnpStream, StreamingDistBuilder, VecStream};
+use km_graph::{CsrGraph, DiGraph, Partition, Vertex, WeightedGraph};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -27,42 +24,19 @@ fn make_partition(n: usize, k: usize, model: u8, seed: u64) -> Arc<Partition> {
     })
 }
 
-/// Builds via the streaming path, optionally through the disk-spill mode.
-fn stream_build<S: EdgeStream>(
-    part: &Arc<Partition>,
-    stream: &mut S,
-    spill: bool,
-    mode: u8,
-) -> DistGraph {
-    let mut b = StreamingDistBuilder::new(part);
-    if spill {
-        b = b.spill(SpillConfig {
-            dir: None,
-            buffer_edges: 16, // tiny buffer to force real run-file traffic
-        });
-    }
-    match mode {
-        0 => b.undirected(stream).unwrap(),
-        1 => b.weighted(stream).unwrap(),
-        _ => b.directed(stream).unwrap(),
-    }
-}
-
-fn drain(s: &mut impl EdgeStream) -> (Vec<(Vertex, Vertex)>, Vec<f64>) {
+fn drain(s: &mut impl EdgeStream) -> Vec<(Vertex, Vertex)> {
     let mut chunk = EdgeChunk::default();
     let mut edges = Vec::new();
-    let mut weights = Vec::new();
     while s.next_chunk(&mut chunk) {
         edges.extend_from_slice(chunk.edges());
-        weights.extend_from_slice(chunk.weights());
     }
-    (edges, weights)
+    edges
 }
 
 proptest! {
     /// Arbitrary edge soup (duplicates, self-loops, both orientations):
     /// streaming == in-memory for undirected builds, across all partition
-    /// models, chunk sizes, and spill settings.
+    /// models and chunk sizes.
     #[test]
     fn undirected_streaming_equals_in_memory(
         params in (2usize..40, 1usize..6, 0u8..6, 0u64..1000),
@@ -75,11 +49,9 @@ proptest! {
         let part = make_partition(n, k, model, seed);
         let g = CsrGraph::from_edges(n, &edges);
         let want = DistGraphBuilder::new(&part).undirected(&g);
-        for spill in [false, true] {
-            let mut s = VecStream::new(n, edges.clone(), chunk_size);
-            let got = stream_build(&part, &mut s, spill, 0);
-            prop_assert_eq!(&got, &want, "spill={}", spill);
-        }
+        let mut s = VecStream::new(n, edges, chunk_size);
+        let got = StreamingDistBuilder::new(&part).undirected(&mut s).unwrap();
+        prop_assert_eq!(got, want);
     }
 
     /// Weighted builds: duplicate edges keep the minimum weight exactly
@@ -103,11 +75,9 @@ proptest! {
         let part = make_partition(n, k, model, seed);
         let g = WeightedGraph::from_weighted_edges(n, &edges, &weights).unwrap();
         let want = DistGraphBuilder::new(&part).weighted(&g);
-        for spill in [false, true] {
-            let mut s = VecStream::weighted(n, edges.clone(), weights.clone(), chunk_size);
-            let got = stream_build(&part, &mut s, spill, 1);
-            prop_assert_eq!(&got, &want, "spill={}", spill);
-        }
+        let mut s = VecStream::weighted(n, edges, weights, chunk_size);
+        let got = StreamingDistBuilder::new(&part).weighted(&mut s).unwrap();
+        prop_assert_eq!(got, want);
     }
 
     /// Directed builds: out-adjacency and the receiver-side
@@ -124,11 +94,9 @@ proptest! {
         let part = make_partition(n, k, model, seed);
         let g = DiGraph::from_arcs(n, &arcs);
         let want = DistGraphBuilder::new(&part).directed(&g);
-        for spill in [false, true] {
-            let mut s = VecStream::new(n, arcs.clone(), chunk_size);
-            let got = stream_build(&part, &mut s, spill, 2);
-            prop_assert_eq!(&got, &want, "spill={}", spill);
-        }
+        let mut s = VecStream::new(n, arcs, chunk_size);
+        let got = StreamingDistBuilder::new(&part).directed(&mut s).unwrap();
+        prop_assert_eq!(got, want);
     }
 
     /// `GnpStream` replays the exact one-shot RNG stream: the streamed
@@ -146,7 +114,7 @@ proptest! {
         let p = p_millis as f64 / 1000.0;
         let g = gnp(n, p, &mut ChaCha8Rng::seed_from_u64(seed));
         let mut s = GnpStream::<ChaCha8Rng>::new(n, p, seed, chunk_size);
-        let (edges, _) = drain(&mut s);
+        let edges = drain(&mut s);
         let want_seq: Vec<(Vertex, Vertex)> = g.edges().map(|e| (e.u, e.v)).collect();
         prop_assert_eq!(&edges, &want_seq);
         let part = make_partition(n, k, model, seed ^ 0x9e37);
@@ -154,72 +122,6 @@ proptest! {
         s.reset();
         let got = StreamingDistBuilder::new(&part).undirected(&mut s).unwrap();
         prop_assert_eq!(got, want);
-    }
-
-    /// `GnmStream` samples the identical edge *set* (the one-shot form's
-    /// emission order is HashSet-iteration order, so sets — and the built
-    /// graphs — are compared, not sequences).
-    #[test]
-    fn gnm_stream_matches_one_shot(
-        params in (2usize..40, 1usize..5, 0u8..6),
-        m_frac in 0u32..=100,
-        seed in 0u64..1000,
-        chunk_size in 1usize..60,
-    ) {
-        let (n, k, model) = params;
-        let total = n * (n - 1) / 2;
-        let m = (total as u64 * m_frac as u64 / 100) as usize;
-        let g = gnm(n, m, &mut ChaCha8Rng::seed_from_u64(seed));
-        let mut s = GnmStream::<ChaCha8Rng>::new(n, m, seed, chunk_size);
-        let (edges, _) = drain(&mut s);
-        prop_assert_eq!(edges.len(), m);
-        prop_assert_eq!(&CsrGraph::from_edges(n, &edges), &g);
-        let part = make_partition(n, k, model, seed ^ 0x51f);
-        let want = DistGraphBuilder::new(&part).undirected(&g);
-        s.reset();
-        let got = StreamingDistBuilder::new(&part).undirected(&mut s).unwrap();
-        prop_assert_eq!(got, want);
-    }
-
-    /// `ChungLuStream` replays the pair-scan `gen_bool` draws exactly,
-    /// including skipped zero-weight rows.
-    #[test]
-    fn chung_lu_stream_matches_one_shot(
-        n in 2usize..50,
-        gamma_tenths in 15u32..40,
-        seed in 0u64..1000,
-        chunk_size in 1usize..60,
-    ) {
-        let mut w = power_law_weights(n, gamma_tenths as f64 / 10.0, 3.0);
-        // Zero out a couple of rows to exercise the no-draw skip.
-        w[seed as usize % n] = 0.0;
-        w[(seed as usize / 7) % n] = 0.0;
-        let g = chung_lu(&w, &mut ChaCha8Rng::seed_from_u64(seed));
-        let mut s = ChungLuStream::<ChaCha8Rng>::new(w, seed, chunk_size);
-        let (edges, _) = drain(&mut s);
-        let want_seq: Vec<(Vertex, Vertex)> = g.edges().map(|e| (e.u, e.v)).collect();
-        prop_assert_eq!(edges, want_seq);
-    }
-
-    /// `CompleteWeightedStream` replays the one-shot `Uniform(0,1)` draw
-    /// sequence; a weighted streaming build equals distributing the
-    /// one-shot weighted graph (bit-identical weights).
-    #[test]
-    fn complete_weighted_stream_matches_one_shot(
-        params in (2usize..25, 1usize..5, 0u8..6),
-        seed in 0u64..1000,
-        chunk_size in 1usize..40,
-    ) {
-        let (n, k, model) = params;
-        let g = classic::complete_weighted_random(n, &mut ChaCha8Rng::seed_from_u64(seed))
-            .unwrap();
-        let part = make_partition(n, k, model, seed ^ 0xabcd);
-        let want = DistGraphBuilder::new(&part).weighted(&g);
-        for spill in [false, true] {
-            let mut s = CompleteWeightedStream::<ChaCha8Rng>::new(n, seed, chunk_size);
-            let got = stream_build(&part, &mut s, spill, 1);
-            prop_assert_eq!(&got, &want, "spill={}", spill);
-        }
     }
 
     /// Chunk size never changes the result: all chunkings of the same

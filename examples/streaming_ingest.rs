@@ -1,10 +1,9 @@
-//! Streaming / out-of-core ingestion: build the distributed input with
+//! Streaming ingestion: build the distributed input with
 //! `km_graph::stream` — edges arrive in bounded chunks and are routed
 //! straight to their home machines (the random-vertex-partition input
 //! shape of Section 1.1), so the `O(m)` global CSR is never
-//! materialized. The same build runs a second time through the
-//! disk-spill path, and the resulting `DistGraph`s are bit-identical to
-//! each other and to the one-shot in-memory builder.
+//! materialized. The resulting `DistGraph` is bit-identical to the one
+//! the one-shot in-memory builder makes.
 //!
 //! ```text
 //! cargo run --release --example streaming_ingest
@@ -12,9 +11,7 @@
 
 use km_repro::core::{run_algorithm, NetConfig, Runner};
 use km_repro::graph::generators::gnp;
-use km_repro::graph::{
-    DistGraphBuilder, EdgeStream, GnpStream, Partition, SpillConfig, StreamingDistBuilder,
-};
+use km_repro::graph::{DistGraphBuilder, GnpStream, Partition, StreamingDistBuilder};
 use km_repro::mst::PrebuiltSketchConnectivity;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -41,20 +38,6 @@ fn main() {
         m as f64 / (streamed_ms / 1e3)
     );
 
-    // Same stream through the disk-spill path: raw chunks go to
-    // per-machine run files, each machine finalizes independently.
-    let t = Instant::now();
-    stream.reset();
-    let spilled = StreamingDistBuilder::new(&part)
-        .spill(SpillConfig::default())
-        .undirected(&mut stream)
-        .expect("spill build");
-    println!(
-        "spilled   same stream through per-machine run files in {:.1} ms",
-        t.elapsed().as_secs_f64() * 1e3
-    );
-    assert_eq!(streamed, spilled, "spill path must be bit-identical");
-
     // And the one-shot in-memory path builds the very same DistGraph —
     // the only difference is that it materializes the global CSR first.
     let t = Instant::now();
@@ -62,7 +45,7 @@ fn main() {
     let in_memory = DistGraphBuilder::new(&part).undirected(&g);
     println!(
         "in-memory one-shot CSR + fused build in {:.1} ms (allocates the \
-         global graph the streaming paths never hold)",
+         global graph the streaming path never holds)",
         t.elapsed().as_secs_f64() * 1e3
     );
     assert_eq!(streamed, in_memory, "streaming == in-memory, byte for byte");
