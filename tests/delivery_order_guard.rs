@@ -8,10 +8,16 @@
 //! to another round, another inbox position or another machine changes
 //! a digest. The digests are pinned from the sequential engine, and the
 //! distributed engine must reproduce them.
+//!
+//! The `Long` and `Single` shapes spend most of their rounds moving only
+//! parts of messages: no machine is called and no message completes. The
+//! digest folds the round number of every delivery, and the error
+//! payloads of a run stopped inside such a stretch are pinned too, so a
+//! round that is miscounted there shows.
 
 use km_core::{
-    DistributedEngine, Envelope, Metrics, NetConfig, Outbox, Protocol, Raw, RoundCtx,
-    SequentialEngine, Status,
+    CrashSpec, DistributedEngine, EngineError, Envelope, FaultPlan, Metrics, NetConfig, Outbox,
+    Protocol, Raw, RoundCtx, SequentialEngine, Status,
 };
 use rand::Rng;
 
@@ -25,6 +31,14 @@ enum Shape {
     /// Round 0 only: `per_machine` two-byte messages to uniformly
     /// random destinations, so every link queues a run of equal sizes.
     Scatter { per_machine: u16 },
+    /// Rounds 0 and 1: one to three messages a round of 40–400 bytes
+    /// (320–3 200 bits) to random destinations, then `Done`. At
+    /// `B = 64` each holds its link for 5–50 rounds, so most rounds
+    /// move only partial messages.
+    Long,
+    /// Round 0 only: machine 0 sends one message of `bytes` bytes to
+    /// machine 1.
+    Single { bytes: usize },
 }
 
 #[derive(Debug)]
@@ -100,6 +114,21 @@ impl Protocol for Folder {
                     out.send(dst, msg);
                 }
             }
+            Shape::Long if ctx.round < 2 => {
+                for _ in 0..ctx.rng.gen_range(1..=3) {
+                    let dst = ctx.rng.gen_range(0..ctx.k);
+                    let len = ctx.rng.gen_range(40..=400);
+                    let msg = self.payload(ctx, len);
+                    out.send(dst, msg);
+                }
+                if ctx.round == 0 {
+                    return Status::Active;
+                }
+            }
+            Shape::Single { bytes } if ctx.round == 0 && ctx.me == 0 => {
+                let msg = self.payload(ctx, bytes);
+                out.send(1, msg);
+            }
             _ => {}
         }
         Status::Done
@@ -142,6 +171,18 @@ fn scatter() -> (Vec<u64>, Metrics) {
         NetConfig::with_bandwidth(16, 64, 3402),
         Shape::Scatter { per_machine: 1024 },
     )
+}
+
+fn long() -> (Vec<u64>, Metrics) {
+    run_both(NetConfig::with_bandwidth(7, 64, 3403), Shape::Long)
+}
+
+/// One 400-byte (3 200-bit) message at `B = 64` holds its link for 50
+/// rounds.
+fn single(k: usize) -> Vec<Folder> {
+    (0..k)
+        .map(|_| Folder::new(Shape::Single { bytes: 400 }))
+        .collect()
 }
 
 #[test]
@@ -192,5 +233,66 @@ fn dense_scatter_at_k16_delivery_order_is_pinned() {
             13075228989767748489,
             16297347988308373926,
         ]
+    );
+}
+
+#[test]
+fn long_messages_at_k7_totals_are_pinned() {
+    assert_eq!(totals(&long().1), [63, 32_416, 19, 3_984, 515]);
+}
+
+#[test]
+fn long_messages_at_k7_delivery_order_is_pinned() {
+    assert_eq!(
+        long().0,
+        [
+            3255614473148503355,
+            907847958296016936,
+            450179069298127819,
+            3699332345852439253,
+            247020737105786445,
+            1487624751297162853,
+            13887662910368068760,
+        ]
+    );
+}
+
+/// A limit that falls inside the single message's 50-round stretch
+/// fires at the same iteration, with the same tally, on both engines.
+#[test]
+fn round_limit_inside_a_partial_only_stretch_is_pinned() {
+    let cfg = NetConfig::with_bandwidth(3, 64, 3404).max_rounds(20);
+    let want = EngineError::RoundLimitExceeded {
+        limit: 20,
+        active_machines: 0,
+        queued_msgs: 1,
+        queued_bits: 3_200,
+    };
+    let seq = SequentialEngine::run(cfg, single(3)).expect_err("sequential run");
+    assert_eq!(seq, want);
+    let dist = DistributedEngine::run(cfg, single(3)).expect_err("distributed run");
+    assert_eq!(dist, want);
+}
+
+/// A crash planned inside the stretch is that machine, at that round.
+#[test]
+fn crash_inside_a_partial_only_stretch_is_pinned() {
+    let plan = FaultPlan {
+        crash: Some(CrashSpec {
+            machine: 2,
+            round: 17,
+        }),
+        barrier_timeout_ms: 300,
+        ..FaultPlan::default()
+    };
+    let cfg = NetConfig::with_bandwidth(3, 64, 3404);
+    let err = DistributedEngine::run_with_faults(cfg, single(3), Some(plan))
+        .expect_err("the crash fails the run");
+    assert_eq!(
+        err,
+        EngineError::MachineLost {
+            machine: 2,
+            round: 17
+        }
     );
 }
