@@ -121,7 +121,7 @@ pub fn wire_matrix(_seed: u64) -> Table {
          per frame; n for scatter rows is the total token count",
     );
     t.note(
-        "known gap (ROADMAP item 6): sketch_cc at k=64 batches ~1.5 msgs/frame, which leaves \
+        "known gap (ROADMAP item 3): sketch_cc at k=64 batches ~1.5 msgs/frame, which leaves \
          the header under-amortized; mst at k=64 pays 2.26x",
     );
     t

@@ -38,7 +38,7 @@ use km_core::{
 pub const SCHEDULES_ENV: &str = "KM_CHECK_SCHEDULES";
 
 /// Default schedules per configuration when [`SCHEDULES_ENV`] is unset:
-/// 27 matrix configs × 96 ≈ 2.6k schedules per full run.
+/// 31 matrix configs × 96 ≈ 3.0k schedules per full run.
 pub const DEFAULT_SCHEDULES: u64 = 96;
 
 /// Message mixes the matrix exercises.
@@ -53,6 +53,11 @@ pub enum ProtoKind {
     /// Sketch-like bulk: few, large messages around a ring — exercises
     /// bandwidth-limited multi-round delivery of single batches.
     Bulk,
+    /// A long tail: small ring traffic, then the last active round
+    /// sends one 1 600-bit message around the ring — seven rounds at
+    /// `B = 256`, five of them moving only that partial message, which
+    /// the coordinator skips by jumping the next `Round`'s number.
+    Tail,
 }
 
 impl ProtoKind {
@@ -61,6 +66,17 @@ impl ProtoKind {
             ProtoKind::Scatter => 2,
             ProtoKind::Converge => 4,
             ProtoKind::Bulk => 3,
+            ProtoKind::Tail => 2,
+        }
+    }
+
+    /// The round a crash config crashes its last machine at: round 1
+    /// for the busy mixes, and for the tail round 4, inside the stretch
+    /// of rounds 3–6 that only the partial message moves in.
+    fn crash_round(self) -> u64 {
+        match self {
+            ProtoKind::Tail => 4,
+            _ => 1,
         }
     }
 
@@ -69,6 +85,7 @@ impl ProtoKind {
             ProtoKind::Scatter => "scatter",
             ProtoKind::Converge => "converge",
             ProtoKind::Bulk => "bulk",
+            ProtoKind::Tail => "tail",
         }
     }
 }
@@ -144,6 +161,10 @@ impl Protocol for CheckProto {
             ProtoKind::Bulk => {
                 out.send((ctx.me + 1) % ctx.k, payload(&[me, ctx.round, 4], 48));
             }
+            ProtoKind::Tail => {
+                let len = if ctx.round + 1 == self.rounds { 200 } else { 8 };
+                out.send((ctx.me + 1) % ctx.k, payload(&[me, ctx.round, 5], len));
+            }
         }
         Status::Active
     }
@@ -187,7 +208,8 @@ fn fleet(cfg: &CheckConfig) -> Vec<CheckProto> {
 const CRASH_BARRIER_TICKS: u64 = 400;
 
 /// The full k ∈ {2, 3} × message-mix × fault-plan matrix (24 configs),
-/// plus scatter at k = 4 × {ok, drop, crash} — 27 configs. A model
+/// plus scatter at k = 4 × {ok, drop, crash} and the tail at
+/// k ∈ {2, 3} × {ok, crash} — 31 configs. A model
 /// session runs the engine on two workers (the shim's
 /// `available_parallelism`), so k = 3 puts machines 1 and 2 on one
 /// worker and k = 4 puts two-machine blocks on both ends of every
@@ -201,6 +223,9 @@ pub fn matrix() -> Vec<CheckConfig> {
         }
     }
     push_cells(&mut out, 4, ProtoKind::Scatter, &["ok", "drop", "crash"]);
+    for k in [2usize, 3] {
+        push_cells(&mut out, k, ProtoKind::Tail, &["ok", "crash"]);
+    }
     out
 }
 
@@ -219,7 +244,7 @@ fn push_cells(out: &mut Vec<CheckConfig>, k: usize, kind: ProtoKind, plans: &[&s
     };
     let crash = CrashSpec {
         machine: k - 1,
-        round: 1,
+        round: kind.crash_round(),
     };
     let crash_plan = FaultPlan {
         seed: 7,
@@ -436,17 +461,18 @@ mod tests {
         let m = matrix();
         assert_eq!(
             m.len(),
-            27,
-            "2 k-values × 3 mixes × 4 fault plans, plus k = 4 scatter × 3"
+            31,
+            "2 k-values × 3 mixes × 4 fault plans, plus k = 4 scatter × 3, plus 2 k-values × tail × 2"
         );
         assert!(m.iter().any(|c| c.name == "k2-scatter-ok"));
         assert!(m.iter().any(|c| c.name == "k3-bulk-drop+crash"));
         assert!(m.iter().any(|c| c.name == "k4-scatter-crash"));
+        assert!(m.iter().any(|c| c.name == "k3-tail-crash"));
         let crashes = m
             .iter()
             .filter(|c| matches!(c.expect, Expectation::MachineLost { .. }))
             .count();
-        assert_eq!(crashes, 13);
+        assert_eq!(crashes, 15);
         // Names are unique — they are replay handles.
         let mut names: Vec<_> = m.iter().map(|c| c.name.clone()).collect();
         names.sort();

@@ -60,6 +60,14 @@
 //!    same `RoundLedger::close` as the in-process loop: communication
 //!    round counted, then quiescence, then the round limit — so error
 //!    cases are bit-identical too.
+//! 5. If the round closed partial-only (engine module docs, *Empty
+//!    rounds*), each worker's slice also carries the fewest rounds
+//!    until a front message on one of its hosted links completes. The
+//!    coordinator takes the minimum, and `RoundLedger::skip` turns it
+//!    into the rounds to skip. No command carries the skip: the next
+//!    `Round`'s number jumps by it, and each worker advances its hosted
+//!    `Inbound`s by the difference to the round it expected. Skipped
+//!    rounds cost no barrier.
 //!
 //! Each worker publishes in a `Marker` the machine it is working on —
 //! set before that machine's `round()`, before its delivery, and at
@@ -803,8 +811,10 @@ impl DistributedEngine {
     /// # Errors
     /// [`EngineError::InvalidConfig`] if the config fails
     /// [`NetConfig::validate`] or `machines.len() != config.k`;
-    /// [`EngineError::RoundLimitExceeded`] if the safety valve fires
-    /// (with the same payload as the sequential engine);
+    /// [`EngineError::RoundLimitExceeded`] if the safety valve fires,
+    /// and [`EngineError::Stalled`] if the run goes quiescent before
+    /// every machine has [`finished`](Protocol::finished) (each with
+    /// the same payload as the sequential engine);
     /// [`EngineError::MachineLost`] / [`EngineError::WorkerPanicked`]
     /// if a machine stalls past the barrier timeout or panics.
     pub fn run<P: Protocol>(
@@ -977,6 +987,9 @@ pub(crate) fn run_pool<P: Protocol>(
                 if ledger.close(&config, tally)? {
                     return Ok(());
                 }
+                // The workers see a skip as the jump in the next
+                // `Round`'s number.
+                ledger.skip(&config, &tally, plan.crash.map(|c| c.round));
             }
         };
 
@@ -1008,6 +1021,7 @@ pub(crate) fn run_pool<P: Protocol>(
                     _ => unreachable!("Finish yields Final"),
                 }
             }
+            ledger.check_finished(machines.iter().map(Protocol::finished))?;
             debug_assert_lemma3(&metrics, config.bandwidth_bits);
             Ok(RunReport {
                 machines,
@@ -1201,10 +1215,19 @@ fn run_worker<P: Protocol>(
     let mut outbox: Outbox<P::Msg> = Outbox::new(k);
     let mut staged: Vec<Vec<P::Msg>> = (0..k).map(|_| Vec::new()).collect();
     let mut scratch = BitWriter::new();
+    // The round this worker runs next unless the coordinator skips.
+    let mut next_round = 0;
 
     loop {
         match await_cmd(cmd_rx, &mut block, None) {
             Wake::Cmd(Cmd::Round { round }) => {
+                let skipped = round - next_round;
+                if skipped > 0 {
+                    for h in &mut block.hosts {
+                        h.inb.advance(skipped, config.bandwidth_bits);
+                    }
+                }
+                next_round = round + 1;
                 for h in &mut block.hosts {
                     marker.set(h.me);
                     if plan.crashes(h.me, round) {
@@ -1287,6 +1310,13 @@ fn run_worker<P: Protocol>(
                             unreachable!("only one Deliver, then only Abort, follows Sent")
                         }
                     }
+                }
+                if tally.is_partial_only() {
+                    tally.next_completion = block
+                        .hosts
+                        .iter()
+                        .map(|h| h.inb.next_completion(config.bandwidth_bits))
+                        .fold(u64::MAX, u64::min);
                 }
                 if resp_tx.send(Resp::Round(tally)).is_err() {
                     return;

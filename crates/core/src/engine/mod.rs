@@ -34,7 +34,9 @@
 //!   `RoundLedger::close` the end of every round — count a communication
 //!   round if a link moved a bit, then test quiescence, then the round
 //!   limit, in that order — over a `RoundTally` that `Inbound::deliver`
-//!   produces per destination and the engines sum.
+//!   produces per destination and the engines sum, and
+//!   `RoundLedger::skip` the jump over empty rounds that may follow (see
+//!   *Empty rounds* below).
 //!   [`SequentialEngine::run`] is the whole in-process loop around them.
 //!
 //! # Sparse rounds
@@ -85,6 +87,54 @@
 //! increasing machine order (the index is kept sorted), so inboxes —
 //! and therefore transcripts, metrics, and RNG streams — are bit-for-bit
 //! what calling every machine and visiting every link would produce.
+//!
+//! # Empty rounds
+//!
+//! A message of more than `B` bits holds its link for `⌈bits/B⌉`
+//! rounds (Section 1.1, Lemma 3), and the model charges every one of
+//! them. The host need not execute them all. Take a round that closes
+//! *partial-only* (`RoundTally::is_partial_only`): no machine `Active`,
+//! no mail in any inbox (self-sends land there in the same delivery),
+//! and some link still queues bits. Then no machine is called until
+//! some front message completes, and until then every busy link moves
+//! exactly `B` bits a round. So the engines skip
+//! `s = min over busy links ⌈(front bits − front progress)/B⌉ − 1`
+//! rounds in one step and execute the next one, in which a front
+//! completes:
+//!
+//! * `Inbound::next_completion` finds the minimum, in one walk over
+//!   the active sources. It runs only after a round the tally already
+//!   marks partial-only, so a delivering round pays nothing for it.
+//! * `RoundLedger::skip` turns it into `s`, counts the `s` rounds as
+//!   executed and as communication rounds, and clamps `s` twice: to
+//!   `max_rounds − iterations − 1`, so that the round at which
+//!   `RoundLimitExceeded` fires is executed, and, under a fault plan
+//!   with a planned crash, to the rounds before the crash round, so
+//!   that the crash happens where it was planned.
+//! * `Inbound::advance` applies the skip: every busy link's front
+//!   moves `s·B` bits and is counted `s` times in
+//!   [`crate::Metrics::link_visits`].
+//!
+//! The transcript is unchanged. A skipped round calls no machine,
+//! completes no message and ships no frame, so inboxes, outputs and
+//! RNG streams do not move. `rounds`, `link_visits` and every bit count
+//! are what executing the rounds would add. The tally of a skipped
+//! round equals that of the partial-only round before it, because the
+//! queue counters fall only on completion, so a clamped limit fires
+//! with the payload it always had. Wire faults are decided per `(src,
+//! dst, attempt)`, never per round, so drops and retransmits are
+//! unchanged too. The sequential engine skips after
+//! `RoundLedger::close`; on the distributed engine each worker puts its
+//! block's minimum into its tally slice, the coordinator takes the
+//! minimum of the slices and jumps the next `Round`'s number, and the
+//! workers advance their hosted links by the jump.
+//!
+//! Skipping relies on `Done` meaning "nothing to do without mail". A
+//! machine that waits for a peer (a parked [`crate::router::Staged`]
+//! machine) reports `Done` and says `false` to
+//! [`crate::Protocol::finished`]. A run that goes quiescent while any
+//! machine is unfinished fails as [`EngineError::Stalled`] on both
+//! engines, via `RoundLedger::check_finished`.
 //!
 //! Two of the model's own invariants are debug-asserted where a round
 //! and a run end: `Inbound::deliver` checks that no link releases more
@@ -239,7 +289,32 @@ impl<M: WireCodec> Inbound<M> {
             queued_msgs: self.queued_msgs,
             queued_bits: self.queued_bits,
             inbox_msgs: inbox.len(),
+            next_completion: u64::MAX,
         }
+    }
+
+    /// Delivery phases until the first of this destination's links
+    /// completes its front message at `budget` bits a round — the
+    /// minimum of [`Link::next_completion`] over the active sources, one
+    /// walk — or `u64::MAX` if no link queues anything.
+    pub(crate) fn next_completion(&self, budget: u64) -> u64 {
+        self.active
+            .iter()
+            .filter_map(|&src| self.links[src].next_completion(budget))
+            .fold(u64::MAX, u64::min)
+    }
+
+    /// Runs `rounds` delivery phases in one step, for `rounds` below
+    /// [`Inbound::next_completion`]: no front completes in them, so each
+    /// moves `budget` bits on every active link and counts one visit
+    /// per link, and nothing else changes. The self-queue is empty then
+    /// (it drains every phase), so every active source is a link.
+    pub(crate) fn advance(&mut self, rounds: u64, budget: u64) {
+        debug_assert!(self.self_queue.is_empty(), "advanced over a self-send");
+        for &src in &self.active {
+            self.links[src].advance(rounds * budget);
+        }
+        self.link_visits += rounds * self.active.len() as u64;
     }
 
     /// Writes this destination's receive side into the run's metrics.
@@ -255,7 +330,7 @@ impl<M: WireCodec> Inbound<M> {
 /// What one round left behind: per destination as [`Inbound::deliver`]
 /// returns it, summed over all machines as [`RoundLedger::close`]
 /// reads it.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct RoundTally {
     /// Machines that reported [`crate::Status::Active`] this round.
     pub(crate) active_machines: usize,
@@ -267,6 +342,24 @@ pub(crate) struct RoundTally {
     pub(crate) queued_bits: u64,
     /// Messages delivered into the next round's inboxes.
     pub(crate) inbox_msgs: usize,
+    /// The minimum [`Inbound::next_completion`] over the destinations
+    /// covered, or `u64::MAX`. Only computed for a tally that is
+    /// [`partial-only`](RoundTally::is_partial_only), so a delivering
+    /// round never pays the walk.
+    pub(crate) next_completion: u64,
+}
+
+impl Default for RoundTally {
+    fn default() -> Self {
+        RoundTally {
+            active_machines: 0,
+            any_link_bits: false,
+            queued_msgs: 0,
+            queued_bits: 0,
+            inbox_msgs: 0,
+            next_completion: u64::MAX,
+        }
+    }
 }
 
 impl RoundTally {
@@ -276,6 +369,15 @@ impl RoundTally {
         self.queued_msgs += other.queued_msgs;
         self.queued_bits += other.queued_bits;
         self.inbox_msgs += other.inbox_msgs;
+        self.next_completion = self.next_completion.min(other.next_completion);
+    }
+
+    /// Whether only partial messages are left in flight: no machine
+    /// `Active`, no mail in any inbox (self-sends land there in the
+    /// same delivery), and link bits still queued. No machine is called
+    /// again until some front message completes.
+    pub(crate) fn is_partial_only(&self) -> bool {
+        self.active_machines == 0 && self.inbox_msgs == 0 && self.queued_bits > 0
     }
 }
 
@@ -315,6 +417,57 @@ impl RoundLedger {
             });
         }
         Ok(false)
+    }
+
+    /// After a round that [`RoundLedger::close`] did not end: the
+    /// rounds to skip, each counted as executed and as a communication
+    /// round. Zero unless the tally is partial-only; then one less than
+    /// its `next_completion`, clamped so that the round at which the
+    /// limit fires and the round of a planned `crash` are still
+    /// executed. The caller advances every busy link by that many
+    /// rounds ([`Inbound::advance`]).
+    pub(crate) fn skip(
+        &mut self,
+        config: &NetConfig,
+        tally: &RoundTally,
+        crash: Option<u64>,
+    ) -> u64 {
+        if !tally.is_partial_only() {
+            return 0;
+        }
+        debug_assert!(
+            tally.next_completion < u64::MAX,
+            "a partial-only tally without its next completion"
+        );
+        let mut rounds = tally
+            .next_completion
+            .saturating_sub(1)
+            .min(config.max_rounds - self.iterations - 1);
+        if let Some(crash) = crash.filter(|&c| c >= self.iterations) {
+            rounds = rounds.min(crash - self.iterations);
+        }
+        self.iterations += rounds;
+        self.comm_rounds += rounds;
+        rounds
+    }
+
+    /// The guard on a run that went quiescent: `finished` is
+    /// [`crate::Protocol::finished`] per machine, in machine order.
+    ///
+    /// # Errors
+    /// [`EngineError::Stalled`] naming the lowest unfinished machine and
+    /// the last round executed.
+    pub(crate) fn check_finished(
+        &self,
+        finished: impl IntoIterator<Item = bool>,
+    ) -> Result<(), EngineError> {
+        match finished.into_iter().position(|f| !f) {
+            None => Ok(()),
+            Some(machine) => Err(EngineError::Stalled {
+                machine,
+                round: self.iterations.saturating_sub(1),
+            }),
+        }
     }
 }
 
@@ -412,6 +565,21 @@ impl<M: WireCodec> Network<M> {
             !inbound[dst].active.is_empty()
         });
         tally
+    }
+
+    /// [`Inbound::next_completion`] over the busy destinations.
+    fn next_completion(&self, budget: u64) -> u64 {
+        self.busy
+            .iter()
+            .map(|&dst| self.inbound[dst].next_completion(budget))
+            .fold(u64::MAX, u64::min)
+    }
+
+    /// [`Inbound::advance`] on every busy destination.
+    fn advance(&mut self, rounds: u64, budget: u64) {
+        for &dst in &self.busy {
+            self.inbound[dst].advance(rounds, budget);
+        }
     }
 
     fn finish(mut self, rounds: u64, bandwidth_bits: u64) -> Metrics {
@@ -572,6 +740,7 @@ mod tests {
             queued_msgs: 5,
             queued_bits: 77,
             inbox_msgs: 1,
+            ..RoundTally::default()
         };
         let silent = RoundTally {
             any_link_bits: false,
@@ -630,6 +799,180 @@ mod tests {
                 ) => {}
                 (got, want) => panic!("row {i}: got {got:?}, want {want:?}"),
             }
+        }
+    }
+
+    proptest::proptest! {
+        /// Skipping is exact on a destination: for every `s` below its
+        /// next completion, `advance(s)` and one delivery phase leave
+        /// the tally, the inbox, every link's queue and front, and the
+        /// receive counters (visits included) exactly as `s + 1` phases
+        /// do — and those first `s` phases deliver nothing.
+        #[test]
+        fn advance_then_deliver_equals_one_phase_per_round(
+            queues in proptest::collection::vec(proptest::collection::vec(0usize..80, 1..4), 1..5),
+            budget in 1u64..200,
+            warmup in 0usize..4,
+        ) {
+            let build = || {
+                let mut inb: Inbound<Vec<u8>> = Inbound::new(8, 7);
+                for (src, lens) in queues.iter().enumerate() {
+                    for (i, &len) in lens.iter().enumerate() {
+                        let msg = vec![i as u8; len];
+                        let bits = crate::WireCodec::bits(&msg);
+                        inb.push(src, msg, bits);
+                    }
+                }
+                for _ in 0..warmup {
+                    inb.deliver(budget, &mut Vec::new());
+                }
+                inb
+            };
+            // Every warmup round may have drained the links.
+            let next = match build().next_completion(budget) {
+                u64::MAX => 0,
+                next => next,
+            };
+            // The observable state of a destination.
+            let state = |inb: &Inbound<Vec<u8>>| {
+                let links: Vec<_> = inb
+                    .links
+                    .iter()
+                    .map(|l| (l.queued(), l.next_completion(1)))
+                    .collect();
+                let counters = [inb.recv_msgs, inb.recv_bits, inb.link_visits, inb.queued_bits];
+                (links, counters, inb.queued_msgs, inb.active.clone())
+            };
+            for s in 0..next {
+                let mut skipped = build();
+                skipped.advance(s, budget);
+                let mut skipped_inbox = Vec::new();
+                let skipped_tally = skipped.deliver(budget, &mut skipped_inbox);
+                let mut stepped = build();
+                let mut stepped_inbox = Vec::new();
+                for _ in 0..s {
+                    let t = stepped.deliver(budget, &mut stepped_inbox);
+                    proptest::prop_assert!(t.any_link_bits && t.inbox_msgs == 0);
+                }
+                let stepped_tally = stepped.deliver(budget, &mut stepped_inbox);
+                proptest::prop_assert_eq!(skipped_tally, stepped_tally);
+                proptest::prop_assert_eq!(skipped_inbox, stepped_inbox);
+                proptest::prop_assert_eq!(state(&skipped), state(&stepped));
+            }
+        }
+    }
+
+    /// `next_completion` is the earliest front over the active links,
+    /// and `u64::MAX` with nothing queued.
+    #[test]
+    fn next_completion_is_the_earliest_front() {
+        let mut inb: Inbound<Vec<u8>> = Inbound::new(4, 0);
+        assert_eq!(inb.next_completion(64), u64::MAX);
+        inb.push(1, vec![0u8; 60], 512); // 8 rounds at 64
+        inb.push(3, vec![0u8; 20], 192); // 3 rounds
+        inb.push(3, vec![0u8; 0], 32);
+        assert_eq!(inb.next_completion(64), 3);
+        inb.advance(2, 64);
+        assert_eq!(inb.next_completion(64), 1);
+        assert_eq!(inb.link_visits, 4, "two rounds over two links");
+        let t = inb.deliver(64, &mut Vec::new());
+        // Link 3's front completes and spends the whole budget, so the
+        // 32-bit message behind it is next, ahead of link 1's 320 bits.
+        assert_eq!((t.inbox_msgs, t.queued_msgs, t.queued_bits), (1, 2, 544));
+        assert_eq!(inb.next_completion(64), 1);
+        assert_eq!(inb.links[1].next_completion(64), Some(5));
+    }
+
+    /// The skip is one less than the next completion, only after a
+    /// partial-only round, and clamped so that the limit round and a
+    /// planned crash round are executed.
+    #[test]
+    fn round_ledger_skips_to_the_round_before_the_next_completion() {
+        let cfg = NetConfig::with_bandwidth(4, 64, 0).max_rounds(100);
+        let quiet = RoundTally {
+            any_link_bits: true,
+            queued_msgs: 1,
+            queued_bits: 640,
+            next_completion: 10,
+            ..RoundTally::default()
+        };
+        let active = RoundTally {
+            active_machines: 1,
+            ..quiet
+        };
+        let mail = RoundTally {
+            inbox_msgs: 1,
+            ..quiet
+        };
+        let due = RoundTally {
+            next_completion: 1,
+            ..quiet
+        };
+        // (rounds executed before, tally, planned crash round, skipped)
+        let table = [
+            (5, quiet, None, 9),
+            (5, active, None, 0),
+            (5, mail, None, 0),
+            (5, RoundTally::default(), None, 0),
+            (5, due, None, 0),
+            // The limit fires on round 100's close: rounds up to 98 skip.
+            (95, quiet, None, 4),
+            (98, quiet, None, 1),
+            (99, quiet, None, 0),
+            // A crash at round c: rounds before c skip, c runs.
+            (5, quiet, Some(8), 3),
+            (5, quiet, Some(5), 0),
+            (5, quiet, Some(4), 9),
+            (5, quiet, Some(40), 9),
+        ];
+        for (i, (before, tally, crash, want)) in table.into_iter().enumerate() {
+            let mut ledger = RoundLedger {
+                iterations: before,
+                comm_rounds: before / 2,
+            };
+            assert_eq!(ledger.skip(&cfg, &tally, crash), want, "row {i}");
+            assert_eq!(ledger.iterations, before + want, "row {i}");
+            assert_eq!(ledger.comm_rounds, before / 2 + want, "row {i}");
+        }
+    }
+
+    /// Rounds are charged for a long message, iterations are not: one
+    /// 2²⁰-byte message at `B = 64` occupies its link for 2¹⁷ rounds,
+    /// arrives in round 2¹⁷ on both engines, and every one of those
+    /// rounds is counted and visits the link once.
+    #[test]
+    fn a_long_message_is_charged_every_round() {
+        struct Bulk {
+            got: Option<u64>,
+        }
+        impl Protocol for Bulk {
+            type Msg = crate::Raw;
+            fn round(
+                &mut self,
+                ctx: &mut RoundCtx<'_>,
+                inbox: &mut Vec<Envelope<crate::Raw>>,
+                out: &mut Outbox<crate::Raw>,
+            ) -> Status {
+                if ctx.round == 0 && ctx.me == 0 {
+                    out.send(1, crate::Raw::from_vec(vec![7; 1 << 20]));
+                }
+                if !inbox.is_empty() {
+                    self.got = Some(ctx.round);
+                }
+                Status::Done
+            }
+        }
+        let cfg = NetConfig::with_bandwidth(3, 64, 0);
+        let bulk = || (0..3).map(|_| Bulk { got: None }).collect::<Vec<_>>();
+        let reports = [
+            SequentialEngine::run(cfg, bulk()).unwrap(),
+            DistributedEngine::run(cfg, bulk()).unwrap(),
+        ];
+        for report in &reports {
+            let m = &report.metrics;
+            assert_eq!((m.rounds, m.link_visits), (1 << 17, 1 << 17));
+            assert_eq!(report.machines[1].got, Some(1 << 17));
+            assert_eq!(m, &reports[0].metrics);
         }
     }
 

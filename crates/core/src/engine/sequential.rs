@@ -21,7 +21,9 @@ impl SequentialEngine {
     /// # Errors
     /// [`EngineError::InvalidConfig`] if the config fails
     /// [`NetConfig::validate`] or `machines.len() != config.k`;
-    /// [`EngineError::RoundLimitExceeded`] if the safety valve fires.
+    /// [`EngineError::RoundLimitExceeded`] if the safety valve fires;
+    /// [`EngineError::Stalled`] if the run goes quiescent before every
+    /// machine has [`finished`](Protocol::finished).
     pub fn run<P: Protocol>(
         config: NetConfig,
         mut machines: Vec<P>,
@@ -65,16 +67,24 @@ impl SequentialEngine {
                 }
             }
             calls.retain(|&i| last[i] == Status::Active);
-            let tally = RoundTally {
+            let mut tally = RoundTally {
                 active_machines: calls.len(),
                 ..net.deliver(config.bandwidth_bits, &mut inboxes)
             };
+            if tally.is_partial_only() {
+                tally.next_completion = net.next_completion(config.bandwidth_bits);
+            }
             if ledger.close(&config, tally)? {
+                ledger.check_finished(machines.iter().map(Protocol::finished))?;
                 return Ok(RunReport {
                     machines,
                     metrics: net.finish(ledger.comm_rounds, config.bandwidth_bits),
                     wire: None,
                 });
+            }
+            let skipped = ledger.skip(&config, &tally, None);
+            if skipped > 0 {
+                net.advance(skipped, config.bandwidth_bits);
             }
         }
     }

@@ -38,6 +38,17 @@ pub enum EngineError {
         /// The round (iteration index) whose barrier it missed.
         round: u64,
     },
+    /// The run went quiescent — every machine `Done`, every link and
+    /// inbox empty — while a machine had not
+    /// [`finished`](crate::Protocol::finished): it waits for mail that
+    /// can no longer arrive (a lost flush, say). Raised by both engines
+    /// with the same payload instead of returning partial output.
+    Stalled {
+        /// The lowest-indexed unfinished machine.
+        machine: usize,
+        /// The last round executed (iteration index).
+        round: u64,
+    },
     /// A worker thread of the distributed engine panicked
     /// (usually the protocol's own `round` code) or terminated without
     /// reporting. The engine captures the panic, joins every other
@@ -72,6 +83,11 @@ impl fmt::Display for EngineError {
                 "machine {machine} missed the round-{round} barrier (crashed or stalled \
                  past the barrier timeout)"
             ),
+            EngineError::Stalled { machine, round } => write!(
+                f,
+                "machine {machine} had not finished when the run went quiescent after round \
+                 {round} (it waits for mail no machine will send)"
+            ),
             EngineError::WorkerPanicked { machine, message } => {
                 write!(f, "worker thread of machine {machine} panicked: {message}")
             }
@@ -105,6 +121,12 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("machine 3") && s.contains("round-17"), "{s}");
+        let e = EngineError::Stalled {
+            machine: 4,
+            round: 9,
+        };
+        let s = e.to_string();
+        assert!(s.contains("machine 4") && s.contains("round 9"), "{s}");
         let e = EngineError::WorkerPanicked {
             machine: 5,
             message: "index out of bounds".into(),

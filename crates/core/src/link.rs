@@ -14,6 +14,15 @@ type Entry<M> = (M, u32);
 /// (512 MiB and up).
 const OVERSIZE: u32 = u32::MAX;
 
+/// The size of a queued message: its cached size, or for the sentinel
+/// the message's own claim.
+fn size<M: WireCodec>(msg: &M, cached: u32) -> u64 {
+    match cached {
+        OVERSIZE => msg.bits().max(1),
+        c => u64::from(c),
+    }
+}
+
 /// One direction of a point-to-point link.
 ///
 /// Messages queue FIFO; [`Link::deliver`] releases messages worth up to `B`
@@ -98,10 +107,7 @@ impl<M: WireCodec> Link<M> {
         let mut remaining = budget;
         // Count the messages the budget completes, then move them out.
         for (msg, cached) in &self.queue {
-            let bits = match *cached {
-                OVERSIZE => msg.bits().max(1),
-                c => u64::from(c),
-            };
+            let bits = size(msg, *cached);
             let need = bits - self.front_progress;
             if need > remaining {
                 self.front_progress += remaining;
@@ -122,6 +128,25 @@ impl<M: WireCodec> Link<M> {
         }
         d.bits_used = budget - remaining;
         d
+    }
+
+    /// Calls of [`Link::deliver`] at `budget` bits until the front
+    /// message completes: `⌈(front bits − bits already moved)/budget⌉`,
+    /// or `None` on an empty link.
+    pub fn next_completion(&self, budget: u64) -> Option<u64> {
+        let (msg, cached) = self.queue.front()?;
+        Some((size(msg, *cached) - self.front_progress).div_ceil(budget))
+    }
+
+    /// Moves `bits` of the front message without completing it — the
+    /// state `bits / B` calls of [`Link::deliver`] at `B` bits leave
+    /// behind while none of them completes the front.
+    pub fn advance(&mut self, bits: u64) {
+        debug_assert!(
+            self.next_completion(1).is_some_and(|left| bits < left),
+            "advancing {bits} bits would complete the front message"
+        );
+        self.front_progress += bits;
     }
 
     /// Whether no message is queued or in flight.
@@ -306,6 +331,90 @@ mod tests {
         assert!(link.is_empty());
         let got: Vec<_> = out.iter().map(|e| (e.src, e.msg.0)).collect();
         assert_eq!(got, [(2, sizes[0]), (2, sizes[1]), (2, sizes[2])]);
+    }
+
+    /// `next_completion` counts the `deliver` calls left to the front's
+    /// completion: none on an empty link, an exact quotient on a
+    /// multiple of the budget, one more otherwise — and the sentinel's
+    /// size is re-derived, not read as `u32::MAX`.
+    #[test]
+    fn next_completion_counts_the_calls_left_to_the_front() {
+        let mut link: Link<Claim> = Link::default();
+        assert_eq!(link.next_completion(64), None);
+        link.push(Envelope {
+            src: 0,
+            msg: Claim(256),
+        });
+        link.push(Envelope {
+            src: 0,
+            msg: Claim(1),
+        });
+        assert_eq!(link.next_completion(64), Some(4));
+        assert_eq!(link.next_completion(100), Some(3));
+        assert_eq!(link.next_completion(256), Some(1));
+        link.advance(64);
+        assert_eq!(link.next_completion(64), Some(3));
+        assert_eq!(link.next_completion(1), Some(192));
+        link.deliver(64, &mut Vec::new());
+        link.advance(127);
+        assert_eq!(link.next_completion(64), Some(1));
+        const B: u64 = 1 << 31;
+        let mut big: Link<Claim> = Link::default();
+        big.push(Envelope {
+            src: 0,
+            msg: Claim(1 << 33),
+        });
+        assert_eq!(big.next_completion(B), Some(4));
+        big.advance(3 * B);
+        assert_eq!(big.next_completion(B), Some(1));
+        assert_eq!(big.next_completion(1), Some(B));
+    }
+
+    proptest::proptest! {
+        /// Skipping is exact on a link: for every `s` below the next
+        /// completion, `advance(s·B)` and one `deliver` leave the queue,
+        /// the front's progress and the returned `Delivery` exactly as
+        /// `s + 1` calls of `deliver` do, and those first `s` calls
+        /// deliver nothing.
+        #[test]
+        fn advance_then_deliver_equals_one_deliver_per_round(
+            sizes in proptest::collection::vec(1u64..2_000, 1..6),
+            budget in 1u64..300,
+            warmup in 0usize..4,
+        ) {
+            let build = || {
+                let mut link: Link<Claim> = Link::default();
+                for &bits in &sizes {
+                    link.push(Envelope { src: 3, msg: Claim(bits) });
+                }
+                for _ in 0..warmup {
+                    link.deliver(budget, &mut Vec::new());
+                }
+                link
+            };
+            // Every warmup round may have drained the link.
+            let next = build().next_completion(budget).unwrap_or(0);
+            for s in 0..next {
+                let mut skipped = build();
+                skipped.advance(s * budget);
+                let mut skipped_out = Vec::new();
+                let skipped_d = skipped.deliver(budget, &mut skipped_out);
+                let mut stepped = build();
+                let mut stepped_out = Vec::new();
+                for _ in 0..s {
+                    let d = stepped.deliver(budget, &mut stepped_out);
+                    proptest::prop_assert_eq!(d, Delivery { bits_used: budget, msgs: 0, msg_bits: 0 });
+                }
+                proptest::prop_assert!(stepped_out.is_empty());
+                let stepped_d = stepped.deliver(budget, &mut stepped_out);
+                proptest::prop_assert_eq!(skipped_d, stepped_d);
+                let got = |out: &[Envelope<Claim>]| out.iter().map(|e| (e.src, e.msg.0)).collect::<Vec<_>>();
+                proptest::prop_assert_eq!(got(&skipped_out), got(&stepped_out));
+                proptest::prop_assert_eq!(skipped.front_progress, stepped.front_progress);
+                let queue = |l: &Link<Claim>| l.queue.iter().map(|(m, c)| (m.0, *c)).collect::<Vec<_>>();
+                proptest::prop_assert_eq!(queue(&skipped), queue(&stepped));
+            }
+        }
     }
 
     /// One oversize message, alone: `2³³` bits at `B = 2³¹` take exactly

@@ -17,6 +17,10 @@ pub enum Status {
     /// machine may not do when called without mail). The run
     /// terminates when every machine is `Done` and all links and
     /// inboxes are empty.
+    ///
+    /// `Done` does not mean finished: a machine waiting for a peer's
+    /// message reports `Done` too. [`Protocol::finished`] tells the two
+    /// apart once the run has gone quiet.
     Done,
 }
 
@@ -76,6 +80,18 @@ pub trait Protocol: Send {
         inbox: &mut Vec<Envelope<Self::Msg>>,
         out: &mut Outbox<Self::Msg>,
     ) -> Status;
+
+    /// Whether this machine has produced its output. A machine that
+    /// reports [`Status::Done`] while it waits for mail (a parked
+    /// [`crate::router::Staged`] machine does) says `false` here until
+    /// it is through; if the run goes quiescent while any machine says
+    /// `false`, the mail it waits for can no longer come, and the
+    /// engines fail with [`crate::EngineError::Stalled`] instead of
+    /// returning its partial state. The default, `true`, suits every
+    /// protocol that only reports `Done` when it is through.
+    fn finished(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

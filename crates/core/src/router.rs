@@ -163,6 +163,14 @@ pub trait Stages<const C: usize>: Send {
 /// one round, and with `k = 1` every barrier is complete at once, so
 /// the whole protocol runs inside round 0.
 ///
+/// *Why every round reports [`Status::Done`].* Between barriers a
+/// machine has nothing to do until a flush arrives, and a flush is
+/// mail: it is called only then, and the rounds a bandwidth-bound
+/// stage spends waiting cost it nothing. [`Protocol::finished`] says
+/// whether [`Stages::complete`] has ended the protocol, so a run that
+/// goes quiet with a barrier still open fails as
+/// [`crate::EngineError::Stalled`].
+///
 /// *Why parking suffices.* A peer can be at most one stage ahead:
 /// advancing twice would need this machine's flush of the stage in
 /// between, which it has not sent. So a message with a foreign tag
@@ -261,11 +269,13 @@ impl<S: Stages<C>, const C: usize> Protocol for Staged<S, C> {
             }
             self.enter(ctx, out);
         }
-        if self.finished {
-            Status::Done
-        } else {
-            Status::Active
-        }
+        // Finished, or (k > 1) parked at a barrier that only mail can
+        // complete: either way nothing is left to do without mail.
+        Status::Done
+    }
+
+    fn finished(&self) -> bool {
+        self.finished
     }
 }
 
@@ -611,12 +621,15 @@ mod tests {
     struct Toy {
         heavy: u64,
         seen: Vec<Seen>,
+        /// `(src, tag)` of a flush this machine loses on receipt.
+        lose: Option<(MachineIdx, u8)>,
     }
 
     fn toy(heavy: u64) -> Staged<Toy, 1> {
         Staged::new(Toy {
             heavy,
             seen: Vec::new(),
+            lose: None,
         })
     }
 
@@ -646,7 +659,7 @@ mod tests {
             msg: ToyMsg,
         ) -> Option<[u64; 1]> {
             if msg.flush {
-                return Some([msg.x]);
+                return (self.lose != Some((src, msg.tag))).then_some([msg.x]);
             }
             self.seen.push(Seen::Applied(src, msg.tag, msg.x));
             None
@@ -728,7 +741,7 @@ mod tests {
         // stage 0 is still open here, and is parked.
         let inbox = vec![data(0, 0, 0), data(2, 0, 0), flush(2, 0, 2), data(2, 1, 0)];
         let (status, sent) = drive(&mut m, 1, inbox);
-        assert_eq!(status, Status::Active);
+        assert_eq!(status, Status::Done);
         assert!(sent.is_empty(), "stage 0 is still waiting on machine 0");
         // The lagging link delivers everything at once: the flush that
         // closes stage 0 and, behind it, both peers' whole stage 1.
@@ -739,7 +752,7 @@ mod tests {
             flush(2, 1, 2),
         ];
         let (status, sent) = drive(&mut m, 2, inbox);
-        assert_eq!(status, Status::Active);
+        assert_eq!(status, Status::Done);
         use Seen::*;
         let seen = vec![
             Entered(0),
@@ -832,6 +845,40 @@ mod tests {
         let replayed = at(&Seen::Applied(2, 1, 0));
         assert!(at(&Seen::Completed(0, 11)) < replayed);
         assert!(replayed < at(&Seen::Entered(1)));
+    }
+
+    /// A barrier that can never complete is a typed stall, not a
+    /// silent early stop: machine 1 loses machine 2's flush of the last
+    /// stage, so it never finishes while the others do, and the run
+    /// goes quiet with it parked — the same error on both engines.
+    #[test]
+    fn a_lost_flush_is_a_stall_on_every_engine() {
+        use crate::runner::EngineKind;
+        let run = |engine| {
+            let machines = (0..3)
+                .map(|i| {
+                    let mut m = toy(2);
+                    if i == 1 {
+                        m.inner.lose = Some((2, 2));
+                    }
+                    m
+                })
+                .collect();
+            let cfg = NetConfig::with_bandwidth(3, 64, 7);
+            match Runner::new(cfg).engine(engine).run(machines) {
+                Ok(_) => panic!("{engine:?}: a run with a lost flush succeeded"),
+                Err(e) => e,
+            }
+        };
+        let stalled = run(EngineKind::Sequential);
+        assert_eq!(
+            stalled,
+            crate::EngineError::Stalled {
+                machine: 1,
+                round: 9
+            }
+        );
+        assert_eq!(run(EngineKind::Distributed), stalled);
     }
 
     proptest::proptest! {
