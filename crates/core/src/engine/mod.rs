@@ -442,7 +442,7 @@ impl RoundLedger {
         let mut rounds = tally
             .next_completion
             .saturating_sub(1)
-            .min(config.max_rounds - self.iterations - 1);
+            .min(config.max_rounds.saturating_sub(self.iterations + 1));
         if let Some(crash) = crash.filter(|&c| c >= self.iterations) {
             rounds = rounds.min(crash - self.iterations);
         }

@@ -133,7 +133,7 @@ impl<M: WireCodec> Link<M> {
     /// Calls of [`Link::deliver`] at `budget` bits until the front
     /// message completes: `⌈(front bits − bits already moved)/budget⌉`,
     /// or `None` on an empty link.
-    pub fn next_completion(&self, budget: u64) -> Option<u64> {
+    pub(crate) fn next_completion(&self, budget: u64) -> Option<u64> {
         let (msg, cached) = self.queue.front()?;
         Some((size(msg, *cached) - self.front_progress).div_ceil(budget))
     }
@@ -141,7 +141,7 @@ impl<M: WireCodec> Link<M> {
     /// Moves `bits` of the front message without completing it — the
     /// state `bits / B` calls of [`Link::deliver`] at `B` bits leave
     /// behind while none of them completes the front.
-    pub fn advance(&mut self, bits: u64) {
+    pub(crate) fn advance(&mut self, bits: u64) {
         debug_assert!(
             self.next_completion(1).is_some_and(|left| bits < left),
             "advancing {bits} bits would complete the front message"
