@@ -35,9 +35,10 @@ fn size<M: WireCodec>(msg: &M, cached: u32) -> u64 {
 /// plus its 4-byte cached size: the sender index is stored once per link
 /// and put back into each [`Envelope`] at delivery. A size that does not
 /// fit below `u32::MAX` is never capped or rounded: it is queued as a
-/// sentinel, and [`Link::deliver`] asks [`WireCodec::bits`] again each
-/// time it reaches that message — the only case in which `bits` runs
-/// more than once per link message.
+/// sentinel, and [`Link::deliver`] (like `next_completion`, which the
+/// engines' skip over empty rounds reads) asks [`WireCodec::bits`] again
+/// each time it reaches that message — the only case in which `bits`
+/// runs more than once per link message.
 #[derive(Debug)]
 pub struct Link<M> {
     queue: VecDeque<Entry<M>>,
