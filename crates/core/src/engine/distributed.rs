@@ -183,7 +183,8 @@ use crate::codec::{
 };
 use crate::config::NetConfig;
 use crate::engine::{
-    admit, debug_assert_lemma3, panic_message, runs, silent_exit, Inbound, RoundLedger, RoundTally,
+    admit, debug_assert_lemma3, next_completion, panic_message, runs, silent_exit, Inbound,
+    RoundLedger, RoundTally,
 };
 use crate::error::EngineError;
 use crate::faults::FaultPlan;
@@ -1312,11 +1313,8 @@ fn run_worker<P: Protocol>(
                     }
                 }
                 if tally.is_partial_only() {
-                    tally.next_completion = block
-                        .hosts
-                        .iter()
-                        .map(|h| h.inb.next_completion(config.bandwidth_bits))
-                        .fold(u64::MAX, u64::min);
+                    tally.next_completion =
+                        next_completion(block.hosts.iter().map(|h| &h.inb), config.bandwidth_bits);
                 }
                 if resp_tx.send(Resp::Round(tally)).is_err() {
                     return;

@@ -289,19 +289,19 @@ impl<M: WireCodec> Inbound<M> {
             queued_msgs: self.queued_msgs,
             queued_bits: self.queued_bits,
             inbox_msgs: inbox.len(),
-            next_completion: u64::MAX,
+            next_completion: None,
         }
     }
 
     /// Delivery phases until the first of this destination's links
     /// completes its front message at `budget` bits a round — the
     /// minimum of [`Link::next_completion`] over the active sources, one
-    /// walk — or `u64::MAX` if no link queues anything.
-    pub(crate) fn next_completion(&self, budget: u64) -> u64 {
+    /// walk — or `None` if no link queues anything.
+    pub(crate) fn next_completion(&self, budget: u64) -> Option<u64> {
         self.active
             .iter()
             .filter_map(|&src| self.links[src].next_completion(budget))
-            .fold(u64::MAX, u64::min)
+            .min()
     }
 
     /// Runs `rounds` delivery phases in one step, for `rounds` below
@@ -327,10 +327,23 @@ impl<M: WireCodec> Inbound<M> {
     }
 }
 
+/// [`Inbound::next_completion`] over some destinations: the earliest
+/// front among them, or `None` if none queues anything. The one fold
+/// behind both the sequential network's and a distributed worker's.
+pub(crate) fn next_completion<'a, M: WireCodec + 'a>(
+    inbound: impl IntoIterator<Item = &'a Inbound<M>>,
+    budget: u64,
+) -> Option<u64> {
+    inbound
+        .into_iter()
+        .filter_map(|inb| inb.next_completion(budget))
+        .min()
+}
+
 /// What one round left behind: per destination as [`Inbound::deliver`]
 /// returns it, summed over all machines as [`RoundLedger::close`]
 /// reads it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct RoundTally {
     /// Machines that reported [`crate::Status::Active`] this round.
     pub(crate) active_machines: usize,
@@ -343,23 +356,10 @@ pub(crate) struct RoundTally {
     /// Messages delivered into the next round's inboxes.
     pub(crate) inbox_msgs: usize,
     /// The minimum [`Inbound::next_completion`] over the destinations
-    /// covered, or `u64::MAX`. Only computed for a tally that is
+    /// covered. Only computed for a tally that is
     /// [`partial-only`](RoundTally::is_partial_only), so a delivering
     /// round never pays the walk.
-    pub(crate) next_completion: u64,
-}
-
-impl Default for RoundTally {
-    fn default() -> Self {
-        RoundTally {
-            active_machines: 0,
-            any_link_bits: false,
-            queued_msgs: 0,
-            queued_bits: 0,
-            inbox_msgs: 0,
-            next_completion: u64::MAX,
-        }
-    }
+    pub(crate) next_completion: Option<u64>,
 }
 
 impl RoundTally {
@@ -369,7 +369,11 @@ impl RoundTally {
         self.queued_msgs += other.queued_msgs;
         self.queued_bits += other.queued_bits;
         self.inbox_msgs += other.inbox_msgs;
-        self.next_completion = self.next_completion.min(other.next_completion);
+        self.next_completion = self
+            .next_completion
+            .into_iter()
+            .chain(other.next_completion)
+            .min();
     }
 
     /// Whether only partial messages are left in flight: no machine
@@ -432,17 +436,10 @@ impl RoundLedger {
         tally: &RoundTally,
         crash: Option<u64>,
     ) -> u64 {
-        if !tally.is_partial_only() {
+        let Some(next) = tally.next_completion.filter(|_| tally.is_partial_only()) else {
             return 0;
-        }
-        debug_assert!(
-            tally.next_completion < u64::MAX,
-            "a partial-only tally without its next completion"
-        );
-        let mut rounds = tally
-            .next_completion
-            .saturating_sub(1)
-            .min(config.max_rounds.saturating_sub(self.iterations + 1));
+        };
+        let mut rounds = (next - 1).min(config.max_rounds.saturating_sub(self.iterations + 1));
         if let Some(crash) = crash.filter(|&c| c >= self.iterations) {
             rounds = rounds.min(crash - self.iterations);
         }
@@ -567,12 +564,9 @@ impl<M: WireCodec> Network<M> {
         tally
     }
 
-    /// [`Inbound::next_completion`] over the busy destinations.
-    fn next_completion(&self, budget: u64) -> u64 {
-        self.busy
-            .iter()
-            .map(|&dst| self.inbound[dst].next_completion(budget))
-            .fold(u64::MAX, u64::min)
+    /// [`next_completion`] over the busy destinations.
+    fn next_completion(&self, budget: u64) -> Option<u64> {
+        next_completion(self.busy.iter().map(|&dst| &self.inbound[dst]), budget)
     }
 
     /// [`Inbound::advance`] on every busy destination.
@@ -829,10 +823,7 @@ mod tests {
                 inb
             };
             // Every warmup round may have drained the links.
-            let next = match build().next_completion(budget) {
-                u64::MAX => 0,
-                next => next,
-            };
+            let next = build().next_completion(budget).unwrap_or(0);
             // The observable state of a destination.
             let state = |inb: &Inbound<Vec<u8>>| {
                 let links: Vec<_> = inb
@@ -863,23 +854,23 @@ mod tests {
     }
 
     /// `next_completion` is the earliest front over the active links,
-    /// and `u64::MAX` with nothing queued.
+    /// and `None` with nothing queued.
     #[test]
     fn next_completion_is_the_earliest_front() {
         let mut inb: Inbound<Vec<u8>> = Inbound::new(4, 0);
-        assert_eq!(inb.next_completion(64), u64::MAX);
+        assert_eq!(inb.next_completion(64), None);
         inb.push(1, vec![0u8; 60], 512); // 8 rounds at 64
         inb.push(3, vec![0u8; 20], 192); // 3 rounds
         inb.push(3, vec![0u8; 0], 32);
-        assert_eq!(inb.next_completion(64), 3);
+        assert_eq!(inb.next_completion(64), Some(3));
         inb.advance(2, 64);
-        assert_eq!(inb.next_completion(64), 1);
+        assert_eq!(inb.next_completion(64), Some(1));
         assert_eq!(inb.link_visits, 4, "two rounds over two links");
         let t = inb.deliver(64, &mut Vec::new());
         // Link 3's front completes and spends the whole budget, so the
         // 32-bit message behind it is next, ahead of link 1's 320 bits.
         assert_eq!((t.inbox_msgs, t.queued_msgs, t.queued_bits), (1, 2, 544));
-        assert_eq!(inb.next_completion(64), 1);
+        assert_eq!(inb.next_completion(64), Some(1));
         assert_eq!(inb.links[1].next_completion(64), Some(5));
     }
 
@@ -893,7 +884,7 @@ mod tests {
             any_link_bits: true,
             queued_msgs: 1,
             queued_bits: 640,
-            next_completion: 10,
+            next_completion: Some(10),
             ..RoundTally::default()
         };
         let active = RoundTally {
@@ -905,7 +896,7 @@ mod tests {
             ..quiet
         };
         let due = RoundTally {
-            next_completion: 1,
+            next_completion: Some(1),
             ..quiet
         };
         // (rounds executed before, tally, planned crash round, skipped)

@@ -89,6 +89,11 @@ pub trait Protocol: Send {
     /// engines fail with [`crate::EngineError::Stalled`] instead of
     /// returning its partial state. The default, `true`, suits every
     /// protocol that only reports `Done` when it is through.
+    ///
+    /// A protocol that wraps another (to time or count its rounds, say)
+    /// must forward `finished` along with `round`. Left at the default,
+    /// a wrapped machine that stalls reads as finished, and the run
+    /// ends `Ok` with its partial state.
     fn finished(&self) -> bool {
         true
     }
