@@ -2,8 +2,8 @@
 
 use crate::error::EngineError;
 
-/// Most machines a network may have: routed messages (`Routed`, the
-/// sort's relayed keys) ship machine indices in 16-bit fields.
+/// Most machines a network may have: the sort's relayed keys ship
+/// machine indices in 16-bit fields.
 const MAX_MACHINES: usize = 1 << 16;
 
 /// Static parameters of a k-machine network.

@@ -214,44 +214,17 @@ const LINK_CHANNEL_FRAMES: usize = 4;
 /// machine may stay silent at a round barrier before the run fails
 /// with [`EngineError::MachineLost`]. Generous because a legitimate
 /// protocol round may compute for a while; fault tests lower it via
-/// [`FaultPlan::barrier_timeout_ms`] and slow CI can raise it through
-/// [`BARRIER_TIMEOUT_ENV`].
+/// [`FaultPlan::barrier_timeout_ms`], and slow CI can raise it through
+/// `KM_FAULTS=timeout=<ms>`.
 pub const DEFAULT_BARRIER_TIMEOUT_MS: u64 = 10_000;
 
-/// Environment override for the barrier timeout: a positive integer of
-/// milliseconds. Parsed hard, like `KM_FAULTS` — a malformed or zero
-/// value fails the run with [`EngineError::InvalidConfig`] instead of
-/// being silently ignored. A [`FaultPlan::barrier_timeout_ms`] set by
-/// the caller still wins over the environment.
-pub const BARRIER_TIMEOUT_ENV: &str = "KM_BARRIER_TIMEOUT_MS";
-
-/// Resolves the effective barrier timeout: explicit plan value, then
-/// [`BARRIER_TIMEOUT_ENV`], then [`DEFAULT_BARRIER_TIMEOUT_MS`].
-fn barrier_timeout(plan: &FaultPlan) -> Result<Duration, EngineError> {
-    let env = std::env::var(BARRIER_TIMEOUT_ENV).ok();
-    barrier_timeout_from(plan, env.as_deref())
-}
-
-/// [`barrier_timeout`] with the environment value passed in, so the
-/// parse rules are testable without planting process-global state.
-fn barrier_timeout_from(plan: &FaultPlan, env: Option<&str>) -> Result<Duration, EngineError> {
-    if plan.barrier_timeout_ms > 0 {
-        return Ok(Duration::from_millis(plan.barrier_timeout_ms));
-    }
-    match env {
-        None => Ok(Duration::from_millis(DEFAULT_BARRIER_TIMEOUT_MS)),
-        Some(raw) => match raw.trim().parse::<u64>() {
-            Ok(ms) if ms > 0 => Ok(Duration::from_millis(ms)),
-            Ok(_) => Err(EngineError::InvalidConfig {
-                reason: format!("{BARRIER_TIMEOUT_ENV} must be a positive number of milliseconds"),
-            }),
-            Err(_) => Err(EngineError::InvalidConfig {
-                reason: format!(
-                    "{BARRIER_TIMEOUT_ENV}: expected a positive number of milliseconds, got {raw:?}"
-                ),
-            }),
-        },
-    }
+/// The effective barrier timeout: the plan's, else
+/// [`DEFAULT_BARRIER_TIMEOUT_MS`].
+fn barrier_timeout(plan: &FaultPlan) -> Duration {
+    Duration::from_millis(match plan.barrier_timeout_ms {
+        0 => DEFAULT_BARRIER_TIMEOUT_MS,
+        ms => ms,
+    })
 }
 
 /// Idle receive polls between NACK rounds while a machine is owed
@@ -852,7 +825,7 @@ impl DistributedEngine {
                 });
             }
         }
-        let barrier = barrier_timeout(&plan)?;
+        let barrier = barrier_timeout(&plan);
         let workers = crossbeam::thread::available_parallelism();
         run_pool(config, machines, plan, barrier, workers)
     }
@@ -1714,14 +1687,14 @@ mod tests {
         }
     }
 
-    /// [`run_pool`] with the plan's barrier timeout (no environment).
+    /// [`run_pool`] with the plan's barrier timeout.
     fn pool<P: Protocol>(
         cfg: NetConfig,
         machines: Vec<P>,
         plan: FaultPlan,
         workers: usize,
     ) -> Result<RunReport<P>, EngineError> {
-        let barrier = barrier_timeout_from(&plan, None).unwrap();
+        let barrier = barrier_timeout(&plan);
         run_pool(cfg, machines, plan, barrier, workers)
     }
 
@@ -1924,36 +1897,15 @@ mod tests {
     }
 
     #[test]
-    fn barrier_timeout_env_is_parsed_hard_and_plan_wins() {
-        // Exercised through `barrier_timeout_from` so no test ever
-        // plants an invalid value in the process-global environment
-        // (the same discipline as `EngineKind::from_env_value`).
-        let plan = FaultPlan::default();
+    fn barrier_timeout_plan_wins_else_default() {
         assert_eq!(
-            barrier_timeout_from(&plan, None).unwrap(),
+            barrier_timeout(&FaultPlan::default()),
             Duration::from_millis(DEFAULT_BARRIER_TIMEOUT_MS)
         );
-        assert_eq!(
-            barrier_timeout_from(&plan, Some("2500")).unwrap(),
-            Duration::from_millis(2500)
-        );
-        // An explicit plan timeout always wins over the environment.
         let fast = FaultPlan {
             barrier_timeout_ms: 40,
             ..FaultPlan::default()
         };
-        assert_eq!(
-            barrier_timeout_from(&fast, Some("2500")).unwrap(),
-            Duration::from_millis(40)
-        );
-        for bad in ["0", "-5", "soon", "10s", ""] {
-            let err = barrier_timeout_from(&plan, Some(bad)).unwrap_err();
-            match &err {
-                EngineError::InvalidConfig { reason } => {
-                    assert!(reason.contains(BARRIER_TIMEOUT_ENV), "{reason}");
-                }
-                other => panic!("expected InvalidConfig for {bad:?}, got {other:?}"),
-            }
-        }
+        assert_eq!(barrier_timeout(&fast), Duration::from_millis(40));
     }
 }

@@ -110,15 +110,6 @@ fn chance(h: u64, p: f64) -> bool {
 }
 
 impl FaultPlan {
-    /// A plan seeded for the decision streams but injecting nothing
-    /// until rates are set.
-    pub fn seeded(seed: u64) -> Self {
-        Self {
-            seed,
-            ..Self::default()
-        }
-    }
-
     /// Does this plan ever touch a frame? The engine skips the
     /// retention/fault machinery entirely when not (the zero-overhead
     /// fast path).
@@ -169,14 +160,15 @@ impl FaultPlan {
     /// | `corrupt` | probability in `[0, 1]`                |
     /// | `delay`   | probability in `[0, 1]`                |
     /// | `crash`   | `<machine>@<round>` (both integers)    |
-    /// | `timeout` | barrier timeout in ms (`u64`, 0 = default) |
+    /// | `timeout` | barrier timeout in ms (`u64`, positive) |
     ///
     /// Whitespace around tokens is ignored; an empty spec is the
     /// no-fault plan.
     ///
     /// # Errors
     /// [`EngineError::InvalidConfig`] naming the offending token for
-    /// any unknown key, unparsable value, or out-of-range probability.
+    /// any unknown key, unparsable value, out-of-range probability, or
+    /// zero timeout.
     pub fn parse(spec: &str) -> Result<Self, EngineError> {
         fn bad(token: &str, why: &str) -> EngineError {
             EngineError::InvalidConfig {
@@ -214,6 +206,9 @@ impl FaultPlan {
                         .trim()
                         .parse()
                         .map_err(|_| bad(token, "expected a timeout in milliseconds"))?;
+                    if plan.barrier_timeout_ms == 0 {
+                        return Err(bad(token, "timeout must be positive"));
+                    }
                 }
                 "drop" => plan.drop = prob(token, value.trim())?,
                 "dup" => plan.duplicate = prob(token, value.trim())?,
@@ -294,11 +289,11 @@ mod tests {
 
     #[test]
     fn extreme_rates_always_and_never_fire() {
-        let always = FaultPlan {
-            drop: 1.0,
-            ..FaultPlan::seeded(9)
+        let never = FaultPlan {
+            seed: 9,
+            ..FaultPlan::default()
         };
-        let never = FaultPlan::seeded(9);
+        let always = FaultPlan { drop: 1.0, ..never };
         for i in 0..50 {
             assert!(always.fate(0, 1, i, 64).drop);
             assert!(!never.fate(0, 1, i, 64).drop);
@@ -366,6 +361,7 @@ mod tests {
             ("crash=a@2", "crash=a@2"),
             ("crash=3@b", "crash=3@b"),
             ("timeout=fast", "timeout=fast"),
+            ("timeout=0", "timeout=0"),
             ("drop=0.1,,dup=0.1", "empty token"),
         ] {
             match FaultPlan::parse(spec) {

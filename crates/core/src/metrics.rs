@@ -63,11 +63,6 @@ impl Metrics {
         self.recv_bits.iter().copied().max().unwrap_or(0)
     }
 
-    /// The largest per-machine sent-bit count.
-    pub fn max_sent_bits(&self) -> u64 {
-        self.sent_bits.iter().copied().max().unwrap_or(0)
-    }
-
     /// Theoretical floor on rounds implied by this transcript: some machine
     /// received `max_recv_bits()` over `k−1` links of `B` bits, so at least
     /// `⌈max_recv/((k−1)B)⌉` rounds were necessary for *any* schedule.
@@ -226,7 +221,6 @@ mod tests {
         assert_eq!(m.total_msgs(), 6);
         assert_eq!(m.total_bits(), 60);
         assert_eq!(m.max_recv_bits(), 50);
-        assert_eq!(m.max_sent_bits(), 30);
     }
 
     #[test]

@@ -70,10 +70,10 @@ pub trait Protocol: Send {
     /// (FIFO within a sender).
     ///
     /// The inbox is handed over `&mut` so protocols that forward or store
-    /// payloads can `drain(..)` and *move* them instead of cloning (see
-    /// [`crate::router::relay_round`]). The engine clears and reuses the
-    /// buffer after the round, so leaving messages behind is fine and
-    /// mutation never affects delivery semantics.
+    /// payloads can `drain(..)` and *move* them instead of cloning. The
+    /// engine clears and reuses the buffer after the round, so leaving
+    /// messages behind is fine and mutation never affects delivery
+    /// semantics.
     fn round(
         &mut self,
         ctx: &mut RoundCtx<'_>,

@@ -1,4 +1,4 @@
-//! Routing toolbox: Lemma 13, proxies, and two-hop (Valiant) routing.
+//! Routing toolbox: Lemma 13, proxies, and flush-separated stages.
 //!
 //! **Lemma 13** (the workhorse of both upper bounds): if every machine is
 //! the source (or destination) of `O(x)` messages whose destinations
@@ -10,8 +10,7 @@
 //! randomize: **randomized proxy computation** (Section 1.3) assigns each
 //! object (edge, vertex, token batch) a uniformly random proxy machine
 //! that does the work on its behalf. [`proxy_of`] provides the shared
-//! deterministic proxy map; [`Routed`] implements the two-hop pattern
-//! (source → random relay → destination) for raw traffic.
+//! deterministic proxy map every machine evaluates locally.
 
 use crate::codec::{BitReader, BitSink, CodecError, WireCodec};
 use crate::message::{Envelope, Outbox};
@@ -52,33 +51,16 @@ pub fn phase_proxy_of(shared_seed: u64, phase: u64, key: u64, k: usize) -> Machi
 
 /// Flush-barrier bookkeeping of one stage: how many peers have flushed,
 /// and the element-wise sum of the `C` counters their flushes carried.
-///
-/// The pattern: on entering a stage a machine sends the stage's payload
-/// messages and then **broadcasts a flush** carrying small counters.
-/// Links are FIFO, so once a machine has collected `k − 1` flushes of
-/// the current stage, every payload message of the stage has been
-/// delivered to it — a full barrier without global coordination, and
-/// the summed counters are a global aggregate every machine agrees on
-/// (live tokens, candidates produced, labels unresolved).
-///
-/// Protocols do not drive this by hand: [`Staged`] owns the barrier
-/// together with the stage tag, the parking of early messages and the
-/// flush broadcast, and is the only form callers see.
+/// [`Staged`] owns one; its docs describe the pattern.
 #[derive(Debug, Clone)]
-pub struct PhaseBarrier<const C: usize> {
+struct PhaseBarrier<const C: usize> {
     flushes: usize,
     agg: [u64; C],
 }
 
-impl<const C: usize> Default for PhaseBarrier<C> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<const C: usize> PhaseBarrier<C> {
     /// A fresh barrier with zeroed counters.
-    pub fn new() -> Self {
+    fn new() -> Self {
         PhaseBarrier {
             flushes: 0,
             agg: [0; C],
@@ -86,7 +68,7 @@ impl<const C: usize> PhaseBarrier<C> {
     }
 
     /// Absorbs one received flush carrying `counts`.
-    pub fn absorb(&mut self, counts: [u64; C]) {
+    fn absorb(&mut self, counts: [u64; C]) {
         self.flushes += 1;
         for (a, c) in self.agg.iter_mut().zip(counts) {
             *a += c;
@@ -95,13 +77,13 @@ impl<const C: usize> PhaseBarrier<C> {
 
     /// Whether all `k − 1` peer flushes of the current stage are in.
     #[inline]
-    pub fn ready(&self, k: usize) -> bool {
+    fn ready(&self, k: usize) -> bool {
         self.flushes == k - 1
     }
 
     /// Completes the stage: returns the aggregated peer counters and
     /// re-arms the barrier for the next one.
-    pub fn flip(&mut self) -> [u64; C] {
+    fn flip(&mut self) -> [u64; C] {
         self.flushes = 0;
         std::mem::replace(&mut self.agg, [0; C])
     }
@@ -153,7 +135,19 @@ pub trait Stages<const C: usize>: Send {
 }
 
 /// Runs a [`Stages`] protocol: the one implementation of the
-/// flush-barrier loop (see [`PhaseBarrier`] for the pattern).
+/// flush-barrier loop.
+///
+/// The pattern: on entering a stage a machine sends the stage's payload
+/// messages and then **broadcasts a flush** carrying small counters.
+/// Links are FIFO, so once a machine has collected `k − 1` flushes of
+/// the current stage, every payload message of the stage has been
+/// delivered to it — a full barrier without global coordination, and
+/// the summed counters are a global aggregate every machine agrees on
+/// (live tokens, candidates produced, labels unresolved).
+///
+/// Protocols do not drive the barrier by hand: `Staged` owns it
+/// together with the stage tag, the parking of early messages and the
+/// flush broadcast.
 ///
 /// Round 0 enters stage 0. Every round, delivered messages of the
 /// current tag are applied and others parked; then, while the barrier
@@ -279,84 +273,6 @@ impl<S: Stages<C>, const C: usize> Protocol for Staged<S, C> {
     }
 }
 
-/// A message travelling via at most one random relay (Valiant routing).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Routed<M> {
-    /// The machine that originally sent the message.
-    pub origin: MachineIdx,
-    /// The final destination.
-    pub target: MachineIdx,
-    /// The payload.
-    pub inner: M,
-}
-
-/// Two 16-bit machine indices — hence `k ≤ 65 536`, which
-/// [`crate::NetConfig::validate`] enforces — then the payload.
-impl<M: WireCodec> WireCodec for Routed<M> {
-    fn encode<S: BitSink>(&self, w: &mut S) {
-        w.put(self.origin as u64, 16);
-        w.put(self.target as u64, 16);
-        self.inner.encode(w);
-    }
-
-    fn decode(r: &mut BitReader<'_>) -> Result<Self, CodecError> {
-        let origin = r.take(16)? as MachineIdx;
-        let target = r.take(16)? as MachineIdx;
-        let inner = M::decode(r)?;
-        Ok(Routed {
-            origin,
-            target,
-            inner,
-        })
-    }
-}
-
-/// Sends `msg` to `target` via a uniformly random relay machine. Use when
-/// the *destination* distribution is adversarial; the relay hop makes both
-/// legs uniform so Lemma 13 applies to each.
-pub fn send_via_random_relay<M, R: Rng>(
-    out: &mut Outbox<Routed<M>>,
-    rng: &mut R,
-    k: usize,
-    origin: MachineIdx,
-    target: MachineIdx,
-    inner: M,
-) {
-    let relay = rng.gen_range(0..k);
-    out.send(
-        relay,
-        Routed {
-            origin,
-            target,
-            inner,
-        },
-    );
-}
-
-/// One round of relay processing: forwards messages not yet at their
-/// target and returns those that have arrived (as `(origin, payload)`).
-///
-/// Consumes the inbox — forwarded envelopes and arrived payloads are
-/// *moved*, never cloned, so relaying large payloads costs nothing
-/// beyond the send itself (hence no `M: Clone` bound). The inbox is left
-/// empty; capture `inbox.is_empty()` beforehand if a protocol's
-/// termination logic needs to know whether mail arrived this round.
-pub fn relay_round<M>(
-    me: MachineIdx,
-    inbox: &mut Vec<Envelope<Routed<M>>>,
-    out: &mut Outbox<Routed<M>>,
-) -> Vec<(MachineIdx, M)> {
-    let mut arrived = Vec::new();
-    for env in inbox.drain(..) {
-        if env.msg.target == me {
-            arrived.push((env.msg.origin, env.msg.inner));
-        } else {
-            out.send(env.msg.target, env.msg);
-        }
-    }
-    arrived
-}
-
 /// Test/benchmark protocol for Lemma 13: every machine sends `x` unit
 /// messages to uniformly random destinations in round 0 (direct routing);
 /// the run's round count is the empirical left side of the lemma.
@@ -421,23 +337,11 @@ mod tests {
     use crate::config::NetConfig;
     use crate::runner::Runner;
 
-    /// `bits()` of the routing layer's own wire types, as literals: two
-    /// 16-bit machine indices on top of the payload, and the 16-bit
-    /// scatter token. Neither depends on `n`.
+    /// `bits()` of the routing layer's own wire type, as a literal: the
+    /// 16-bit scatter token, independent of `n`.
     #[test]
     fn routing_sizes_are_pinned() {
-        fn routed<M>(inner: M) -> Routed<M> {
-            Routed {
-                origin: 65_535,
-                target: 0,
-                inner,
-            }
-        }
         assert_eq!(ScatterToken.bits(), 16);
-        assert_eq!(routed(ScatterToken).bits(), 48);
-        assert_eq!(routed(u32::MAX).bits(), 64);
-        assert_eq!(routed(()).bits(), 33);
-        assert_eq!(routed(crate::Raw::from_vec(vec![1, 2, 3])).bits(), 56);
     }
 
     #[test]
@@ -521,61 +425,6 @@ mod tests {
         let r2 = run(400);
         assert!(r2 as f64 > 1.5 * r1 as f64, "r1={r1} r2={r2}");
         assert!((r2 as f64) < 3.0 * r1 as f64, "r1={r1} r2={r2}");
-    }
-
-    /// Two-hop routing: all machines target machine 0, but the relay hop
-    /// spreads the load; arrivals carry the true origin.
-    struct Funnel {
-        x: usize,
-        arrived: Vec<(MachineIdx, u32)>,
-    }
-
-    impl Protocol for Funnel {
-        type Msg = Routed<u32>;
-        fn round(
-            &mut self,
-            ctx: &mut RoundCtx<'_>,
-            inbox: &mut Vec<Envelope<Routed<u32>>>,
-            out: &mut Outbox<Routed<u32>>,
-        ) -> Status {
-            let had_mail = !inbox.is_empty();
-            let mut got = relay_round(ctx.me, inbox, out);
-            self.arrived.append(&mut got);
-            if ctx.round == 0 && ctx.me != 0 {
-                for i in 0..self.x {
-                    send_via_random_relay(out, ctx.rng, ctx.k, ctx.me, 0, i as u32);
-                }
-                return Status::Active;
-            }
-            if !had_mail && ctx.round > 0 {
-                Status::Done
-            } else {
-                Status::Active
-            }
-        }
-    }
-
-    #[test]
-    fn two_hop_routing_delivers_everything_with_origins() {
-        let k = 5;
-        let x = 20;
-        let cfg = NetConfig::with_bandwidth(k, 1024, 3);
-        let machines: Vec<Funnel> = (0..k)
-            .map(|_| Funnel {
-                x,
-                arrived: Vec::new(),
-            })
-            .collect();
-        let report = Runner::new(cfg).run(machines).unwrap();
-        let arrived = &report.machines[0].arrived;
-        assert_eq!(arrived.len(), (k - 1) * x);
-        for src in 1..k {
-            assert_eq!(arrived.iter().filter(|(o, _)| *o == src).count(), x);
-        }
-        // Nothing leaks to other machines.
-        for m in &report.machines[1..] {
-            assert!(m.arrived.is_empty());
-        }
     }
 
     /// What a [`Toy`] machine saw, in order (flushes are the skeleton's
@@ -881,16 +730,8 @@ mod tests {
         assert_eq!(run(EngineKind::Distributed), stalled);
     }
 
-    proptest::proptest! {
-        #[test]
-        fn routed_scatter_tokens_roundtrip_the_wire(
-            origin in 0usize..1 << 16,
-            target in 0usize..1 << 16,
-            payload in 0u64..=u64::MAX,
-        ) {
-            crate::assert_roundtrip(&Routed { origin, target, inner: ScatterToken });
-            crate::assert_roundtrip(&Routed { origin, target, inner: payload });
-            crate::assert_roundtrip(&ScatterToken);
-        }
+    #[test]
+    fn scatter_token_roundtrips_the_wire() {
+        crate::assert_roundtrip(&ScatterToken);
     }
 }

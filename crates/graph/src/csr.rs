@@ -67,12 +67,6 @@ impl CsrGraph {
         CsrGraph { offsets, neighbors }
     }
 
-    /// Builds a graph from canonical [`Edge`] values.
-    pub fn from_edge_structs(n: usize, edges: &[Edge]) -> Self {
-        let pairs: Vec<(Vertex, Vertex)> = edges.iter().map(|e| (e.u, e.v)).collect();
-        Self::from_edges(n, &pairs)
-    }
-
     /// Number of vertices.
     #[inline]
     pub fn n(&self) -> usize {
@@ -142,24 +136,10 @@ impl CsrGraph {
         })
     }
 
-    /// Edges incident to `v`, each as a canonical [`Edge`].
-    pub fn incident_edges(&self, v: Vertex) -> impl Iterator<Item = Edge> + '_ {
-        self.neighbors(v).iter().map(move |&w| Edge::new(v, w))
-    }
-
     /// Sum of degrees (`2m`).
     #[inline]
     pub fn degree_sum(&self) -> usize {
         self.neighbors.len()
-    }
-
-    /// Number of neighbors of `u` strictly greater than `u` (out-degree in
-    /// the degree-ordered orientation used by triangle enumerators).
-    #[inline]
-    pub fn higher_degree(&self, u: Vertex) -> usize {
-        let list = self.neighbors(u);
-        let split = list.partition_point(|&w| w <= u);
-        list.len() - split
     }
 }
 
@@ -220,14 +200,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn rejects_out_of_range() {
         let _ = CsrGraph::from_edges(2, &[(0, 5)]);
-    }
-
-    #[test]
-    fn higher_degree_orientation() {
-        let g = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 2)]);
-        assert_eq!(g.higher_degree(0), 3);
-        assert_eq!(g.higher_degree(1), 1);
-        assert_eq!(g.higher_degree(3), 0);
     }
 
     proptest! {

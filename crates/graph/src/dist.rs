@@ -26,7 +26,7 @@
 
 use crate::csr::CsrGraph;
 use crate::digraph::DiGraph;
-use crate::ids::{Edge, MachineIdx, Vertex};
+use crate::ids::{MachineIdx, Vertex};
 use crate::partition::balance::LoadStats;
 use crate::partition::Partition;
 use crate::weighted::WeightedGraph;
@@ -404,69 +404,6 @@ pub(crate) fn finalize_host_pairs(locals: &mut [LocalGraph], pairs: Vec<Vec<(Ver
     }
 }
 
-/// A flat sorted-adjacency view over an arbitrary edge set — the shared
-/// helper behind the subgraph enumerators (triangles, open triads), which
-/// each used to build their own `HashMap<Vertex, Vec<Vertex>>` copy.
-///
-/// Vertices are the edge endpoints in ascending order; adjacency slices
-/// are sorted. Lookup is a binary search over the touched vertices only,
-/// so the view stays proportional to the edge set, not to `n`.
-#[derive(Debug, Clone, Default)]
-pub struct EdgeListAdjacency {
-    keys: Vec<Vertex>,
-    offsets: Vec<usize>,
-    neighbors: Vec<Vertex>,
-}
-
-impl EdgeListAdjacency {
-    /// Builds the view from simple undirected edges (duplicates collapse).
-    pub fn from_edges<I: IntoIterator<Item = Edge>>(edges: I) -> Self {
-        let mut pairs: Vec<(Vertex, Vertex)> = Vec::new();
-        for e in edges {
-            pairs.push((e.u, e.v));
-            pairs.push((e.v, e.u));
-        }
-        pairs.sort_unstable();
-        pairs.dedup();
-        let mut keys = Vec::new();
-        let mut offsets = vec![0usize];
-        let mut neighbors = Vec::with_capacity(pairs.len());
-        for (u, v) in pairs {
-            if keys.last() != Some(&u) {
-                if !keys.is_empty() {
-                    offsets.push(neighbors.len());
-                }
-                keys.push(u);
-            }
-            neighbors.push(v);
-        }
-        offsets.push(neighbors.len());
-        if keys.is_empty() {
-            offsets = vec![0];
-        }
-        EdgeListAdjacency {
-            keys,
-            offsets,
-            neighbors,
-        }
-    }
-
-    /// The touched vertices, ascending.
-    #[inline]
-    pub fn vertices(&self) -> &[Vertex] {
-        &self.keys
-    }
-
-    /// Sorted neighbors of `v` within the edge set (empty if untouched).
-    #[inline]
-    pub fn neighbors_of(&self, v: Vertex) -> &[Vertex] {
-        match self.keys.binary_search(&v) {
-            Ok(i) => &self.neighbors[self.offsets[i]..self.offsets[i + 1]],
-            Err(_) => &[],
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -593,19 +530,5 @@ mod tests {
         let g = classic::path(4);
         let part = Arc::new(Partition::by_hash(5, 2, 1));
         let _ = DistGraphBuilder::new(&part).undirected(&g);
-    }
-
-    #[test]
-    fn edge_list_adjacency_sorted_and_complete() {
-        let edges = [Edge::new(5, 2), Edge::new(2, 9), Edge::new(5, 9)];
-        let adj = EdgeListAdjacency::from_edges(edges);
-        assert_eq!(adj.vertices(), &[2, 5, 9]);
-        assert_eq!(adj.neighbors_of(2), &[5, 9]);
-        assert_eq!(adj.neighbors_of(5), &[2, 9]);
-        assert_eq!(adj.neighbors_of(9), &[2, 5]);
-        assert_eq!(adj.neighbors_of(7), &[] as &[Vertex]);
-        let empty = EdgeListAdjacency::from_edges([]);
-        assert_eq!(empty.vertices(), &[] as &[Vertex]);
-        assert_eq!(empty.neighbors_of(0), &[] as &[Vertex]);
     }
 }

@@ -13,32 +13,15 @@
 //! algorithm must effectively learn the whole bit vector — the engine of the
 //! `Ω~(n/k²)` lower bound (Theorem 2).
 //!
-//! The paper additionally assigns *random IDs* from `[1, poly(n)]` to
-//! obfuscate vertex positions. We reproduce this with a uniformly random
-//! permutation of `[n]` ([`LowerBoundGraph::with_random_ids`]): what the
-//! argument needs is that a vertex's ID reveals nothing about its index `i`,
-//! which a random permutation provides. (Substitution documented in
-//! DESIGN.md.)
+//! The paper additionally assigns *random IDs* from `[1, poly(n)]` so that
+//! a vertex's ID reveals nothing about its index `i`. `H` keeps its
+//! canonical numbering here: no algorithm in the repo reads structure off
+//! an id, and the lower bounds are evaluated as bit counts, not against an
+//! adversary that could exploit the numbering. (Documented in DESIGN.md.)
 
 use crate::digraph::DiGraph;
 use crate::ids::Vertex;
-use rand::seq::SliceRandom;
 use rand::Rng;
-
-/// Role of a vertex of `H` (see Figure 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
-    /// `x_i`: endpoint of the coin-flip edge.
-    X(usize),
-    /// `u_i`: other endpoint of the coin-flip edge.
-    U(usize),
-    /// `t_i`: middle of the path.
-    T(usize),
-    /// `v_i`: the vertex whose PageRank encodes `b_i`.
-    V(usize),
-    /// `w`: the common sink.
-    W,
-}
 
 /// The instantiated lower-bound graph: topology plus the secret bit vector.
 #[derive(Debug, Clone)]
@@ -107,19 +90,6 @@ impl LowerBoundGraph {
         4 * self.quarter + 1
     }
 
-    /// The role of vertex `v` in canonical numbering.
-    pub fn role(&self, v: Vertex) -> Role {
-        let q = self.quarter;
-        let v = v as usize;
-        match v / q.max(1) {
-            _ if v == 4 * q => Role::W,
-            0 => Role::X(v),
-            1 => Role::U(v - q),
-            2 => Role::T(v - 2 * q),
-            _ => Role::V(v - 3 * q),
-        }
-    }
-
     /// Vertex id of `v_i` (canonical numbering).
     pub fn v_vertex(&self, i: usize) -> Vertex {
         (3 * self.quarter + i) as Vertex
@@ -143,23 +113,6 @@ impl LowerBoundGraph {
     /// Vertex id of the sink `w`.
     pub fn w_vertex(&self) -> Vertex {
         (4 * self.quarter) as Vertex
-    }
-
-    /// Applies a uniformly random relabeling, returning the relabeled graph
-    /// and the permutation `canonical id -> public id`.
-    ///
-    /// This realizes the paper's random-ID assignment: an observer of the
-    /// relabeled graph cannot infer the index `i` of a vertex from its id.
-    pub fn with_random_ids<R: Rng>(&self, rng: &mut R) -> (DiGraph, Vec<Vertex>) {
-        let n = self.n();
-        let mut perm: Vec<Vertex> = (0..n as Vertex).collect();
-        perm.shuffle(rng);
-        let arcs: Vec<(Vertex, Vertex)> = self
-            .graph
-            .arcs()
-            .map(|(u, v)| (perm[u as usize], perm[v as usize]))
-            .collect();
-        (DiGraph::from_arcs(n, &arcs), perm)
     }
 
     /// Exact PageRank of `v_i` (path-sum / Monte-Carlo semantics of \[20\]):
@@ -264,16 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn roles_partition_vertices() {
-        let h = LowerBoundGraph::new(vec![true; 4]);
-        assert_eq!(h.role(0), Role::X(0));
-        assert_eq!(h.role(4), Role::U(0));
-        assert_eq!(h.role(9), Role::T(1));
-        assert_eq!(h.role(15), Role::V(3));
-        assert_eq!(h.role(16), Role::W);
-    }
-
-    #[test]
     fn lemma4_constant_factor_separation() {
         // For any eps < 1 there is a constant-factor gap between the two
         // cases; the factor depends on eps (Lemma 4) and equals
@@ -309,18 +252,6 @@ mod tests {
         // Path-sum semantics: total mass at most 1 (dangling leaks), at least eps.
         let total: f64 = pr.iter().sum();
         assert!((0.2..=1.0 + 1e-9).contains(&total));
-    }
-
-    #[test]
-    fn random_ids_preserve_structure() {
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let h = LowerBoundGraph::random(21, &mut rng);
-        let (g2, perm) = h.with_random_ids(&mut rng);
-        assert_eq!(g2.m(), h.graph.m());
-        // The permuted image of each arc exists.
-        for (u, v) in h.graph.arcs() {
-            assert!(g2.has_arc(perm[u as usize], perm[v as usize]));
-        }
     }
 
     #[test]

@@ -99,12 +99,6 @@ impl Triangle {
             Edge::new(self.b, self.c),
         ]
     }
-
-    /// Returns `true` if `e` is one of the triangle's edges.
-    #[inline]
-    pub fn contains_edge(&self, e: Edge) -> bool {
-        self.edges().contains(&e)
-    }
 }
 
 #[cfg(test)]
@@ -152,8 +146,6 @@ mod tests {
             t.edges(),
             [Edge::new(1, 2), Edge::new(1, 3), Edge::new(2, 3)]
         );
-        assert!(t.contains_edge(Edge::new(2, 3)));
-        assert!(!t.contains_edge(Edge::new(1, 4)));
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   paper's congestion worst case for PageRank), and the Figure-1
 //!   lower-bound graph [`generators::lower_bound_h::LowerBoundGraph`];
 //! * the input partition models of Section 1.1: the random vertex partition
-//!   ([`partition::rvp`]) that all results assume, the random edge partition
+//!   ([`Partition::random_vertex`], or [`Partition::by_hash`] as real systems
+//!   realize it) that all results assume, the random edge partition
 //!   ([`partition::rep`]) of footnote 3, and balance diagnostics
 //!   ([`partition::balance`]);
 //! * the per-machine graph-state layer ([`dist`]): the flat CSR-backed
@@ -30,7 +31,6 @@
 //! All randomized constructions take explicit seeds and are deterministic
 //! given the seed, so distributed executions built on top are replayable.
 
-pub mod builder;
 pub mod csr;
 pub mod digraph;
 pub mod dist;
@@ -43,7 +43,6 @@ pub mod stream;
 pub mod subgraph;
 pub mod weighted;
 
-pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
 pub use digraph::DiGraph;
 pub use dist::{DistGraph, DistGraphBuilder, LocalGraph};

@@ -6,10 +6,11 @@
 //! this by hashing vertex ids, which [`Partition::by_hash`] reproduces.
 //! The **random edge partition (REP)** of footnote 3 lives in [`rep`];
 //! balance diagnostics (the `Θ~(n/k)` claim) in [`balance`].
+//! Each machine's share of the input (its vertices with their incident
+//! edges) is materialized by [`crate::dist::DistGraphBuilder`].
 
 pub mod balance;
 pub mod rep;
-pub mod rvp;
 
 use crate::ids::{MachineIdx, Vertex};
 use rand::Rng;

@@ -38,14 +38,6 @@ impl EdgePartition {
         self.edges.iter().copied().zip(self.owner.iter().copied())
     }
 
-    /// Edges owned by machine `i`.
-    pub fn owned_by(&self, i: MachineIdx) -> Vec<Edge> {
-        self.iter()
-            .filter(|&(_, o)| o == i)
-            .map(|(e, _)| e)
-            .collect()
-    }
-
     /// Edges per machine.
     pub fn loads(&self) -> Vec<usize> {
         let mut loads = vec![0usize; self.k];
@@ -100,8 +92,6 @@ mod tests {
         let rep = EdgePartition::random(&g, 5, &mut rng);
         let total: usize = rep.loads().iter().sum();
         assert_eq!(total, g.m());
-        let union: usize = (0..5).map(|i| rep.owned_by(i).len()).sum();
-        assert_eq!(union, g.m());
     }
 
     #[test]

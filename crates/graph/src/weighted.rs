@@ -150,17 +150,6 @@ impl WeightedGraph {
                 .map(move |(&v, &w)| (Edge { u, v }, w))
         })
     }
-
-    /// Total weight of all edges.
-    pub fn total_weight(&self) -> f64 {
-        self.weighted_edges().map(|(_, w)| w).sum()
-    }
-
-    /// Drops the weights, keeping the topology.
-    pub fn to_unweighted(&self) -> crate::csr::CsrGraph {
-        let pairs: Vec<(Vertex, Vertex)> = self.weighted_edges().map(|(e, _)| (e.u, e.v)).collect();
-        crate::csr::CsrGraph::from_edges(self.n(), &pairs)
-    }
 }
 
 #[cfg(test)]
@@ -174,7 +163,6 @@ mod tests {
         assert_eq!(g.weight(0, 1), Some(1.5));
         assert_eq!(g.weight(1, 0), Some(1.5));
         assert_eq!(g.weight(0, 2), None);
-        assert_eq!(g.total_weight(), 4.0);
     }
 
     #[test]
@@ -209,7 +197,7 @@ mod tests {
                 prop_assert_eq!(g.weight(e.u, e.v), Some(w));
                 prop_assert_eq!(g.weight(e.v, e.u), Some(w));
             }
-            prop_assert_eq!(g.to_unweighted().m(), g.m());
+            prop_assert_eq!(g.weighted_edges().count(), g.m());
         }
     }
 }

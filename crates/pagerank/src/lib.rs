@@ -13,7 +13,6 @@
 //! Implementations, all agreeing on this semantics:
 //!
 //! * [`mod@power_iteration`] — the linear-algebra oracle (exact up to `tol`);
-//! * [`monte_carlo`] — the sequential token-based estimator of \[20\];
 //! * [`congest_baseline`] — the `O~(n/k)`-round conversion-theorem
 //!   baseline (per-edge count messages, as in Klauck et al. \[33\]);
 //! * [`kmachine`] — **Algorithm 1**: the `O~(n/k²)`-round algorithm with
@@ -26,7 +25,6 @@ pub mod analysis;
 pub mod congest_baseline;
 pub mod kmachine;
 pub mod lemma4;
-pub mod monte_carlo;
 pub mod power_iteration;
 
 pub use analysis::{l1_error, max_relative_error};

@@ -46,21 +46,10 @@ pub fn power_iteration(g: &DiGraph, eps: f64, tol: f64, max_iters: usize) -> Vec
     pi
 }
 
-/// Power iteration for an undirected graph (each edge walks both ways).
-pub fn power_iteration_undirected(
-    g: &km_graph::CsrGraph,
-    eps: f64,
-    tol: f64,
-    max_iters: usize,
-) -> Vec<f64> {
-    let arcs: Vec<(u32, u32)> = g.edges().flat_map(|e| [(e.u, e.v), (e.v, e.u)]).collect();
-    let dg = DiGraph::from_arcs(g.n(), &arcs);
-    power_iteration(&dg, eps, tol, max_iters)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kmachine::bidirect;
     use km_graph::generators::lower_bound_h::LowerBoundGraph;
     use km_graph::generators::{classic, gnp};
     use rand::SeedableRng;
@@ -108,7 +97,7 @@ mod tests {
     #[test]
     fn undirected_star_hub_dominates() {
         let g = classic::star(20);
-        let pr = power_iteration_undirected(&g, 0.2, 1e-12, 10_000);
+        let pr = power_iteration(&bidirect(&g), 0.2, 1e-12, 10_000);
         let sum: f64 = pr.iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
         assert!(pr[0] > 5.0 * pr[1]);
@@ -122,7 +111,7 @@ mod tests {
     fn random_graph_total_mass_bounded() {
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         let g = gnp(100, 0.05, &mut rng);
-        let pr = power_iteration_undirected(&g, 0.3, 1e-12, 10_000);
+        let pr = power_iteration(&bidirect(&g), 0.3, 1e-12, 10_000);
         let sum: f64 = pr.iter().sum();
         // Isolated vertices are dangling but still only contribute ε/n each;
         // total mass is in (ε, 1].

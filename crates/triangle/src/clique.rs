@@ -4,42 +4,25 @@
 //! `Θ(log n)`-bit links, the Dolev–Lenzen–Peled partition enumerates all
 //! triangles in `O~(n^{1/3})` rounds. The congested clique is *exactly*
 //! the k-machine model with `k = n` and the identity vertex placement, so
-//! this module instantiates the Theorem 5 protocol ([`KmTriangle`]) on
-//! that special case — including the **edge-proxy hop**, which is what
-//! spreads each machine's `deg(v)·O(n^{1/3})` edge copies uniformly over
-//! the `n²` links (without it, the links into the `Θ(n)` triplet machines
-//! carry `Θ(n^{2/3})` messages and the round complexity degrades; the C1
-//! experiment measures exactly this).
+//! this module instantiates the Theorem 5 protocol
+//! ([`KmTriangle`](crate::kmachine::KmTriangle)) on that special case —
+//! including the **edge-proxy hop**, which is what spreads each machine's
+//! `deg(v)·O(n^{1/3})` edge copies uniformly over the `n²` links (without
+//! it, the links into the `Θ(n)` triplet machines carry `Θ(n^{2/3})`
+//! messages and the round complexity degrades; the C1 experiment measures
+//! exactly this).
 
-use crate::kmachine::{run_kmachine_triangles, KmTriangle, TriConfig};
+use crate::kmachine::{run_kmachine_triangles, TriConfig};
 use km_core::clique::{clique_config, home_of_vertex};
-use km_core::router::Staged;
 use km_core::NetConfig;
 use km_graph::ids::Triangle;
-use km_graph::{CsrGraph, DistGraphBuilder, Partition};
+use km_graph::{CsrGraph, Partition};
 use std::sync::Arc;
-
-pub use km_core::clique::clique_config as config_for;
 
 /// The identity partition of the congested clique: vertex `v` on
 /// machine `v`.
 pub fn identity_partition(n: usize) -> Partition {
     Partition::from_assignment(n, (0..n as u32).map(home_of_vertex).collect())
-}
-
-/// Builds the `n` machines of the congested-clique protocol
-/// (the Theorem 5 machines under the identity placement).
-pub fn build_clique_machines(g: &CsrGraph) -> Vec<Staged<KmTriangle, 0>> {
-    let part = Arc::new(identity_partition(g.n()));
-    // Degree threshold n is unreachable (max degree n−1): in the clique
-    // every machine hosts one vertex and ships its own canonical edges,
-    // which is already balanced — the designation rule is a no-op.
-    let cfg = TriConfig {
-        degree_threshold: Some(g.n().max(1)),
-        enumerate_triads: false,
-        use_proxies: true,
-    };
-    KmTriangle::build_all(DistGraphBuilder::new(&part).undirected(g), cfg)
 }
 
 /// Runs the congested-clique enumeration; returns the sorted global
@@ -50,6 +33,9 @@ pub fn run_clique_triangles(
 ) -> Result<(Vec<Triangle>, km_core::Metrics), km_core::EngineError> {
     let net: NetConfig = clique_config(g.n(), seed);
     let part = Arc::new(identity_partition(g.n()));
+    // Degree threshold n is unreachable (max degree n−1): in the clique
+    // every machine hosts one vertex and ships its own canonical edges,
+    // which is already balanced — the designation rule is a no-op.
     let cfg = TriConfig {
         degree_threshold: Some(g.n().max(1)),
         enumerate_triads: false,

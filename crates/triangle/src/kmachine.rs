@@ -34,7 +34,6 @@ use km_core::{
     Outbox, RoundCtx, Runner, WireCodec,
 };
 use km_core::{rng::keyed_hash, MachineIdx};
-use km_graph::dist::EdgeListAdjacency;
 use km_graph::ids::Triangle;
 use km_graph::{CsrGraph, DistGraph, DistGraphBuilder, Edge, LocalGraph, Partition, Vertex};
 use std::sync::Arc;
@@ -654,12 +653,18 @@ pub(crate) fn enumerate_triads_within(
     edges: &[Edge],
     accept: impl Fn(Vertex, Vertex, Vertex) -> bool,
 ) -> Vec<(Vertex, Vertex, Vertex)> {
-    let adj = EdgeListAdjacency::from_edges(edges.iter().copied());
+    // Both directions of every edge, sorted: each run of equal first
+    // components is one center with its neighbors ascending.
+    let mut arcs: Vec<(Vertex, Vertex)> = edges
+        .iter()
+        .flat_map(|e| [(e.u, e.v), (e.v, e.u)])
+        .collect();
+    arcs.sort_unstable();
     let mut out = Vec::new();
-    for &center in adj.vertices() {
-        let ns = adj.neighbors_of(center);
-        for (i, &a) in ns.iter().enumerate() {
-            for &b in &ns[i + 1..] {
+    for run in arcs.chunk_by(|x, y| x.0 == y.0) {
+        let center = run[0].0;
+        for (i, &(_, a)) in run.iter().enumerate() {
+            for &(_, b) in &run[i + 1..] {
                 if edges.binary_search(&Edge::new(a, b)).is_err() && accept(center, a, b) {
                     out.push((center, a, b));
                 }
