@@ -11,6 +11,7 @@
 
 pub mod balance;
 pub mod rep;
+mod rvp;
 
 use crate::ids::{MachineIdx, Vertex};
 use rand::Rng;

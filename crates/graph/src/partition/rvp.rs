@@ -1,54 +1,23 @@
-//! Random-vertex-partition helpers: distributing a concrete graph.
+//! Random-vertex-partition checks: distributing a concrete graph.
 //!
 //! Under RVP the home machine of `v` learns `v`'s full incident edge list
-//! (for digraphs: the out-edges; Section 1.1). The materialization of that
-//! local knowledge is the [`crate::dist`] layer — [`distribute_undirected`]
-//! and [`distribute_directed`] are thin convenience wrappers over
-//! [`DistGraphBuilder`] for callers that want just the locals; algorithms
-//! should use the builder directly to also get the balance diagnostics.
-
-use crate::csr::CsrGraph;
-use crate::digraph::DiGraph;
-use crate::dist::{DistGraphBuilder, LocalGraph};
-use crate::ids::{Edge, MachineIdx};
-use crate::partition::Partition;
-use std::sync::Arc;
-
-/// Splits an undirected graph per the partition: machine `i` receives its
-/// vertices with their full adjacency lists.
-pub fn distribute_undirected(g: &CsrGraph, part: &Arc<Partition>) -> Vec<LocalGraph> {
-    DistGraphBuilder::new(part).undirected(g).into_locals()
-}
-
-/// Splits a digraph per the partition: machine `i` receives its vertices
-/// with their out-adjacency lists.
-pub fn distribute_directed(g: &DiGraph, part: &Arc<Partition>) -> Vec<LocalGraph> {
-    DistGraphBuilder::new(part).directed(g).into_locals()
-}
-
-/// The set of undirected edges *known* to machine `i` under RVP (an edge is
-/// known if either endpoint is homed there). Used by the lower-bound
-/// validators to quantify "initial knowledge".
-pub fn known_edges(g: &CsrGraph, part: &Partition, machine: MachineIdx) -> Vec<Edge> {
-    let mut out = Vec::new();
-    for e in g.edges() {
-        if part.home(e.u) == machine || part.home(e.v) == machine {
-            out.push(e);
-        }
-    }
-    out
-}
+//! (for digraphs: the out-edges; Section 1.1). That local knowledge is
+//! materialized by [`crate::dist::DistGraphBuilder`]; these tests pin the
+//! RVP guarantee on its locals.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::digraph::DiGraph;
+    use crate::dist::{DistGraphBuilder, LocalGraph};
     use crate::generators::classic::star;
+    use crate::partition::Partition;
+    use std::sync::Arc;
 
     #[test]
     fn locals_cover_graph_exactly_once() {
         let g = star(8);
         let part = Arc::new(Partition::by_hash(8, 3, 7));
-        let locals = distribute_undirected(&g, &part);
+        let locals = DistGraphBuilder::new(&part).undirected(&g).into_locals();
         let total_vertices: usize = locals.iter().map(LocalGraph::hosted).sum();
         assert_eq!(total_vertices, 8);
         let total_endpoints: usize = locals.iter().map(LocalGraph::edge_endpoints).sum();
@@ -59,21 +28,11 @@ mod tests {
     fn directed_locals_hold_out_edges() {
         let g = DiGraph::from_arcs(4, &[(0, 1), (0, 2), (3, 0)]);
         let part = Arc::new(Partition::from_assignment(2, vec![0, 1, 1, 0]));
-        let locals = distribute_directed(&g, &part);
+        let locals = DistGraphBuilder::new(&part).directed(&g).into_locals();
         let m0 = &locals[0];
         assert_eq!(m0.vertices(), &[0, 3]);
         assert_eq!(m0.neighbors(0), &[1, 2]);
         assert_eq!(m0.neighbors(1), &[0]);
         assert_eq!(locals[1].edge_endpoints(), 0);
-    }
-
-    #[test]
-    fn known_edges_union_is_edge_set() {
-        let g = star(10);
-        let part = Partition::by_hash(10, 4, 1);
-        let mut union: Vec<Edge> = (0..4).flat_map(|i| known_edges(&g, &part, i)).collect();
-        union.sort_unstable();
-        union.dedup();
-        assert_eq!(union.len(), g.m());
     }
 }
