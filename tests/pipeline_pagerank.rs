@@ -7,7 +7,7 @@ use km_graph::{DistGraph, DistGraphBuilder, Partition};
 use km_pagerank::congest_baseline::run_congest_pagerank;
 use km_pagerank::kmachine::{bidirect, run_kmachine_pagerank};
 use km_pagerank::{l1_error, max_relative_error, power_iteration, KmPageRank, PrConfig};
-use km_repro::core::{NetConfig, Runner};
+use km_repro::core::{EngineKind, NetConfig, Runner};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -147,5 +147,116 @@ proptest! {
         }
         let l1 = l1_error(&pr, &inst.exact);
         prop_assert!(l1 < SWEEP_L1_MAX, "L1 {l1:.5} at net seed {seed}");
+    }
+}
+
+/// The exact transcript of one Algorithm 1 run: what the engines charge
+/// (rounds, messages, bits, link visits, per-machine received bits) and
+/// an FNV-1a fold of the assembled estimate's `f64::to_bits`.
+#[derive(Debug, PartialEq, Eq)]
+struct Pin {
+    rounds: u64,
+    total_msgs: u64,
+    total_bits: u64,
+    link_visits: u64,
+    recv_bits: Vec<u64>,
+    output_fnv: u64,
+}
+
+fn fnv_bits(xs: &[f64]) -> u64 {
+    xs.iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+        x.to_bits()
+            .to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+fn pin_of(dist: &DistGraph, cfg: PrConfig, netc: NetConfig, engine: EngineKind) -> Pin {
+    let n = dist.n();
+    let report = Runner::new(netc)
+        .engine(engine)
+        .run(KmPageRank::build_all(dist.clone(), cfg))
+        .unwrap();
+    let mut pr = vec![0.0; n];
+    for m in &report.machines {
+        assert_eq!(m.inner().held_tokens(), 0, "tokens left at termination");
+        for (v, est) in m.inner().output().estimates {
+            pr[v as usize] = est;
+        }
+    }
+    let m = &report.metrics;
+    Pin {
+        rounds: m.rounds,
+        total_msgs: m.total_msgs(),
+        total_bits: m.total_bits(),
+        link_visits: m.link_visits,
+        recv_bits: m.recv_bits.clone(),
+        output_fnv: fnv_bits(&pr),
+    }
+}
+
+/// Pinned transcript on the δ-accuracy instance (bidirected
+/// `G(2000, 8/n)`, hash partition, `k = 8`), where the heavy path, the
+/// light path and multi-target receiver splits all run. Equal on both
+/// engines; a change to local computation only must leave it alone.
+#[test]
+fn gnp_transcript_is_pinned_on_both_engines() {
+    let inst = sweep_instance();
+    // Some vertex has two out-neighbours on one machine other than its
+    // own, so a Heavy count can land on a multi-target receiver.
+    assert!(inst.dist.locals().iter().any(|l| (0..l.hosted()).any(|j| {
+        let mut homes: Vec<usize> = l.neighbors(j).iter().map(|&v| l.home(v)).collect();
+        homes.retain(|&h| h != l.machine());
+        homes.sort_unstable();
+        homes.windows(2).any(|w| w[0] == w[1])
+    })));
+    let want = Pin {
+        rounds: 1268,
+        total_msgs: 139_224,
+        total_bits: 6_215_184,
+        link_visits: 53_928,
+        recv_bits: vec![
+            829_188, 831_033, 732_033, 694_953, 785_403, 726_858, 822_888, 792_828,
+        ],
+        output_fnv: 4_288_453_025_699_643_887,
+    };
+    for engine in [EngineKind::Sequential, EngineKind::Distributed] {
+        let got = pin_of(&inst.dist, inst.cfg, net(SWEEP_K, SWEEP_N, 7), engine);
+        assert_eq!(got, want, "{engine:?}");
+    }
+}
+
+/// Pinned transcript on a hub whose out-neighbours span every machine,
+/// with `k ∤ n`: the hub's heavy step keeps a share for its own machine
+/// and every receiver splits its count over many hosted targets.
+#[test]
+fn hub_transcript_is_pinned_on_both_engines() {
+    const N: usize = 203;
+    const K: usize = 8;
+    let g = bidirect(&classic::star(N));
+    let part = Arc::new(Partition::by_hash(N, K, 3));
+    let dist = DistGraphBuilder::new(&part).directed(&g);
+    for m in 0..K {
+        assert!(
+            part.members(m).iter().filter(|&&v| v != 0).count() >= 2,
+            "machine {m} hosts fewer than two of the hub's out-neighbours"
+        );
+    }
+    let cfg = PrConfig {
+        reset_prob: 0.25,
+        tokens_per_vertex: 40,
+    };
+    let want = Pin {
+        rounds: 110,
+        total_msgs: 2292,
+        total_bits: 83_272,
+        link_visits: 1957,
+        recv_bits: vec![7406, 7490, 7448, 7490, 7448, 31_052, 7448, 7490],
+        output_fnv: 6_925_690_579_037_505_979,
+    };
+    for engine in [EngineKind::Sequential, EngineKind::Distributed] {
+        let got = pin_of(&dist, cfg, net(K, N, 13), engine);
+        assert_eq!(got, want, "{engine:?}");
     }
 }
