@@ -23,6 +23,16 @@
 //! `O~(m/k + Δ)` balance lemma into the existing
 //! [`partition::balance`](crate::partition::balance) diagnostics via
 //! [`DistGraph::edge_balance`].
+//!
+//! **Receiver index.** A directed build also indexes, on each machine,
+//! every arc `u → v` into a hosted `v` — hosted sources included — by
+//! source: two aligned per-arc arrays `(u, local index of v)` sorted by
+//! source, plus a directory of buckets over `u >> shift` holding 4–8
+//! arcs each on average. That is 8 bytes per arc plus at most one for the
+//! directory, and no entry per vertex of the global graph on any machine,
+//! so `k` indexes cost `O(m)` together, not `O(n·k)`.
+//! [`LocalGraph::host_targets`] searches one bucket. Undirected and
+//! weighted builds leave the index empty and unallocated.
 
 use crate::csr::CsrGraph;
 use crate::digraph::DiGraph;
@@ -61,10 +71,9 @@ pub struct LocalGraph {
     /// Aligned with `neighbors`; empty unless built from a weighted graph.
     pub(crate) weights: Vec<f64>,
     pub(crate) weighted: bool,
-    /// Sorted external sources with hosted out-neighbors (directed builds).
-    pub(crate) host_src: Vec<Vertex>,
-    pub(crate) host_offsets: Vec<usize>,
-    pub(crate) host_tgt: Vec<u32>,
+    /// The receiver index behind [`Self::host_targets`] (directed
+    /// builds; empty and unallocated otherwise).
+    pub(crate) host: HostIndex,
 }
 
 impl LocalGraph {
@@ -147,14 +156,22 @@ impl LocalGraph {
         &self.part
     }
 
-    /// Local indices of the hosted out-neighbors of `u`, or `None` if no
-    /// out-neighbor of `u` lives here. Only populated by directed builds;
-    /// this is the receiver side of heavy cross-partition traffic
-    /// (lines 31–36 of Algorithm 1).
+    /// Local indices of the hosted out-neighbors of `u`, ascending, or
+    /// `None` if no out-neighbor of `u` lives here. Only populated by
+    /// directed builds; this is the receiver side of heavy
+    /// cross-partition traffic (lines 31–36 of Algorithm 1). `u` may be
+    /// hosted here itself: a heavy vertex's own machine looks up its own
+    /// share the same way. One bucket of the receiver index (module
+    /// docs) is searched, not every source.
     #[inline]
     pub fn host_targets(&self, u: Vertex) -> Option<&[u32]> {
-        let i = self.host_src.binary_search(&u).ok()?;
-        Some(&self.host_tgt[self.host_offsets[i]..self.host_offsets[i + 1]])
+        self.host.targets(u)
+    }
+
+    /// Heap bytes held by the [`Self::host_targets`] index: about 9 per
+    /// indexed arc on a directed build, none on an undirected one.
+    pub fn host_index_bytes(&self) -> usize {
+        self.host.bytes()
     }
 
     /// Total adjacency endpoints stored here — machine `i`'s RVP input
@@ -290,9 +307,7 @@ impl<'a> DistGraphBuilder<'a> {
                 neighbors: Vec::new(),
                 weights: Vec::new(),
                 weighted: false,
-                host_src: Vec::new(),
-                host_offsets: Vec::new(),
-                host_tgt: Vec::new(),
+                host: HostIndex::default(),
             })
             .collect()
     }
@@ -347,7 +362,8 @@ impl<'a> DistGraphBuilder<'a> {
         let k = self.part.k();
         let mut locals = self.shells(g.n());
         let edge_loads = self.presize(&mut locals, |v| g.out_degree(v));
-        // `(external source, hosted local target)` pairs per machine.
+        // `(source, hosted local target)` pairs per machine, one per
+        // in-arc of a hosted vertex — hosted sources included.
         let mut pairs: Vec<Vec<(Vertex, u32)>> = vec![Vec::new(); k];
         for v in g.vertices() {
             let h = self.part.home(v);
@@ -383,24 +399,89 @@ impl<'a> DistGraphBuilder<'a> {
     }
 }
 
-/// Groups each machine's `(external source, hosted local target)` pairs
-/// into its [`LocalGraph::host_targets`] index: by source, and within a
-/// source in ascending local-index (= ascending hosted vertex id) order.
-/// Duplicate pairs collapse; a streamed arc may repeat, while a
-/// [`DiGraph`]'s arcs are already unique. Shared with the streaming
-/// builder in [`crate::stream`].
+/// Fewest arcs per bucket of [`HostIndex`]'s directory, on average: the
+/// bucket width is a power of two, so the average lands between this and
+/// twice this.
+const ARCS_PER_BUCKET: usize = 4;
+
+/// One machine's receiver index: every arc `u → v` into a hosted `v`, as
+/// two aligned per-arc arrays `(u, local index of v)` sorted by source
+/// and then target, plus a bucket directory over `u >> shift`. The
+/// shift is the smallest that leaves at most one bucket per
+/// [`ARCS_PER_BUCKET`] arcs, so the directory costs ≤ 1 byte per arc and
+/// never an entry per vertex of the global graph; a lookup searches one
+/// bucket. 4 + 4 bytes per arc plus the directory: ≈ 9 bytes per arc.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct HostIndex {
+    src: Vec<Vertex>,
+    tgt: Vec<u32>,
+    /// Bucket `b` is `src[dir[b]..dir[b + 1]]`, the arcs whose source
+    /// has `source >> shift == b`.
+    dir: Vec<u32>,
+    shift: u32,
+}
+
+impl HostIndex {
+    /// Indexes the sorted, duplicate-free `(source, local target)` arcs
+    /// of an `n`-vertex input; an empty list allocates nothing.
+    ///
+    /// # Panics
+    /// Panics if there are `u32::MAX` arcs or more.
+    fn new(n: usize, arcs: &[(Vertex, u32)]) -> Self {
+        if arcs.is_empty() {
+            return HostIndex::default();
+        }
+        assert!(
+            arcs.len() < u32::MAX as usize,
+            "receiver index exceeds u32 arcs"
+        );
+        let buckets = arcs.len().div_ceil(ARCS_PER_BUCKET);
+        let top = n.saturating_sub(1);
+        let mut shift = 0;
+        while top >> shift >= buckets {
+            shift += 1;
+        }
+        let mut dir = vec![0u32; (top >> shift) + 2];
+        for &(u, _) in arcs {
+            dir[(u >> shift) as usize + 1] += 1;
+        }
+        for b in 1..dir.len() {
+            dir[b] += dir[b - 1];
+        }
+        HostIndex {
+            src: arcs.iter().map(|&(u, _)| u).collect(),
+            tgt: arcs.iter().map(|&(_, j)| j).collect(),
+            dir,
+            shift,
+        }
+    }
+
+    #[inline]
+    fn targets(&self, u: Vertex) -> Option<&[u32]> {
+        let b = u.checked_shr(self.shift).unwrap_or(0) as usize;
+        let (lo, hi) = (*self.dir.get(b)? as usize, *self.dir.get(b + 1)? as usize);
+        let bucket = &self.src[lo..hi];
+        let at = bucket.partition_point(|&s| s < u);
+        let len = bucket[at..].partition_point(|&s| s == u);
+        (len > 0).then(|| &self.tgt[lo + at..lo + at + len])
+    }
+
+    fn bytes(&self) -> usize {
+        (self.src.capacity() + self.tgt.capacity() + self.dir.capacity()) * 4
+    }
+}
+
+/// Sorts each machine's `(source, hosted local target)` pairs — by
+/// source, and within a source in ascending local-index (= ascending
+/// hosted vertex id) order — into its [`HostIndex`]. Duplicate pairs
+/// collapse; a streamed arc may repeat, while a [`DiGraph`]'s arcs are
+/// already unique. Shared with the streaming builder in
+/// [`crate::stream`], so both directed builds index alike.
 pub(crate) fn finalize_host_pairs(locals: &mut [LocalGraph], pairs: Vec<Vec<(Vertex, u32)>>) {
     for (l, mut p) in locals.iter_mut().zip(pairs) {
         p.sort_unstable();
         p.dedup();
-        for (u, j) in p {
-            if l.host_src.last() != Some(&u) {
-                l.host_src.push(u);
-                l.host_offsets.push(l.host_tgt.len());
-            }
-            l.host_tgt.push(j);
-        }
-        l.host_offsets.push(l.host_tgt.len());
+        l.host = HostIndex::new(l.n, &p);
     }
 }
 

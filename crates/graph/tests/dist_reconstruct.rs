@@ -5,6 +5,7 @@
 
 use km_graph::dist::{DistGraph, DistGraphBuilder, LocalGraph};
 use km_graph::partition::PartitionModel;
+use km_graph::stream::{StreamingDistBuilder, VecStream};
 use km_graph::{CsrGraph, DiGraph, Partition, Vertex, WeightedGraph};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -52,6 +53,40 @@ fn union_pairs(d: &DistGraph) -> Vec<(Vertex, Vertex)> {
         .collect();
     pairs.sort_unstable();
     pairs
+}
+
+/// `host_targets(u)` on every machine, for every `u ∈ 0..n`, against a
+/// naive filter of the arc list: the local indices of `u`'s hosted
+/// out-neighbours, ascending, and `None` exactly when there are none.
+fn check_host_index(d: &DistGraph, n: usize, arcs: &[(Vertex, Vertex)]) {
+    for l in d.locals() {
+        for u in 0..n as Vertex {
+            let mut want: Vec<u32> = arcs
+                .iter()
+                .filter(|&&(a, v)| a == u && a != v)
+                .filter_map(|&(_, v)| l.local(v).map(|j| j as u32))
+                .collect();
+            want.sort_unstable();
+            want.dedup();
+            let got = l.host_targets(u);
+            if want.is_empty() {
+                assert_eq!(got, None, "machine {}, u = {u}", l.machine());
+            } else {
+                assert_eq!(got, Some(&want[..]), "machine {}, u = {u}", l.machine());
+            }
+        }
+    }
+}
+
+/// Both directed builders — in memory and streamed — checked by
+/// [`check_host_index`].
+fn check_both_directed_builds(n: usize, k: usize, model: u8, seed: u64, arcs: &[(Vertex, Vertex)]) {
+    let part = partition(model, n, k, seed);
+    let g = DiGraph::from_arcs(n, arcs);
+    check_host_index(&DistGraphBuilder::new(&part).directed(&g), n, arcs);
+    let mut s = VecStream::new(n, arcs.to_vec(), 7);
+    let streamed = StreamingDistBuilder::new(&part).directed(&mut s).unwrap();
+    check_host_index(&streamed, n, arcs);
 }
 
 proptest! {
@@ -120,6 +155,21 @@ proptest! {
         prop_assert_eq!(host_pairs, g.m());
     }
 
+    /// The receiver index answers every source exactly, on both directed
+    /// builders, at sizes that are not powers of two and from `k = 1`.
+    #[test]
+    fn host_targets_equal_a_naive_filter(
+        n in 1usize..70,
+        raw_arcs in proptest::collection::vec((0u32..70, 0u32..70), 0..200),
+        k in 1usize..9,
+        model in 0u8..3,
+        seed in 0u64..1_000,
+    ) {
+        let arcs: Vec<(Vertex, Vertex)> =
+            raw_arcs.iter().map(|&(u, v)| (u % n as u32, v % n as u32)).collect();
+        check_both_directed_builds(n, k, model, seed, &arcs);
+    }
+
     /// Weighted: adjacency and weights reconstruct the global weighted
     /// graph exactly.
     #[test]
@@ -166,4 +216,51 @@ fn partition_models_cover_all_three() {
     assert_eq!(partition(0, 10, 2, 1).model(), PartitionModel::RandomVertex);
     assert_eq!(partition(1, 10, 2, 1).model(), PartitionModel::Hashed);
     assert_eq!(partition(2, 10, 2, 1).model(), PartitionModel::RoundRobin);
+}
+
+#[test]
+fn host_index_edge_cases() {
+    let n = 1000; // not a power of two
+    let hub = (n - 1) as Vertex; // u = n − 1
+                                 // The hub's in-arcs come from sources 0..40: forty arcs on the hub's
+                                 // machine, whose directory is then ~10 buckets of width 128, so every
+                                 // one of them falls into bucket 0. Its out-arcs reach every vertex,
+                                 // so one source fills a whole bucket of each machine's index.
+    let mut arcs: Vec<(Vertex, Vertex)> = (0..40).map(|v| (v, hub)).collect();
+    arcs.extend((0..hub).map(|v| (hub, v)));
+    arcs.extend([(3, 500), (500, 3), (998, 0)]);
+    for k in [1, 2, 7] {
+        for model in 0..3 {
+            check_both_directed_builds(n, k, model, 5, &arcs);
+        }
+    }
+    // No arcs at all, and a lone vertex.
+    check_both_directed_builds(n, 4, 1, 5, &[]);
+    check_both_directed_builds(1, 1, 0, 5, &[]);
+}
+
+#[test]
+fn undirected_and_weighted_builds_have_no_receiver_index() {
+    let edges: Vec<(Vertex, Vertex)> = (0..99).map(|v| (v, v + 1)).collect();
+    let part = partition(1, 100, 4, 3);
+    let g = CsrGraph::from_edges(100, &edges);
+    let ws = vec![1.0; edges.len()];
+    let wg = WeightedGraph::from_weighted_edges(100, &edges, &ws).unwrap();
+    for d in [
+        DistGraphBuilder::new(&part).undirected(&g),
+        DistGraphBuilder::new(&part).weighted(&wg),
+    ] {
+        for l in d.locals() {
+            assert_eq!(l.host_index_bytes(), 0);
+            assert!((0..100).all(|u| l.host_targets(u).is_none()));
+        }
+    }
+    // A directed build pays for its index by the arc, not by the vertex.
+    let dg = DiGraph::from_arcs(100, &edges);
+    let d = DistGraphBuilder::new(&part).directed(&dg);
+    let bytes: usize = d.locals().iter().map(LocalGraph::host_index_bytes).sum();
+    assert!(
+        bytes > 0 && bytes <= 12 * edges.len() + 8 * 4,
+        "{bytes} bytes"
+    );
 }

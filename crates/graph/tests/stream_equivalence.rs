@@ -6,7 +6,7 @@
 //! `G(n, p)` driver replays the one-shot generator's RNG stream
 //! bit-identically.
 
-use km_graph::dist::DistGraphBuilder;
+use km_graph::dist::{DistGraphBuilder, LocalGraph};
 use km_graph::generators::gnp;
 use km_graph::stream::{EdgeChunk, EdgeStream, GnpStream, StreamingDistBuilder, VecStream};
 use km_graph::{CsrGraph, DiGraph, Partition, Vertex, WeightedGraph};
@@ -190,4 +190,31 @@ fn streaming_smoke_one_million() {
         "m = {m} far from expected 2e6"
     );
     assert_eq!(d.k(), 8);
+}
+
+/// The directed twin of [`streaming_smoke_one_million`], at `k = 64`:
+/// the same `G(n = 10⁶, E[deg] = 4)` stream read as arcs, so every
+/// machine also builds its receiver index. The workflow runs it alone,
+/// under its own `ulimit -v` cap: an index with an entry per vertex of
+/// the global graph on every machine (`k · n · 4` bytes ≈ 256 MB) does
+/// not fit there; one priced by the arc does.
+#[test]
+#[ignore = "CI memory-cap guard; run explicitly with -- --ignored"]
+fn directed_streaming_smoke_one_million() {
+    let n = 1_000_000usize;
+    let p = 4.0 / (n - 1) as f64;
+    let part = Arc::new(Partition::by_hash(n, 64, 5));
+    let mut s = GnpStream::<ChaCha8Rng>::new(n, p, 42, 1 << 16);
+    let d = StreamingDistBuilder::new(&part)
+        .directed(&mut s)
+        .expect("generator edges are in range");
+    let m = d.edge_loads().iter().sum::<usize>();
+    // The same ≈ 2·10⁶ pairs as the undirected smoke, one arc each.
+    assert!(
+        (1_950_000..=2_050_000).contains(&m),
+        "m = {m} far from expected 2e6"
+    );
+    assert_eq!(d.k(), 64);
+    let index: usize = d.locals().iter().map(LocalGraph::host_index_bytes).sum();
+    assert!(index <= 10 * m, "receiver index {index} bytes for {m} arcs");
 }
