@@ -25,6 +25,17 @@
 //! walk; only the number of RNG draws behind it differs (per vertex, not
 //! per token, on the heavy path that carries most tokens).
 //!
+//! **Per-step work.** Everything the step reads about the input is
+//! static and built once: the machine histogram `(n₁ᵤ, …, n_kᵤ)` of
+//! every hosted vertex (at most one 8-byte `(count, machine)` entry per
+//! out-arc, ascending in machine), and the receiver index behind
+//! [`LocalGraph::host_targets`], which finds a `Heavy` count's hosted
+//! targets in one small bucket. A step is then one binomial per vertex
+//! holding tokens, one `gen_range` per light token plus a sort of the
+//! picks, and one multinomial per heavy vertex over a slice of its
+//! histogram; each `Heavy` count received costs one index lookup and a
+//! multinomial over its targets (no draw for one target).
+//!
 //! Destinations of light messages are home machines of vertices, which
 //! under the random vertex partition are i.i.d. uniform — exactly the
 //! hypothesis of Lemma 13, so direct routing delivers each iteration in
@@ -340,9 +351,9 @@ fn forward_heavy<R: Rng>(
     );
 }
 
-/// Fills `hist` with heavy vertex `u`'s machine histogram
-/// `(n₁ᵤ, …, n_kᵤ)`: one `(out-neighbors hosted, machine)` entry per
-/// machine hosting any, ascending in machine.
+/// Fills `hist` with a vertex's machine histogram `(n₁ᵤ, …, n_kᵤ)` over
+/// its out-neighbors `outs`: one `(out-neighbors hosted, machine)` entry
+/// per machine hosting any, ascending in machine.
 fn machine_histogram(g: &LocalGraph, outs: &[Vertex], hist: &mut Vec<(u64, MachineIdx)>) {
     hist.clear();
     hist.extend(outs.iter().map(|&v| (1, g.home(v))));
@@ -356,10 +367,52 @@ fn machine_histogram(g: &LocalGraph, outs: &[Vertex], hist: &mut Vec<(u64, Machi
     });
 }
 
+/// Every hosted vertex's machine histogram, built once from the static
+/// RVP input: local vertex `j`'s `(count, machine)` entries, ascending
+/// in machine as [`machine_histogram`] gives them, are
+/// `cells[offsets[j]..offsets[j + 1]]`. Eight bytes per entry, and at
+/// most one entry per out-arc.
+#[derive(Debug)]
+struct Histograms {
+    offsets: Vec<u32>,
+    cells: Vec<(u32, u32)>,
+}
+
+impl Histograms {
+    /// # Panics
+    /// Panics if the machine stores `u32::MAX` out-arcs or more.
+    fn build(g: &LocalGraph) -> Self {
+        assert!(
+            g.edge_endpoints() < u32::MAX as usize,
+            "machine {} exceeds u32 out-arcs",
+            g.machine()
+        );
+        let mut offsets = Vec::with_capacity(g.hosted() + 1);
+        offsets.push(0);
+        let mut cells = Vec::with_capacity(g.edge_endpoints());
+        let mut hist = Vec::new();
+        for j in 0..g.hosted() {
+            machine_histogram(g, g.neighbors(j), &mut hist);
+            cells.extend(hist.iter().map(|&(c, m)| (c as u32, m as u32)));
+            offsets.push(cells.len() as u32);
+        }
+        cells.shrink_to_fit();
+        Histograms { offsets, cells }
+    }
+
+    /// Local vertex `j`'s histogram.
+    #[inline]
+    fn of(&self, j: usize) -> &[(u32, u32)] {
+        &self.cells[self.offsets[j] as usize..self.offsets[j + 1] as usize]
+    }
+}
+
 /// One machine of Algorithm 1.
 #[derive(Debug)]
 pub struct KmPageRank {
     st: LocalState,
+    /// The heavy path's machine histograms, one per hosted vertex.
+    hists: Histograms,
     cfg: PrConfig,
     /// Token threshold above which a vertex takes the heavy (β) path;
     /// the paper uses `k`. `u64::MAX` disables the heavy path entirely —
@@ -387,6 +440,7 @@ impl KmPageRank {
             .into_iter()
             .map(|st| {
                 Staged::new(KmPageRank {
+                    hists: Histograms::build(&st.g),
                     st,
                     cfg,
                     heavy_threshold,
@@ -442,7 +496,6 @@ impl KmPageRank {
         // `k` resident copies of the run's largest step. `picks` is α before
         // counting — one destination vertex per light token.
         let mut picks: Vec<Vertex> = Vec::new();
-        let mut hist: Vec<(u64, MachineIdx)> = Vec::new();
         // Locally-arriving tokens are staged so a token moves once per step.
         let mut staged_local: Vec<(usize, u64)> = Vec::new();
 
@@ -470,15 +523,15 @@ impl KmPageRank {
                 // Heavy: β ~ Multinomial(live; n_{j,u}/d_u), one message
                 // per machine, ascending.
                 let u = g.vertex(j);
-                machine_histogram(g, outs, &mut hist);
+                let hist = self.hists.of(j);
                 let mut own = 0;
                 multinomial(
                     ctx.rng,
                     live,
-                    hist.iter().map(|&(c, _)| c),
+                    hist.iter().map(|&(c, _)| u64::from(c)),
                     outs.len() as u64,
                     |cell, share| {
-                        let m = hist[cell].1;
+                        let m = hist[cell].1 as MachineIdx;
                         if m == me {
                             own = share;
                         } else {
@@ -853,6 +906,44 @@ mod tests {
         // Binomial(40 000, 0.85): mean 34 000, σ ≈ 71.
         assert!((33_500..=34_500).contains(&survivors), "{survivors}");
         assert_fits(&targets, &[survivors as f64 / 7.0; 7], "seven targets");
+    }
+
+    #[test]
+    fn built_histograms_match_a_fresh_machine_histogram() {
+        // Hub 0 points at every other vertex, so its histogram spans all
+        // k machines, its own included; the leaves have one entry each.
+        const K: usize = 5;
+        let g = bidirect(&classic::star(53));
+        let part = Arc::new(Partition::by_hash(53, K, 3));
+        let machines = KmPageRank::build_all(dist(&g, &part), PrConfig::paper(53, 0.15, 4.0));
+        let mut fresh = Vec::new();
+        for m in &machines {
+            let pr = m.inner();
+            let g = &pr.st.g;
+            for j in 0..g.hosted() {
+                let outs = g.neighbors(j);
+                machine_histogram(g, outs, &mut fresh);
+                let built: Vec<(u64, MachineIdx)> = pr
+                    .hists
+                    .of(j)
+                    .iter()
+                    .map(|&(c, m)| (u64::from(c), m as MachineIdx))
+                    .collect();
+                assert_eq!(built, fresh, "vertex {}", g.vertex(j));
+                assert!(built.windows(2).all(|w| w[0].1 < w[1].1), "machines ascend");
+                assert_eq!(
+                    built.iter().map(|&(c, _)| c).sum::<u64>(),
+                    outs.len() as u64
+                );
+                for &(c, m) in &built {
+                    let homed = outs.iter().filter(|&&v| g.home(v) == m).count();
+                    assert_eq!(c, homed as u64, "vertex {} on machine {m}", g.vertex(j));
+                }
+                if g.vertex(j) == 0 {
+                    assert_eq!(built.len(), K, "the hub reaches every machine");
+                }
+            }
+        }
     }
 
     #[test]
