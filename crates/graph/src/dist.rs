@@ -435,15 +435,15 @@ impl HostIndex {
             arcs.len() < u32::MAX as usize,
             "receiver index exceeds u32 arcs"
         );
-        let buckets = arcs.len().div_ceil(ARCS_PER_BUCKET);
-        let top = n.saturating_sub(1);
+        let buckets = arcs.len().div_ceil(ARCS_PER_BUCKET) as u64;
+        let top = n.saturating_sub(1) as u64;
         let mut shift = 0;
         while top >> shift >= buckets {
             shift += 1;
         }
-        let mut dir = vec![0u32; (top >> shift) + 2];
+        let mut dir = vec![0u32; (top >> shift) as usize + 2];
         for &(u, _) in arcs {
-            dir[(u >> shift) as usize + 1] += 1;
+            dir[(u64::from(u) >> shift) as usize + 1] += 1;
         }
         for b in 1..dir.len() {
             dir[b] += dir[b - 1];
@@ -458,7 +458,7 @@ impl HostIndex {
 
     #[inline]
     fn targets(&self, u: Vertex) -> Option<&[u32]> {
-        let b = u.checked_shr(self.shift).unwrap_or(0) as usize;
+        let b = (u64::from(u) >> self.shift) as usize;
         let (lo, hi) = (*self.dir.get(b)? as usize, *self.dir.get(b + 1)? as usize);
         let bucket = &self.src[lo..hi];
         let at = bucket.partition_point(|&s| s < u);
