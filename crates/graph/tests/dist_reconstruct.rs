@@ -220,18 +220,22 @@ fn partition_models_cover_all_three() {
 
 #[test]
 fn host_index_edge_cases() {
-    let n = 1000; // not a power of two
-    let hub = (n - 1) as Vertex; // u = n − 1
-                                 // The hub's in-arcs come from sources 0..40: forty arcs on the hub's
-                                 // machine, whose directory is then ~10 buckets of width 128, so every
-                                 // one of them falls into bucket 0. Its out-arcs reach every vertex,
-                                 // so one source fills a whole bucket of each machine's index.
-    let mut arcs: Vec<(Vertex, Vertex)> = (0..40).map(|v| (v, hub)).collect();
-    arcs.extend((0..hub).map(|v| (hub, v)));
-    arcs.extend([(3, 500), (500, 3), (998, 0)]);
-    for k in [1, 2, 7] {
-        for model in 0..3 {
-            check_both_directed_builds(n, k, model, 5, &arcs);
+    // n is not a power of two, and the hub is u = n − 1.
+    let n = 1000;
+    let hub = (n - 1) as Vertex;
+    // Forty in-arcs from sources 0..40 are all the hub's machine holds:
+    // its directory has ~10 buckets of width 128, so all forty share
+    // bucket 0.
+    let fan_in: Vec<(Vertex, Vertex)> = (0..40).map(|v| (v, hub)).collect();
+    // The hub points at every vertex: on each machine one source fills
+    // the last bucket, and the few other sources sit beside it.
+    let mut fan_out: Vec<(Vertex, Vertex)> = (0..hub).map(|v| (hub, v)).collect();
+    fan_out.extend([(3, 500), (500, 3), (998, 0)]);
+    for arcs in [&fan_in, &fan_out] {
+        for k in [1, 2, 7] {
+            for model in 0..3 {
+                check_both_directed_builds(n, k, model, 5, arcs);
+            }
         }
     }
     // No arcs at all, and a lone vertex.
