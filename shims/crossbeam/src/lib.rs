@@ -119,10 +119,30 @@ pub mod channel {
 
 pub mod thread {
     //! Scoped threads (crossbeam-utils API subset).
+    //!
+    //! Like crossbeam, and unlike a bare [`std::thread::scope`], every
+    //! thread is joined *natively* before [`scope`] returns: std's scope
+    //! returns once each closure has finished, while the OS thread may
+    //! still be tearing down — its thread-local destructors, and the
+    //! allocator returning its per-thread arena. A caller that spawns a
+    //! fresh pool per call would race that teardown, and how many
+    //! allocator arenas the process grows (so its resident memory) would
+    //! depend on the race. A handle dropped unjoined is handed to its
+    //! scope, which joins it on the way out.
 
     use crate::model;
     use std::any::Any;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex, MutexGuard};
+
+    /// Native joins a scope still owes: one per handle dropped unjoined.
+    /// Each returns whether its thread panicked.
+    type Owed<'scope> = Arc<Mutex<Vec<Box<dyn FnOnce() -> bool + Send + 'scope>>>>;
+
+    fn lock<'a, 'scope>(
+        owed: &'a Owed<'scope>,
+    ) -> MutexGuard<'a, Vec<Box<dyn FnOnce() -> bool + Send + 'scope>>> {
+        owed.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     /// A scope handed to [`scope`]'s closure; spawned threads may borrow
     /// from the enclosing stack frame and are joined before `scope`
@@ -130,20 +150,34 @@ pub mod thread {
     pub struct Scope<'scope, 'env: 'scope> {
         inner: &'scope std::thread::Scope<'scope, 'env>,
         tracker: Option<Arc<model::ScopeTracker>>,
+        owed: Owed<'scope>,
     }
 
     /// Handle to a scoped thread; joined automatically at scope exit.
-    pub struct ScopedJoinHandle<'scope, T> {
-        inner: std::thread::ScopedJoinHandle<'scope, T>,
+    pub struct ScopedJoinHandle<'scope, T: Send + 'scope> {
+        /// `None` once joined.
+        inner: Option<std::thread::ScopedJoinHandle<'scope, T>>,
+        owed: Owed<'scope>,
     }
 
-    impl<T> ScopedJoinHandle<'_, T> {
+    impl<T: Send> ScopedJoinHandle<'_, T> {
         /// Waits for the thread to finish, returning its result (or the
         /// panic payload). Model-mode threads finish cooperatively, so
         /// by the time the OS join returns the scheduler has already
         /// retired the task.
-        pub fn join(self) -> std::thread::Result<T> {
-            self.inner.join()
+        pub fn join(mut self) -> std::thread::Result<T> {
+            match self.inner.take() {
+                Some(handle) => handle.join(),
+                None => unreachable!("a handle is joined at most once"),
+            }
+        }
+    }
+
+    impl<T: Send> Drop for ScopedJoinHandle<'_, T> {
+        fn drop(&mut self) {
+            if let Some(handle) = self.inner.take() {
+                lock(&self.owed).push(Box::new(move || handle.join().is_err()));
+            }
         }
     }
 
@@ -156,15 +190,15 @@ pub mod thread {
             T: Send + 'scope,
         {
             let inner = self.inner;
-            match &self.tracker {
-                None => ScopedJoinHandle {
-                    inner: self.inner.spawn(move || {
-                        f(&Scope {
-                            inner,
-                            tracker: None,
-                        })
-                    }),
-                },
+            let owed = self.owed.clone();
+            let handle = match &self.tracker {
+                None => self.inner.spawn(move || {
+                    f(&Scope {
+                        inner,
+                        tracker: None,
+                        owed,
+                    })
+                }),
                 Some(tracker) => {
                     // Register the task while the parent is still the
                     // active task, so ids are schedule-deterministic.
@@ -172,25 +206,47 @@ pub mod thread {
                     tracker.add(id);
                     let sess = tracker.sess.clone();
                     let tracker2 = tracker.clone();
-                    ScopedJoinHandle {
-                        inner: self.inner.spawn(move || {
-                            model::run_task(sess, id, move || {
-                                f(&Scope {
-                                    inner,
-                                    tracker: Some(tracker2),
-                                })
+                    self.inner.spawn(move || {
+                        model::run_task(sess, id, move || {
+                            f(&Scope {
+                                inner,
+                                tracker: Some(tracker2),
+                                owed,
                             })
-                        }),
-                    }
+                        })
+                    })
                 }
+            };
+            ScopedJoinHandle {
+                inner: Some(handle),
+                owed: self.owed.clone(),
+            }
+        }
+
+        /// Joins every thread whose handle was dropped unjoined — also
+        /// those dropped while this runs — and panics, as std's scope
+        /// would, if one of them panicked.
+        fn join_owed(&self) {
+            let mut panicked = false;
+            loop {
+                let owed = std::mem::take(&mut *lock(&self.owed));
+                if owed.is_empty() {
+                    break;
+                }
+                for join in owed {
+                    panicked |= join();
+                }
+            }
+            if panicked {
+                panic!("a scoped thread panicked");
             }
         }
     }
 
     /// Runs `f` with a thread scope; every spawned thread is joined
-    /// before this returns. Unlike crossbeam, a panicking child makes
-    /// the whole call panic (std semantics), so the `Err` arm is never
-    /// produced — callers that `.expect()` the result behave
+    /// natively before this returns. Unlike crossbeam, a panicking child
+    /// makes the whole call panic (std semantics), so the `Err` arm is
+    /// never produced — callers that `.expect()` the result behave
     /// identically either way.
     pub fn scope<'env, F, R>(f: F) -> Result<R, Box<dyn Any + Send + 'static>>
     where
@@ -198,22 +254,31 @@ pub mod thread {
     {
         match model::current() {
             None => Ok(std::thread::scope(|s| {
-                f(&Scope {
+                let scope = Scope {
                     inner: s,
                     tracker: None,
-                })
+                    owed: Owed::default(),
+                };
+                let r = f(&scope);
+                scope.join_owed();
+                r
             })),
             Some(sess) => Ok(std::thread::scope(|s| {
                 let tracker = Arc::new(model::ScopeTracker::new(sess));
                 // Drain runs after `f` returns (or unwinds) but before
-                // std's native join: every model task is retired through
-                // the scheduler first, so the OS join never blocks on a
+                // the native joins: every model task is retired through
+                // the scheduler first, so an OS join never blocks on a
                 // task the scheduler hasn't scheduled.
-                let _drain = DrainGuard(tracker.clone());
-                f(&Scope {
+                let drain = DrainGuard(tracker.clone());
+                let scope = Scope {
                     inner: s,
                     tracker: Some(tracker),
-                })
+                    owed: Owed::default(),
+                };
+                let r = f(&scope);
+                drop(drain);
+                scope.join_owed();
+                r
             })),
         }
     }
@@ -323,5 +388,42 @@ mod tests {
         })
         .unwrap();
         assert_eq!(total, 10);
+    }
+
+    #[test]
+    fn scope_returns_after_each_unjoined_thread_has_exited() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static TORN_DOWN: AtomicUsize = AtomicUsize::new(0);
+        struct Teardown;
+        impl Drop for Teardown {
+            fn drop(&mut self) {
+                TORN_DOWN.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static TEARDOWN: Teardown = const { Teardown };
+        }
+        for round in 1..=20 {
+            super::thread::scope(|scope| {
+                for _ in 0..2 {
+                    // Handle dropped at once: the scope owes the join.
+                    scope.spawn(|_| TEARDOWN.with(|_| ()));
+                }
+            })
+            .unwrap();
+            // Thread-local destructors run after the closure returns,
+            // during the OS thread's exit.
+            assert_eq!(TORN_DOWN.load(Ordering::SeqCst), 2 * round);
+        }
+    }
+
+    #[test]
+    fn a_panic_in_an_unjoined_thread_still_panics_the_scope() {
+        let caught = std::panic::catch_unwind(|| {
+            super::thread::scope(|scope| {
+                scope.spawn(|_| panic!("child"));
+            })
+        });
+        assert!(caught.is_err());
     }
 }
