@@ -28,6 +28,7 @@
 //! protocol: one [`Staged`] stage per phase, messages tagged with the
 //! phase number.
 
+use crate::radix::radix_sort_by_key;
 use km_core::router::{Staged, Stages};
 use km_core::{
     id_bits, run_algorithm, BitReader, BitSink, CodecError, KmAlgorithm, Metrics, NetConfig,
@@ -521,9 +522,11 @@ fn owned_triangles(
 }
 
 /// Sorts an edge buffer ascending in `(u, v)` and drops duplicates: set
-/// semantics, paid once per buffer instead of once per insertion.
+/// semantics, paid once per buffer instead of once per insertion. The
+/// sort is a radix sort by [`edge_key`] — a few linear passes, not
+/// `O(m log m)` comparisons — with `sort_unstable`'s exact result.
 pub(crate) fn sort_dedup(edges: &mut Vec<Edge>) {
-    edges.sort_unstable();
+    radix_sort_by_key(edges, |&e| edge_key(e));
     edges.dedup();
 }
 
@@ -588,9 +591,13 @@ impl Stages<0> for KmTriangle {
 /// once, ascending). `edges` must be canonical (`u < v`), sorted and
 /// deduplicated — [`sort_dedup`] over `Edge::new` or decoded edges. Touched
 /// vertices are relabelled `0..t` in ascending order, so the list stays
-/// sorted and *is* the forward adjacency `N⁺(u) = {v > u}` in CSR order;
-/// edge `(u, v)` intersects what follows `v` in `N⁺(u)` with `N⁺(v)`, by
-/// index. Off contract the result is meaningless but stays in bounds.
+/// sorted and *is* the forward adjacency `N⁺(u) = {v > u}` in CSR order.
+/// Each `u` stamps `N⁺(u)` into a `t`-entry array, then probes `N⁺(v)` for
+/// each `v ∈ N⁺(u)`: every `w ∈ N⁺(v)` exceeds `v`, so a stamped `w` is a
+/// triangle `(u, v, w)`, met in ascending order. That is
+/// `O(d⁺(u) + Σ_{v ∈ N⁺(u)} d⁺(v))` per `u` — linear in a hub's degree,
+/// where a merge of `N⁺(u)`'s tail after each `v` is quadratic. Off
+/// contract the result is meaningless but stays in bounds.
 pub(crate) fn enumerate_within<K>(
     edges: &[Edge],
     key: impl Fn(Vertex) -> K,
@@ -601,7 +608,7 @@ pub(crate) fn enumerate_within<K>(
         "edges must be canonical, sorted and deduplicated"
     );
     let mut verts: Vec<Vertex> = edges.iter().flat_map(|e| [e.u, e.v]).collect();
-    verts.sort_unstable();
+    radix_sort_by_key(&mut verts, |&v| u64::from(v));
     verts.dedup();
     let keys: Vec<K> = verts.iter().map(|&v| key(v)).collect();
     let mut offsets = vec![0usize; verts.len() + 1];
@@ -618,28 +625,25 @@ pub(crate) fn enumerate_within<K>(
     for i in 0..verts.len() {
         offsets[i + 1] += offsets[i];
     }
+    // `stamp[w] == u + 1` iff `w ∈ N⁺(u)` for the `u` being scanned.
+    let mut stamp = vec![0u32; verts.len()];
     let mut out = Vec::new();
     for u in 0..verts.len() {
         let nu = &fwd[offsets[u]..offsets[u + 1]];
-        for (i, &v) in nu.iter().enumerate() {
+        let mark = u as u32 + 1;
+        for &v in nu {
+            stamp[v as usize] = mark;
+        }
+        for &v in nu {
             let v = v as usize;
-            let (mut a, mut b) = (&nu[i + 1..], &fwd[offsets[v]..offsets[v + 1]]);
-            while let (Some(&x), Some(&y)) = (a.first(), b.first()) {
-                match x.cmp(&y) {
-                    std::cmp::Ordering::Less => a = &a[1..],
-                    std::cmp::Ordering::Greater => b = &b[1..],
-                    std::cmp::Ordering::Equal => {
-                        let w = x as usize;
-                        if accept(&keys[u], &keys[v], &keys[w]) {
-                            out.push(Triangle {
-                                a: verts[u],
-                                b: verts[v],
-                                c: verts[w],
-                            });
-                        }
-                        a = &a[1..];
-                        b = &b[1..];
-                    }
+            for &w in &fwd[offsets[v]..offsets[v + 1]] {
+                let w = w as usize;
+                if stamp[w] == mark && accept(&keys[u], &keys[v], &keys[w]) {
+                    out.push(Triangle {
+                        a: verts[u],
+                        b: verts[v],
+                        c: verts[w],
+                    });
                 }
             }
         }
@@ -659,7 +663,7 @@ pub(crate) fn enumerate_triads_within(
         .iter()
         .flat_map(|e| [(e.u, e.v), (e.v, e.u)])
         .collect();
-    arcs.sort_unstable();
+    radix_sort_by_key(&mut arcs, |&(c, a)| (u64::from(c) << 32) | u64::from(a));
     let mut out = Vec::new();
     for run in arcs.chunk_by(|x, y| x.0 == y.0) {
         let center = run[0].0;
@@ -972,6 +976,49 @@ mod tests {
                     assert_eq!(want, got, "k={k} pair ({ca},{cb})");
                 }
             }
+        }
+    }
+
+    /// A hub: the lowest id is adjacent to every other vertex, so its
+    /// `N⁺` holds all of them and every edge elsewhere closes a triangle
+    /// through it. Every triplet machine reports the oracle's triangles
+    /// of its triplet, in the oracle's order, and the unfiltered kernel
+    /// reports the oracle.
+    #[test]
+    fn hub_kernel_matches_the_oracle_filtered_by_triplet() {
+        let n = 300;
+        let mut rng = ChaCha8Rng::seed_from_u64(43);
+        let mut pairs: Vec<(Vertex, Vertex)> = (1..n).map(|v| (0, v)).collect();
+        pairs.extend(gnp(n as usize, 0.05, &mut rng).edges().map(|e| (e.u, e.v)));
+        let g = CsrGraph::from_edges(n as usize, &pairs);
+        assert_eq!(g.degree(0), n as usize - 1);
+        let oracle = enumerate_triangles(&g);
+        let mut all: Vec<Edge> = pairs.iter().map(|&(a, b)| Edge::new(a, b)).collect();
+        sort_dedup(&mut all);
+        assert_eq!(enumerate_within(&all, |v| v, |_, _, _| true), oracle);
+        let (scheme, shared) = (ColorScheme::for_machines(64), 0x5EED);
+        let color = |v| scheme.color(shared, v);
+        for i in 0..scheme.triplet_machines() {
+            let mine = scheme.triplet_of(i).unwrap();
+            let routed: Vec<Edge> = all
+                .iter()
+                .copied()
+                .filter(|e| {
+                    scheme
+                        .machines_for_pair(color(e.u), color(e.v))
+                        .contains(&i)
+                })
+                .collect();
+            let want: Vec<Triangle> = oracle
+                .iter()
+                .copied()
+                .filter(|t| owns(mine, [t.a, t.b, t.c].map(color)))
+                .collect();
+            assert_eq!(
+                owned_triangles(&scheme, shared, mine, &routed),
+                want,
+                "machine {i}"
+            );
         }
     }
 

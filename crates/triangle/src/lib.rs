@@ -19,6 +19,7 @@
 pub mod baseline;
 pub mod clique;
 pub mod kmachine;
+mod radix;
 pub mod seq;
 pub mod triads;
 pub mod verify;
