@@ -526,7 +526,7 @@ fn owned_triangles(
 /// sort is a radix sort by [`edge_key`] — a few linear passes, not
 /// `O(m log m)` comparisons — with `sort_unstable`'s exact result.
 pub(crate) fn sort_dedup(edges: &mut Vec<Edge>) {
-    radix_sort_by_key(edges, |&e| edge_key(e));
+    radix_sort_by_key(edges, |e| edge_key(*e));
     edges.dedup();
 }
 
@@ -595,9 +595,8 @@ impl Stages<0> for KmTriangle {
 /// Each `u` stamps `N⁺(u)` into a `t`-entry array, then probes `N⁺(v)` for
 /// each `v ∈ N⁺(u)`: every `w ∈ N⁺(v)` exceeds `v`, so a stamped `w` is a
 /// triangle `(u, v, w)`, met in ascending order. That is
-/// `O(d⁺(u) + Σ_{v ∈ N⁺(u)} d⁺(v))` per `u` — linear in a hub's degree,
-/// where a merge of `N⁺(u)`'s tail after each `v` is quadratic. Off
-/// contract the result is meaningless but stays in bounds.
+/// `O(d⁺(u) + Σ_{v ∈ N⁺(u)} d⁺(v))` per `u`, linear in a hub's degree.
+/// Off contract the result is meaningless but stays in bounds.
 pub(crate) fn enumerate_within<K>(
     edges: &[Edge],
     key: impl Fn(Vertex) -> K,
