@@ -43,9 +43,9 @@ const COLOR_SALT: u64 = 0x7A11_AC0F_F1CE_0001;
 const PROXY_SALT: u64 = 0x7A11_AC0F_F1CE_0002;
 const TIE_SALT: u64 = 0x7A11_AC0F_F1CE_0003;
 
-/// Canonical 64-bit key of an edge (for hashing).
+/// Canonical 64-bit key of an edge (for hashing and sorting).
 #[inline]
-fn edge_key(e: Edge) -> u64 {
+pub(crate) fn edge_key(e: Edge) -> u64 {
     ((e.u as u64) << 32) | e.v as u64
 }
 
@@ -978,49 +978,6 @@ mod tests {
         }
     }
 
-    /// A hub: the lowest id is adjacent to every other vertex, so its
-    /// `N⁺` holds all of them and every edge elsewhere closes a triangle
-    /// through it. Every triplet machine reports the oracle's triangles
-    /// of its triplet, in the oracle's order, and the unfiltered kernel
-    /// reports the oracle.
-    #[test]
-    fn hub_kernel_matches_the_oracle_filtered_by_triplet() {
-        let n = 300;
-        let mut rng = ChaCha8Rng::seed_from_u64(43);
-        let mut pairs: Vec<(Vertex, Vertex)> = (1..n).map(|v| (0, v)).collect();
-        pairs.extend(gnp(n as usize, 0.05, &mut rng).edges().map(|e| (e.u, e.v)));
-        let g = CsrGraph::from_edges(n as usize, &pairs);
-        assert_eq!(g.degree(0), n as usize - 1);
-        let oracle = enumerate_triangles(&g);
-        let mut all: Vec<Edge> = pairs.iter().map(|&(a, b)| Edge::new(a, b)).collect();
-        sort_dedup(&mut all);
-        assert_eq!(enumerate_within(&all, |v| v, |_, _, _| true), oracle);
-        let (scheme, shared) = (ColorScheme::for_machines(64), 0x5EED);
-        let color = |v| scheme.color(shared, v);
-        for i in 0..scheme.triplet_machines() {
-            let mine = scheme.triplet_of(i).unwrap();
-            let routed: Vec<Edge> = all
-                .iter()
-                .copied()
-                .filter(|e| {
-                    scheme
-                        .machines_for_pair(color(e.u), color(e.v))
-                        .contains(&i)
-                })
-                .collect();
-            let want: Vec<Triangle> = oracle
-                .iter()
-                .copied()
-                .filter(|t| owns(mine, [t.a, t.b, t.c].map(color)))
-                .collect();
-            assert_eq!(
-                owned_triangles(&scheme, shared, mine, &routed),
-                want,
-                "machine {i}"
-            );
-        }
-    }
-
     /// Off-contract input is a bug in the caller: loud in debug builds.
     #[cfg(debug_assertions)]
     #[test]
@@ -1065,17 +1022,21 @@ mod tests {
         /// the triplet machines and enumerate on each. Every machine
         /// reports exactly the oracle's triangles of its triplet, in the
         /// oracle's order, and the union is the oracle — so no triangle
-        /// is missed or owned twice.
+        /// is missed or owned twice. With `hub` set, vertex 0 is adjacent
+        /// to every other id, so its `N⁺` holds all of them.
         #[test]
         fn kernel_matches_the_oracle_filtered_by_triplet(
             k in 1usize..=130,
             shared in 0u64..u64::MAX,
             stride in 1u32..500,
+            hub in 0u8..2,
             pairs in proptest::collection::vec((0u32..36, 0u32..36), 0..260),
         ) {
             let scheme = ColorScheme::for_machines(k);
-            let pairs: Vec<(Vertex, Vertex)> = pairs
-                .into_iter()
+            let spokes = if hub == 1 { 1..36 } else { 1..1 };
+            let pairs: Vec<(Vertex, Vertex)> = spokes
+                .map(|v| (0, v))
+                .chain(pairs)
                 .filter(|(a, b)| a != b)
                 .map(|(a, b)| (a * stride, b * stride))
                 .collect();

@@ -1,22 +1,15 @@
-//! The crate's one sort of edge and vertex lists: an LSD radix sort by a
-//! `u64` key, 8-bit digits.
+//! An LSD radix sort by a `u64` key, 8-bit digits: the sort behind
+//! `sort_dedup`'s edge lists, the kernel's endpoint list and the
+//! open-triad arcs.
 //!
 //! One counting pass fills all eight digit histograms; a digit that puts
 //! every element in one bucket is skipped, so `(u << 32) | v` edge keys
-//! over ids below 2¹⁶ take four scatter passes, not eight. Lists shorter
-//! than [`RADIX_MIN_LEN`] fall back to `sort_unstable_by_key`.
-
-/// Below this length a comparison sort beats the histogram set-up.
-const RADIX_MIN_LEN: usize = 256;
+//! over ids below 2¹⁶ take four scatter passes, not eight.
 
 /// Sorts `xs` ascending by `key`. The sort is stable, so when `key` is
 /// order-isomorphic to `T`'s `Ord` (as every caller's is) the result is
 /// exactly `sort_unstable`'s.
 pub(crate) fn radix_sort_by_key<T: Copy>(xs: &mut Vec<T>, key: impl Fn(&T) -> u64) {
-    if xs.len() < RADIX_MIN_LEN {
-        xs.sort_unstable_by_key(key);
-        return;
-    }
     let mut counts = [[0usize; 256]; 8];
     for x in xs.iter() {
         let k = key(x);
@@ -51,21 +44,18 @@ pub(crate) fn radix_sort_by_key<T: Copy>(xs: &mut Vec<T>, key: impl Fn(&T) -> u6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kmachine::edge_key;
     use km_graph::{Edge, Vertex};
     use proptest::collection::vec;
     use std::ops::{Range, RangeInclusive};
-
-    fn edge_key(e: &Edge) -> u64 {
-        (u64::from(e.u) << 32) | u64::from(e.v)
-    }
 
     /// An id drawn as `(pick, small, any)`: from a pool of 40 (so
     /// duplicates are common), anywhere up to `u32::MAX` (so every digit
     /// of the key varies), or `u32::MAX` itself.
     type IdDraw = (u8, Vertex, Vertex);
     const ID: (Range<u8>, Range<u32>, RangeInclusive<u32>) = (0..3, 0..40, 0..=u32::MAX);
-    /// Lengths on both sides of the cutoff.
-    const LEN: Range<usize> = 0..4 * RADIX_MIN_LEN;
+    /// From empty to several times a digit's 256 buckets.
+    const LEN: Range<usize> = 0..1024;
 
     fn id((pick, small, any): IdDraw) -> Vertex {
         [small, any, u32::MAX][pick as usize]
@@ -88,7 +78,7 @@ mod tests {
         #[test]
         fn edges_sort_like_sort_unstable(pairs in vec((ID, ID), LEN)) {
             let edges = pairs.into_iter().map(|(u, v)| Edge { u: id(u), v: id(v) });
-            sorts_like_sort_unstable(edges.collect(), edge_key);
+            sorts_like_sort_unstable(edges.collect(), |e| edge_key(*e));
         }
 
         #[test]
@@ -96,11 +86,11 @@ mod tests {
             sorts_like_sort_unstable(vs.into_iter().map(id).collect(), |&v| u64::from(v));
         }
 
-        /// Every digit puts all elements in one bucket: every pass is
-        /// skipped and the list is returned as it came.
+        /// One edge repeated: every digit puts all elements in one
+        /// bucket, so no scatter pass runs and the list comes back whole.
         #[test]
-        fn all_equal_lists_skip_every_pass(u in ID, v in ID, n in LEN) {
-            sorts_like_sort_unstable(vec![Edge { u: id(u), v: id(v) }; n], edge_key);
+        fn one_repeated_edge_comes_back_whole(u in ID, v in ID, n in LEN) {
+            sorts_like_sort_unstable(vec![Edge { u: id(u), v: id(v) }; n], |e| edge_key(*e));
         }
     }
 }
