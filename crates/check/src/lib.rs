@@ -21,8 +21,10 @@
 //!   delay faults — which also proves lost batches replay exactly once
 //!   (a zero- or twice-replayed batch diverges the transcript).
 //! - **Typed failures** — crash plans surface exactly
-//!   [`EngineError::MachineLost`] for the crashed machine and round, on
-//!   every schedule.
+//!   [`EngineError::MachineLost`] for the crashed machine and round, and
+//!   a machine that panics surfaces exactly as
+//!   [`EngineError::WorkerPanicked`] naming it — handed from its worker
+//!   to the peer — on every schedule.
 //!
 //! Any failure carries a replayable handle (`config/seed:index`)
 //! accepted by `km-check --replay`.
@@ -38,7 +40,7 @@ use km_core::{
 pub const SCHEDULES_ENV: &str = "KM_CHECK_SCHEDULES";
 
 /// Default schedules per configuration when [`SCHEDULES_ENV`] is unset:
-/// 31 matrix configs × 96 ≈ 3.0k schedules per full run.
+/// 33 matrix configs × 96 ≈ 3.2k schedules per full run.
 pub const DEFAULT_SCHEDULES: u64 = 96;
 
 /// Message mixes the matrix exercises.
@@ -56,7 +58,7 @@ pub enum ProtoKind {
     /// A long tail: small ring traffic, then the last active round
     /// sends one 1 600-bit message around the ring — seven rounds at
     /// `B = 256`, five of them moving only that partial message, which
-    /// the coordinator skips by jumping the next `Round`'s number.
+    /// every worker's ledger skips alike after one exchange.
     Tail,
 }
 
@@ -98,6 +100,8 @@ impl ProtoKind {
 pub struct CheckProto {
     kind: ProtoKind,
     rounds: u64,
+    /// The machine that panics in round 1, if any.
+    bomb: Option<usize>,
     state: u64,
     /// `(src, payload digest)` in delivery order — the transcript.
     log: Vec<(usize, u64)>,
@@ -139,6 +143,11 @@ impl Protocol for CheckProto {
             self.state = self.state.rotate_left(7) ^ d ^ env.src as u64;
             self.log.push((env.src, d));
         }
+        assert!(
+            ctx.round != 1 || self.bomb != Some(ctx.me),
+            "machine {} went off in round 1",
+            ctx.me
+        );
         if ctx.round >= self.rounds {
             return Status::Done;
         }
@@ -178,6 +187,8 @@ pub enum Expectation {
     Transcript,
     /// Every schedule fails with exactly this typed error.
     MachineLost { machine: usize, round: u64 },
+    /// Every schedule fails as a panic of this machine in round 1.
+    WorkerPanicked { machine: usize },
 }
 
 /// One cell of the k × protocol × fault matrix.
@@ -191,10 +202,15 @@ pub struct CheckConfig {
 }
 
 fn fleet(cfg: &CheckConfig) -> Vec<CheckProto> {
+    let bomb = match cfg.expect {
+        Expectation::WorkerPanicked { machine } => Some(machine),
+        _ => None,
+    };
     (0..cfg.net.k)
         .map(|_| CheckProto {
             kind: cfg.kind,
             rounds: cfg.kind.rounds(),
+            bomb,
             state: 0,
             log: Vec::new(),
         })
@@ -208,13 +224,15 @@ fn fleet(cfg: &CheckConfig) -> Vec<CheckProto> {
 const CRASH_BARRIER_TICKS: u64 = 400;
 
 /// The full k ∈ {2, 3} × message-mix × fault-plan matrix (24 configs),
-/// plus scatter at k = 4 × {ok, drop, crash} and the tail at
-/// k ∈ {2, 3} × {ok, crash} — 31 configs. A model
+/// plus scatter at k = 4 × {ok, drop, crash}, the tail at
+/// k ∈ {2, 3} × {ok, crash}, and scatter at k ∈ {2, 3} with machine
+/// `k − 1` panicking in round 1 — 33 configs. A model
 /// session runs the engine on two workers (the shim's
-/// `available_parallelism`), so k = 3 puts machines 1 and 2 on one
-/// worker and k = 4 puts two-machine blocks on both ends of every
-/// cross-worker link, with the crash on a machine that does not head
-/// its block.
+/// `available_parallelism`): worker 0 on the caller's thread, worker 1
+/// spawned. So k = 3 puts machines 1 and 2 on one worker and k = 4
+/// puts two-machine blocks on both ends of every cross-worker link,
+/// with the crash on a machine that does not head its block; and the
+/// panicking machine's worker must hand its error to the caller's.
 pub fn matrix() -> Vec<CheckConfig> {
     let mut out = Vec::new();
     for k in [2usize, 3] {
@@ -225,6 +243,9 @@ pub fn matrix() -> Vec<CheckConfig> {
     push_cells(&mut out, 4, ProtoKind::Scatter, &["ok", "drop", "crash"]);
     for k in [2usize, 3] {
         push_cells(&mut out, k, ProtoKind::Tail, &["ok", "crash"]);
+    }
+    for k in [2usize, 3] {
+        push_cells(&mut out, k, ProtoKind::Scatter, &["panic"]);
     }
     out
 }
@@ -264,11 +285,13 @@ fn push_cells(out: &mut Vec<CheckConfig>, k: usize, kind: ProtoKind, plans: &[&s
         machine: crash.machine,
         round: crash.round,
     };
+    let panicked = Expectation::WorkerPanicked { machine: k - 1 };
     for (fault_name, faults, expect) in [
         ("ok", None, Expectation::Transcript),
         ("drop", Some(drop_plan), Expectation::Transcript),
         ("crash", Some(crash_plan), lost),
         ("drop+crash", Some(chaos_plan), lost),
+        ("panic", None, panicked),
     ] {
         if plans.contains(&fault_name) {
             out.push(CheckConfig {
@@ -330,6 +353,20 @@ fn verdict(
                 "run succeeded but machine {machine} crashes at round {round}"
             )),
         },
+        (Expectation::WorkerPanicked { machine }, got) => match got {
+            Err(EngineError::WorkerPanicked {
+                machine: m,
+                message,
+            }) if m == machine && message == format!("machine {machine} went off in round 1") => {
+                Ok(())
+            }
+            Err(e) => Err(format!(
+                "expected WorkerPanicked {{ machine: {machine} }}, got: {e}"
+            )),
+            Ok(_) => Err(format!(
+                "run succeeded but machine {machine} panics in round 1"
+            )),
+        },
     }
 }
 
@@ -356,7 +393,7 @@ pub fn check_one(cfg: &CheckConfig, model_cfg: &ModelConfig) -> Result<Report, B
                 // lint: allow(panic) — a failing fault-free sequential baseline is a broken matrix, not a schedule bug
                 .unwrap_or_else(|e| panic!("sequential baseline for {} failed: {e}", cfg.name)),
         ),
-        Expectation::MachineLost { .. } => None,
+        Expectation::MachineLost { .. } | Expectation::WorkerPanicked { .. } => None,
     };
     model::explore(model_cfg, || {
         let got = DistributedEngine::run_with_faults(cfg.net, fleet(cfg), cfg.faults);
@@ -377,7 +414,7 @@ pub fn replay_one(
                 // lint: allow(panic) — a failing fault-free sequential baseline is a broken matrix, not a schedule bug
                 .unwrap_or_else(|e| panic!("sequential baseline for {} failed: {e}", cfg.name)),
         ),
-        Expectation::MachineLost { .. } => None,
+        Expectation::MachineLost { .. } | Expectation::WorkerPanicked { .. } => None,
     };
     model::replay(model_cfg, id, || {
         let got = DistributedEngine::run_with_faults(cfg.net, fleet(cfg), cfg.faults);
@@ -461,8 +498,9 @@ mod tests {
         let m = matrix();
         assert_eq!(
             m.len(),
-            31,
-            "2 k-values × 3 mixes × 4 fault plans, plus k = 4 scatter × 3, plus 2 k-values × tail × 2"
+            33,
+            "2 k-values × 3 mixes × 4 fault plans, plus k = 4 scatter × 3, plus 2 k-values × tail × 2, \
+             plus 2 k-values × scatter panic"
         );
         assert!(m.iter().any(|c| c.name == "k2-scatter-ok"));
         assert!(m.iter().any(|c| c.name == "k3-bulk-drop+crash"));
@@ -473,6 +511,12 @@ mod tests {
             .filter(|c| matches!(c.expect, Expectation::MachineLost { .. }))
             .count();
         assert_eq!(crashes, 15);
+        let panics: Vec<_> = m
+            .iter()
+            .filter(|c| matches!(c.expect, Expectation::WorkerPanicked { .. }))
+            .map(|c| c.name.as_str())
+            .collect();
+        assert_eq!(panics, ["k2-scatter-panic", "k3-scatter-panic"]);
         // Names are unique — they are replay handles.
         let mut names: Vec<_> = m.iter().map(|c| c.name.clone()).collect();
         names.sort();
@@ -486,7 +530,7 @@ mod tests {
         // are engine-clean (any failure here is a harness bug, not a
         // schedule bug).
         for cfg in matrix() {
-            if cfg.faults.is_none() {
+            if cfg.faults.is_none() && cfg.expect == Expectation::Transcript {
                 let base = SequentialEngine::run(cfg.net, fleet(&cfg)).expect("sequential");
                 let dist = DistributedEngine::run(cfg.net, fleet(&cfg)).expect("distributed");
                 assert_eq!(base.metrics, dist.metrics, "{}", cfg.name);

@@ -13,17 +13,19 @@
 //! `engine::Inbound`: the one delivery core (per-source FIFO
 //! [`crate::link::Link`]s, self-queue, sorted active-source index)
 //! the sequential engine holds `k` of, here owned one per machine and
-//! shipped home with the final state. Batching amortizes the 21-byte
+//! handed back with the final state. Batching amortizes the 21-byte
 //! self-healing header over every message a (link, round) pair
 //! carries; each machine accumulates a [`WireReport`] of what its
 //! frames measured against the logical [`WireCodec::bits`], and the
-//! coordinator sums them.
+//! caller sums them when the run ends.
 //!
 //! # The pool
 //!
-//! `W = min(k, available_parallelism())` worker threads each host a
+//! `W = min(k, available_parallelism())` workers each host a
 //! contiguous block of machines (worker `w` runs machines
-//! `w·k/W .. (w+1)·k/W`). Each hosted machine keeps its own protocol,
+//! `w·k/W .. (w+1)·k/W`). Worker 0 runs on the caller's thread and the
+//! other `W − 1` on scoped threads, so a one-worker pool spawns none.
+//! Each hosted machine keeps its own protocol,
 //! RNG stream, `Inbound`, both halves of its wire, inbox and last
 //! status; a worker shares only scratch across its block — one
 //! `Outbox`, one staging row, one `BitWriter`.
@@ -32,94 +34,105 @@
 //! destination shares its worker, so [`WireReport`] is a function of
 //! the transcript alone, whatever `W` is.
 //!
-//! # Round anatomy (coordinator barriers)
+//! # Round anatomy (one exchange per round)
 //!
-//! The caller's thread coordinates, with `O(W)` control messages per
-//! round:
+//! There is no coordinator. Every worker runs the same steps, keeps its
+//! own `RoundLedger`, and meets its peers once per executed round `r`:
 //!
-//! 1. `Round` — every worker runs [`Protocol::round`] for each of its
-//!    machines the sparse-rounds rule (`engine::runs`: its last status
-//!    was `Active`, or it has mail) selects, on its locally held inbox,
-//!    and ships that machine's batch frames (self-sends bypass
+//! 1. **Deliver `r`.** Machine by machine, the worker absorbs every
+//!    batch frame owed to that machine (the counts came with the last
+//!    exchange; see the failure model for how loss is repaired), then
+//!    runs its `Inbound::deliver` — the very walk the sequential engine
+//!    runs per destination, so only links with queued traffic are
+//!    visited, counted in [`crate::Metrics::link_visits`]. The results
+//!    sum to its block's slice of the round's `RoundTally` (status,
+//!    queue depths, inbox size). A partial-only slice (engine module
+//!    docs, *Empty rounds*) also carries the fewest rounds until a front
+//!    message on one of its hosted links completes.
+//! 2. **Call `r + 1`.** The worker runs [`Protocol::round`] for each of
+//!    its machines the sparse-rounds rule (`engine::runs`: its last
+//!    status was `Active`, or it has mail) selects, on its locally held
+//!    inbox, and ships that machine's batch frames (self-sends bypass
 //!    serialization and stay local, free — the same drain-and-move
-//!    semantics as the sequential engine). It answers one `Sent` carrying
-//!    its machines' cumulative per-destination batch counts.
-//! 2. The coordinator collects all `Sent`s, transposes the `k × k`
-//!    count matrix, and issues each worker one `Deliver` carrying, per
-//!    hosted machine, exactly how many batch frames it is owed per
-//!    source.
-//! 3. Machine by machine, each worker drains incoming channels until
-//!    every frame owed to that machine has been absorbed (see the
-//!    failure model below for how loss is repaired), then runs its
-//!    `Inbound::deliver` — the very walk the sequential engine runs per
-//!    destination, so only links with queued traffic are visited,
-//!    counted in [`crate::Metrics::link_visits`] — and reports its
-//!    block's summed slice of the round's `RoundTally` (status, queue
-//!    depths, inbox size).
-//! 4. The coordinator sums the slices and closes the round with the
-//!    same `RoundLedger::close` as the in-process loop: communication
-//!    round counted, then quiescence, then the round limit — so error
-//!    cases are bit-identical too.
-//! 5. If the round closed partial-only (engine module docs, *Empty
-//!    rounds*), each worker's slice also carries the fewest rounds
-//!    until a front message on one of its hosted links completes. The
-//!    coordinator takes the minimum, and `RoundLedger::skip` turns it
-//!    into the rounds to skip. No command carries the skip: the next
-//!    `Round`'s number jumps by it, and each worker advances its hosted
-//!    `Inbound`s by the difference to the round it expected. Skipped
-//!    rounds cost no barrier.
+//!    semantics as the sequential engine). The engine module docs
+//!    (*Empty rounds*) show why this look-ahead never calls a round the
+//!    ledger does not execute.
+//! 3. **Exchange.** The worker sends every peer one share — its tally
+//!    slice for `r` and its machines' cumulative per-destination batch
+//!    counts — then waits once for the `W − 1` peer shares. The counts
+//!    say how many frames each machine is owed by its next delivery.
+//! 4. **Close `r`.** The worker sums the slices and closes the round
+//!    with the same `RoundLedger::close` as the in-process loop:
+//!    communication round counted, then quiescence, then the round
+//!    limit — so error cases are bit-identical too. Every worker sums
+//!    the same slices, so every worker decides alike. If the round
+//!    closed partial-only, `RoundLedger::skip` turns the minimum of the
+//!    slices' completions into rounds to skip, and each worker advances
+//!    its hosted `Inbound`s by them: skipped rounds cost no exchange.
 //!
-//! Each worker publishes in a `Marker` the machine it is working on —
-//! set before that machine's `round()`, before its delivery, and at
-//! its planned crash — plus a step count. Every failure is typed by
-//! the marker, so it names the machine, never the worker.
+//! Before round 0 the workers call round 0 and exchange its counts with
+//! an empty tally. When the run ends, the spawned workers' final states
+//! come back through their join handles.
+//!
+//! Each worker publishes in a `Marker` the machine and round it is
+//! working on — set before that machine's `round()`, before its
+//! delivery, and at its planned crash — plus a step count. Every
+//! failure is typed by the marker, so it names the machine, never the
+//! worker.
 //!
 //! ## Waiting
 //!
-//! A round is three waits on every worker (the next command, the
-//! mid-round `Deliver`, the owed frames) and `2W` on the coordinator
-//! (`Sent` and the round report from each worker), and a k-machine
-//! algorithm is thousands of near-empty rounds — so *how* a thread
-//! waits is most of what a round costs. All of them follow one
-//! discipline, one helper per side (`await_cmd`, `Coordinator::await_resp`):
+//! A round is one wait per hosted machine for its owed frames and one
+//! wait for the peers' shares, and a k-machine algorithm is thousands
+//! of near-empty rounds — so *how* a worker waits is most of what a
+//! round costs. Both waits follow one discipline, in one helper
+//! (`Worker::wait`):
 //!
-//! - **Poll, then park.** A wait first polls its channel, yielding
+//! - **Poll, then park.** A wait first polls its channels, yielding
 //!   between polls ([`Backoff::snooze`]), for a fixed budget
-//!   (`BARRIER_SPIN_POLLS`): the awaited message is normally a few
+//!   (`BARRIER_SPIN_POLLS`): the awaited share is normally a few
 //!   scheduling quanta away, and a yield is far cheaper than the futex
 //!   sleep plus the wake-up syscall a parked thread costs its sender.
 //!   Only when the budget runs out — a peer is inside a long `round()`
-//!   — does the thread block on the channel, so idle workers sleep
-//!   instead of burning their cores.
+//!   — does the worker park on that peer's share channel, in
+//!   `recv_timeout(barrier)`, so idle workers sleep instead of burning
+//!   their cores.
+//! - **A per-machine deadline.** The deadline — real or, under
+//!   `km-check`, virtual — is that of the park alone. A park that times
+//!   out while the peer's marker started a new step parks again, so
+//!   only a machine silent for a whole window is `MachineLost`, never a
+//!   block of healthy machines whose `round()`s add up past it.
 //! - **What is serviced while polling.** While a [`FaultPlan`] is live
 //!   a waiting worker drains every incoming channel of its block and
 //!   pumps its pending queues between polls — a peer's delivery may
-//!   hinge on our retransmits even after our own round report went
-//!   out — and for the same reason never parks. On a clean wire a
-//!   worker owed frames drains, on every poll, only the awaited
-//!   machine's links whose `Deliver` count is still ahead of what it
-//!   absorbed: nothing but owed data frames travels a clean link.
-//! - **Why a clean wire may park without draining.** A worker flushes
-//!   every staged frame into its channels *before* it answers `Sent`,
-//!   and absorbs every owed frame before its round report, so between
-//!   barriers at most one data frame per link is in flight against
-//!   `LINK_CHANNEL_FRAMES = 4` slots: no sender ever waits on an idle
-//!   receiver, and by the time `Deliver` arrives everything owed is
-//!   already sitting in the channels (one drain per machine completes
-//!   the round).
-//! - **The coordinator parks in `recv_timeout(barrier)`**, so the
-//!   deadline — real or, under `km-check`, virtual — is that of the
-//!   park alone. It is a *per-machine* deadline: a park that times out
-//!   while the worker's marker started a new step parks again, so only
-//!   a machine silent for a whole window is `MachineLost`, never a
-//!   block of healthy machines whose `round()`s add up past it.
+//!   hinge on our retransmits — and for the same reason never parks on
+//!   a live peer: only on one whose machine's link hung up (a crash, or
+//!   a worker gone with an error it handed on), which needs nothing
+//!   from our wire any more. So under a live plan a machine that is
+//!   merely slow inside a call is waited out, not typed lost. On a
+//!   clean wire a worker owed frames drains only the awaited machine's
+//!   links still behind their count: nothing but owed data frames
+//!   travels a clean link.
+//! - **Why a clean wire may park without draining.** A clean link
+//!   carries at most one data frame per round, and a worker ships round
+//!   `r + 1`'s frames only after the exchange that closed round `r − 1`,
+//!   which every peer joined after delivering `r − 1`. So at most two
+//!   data frames per link — a worker can be one exchange ahead — are in
+//!   flight against `LINK_CHANNEL_FRAMES = 4` slots: no send ever finds
+//!   a full channel, every frame a share counts is in its channel
+//!   before the share is, and no sender ever waits on an idle receiver.
+//!   A delivery takes frames only up to the count, so a frame of a later
+//!   round waits its turn — in the channel, or under faults in the
+//!   reorder buffer.
 //!
-//! Bounded channels mean a sender can hit a full link mid-round (under
-//! recovery traffic); the overflow waits in a local per-destination
-//! queue that every blocked or barrier-waiting worker keeps pumping
-//! while draining its own incoming channels, so the wait-for graph
-//! never contains a cycle of non-draining threads and the round always
-//! completes.
+//! Bounded channels mean a sender can hit a full link under recovery
+//! traffic; the overflow waits in a local per-destination queue that
+//! every waiting worker keeps pumping while draining its own incoming
+//! channels. A worker parks only where no delivery can hinge on it: on
+//! a clean wire no delivery waits, and under a live plan it parks only
+//! on a peer that is gone, which the deadline or the peer's handed-on
+//! error ends — so the wait-for graph never contains a cycle, and every
+//! round completes or fails typed.
 //!
 //! # Failure model
 //!
@@ -133,32 +146,38 @@
 //!   larger, than under per-message framing
 //!   ([`crate::codec::FRAME_HEADER_BYTES`]). A corrupted frame fails
 //!   its checksum and is discarded whole; a missing frame is a
-//!   sequence gap against the `Deliver` counts; a duplicated or stale
+//!   sequence gap against the shared counts; a duplicated or stale
 //!   frame has `seq <` the next expected and is dropped without
 //!   touching the logical transcript.
 //! - **Recovery.** A receiver still owed frames sends paced NACK
-//!   control frames naming the first missing sequence number; the
-//!   sender retains the current round's batch frames and retransmits
-//!   from that point (retention resets every round — the barrier
-//!   proves the previous round was fully absorbed), replaying every
-//!   message the lost batch contained exactly once. Out-of-order
+//!   control frames naming the first missing sequence number, the
+//!   first at once. The sender retains a call's batch frames until the
+//!   next exchange completes, since every share in it says its peer
+//!   delivered them, and re-sends the frame named: a delivery owes at
+//!   most one batch per link. Every message the lost batch contained
+//!   is replayed exactly once. Out-of-order
 //!   arrivals wait in a reorder buffer (as raw validated frames,
-//!   decoded only when their gap fills) so links stay FIFO. Recovery
-//!   traffic is accounted in [`WireReport::retransmit_frames`] /
-//!   [`WireReport::nack_frames`], never in [`Metrics`] — under any
-//!   crash-free fault mix the run's `RunOutcome` stays bit-identical
-//!   to the sequential engine's.
+//!   decoded only when their gap fills and their round is owed) so
+//!   links stay FIFO. Recovery traffic is accounted in
+//!   [`WireReport::retransmit_frames`] / [`WireReport::nack_frames`],
+//!   never in [`Metrics`] — under any crash-free fault mix the run's
+//!   `RunOutcome` stays bit-identical to the sequential engine's.
 //! - **Crashes and hangs.** A planned crash severs only the crashed
 //!   machine's channels, and its worker goes silent with the marker on
-//!   it. The coordinator waits out a barrier timeout
+//!   it. A peer waits out a barrier timeout
 //!   ([`FaultPlan::barrier_timeout_ms`], default
 //!   [`DEFAULT_BARRIER_TIMEOUT_MS`]) in which the worker starts no new
 //!   step and converts that silence into [`EngineError::MachineLost`]
-//!   for the marker's machine. A worker panic (usually a protocol's own
-//!   `round`) is caught, reported, and surfaces as
-//!   [`EngineError::WorkerPanicked`] for the marker's machine. Either
-//!   way the coordinator aborts every surviving worker and joins all
-//!   threads — no orphan threads, no hung caller, no poisoned panic.
+//!   for the marker's machine and round. A panic (usually a protocol's
+//!   own `round`) is caught and becomes [`EngineError::WorkerPanicked`]
+//!   for the marker's machine. Either way the worker that meets the
+//!   failure hands it to every peer in place of a share, and each peer
+//!   hands it on and stops; a crashed worker stays silent until every
+//!   peer has handed it the error or hung up. The caller returns its
+//!   own worker's error once every spawned worker is joined — no orphan
+//!   threads, no hung caller, no poisoned panic. A one-worker pool has
+//!   no peer to notice silence: its worker times each `round()` call
+//!   against the barrier itself, and a planned crash is its own error.
 //!
 //! Out of scope: recovering the *work* of a crashed machine
 //! (checkpoint/restart, state handoff). A crash fails the run with a
@@ -199,23 +218,30 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Frames a link channel buffers before senders feel backpressure.
-/// Since the wire batches each (link, round) into a single frame, a
-/// channel only ever holds that batch plus recovery traffic (NACKs,
-/// retransmits, fault-injected duplicates) — so this is sized small
-/// enough that a recovery storm still exercises the drain-while-
-/// blocked path (stress-tested in `tests/` at k = 64 and by the chaos
-/// matrix), not for bulk data.
+/// A clean link holds at most two batch frames — its round's and, from
+/// a sender one exchange ahead, the next round's (module docs,
+/// *Waiting*) — so the rest is headroom for recovery traffic (NACKs,
+/// retransmits, fault-injected duplicates), sized small enough that a
+/// recovery storm still exercises the drain-while-blocked path
+/// (stress-tested in `tests/` at k = 64 and by the chaos matrix), not
+/// for bulk data.
 const LINK_CHANNEL_FRAMES: usize = 4;
 
-/// Default coordinator barrier timeout (milliseconds): how long a
-/// machine may stay silent at a round barrier before the run fails
-/// with [`EngineError::MachineLost`]. Generous because a legitimate
-/// protocol round may compute for a while; fault tests lower it via
-/// [`FaultPlan::barrier_timeout_ms`], and slow CI can raise it through
-/// `KM_FAULTS=timeout=<ms>`.
+/// Shares a worker-to-worker channel buffers: a worker can be one
+/// exchange ahead of a peer, so two of its shares may wait unread, plus
+/// the error that ends the sender's run. Sends never block.
+const SHARE_CHANNEL_SLOTS: usize = 3;
+
+/// Default barrier timeout (milliseconds): how long a peer parked on a
+/// silent machine — one whose worker starts no new step — waits before
+/// the run fails with [`EngineError::MachineLost`]. Generous because a
+/// legitimate protocol round may compute for a while; fault tests lower
+/// it via [`FaultPlan::barrier_timeout_ms`], and slow CI can raise it
+/// through `KM_FAULTS=timeout=<ms>`.
 pub const DEFAULT_BARRIER_TIMEOUT_MS: u64 = 10_000;
 
 /// The effective barrier timeout: the plan's, else
@@ -229,95 +255,68 @@ fn barrier_timeout(plan: &FaultPlan) -> Duration {
 
 /// Idle receive polls between NACK rounds while a machine is owed
 /// frames — paces retransmit requests so a lossy link is repaired
-/// without flooding the reverse direction.
+/// without flooding the reverse direction. The first round goes out on
+/// the first poll that finds a frame missing: by then every frame a
+/// share counted is in its channel unless the wire lost it, and the
+/// sender may be about to stop servicing its wire for its next calls.
 const NACK_IDLE_POLLS: u32 = 16;
 
 /// Empty polls (each followed by a [`Backoff::snooze`], i.e. a yield)
-/// a barrier wait makes before it parks on its channel — the one budget
-/// of the wait discipline, shared by the worker (`await_cmd`) and the
-/// coordinator (`Coordinator::await_resp`).
+/// a wait makes before it parks on a peer's share channel — the one
+/// budget of the wait discipline (`Worker::wait`).
 ///
 /// A park costs a futex sleep, a wake-up syscall on the sender's side
 /// and a scheduler round-trip; a yielding poll costs one `sched_yield`
 /// and hands the core to whichever peer is still computing. Polling is
-/// therefore the cheaper wait for as long as the awaited message is a
-/// few scheduling quanta away — the normal case between the phases of
-/// a short round — and the budget only has to outlast that.
+/// therefore the cheaper wait for as long as the awaited share is a
+/// few scheduling quanta away — the normal case in a short round — and
+/// the budget only has to outlast that.
 ///
-/// Sized by measurement: `benchmark/run.sh --workload sketch_cc_wire`
-/// (8 510 near-empty rounds, k = 16 machines), interleaved passes per
-/// value, median `wall_s` of the per-pass medians, on a 2-core host:
+/// Sized by measurement: `km-benchmark --workload sketch_cc_wire --seed 2
+/// --seconds 3 --trace 0` (8 510 near-empty rounds, k = 16 machines, the
+/// pool at W = 2 workers on a 2-core host), 4 interleaved passes per
+/// value, median `wall_s` and the passes' range:
 ///
-/// | polls | one thread per machine (`--seed 2 --seconds 5`, 6 passes) | pool, W = 2 workers (`--seed 2 --seconds 3`, 6 passes) |
-/// |---|---|---|
-/// | 0 (always park) | 2.85 s | 0.56 s |
-/// | 4 | 0.70 s | — |
-/// | 16 | 0.65 s | 0.34 s |
-/// | 64 | 0.63 s | — |
-/// | 256 | 0.62 s | 0.35 s |
-/// | 1024 | 0.64 s | 0.34 s |
-/// | 4096 | 0.63 s | — |
+/// | polls | `wall_s` |
+/// |---|---|
+/// | 16 | 0.344 s (0.333–0.365) |
+/// | 256 | 0.329 s (0.299–0.384) |
+/// | 1024 | 0.322 s (0.301–0.362) |
 ///
-/// (The engine before the wait discipline — parked command and
-/// coordinator waits, unbounded mid-round spin — took 1.5 s.) On both
-/// layouts everything from 16 up sits on one plateau, within the
-/// passes' spread. The value is taken from the top of the range that is
-/// still cheap to give up on, for hosts with more cores than workers:
-/// there a yield returns at once, the budget is worth 256 syscalls ≈
-/// 50–100 µs — about one near-empty round — and a smaller one would
-/// fall through to the park every round. Past the budget a worker
-/// waiting out a peer's long `round()` sleeps instead of burning its
-/// core (`tests/distributed_idle.rs`).
+/// The three sit on one plateau, within the passes' spread. The value
+/// is taken from the top of the range that is still cheap to give up
+/// on, for hosts with more cores than workers: there a yield returns at
+/// once, the budget is worth 256 syscalls ≈ 50–100 µs — about one
+/// near-empty round — and a smaller one would fall through to the park
+/// every round. Past the budget a worker waiting out a peer's long
+/// `round()` sleeps instead of burning its core
+/// (`tests/distributed_idle.rs`).
 const BARRIER_SPIN_POLLS: u32 = 256;
 
-enum Cmd {
-    /// Run one protocol round on every hosted machine and send the
-    /// staged frames.
-    Round { round: u64 },
-    /// All workers have reported; `expected[j·k + src]` is the
-    /// cumulative frame count the block's `j`-th machine is owed from
-    /// `src` — drain until whole, deliver under the budget, report.
-    Deliver { expected: Box<[u32]> },
-    /// Ship the final states back and exit.
-    Finish,
-    /// Teardown after a failure: exit immediately, no final state.
-    Abort,
+/// What a worker hands each peer once per executed round.
+struct Slice {
+    /// Its block's slice of the round's tally.
+    tally: RoundTally,
+    /// `counts[j·k + dst]`: the batch frames its `j`-th machine has
+    /// staged for `dst` so far, over the whole run.
+    counts: Arc<[u32]>,
 }
 
-/// Everything one hosted machine accumulated, shipped back on `Finish`.
-struct FinalState<P: Protocol> {
-    proto: P,
-    /// This machine's delivery core: the receive side of its metrics.
-    inbound: Inbound<P::Msg>,
-    /// What its outgoing frames measured. `messages` / `logical_bits`
-    /// count each link message once, at staging, so they double as
-    /// this machine's `sent_msgs` / `sent_bits`.
-    wire: WireReport,
-}
+/// A share: a worker's slice of the round, or instead the error its run
+/// ended with.
+type Share = Result<Slice, EngineError>;
 
-enum Resp<P: Protocol> {
-    /// Round compute + staging done for the whole block:
-    /// `counts[j·k + dst]` is the cumulative frames its `j`-th machine
-    /// staged for `dst` (the coordinator transposes these into
-    /// `Deliver`).
-    Sent { counts: Box<[u32]> },
-    /// Delivery done: the block's summed slice of the round's tally.
-    Round(RoundTally),
-    /// The block's final states, in machine order.
-    Final(Vec<FinalState<P>>),
-    /// The worker's thread panicked; sent best-effort from the panic
-    /// handler so the coordinator can type the failure (by the
-    /// worker's [`Marker`]).
-    Panicked { message: String },
-}
-
-/// Where a worker is: the machine it last started a step on — its
-/// `round()`, its delivery, or its planned crash — and how many steps
-/// it has started. The coordinator types every failure by the marker's
-/// machine, never by the worker, and keeps waiting out a barrier while
+/// Where a worker is: the machine and round it last started a step on —
+/// a `round()` call, a delivery, or its planned crash — and how many
+/// steps it has started. A silent worker's failure is typed by its
+/// marker, never by the worker, and its peers keep waiting it out while
 /// `steps` moves, so the deadline is per machine rather than per block.
+/// Stores are `Release` and loads `Acquire`, and `set` bumps `steps`
+/// last: a peer that reads a step count sees the machine and round
+/// stored before it.
 struct Marker {
     machine: AtomicUsize,
+    round: AtomicU64,
     steps: AtomicU64,
 }
 
@@ -325,12 +324,14 @@ impl Marker {
     fn at(machine: MachineIdx) -> Marker {
         Marker {
             machine: AtomicUsize::new(machine),
+            round: AtomicU64::new(0),
             steps: AtomicU64::new(0),
         }
     }
 
-    fn set(&self, machine: MachineIdx) {
+    fn set(&self, machine: MachineIdx, round: u64) {
         self.machine.store(machine, Ordering::Release);
+        self.round.store(round, Ordering::Release);
         self.steps.fetch_add(1, Ordering::Release);
     }
 
@@ -341,10 +342,18 @@ impl Marker {
     fn steps(&self) -> u64 {
         self.steps.load(Ordering::Acquire)
     }
+
+    /// The failure of a worker silent for a whole barrier window.
+    fn lost(&self) -> EngineError {
+        EngineError::MachineLost {
+            machine: self.machine(),
+            round: self.round.load(Ordering::Acquire),
+        }
+    }
 }
 
 /// The sending half of a machine's wire: outgoing channels, per-link
-/// sequence numbers, the current round's retention buffer (for
+/// sequence numbers, the retention buffers of its last two calls (for
 /// NACK-driven retransmits), overflow/delay queues, and the fault
 /// adversary itself.
 struct Outwire {
@@ -360,10 +369,12 @@ struct Outwire {
     /// whole run, so stale frames from earlier rounds can never alias
     /// fresh ones.
     seq_next: Vec<u32>,
-    /// This round's staged frames per destination, kept for
-    /// retransmission. Cleared at round start: the barrier proves the
-    /// previous round was fully absorbed.
+    /// The frames the latest call staged per destination, kept for
+    /// retransmission.
     retained: Vec<Vec<(u32, Vec<u8>)>>,
+    /// The call before's, which a peer may still be delivering: a
+    /// worker calls ahead before its peers' shares say they delivered.
+    older: Vec<Vec<(u32, Vec<u8>)>>,
     /// Frames waiting for channel capacity (or fault-delayed), FIFO
     /// per destination.
     pending: Vec<VecDeque<Vec<u8>>>,
@@ -385,6 +396,7 @@ impl Outwire {
             txs,
             seq_next: vec![0; k],
             retained: vec![Vec::new(); k],
+            older: vec![Vec::new(); k],
             pending: (0..k).map(|_| VecDeque::new()).collect(),
             attempts: vec![0; k],
             nacks_sent: vec![0; k],
@@ -392,11 +404,17 @@ impl Outwire {
         }
     }
 
-    /// Drops the previous round's retention — every retained frame was
-    /// provably absorbed (the round barrier certifies it).
+    /// Opens a call's retention: the latest call's frames become the
+    /// older ones (emptied by [`Outwire::absorbed`] since).
     fn start_round(&mut self) {
+        std::mem::swap(&mut self.retained, &mut self.older);
+    }
+
+    /// Drops the older call's frames once an exchange completed after
+    /// it: every peer's share says it delivered them.
+    fn absorbed(&mut self) {
         if self.faulty {
-            for r in &mut self.retained {
+            for r in &mut self.older {
                 r.clear();
             }
         }
@@ -430,7 +448,7 @@ impl Outwire {
     /// queue. Never blocks.
     fn transmit(&mut self, dst: MachineIdx, frame: Vec<u8>) {
         if self.txs[dst].is_none() {
-            return; // peer hung up: the coordinator will type the failure
+            return; // peer hung up: the deadline on its worker types the failure
         }
         if !self.faulty {
             self.enqueue(dst, frame);
@@ -502,22 +520,25 @@ impl Outwire {
         self.pending.iter().all(VecDeque::is_empty)
     }
 
-    /// Services a retransmit request from `dst`: re-sends every
-    /// retained frame with `seq >= from_seq`, each through the
-    /// adversary again. A stale NACK (from a round already absorbed)
-    /// at worst re-sends frames the receiver will discard as
-    /// duplicates.
+    /// Services a retransmit request from `dst`: re-sends the first
+    /// retained frame with `seq >= from_seq` through the adversary
+    /// again. That is the one frame the receiver's delivery still owes —
+    /// a delivery owes at most one batch per link — and not the newer
+    /// call's, which its next delivery asks for if it must. A stale NACK
+    /// (from a round already absorbed) at worst re-sends a frame the
+    /// receiver will discard as a duplicate.
     fn handle_nack(&mut self, dst: MachineIdx, from_seq: u32) {
-        let frames: Vec<Vec<u8>> = self.retained[dst]
+        let Some((_, frame)) = self.older[dst]
             .iter()
-            .filter(|(seq, _)| *seq >= from_seq)
-            .map(|(_, frame)| frame.clone())
-            .collect();
-        for frame in frames {
-            self.report.retransmit_frames += 1;
-            self.report.retransmit_bytes += frame.len() as u64;
-            self.transmit(dst, frame);
-        }
+            .chain(&self.retained[dst])
+            .find(|(seq, _)| *seq >= from_seq)
+        else {
+            return;
+        };
+        let frame = frame.clone();
+        self.report.retransmit_frames += 1;
+        self.report.retransmit_bytes += frame.len() as u64;
+        self.transmit(dst, frame);
     }
 
     /// Asks `src` to retransmit everything from `from_seq` on.
@@ -531,7 +552,7 @@ impl Outwire {
     }
 
     /// Simulates this machine's death: closes every outgoing channel
-    /// (peers see `Disconnected` and stop waiting on the wire).
+    /// (peers see `Disconnected` and stop sending to it).
     fn sever(&mut self) {
         for tx in &mut self.txs {
             *tx = None;
@@ -551,10 +572,10 @@ struct Inwire {
     /// Next expected batch sequence number per source (== batches
     /// absorbed, since sequence numbers are cumulative).
     expect: Vec<u32>,
-    /// Out-of-order arrivals waiting for the gap to fill, per source —
-    /// stored as the raw (already CRC-validated) frames, so the
-    /// messages inside are only ever decoded once, in sequence order,
-    /// straight out of the frame buffer.
+    /// Arrivals not yet absorbable, per source — out of order, or of a
+    /// round not yet owed — stored as the raw (already CRC-validated)
+    /// frames, so the messages inside are only ever decoded once, in
+    /// sequence order, straight out of the frame buffer.
     ooo: Vec<BTreeMap<u32, Vec<u8>>>,
 }
 
@@ -568,13 +589,12 @@ impl Inwire {
         }
     }
 
-    /// Has every source delivered all frames the coordinator says it
-    /// staged?
-    fn complete(&self, me: MachineIdx, expected: &[u32]) -> bool {
+    /// Has every source delivered all the frames it is `owed` for?
+    fn complete(&self, me: MachineIdx, owed: &[u32]) -> bool {
         self.expect
             .iter()
             .enumerate()
-            .all(|(src, &got)| src == me || got >= expected[src])
+            .all(|(src, &got)| src == me || got >= owed[src])
     }
 }
 
@@ -593,36 +613,37 @@ fn absorb_frame<M: WireCodec>(view: &FrameView<'_>, src: MachineIdx, inb: &mut I
 
 /// Drains incoming channels: validates each frame (CRC + header),
 /// discards corrupted and duplicate frames, services NACKs, buffers
-/// out-of-order arrivals, and absorbs in-sequence batches into the
-/// local links — in sequence order exactly once, which is what keeps
-/// the logical transcript bit-identical under faults.
+/// early arrivals, and absorbs in-sequence batches into the local
+/// links — in sequence order exactly once, which is what keeps the
+/// logical transcript bit-identical under faults.
 ///
-/// `owed` (a `Deliver`'s per-source counts) limits the drain to the
-/// links still behind their count — only sound on a clean wire, where
-/// a link carries nothing but the data frames it owes. `None` drains
-/// every link, as a faulty wire needs: NACKs arrive on any of them.
+/// `owed` caps what is absorbed per source: a peer one exchange ahead
+/// may already have shipped the next round's frame, which must wait for
+/// the delivery that owes it. `every` drains every link, as a faulty
+/// wire needs — NACKs arrive on any of them; otherwise only the links
+/// still behind their count are read, and only up to it: a clean link
+/// carries nothing but data frames, in order, so a later round's stays
+/// in the channel.
 fn drain_incoming<M: WireCodec>(
     inw: &mut Inwire,
     out: &mut Outwire,
     inb: &mut Inbound<M>,
-    owed: Option<&[u32]>,
+    owed: &[u32],
+    every: bool,
 ) {
-    for src in 0..inw.rxs.len() {
-        if owed.is_some_and(|expected| inw.expect[src] >= expected[src]) {
+    for (src, &want) in owed.iter().enumerate() {
+        if !every && inw.expect[src] >= want {
             continue;
         }
         let mut hung_up = false;
-        {
-            let Some(rx) = inw.rxs[src].as_ref() else {
-                continue;
-            };
-            loop {
+        if let Some(rx) = inw.rxs[src].as_ref() {
+            while every || inw.expect[src] < want {
                 let frame = match rx.try_recv() {
                     Ok(frame) => frame,
                     Err(TryRecvError::Empty) => break,
                     Err(TryRecvError::Disconnected) => {
                         // Crashed peer; whatever it still owed will
-                        // surface as a barrier timeout.
+                        // surface at the deadline on its worker.
                         hung_up = true;
                         break;
                     }
@@ -639,29 +660,31 @@ fn drain_incoming<M: WireCodec>(
                         panic!("machine {}: malformed NACK from {src}: {e}", inb.me)
                     });
                     out.handle_nack(src, from);
-                    continue;
-                }
-                if view.seq < inw.expect[src] {
-                    continue; // duplicate or stale retransmission
-                }
-                if view.seq == inw.expect[src] {
+                } else if view.seq == inw.expect[src] && view.seq < want {
                     absorb_frame(&view, src, inb);
                     inw.expect[src] += 1;
-                    while let Some(buffered) = inw.ooo[src].remove(&inw.expect[src]) {
-                        let v = split_frame(&buffered)
-                            // lint: allow(panic) — buffer invariant: frames are CRC-validated before entering `ooo`
-                            .expect("reorder buffer only holds validated frames");
-                        absorb_frame(&v, src, inb);
-                        inw.expect[src] += 1;
-                    }
-                } else {
+                } else if view.seq > inw.expect[src] || view.seq >= want {
+                    // Out of order, or not owed yet (a duplicate of it
+                    // too, at worst, which the map absorbs).
                     let seq = view.seq;
                     inw.ooo[src].entry(seq).or_insert(frame);
                 }
+                // Anything else is a duplicate or stale retransmission.
             }
         }
         if hung_up {
             inw.rxs[src] = None;
+        }
+        // Buffered frames whose gap filled, or whose round is now owed.
+        while inw.expect[src] < want {
+            let Some(buffered) = inw.ooo[src].remove(&inw.expect[src]) else {
+                break;
+            };
+            let view = split_frame(&buffered)
+                // lint: allow(panic) — buffer invariant: frames are CRC-validated before entering `ooo`
+                .expect("reorder buffer only holds validated frames");
+            absorb_frame(&view, src, inb);
+            inw.expect[src] += 1;
         }
     }
 }
@@ -727,53 +750,17 @@ impl<P: Protocol> Host<P> {
         }
     }
 
-    fn drain(&mut self, owed: Option<&[u32]>) {
-        drain_incoming(&mut self.inw, &mut self.out, &mut self.inb, owed);
+    fn drain(&mut self, owed: &[u32], every: bool) {
+        drain_incoming(&mut self.inw, &mut self.out, &mut self.inb, owed, every);
     }
 }
 
-/// The machines one worker hosts, `k` wide: each `Deliver` row is `k`
-/// counts per host.
-struct Block<P: Protocol> {
-    k: usize,
-    faulty: bool,
-    hosts: Vec<Host<P>>,
-}
-
-impl<P: Protocol> Block<P> {
-    /// Host `j`'s row of a `Deliver`.
-    fn owed<'e>(&self, j: usize, expected: &'e [u32]) -> &'e [u32] {
-        &expected[j * self.k..(j + 1) * self.k]
-    }
-
-    /// Services the whole block's wire: every link drained, every
-    /// pending frame pumped.
-    fn service(&mut self) {
-        for h in &mut self.hosts {
-            h.drain(None);
-            h.out.pump();
-        }
-    }
-
-    /// Asks every source still behind its `Deliver` count for a
-    /// retransmit, for every hosted machine.
-    fn nack_missing(&mut self, expected: &[u32]) {
-        for (h, row) in self.hosts.iter_mut().zip(expected.chunks_exact(self.k)) {
-            for (src, &want) in row.iter().enumerate() {
-                if src != h.me && h.inw.expect[src] < want {
-                    h.out.send_nack(src, h.inw.expect[src]);
-                }
-            }
-        }
-    }
-}
-
-/// The message-passing engine: a pool of worker threads each hosting a
-/// block of machines, `k·(k−1)` bounded byte channels, a round-barrier
-/// coordinator. Transcript-identical to [`super::SequentialEngine`] —
-/// including under injected wire faults (see the module docs' failure
-/// model); additionally measures real frame sizes into a
-/// [`WireReport`].
+/// The message-passing engine: a pool of workers each hosting a block of
+/// machines, `k·(k−1)` bounded byte channels, and one all-gather per
+/// round between the workers. Transcript-identical to
+/// [`super::SequentialEngine`] — including under injected wire faults
+/// (see the module docs' failure model); additionally measures real
+/// frame sizes into a [`WireReport`].
 #[derive(Debug, Default, Clone, Copy)]
 pub struct DistributedEngine;
 
@@ -831,9 +818,34 @@ impl DistributedEngine {
     }
 }
 
-/// The engine proper, on `workers` threads (clamped to `1..=k`): worker
-/// `w` hosts machines `w·k/W .. (w+1)·k/W`. The public entry points
-/// call it with `min(k, cores)`; tests pin other pool shapes.
+/// Channels between every ordered pair of endpoints: each one's senders
+/// by peer (`.0[a][b]`) and receivers by peer (`.1[b][a]`), `None` at
+/// itself.
+type Mesh<T> = (Vec<Vec<Option<Sender<T>>>>, Vec<Vec<Option<Receiver<T>>>>);
+
+/// A [`Mesh`] of `n` endpoints, every channel bounded to `cap`.
+fn mesh<T>(n: usize, cap: usize) -> Mesh<T> {
+    let mut txs: Vec<Vec<_>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
+    let mut rxs: Vec<Vec<_>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
+    for (a, row) in txs.iter_mut().enumerate() {
+        for (b, col) in rxs.iter_mut().enumerate() {
+            let (tx, rx) = if a == b {
+                (None, None)
+            } else {
+                let (tx, rx) = bounded(cap);
+                (Some(tx), Some(rx))
+            };
+            row.push(tx);
+            col.push(rx);
+        }
+    }
+    (txs, rxs)
+}
+
+/// The engine proper, on `workers` workers (clamped to `1..=k`): worker
+/// `w` hosts machines `w·k/W .. (w+1)·k/W`, and worker 0 runs on the
+/// caller's thread. The public entry points call it with
+/// `min(k, cores)`; tests pin other pool shapes.
 pub(crate) fn run_pool<P: Protocol>(
     config: NetConfig,
     machines: Vec<P>,
@@ -845,30 +857,13 @@ pub(crate) fn run_pool<P: Protocol>(
     let workers = workers.clamp(1, k);
     let shared = rng::shared_seed(config.seed);
     let bounds: Vec<usize> = (0..=workers).map(|w| w * k / workers).collect();
+    let markers: Vec<Marker> = bounds[..workers].iter().map(|&lo| Marker::at(lo)).collect();
 
-    // Byte channels for every ordered pair, built straight into each
-    // machine's outgoing row (`out_txs[src][dst]`) and incoming column
-    // (`in_rxs[dst][src]`); the diagonal stays local.
-    let mut out_txs: Vec<Vec<Option<Sender<Vec<u8>>>>> =
-        (0..k).map(|_| Vec::with_capacity(k)).collect();
-    let mut in_rxs: Vec<Vec<Option<Receiver<Vec<u8>>>>> =
-        (0..k).map(|_| Vec::with_capacity(k)).collect();
-    for (src, txs) in out_txs.iter_mut().enumerate() {
-        for (dst, rxs) in in_rxs.iter_mut().enumerate() {
-            let (tx, rx) = if src == dst {
-                (None, None)
-            } else {
-                let (tx, rx) = bounded::<Vec<u8>>(LINK_CHANNEL_FRAMES);
-                (Some(tx), Some(rx))
-            };
-            txs.push(tx);
-            rxs.push(rx);
-        }
-    }
+    let (links_out, links_in) = mesh(k, LINK_CHANNEL_FRAMES);
     let mut hosts = machines
         .into_iter()
-        .zip(out_txs)
-        .zip(in_rxs)
+        .zip(links_out)
+        .zip(links_in)
         .enumerate()
         .map(|(me, ((proto, txs), rxs))| Host {
             me,
@@ -880,437 +875,426 @@ pub(crate) fn run_pool<P: Protocol>(
             inbox: Vec::new(),
             last: Status::Active,
         });
-    let markers: Vec<Marker> = bounds[..workers].iter().map(|&lo| Marker::at(lo)).collect();
+    let (shares_out, shares_in) = mesh(workers, SHARE_CHANNEL_SLOTS);
+    let mut pool: Vec<Worker<'_, P>> = shares_out
+        .into_iter()
+        .zip(shares_in)
+        .enumerate()
+        .map(|(w, (to, from))| {
+            let size = bounds[w + 1] - bounds[w];
+            Worker {
+                config,
+                shared,
+                plan,
+                barrier,
+                w,
+                bounds: &bounds,
+                markers: &markers,
+                hosts: hosts.by_ref().take(size).collect(),
+                to,
+                from,
+                stash: (0..workers).map(|_| None).collect(),
+                owed: vec![0; size * k],
+                outbox: Outbox::new(k),
+                staged: (0..k).map(|_| Vec::new()).collect(),
+                scratch: BitWriter::new(),
+            }
+        })
+        .collect();
 
-    crossbeam::thread::scope(|scope| {
-        let mut cmd_txs: Vec<Sender<Cmd>> = Vec::with_capacity(workers);
-        let mut resp_rxs: Vec<Receiver<Resp<P>>> = Vec::with_capacity(workers);
-        for (w, marker) in markers.iter().enumerate() {
-            let block = Block {
-                k,
-                faulty: plan.any(),
-                hosts: hosts.by_ref().take(bounds[w + 1] - bounds[w]).collect(),
-            };
-            let (cmd_tx, cmd_rx) = bounded::<Cmd>(1);
-            let (resp_tx, resp_rx) = bounded::<Resp<P>>(1);
-            cmd_txs.push(cmd_tx);
-            resp_rxs.push(resp_rx);
-            scope.spawn(move |_| {
-                // Capture panics (typically a protocol's own `round`) so
-                // a worker death becomes a typed report instead of a
-                // poisoned join.
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    run_worker(config, shared, plan, block, marker, &cmd_rx, &resp_tx)
-                }));
-                if let Err(payload) = result {
-                    // `&*payload`: reborrow the *contents* — a bare
-                    // `&payload` would unsize the Box itself into the
-                    // `dyn Any` and every downcast would miss.
-                    let _ = resp_tx.try_send(Resp::Panicked {
+    let done = crossbeam::thread::scope(|scope| {
+        let spawned: Vec<_> = pool
+            .split_off(1)
+            .into_iter()
+            .map(|worker| scope.spawn(move |_| worker.run()))
+            .collect();
+        // Block 0 on this thread first, then every spawned worker's
+        // outcome in pool order.
+        pool.into_iter()
+            .map(Worker::run)
+            .chain(spawned.into_iter().zip(1..).map(|(handle, w)| {
+                handle.join().unwrap_or_else(|payload| {
+                    Err(EngineError::WorkerPanicked {
+                        machine: markers[w].machine(),
                         message: panic_message(&*payload),
-                    });
-                }
-            });
-        }
-        let coord = Coordinator {
-            resp_rxs: &resp_rxs,
-            markers: &markers,
-            barrier,
-        };
-
-        // The barrier phases of the module docs, each round closed by
-        // the same `RoundLedger::close` as the sequential engine —
-        // plus barrier timeouts and typed failure propagation.
-        let mut sent = vec![0u32; k * k];
-        let mut ledger = RoundLedger::default();
-        let mut run_rounds = || -> Result<(), EngineError> {
-            loop {
-                let round = ledger.iterations;
-                for (w, tx) in cmd_txs.iter().enumerate() {
-                    if tx.send(Cmd::Round { round }).is_err() {
-                        return Err(coord.gone(w));
-                    }
-                }
-                for w in 0..workers {
-                    match coord.await_resp(w, round)? {
-                        Resp::Sent { counts } => {
-                            sent[bounds[w] * k..bounds[w + 1] * k].copy_from_slice(&counts);
-                        }
-                        // lint: allow(panic) — worker protocol invariant: Cmd::Round is always answered by Resp::Sent
-                        _ => unreachable!("Round is answered by Sent first"),
-                    }
-                }
-                for (w, tx) in cmd_txs.iter().enumerate() {
-                    // Column `dst` of the count matrix, for each of the
-                    // block's machines in turn.
-                    let expected: Box<[u32]> = (bounds[w]..bounds[w + 1])
-                        .flat_map(|dst| sent.iter().skip(dst).step_by(k).copied())
-                        .collect();
-                    if tx.send(Cmd::Deliver { expected }).is_err() {
-                        return Err(coord.gone(w));
-                    }
-                }
-                let mut tally = RoundTally::default();
-                for w in 0..workers {
-                    match coord.await_resp(w, round)? {
-                        Resp::Round(slice) => tally.absorb(slice),
-                        // lint: allow(panic) — worker protocol invariant: Cmd::Deliver is always answered by Resp::Round
-                        _ => unreachable!("Deliver is answered by Round"),
-                    }
-                }
-                if ledger.close(&config, tally)? {
-                    return Ok(());
-                }
-                // The workers see a skip as the jump in the next
-                // `Round`'s number.
-                ledger.skip(&config, &tally, plan.crash.map(|c| c.round));
-            }
-        };
-
-        let result = run_rounds().and_then(|()| {
-            // Collect final states; a worker can in principle die even
-            // here, so the teardown path stays typed too.
-            for (w, tx) in cmd_txs.iter().enumerate() {
-                if tx.send(Cmd::Finish).is_err() {
-                    return Err(coord.gone(w));
-                }
-            }
-            let mut metrics = Metrics::new(k);
-            metrics.rounds = ledger.comm_rounds;
-            let mut wire = WireReport::default();
-            let mut machines = Vec::with_capacity(k);
-            for w in 0..workers {
-                match coord.await_resp(w, ledger.iterations)? {
-                    Resp::Final(finals) => {
-                        for f in finals {
-                            let i = machines.len();
-                            metrics.sent_msgs[i] = f.wire.messages;
-                            metrics.sent_bits[i] = f.wire.logical_bits;
-                            f.inbound.fold_into(&mut metrics);
-                            wire.absorb(&f.wire);
-                            machines.push(f.proto);
-                        }
-                    }
-                    // lint: allow(panic) — worker protocol invariant: Cmd::Finish is always answered by Resp::Final
-                    _ => unreachable!("Finish yields Final"),
-                }
-            }
-            ledger.check_finished(machines.iter().map(Protocol::finished))?;
-            debug_assert_lemma3(&metrics, config.bandwidth_bits);
-            Ok(RunReport {
-                machines,
-                metrics,
-                wire: Some(wire),
-            })
-        });
-        if result.is_err() {
-            // Graceful teardown: every surviving worker (including a
-            // crash-simulating one) is polling for commands and exits on
-            // Abort; channels of already-dead workers just error. The
-            // scope below then joins every thread.
-            for tx in &cmd_txs {
-                let _ = tx.send(Cmd::Abort);
-            }
-        }
-        result
-    })
-    // lint: allow(panic) — unreachable: every worker body runs under catch_unwind, so the scope's Err arm is never produced
-    .expect("scoped workers never propagate panics (caught in the worker)")
-}
-
-/// The coordinator's view of the pool: one response channel and one
-/// [`Marker`] per worker, and the barrier deadline.
-struct Coordinator<'a, P: Protocol> {
-    resp_rxs: &'a [Receiver<Resp<P>>],
-    markers: &'a [Marker],
-    barrier: Duration,
-}
-
-impl<P: Protocol> Coordinator<'_, P> {
-    /// The coordinator side of the wait discipline (module docs,
-    /// "Waiting"): waits for worker `w`'s next response — polling for
-    /// [`BARRIER_SPIN_POLLS`] rounds first, then parked in
-    /// `recv_timeout(barrier)` — converting panics, silent exits, and
-    /// barrier timeouts into errors typed by the machine `w`'s marker
-    /// names.
-    ///
-    /// The deadline is per machine: a park that times out while the
-    /// worker started a new step (another machine's `round()` or
-    /// delivery) parks again, so only one machine silent for a whole
-    /// window reads as lost — never a block of healthy ones whose
-    /// rounds add up past it. On a timeout the other response channels
-    /// are swept for a `Panicked` report first, so a worker that hangs
-    /// *because a peer died* blames the culprit, not the victim.
-    fn await_resp(&self, w: usize, round: u64) -> Result<Resp<P>, EngineError> {
-        let rx = &self.resp_rxs[w];
-        let marker = &self.markers[w];
-        let mut seen = marker.steps();
-        let backoff = Backoff::new();
-        let mut polled = rx.try_recv();
-        for _ in 0..BARRIER_SPIN_POLLS {
-            if !matches!(polled, Err(TryRecvError::Empty)) {
-                break;
-            }
-            backoff.snooze();
-            polled = rx.try_recv();
-        }
-        let resp = match polled {
-            Ok(resp) => Ok(resp),
-            Err(TryRecvError::Disconnected) => Err(RecvTimeoutError::Disconnected),
-            Err(TryRecvError::Empty) => loop {
-                match rx.recv_timeout(self.barrier) {
-                    Err(RecvTimeoutError::Timeout) if marker.steps() != seen => {
-                        seen = marker.steps();
-                    }
-                    other => break other,
-                }
-            },
-        };
-        match resp {
-            Ok(Resp::Panicked { message }) => Err(EngineError::WorkerPanicked {
-                machine: marker.machine(),
-                message,
-            }),
-            Ok(resp) => Ok(resp),
-            Err(RecvTimeoutError::Disconnected) => Err(self.gone(w)),
-            Err(RecvTimeoutError::Timeout) => {
-                for (rx, marker) in self.resp_rxs.iter().zip(self.markers) {
-                    // The run is failing regardless; eating a pending
-                    // healthy response here is fine.
-                    if let Ok(Resp::Panicked { message }) = rx.try_recv() {
-                        return Err(EngineError::WorkerPanicked {
-                            machine: marker.machine(),
-                            message,
-                        });
-                    }
-                }
-                Err(EngineError::MachineLost {
-                    machine: marker.machine(),
-                    round,
+                    })
                 })
-            }
+            }))
+            .collect::<Result<Vec<_>, _>>()
+    })
+    // lint: allow(panic) — unreachable: every spawned worker is joined in the scope, so its Err arm is never produced
+    .expect("scoped workers are joined inside the scope")?;
+
+    let mut ledger = RoundLedger::default();
+    let mut metrics = Metrics::new(k);
+    let mut wire = WireReport::default();
+    let mut machines = Vec::with_capacity(k);
+    for (worker_ledger, hosts) in done {
+        // Every worker closed the same rounds on the same sums.
+        ledger = worker_ledger;
+        for h in hosts {
+            // The wire report counts each link message once, at
+            // staging: the machine's sent side.
+            metrics.sent_msgs[h.me] = h.out.report.messages;
+            metrics.sent_bits[h.me] = h.out.report.logical_bits;
+            h.inb.fold_into(&mut metrics);
+            wire.absorb(&h.out.report);
+            machines.push(h.proto);
         }
     }
-
-    /// Types the failure of a worker whose thread is already gone:
-    /// prefer its own panic report if one is queued, otherwise a
-    /// placeholder — either way naming its marker's machine.
-    fn gone(&self, w: usize) -> EngineError {
-        let machine = self.markers[w].machine();
-        match self.resp_rxs[w].try_recv() {
-            Ok(Resp::Panicked { message }) => EngineError::WorkerPanicked { machine, message },
-            _ => silent_exit(machine),
-        }
-    }
+    metrics.rounds = ledger.comm_rounds;
+    ledger.check_finished(machines.iter().map(Protocol::finished))?;
+    debug_assert_lemma3(&metrics, config.bandwidth_bits);
+    Ok(RunReport {
+        machines,
+        metrics,
+        wire: Some(wire),
+    })
 }
 
-/// What ended a worker's barrier wait.
-enum Wake {
-    /// The coordinator's next command; a coordinator that hung up reads
-    /// as [`Cmd::Abort`].
-    Cmd(Cmd),
-    /// Every frame owed to the awaited machine has been absorbed — only
-    /// ever the answer to a wait that passed `owed` counts.
-    Whole,
+/// Why a worker's rounds stopped short of the end of the run.
+enum Halt {
+    /// The run failed: hand the error to every peer.
+    Failed(EngineError),
+    /// A hosted machine crashed as planned: go silent.
+    Crashed,
 }
 
-/// The worker side of the wait discipline (module docs, "Waiting"):
-/// waits for the coordinator's next command or — when `owed` carries a
-/// host index `j` and a `Deliver`'s counts — for every frame owed to
-/// the block's `j`-th machine to be absorbed, whichever comes first.
-///
-/// While a [`FaultPlan`] is live the whole block's wire is serviced
-/// between polls and the wait never parks: a peer's delivery may hinge
-/// on our retransmits even after our own round report went out, and
-/// machines still owed frames pace NACKs off the poll count. On a clean
-/// wire nothing needs servicing while idle (at most one data frame per
-/// link is in flight against [`LINK_CHANNEL_FRAMES`] slots, so no
-/// sender ever waits on us), which is what makes it safe to park in
-/// `recv()` once [`BARRIER_SPIN_POLLS`] polls came up empty — and an
-/// owed wait drains only the awaited machine's links still behind
-/// their count.
-fn await_cmd<P: Protocol>(
-    cmd_rx: &Receiver<Cmd>,
-    block: &mut Block<P>,
-    owed: Option<(usize, &[u32])>,
-) -> Wake {
-    let backoff = Backoff::new();
-    let mut polls: u32 = 0;
-    loop {
-        match cmd_rx.try_recv() {
-            Ok(cmd) => return Wake::Cmd(cmd),
-            Err(TryRecvError::Disconnected) => return Wake::Cmd(Cmd::Abort),
-            Err(TryRecvError::Empty) => {}
-        }
-        if block.faulty {
-            block.service();
-        }
-        if let Some((j, expected)) = owed {
-            let row = block.owed(j, expected);
-            let host = &mut block.hosts[j];
-            if !block.faulty {
-                host.drain(Some(row));
-            }
-            if host.inw.complete(host.me, row) {
-                return Wake::Whole;
-            }
-        }
-        polls += 1;
-        if block.faulty {
-            if let Some((_, expected)) = owed {
-                if polls.is_multiple_of(NACK_IDLE_POLLS) {
-                    block.nack_missing(expected);
-                }
-            }
-        } else if polls >= BARRIER_SPIN_POLLS {
-            return Wake::Cmd(cmd_rx.recv().unwrap_or(Cmd::Abort));
-        }
-        backoff.snooze();
+impl From<EngineError> for Halt {
+    fn from(err: EngineError) -> Halt {
+        Halt::Failed(err)
     }
 }
 
-/// The worker loop for one block of machines.
-fn run_worker<P: Protocol>(
+/// One worker of the pool: its block of machines, its ends of the share
+/// channels, and the counts its next delivery owes.
+struct Worker<'p, P: Protocol> {
     config: NetConfig,
     shared: u64,
     plan: FaultPlan,
-    mut block: Block<P>,
-    marker: &Marker,
-    cmd_rx: &Receiver<Cmd>,
-    resp_tx: &Sender<Resp<P>>,
-) {
-    let k = config.k;
+    barrier: Duration,
+    /// This worker's index in the pool.
+    w: usize,
+    /// Where each worker's block starts, then `k`.
+    bounds: &'p [usize],
+    /// Every worker's marker, by worker index.
+    markers: &'p [Marker],
+    hosts: Vec<Host<P>>,
+    /// Share channels to and from every peer, by worker index; `None`
+    /// at `w`.
+    to: Vec<Option<Sender<Share>>>,
+    from: Vec<Option<Receiver<Share>>>,
+    /// The slices of the exchange in progress, by worker index, as they
+    /// arrive — a peer's may come while this worker still delivers.
+    stash: Vec<Option<Slice>>,
+    /// `owed[j·k + src]`: the frames the block's `j`-th machine holds
+    /// from `src` once its next delivery absorbed all it is owed.
+    owed: Vec<u32>,
     // Pooled send-side buffers, shared by every hosted machine and
     // reused across every round: one outbox, one staging `Vec` per
     // destination collecting a machine's messages for that link, and
     // one scratch `BitWriter` serializing each batch — so the encode
     // path's only steady-state allocation is the frame the channel takes
     // ownership of, one per active link per round.
-    let mut outbox: Outbox<P::Msg> = Outbox::new(k);
-    let mut staged: Vec<Vec<P::Msg>> = (0..k).map(|_| Vec::new()).collect();
-    let mut scratch = BitWriter::new();
-    // The round this worker runs next unless the coordinator skips.
-    let mut next_round = 0;
+    outbox: Outbox<P::Msg>,
+    staged: Vec<Vec<P::Msg>>,
+    scratch: BitWriter,
+}
 
-    loop {
-        match await_cmd(cmd_rx, &mut block, None) {
-            Wake::Cmd(Cmd::Round { round }) => {
-                let skipped = round - next_round;
-                if skipped > 0 {
-                    for h in &mut block.hosts {
-                        h.inb.advance(skipped, config.bandwidth_bits);
-                    }
+impl<P: Protocol> Worker<'_, P> {
+    /// Runs the worker's rounds to the end of the run: its ledger and
+    /// its hosts, or the run's error — handed to every peer first,
+    /// unless a crash silenced this worker.
+    fn run(mut self) -> Result<(RoundLedger, Vec<Host<P>>), EngineError> {
+        // Capture panics (typically a protocol's own `round`) so a
+        // worker death becomes a typed error its peers hear of.
+        let halt = match catch_unwind(AssertUnwindSafe(|| self.rounds())) {
+            Ok(Ok(ledger)) => return Ok((ledger, self.hosts)),
+            Ok(Err(halt)) => halt,
+            // `&*payload`: reborrow the *contents* — a bare `&payload`
+            // would unsize the Box itself into the `dyn Any` and every
+            // downcast would miss.
+            Err(payload) => Halt::Failed(EngineError::WorkerPanicked {
+                machine: self.markers[self.w].machine(),
+                message: panic_message(&*payload),
+            }),
+        };
+        match halt {
+            Halt::Failed(err) => {
+                for tx in self.to.iter().flatten() {
+                    let _ = tx.send(Err(err.clone()));
                 }
-                next_round = round + 1;
-                for h in &mut block.hosts {
-                    marker.set(h.me);
-                    if plan.crashes(h.me, round) {
-                        // Simulated crash of this machine alone: close
-                        // its channels (peers see a hung-up link, the
-                        // coordinator a missed barrier naming it) and
-                        // only keep consuming commands so the final
-                        // Abort can reach us for a clean join.
-                        h.out.sever();
-                        h.inw.rxs.clear();
-                        loop {
-                            match cmd_rx.recv() {
-                                Ok(Cmd::Abort | Cmd::Finish) | Err(_) => return,
-                                Ok(_) => {}
-                            }
-                        }
-                    }
-                    h.out.start_round();
-                    if runs(h.last, !h.inbox.is_empty()) {
-                        h.compute(
-                            &config,
-                            round,
-                            shared,
-                            &mut outbox,
-                            &mut staged,
-                            &mut scratch,
-                        );
-                    }
-                }
-                if block.faulty {
-                    for h in &mut block.hosts {
-                        h.out.pump();
-                    }
-                } else {
-                    // Reliable wire: flush everything before reporting,
-                    // draining our own incoming channels against
-                    // backpressure cycles — so the barrier proof "all
-                    // Sent ⇒ all frames visible" holds with no NACK
-                    // machinery in play.
-                    let backoff = Backoff::new();
-                    while block.hosts.iter().any(|h| !h.out.pending_empty()) {
-                        block.service();
-                        backoff.snooze();
-                    }
-                }
-                let counts = block
-                    .hosts
-                    .iter()
-                    .flat_map(|h| h.out.seq_next.iter().copied())
-                    .collect();
-                if resp_tx.send(Resp::Sent { counts }).is_err() {
-                    return;
-                }
-                // Barrier: the coordinator certifies every worker
-                // reported (`Deliver`); then, machine by machine, every
-                // owed frame is absorbed and delivered under the budget.
-                let mut owed: Option<Box<[u32]>> = None;
-                let mut tally = RoundTally::default();
-                let mut next = 0;
-                while next < block.hosts.len() {
-                    match await_cmd(cmd_rx, &mut block, owed.as_deref().map(|e| (next, e))) {
-                        Wake::Cmd(Cmd::Deliver { expected }) if owed.is_none() => {
-                            owed = Some(expected);
-                            marker.set(block.hosts[0].me);
-                        }
-                        Wake::Whole => {
-                            let h = &mut block.hosts[next];
-                            tally.absorb(RoundTally {
-                                active_machines: usize::from(h.last == Status::Active),
-                                ..h.inb.deliver(config.bandwidth_bits, &mut h.inbox)
-                            });
-                            next += 1;
-                            if let Some(h) = block.hosts.get(next) {
-                                marker.set(h.me);
-                            }
-                        }
-                        Wake::Cmd(Cmd::Abort) => return,
-                        Wake::Cmd(_) => {
-                            // lint: allow(panic) — coordinator protocol invariant: between `Sent` and the round report it sends one Deliver, then nothing but Abort
-                            unreachable!("only one Deliver, then only Abort, follows Sent")
-                        }
-                    }
-                }
-                if tally.is_partial_only() {
-                    tally.next_completion =
-                        next_completion(block.hosts.iter().map(|h| &h.inb), config.bandwidth_bits);
-                }
-                if resp_tx.send(Resp::Round(tally)).is_err() {
-                    return;
-                }
+                Err(err)
             }
-            Wake::Cmd(Cmd::Deliver { .. }) | Wake::Whole => {
-                // lint: allow(panic) — coordinator protocol invariant: Deliver is only ever sent after a Round, and frames are owed only after a Deliver
-                unreachable!("Deliver only follows a Round")
-            }
-            Wake::Cmd(Cmd::Finish) => break,
-            Wake::Cmd(Cmd::Abort) => return,
+            Halt::Crashed => Err(self.verdict()),
         }
     }
-    let finals = block
-        .hosts
-        .into_iter()
-        .map(|h| FinalState {
-            proto: h.proto,
-            inbound: h.inb,
-            wire: h.out.report,
-        })
-        .collect();
-    let _ = resp_tx.send(Resp::Final(finals));
+
+    /// The round loop of the module docs, each round closed by the same
+    /// `RoundLedger::close` as the sequential engine.
+    fn rounds(&mut self) -> Result<RoundLedger, Halt> {
+        let mut ledger = RoundLedger::default();
+        self.call(0)?;
+        self.exchange(RoundTally::default())?;
+        loop {
+            let round = ledger.iterations;
+            let tally = self.deliver(round)?;
+            if round + 1 < self.config.max_rounds {
+                self.call(round + 1)?;
+            }
+            let total = self.exchange(tally)?;
+            if ledger.close(&self.config, total)? {
+                return Ok(ledger);
+            }
+            let skipped = ledger.skip(&self.config, &total, self.plan.crash.map(|c| c.round));
+            if skipped > 0 {
+                for h in &mut self.hosts {
+                    h.inb.advance(skipped, self.config.bandwidth_bits);
+                }
+                // The round skipped to calls nobody (the skip needs a
+                // partial-only round), but a crash planned for it
+                // happens here.
+                self.call(ledger.iterations)?;
+            }
+        }
+    }
+
+    /// Calls `round` on every hosted machine the sparse-rounds rule
+    /// selects, in machine order, and ships what each queued. A machine
+    /// planned to crash at `round` crashes instead, before its call.
+    fn call(&mut self, round: u64) -> Result<(), Halt> {
+        let marker = &self.markers[self.w];
+        let alone = self.markers.len() == 1;
+        for h in &mut self.hosts {
+            marker.set(h.me, round);
+            if self.plan.crashes(h.me, round) {
+                // Simulated crash of this machine alone: peers see its
+                // links hang up and its worker fall silent mid-call.
+                h.out.sever();
+                h.inw.rxs.clear();
+                return Err(Halt::Crashed);
+            }
+            h.out.start_round();
+            if runs(h.last, !h.inbox.is_empty()) {
+                let started = alone.then(Instant::now);
+                h.compute(
+                    &self.config,
+                    round,
+                    self.shared,
+                    &mut self.outbox,
+                    &mut self.staged,
+                    &mut self.scratch,
+                );
+                if started.is_some_and(|t| t.elapsed() >= self.barrier) {
+                    return Err(Halt::Failed(marker.lost()));
+                }
+            }
+        }
+        if self.plan.any() {
+            for h in &mut self.hosts {
+                h.out.pump();
+            }
+        }
+        debug_assert!(
+            self.plan.any() || self.hosts.iter().all(|h| h.out.pending_empty()),
+            "a clean link never holds more frames than its channel"
+        );
+        Ok(())
+    }
+
+    /// Absorbs and delivers everything owed to each hosted machine, and
+    /// returns the block's slice of the round's tally.
+    fn deliver(&mut self, round: u64) -> Result<RoundTally, Halt> {
+        let budget = self.config.bandwidth_bits;
+        let mut tally = RoundTally::default();
+        for j in 0..self.hosts.len() {
+            self.markers[self.w].set(self.hosts[j].me, round);
+            self.wait(Some(j))?;
+            let h = &mut self.hosts[j];
+            tally.absorb(RoundTally {
+                active_machines: usize::from(h.last == Status::Active),
+                ..h.inb.deliver(budget, &mut h.inbox)
+            });
+        }
+        if tally.is_partial_only() {
+            tally.next_completion = next_completion(self.hosts.iter().map(|h| &h.inb), budget);
+        }
+        Ok(tally)
+    }
+
+    /// The round's one synchronisation: hands every peer this block's
+    /// `tally` slice and its frame counts, waits for every peer's, takes
+    /// the counts as what the next delivery owes, and returns the
+    /// summed tally.
+    fn exchange(&mut self, tally: RoundTally) -> Result<RoundTally, Halt> {
+        let k = self.config.k;
+        let counts: Arc<[u32]> = self
+            .hosts
+            .iter()
+            .flat_map(|h| h.out.seq_next.iter().copied())
+            .collect();
+        for tx in self.to.iter().flatten() {
+            let _ = tx.send(Ok(Slice {
+                tally,
+                counts: Arc::clone(&counts),
+            }));
+        }
+        self.stash[self.w] = Some(Slice { tally, counts });
+        self.wait(None)?;
+        for h in &mut self.hosts {
+            h.out.absorbed();
+        }
+        let mut total = RoundTally::default();
+        for (p, slice) in self.stash.iter_mut().enumerate() {
+            let Some(slice) = slice.take() else { continue };
+            total.absorb(slice.tally);
+            for (j, h) in self.hosts.iter().enumerate() {
+                for (src, row) in (self.bounds[p]..).zip(slice.counts.chunks_exact(k)) {
+                    self.owed[j * k + src] = row[h.me];
+                }
+            }
+        }
+        Ok(total)
+    }
+
+    /// The wait discipline (module docs, *Waiting*): until the block's
+    /// `j`-th machine has absorbed every frame it is owed
+    /// (`Some(j)`), or every peer's slice of the exchange is in
+    /// (`None`). Polls first — taking in any peer's share on the way,
+    /// and under a live fault plan servicing the block's wire and
+    /// pacing NACKs — then parks on the awaited peer.
+    fn wait(&mut self, host: Option<usize>) -> Result<(), Halt> {
+        let k = self.config.k;
+        let faulty = self.plan.any();
+        let backoff = Backoff::new();
+        let mut polls: u32 = 0;
+        loop {
+            if faulty {
+                for (h, row) in self.hosts.iter_mut().zip(self.owed.chunks_exact(k)) {
+                    h.drain(row, true);
+                    h.out.pump();
+                }
+            }
+            let done = match host {
+                Some(j) => {
+                    let row = &self.owed[j * k..(j + 1) * k];
+                    let h = &mut self.hosts[j];
+                    if !faulty {
+                        h.drain(row, false);
+                    }
+                    h.inw.complete(h.me, row)
+                }
+                None => self.stash.iter().all(Option::is_some),
+            };
+            if done {
+                return Ok(());
+            }
+            for (p, rx) in self.from.iter().enumerate() {
+                let (Some(rx), None) = (rx, &self.stash[p]) else {
+                    continue;
+                };
+                match rx.try_recv() {
+                    Ok(share) => self.stash[p] = Some(share?),
+                    Err(TryRecvError::Empty) => {}
+                    Err(TryRecvError::Disconnected) => {
+                        return Err(silent_exit(self.markers[p].machine()).into());
+                    }
+                }
+            }
+            if faulty && host.is_some() && polls.is_multiple_of(NACK_IDLE_POLLS) {
+                self.nack_missing();
+            }
+            polls += 1;
+            if polls >= BARRIER_SPIN_POLLS {
+                if let Some(p) = self.awaited(host) {
+                    if !faulty || self.gone(p) {
+                        self.park(p)?;
+                        continue;
+                    }
+                }
+            }
+            backoff.snooze();
+        }
+    }
+
+    /// The peer a wait would park on: for the exchange, the first one
+    /// whose slice is missing; for frames, the worker of the first
+    /// source still behind its count — unless that is this worker, or a
+    /// peer whose slice is in (it is waiting, servicing its wire).
+    fn awaited(&self, host: Option<usize>) -> Option<usize> {
+        let k = self.config.k;
+        let p = match host {
+            None => self.stash.iter().position(Option::is_none)?,
+            Some(j) => {
+                let h = &self.hosts[j];
+                let row = &self.owed[j * k..(j + 1) * k];
+                let src = (0..k).find(|&src| src != h.me && h.inw.expect[src] < row[src])?;
+                self.bounds.partition_point(|&lo| lo <= src) - 1
+            }
+        };
+        (p != self.w && self.stash[p].is_none()).then_some(p)
+    }
+
+    /// Whether a link from one of peer `p`'s machines hung up: `p`
+    /// crashed, or left the run with an error it has handed on. Either
+    /// way nothing it needs from this worker's wire is left.
+    fn gone(&self, p: usize) -> bool {
+        let block = self.bounds[p]..self.bounds[p + 1];
+        self.hosts
+            .iter()
+            .any(|h| h.inw.rxs[block.clone()].iter().any(Option::is_none))
+    }
+
+    /// Parks on peer `p`'s share channel for one barrier window: its
+    /// share is kept, its error returned, and a window in which its
+    /// marker started no step is the marker's machine lost.
+    fn park(&mut self, p: usize) -> Result<(), Halt> {
+        let marker = &self.markers[p];
+        let seen = marker.steps();
+        let Some(rx) = self.from[p].as_ref() else {
+            return Ok(());
+        };
+        match rx.recv_timeout(self.barrier) {
+            Ok(share) => self.stash[p] = Some(share?),
+            // It moved on to another machine: wait that one out afresh.
+            Err(RecvTimeoutError::Timeout) if marker.steps() != seen => {}
+            Err(RecvTimeoutError::Timeout) => return Err(marker.lost().into()),
+            Err(RecvTimeoutError::Disconnected) => return Err(silent_exit(marker.machine()).into()),
+        }
+        Ok(())
+    }
+
+    /// Asks every source still behind its count for a retransmit, for
+    /// every hosted machine.
+    fn nack_missing(&mut self) {
+        for (h, row) in self
+            .hosts
+            .iter_mut()
+            .zip(self.owed.chunks_exact(self.config.k))
+        {
+            for (src, &want) in row.iter().enumerate() {
+                if src != h.me && h.inw.expect[src] < want {
+                    h.out.send_nack(src, h.inw.expect[src]);
+                }
+            }
+        }
+    }
+
+    /// A crashed machine's worker stays silent — no share, no wire —
+    /// until every peer has handed it the run's error or hung up; with
+    /// no peer to notice the crash, the crash is its own error.
+    fn verdict(&self) -> EngineError {
+        let mut verdict = None;
+        for rx in self.from.iter().flatten() {
+            while let Ok(share) = rx.recv() {
+                if let Err(err) = share {
+                    verdict.get_or_insert(err);
+                    break;
+                }
+            }
+        }
+        verdict.unwrap_or_else(|| self.markers[self.w].lost())
+    }
 }
 
 #[cfg(test)]
@@ -1572,8 +1556,17 @@ mod tests {
 
     #[test]
     fn round_limit_error_is_bit_identical_too() {
+        /// Sends `sends` one-byte messages to its successor in every
+        /// round before `quiet_from`, and must never be called at or
+        /// past `limit`: the distributed engine calls the next round
+        /// before it closes this one, and must not call a round the
+        /// ledger stops before.
         #[derive(Debug)]
-        struct Chatter;
+        struct Chatter {
+            limit: u64,
+            sends: u8,
+            quiet_from: u64,
+        }
         impl Protocol for Chatter {
             type Msg = u8;
             fn round(
@@ -1582,17 +1575,47 @@ mod tests {
                 _inbox: &mut Vec<Envelope<u8>>,
                 out: &mut Outbox<u8>,
             ) -> Status {
-                // Overfeed the link so queues build up.
-                out.send((ctx.me + 1) % ctx.k, 1);
-                out.send((ctx.me + 1) % ctx.k, 2);
+                assert!(
+                    ctx.round < self.limit,
+                    "machine {} called in round {}, past the limit",
+                    ctx.me,
+                    ctx.round
+                );
+                if ctx.round >= self.quiet_from {
+                    return Status::Done;
+                }
+                for i in 0..self.sends {
+                    out.send((ctx.me + 1) % ctx.k, i);
+                }
                 Status::Active
             }
         }
-        let cfg = NetConfig::with_bandwidth(4, 8, 0).max_rounds(6);
-        let seq = SequentialEngine::run(cfg, vec![Chatter, Chatter, Chatter, Chatter]).unwrap_err();
-        let dist =
-            DistributedEngine::run(cfg, vec![Chatter, Chatter, Chatter, Chatter]).unwrap_err();
-        assert_eq!(seq, dist, "error payloads must agree field-for-field");
+        let (k, limit) = (4, 6);
+        let cfg = NetConfig::with_bandwidth(k, 8, 0).max_rounds(limit);
+        let chatter = |sends, quiet_from| -> Vec<Chatter> {
+            (0..k)
+                .map(|_| Chatter {
+                    limit,
+                    sends,
+                    quiet_from,
+                })
+                .collect()
+        };
+        // Two messages a round over a link of one a round: the queues
+        // build up until the limit fires.
+        let overfed = SequentialEngine::run(cfg, chatter(2, u64::MAX)).unwrap_err();
+        // One a round, then quiet in the last permitted round: the run
+        // goes quiescent exactly as that round closes.
+        let quiet = SequentialEngine::run(cfg, chatter(1, limit - 1)).unwrap();
+        for w in shapes(k) {
+            let dist = pool(cfg, chatter(2, u64::MAX), FaultPlan::default(), w).unwrap_err();
+            assert_eq!(
+                overfed, dist,
+                "W = {w}: error payloads must agree field-for-field"
+            );
+            let dist = pool(cfg, chatter(1, limit - 1), FaultPlan::default(), w).unwrap();
+            assert_eq!(quiet.metrics, dist.metrics, "W = {w}");
+        }
     }
 
     #[test]
@@ -1862,6 +1885,37 @@ mod tests {
                 "W = {w}: {err:?}"
             );
         }
+    }
+
+    /// The caller's thread hosts block 0: a crash or a panic there is
+    /// typed the same way, by the spawned peers waiting on it, and the
+    /// caller's silent worker learns the error from them.
+    #[test]
+    fn failures_on_the_callers_thread_are_typed_too() {
+        let k = 4;
+        let cfg = NetConfig::with_bandwidth(k, 40, 3500);
+        let plan = FaultPlan {
+            crash: Some(CrashSpec {
+                machine: 1,
+                round: 2,
+            }),
+            barrier_timeout_ms: 200,
+            ..FaultPlan::default()
+        };
+        let err = pool(cfg, gossip_machines(k), plan, 2).unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::MachineLost {
+                machine: 1,
+                round: 2
+            }
+        );
+        let err = pool(cfg, bombs(k, 0), FaultPlan::default(), 2).unwrap_err();
+        assert!(
+            matches!(err, EngineError::WorkerPanicked { machine: 0, ref message }
+                if message.contains("machine 0 went off")),
+            "{err:?}"
+        );
     }
 
     /// Machine `victim` panics in round 1; everyone else idles along.

@@ -125,9 +125,24 @@
 //! dst, attempt)`, never per round, so drops and retransmits are
 //! unchanged too. The sequential engine skips after
 //! `RoundLedger::close`; on the distributed engine each worker puts its
-//! block's minimum into its tally slice, the coordinator takes the
-//! minimum of the slices and jumps the next `Round`'s number, and the
-//! workers advance their hosted links by the jump.
+//! block's minimum into its tally slice, every worker takes the minimum
+//! of the slices it exchanged, and each advances its hosted links by
+//! the same skip.
+//!
+//! A distributed worker calls round `r + 1` before the exchange that
+//! closes round `r`, so it must never call a round the ledger does not
+//! execute — and it does not:
+//!
+//! * It does not call at all when `r + 1 ≥ max_rounds`: closing `r` then
+//!   either finds quiescence or fires the round limit.
+//! * A round that closes quiescent or partial-only leaves no machine
+//!   `Active` and no mail in any inbox, so `runs` selects nobody in
+//!   round `r + 1`: the call is empty, whether the run then ends, skips
+//!   or goes on.
+//! * A planned crash is known to every worker from the start. The skip
+//!   stops at the crash round, a worker checks the crash before each
+//!   call, and it repeats the empty call for the round a skip lands on,
+//!   so the crash happens in the round it was planned for.
 //!
 //! Skipping relies on `Done` meaning "nothing to do without mail". A
 //! machine that waits for a peer (a parked [`crate::router::Staged`]
@@ -140,8 +155,8 @@
 //! and a run end: `Inbound::deliver` checks that no link releases more
 //! than `B` bits in a round, and a successful run checks Lemma 3's
 //! per-machine ceiling `recv_bits[i] ≤ B·(k−1)·rounds` (hence
-//! `round_floor(B) ≤ rounds`) in `Network::finish` and in the
-//! distributed coordinator's final merge.
+//! `round_floor(B) ≤ rounds`) in `Network::finish` and where the
+//! distributed engine merges its workers' final states.
 
 pub mod distributed;
 pub mod sequential;

@@ -26,12 +26,12 @@ pub enum EngineError {
         /// free and contribute nothing here).
         queued_bits: u64,
     },
-    /// A machine stopped participating in the round barrier: the
-    /// distributed engine's coordinator waited out its barrier timeout
-    /// without hearing from it. Raised for injected crashes
-    /// ([`crate::faults::FaultPlan`]) and for genuinely stalled workers —
-    /// either way the engine tears down every surviving thread instead
-    /// of hanging forever.
+    /// A machine stopped participating in the round exchange: a peer
+    /// worker of the distributed engine waited out its barrier timeout
+    /// while the machine's worker started no new step. Raised for
+    /// injected crashes ([`crate::faults::FaultPlan`]) and for genuinely
+    /// stalled machines — either way the engine tears down every
+    /// surviving thread instead of hanging forever.
     MachineLost {
         /// The machine that went silent.
         machine: usize,

@@ -24,8 +24,8 @@
 //! drop/duplicate/corrupt/delay at any rate changes only the
 //! [`crate::WireReport`] retransmission counters, never the logical
 //! [`crate::Metrics`] or protocol output. A crash yields a typed
-//! [`crate::EngineError::MachineLost`] within the coordinator's
-//! barrier timeout — never a hang and never a poisoned panic.
+//! [`crate::EngineError::MachineLost`] once a peer worker has waited
+//! out the barrier timeout — never a hang and never a poisoned panic.
 
 use crate::error::EngineError;
 use crate::rng::splitmix64;
@@ -35,9 +35,9 @@ use crate::rng::splitmix64;
 /// empty means no injected faults.
 pub const FAULTS_ENV: &str = "KM_FAULTS";
 
-/// Crash one machine at the start of one round: the worker stops
-/// participating (no sends, no barrier reports) exactly when
-/// `Cmd::Round { round }` arrives, emulating a process that died
+/// Crash one machine at the start of one round: its worker stops
+/// participating (no sends, no shares) exactly where it would call the
+/// machine's `round()` for that round, emulating a process that died
 /// between rounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashSpec {
@@ -88,10 +88,11 @@ pub struct FaultPlan {
     pub delay: f64,
     /// Crash one machine at one round.
     pub crash: Option<CrashSpec>,
-    /// Coordinator round-barrier timeout in milliseconds; `0` means
-    /// the engine default. A machine silent past this becomes
-    /// [`EngineError::MachineLost`]. Crash tests set it low so the
-    /// typed failure surfaces in milliseconds, not seconds.
+    /// Round-barrier timeout in milliseconds, the window a worker waits
+    /// out on a silent peer; `0` means the engine default. A machine
+    /// silent past this becomes [`EngineError::MachineLost`]. Crash
+    /// tests set it low so the typed failure surfaces in milliseconds,
+    /// not seconds.
     pub barrier_timeout_ms: u64,
 }
 

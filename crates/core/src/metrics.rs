@@ -131,7 +131,7 @@ pub struct WireReport {
 
 impl WireReport {
     /// Adds `other`'s counts to this report — how the distributed
-    /// engine's coordinator sums the per-worker reports.
+    /// engine sums its machines' reports when the run ends.
     pub fn absorb(&mut self, other: &WireReport) {
         self.frames += other.frames;
         self.messages += other.messages;

@@ -1,10 +1,10 @@
 //! Regression tests for the distributed engine's failure paths: a
-//! worker that panics, crashes, or hangs must surface as a *typed*
-//! [`EngineError`] from a coordinator that then joins every thread —
-//! never a process abort, a poisoned panic in the caller, or a hung
-//! `run()`. (Before the failure model landed, a dead peer was a
-//! `panic!("peer hung up mid-round")` inside a worker and an
-//! `expect("worker alive")` in the coordinator.)
+//! machine that panics, crashes, or hangs must surface as a *typed*
+//! [`EngineError`] — handed between the workers, returned on the
+//! caller's thread once every spawned worker is joined — never a
+//! process abort, a poisoned panic in the caller, or a hung `run()`.
+//! (Before the failure model landed, a dead peer was a
+//! `panic!("peer hung up mid-round")` inside a worker.)
 
 use km_core::engine::DistributedEngine;
 use km_core::{
@@ -89,8 +89,8 @@ fn worker_panic_is_typed_and_attributed() {
     }
 }
 
-/// The panic may land in *any* machine, including the one the
-/// coordinator polls first and last.
+/// The panic may land in *any* machine, including the first of the
+/// caller's own block and the last of the last spawned worker's.
 #[test]
 fn worker_panic_attribution_covers_every_position() {
     for victim in [0, 4] {
@@ -102,9 +102,9 @@ fn worker_panic_attribution_covers_every_position() {
     }
 }
 
-/// A panicking worker must not hang the run: the coordinator returns
-/// promptly (no barrier-timeout wait — the panic report short-circuits
-/// it) and every other thread is joined before `run` returns.
+/// A panicking worker must not hang the run: `run` returns promptly
+/// (no barrier-timeout wait — the panicking worker hands its error to
+/// its peers) and every other thread is joined before it does.
 #[test]
 fn worker_panic_fails_fast_with_no_orphans() {
     let start = Instant::now();

@@ -1,12 +1,12 @@
 //! Regression test for the distributed engine's idle cost: a worker
-//! whose block of machines is done, waiting at a barrier for a worker
-//! still inside one machine's long `round()`, must go to sleep, not
-//! spin — and so must the coordinator waiting on it. (Before the
-//! poll-then-park wait discipline, the clean-wire wait for `Deliver`
-//! was an unbounded `try_recv` → `snooze` loop: one slow machine
-//! pinned every other worker's core for as long as it computed.) The
-//! pool runs `min(k, cores)` workers, so on one core the slow machine's
-//! own worker is the only one, and only the coordinator waits.
+//! whose block of machines is done, waiting in the round's exchange for
+//! a worker still inside one machine's long `round()`, must go to
+//! sleep, not spin. (Before the poll-then-park wait discipline, the
+//! clean-wire wait was an unbounded `try_recv` → `snooze` loop: one
+//! slow machine pinned every other worker's core for as long as it
+//! computed.) The pool runs `min(k, cores)` workers and the slow machine
+//! is machine 0, on the caller's thread; on one core that is the only
+//! worker, and nothing waits at all.
 //!
 //! Its own test binary, so its own process: the assertion is on the
 //! process's CPU time, which no concurrently running test may share.
@@ -21,10 +21,9 @@ use std::time::Duration;
 const LONG_ROUND: Duration = Duration::from_millis(300);
 
 /// Most CPU time the whole run may take. Spinning waiters (the other
-/// workers and the coordinator) would burn `LONG_ROUND` on every core
-/// the sleeping machine leaves them — 300 ms even on a single core —
-/// while parked ones cost a few milliseconds of thread start-up and
-/// rounds.
+/// workers) would burn `LONG_ROUND` on every core the sleeping machine
+/// leaves them, while parked ones cost a few milliseconds of thread
+/// start-up and rounds.
 const CPU_BUDGET: Duration = Duration::from_millis(150);
 
 /// A ring that passes one token per round; machine 0 sleeps through

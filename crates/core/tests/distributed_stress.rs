@@ -6,10 +6,11 @@
 //!
 //! The jitter durations are drawn from the per-machine protocol RNG, so
 //! the RNG streams — and therefore the traffic — are identical on both
-//! engines; only the arrival times at the barrier differ. Any
-//! reordering the channels or the coordinator allowed would show up as
-//! a FIFO violation (checked in-protocol via per-source sequence
-//! numbers) or as a diverged log.
+//! engines; only the arrival times at each round's exchange differ.
+//! Any reordering the channels or the exchange allowed — a worker may
+//! ship a round's frames while a peer still delivers the round before —
+//! would show up as a FIFO violation (checked in-protocol via
+//! per-source sequence numbers) or as a diverged log.
 
 use km_core::engine::{DistributedEngine, SequentialEngine};
 use km_core::{Envelope, NetConfig, Outbox, Protocol, Raw, RoundCtx, Status};

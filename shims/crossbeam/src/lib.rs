@@ -158,14 +158,19 @@ pub mod thread {
         /// `None` once joined.
         inner: Option<std::thread::ScopedJoinHandle<'scope, T>>,
         owed: Owed<'scope>,
+        /// The model session and task id of a model-mode thread.
+        task: Option<(Arc<model::Session>, usize)>,
     }
 
     impl<T: Send> ScopedJoinHandle<'_, T> {
         /// Waits for the thread to finish, returning its result (or the
-        /// panic payload). Model-mode threads finish cooperatively, so
-        /// by the time the OS join returns the scheduler has already
-        /// retired the task.
+        /// panic payload). A model-mode thread is first awaited through
+        /// the scheduler, which keeps running the other tasks meanwhile,
+        /// so by the time the OS join starts the task has retired.
         pub fn join(mut self) -> std::thread::Result<T> {
+            if let Some((sess, id)) = self.task.take() {
+                sess.await_tasks(&[id]);
+            }
             match self.inner.take() {
                 Some(handle) => handle.join(),
                 None => unreachable!("a handle is joined at most once"),
@@ -191,14 +196,17 @@ pub mod thread {
         {
             let inner = self.inner;
             let owed = self.owed.clone();
-            let handle = match &self.tracker {
-                None => self.inner.spawn(move || {
-                    f(&Scope {
-                        inner,
-                        tracker: None,
-                        owed,
-                    })
-                }),
+            let (handle, task) = match &self.tracker {
+                None => (
+                    self.inner.spawn(move || {
+                        f(&Scope {
+                            inner,
+                            tracker: None,
+                            owed,
+                        })
+                    }),
+                    None,
+                ),
                 Some(tracker) => {
                     // Register the task while the parent is still the
                     // active task, so ids are schedule-deterministic.
@@ -206,7 +214,7 @@ pub mod thread {
                     tracker.add(id);
                     let sess = tracker.sess.clone();
                     let tracker2 = tracker.clone();
-                    self.inner.spawn(move || {
+                    let handle = self.inner.spawn(move || {
                         model::run_task(sess, id, move || {
                             f(&Scope {
                                 inner,
@@ -214,12 +222,14 @@ pub mod thread {
                                 owed,
                             })
                         })
-                    })
+                    });
+                    (handle, Some((tracker.sess.clone(), id)))
                 }
             };
             ScopedJoinHandle {
                 inner: Some(handle),
                 owed: self.owed.clone(),
+                task,
             }
         }
 

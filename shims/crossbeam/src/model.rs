@@ -1025,6 +1025,24 @@ mod tests {
     }
 
     #[test]
+    fn joining_a_running_task_lets_it_finish_first() {
+        // The parent joins while the child still has channel work to
+        // do: the join must hand the child the schedule, not block the
+        // OS thread of the only runnable task.
+        explore(&quick(64), || {
+            let (tx, rx) = channel::bounded::<u32>(3);
+            cthread::scope(|s| {
+                let child = s.spawn(move |_| (0..3).filter(|&i| tx.send(i).is_ok()).count());
+                assert_eq!(rx.recv(), Ok(0));
+                assert_eq!(child.join().ok(), Some(3));
+            })
+            .unwrap();
+            Ok(())
+        })
+        .expect("a joined task runs to completion");
+    }
+
+    #[test]
     fn detects_a_classic_cyclic_deadlock() {
         // Two tasks each fill a cap-1 channel then send again: whenever
         // both first sends land before either recv, both block forever.

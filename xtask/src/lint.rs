@@ -42,7 +42,7 @@ impl std::fmt::Display for Violation {
 /// The most annotated panic sites rule 1 accepts — a ratchet: it is
 /// the count the tool reported when last committed, so the number can
 /// only go down. A PR that removes sites lowers it to the new count.
-pub const PANIC_ALLOW_BUDGET: usize = 27;
+pub const PANIC_ALLOW_BUDGET: usize = 22;
 
 const PANIC_TOKENS: &[&str] = &[
     ".unwrap()",
