@@ -43,6 +43,10 @@ pub const SCHEDULES_ENV: &str = "KM_CHECK_SCHEDULES";
 /// 33 matrix configs × 96 ≈ 3.2k schedules per full run.
 pub const DEFAULT_SCHEDULES: u64 = 96;
 
+/// How the panic a panic cell plants in machine `m` ends: its message
+/// is `machine {m} ` followed by this.
+const PLANTED_PANIC: &str = "went off in round 1";
+
 /// Message mixes the matrix exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtoKind {
@@ -145,7 +149,7 @@ impl Protocol for CheckProto {
         }
         assert!(
             ctx.round != 1 || self.bomb != Some(ctx.me),
-            "machine {} went off in round 1",
+            "machine {} {PLANTED_PANIC}",
             ctx.me
         );
         if ctx.round >= self.rounds {
@@ -357,9 +361,7 @@ fn verdict(
             Err(EngineError::WorkerPanicked {
                 machine: m,
                 message,
-            }) if m == machine && message == format!("machine {machine} went off in round 1") => {
-                Ok(())
-            }
+            }) if m == machine && message == format!("machine {machine} {PLANTED_PANIC}") => Ok(()),
             Err(e) => Err(format!(
                 "expected WorkerPanicked {{ machine: {machine} }}, got: {e}"
             )),

@@ -55,19 +55,6 @@ fn main() {
         }
     }
 
-    // The panic cells' machines panic on purpose in every schedule;
-    // keep those expected reports out of the log.
-    let report = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let planted = info
-            .payload()
-            .downcast_ref::<String>()
-            .is_some_and(|m| m.ends_with("went off in round 1"));
-        if !planted {
-            report(info);
-        }
-    }));
-
     if list {
         for cfg in matrix() {
             println!("{}", cfg.name);

@@ -95,21 +95,28 @@
 //!   sleep plus the wake-up syscall a parked thread costs its sender.
 //!   Only when the budget runs out — a peer is inside a long `round()`
 //!   — does the worker park on that peer's share channel, in
-//!   `recv_timeout(barrier)`, so idle workers sleep instead of burning
-//!   their cores.
+//!   `recv_timeout`, so idle workers sleep instead of burning their
+//!   cores.
 //! - **A per-machine deadline.** The deadline — real or, under
-//!   `km-check`, virtual — is that of the park alone. A park that times
-//!   out while the peer's marker started a new step parks again, so
-//!   only a machine silent for a whole window is `MachineLost`, never a
-//!   block of healthy machines whose `round()`s add up past it.
-//! - **What is serviced while polling.** While a [`FaultPlan`] is live
+//!   `km-check`, virtual — is the parks' alone: the time parked on a
+//!   peer since its marker last started a step adds up, and a barrier
+//!   window of it is `MachineLost`. A park that times out while the
+//!   peer's marker started a new step starts the count afresh, so only
+//!   a machine silent for a whole window is lost, never a block of
+//!   healthy machines whose `round()`s add up past it.
+//! - **What is serviced while waiting.** While a [`FaultPlan`] is live
 //!   a waiting worker drains every incoming channel of its block and
 //!   pumps its pending queues between polls — a peer's delivery may
-//!   hinge on our retransmits — and for the same reason never parks on
-//!   a live peer: only on one whose machine's link hung up (a crash, or
-//!   a worker gone with an error it handed on), which needs nothing
-//!   from our wire any more. So under a live plan a machine that is
-//!   merely slow inside a call is waited out, not typed lost. On a
+//!   hinge on our retransmits. It parks for a whole barrier window only
+//!   on a peer whose machine's link hung up (a crash, or a worker gone
+//!   with an error it handed on), which needs nothing from our wire any
+//!   more; on a live peer only while the peer's marker says it is inside
+//!   a `round()` call, once the wait has outlasted `NAP_AFTER_POLLS`,
+//!   and then one `NAP` (1 ms) at a time, servicing the wire between
+//!   naps, so a retransmit the peer asks for once its call returns waits
+//!   one nap at most. A peer that is itself waiting services its wire
+//!   and is polled, not parked on: whatever it waits for has its own
+//!   deadline, which names the machine at fault. On a
 //!   clean wire a worker owed frames drains only the awaited machine's
 //!   links still behind their count: nothing but owed data frames
 //!   travels a clean link.
@@ -128,11 +135,11 @@
 //! Bounded channels mean a sender can hit a full link under recovery
 //! traffic; the overflow waits in a local per-destination queue that
 //! every waiting worker keeps pumping while draining its own incoming
-//! channels. A worker parks only where no delivery can hinge on it: on
-//! a clean wire no delivery waits, and under a live plan it parks only
-//! on a peer that is gone, which the deadline or the peer's handed-on
-//! error ends — so the wait-for graph never contains a cycle, and every
-//! round completes or fails typed.
+//! channels. A worker parks only where no delivery can hinge on it for
+//! longer than a nap: on a clean wire no delivery waits, and under a
+//! live plan it parks for long only on a peer that is gone, which the
+//! deadline or the peer's handed-on error ends — so the wait-for graph
+//! never contains a cycle, and every round completes or fails typed.
 //!
 //! # Failure model
 //!
@@ -164,7 +171,10 @@
 //!   `RunOutcome` stays bit-identical to the sequential engine's.
 //! - **Crashes and hangs.** A planned crash severs only the crashed
 //!   machine's channels, and its worker goes silent with the marker on
-//!   it. A peer waits out a barrier timeout
+//!   it. A crash the look-ahead meets stops the block's calls at the
+//!   crashed machine, but takes effect only after the exchange, and
+//!   only if closing the round does not end the run (engine module
+//!   docs, *Empty rounds*). A peer waits out a barrier timeout
 //!   ([`FaultPlan::barrier_timeout_ms`], default
 //!   [`DEFAULT_BARRIER_TIMEOUT_MS`]) in which the worker starts no new
 //!   step and converts that silence into [`EngineError::MachineLost`]
@@ -217,7 +227,7 @@ use crossbeam::utils::Backoff;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -260,6 +270,20 @@ fn barrier_timeout(plan: &FaultPlan) -> Duration {
 /// share counted is in its channel unless the wire lost it, and the
 /// sender may be about to stop servicing its wire for its next calls.
 const NACK_IDLE_POLLS: u32 = 16;
+
+/// How long a wait under a live [`FaultPlan`] parks at a time on a peer
+/// inside a `round()` call, between passes that service the block's
+/// wire: the longest a retransmit the peer asks for once its call
+/// returns can go unanswered.
+const NAP: Duration = Duration::from_millis(1);
+
+/// Polls a wait under a live [`FaultPlan`] makes before it naps on a
+/// peer inside a `round()` call. The naps are there for the deadline,
+/// which is hundreds of milliseconds or more, so they can start late;
+/// an earlier nap only adds a wake-up to a call that ends soon. In
+/// `sketch_cc_lossy` (W = 2 on a 2-core host) about 40 waits per solve
+/// outlast 256 polls, and none of nine solves had one reach 4 000.
+const NAP_AFTER_POLLS: u32 = 16 * BARRIER_SPIN_POLLS;
 
 /// Empty polls (each followed by a [`Backoff::snooze`], i.e. a yield)
 /// a wait makes before it parks on a peer's share channel — the one
@@ -314,21 +338,17 @@ type Share = Result<Slice, EngineError>;
 /// Stores are `Release` and loads `Acquire`, and `set` bumps `steps`
 /// last: a peer that reads a step count sees the machine and round
 /// stored before it.
+#[derive(Default)]
 struct Marker {
     machine: AtomicUsize,
     round: AtomicU64,
     steps: AtomicU64,
+    /// Whether the worker is inside a machine's `round()`, where it
+    /// needs nothing from its peers' wires.
+    calling: AtomicBool,
 }
 
 impl Marker {
-    fn at(machine: MachineIdx) -> Marker {
-        Marker {
-            machine: AtomicUsize::new(machine),
-            round: AtomicU64::new(0),
-            steps: AtomicU64::new(0),
-        }
-    }
-
     fn set(&self, machine: MachineIdx, round: u64) {
         self.machine.store(machine, Ordering::Release);
         self.round.store(round, Ordering::Release);
@@ -857,7 +877,13 @@ pub(crate) fn run_pool<P: Protocol>(
     let workers = workers.clamp(1, k);
     let shared = rng::shared_seed(config.seed);
     let bounds: Vec<usize> = (0..=workers).map(|w| w * k / workers).collect();
-    let markers: Vec<Marker> = bounds[..workers].iter().map(|&lo| Marker::at(lo)).collect();
+    let markers: Vec<Marker> = bounds[..workers]
+        .iter()
+        .map(|&lo| Marker {
+            machine: AtomicUsize::new(lo),
+            ..Marker::default()
+        })
+        .collect();
 
     let (links_out, links_in) = mesh(k, LINK_CHANNEL_FRAMES);
     let mut hosts = machines
@@ -895,6 +921,7 @@ pub(crate) fn run_pool<P: Protocol>(
                 from,
                 stash: (0..workers).map(|_| None).collect(),
                 owed: vec![0; size * k],
+                quiet: (w, 0, Duration::ZERO),
                 outbox: Outbox::new(k),
                 staged: (0..k).map(|_| Vec::new()).collect(),
                 scratch: BitWriter::new(),
@@ -909,7 +936,7 @@ pub(crate) fn run_pool<P: Protocol>(
             .map(|worker| scope.spawn(move |_| worker.run()))
             .collect();
         // Block 0 on this thread first, then every spawned worker's
-        // outcome in pool order.
+        // outcome in pool order — each one joined, whatever came first.
         pool.into_iter()
             .map(Worker::run)
             .chain(spawned.into_iter().zip(1..).map(|(handle, w)| {
@@ -920,10 +947,12 @@ pub(crate) fn run_pool<P: Protocol>(
                     })
                 })
             }))
-            .collect::<Result<Vec<_>, _>>()
+            .collect::<Vec<_>>()
     })
     // lint: allow(panic) — unreachable: every spawned worker is joined in the scope, so its Err arm is never produced
-    .expect("scoped workers are joined inside the scope")?;
+    .expect("scoped workers are joined inside the scope")
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
 
     let mut ledger = RoundLedger::default();
     let mut metrics = Metrics::new(k);
@@ -952,20 +981,6 @@ pub(crate) fn run_pool<P: Protocol>(
     })
 }
 
-/// Why a worker's rounds stopped short of the end of the run.
-enum Halt {
-    /// The run failed: hand the error to every peer.
-    Failed(EngineError),
-    /// A hosted machine crashed as planned: go silent.
-    Crashed,
-}
-
-impl From<EngineError> for Halt {
-    fn from(err: EngineError) -> Halt {
-        Halt::Failed(err)
-    }
-}
-
 /// One worker of the pool: its block of machines, its ends of the share
 /// channels, and the counts its next delivery owes.
 struct Worker<'p, P: Protocol> {
@@ -990,6 +1005,9 @@ struct Worker<'p, P: Protocol> {
     /// `owed[j·k + src]`: the frames the block's `j`-th machine holds
     /// from `src` once its next delivery absorbed all it is owed.
     owed: Vec<u32>,
+    /// The peer last parked on, its marker's step count then, and the
+    /// time parked on it since that step.
+    quiet: (usize, u64, Duration),
     // Pooled send-side buffers, shared by every hosted machine and
     // reused across every round: one outbox, one staging `Vec` per
     // destination collecting a machine's messages for that link, and
@@ -1008,43 +1026,50 @@ impl<P: Protocol> Worker<'_, P> {
     fn run(mut self) -> Result<(RoundLedger, Vec<Host<P>>), EngineError> {
         // Capture panics (typically a protocol's own `round`) so a
         // worker death becomes a typed error its peers hear of.
-        let halt = match catch_unwind(AssertUnwindSafe(|| self.rounds())) {
-            Ok(Ok(ledger)) => return Ok((ledger, self.hosts)),
-            Ok(Err(halt)) => halt,
+        let err = match catch_unwind(AssertUnwindSafe(|| self.rounds())) {
+            Ok(Ok(Some(ledger))) => return Ok((ledger, self.hosts)),
+            Ok(Ok(None)) => return Err(self.verdict()),
+            Ok(Err(err)) => err,
             // `&*payload`: reborrow the *contents* — a bare `&payload`
             // would unsize the Box itself into the `dyn Any` and every
             // downcast would miss.
-            Err(payload) => Halt::Failed(EngineError::WorkerPanicked {
+            Err(payload) => EngineError::WorkerPanicked {
                 machine: self.markers[self.w].machine(),
                 message: panic_message(&*payload),
-            }),
+            },
         };
-        match halt {
-            Halt::Failed(err) => {
-                for tx in self.to.iter().flatten() {
-                    let _ = tx.send(Err(err.clone()));
-                }
-                Err(err)
-            }
-            Halt::Crashed => Err(self.verdict()),
+        for tx in self.to.iter().flatten() {
+            let _ = tx.send(Err(err.clone()));
         }
+        Err(err)
     }
 
     /// The round loop of the module docs, each round closed by the same
-    /// `RoundLedger::close` as the sequential engine.
-    fn rounds(&mut self) -> Result<RoundLedger, Halt> {
+    /// `RoundLedger::close` as the sequential engine: the ledger, or
+    /// `None` once a hosted machine crashed as planned.
+    fn rounds(&mut self) -> Result<Option<RoundLedger>, EngineError> {
         let mut ledger = RoundLedger::default();
-        self.call(0)?;
+        let mut crashing = self.call(0)?;
         self.exchange(RoundTally::default())?;
         loop {
+            // The ledger goes on to the round a call met the planned
+            // crash in: the machine's links hang up, and this worker
+            // falls silent.
+            if crashing {
+                for h in &mut self.hosts {
+                    if self.plan.crash.is_some_and(|c| c.machine == h.me) {
+                        h.out.sever();
+                        h.inw.rxs.clear();
+                    }
+                }
+                return Ok(None);
+            }
             let round = ledger.iterations;
             let tally = self.deliver(round)?;
-            if round + 1 < self.config.max_rounds {
-                self.call(round + 1)?;
-            }
+            crashing = round + 1 < self.config.max_rounds && self.call(round + 1)?;
             let total = self.exchange(tally)?;
             if ledger.close(&self.config, total)? {
-                return Ok(ledger);
+                return Ok(Some(ledger));
             }
             let skipped = ledger.skip(&self.config, &total, self.plan.crash.map(|c| c.round));
             if skipped > 0 {
@@ -1052,31 +1077,30 @@ impl<P: Protocol> Worker<'_, P> {
                     h.inb.advance(skipped, self.config.bandwidth_bits);
                 }
                 // The round skipped to calls nobody (the skip needs a
-                // partial-only round), but a crash planned for it
-                // happens here.
-                self.call(ledger.iterations)?;
+                // partial-only round, so the look-ahead met no crash),
+                // but a crash planned for it happens here.
+                crashing = self.call(ledger.iterations)?;
             }
         }
     }
 
     /// Calls `round` on every hosted machine the sparse-rounds rule
     /// selects, in machine order, and ships what each queued. A machine
-    /// planned to crash at `round` crashes instead, before its call.
-    fn call(&mut self, round: u64) -> Result<(), Halt> {
+    /// planned to crash at `round` stops the calls before its own, and
+    /// the result says so: the crash takes effect only once the ledger
+    /// executes `round`.
+    fn call(&mut self, round: u64) -> Result<bool, EngineError> {
         let marker = &self.markers[self.w];
         let alone = self.markers.len() == 1;
         for h in &mut self.hosts {
             marker.set(h.me, round);
             if self.plan.crashes(h.me, round) {
-                // Simulated crash of this machine alone: peers see its
-                // links hang up and its worker fall silent mid-call.
-                h.out.sever();
-                h.inw.rxs.clear();
-                return Err(Halt::Crashed);
+                return Ok(true);
             }
             h.out.start_round();
             if runs(h.last, !h.inbox.is_empty()) {
                 let started = alone.then(Instant::now);
+                marker.calling.store(true, Ordering::Release);
                 h.compute(
                     &self.config,
                     round,
@@ -1085,8 +1109,9 @@ impl<P: Protocol> Worker<'_, P> {
                     &mut self.staged,
                     &mut self.scratch,
                 );
+                marker.calling.store(false, Ordering::Release);
                 if started.is_some_and(|t| t.elapsed() >= self.barrier) {
-                    return Err(Halt::Failed(marker.lost()));
+                    return Err(marker.lost());
                 }
             }
         }
@@ -1099,12 +1124,12 @@ impl<P: Protocol> Worker<'_, P> {
             self.plan.any() || self.hosts.iter().all(|h| h.out.pending_empty()),
             "a clean link never holds more frames than its channel"
         );
-        Ok(())
+        Ok(false)
     }
 
     /// Absorbs and delivers everything owed to each hosted machine, and
     /// returns the block's slice of the round's tally.
-    fn deliver(&mut self, round: u64) -> Result<RoundTally, Halt> {
+    fn deliver(&mut self, round: u64) -> Result<RoundTally, EngineError> {
         let budget = self.config.bandwidth_bits;
         let mut tally = RoundTally::default();
         for j in 0..self.hosts.len() {
@@ -1126,7 +1151,7 @@ impl<P: Protocol> Worker<'_, P> {
     /// `tally` slice and its frame counts, waits for every peer's, takes
     /// the counts as what the next delivery owes, and returns the
     /// summed tally.
-    fn exchange(&mut self, tally: RoundTally) -> Result<RoundTally, Halt> {
+    fn exchange(&mut self, tally: RoundTally) -> Result<RoundTally, EngineError> {
         let k = self.config.k;
         let counts: Arc<[u32]> = self
             .hosts
@@ -1162,8 +1187,10 @@ impl<P: Protocol> Worker<'_, P> {
     /// (`Some(j)`), or every peer's slice of the exchange is in
     /// (`None`). Polls first — taking in any peer's share on the way,
     /// and under a live fault plan servicing the block's wire and
-    /// pacing NACKs — then parks on the awaited peer.
-    fn wait(&mut self, host: Option<usize>) -> Result<(), Halt> {
+    /// pacing NACKs — then parks on the awaited peer: for a whole
+    /// barrier window, or under a live fault plan one `NAP` at a time,
+    /// and only while that peer is inside a `round()` call or gone.
+    fn wait(&mut self, host: Option<usize>) -> Result<(), EngineError> {
         let k = self.config.k;
         let faulty = self.plan.any();
         let backoff = Backoff::new();
@@ -1197,7 +1224,7 @@ impl<P: Protocol> Worker<'_, P> {
                     Ok(share) => self.stash[p] = Some(share?),
                     Err(TryRecvError::Empty) => {}
                     Err(TryRecvError::Disconnected) => {
-                        return Err(silent_exit(self.markers[p].machine()).into());
+                        return Err(silent_exit(self.markers[p].machine()));
                     }
                 }
             }
@@ -1207,8 +1234,10 @@ impl<P: Protocol> Worker<'_, P> {
             polls += 1;
             if polls >= BARRIER_SPIN_POLLS {
                 if let Some(p) = self.awaited(host) {
-                    if !faulty || self.gone(p) {
-                        self.park(p)?;
+                    let whole = !faulty || self.gone(p);
+                    let calling = self.markers[p].calling.load(Ordering::Acquire);
+                    if whole || (calling && polls >= NAP_AFTER_POLLS) {
+                        self.park(p, if whole { self.barrier } else { NAP })?;
                         continue;
                     }
                 }
@@ -1245,21 +1274,27 @@ impl<P: Protocol> Worker<'_, P> {
             .any(|h| h.inw.rxs[block.clone()].iter().any(Option::is_none))
     }
 
-    /// Parks on peer `p`'s share channel for one barrier window: its
-    /// share is kept, its error returned, and a window in which its
-    /// marker started no step is the marker's machine lost.
-    fn park(&mut self, p: usize) -> Result<(), Halt> {
+    /// Parks on peer `p`'s share channel for `slice`: its share is
+    /// kept, its error returned, and a barrier window parked on it since
+    /// its marker last started a step is the marker's machine lost.
+    fn park(&mut self, p: usize, slice: Duration) -> Result<(), EngineError> {
         let marker = &self.markers[p];
         let seen = marker.steps();
+        if (self.quiet.0, self.quiet.1) != (p, seen) {
+            self.quiet = (p, seen, Duration::ZERO);
+        }
         let Some(rx) = self.from[p].as_ref() else {
             return Ok(());
         };
-        match rx.recv_timeout(self.barrier) {
+        match rx.recv_timeout(slice) {
             Ok(share) => self.stash[p] = Some(share?),
             // It moved on to another machine: wait that one out afresh.
             Err(RecvTimeoutError::Timeout) if marker.steps() != seen => {}
-            Err(RecvTimeoutError::Timeout) => return Err(marker.lost().into()),
-            Err(RecvTimeoutError::Disconnected) => return Err(silent_exit(marker.machine()).into()),
+            Err(RecvTimeoutError::Timeout) if self.quiet.2 + slice >= self.barrier => {
+                return Err(marker.lost())
+            }
+            Err(RecvTimeoutError::Timeout) => self.quiet.2 += slice,
+            Err(RecvTimeoutError::Disconnected) => return Err(silent_exit(marker.machine())),
         }
         Ok(())
     }
@@ -1618,6 +1653,74 @@ mod tests {
         }
     }
 
+    /// A crash planned for a round the run never reaches never happens,
+    /// also when the look-ahead meets it: the run whose last round is
+    /// `q` ends as it does with no plan — `Ok`, or `Stalled` when a
+    /// machine is unfinished — with the crash at `q + 1` or `q + 2`.
+    #[test]
+    fn a_crash_past_the_last_round_never_happens() {
+        /// Passes one message to its successor in every round before
+        /// `QUIET`, so the run's last round is `QUIET`.
+        #[derive(Debug)]
+        struct Relay {
+            got: u32,
+            finished: bool,
+        }
+        const QUIET: u64 = 3;
+        impl Protocol for Relay {
+            type Msg = u32;
+            fn round(
+                &mut self,
+                ctx: &mut RoundCtx<'_>,
+                inbox: &mut Vec<Envelope<u32>>,
+                out: &mut Outbox<u32>,
+            ) -> Status {
+                self.got += inbox.len() as u32;
+                if ctx.round >= QUIET {
+                    return Status::Done;
+                }
+                out.send((ctx.me + 1) % ctx.k, 0);
+                Status::Active
+            }
+            fn finished(&self) -> bool {
+                self.finished
+            }
+        }
+        let k = 5;
+        let cfg = NetConfig::with_bandwidth(k, 64, 3600);
+        let relays = |unfinished: Option<usize>| -> Vec<Relay> {
+            (0..k)
+                .map(|me| Relay {
+                    got: 0,
+                    finished: unfinished != Some(me),
+                })
+                .collect()
+        };
+        let outcome = |run: Result<RunReport<Relay>, EngineError>| {
+            run.map(|r| {
+                (
+                    r.metrics,
+                    r.machines.iter().map(|m| m.got).collect::<Vec<_>>(),
+                )
+            })
+        };
+        for unfinished in [None, Some(2)] {
+            let seq = outcome(SequentialEngine::run(cfg, relays(unfinished)));
+            assert_eq!(seq.is_ok(), unfinished.is_none(), "{seq:?}");
+            for (machine, round) in [(0, QUIET + 1), (k - 1, QUIET + 1), (2, QUIET + 2)] {
+                let plan = FaultPlan {
+                    crash: Some(CrashSpec { machine, round }),
+                    barrier_timeout_ms: 200,
+                    ..FaultPlan::default()
+                };
+                for w in shapes(k) {
+                    let dist = outcome(pool(cfg, relays(unfinished), plan, w));
+                    assert_eq!(seq, dist, "W = {w}, crash of {machine} at {round}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn single_machine_runs_without_links() {
         struct Solo {
@@ -1855,67 +1958,40 @@ mod tests {
     }
 
     /// Failures are typed by the machine at every pool shape, including
-    /// machines that neither head nor end their block.
+    /// machines that neither head nor end their block, and machines of
+    /// block 0, which the caller's thread hosts.
     #[test]
     fn every_pool_shape_names_the_failing_machine() {
         let k = 7;
         let cfg = NetConfig::with_bandwidth(k, 40, 3400);
-        for w in shapes(k) {
-            let plan = FaultPlan {
-                crash: Some(CrashSpec {
-                    machine: 4,
-                    round: 2,
-                }),
-                barrier_timeout_ms: 200,
-                ..FaultPlan::default()
-            };
-            let err = pool(cfg, gossip_machines(k), plan, w).unwrap_err();
-            assert_eq!(
-                err,
-                EngineError::MachineLost {
-                    machine: 4,
-                    round: 2
-                },
-                "W = {w}"
-            );
-            let err = pool(cfg, bombs(k, 5), FaultPlan::default(), w).unwrap_err();
-            assert!(
-                matches!(err, EngineError::WorkerPanicked { machine: 5, ref message }
-                    if message.contains("machine 5 went off")),
-                "W = {w}: {err:?}"
-            );
-        }
-    }
-
-    /// The caller's thread hosts block 0: a crash or a panic there is
-    /// typed the same way, by the spawned peers waiting on it, and the
-    /// caller's silent worker learns the error from them.
-    #[test]
-    fn failures_on_the_callers_thread_are_typed_too() {
-        let k = 4;
-        let cfg = NetConfig::with_bandwidth(k, 40, 3500);
-        let plan = FaultPlan {
-            crash: Some(CrashSpec {
-                machine: 1,
-                round: 2,
-            }),
-            barrier_timeout_ms: 200,
-            ..FaultPlan::default()
-        };
-        let err = pool(cfg, gossip_machines(k), plan, 2).unwrap_err();
-        assert_eq!(
-            err,
-            EngineError::MachineLost {
-                machine: 1,
-                round: 2
+        for (crashed, bombed) in [(4, 5), (1, 0)] {
+            for w in shapes(k) {
+                let plan = FaultPlan {
+                    crash: Some(CrashSpec {
+                        machine: crashed,
+                        round: 2,
+                    }),
+                    barrier_timeout_ms: 200,
+                    ..FaultPlan::default()
+                };
+                let err = pool(cfg, gossip_machines(k), plan, w).unwrap_err();
+                assert_eq!(
+                    err,
+                    EngineError::MachineLost {
+                        machine: crashed,
+                        round: 2
+                    },
+                    "W = {w}"
+                );
+                let err = pool(cfg, bombs(k, bombed), FaultPlan::default(), w).unwrap_err();
+                let went_off = format!("machine {bombed} went off");
+                assert!(
+                    matches!(err, EngineError::WorkerPanicked { machine, ref message }
+                        if machine == bombed && message.contains(&went_off)),
+                    "W = {w}: {err:?}"
+                );
             }
-        );
-        let err = pool(cfg, bombs(k, 0), FaultPlan::default(), 2).unwrap_err();
-        assert!(
-            matches!(err, EngineError::WorkerPanicked { machine: 0, ref message }
-                if message.contains("machine 0 went off")),
-            "{err:?}"
-        );
+        }
     }
 
     /// Machine `victim` panics in round 1; everyone else idles along.

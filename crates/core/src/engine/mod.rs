@@ -142,7 +142,12 @@
 //! * A planned crash is known to every worker from the start. The skip
 //!   stops at the crash round, a worker checks the crash before each
 //!   call, and it repeats the empty call for the round a skip lands on,
-//!   so the crash happens in the round it was planned for.
+//!   so the crash happens in the round it was planned for. A crash the
+//!   look-ahead meets in round `r + 1` stops the block's calls at the
+//!   crashed machine, and takes effect only if closing `r` does not end
+//!   the run: the worker still ships its share for `r`, and goes silent
+//!   only once the ledger goes on to `r + 1`. A crash planned past the
+//!   run's last round never happens, whatever the round.
 //!
 //! Skipping relies on `Done` meaning "nothing to do without mail". A
 //! machine that waits for a peer (a parked [`crate::router::Staged`]

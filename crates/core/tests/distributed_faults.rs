@@ -123,27 +123,35 @@ fn worker_panic_fails_fast_with_no_orphans() {
 }
 
 /// A machine that stalls past the barrier deadline (but never dies) is
-/// reported lost — and the run still tears down cleanly once the
-/// straggler wakes up inside the aborted scope.
+/// reported lost — on a clean wire and on a lossy one, where the peers
+/// keep servicing their wires while they wait — and the run still tears
+/// down cleanly once the straggler wakes up inside the aborted scope.
 #[test]
 fn stalled_machine_is_lost_at_the_barrier() {
-    let plan = FaultPlan {
-        barrier_timeout_ms: 200,
-        ..FaultPlan::default()
-    };
-    let err = DistributedEngine::run_with_faults(
-        cfg(4),
-        saboteurs(4, 1, 1, Mode::Stall(Duration::from_millis(900))),
-        Some(plan),
-    )
-    .unwrap_err();
-    assert_eq!(
-        err,
-        EngineError::MachineLost {
-            machine: 1,
-            round: 1
+    for drop in [0.0, 0.2] {
+        let plan = FaultPlan {
+            drop,
+            seed: 11,
+            barrier_timeout_ms: 200,
+            ..FaultPlan::default()
+        };
+        for victim in [1, 3] {
+            let err = DistributedEngine::run_with_faults(
+                cfg(4),
+                saboteurs(4, victim, 1, Mode::Stall(Duration::from_millis(900))),
+                Some(plan),
+            )
+            .unwrap_err();
+            assert_eq!(
+                err,
+                EngineError::MachineLost {
+                    machine: victim,
+                    round: 1
+                },
+                "drop = {drop}"
+            );
         }
-    );
+    }
 }
 
 /// Crash injection through the public `FaultPlan` API on a raw-engine
