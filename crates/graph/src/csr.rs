@@ -4,6 +4,13 @@
 //! adjacency lists, so the representation is a flat `offsets`/`neighbors`
 //! pair with sorted adjacency — cache-friendly, and `has_edge` is a binary
 //! search. Construction deduplicates parallel edges and drops self-loops.
+//!
+//! **Two-pass count-then-fill.** [`CsrGraph::from_edges`] counts each
+//! vertex's raw degree (self-loops skipped), scatters both orientations of
+//! every edge into per-vertex windows, and hands them to this module's
+//! `canonicalize_windows`: the one routine that sorts, deduplicates and
+//! compacts adjacency for [`CsrGraph`], [`crate::DiGraph`],
+//! [`crate::WeightedGraph`] and the streaming builder ([`crate::stream`]).
 
 use crate::ids::{Edge, Vertex};
 
@@ -26,44 +33,28 @@ impl CsrGraph {
     /// # Panics
     /// Panics if any endpoint is `>= n`.
     pub fn from_edges(n: usize, edges: &[(Vertex, Vertex)]) -> Self {
-        let mut deg = vec![0usize; n];
-        let mut clean: Vec<(Vertex, Vertex)> = Vec::with_capacity(edges.len());
+        let mut at = vec![0usize; n];
         for &(u, v) in edges {
             assert!(
                 (u as usize) < n && (v as usize) < n,
                 "edge ({u},{v}) out of range for n={n}"
             );
             if u != v {
-                clean.push(if u < v { (u, v) } else { (v, u) });
+                at[u as usize] += 1;
+                at[v as usize] += 1;
             }
         }
-        clean.sort_unstable();
-        clean.dedup();
-        for &(u, v) in &clean {
-            deg[u as usize] += 1;
-            deg[v as usize] += 1;
+        let mut neighbors = vec![0 as Vertex; window_starts(&mut at)];
+        for &(u, v) in edges {
+            if u != v {
+                for (a, b) in [(u, v), (v, u)] {
+                    neighbors[at[a as usize]] = b;
+                    at[a as usize] += 1;
+                }
+            }
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for d in &deg {
-            acc += d;
-            offsets.push(acc);
-        }
-        let mut cursor = offsets.clone();
-        let mut neighbors = vec![0 as Vertex; acc];
-        for &(u, v) in &clean {
-            neighbors[cursor[u as usize]] = v;
-            cursor[u as usize] += 1;
-            neighbors[cursor[v as usize]] = u;
-            cursor[v as usize] += 1;
-        }
-        // Each adjacency list was filled in increasing order of the *other*
-        // endpoint only for the `u < v` direction; sort each list to get the
-        // canonical sorted-CSR invariant.
-        for v in 0..n {
-            neighbors[offsets[v]..offsets[v + 1]].sort_unstable();
-        }
+        let mut offsets = vec![0];
+        canonicalize_windows(&mut neighbors, None, at.into_iter(), &mut offsets);
         CsrGraph { offsets, neighbors }
     }
 
@@ -143,10 +134,89 @@ impl CsrGraph {
     }
 }
 
+/// Turns raw per-vertex entry counts into the first slot of each
+/// vertex's scatter window, in place; returns the total. Scattering an
+/// entry at `at[u]` and bumping it leaves `at[u]` at the end of `u`'s
+/// window, which is what [`canonicalize_windows`] takes.
+pub(crate) fn window_starts(at: &mut [usize]) -> usize {
+    let mut acc = 0;
+    for a in at {
+        let count = *a;
+        *a = acc;
+        acc += count;
+    }
+    acc
+}
+
+/// The one adjacency canonicalizer: every constructor in this crate and
+/// the streaming builder scatter raw entries into contiguous per-vertex
+/// windows of `neighbors` (with `weights` aligned, for weighted graphs)
+/// and hand the window ends here.
+///
+/// Each window is sorted by neighbour, then by weight under
+/// `f64::total_cmp`, and only the first entry of each run of equal
+/// neighbours is kept — so a duplicate edge keeps its minimum weight.
+/// The arrays are compacted in place (and shrunk if dedup removed
+/// entries), and the end of each compacted window is pushed onto
+/// `offsets`, which holds the leading `0`.
+///
+/// `ends` must be non-decreasing and end at or before `neighbors.len()`.
+pub(crate) fn canonicalize_windows(
+    neighbors: &mut Vec<Vertex>,
+    mut weights: Option<&mut Vec<f64>>,
+    ends: impl ExactSizeIterator<Item = usize>,
+    offsets: &mut Vec<usize>,
+) {
+    offsets.reserve(ends.len());
+    let mut scratch: Vec<(Vertex, f64)> = Vec::new();
+    let (mut lo, mut write) = (0, 0);
+    for hi in ends {
+        let first = write;
+        if let Some(ws) = weights.as_deref_mut() {
+            scratch.clear();
+            scratch.extend(
+                neighbors[lo..hi]
+                    .iter()
+                    .copied()
+                    .zip(ws[lo..hi].iter().copied()),
+            );
+            scratch.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+            for &(v, w) in &scratch {
+                if write == first || neighbors[write - 1] != v {
+                    neighbors[write] = v;
+                    ws[write] = w;
+                    write += 1;
+                }
+            }
+        } else {
+            neighbors[lo..hi].sort_unstable();
+            for r in lo..hi {
+                // `write <= r`, so no entry is overwritten before it is read.
+                let v = neighbors[r];
+                if write == first || neighbors[write - 1] != v {
+                    neighbors[write] = v;
+                    write += 1;
+                }
+            }
+        }
+        offsets.push(write);
+        lo = hi;
+    }
+    if write < neighbors.len() {
+        neighbors.truncate(write);
+        neighbors.shrink_to_fit();
+        if let Some(ws) = weights {
+            ws.truncate(write);
+            ws.shrink_to_fit();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn path4() -> CsrGraph {
         CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)])
@@ -203,10 +273,22 @@ mod tests {
     }
 
     proptest! {
-        /// Degree sum equals 2m and every edge appears in both adjacency lists.
+        /// Degree sum equals 2m, every edge appears in both adjacency
+        /// lists, and each list is exactly the set of vertices the raw
+        /// input pairs with that vertex, self-loops aside.
         #[test]
         fn csr_invariants(edges in proptest::collection::vec((0u32..40, 0u32..40), 0..200)) {
             let g = CsrGraph::from_edges(40, &edges);
+            let mut want = vec![BTreeSet::new(); 40];
+            for &(u, v) in &edges {
+                if u != v {
+                    want[u as usize].insert(v);
+                    want[v as usize].insert(u);
+                }
+            }
+            for v in g.vertices() {
+                prop_assert!(g.neighbors(v).iter().eq(&want[v as usize]), "vertex {}", v);
+            }
             prop_assert_eq!(g.degree_sum(), 2 * g.m());
             for e in g.edges() {
                 prop_assert!(g.neighbors(e.u).contains(&e.v));

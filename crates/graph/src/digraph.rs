@@ -5,7 +5,13 @@
 //! partition the home machine of a vertex knows its out-edges (Section 1.1),
 //! so [`DiGraph::out_neighbors`] is the primary access path; the in-CSR is
 //! kept for analysis (e.g. closed-form PageRank on `H`).
+//!
+//! **Two-pass count-then-fill.** [`DiGraph::from_arcs`] counts raw out- and
+//! in-degrees, scatters each arc into its source's out-window and its
+//! target's in-window, and canonicalizes each side through the crate's one
+//! adjacency canonicalizer (`canonicalize_windows` in [`crate::csr`]).
 
+use crate::csr::{canonicalize_windows, window_starts};
 use crate::ids::Vertex;
 
 /// An immutable simple directed graph in CSR form (out- and in-adjacency).
@@ -25,50 +31,39 @@ impl DiGraph {
     /// # Panics
     /// Panics if any endpoint is `>= n`.
     pub fn from_arcs(n: usize, arcs: &[(Vertex, Vertex)]) -> Self {
-        let mut clean: Vec<(Vertex, Vertex)> = Vec::with_capacity(arcs.len());
+        let (mut out_at, mut in_at) = (vec![0usize; n], vec![0usize; n]);
         for &(u, v) in arcs {
             assert!(
                 (u as usize) < n && (v as usize) < n,
                 "arc ({u},{v}) out of range for n={n}"
             );
             if u != v {
-                clean.push((u, v));
+                out_at[u as usize] += 1;
+                in_at[v as usize] += 1;
             }
         }
-        clean.sort_unstable();
-        clean.dedup();
-
-        let build = |n: usize, pairs: &[(Vertex, Vertex)]| {
-            let mut deg = vec![0usize; n];
-            for &(u, _) in pairs {
-                deg[u as usize] += 1;
+        let mut out_neighbors = vec![0 as Vertex; window_starts(&mut out_at)];
+        let mut in_neighbors = vec![0 as Vertex; window_starts(&mut in_at)];
+        for &(u, v) in arcs {
+            if u != v {
+                out_neighbors[out_at[u as usize]] = v;
+                out_at[u as usize] += 1;
+                in_neighbors[in_at[v as usize]] = u;
+                in_at[v as usize] += 1;
             }
-            let mut offsets = Vec::with_capacity(n + 1);
-            let mut acc = 0;
-            offsets.push(0);
-            for d in &deg {
-                acc += d;
-                offsets.push(acc);
-            }
-            let mut cursor = offsets.clone();
-            let mut nbrs = vec![0 as Vertex; acc];
-            for &(u, v) in pairs {
-                nbrs[cursor[u as usize]] = v;
-                cursor[u as usize] += 1;
-            }
-            for v in 0..n {
-                nbrs[offsets[v]..offsets[v + 1]].sort_unstable();
-            }
-            (offsets, nbrs)
-        };
-
-        let (out_offsets, out_neighbors) = build(n, &clean);
-        let reversed: Vec<(Vertex, Vertex)> = clean.iter().map(|&(u, v)| (v, u)).collect();
-        let (in_offsets, in_neighbors) = build(n, &reversed);
+        }
+        let (mut out_offsets, mut in_offsets) = (vec![0], vec![0]);
+        canonicalize_windows(
+            &mut out_neighbors,
+            None,
+            out_at.into_iter(),
+            &mut out_offsets,
+        );
+        canonicalize_windows(&mut in_neighbors, None, in_at.into_iter(), &mut in_offsets);
         DiGraph {
             out_offsets,
-            out_neighbors,
             in_offsets,
+            out_neighbors,
             in_neighbors,
         }
     }
@@ -142,6 +137,7 @@ impl DiGraph {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn degrees_and_arcs() {
@@ -178,10 +174,19 @@ mod tests {
     }
 
     proptest! {
-        /// In/out CSR views are transposes of each other.
+        /// In/out CSR views are transposes of each other, and both hold
+        /// exactly the distinct non-loop arcs of the raw input.
         #[test]
         fn transpose_consistency(arcs in proptest::collection::vec((0u32..25, 0u32..25), 0..150)) {
             let g = DiGraph::from_arcs(25, &arcs);
+            let want: BTreeSet<(Vertex, Vertex)> =
+                arcs.iter().copied().filter(|&(u, v)| u != v).collect();
+            prop_assert!(g.arcs().eq(want.iter().copied()));
+            let reversed: BTreeSet<(Vertex, Vertex)> = want.iter().map(|&(u, v)| (v, u)).collect();
+            let ins = g
+                .vertices()
+                .flat_map(|v| g.in_neighbors(v).iter().map(move |&u| (v, u)));
+            prop_assert!(ins.eq(reversed.iter().copied()));
             let out_sum: usize = g.vertices().map(|v| g.out_degree(v)).sum();
             let in_sum: usize = g.vertices().map(|v| g.in_neighbors(v).len()).sum();
             prop_assert_eq!(out_sum, g.m());

@@ -54,8 +54,11 @@ use std::sync::Arc;
 /// the precomputed receiver-side map `u → hosted out-neighbors of u`.
 /// Byte-for-byte equality over all stored arrays — the invariant the
 /// streaming builder ([`crate::stream::StreamingDistBuilder`]) is tested
-/// against. Weights are finite by construction, so `f64` equality is a
-/// genuine equivalence here.
+/// against. Both builds canonicalize adjacency through the same routine
+/// (`canonicalize_windows` in [`crate::csr`]): the in-memory path when it
+/// builds the global graph it splits, the streaming path per window.
+/// Weights are finite by construction, so `f64` equality is a genuine
+/// equivalence here.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LocalGraph {
     // Fields are `pub(crate)` so the streaming builder in

@@ -14,40 +14,83 @@ use rand::Rng;
 /// # Panics
 /// Panics unless `0 ≤ p ≤ 1`.
 pub fn gnp<R: Rng>(n: usize, p: f64, rng: &mut R) -> CsrGraph {
-    assert!((0.0..=1.0).contains(&p), "p={p} out of [0,1]");
-    if n == 0 || p == 0.0 {
-        return CsrGraph::from_edges(n, &[]);
-    }
-    if p >= 1.0 {
-        return super::classic::complete(n);
+    let mut sampler = GnpSampler::new(n, p);
+    let expected = (sampler.total as f64 * p) as usize;
+    let mut edges: Vec<(Vertex, Vertex)> = Vec::with_capacity(expected + 16);
+    edges.extend(std::iter::from_fn(|| sampler.next(rng)));
+    CsrGraph::from_edges(n, &edges)
+}
+
+/// The geometric skip-sampling state of one `G(n, p)` draw, shared by
+/// [`gnp()`] and the chunked [`crate::stream::GnpStream`], so both make
+/// the same RNG draws in the same order by construction.
+///
+/// Pairs `(u, v)`, `u < v`, are enumerated as a flat row-major index;
+/// each step skips `Geometric(p)` pairs. `p = 1` emits every pair
+/// without touching the RNG, and `n = 0` or `p = 0` emits nothing.
+#[derive(Debug, Clone)]
+pub(crate) struct GnpSampler {
+    n: usize,
+    p: f64,
+    total: u64,
+    log1p: f64,
+    idx: u64,
+    done: bool,
+}
+
+impl GnpSampler {
+    /// A sampler at the first pair.
+    ///
+    /// # Panics
+    /// Panics unless `0 ≤ p ≤ 1`.
+    pub(crate) fn new(n: usize, p: f64) -> Self {
+        assert!((0.0..=1.0).contains(&p), "p={p} out of [0,1]");
+        GnpSampler {
+            n,
+            p,
+            total: (n as u64) * (n as u64).saturating_sub(1) / 2,
+            log1p: (1.0 - p).ln(),
+            idx: 0,
+            done: n == 0 || p == 0.0,
+        }
     }
 
-    // Enumerate pairs (u,v), u<v, as a flat index and skip geometrically.
-    let total: u64 = (n as u64) * (n as u64 - 1) / 2;
-    let expected = (total as f64 * p) as usize;
-    let mut edges: Vec<(Vertex, Vertex)> = Vec::with_capacity(expected + 16);
-    let log1p = (1.0 - p).ln();
-    let mut idx: u64 = 0;
-    loop {
-        // Geometric(p) skip: floor(ln U / ln(1-p)).
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let skip = (u.ln() / log1p).floor() as u64;
-        idx = match idx.checked_add(skip) {
-            Some(i) => i,
-            None => break,
-        };
-        if idx >= total {
-            break;
-        }
-        edges.push(unflatten(idx, n));
-        idx += 1;
+    /// Number of vertices of the sampled graph.
+    pub(crate) fn n(&self) -> usize {
+        self.n
     }
-    CsrGraph::from_edges(n, &edges)
+
+    /// Goes back to the first pair.
+    pub(crate) fn rewind(&mut self) {
+        *self = GnpSampler::new(self.n, self.p);
+    }
+
+    /// The next edge, drawing from `rng`; `None` once exhausted.
+    #[inline]
+    pub(crate) fn next<R: Rng>(&mut self, rng: &mut R) -> Option<(Vertex, Vertex)> {
+        if self.done {
+            return None;
+        }
+        if self.p < 1.0 {
+            // Geometric(p) skip: floor(ln U / ln(1-p)).
+            let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+            let skip = (u.ln() / self.log1p).floor() as u64;
+            // A skip that overflows lands past `total` and ends the draw.
+            self.idx = self.idx.saturating_add(skip);
+        }
+        if self.idx >= self.total {
+            self.done = true;
+            return None;
+        }
+        let edge = unflatten(self.idx, self.n);
+        self.idx += 1;
+        Some(edge)
+    }
 }
 
 /// Maps a flat pair index in `[0, C(n,2))` to the pair `(u, v)`, `u < v`,
 /// in row-major order: row `u` holds pairs `(u, u+1) .. (u, n-1)`.
-/// Shared with [`super::gnm`] and the chunked drivers in [`crate::stream`].
+/// Shared with [`super::gnm`] and [`GnpSampler`].
 ///
 /// `O(1)`: row `u` starts at `offset(u) = u·(2n − u − 1)/2`, so the row
 /// of `idx` comes from the quadratic formula, with an integer correction

@@ -8,7 +8,9 @@
 //!
 //! * compact CSR representations for undirected ([`CsrGraph`]), directed
 //!   ([`DiGraph`]) and weighted ([`WeightedGraph`]) graphs, using `u32`
-//!   vertex ids throughout;
+//!   vertex ids throughout, each sorted, deduplicated and compacted by the
+//!   one adjacency canonicalizer in [`csr`] that the streaming builder
+//!   shares;
 //! * the graph generators used by the paper's lower and upper bounds:
 //!   Erdős–Rényi [`generators::gnp()`](generators::gnp()) / [`generators::gnm()`](generators::gnm()) (Theorem 3 uses
 //!   `G(n,1/2)`), Chung–Lu power-law graphs, classic families (stars are the
@@ -23,7 +25,8 @@
 //!   [`LocalGraph`] every k-machine algorithm runs on, built for all `k`
 //!   machines in one fused pass by [`DistGraphBuilder`];
 //! * streaming ingestion ([`stream`]): chunked edge sources
-//!   ([`EdgeStream`], with the `G(n, p)` driver [`GnpStream`]) and a
+//!   ([`EdgeStream`], with the `G(n, p)` driver [`GnpStream`], which shares
+//!   [`generators::gnp()`](generators::gnp())'s sampler) and a
 //!   [`StreamingDistBuilder`] that routes bounded [`EdgeChunk`]s straight
 //!   into the per-machine locals — byte-identical to the in-memory path
 //!   without ever materializing the global CSR.

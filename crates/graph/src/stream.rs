@@ -14,21 +14,25 @@
 //! `O(n + chunk)` transient — never the `O(m)` global CSR plus its
 //! `O(m)` construction scratch.
 //!
-//! **RNG-replay invariant.** [`GnpStream`] performs *exactly* the same
-//! RNG draws in the same order as [`crate::generators::gnp()`], so the
-//! streamed edge sequence is bit-identical to the edges the one-shot
-//! generator feeds its CSR constructor. `tests/stream_equivalence.rs`
-//! proptests both halves of the contract: generator replay, and
-//! `StreamingDistBuilder == DistGraphBuilder` byte-for-byte.
+//! **RNG-replay invariant.** [`GnpStream`] and
+//! [`crate::generators::gnp()`] drain the same crate-private skip
+//! sampler, so they make *exactly* the same RNG draws in the same order
+//! by construction, and the streamed edge sequence is bit-identical to
+//! the edges the one-shot generator feeds its CSR constructor.
+//! `tests/stream_equivalence.rs` proptests both halves of the contract:
+//! generator replay, and `StreamingDistBuilder == DistGraphBuilder`
+//! byte-for-byte.
 //!
 //! **Two-pass count-then-fill.** The builder drives the stream twice
 //! ([`EdgeStream::reset`] rewinds it): pass 1 counts per-vertex
 //! degrees, which pre-sizes every machine's flat arrays exactly like
 //! [`DistGraphBuilder`]; pass 2 scatters endpoints into the pre-sized
 //! windows; a final per-window sort + dedup produces the canonical
-//! sorted-CSR form. Self-loops are dropped and duplicate edges collapse
-//! (keeping the minimum weight for weighted streams), matching the
-//! one-shot constructors.
+//! sorted-CSR form. That last step is the crate's one adjacency
+//! canonicalizer (`canonicalize_windows` in [`crate::csr`]), the routine
+//! the one-shot constructors build through, so self-loops are dropped
+//! and duplicate edges collapse (keeping the minimum weight for weighted
+//! streams) exactly as they do there.
 //!
 //! * *Reader and router.* Both passes read through one helper: the
 //!   calling thread calls `next_chunk` (so a stream need not be `Send`)
@@ -56,9 +60,10 @@
 //! ceiling, and measured at the `ingest` workload's shape it was about
 //! twice as slow for a few percent less peak memory.
 
+use crate::csr::canonicalize_windows;
 use crate::dist::{finalize_host_pairs, DistGraph, DistGraphBuilder, LocalGraph};
 use crate::error::GraphError;
-use crate::generators::gnp::unflatten;
+use crate::generators::gnp::GnpSampler;
 use crate::ids::Vertex;
 use crate::partition::Partition;
 use rand::{Rng, SeedableRng};
@@ -242,14 +247,9 @@ impl EdgeStream for VecStream {
 /// `n = 10⁷` ingestion tier.
 #[derive(Debug, Clone)]
 pub struct GnpStream<R> {
-    n: usize,
-    p: f64,
+    sampler: GnpSampler,
     seed: u64,
     chunk_size: usize,
-    total: u64,
-    log1p: f64,
-    idx: u64,
-    done: bool,
     rng: R,
 }
 
@@ -259,73 +259,36 @@ impl<R: Rng + SeedableRng> GnpStream<R> {
     /// # Panics
     /// Panics unless `0 ≤ p ≤ 1` and `chunk_size > 0`.
     pub fn new(n: usize, p: f64, seed: u64, chunk_size: usize) -> Self {
-        assert!((0.0..=1.0).contains(&p), "p={p} out of [0,1]");
+        let sampler = GnpSampler::new(n, p);
         assert!(chunk_size > 0, "chunk size must be positive");
-        let total: u64 = (n as u64) * (n as u64).saturating_sub(1) / 2;
-        let mut s = GnpStream {
-            n,
-            p,
+        GnpStream {
+            sampler,
             seed,
             chunk_size,
-            total,
-            log1p: (1.0 - p).ln(),
-            idx: 0,
-            done: false,
             rng: R::seed_from_u64(seed),
-        };
-        s.reset();
-        s
+        }
     }
 }
 
 impl<R: Rng + SeedableRng> EdgeStream for GnpStream<R> {
     fn n(&self) -> usize {
-        self.n
+        self.sampler.n()
     }
 
     fn next_chunk(&mut self, chunk: &mut EdgeChunk) -> bool {
         chunk.clear();
-        if self.done {
-            return false;
-        }
-        if self.p >= 1.0 {
-            // The one-shot form returns `classic::complete(n)` without
-            // consuming the RNG; emit every pair in row-major order.
-            while self.idx < self.total && chunk.len() < self.chunk_size {
-                let (u, v) = unflatten(self.idx, self.n);
-                chunk.push(u, v);
-                self.idx += 1;
-            }
-            self.done = self.idx >= self.total;
-            return !chunk.is_empty();
-        }
         while chunk.len() < self.chunk_size {
-            // Identical draw to the one-shot loop: Geometric(p) skip.
-            let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-            let skip = (u.ln() / self.log1p).floor() as u64;
-            self.idx = match self.idx.checked_add(skip) {
-                Some(i) => i,
-                None => {
-                    self.done = true;
-                    break;
-                }
-            };
-            if self.idx >= self.total {
-                self.done = true;
-                break;
+            match self.sampler.next(&mut self.rng) {
+                Some((u, v)) => chunk.push(u, v),
+                None => break,
             }
-            let (u, v) = unflatten(self.idx, self.n);
-            chunk.push(u, v);
-            self.idx += 1;
         }
         !chunk.is_empty()
     }
 
     fn reset(&mut self) {
         self.rng = R::seed_from_u64(self.seed);
-        self.idx = 0;
-        // The one-shot form returns early (no draws) for these inputs.
-        self.done = self.n == 0 || self.p == 0.0;
+        self.sampler.rewind();
     }
 }
 
@@ -681,9 +644,8 @@ fn canonicalize_all(locals: &mut [LocalGraph], cur: &[u64]) -> Result<Vec<usize>
             .chunks_mut(per_thread)
             .map(|run| {
                 s.spawn(move || {
-                    let mut scratch = Vec::new();
                     run.iter_mut()
-                        .map(|l| canonicalize(l, cur, &mut scratch))
+                        .map(|l| canonicalize(l, cur))
                         .collect::<Result<Vec<usize>, StreamError>>()
                 })
             })
@@ -696,66 +658,30 @@ fn canonicalize_all(locals: &mut [LocalGraph], cur: &[u64]) -> Result<Vec<usize>
     })
 }
 
-/// Per-window sort + dedup-compact of one machine, yielding the sorted
-/// simple adjacency of the one-shot constructors; returns its edge
-/// load. Windows are contiguous in member order, so each starts where
-/// the previous member's final cursor stopped.
-fn canonicalize(
-    l: &mut LocalGraph,
-    cur: &[u64],
-    scratch: &mut Vec<(Vertex, f64)>,
-) -> Result<usize, StreamError> {
-    let part = Arc::clone(&l.part);
-    let mut lo = 0usize;
-    let mut write = 0usize;
-    for &v in part.members(l.me) {
-        let hi = cur[v as usize] as u32 as usize;
-        let window = l
-            .neighbors
-            .get_mut(lo..hi)
-            .ok_or(StreamError::ReplayMismatch)?;
-        if l.weighted {
-            // Sort by (neighbor, weight) so keep-first == keep the
-            // minimum weight, matching `WeightedGraph`.
-            scratch.clear();
-            scratch.extend(
-                window
-                    .iter()
-                    .zip(&l.weights[lo..hi])
-                    .map(|(&nv, &nw)| (nv, nw)),
-            );
-            scratch.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
-            let mut last = None;
-            for &(nv, nw) in scratch.iter() {
-                if last != Some(nv) {
-                    l.neighbors[write] = nv;
-                    l.weights[write] = nw;
-                    write += 1;
-                    last = Some(nv);
-                }
-            }
-        } else {
-            window.sort_unstable();
-            let mut last = None;
-            for r in lo..hi {
-                let nv = l.neighbors[r];
-                if last != Some(nv) {
-                    // `write <= r` always, so the read above is never
-                    // clobbered.
-                    l.neighbors[write] = nv;
-                    write += 1;
-                    last = Some(nv);
-                }
-            }
+/// Canonicalizes one machine through
+/// [`crate::csr::canonicalize_windows`], yielding the sorted simple
+/// adjacency of the one-shot constructors; returns its edge load.
+/// Windows are contiguous in member order, so each ends at its member's
+/// final cursor and starts where the previous member's ended.
+fn canonicalize(l: &mut LocalGraph, cur: &[u64]) -> Result<usize, StreamError> {
+    let (part, me) = (Arc::clone(&l.part), l.me);
+    let ends = || {
+        part.members(me)
+            .iter()
+            .map(|&v| cur[v as usize] as u32 as usize)
+    };
+    // A window running backwards or past the array can only come from a
+    // stream that did not replay its count pass.
+    let mut lo = 0;
+    for hi in ends() {
+        if hi < lo || hi > l.neighbors.len() {
+            return Err(StreamError::ReplayMismatch);
         }
-        l.offsets.push(write);
         lo = hi;
     }
-    l.neighbors.truncate(write);
-    if l.weighted {
-        l.weights.truncate(write);
-    }
-    Ok(write)
+    let weights = l.weighted.then_some(&mut l.weights);
+    canonicalize_windows(&mut l.neighbors, weights, ends(), &mut l.offsets);
+    Ok(l.neighbors.len())
 }
 
 #[cfg(test)]

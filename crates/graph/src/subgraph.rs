@@ -1,39 +1,15 @@
-//! Induced subgraphs and random vertex samples.
+//! Induced edge counts and random vertex samples.
 //!
 //! The triangle-enumeration upper bound (Theorem 5) controls the number of
 //! edges landing on one machine via the number of edges *induced by a random
-//! vertex subset* (Proposition 2, Rödl–Ruciński). These helpers extract
-//! induced subgraphs and count induced edges so `km-lower` can validate the
+//! vertex subset* (Proposition 2, Rödl–Ruciński). These helpers sample such
+//! subsets and count their induced edges so `km-lower` can validate the
 //! concentration bound empirically.
 
 use crate::csr::CsrGraph;
 use crate::ids::Vertex;
 use rand::seq::SliceRandom;
 use rand::Rng;
-
-/// The subgraph of `g` induced by `subset`, with vertices relabeled
-/// `0..subset.len()` in the order given. Returns the relabeled graph and
-/// the mapping `new id -> old id`.
-pub fn induced_subgraph(g: &CsrGraph, subset: &[Vertex]) -> (CsrGraph, Vec<Vertex>) {
-    let mut old_to_new = vec![Vertex::MAX; g.n()];
-    for (new, &old) in subset.iter().enumerate() {
-        assert!(
-            old_to_new[old as usize] == Vertex::MAX,
-            "duplicate vertex {old} in subset"
-        );
-        old_to_new[old as usize] = new as Vertex;
-    }
-    let mut edges = Vec::new();
-    for (new_u, &old_u) in subset.iter().enumerate() {
-        for &old_v in g.neighbors(old_u) {
-            let new_v = old_to_new[old_v as usize];
-            if new_v != Vertex::MAX && (new_u as Vertex) < new_v {
-                edges.push((new_u as Vertex, new_v));
-            }
-        }
-    }
-    (CsrGraph::from_edges(subset.len(), &edges), subset.to_vec())
-}
 
 /// Number of edges of `g` with both endpoints in `subset`
 /// (`e(G[R])` in Proposition 2), without materializing the subgraph.
@@ -76,27 +52,15 @@ mod tests {
     }
 
     #[test]
-    fn induced_triangle_from_k4() {
+    fn induced_count_matches_edge_scan() {
         let g = k4();
-        let (sub, map) = induced_subgraph(&g, &[0, 1, 3]);
-        assert_eq!(sub.n(), 3);
-        assert_eq!(sub.m(), 3);
-        assert_eq!(map, vec![0, 1, 3]);
-    }
-
-    #[test]
-    fn induced_count_matches_subgraph() {
-        let g = k4();
-        for subset in [vec![], vec![2], vec![0, 2], vec![1, 2, 3]] {
-            let (sub, _) = induced_subgraph(&g, &subset);
-            assert_eq!(sub.m(), induced_edge_count(&g, &subset));
+        for subset in [vec![], vec![2], vec![0, 2], vec![0, 1, 3], vec![1, 2, 3]] {
+            let want = g
+                .edges()
+                .filter(|e| subset.contains(&e.u) && subset.contains(&e.v))
+                .count();
+            assert_eq!(induced_edge_count(&g, &subset), want);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate")]
-    fn rejects_duplicate_subset() {
-        let _ = induced_subgraph(&k4(), &[1, 1]);
     }
 
     #[test]

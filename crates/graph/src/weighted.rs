@@ -3,7 +3,16 @@
 //! Used by the MST application (Section 1.3 discusses the `Ω~(n/k²)` MST
 //! lower bound via the General Lower Bound Theorem on complete graphs with
 //! random edge weights; `km-mst` provides the matching upper bound).
+//!
+//! **Two-pass count-then-fill.** [`WeightedGraph::from_weighted_edges`]
+//! counts raw degrees, scatters both orientations of every edge with its
+//! weight into per-vertex windows, and canonicalizes them through the
+//! crate's one adjacency canonicalizer (`canonicalize_windows` in
+//! [`crate::csr`]). It sorts each window by neighbour, then weight under
+//! `f64::total_cmp`, and keeps the first of each run, so a duplicate edge
+//! keeps its minimum weight on both sides.
 
+use crate::csr::{canonicalize_windows, window_starts};
 use crate::error::GraphError;
 use crate::ids::{Edge, Vertex};
 
@@ -40,7 +49,7 @@ impl WeightedGraph {
         weights: &[f64],
     ) -> Result<Self, GraphError> {
         assert_eq!(edges.len(), weights.len(), "edges/weights length mismatch");
-        let mut clean: Vec<(Vertex, Vertex, f64)> = Vec::with_capacity(edges.len());
+        let mut at = vec![0usize; n];
         for (&(u, v), &w) in edges.iter().zip(weights) {
             assert!(
                 (u as usize) < n && (v as usize) < n,
@@ -50,49 +59,25 @@ impl WeightedGraph {
                 return Err(GraphError::NonFiniteWeight { u, v, w });
             }
             if u != v {
-                let (a, b) = if u < v { (u, v) } else { (v, u) };
-                clean.push((a, b, w));
+                at[u as usize] += 1;
+                at[v as usize] += 1;
             }
         }
-        // Sort by endpoints then weight so dedup keeps the minimum weight
-        // (total_cmp is a genuine total order on the now-finite weights).
-        clean.sort_unstable_by(|x, y| (x.0, x.1).cmp(&(y.0, y.1)).then(x.2.total_cmp(&y.2)));
-        clean.dedup_by_key(|e| (e.0, e.1));
-
-        let mut deg = vec![0usize; n];
-        for &(u, v, _) in &clean {
-            deg[u as usize] += 1;
-            deg[v as usize] += 1;
+        let len = window_starts(&mut at);
+        let (mut neighbors, mut wts) = (vec![0 as Vertex; len], vec![0f64; len]);
+        for (&(u, v), &w) in edges.iter().zip(weights) {
+            if u != v {
+                for (a, b) in [(u, v), (v, u)] {
+                    neighbors[at[a as usize]] = b;
+                    wts[at[a as usize]] = w;
+                    at[a as usize] += 1;
+                }
+            }
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0;
-        offsets.push(0);
-        for d in &deg {
-            acc += d;
-            offsets.push(acc);
-        }
-        let mut cursor = offsets.clone();
-        let mut neighbors = vec![0 as Vertex; acc];
-        let mut wts = vec![0f64; acc];
-        for &(u, v, w) in &clean {
-            neighbors[cursor[u as usize]] = v;
-            wts[cursor[u as usize]] = w;
-            cursor[u as usize] += 1;
-            neighbors[cursor[v as usize]] = u;
-            wts[cursor[v as usize]] = w;
-            cursor[v as usize] += 1;
-        }
-        // Co-sort each adjacency window by neighbor id.
-        for v in 0..n {
-            let lo = offsets[v];
-            let hi = offsets[v + 1];
-            let mut idx: Vec<usize> = (lo..hi).collect();
-            idx.sort_unstable_by_key(|&i| neighbors[i]);
-            let nb: Vec<Vertex> = idx.iter().map(|&i| neighbors[i]).collect();
-            let ww: Vec<f64> = idx.iter().map(|&i| wts[i]).collect();
-            neighbors[lo..hi].copy_from_slice(&nb);
-            wts[lo..hi].copy_from_slice(&ww);
-        }
+        // Finite weights make `total_cmp` a genuine order, so keeping the
+        // first of each run keeps the minimum weight on both sides.
+        let mut offsets = vec![0];
+        canonicalize_windows(&mut neighbors, Some(&mut wts), at.into_iter(), &mut offsets);
         Ok(WeightedGraph {
             offsets,
             neighbors,
@@ -156,6 +141,18 @@ impl WeightedGraph {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// A sampled `(selector, x)` as a weight: `0.0`, `-0.0`, a small
+    /// integer (so exact ties are common) or `x` itself.
+    fn weight((sel, x): (u8, f64)) -> f64 {
+        match sel {
+            0 => 0.0,
+            1 => -0.0,
+            2 => x.trunc() % 3.0,
+            _ => x,
+        }
+    }
 
     #[test]
     fn basic_weights() {
@@ -186,18 +183,42 @@ mod tests {
     }
 
     proptest! {
-        /// Symmetry: weight(u,v) == weight(v,u); edge count matches topology.
+        /// Symmetry: weight(u,v) == weight(v,u); edge count matches
+        /// topology; and each edge's weight is, bit for bit, the
+        /// `total_cmp` minimum over every input edge naming the pair in
+        /// either orientation. `mirrored` re-sends a prefix of the edges
+        /// reversed with new weights, and weights include `-0.0` beside
+        /// `0.0` and exact ties.
         #[test]
         fn weight_symmetry(
-            edges in proptest::collection::vec(((0u32..20, 0u32..20), 0.0f64..100.0), 0..100)
+            edges in proptest::collection::vec(((0u32..20, 0u32..20), (0u8..4, -100.0f64..100.0)), 0..100),
+            mirrored in proptest::collection::vec((0u8..4, -100.0f64..100.0), 0..100),
         ) {
-            let (pairs, ws): (Vec<_>, Vec<_>) = edges.into_iter().unzip();
+            let (mut pairs, mut ws): (Vec<_>, Vec<_>) =
+                edges.into_iter().map(|(e, w)| (e, weight(w))).unzip();
+            for (i, &w) in mirrored.iter().enumerate().take(pairs.len()) {
+                let (u, v) = pairs[i];
+                pairs.push((v, u));
+                ws.push(weight(w));
+            }
             let g = WeightedGraph::from_weighted_edges(20, &pairs, &ws).unwrap();
             for (e, w) in g.weighted_edges() {
                 prop_assert_eq!(g.weight(e.u, e.v), Some(w));
                 prop_assert_eq!(g.weight(e.v, e.u), Some(w));
             }
             prop_assert_eq!(g.weighted_edges().count(), g.m());
+            let mut want: BTreeMap<(Vertex, Vertex), f64> = BTreeMap::new();
+            for (&(u, v), &w) in pairs.iter().zip(&ws) {
+                if u != v {
+                    let min = want.entry((u.min(v), u.max(v))).or_insert(w);
+                    if w.total_cmp(min).is_lt() {
+                        *min = w;
+                    }
+                }
+            }
+            let got: Vec<_> = g.weighted_edges().map(|(e, w)| ((e.u, e.v), w.to_bits())).collect();
+            let want: Vec<_> = want.into_iter().map(|(e, w)| (e, w.to_bits())).collect();
+            prop_assert_eq!(got, want);
         }
     }
 }
