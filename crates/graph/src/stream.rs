@@ -664,9 +664,9 @@ fn canonicalize_all(locals: &mut [LocalGraph], cur: &[u64]) -> Result<Vec<usize>
 /// Windows are contiguous in member order, so each ends at its member's
 /// final cursor and starts where the previous member's ended.
 fn canonicalize(l: &mut LocalGraph, cur: &[u64]) -> Result<usize, StreamError> {
-    let (part, me) = (Arc::clone(&l.part), l.me);
     let ends = || {
-        part.members(me)
+        l.part
+            .members(l.me)
             .iter()
             .map(|&v| cur[v as usize] as u32 as usize)
     };
